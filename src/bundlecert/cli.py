@@ -13,29 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import k3lat
 from .cohom import h0_exterior, h0_homology
 from .errors import BundleCertError
-from .monad import (
-    KERNEL,
-    chern_monad,
-    monad_from_document,
-    validate,
-)
+from .monad import KERNEL, chern_monad, monad_from_document
 from .polycore import Ambient, parse_poly
-from .stability import (
-    CertifyOptions,
-    Polarization,
-    certify,
-    pullback_transfer,
-    verify_certificate,
-)
+from .stability import CertifyOptions, Polarization, certify, verify_certificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
+
+FIELD_LIMIT_HELP = "odd prime p; every field F_q counted needs q = p^n ≤ 2^20"
 
 
 def _load_json(path: str) -> dict:
@@ -286,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-points", help="point counts of the branched double cover")
     p.add_argument("--surface", required=True, help="JSON with the (4,4) branch curve")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=int, required=True, help=FIELD_LIMIT_HELP)
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--threads", type=int, default=1)
     add_common(p)
@@ -294,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("picard-bound", help="geometric Picard-rank upper bound")
     p.add_argument("--surface", required=True)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=int, required=True, help=FIELD_LIMIT_HELP)
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--k-alg", type=int, default=2)

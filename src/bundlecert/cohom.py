@@ -32,12 +32,10 @@ from .monad import HOMOLOGY, KERNEL, MonadComplex, restrict_to_fiber
 from .polycore import (
     Ambient,
     RationalPolynomial,
-    kernel_dim,
     mdeg_add,
     section_matrix,
 )
 
-CLOSED_FORM = "ClosedForm"
 SECTION_KERNEL = "SectionKernel"
 EXTERIOR_KERNEL = "ExteriorKernel"
 HOMOLOGY_BOUND = "HomologyBound"
@@ -132,6 +130,17 @@ def _h0_kernel_part(m: MonadComplex, L) -> CohomResult:
     return _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
 
 
+def _wedge_twists(m: MonadComplex, s: int, base) -> list:
+    """base + the sum of the middle twists over each s-subset, in combinations order."""
+    out = []
+    for S in combinations(range(m.middle.rank), s):
+        t = base
+        for i in S:
+            t = mdeg_add(t, m.middle.twists[i])
+        out.append(t)
+    return out
+
+
 def exterior_contraction(m: MonadComplex, s: int):
     """Entries and twists for the contraction Λ^s B -> Λ^{s-1} B ⊗ C (rank-1 C)."""
     if m.target.rank != 1:
@@ -142,21 +151,10 @@ def exterior_contraction(m: MonadComplex, s: int):
     if not 1 <= s <= r - 1:
         raise ValueError(f"s must lie in 1..{r - 1}")
     b = m.map_b[0]
-    c_twist = m.target.twists[0]
     sources = list(combinations(range(r), s))
     targets = list(combinations(range(r), s - 1))
-    src_twists = []
-    for S in sources:
-        t = m.ambient.zero_degree()
-        for i in S:
-            t = mdeg_add(t, m.middle.twists[i])
-        src_twists.append(t)
-    tgt_twists = []
-    for T in targets:
-        t = c_twist
-        for i in T:
-            t = mdeg_add(t, m.middle.twists[i])
-        tgt_twists.append(t)
+    src_twists = _wedge_twists(m, s, m.ambient.zero_degree())
+    tgt_twists = _wedge_twists(m, s - 1, m.target.twists[0])
     zero = RationalPolynomial.zero(m.ambient)
     entries = [[zero] * len(sources) for _ in targets]
     tpos = {T: i for i, T in enumerate(targets)}
@@ -208,12 +206,6 @@ def h0_monad(m: MonadComplex, s: int, L) -> CohomResult:
 
 # --- fiber restriction and the tail rule --------------------------------------
 
-def _fiber_exterior_monad(m: MonadComplex, axis: int, point):
-    """Restrict along the axis NOT carrying the bound; axis is the surviving one."""
-    fixed_axis = 3 - axis
-    return restrict_to_fiber(m, fixed_axis, point)
-
-
 def fiber_h0_vanishes(fiber: MonadComplex, s: int, bound: int) -> dict:
     """Certify h^0(Λ^s F ⊗ O(t)) = 0 on P1 for every t <= bound.
 
@@ -255,16 +247,6 @@ def fiber_h0_vanishes(fiber: MonadComplex, s: int, bound: int) -> dict:
     raise FiberNotVanishingError("?", f"no splitting certificate down to twist {bound}")
 
 
-def _lambda_b_twists(m: MonadComplex, s: int):
-    out = []
-    for S in combinations(range(m.middle.rank), s):
-        t = m.ambient.zero_degree()
-        for i in S:
-            t = mdeg_add(t, m.middle.twists[i])
-        out.append(t)
-    return out
-
-
 def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomResult:
     """Certify h^0((Λ^s F)(k, l)) = 0 for every twist whose `axis` component
     is <= bound (the other component arbitrary).
@@ -282,14 +264,15 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomR
         raise ValueError("axis must be 1 or 2")
     other = 2 - axis  # 0-based index of the descending component
 
-    fiber = _fiber_exterior_monad(m, axis, point)
+    # evaluate the factor not carrying the bound; `axis` is the surviving one
+    fiber = restrict_to_fiber(m, 3 - axis, point)
     try:
         fiber_witness = fiber_h0_vanishes(fiber, s, bound)
     except FiberNotVanishingError as e:
         raise FiberNotVanishingError(tuple(point), e.detail) from None
 
     # terminal twist for the descent: beyond it, h^0 vanishes for ambient reasons
-    lam_twists = _lambda_b_twists(m, s)
+    lam_twists = _wedge_twists(m, s, m.ambient.zero_degree())
     if not lam_twists:
         raise NoTerminalBoundError("Λ^s B has rank 0")
     terminal = -max(t[other] for t in lam_twists) - 1

@@ -253,7 +253,6 @@ class CoverSpec:
 
 DOUBLE_PLANE_COVER = CoverSpec("double_plane_sextic", "p2", True)
 DOUBLE_QUADRIC_COVER = CoverSpec("double_quadric_44", "p1xp1", True)
-QUARTIC_SURFACE = CoverSpec("quartic", "none", False)
 
 
 # --- numerology -----------------------------------------------------------------
@@ -582,7 +581,7 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> QuarticCerti
         }
     ]
     for d in (1, 2):
-        classes, raw = curve_class_candidates(lattice, H, d)
+        _, raw = curve_class_candidates(lattice, H, d)
         if raw:
             ok = False
             strata.append({"degrees": str(d), "rule": "unknown", "candidates": raw})

@@ -1,8 +1,12 @@
 """Monad complexes A -> B -> C of twisted sums of line bundles.
 
 Covers the data model, structural validation (homogeneity, b∘a = 0, exactness
-at the ends), Chern-class calculus for the kernel/homology bundle, the reality
-check, and restriction to a fiber of P1 x P1.
+at the ends), Chern-class calculus for the kernel/homology bundle, and
+restriction to a fiber of P1 x P1.
+
+Coefficients are exact rationals.  The input grammar admits integer constants
+only, so every loaded monad is defined over Q and invariant under complex
+conjugation: the real structure holds by construction and needs no check.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from .polycore import (
     Ambient,
     RationalPolynomial,
     intersection_product,
-    mdeg_add,
     mdeg_sub,
     parse_poly,
 )
@@ -334,7 +337,8 @@ def chern_free(F: FreeSheaf) -> ChernData:
 
 
 def _quotient_chern(total: ChernData, quot: ChernData, ambient: Ambient) -> ChernData:
-    """Chern data of S in 0 -> S -> total -> quot -> 0 (Whitney truncated at degree 2)."""
+    """Chern data of the third term of 0 -> S -> total -> quot -> 0, given `total`
+    and one of S, quot (Whitney c(total) = c(S) c(quot), truncated at degree 2)."""
     rank = total.rank - quot.rank
     c1 = mdeg_sub(total.c1, quot.c1)
     c2 = total.c2 - intersection_product(ambient, c1, quot.c1) - quot.c2
@@ -351,23 +355,8 @@ def chern_monad(m: MonadComplex) -> ChernData:
     kernel = _quotient_chern(chern_free(m.middle), chern_free(m.target), m.ambient)
     if m.kind == KERNEL:
         return kernel
-    a = chern_free(m.source)
-    # 0 -> A -> K -> E -> 0, so E = K/A and c(K) = c(A) c(E)
-    rank = kernel.rank - a.rank
-    c1 = mdeg_sub(kernel.c1, a.c1)
-    c2 = kernel.c2 - intersection_product(m.ambient, c1, a.c1) - a.c2
-    return ChernData(rank, c1, c2)
-
-
-def is_real(m: MonadComplex) -> bool:
-    """True iff every coefficient of every map entry is (rational) real."""
-    rows = list(m.map_b) + (list(m.map_a) if m.map_a is not None else [])
-    for row in rows:
-        for p in row:
-            for c in p.terms.values():
-                if getattr(c, "imag", 0) != 0:
-                    return False
-    return True
+    # 0 -> A -> K -> E -> 0, so c(K) = c(A) c(E)
+    return _quotient_chern(kernel, chern_free(m.source), m.ambient)
 
 
 def restrict_to_fiber(m: MonadComplex, axis: int, point) -> MonadComplex:

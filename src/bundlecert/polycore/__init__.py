@@ -11,13 +11,11 @@ from .linalg import (
 from .parse import parse_poly
 from .poly import (
     Ambient,
-    GaussianRational,
     MultiDegree,
     RationalPolynomial,
     intersection_product,
     mdeg_add,
     mdeg_leq,
-    mdeg_neg,
     mdeg_sub,
     monomial_basis,
     monomial_count,
@@ -26,7 +24,6 @@ from .poly import (
 __all__ = [
     "Ambient",
     "ExactMatrix",
-    "GaussianRational",
     "MultiDegree",
     "RationalPolynomial",
     "bareiss_det",
@@ -35,7 +32,6 @@ __all__ = [
     "kernel_dim",
     "mdeg_add",
     "mdeg_leq",
-    "mdeg_neg",
     "mdeg_sub",
     "monomial_basis",
     "monomial_count",

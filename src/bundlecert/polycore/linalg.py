@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from ..errors import HomogeneityError
-from .poly import Ambient, RationalPolynomial, mdeg_add, mdeg_sub, monomial_basis
+from .poly import mdeg_add, mdeg_sub, monomial_basis
 
 
 @dataclass
@@ -184,11 +184,9 @@ def section_matrix(map_entries, source_twists, target_twists, L) -> ExactMatrix:
     for b in src_bases:
         col_offsets.append(ncols)
         ncols += len(b)
-    row_offsets = []
     row_pos = []
     nrows = 0
     for b in tgt_bases:
-        row_offsets.append(nrows)
         row_pos.append({e: nrows + k for k, e in enumerate(b)})
         nrows += len(b)
 

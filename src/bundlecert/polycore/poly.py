@@ -84,13 +84,6 @@ class Ambient:
         except ValueError:
             raise AmbientMismatchError(f"no variable {name!r} in ambient") from None
 
-    def group_of_var(self, idx: int) -> int:
-        for g, names in enumerate(self.groups):
-            if idx < len(names):
-                return g
-            idx -= len(names)
-        raise IndexError(idx)
-
     def group_slices(self):
         out, start = [], 0
         for g in self.groups:
@@ -130,72 +123,14 @@ def mdeg_sub(a: MultiDegree, b: MultiDegree) -> MultiDegree:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mdeg_neg(a: MultiDegree) -> MultiDegree:
-    return tuple(-x for x in a)
-
-
 def mdeg_leq(a: MultiDegree, b: MultiDegree) -> bool:
     """Componentwise partial order."""
     return all(x <= y for x, y in zip(a, b))
 
 
-class GaussianRational:
-    """a + b*i with exact rational a, b.  Extension hook for reality checks."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    @property
-    def imag(self):
-        return self.im
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        return self.im == 0 and self.re == other
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        return GaussianRational(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
-
-
 def _coeff(value):
     """Normalize a coefficient: exact rationals stay exact, ints are lifted."""
-    if isinstance(value, (Fraction, GaussianRational)):
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -258,7 +193,7 @@ class RationalPolynomial:
             raise AmbientMismatchError("polynomials on different ambients")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = RationalPolynomial.constant(self.ambient, other)
         self._check_same_ambient(other)
         terms = dict(self.terms)
@@ -276,7 +211,7 @@ class RationalPolynomial:
         return RationalPolynomial(self.ambient, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = RationalPolynomial.constant(self.ambient, other)
         return self + (-other)
 
@@ -284,7 +219,7 @@ class RationalPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             c0 = _coeff(other)
             if not c0:
                 return RationalPolynomial.zero(self.ambient)
@@ -329,9 +264,6 @@ class RationalPolynomial:
         d = self.ambient.normalize_degree(d)
         return all(self.ambient.exponent_multidegree(e) == d for e in self.terms)
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def substitute(self, assignment: dict, result_ambient: Ambient) -> "RationalPolynomial":
         """Substitute some variables by constants or polynomials on result_ambient.
 
@@ -375,8 +307,6 @@ class RationalPolynomial:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            if isinstance(c, GaussianRational):
-                raise ValueError("cannot render non-real coefficients")
             neg = c < 0
             a = -c if neg else c
             coeff_txt = None

@@ -12,7 +12,7 @@ direction is used: a nonzero h^0 yields Inconclusive, never "unstable".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohom import h0_monad, tail_vanish
@@ -27,7 +27,6 @@ from .errors import (
 from .monad import (
     ChernData,
     MonadComplex,
-    ambient_to_document,
     chern_monad,
     monad_from_document,
     monad_to_document,
@@ -331,25 +330,18 @@ def _run_band(m, s, region, cert, options) -> dict | None:
         for l in range(t2 + 1, bound - k + 1)
     ]
     core.sort(key=lambda kl: (-(kl[0] + kl[1]), -kl[0]))
-    if options.margin is not None:
-        maximal = [kl for kl in core if kl[0] + kl[1] > bound - 1 - options.margin]
-        rest = [kl for kl in core if kl not in maximal]
-        for kl in maximal:
-            res = h0_monad(m, s, kl)
-            fail = _record_check(cert, s, kl, res)
-            if fail:
-                return fail
-        for kl in rest:
-            dom = (kl[0], bound - kl[0])
-            cert.propagations.append(
-                Propagation(s, dom, f"covers {kl} by downward monotonicity")
-            )
-        return None
-    for kl in core:
-        res = h0_monad(m, s, kl)
-        fail = _record_check(cert, s, kl, res)
+    checked, covered = core, []
+    if options.margin is not None:  # check the maximal points only
+        checked = [kl for kl in core if sum(kl) >= bound - options.margin]
+        covered = [kl for kl in core if sum(kl) < bound - options.margin]
+    for kl in checked:
+        fail = _record_check(cert, s, kl, h0_monad(m, s, kl))
         if fail:
             return fail
+    for kl in covered:
+        cert.propagations.append(
+            Propagation(s, (kl[0], bound - kl[0]), f"covers {kl} by downward monotonicity")
+        )
     return None
 
 

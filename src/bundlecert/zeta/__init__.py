@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 
 from .charpoly import (
     Candidate,
@@ -19,7 +18,7 @@ from .charpoly import (
     unit_root_count,
 )
 from .count import count_points, count_points_bruteforce, curve_coefficients
-from .field import FqField, make_field, quad_char, smallest_irreducible
+from .field import FqField, make_field, smallest_irreducible
 
 __all__ = [
     "Candidate",
@@ -36,7 +35,6 @@ __all__ = [
     "family_completions",
     "make_field",
     "newton_elementary_from_power_sums",
-    "quad_char",
     "rank_upper_bound",
     "resolve_family_with_count",
     "run_picard_bound",

@@ -70,9 +70,24 @@ def poly_divmod_exact(a, b):
     return quot, a
 
 
-def poly_eval(a, x):
-    total = 0
-    for c in reversed(a):
+def poly_divmod(a, b):
+    """(quotient, remainder) of a by b over Q, as Fraction lists."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(1, len(r) - len(b) + 1)
+    while len(r) >= len(b) and any(r):
+        c = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, x in enumerate(b):
+            r[shift + i] -= c * x
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def _evaluate(poly, x: Fraction) -> Fraction:
+    total = Fraction(0)
+    for c in reversed(poly):
         total = total * x + c
     return total
 
@@ -89,7 +104,26 @@ def cyclotomic(k: int) -> tuple:
 
 
 def euler_phi(k: int) -> int:
-    return len(cyclotomic(k)) - 1
+    """Euler's totient, by trial factorisation of k."""
+    phi, n, f = k, k, 2
+    while f * f <= n:
+        if n % f == 0:
+            phi -= phi // f
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        phi -= phi // n
+    return phi
+
+
+@lru_cache(maxsize=None)
+def cyclotomics_up_to(d: int) -> tuple:
+    """Phi_k for every k with phi(k) <= d, in increasing k.
+
+    phi(k) >= sqrt(k/2) for every k, so no k above 2 d^2 qualifies.
+    """
+    return tuple(cyclotomic(k) for k in range(1, 2 * d * d + 1) if euler_phi(k) <= d)
 
 
 # --- symmetric-function plumbing -------------------------------------------------
@@ -110,22 +144,6 @@ def newton_elementary_from_power_sums(power_sums) -> list:
             )
         out.append(int(x))
     return out
-
-
-def power_sums_from_coeffs(coeffs, m: int) -> list:
-    """p_1..p_m for the monic polynomial with ascending coefficients `coeffs`."""
-    d = len(coeffs) - 1
-    # e_j with sign: coeffs[d - j] = (-1)^j e_j
-    e = [coeffs[d - j] * (-1) ** j for j in range(d + 1)]
-    p = []
-    for k in range(1, m + 1):
-        acc = 0
-        for i in range(1, k):
-            acc += (-1) ** (i - 1) * e[i] * p[k - i - 1] if i <= d else 0
-        if k <= d:
-            acc += (-1) ** (k - 1) * k * e[k]
-        p.append(acc)
-    return p
 
 
 # --- candidates ------------------------------------------------------------------
@@ -185,97 +203,35 @@ def complete_with_functional_equation(e_known, d: int, p: int, sign: int):
 
 def _sturm_count(poly, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in (a, b] for a squarefree rational poly."""
-
-    def evaluate(q, x):
-        tot = Fraction(0)
-        for c in reversed(q):
-            tot = tot * x + c
-        return tot
-
-    def rem(f, g):
-        f = [Fraction(c) for c in f]
-        g = list(g)
-        while len(f) >= len(g) and any(f):
-            c = f[-1] / g[-1]
-            shift = len(f) - len(g)
-            for i, x in enumerate(g):
-                f[shift + i] -= c * x
-            while len(f) > 1 and f[-1] == 0:
-                f.pop()
-            if len(f) == 1 and f[0] == 0:
-                break
-        return f
-
     chain = [[Fraction(c) for c in poly]]
     deriv = [Fraction(i * c) for i, c in enumerate(poly)][1:]
     if any(deriv):
         chain.append(deriv)
         while len(chain[-1]) > 1:
-            r = rem(chain[-2], chain[-1])
-            r = [-c for c in r]
+            r = [-c for c in poly_divmod(chain[-2], chain[-1])[1]]
             if not any(r):
                 break
             chain.append(r)
 
-    def signs(x):
-        out = []
-        for q in chain:
-            v = evaluate(q, x)
-            if v:
-                out.append(1 if v > 0 else -1)
-        changes = sum(1 for u, v in zip(out, out[1:]) if u != v)
-        return changes
+    def sign_changes(x):
+        signs = [v > 0 for v in (_evaluate(q, x) for q in chain) if v]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
-    return signs(a) - signs(b)
+    return sign_changes(a) - sign_changes(b)
 
 
 def _squarefree_part(poly):
     """poly / gcd(poly, poly') over Q."""
     f = [Fraction(c) for c in poly]
-    g = [Fraction(i * c) for i, c in enumerate(poly)][1:]
-
-    def rem(a, b):
-        a = list(a)
-        while len(a) >= len(b) and any(a):
-            c = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, x in enumerate(b):
-                a[shift + i] -= c * x
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-            if len(a) == 1 and a[0] == 0:
-                break
-        return a
-
-    a, b = f, g
+    a, b = f, [Fraction(i * c) for i, c in enumerate(poly)][1:]
     while any(b) and len(b) > 1:
-        a, b = b, rem(a, b)
-    if not any(b):
-        gcd = a
-    else:
-        gcd = b  # a nonzero constant: squarefree already
+        a, b = b, poly_divmod(a, b)[1]
+    gcd = a if not any(b) else b  # a nonzero constant b: squarefree already
     if len(gcd) == 1:
         return f
-    q, r = _frac_div(f, gcd)
+    q, r = poly_divmod(f, gcd)
     assert not any(r)
     return q
-
-
-def _frac_div(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        c = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, x in enumerate(b):
-            a[shift + i] -= c * x
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        if len(a) == 1 and a[0] == 0:
-            break
-    return q, a
 
 
 def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
@@ -291,61 +247,44 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
     r = [Fraction(coeffs[j], p ** (d - j)) for j in range(d + 1)]  # R ascending
     if sign == -1:
         # divide by (S-1)(S+1) = S^2 - 1
-        q, remdr = _frac_div(r, [Fraction(-1), Fraction(0), Fraction(1)])
+        r, remdr = poly_divmod(r, [-1, 0, 1])
         if any(remdr):
             return False
-        r = q
-    e = len(r) - 1
-    if e % 2:
+    if (len(r) - 1) % 2:
         # self-inversive of odd degree with sign +1 has S = -1 as a root
-        q, remdr = _frac_div(r, [Fraction(1), Fraction(1)])
+        r, remdr = poly_divmod(r, [1, 1])
         if any(remdr):
             return False
-        r = q
-        e = len(r) - 1
+    e = len(r) - 1
     h = e // 2
     # verify self-inversivity of the remainder (sign +1)
     for j in range(e + 1):
         if r[j] != r[e - j]:
             return False
-    # G(u) = r_h + sum_{m>=1} r_{h+m} * b_m(u), with b_m = u b_{m-1} - b_{m-2}
-    b_prev = [Fraction(2)]  # b_0
-    b_cur = [Fraction(0), Fraction(1)]  # b_1
-    G = [Fraction(r[h])]
+    # G(u) = r_h + sum_{m>=1} r_{h+m} * b_m(u), with b_0 = 2, b_1 = u and
+    # b_m = u b_{m-1} - b_{m-2}
+    G = [Fraction(0)] * (h + 1)
+    G[0] = r[h]
+    b_prev, b_cur = [Fraction(2)], [Fraction(0), Fraction(1)]
     for m in range(1, h + 1):
-        bm = b_cur if m == 1 else None
-        if m >= 2:
-            # b_m = u*b_{m-1} - b_{m-2}
-            shifted = [Fraction(0)] + b_cur
-            bm = [
-                (shifted[i] if i < len(shifted) else Fraction(0))
-                - (b_prev[i] if i < len(b_prev) else Fraction(0))
-                for i in range(max(len(shifted), len(b_prev)))
-            ]
-            b_prev, b_cur = b_cur, bm
-        coeff = r[h + m]
-        if coeff:
-            G = [
-                (G[i] if i < len(G) else Fraction(0))
-                + coeff * (bm[i] if i < len(bm) else Fraction(0))
-                for i in range(max(len(G), len(bm)))
-            ]
+        for i, c in enumerate(b_cur):
+            G[i] += r[h + m] * c
+        b_next = [Fraction(0)] + b_cur
+        for i, c in enumerate(b_prev):
+            b_next[i] -= c
+        b_prev, b_cur = b_cur, b_next
     while len(G) > 1 and G[-1] == 0:
         G.pop()
     if len(G) == 1:
         return not any(G) or h == 0
     # count roots in [-2, 2]: handle endpoints exactly, then Sturm on the rest
-    total_needed = len(_squarefree_part(G)) - 1
     sq = _squarefree_part(G)
+    total_needed = len(sq) - 1
     found = 0
     for endpoint in (Fraction(-2), Fraction(2)):
-        v = Fraction(0)
-        for c in reversed(sq):
-            v = v * endpoint + c
-        if v == 0:
-            q, remdr = _frac_div(sq, [-endpoint, Fraction(1)])
+        if _evaluate(sq, endpoint) == 0:
+            sq, remdr = poly_divmod(sq, [-endpoint, 1])
             assert not any(remdr)
-            sq = q
             found += 1
     found += _sturm_count(sq, Fraction(-2), Fraction(2))
     return found == total_needed
@@ -355,27 +294,15 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
 
 def unit_root_count(coeffs, p: int) -> int:
     """Total multiplicity of roots of the form p * (root of unity)."""
-    d = len(coeffs) - 1
     w = [c * p ** j for j, c in enumerate(coeffs)]  # Q(pT), ascending
     total = 0
-    for k in range(1, 200):
-        phi = euler_phi(k)
-        if phi > d:
-            continue
-        if k > 2 and phi > d:
-            continue
-        cyc = list(cyclotomic(k))
-        mult = 0
+    for cyc in cyclotomics_up_to(len(coeffs) - 1):
         cur = w
         while True:
-            q, rem = poly_divmod_exact(cur, cyc)
-            if q is None or any(rem):
+            cur, rem = poly_divmod_exact(cur, cyc)
+            if cur is None or any(rem):
                 break
-            mult += 1
-            cur = q
-        total += phi * mult
-        if k > 2 * d + 2:
-            break
+            total += len(cyc) - 1
     return total
 
 
@@ -476,25 +403,20 @@ def family_completions(cand: Candidate, p: int) -> list:
     condition on e per cyclotomic; collect the finitely many integer
     solutions.
     """
-    d = cand.degree
     mid = cand.middle_index
     w0 = [c * p ** j for j, c in enumerate(cand.coeffs)]
+    t_mid = [0] * mid + [p ** mid]
     out = set()
-    for k in range(1, 200):
-        phi = euler_phi(k)
-        if phi > d:
-            continue
-        cyc = list(cyclotomic(k))
+    for cyc in cyclotomics_up_to(cand.degree):
         width = len(cyc) - 1
-        r0 = _pad(_poly_mod_q(w0, cyc), width)
-        t_mid = [0] * mid + [p ** mid]
-        r1 = _pad(_poly_mod_q(t_mid, cyc), width)
+        r0 = _pad(poly_divmod(w0, cyc)[1], width)
+        r1 = _pad(poly_divmod(t_mid, cyc)[1], width)
         if not any(r1):
             continue  # cannot happen: Phi_k never divides T^mid
         # solve r0 + e*r1 = 0
         idx = next(i for i, c in enumerate(r1) if c)
-        e = Fraction(-r0[idx], r1[idx])
-        if all(Fraction(a) + e * b == 0 for a, b in zip(r0, r1)):
+        e = -r0[idx] / r1[idx]
+        if all(a + e * b == 0 for a, b in zip(r0, r1)):
             if e.denominator == 1:
                 out.add(int(e))
     completions = []
@@ -503,21 +425,6 @@ def family_completions(cand: Candidate, p: int) -> list:
         coeffs[mid] = e
         completions.append((e, tuple(coeffs)))
     return completions
-
-
-def _poly_mod_q(a, b):
-    """Remainder of integer a modulo monic integer b, over Q (exact Fractions)."""
-    a = [Fraction(c) for c in a]
-    while len(a) >= len(b) and any(a):
-        c = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, x in enumerate(b):
-            a[shift + i] -= c * x
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        if len(a) == 1 and a[0] == 0:
-            break
-    return a
 
 
 def _pad(a, width):

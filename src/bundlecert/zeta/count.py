@@ -74,7 +74,6 @@ def _fiber_range_count(field: FqField, A, start: int, stop: int) -> int:
     """
     q = field.q
     qm1 = q - 1
-    p = field.p
     zech = field.zech
     u_log = np.arange(qm1, dtype=np.int64)
 

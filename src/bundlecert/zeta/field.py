@@ -2,9 +2,10 @@
 
 The modulus is the lexicographically smallest monic irreducible of degree n
 over F_p (high-degree coefficients compared first), elements are packed into
-integers base p, and for q <= 2^20 multiplication/addition run on discrete-log
-tables with a Zech-logarithm table for addition.  Beyond the cap the field
-falls back to polynomial-basis arithmetic.
+integers base p, and multiplication runs on discrete-log tables with a
+Zech-logarithm table for addition.  Building the tables costs O(q) time and
+memory, so `make_field` refuses q > ZECH_CAP = 2^20; there is no table-free
+arithmetic.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 from ..errors import EvenCharacteristicError, NotPrimeError, TooLargeError
 
 ZECH_CAP = 1 << 20
-DEFAULT_MAX_Q = 1 << 26
 
 LOG_ZERO = -1  # sentinel log value for the zero element
 
@@ -123,17 +123,13 @@ class FqField:
     n: int
     modulus: tuple
     q: int = field(init=False)
-    has_tables: bool = field(init=False)
-    exp: np.ndarray | None = field(init=False, default=None, repr=False)
-    log: np.ndarray | None = field(init=False, default=None, repr=False)
-    zech: np.ndarray | None = field(init=False, default=None, repr=False)
-    generator: int = field(init=False, default=0)
+    exp: np.ndarray = field(init=False, repr=False)
+    log: np.ndarray = field(init=False, repr=False)
+    zech: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.q = self.p ** self.n
-        self.has_tables = self.q <= ZECH_CAP
-        if self.has_tables:
-            self._build_tables()
+        self._build_tables()
 
     # packing helpers
     def _unpack(self, a: int):
@@ -154,54 +150,18 @@ class FqField:
         ca, cb = self._unpack(a), self._unpack(b)
         return self._pack([(x + y) % self.p for x, y in zip(ca, cb)])
 
-    def neg(self, a: int) -> int:
-        return self._pack([(-x) % self.p for x in self._unpack(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.has_tables:
-            return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
-        prod = _pol_mulmod(self._unpack(a), self._unpack(b), list(self.modulus), self.p)
-        return self._pack(prod)
+        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e else 1
-        if self.has_tables:
-            return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError
-        return self.pow(a, self.q - 2)
+        return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
 
     def from_int(self, c: int) -> int:
         return c % self.p
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        order = 1
-        x = a
-        while x != 1:
-            x = self.mul(x, a)
-            order += 1
-        return order
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
 
     def _build_tables(self):
         q, p = self.q, self.p
@@ -213,10 +173,8 @@ class FqField:
                 gen = cand
                 break
         assert gen is not None
-        self.generator = gen
         exp = np.zeros(q - 1, dtype=np.int64)
         log = np.full(q, LOG_ZERO, dtype=np.int64)
-        x = 1
         gen_coeffs = self._unpack(gen)
         cur = [1]
         for i in range(q - 1):
@@ -253,21 +211,15 @@ class FqField:
             raise EvenCharacteristicError("quadratic character needs odd characteristic")
         if a == 0:
             return 0
-        if self.has_tables:
-            return 1 if int(self.log[a]) % 2 == 0 else -1
-        return 1 if self.pow(a, (self.q - 1) // 2) == 1 else -1
+        return 1 if int(self.log[a]) % 2 == 0 else -1
 
 
-def make_field(p: int, n: int, max_q: int = DEFAULT_MAX_Q) -> FqField:
+def make_field(p: int, n: int) -> FqField:
     """Deterministic field construction; raises NotPrime / TooLarge."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** n > max_q:
-        raise TooLargeError(f"q = {p}^{n} exceeds the configured limit {max_q}")
+    if p ** n > ZECH_CAP:
+        raise TooLargeError(f"q = {p}^{n} exceeds the log-table limit 2^20")
     return FqField(p, n, smallest_irreducible(p, n))
-
-
-def quad_char(field: FqField, a: int) -> int:
-    return field.quad_char(a)

@@ -32,11 +32,6 @@ def gauss_rank(rows) -> int:
     return rank
 
 
-def brute_h0_kernel(matrix_entries_eval, src_dims, tgt_dims):
-    """Not needed: kernel checks reuse gauss_rank on the same section matrix."""
-    raise NotImplementedError
-
-
 def count_double_cover_f3(coeffs_mod3) -> int:
     """Brute-force count over F_3 with plain integer arithmetic mod 3.
 

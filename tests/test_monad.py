@@ -10,14 +10,13 @@ from bundlecert.monad import (
     chern_free,
     chern_monad,
     homology_monad,
-    is_real,
     kernel_monad,
     monad_from_document,
     monad_to_document,
     restrict_to_fiber,
     validate,
 )
-from bundlecert.polycore import Ambient, GaussianRational, RationalPolynomial, parse_poly
+from bundlecert.polycore import Ambient, parse_poly
 
 P2 = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)
@@ -130,20 +129,6 @@ class TestChern:
         bad = kernel_monad(PP, [(-1, -1)], [(0, 0)], [["x0"]])  # inhomogeneous
         with pytest.raises(ValidationError):
             chern_monad(bad)
-
-
-class TestReal:
-    def test_euler_real(self):
-        assert is_real(euler())
-
-    def test_parsed_always_real(self):
-        assert is_real(k_rank3()) and is_real(e_rank2())
-
-    def test_gaussian_marker_not_real(self):
-        i = GaussianRational(0, 1)
-        entry = RationalPolynomial.monomial(PP, (1, 0, 1, 0), i)
-        m = kernel_monad(PP, [(-1, -1)], [(0, 0)], [[entry]])
-        assert not is_real(m)
 
 
 class TestFiberRestriction:
