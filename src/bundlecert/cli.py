@@ -182,8 +182,9 @@ def cmd_quartic_run(args) -> int:
 
 
 def cmd_count_points(args) -> int:
-    from .zeta import count_points
+    from .zeta import check_field, count_points
 
+    check_field(args.prime, args.max_n)
     f, _ = _surface_poly(args.surface)
     lines = []
     for n in range(1, args.max_n + 1):
@@ -196,8 +197,9 @@ def cmd_count_points(args) -> int:
 
 
 def cmd_picard_bound(args) -> int:
-    from .zeta import run_picard_bound
+    from .zeta import check_field, run_picard_bound
 
+    check_field(args.prime, args.max_n)
     f, _ = _surface_poly(args.surface)
     result = run_picard_bound(
         f, args.prime, max_n=args.max_n, threads=args.threads, k_alg=args.k_alg

@@ -18,7 +18,7 @@ from .charpoly import (
     unit_root_count,
 )
 from .count import count_points, count_points_bruteforce, curve_coefficients
-from .field import FqField, make_field, smallest_irreducible
+from .field import FqField, check_field, make_field, smallest_irreducible
 
 __all__ = [
     "Candidate",
@@ -27,6 +27,7 @@ __all__ = [
     "ZetaProfile",
     "all_roots_on_circle",
     "assemble_charpoly",
+    "check_field",
     "count_points",
     "count_points_bruteforce",
     "curve_coefficients",

@@ -5,16 +5,34 @@ point lifts twice when f(P) is a nonzero square, once when f(P) = 0, and not
 at all otherwise (well defined because f scales by fourth powers under
 rescaling homogeneous coordinates).
 
-Evaluation iterates x-fibers [1:t] and [0:1], specializes f to a binary
-quartic in y, and Horner-evaluates over all y simultaneously in the
-discrete-log domain (Zech addition), so a fiber costs a handful of numpy
-passes over a length-q array.  Fibers partition the work for the process
-pool; the total is a sum of per-fiber integers, hence independent of the
-partition shape.
+The sum runs fiber by fiber over the x-line.  Over x = [1:t] the form
+specializes to the binary quartic sum_j c_j(t) y0^(4-j) y1^j with
+c_j(t) = sum_k A[k][j] t^k, and over [0:1] to the row A[4].
+
+Frobenius orbits.  A has entries in F_p, so c_j(t^p) = c_j(t)^p: the fiber
+over t^p is the Frobenius image of the fiber over t.  Frobenius permutes
+P1(F_q) and keeps chi (a^p = a * a^(p-1), and a^(p-1) is a square), so both
+fibers have the same count.  With t = g^i the orbit of t is
+{i p^k mod (q-1)}; one fiber per orbit is counted and weighted by the
+orbit's size, which divides n.  t = 0 and [0:1] are fixed and counted once
+each: about q/n + 2 fibers instead of q + 1.
+
+Kernel.  The orbit representatives are specialized all at once, and each
+fiber's sum over y = [1:u], u = g^s, is one Horner pass over all q - 1
+values of s, in the discrete-log domain with zero encoded as 2(q-1)
+(`_LogTables`), so every step is an add and one or two table lookups into
+buffers allocated once per count.
+
+Threads.  The pool partitions the (fiber, weight) rows; the total is a sum
+of per-row integers, hence independent of the partition shape.
+
+Each finished count writes one progress line to stderr.
 """
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
+from time import perf_counter
 
 import numpy as np
 
@@ -40,75 +58,111 @@ def curve_coefficients(f: RationalPolynomial, p: int):
     return A
 
 
-# --- vectorized field kernels ---------------------------------------------------
+# --- Frobenius orbits and the vectorized kernel --------------------------------
 
-def _vec_mul_by_u(acc_log: np.ndarray, u_log: np.ndarray, qm1: int) -> np.ndarray:
-    """acc * u where u = g^i elementwise (u never zero)."""
-    out = acc_log + u_log
-    out[out >= qm1] -= qm1
-    out[acc_log == LOG_ZERO] = LOG_ZERO
-    return out
+def frobenius_orbits(p: int, n: int):
+    """Representatives (least members) and sizes of the orbits of i -> p*i mod (q-1).
 
-
-def _vec_add_scalar(acc_log: np.ndarray, c_log: int, zech: np.ndarray, qm1: int) -> np.ndarray:
-    """acc + c elementwise in log domain via the Zech table."""
-    if c_log == LOG_ZERO:
-        return acc_log
-    zero_mask = acc_log == LOG_ZERO
-    d = acc_log - c_log
-    d[d < 0] += qm1
-    d[zero_mask] = 0  # placeholder index
-    z = zech[d]
-    out = c_log + z
-    out[out >= qm1] -= qm1
-    out[z == LOG_ZERO] = LOG_ZERO
-    out[zero_mask] = c_log
-    return out
-
-
-def _fiber_range_count(field: FqField, A, start: int, stop: int) -> int:
-    """Count cover points over the fibers with index in [start, stop).
-
-    Fiber index t in [0, q) is the x-point [1 : exp-order element t packed];
-    index q is [0 : 1].
+    i is the log of x = g^i, so these are the orbits of x -> x^p on F_q^*.
     """
-    q = field.q
-    qm1 = q - 1
-    zech = field.zech
-    u_log = np.arange(qm1, dtype=np.int64)
+    L = p ** n - 1
+    i = np.arange(L, dtype=np.int64)
+    rep, cur = i.copy(), i.copy()
+    for _ in range(n - 1):
+        np.multiply(cur, p, out=cur)
+        np.remainder(cur, L, out=cur)
+        np.minimum(rep, cur, out=rep)
+    sizes = np.bincount(rep, minlength=L)
+    reps = np.flatnonzero(sizes)
+    return reps, sizes[reps]
 
-    total = 0
-    for idx in range(start, stop):
-        if idx == q:
-            x0, x1 = 0, 1
+
+class _LogTables:
+    """Tables for acc * u + c on logs, with zero encoded as `zero` = 2L, L = q - 1.
+
+    A nonzero log lies in [0, L).  For acc in [0, L) or 2L and a shift in
+    [0, L), acc + shift lies in [0, 3L).  Each table repeats its [0, L) part
+    on [L, 2L), which reduces the sum mod L, and holds the zero case from 2L
+    on (acc was zero): `reduce` gives the log (2L for zero), `chi` the
+    quadratic character of the element, and `zech[v]` log(1 + g^v) (2L when
+    1 + g^v = 0), or 0 from 2L on, where acc * u + c = c.
+    """
+
+    def __init__(self, field: FqField):
+        L = self.L = field.q - 1
+        self.zero = 2 * L
+        self.log = np.where(field.log == LOG_ZERO, self.zero, field.log)
+        logs = np.arange(L, dtype=np.int64)
+        self.reduce = np.concatenate([logs, logs, np.full(L, self.zero)])
+        chi = 1 - 2 * (logs % 2)
+        self.chi = np.concatenate([chi, chi, np.zeros(L, dtype=np.int64)])
+        zech = np.where(field.zech == LOG_ZERO, self.zero, field.zech)
+        self.zech = np.concatenate([zech, zech, np.zeros(L, dtype=np.int64)])
+
+    def offset(self, c: int) -> int:
+        """k with (log u + k) mod L = log(u / c), or log u when c is zero."""
+        return 0 if c == self.zero else self.L - c
+
+    def u_over(self, c: int) -> np.ndarray:
+        """log(u / c) for u = g^0, ..., g^(L-1), as a view (log u when c is zero)."""
+        k = self.offset(c)
+        return self.reduce[k : k + self.L]
+
+
+def _horner(t: _LogTables, c, shifts, acc, tmp, final) -> np.ndarray:
+    """c[4] u^4 + ... + c[0] at every u, mapped through `final` (t.reduce or t.chi).
+
+    c holds encoded logs; shifts[j] holds log(u / c[j]) per u (log u where
+    c[j] is zero).  Each step writes into acc and tmp only; returns the
+    buffer that holds the result.
+    """
+    acc.fill(c[4])
+    for j in (3, 2, 1, 0):
+        table = final if j == 0 else t.reduce
+        np.add(acc, shifts[j], out=tmp)
+        if c[j] == t.zero:
+            np.take(table, tmp, out=acc, mode="clip")
         else:
-            x0, x1 = 1, idx
-        # specialize: c_j = sum_i A[i][j] * x0^(4-i) x1^i
-        cs = []
-        for j in range(5):
-            acc = 0
-            for i in range(5):
-                if A[i][j]:
-                    term = field.mul(
-                        field.from_int(A[i][j]),
-                        field.mul(field.pow(x0, 4 - i), field.pow(x1, i)),
-                    )
-                    acc = field.add(acc, term)
-            cs.append(acc)
-        c_logs = [int(field.log[c]) if c else LOG_ZERO for c in cs]
+            np.take(t.zech, tmp, out=acc, mode="clip")
+            np.take(table[c[j]:], acc, out=tmp, mode="clip")
+            acc, tmp = tmp, acc
+    return acc
 
-        # y = [1:0] -> value c0; y = [0:1] -> value c4
-        fiber = (q + 1) + field.quad_char(cs[0]) + field.quad_char(cs[4])
-        # y = [1:u], u = g^i over all i: Horner acc = (((c4 u + c3) u + c2) u + c1) u + c0
-        acc = np.full(qm1, c_logs[4], dtype=np.int64)
-        for j in (3, 2, 1, 0):
-            acc = _vec_mul_by_u(acc, u_log, qm1)
-            acc = _vec_add_scalar(acc, c_logs[j], zech, qm1)
-        nonzero = acc != LOG_ZERO
-        evens = int(np.count_nonzero(nonzero & (acc % 2 == 0)))
-        odds = int(np.count_nonzero(nonzero & (acc % 2 == 1)))
-        fiber += evens - odds
-        total += fiber
+
+def _specialize(t: _LogTables, A, x_logs) -> np.ndarray:
+    """Encoded c_j(x) = sum_k A[k][j] x^k for every x = g^i, i in x_logs: one row per x."""
+    cols = []
+    for j in range(5):
+        c = [int(t.log[A[k][j]]) for k in range(5)]
+        shifts = [t.reduce[x_logs + t.offset(ck)] for ck in c]
+        cols.append(_horner(t, c, shifts, np.empty_like(x_logs), np.empty_like(x_logs), t.reduce))
+    return np.column_stack(cols)
+
+
+def _orbit_fibers(t: _LogTables, p: int, n: int, A):
+    """Encoded (c_0, ..., c_4) of one fiber per Frobenius orbit, and the weights.
+
+    The last two rows are x = 0, where c_j = A[0][j], and x = [0:1], where
+    c_j = A[4][j]; each has weight 1.
+    """
+    reps, sizes = frobenius_orbits(p, n)
+    ends = [[int(t.log[A[i][j]]) for j in range(5)] for i in (0, 4)]
+    return np.vstack([_specialize(t, A, reps), ends]), np.concatenate([sizes, [1, 1]])
+
+
+def _weighted_fiber_sum(t: _LogTables, rows, weights) -> int:
+    """Sum of weight * (points over the fiber) over (row, weight) pairs.
+
+    A fiber has y = [1:0] (value c_0), y = [0:1] (value c_4) and y = [1:u]
+    for every u != 0.
+    """
+    acc = np.empty(t.L, dtype=np.int64)
+    tmp = np.empty_like(acc)
+    total = 0
+    for row, w in zip(rows, weights.tolist()):
+        c = row.tolist()
+        sums = _horner(t, c, [t.u_over(cj) for cj in c], acc, tmp, t.chi)
+        total += w * (t.L + 2 + int(t.chi[c[0]] + t.chi[c[4]] + sums.sum()))
     return total
 
 
@@ -118,31 +172,32 @@ def _cached_field(p: int, n: int) -> FqField:
 
 
 def _worker(args) -> int:
-    p, n, A, start, stop = args
-    field = _cached_field(p, n)
-    return _fiber_range_count(field, [list(r) for r in A], start, stop)
+    p, n, rows, weights = args
+    return _weighted_fiber_sum(_LogTables(_cached_field(p, n)), rows, weights)
 
 
 def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int:
     """Exact number of points of the branched double cover over F_{p^n}."""
     if p == 2:
         raise EvenCharacteristicError("double-cover counting needs odd characteristic")
+    start = perf_counter()
     A = curve_coefficients(f, p)
     field = _cached_field(p, n)
-    nfibers = field.q + 1
+    t = _LogTables(field)
+    rows, weights = _orbit_fibers(t, p, n, A)
     if threads <= 1:
-        return _fiber_range_count(field, A, 0, nfibers)
-    import concurrent.futures as cf
+        total = _weighted_fiber_sum(t, rows, weights)
+    else:
+        import concurrent.futures as cf
 
-    chunks = []
-    step = max(1, nfibers // (threads * 4))
-    a_tup = tuple(tuple(r) for r in A)
-    s = 0
-    while s < nfibers:
-        chunks.append((p, n, a_tup, s, min(s + step, nfibers)))
-        s += step
-    with cf.ProcessPoolExecutor(max_workers=threads) as ex:
-        return sum(ex.map(_worker, chunks))
+        step = max(1, len(rows) // (threads * 4))
+        chunks = [
+            (p, n, rows[s : s + step], weights[s : s + step]) for s in range(0, len(rows), step)
+        ]
+        with cf.ProcessPoolExecutor(max_workers=threads) as ex:
+            total = sum(ex.map(_worker, chunks))
+    sys.stderr.write(f"n={n} q={field.q}: {len(rows)} orbit fibers, {perf_counter() - start:.1f} s\n")
+    return total
 
 
 def count_points_bruteforce(f: RationalPolynomial, p: int, n: int) -> int:

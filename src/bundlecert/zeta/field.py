@@ -3,9 +3,11 @@
 The modulus is the lexicographically smallest monic irreducible of degree n
 over F_p (high-degree coefficients compared first), elements are packed into
 integers base p, and multiplication runs on discrete-log tables with a
-Zech-logarithm table for addition.  Building the tables costs O(q) time and
-memory, so `make_field` refuses q > ZECH_CAP = 2^20; there is no table-free
-arithmetic.
+Zech-logarithm table for addition.  The generator is the smallest packed
+integer g with g^((q-1)/l) != 1 for every prime l dividing q - 1, which is
+the smallest element of order q - 1.  Building the tables costs O(q) time
+and memory, so `make_field` refuses q > ZECH_CAP = 2^20; there is no
+table-free arithmetic.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from ..errors import EvenCharacteristicError, NotPrimeError, TooLargeError
+from ..errors import NotPrimeError, TooLargeError
 
 ZECH_CAP = 1 << 20
 
@@ -30,6 +32,20 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _prime_divisors(m: int) -> list:
+    """The distinct primes dividing m, by trial division."""
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
 
 
 # --- dense polynomial helpers over F_p (ascending coefficient lists) -----------
@@ -95,7 +111,7 @@ def _is_irreducible(poly, p) -> bool:
     minus_x = _pol_trim([(a - b) % p for a, b in zip(xq + [0] * 2, [0, 1] + [0] * len(xq))])
     if minus_x:
         return False
-    for ell in {d for d in range(2, n + 1) if n % d == 0 and is_prime(d)}:
+    for ell in _prime_divisors(n):
         xe = _pol_powmod(x, p ** (n // ell), poly, p)
         diff = [(a - b) % p for a, b in zip(xe + [0, 0], [0, 1] + [0] * len(xe))]
         g = _pol_gcd(poly, diff, p)
@@ -150,29 +166,17 @@ class FqField:
         ca, cb = self._unpack(a), self._unpack(b)
         return self._pack([(x + y) % self.p for x, y in zip(ca, cb)])
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
-
     def from_int(self, c: int) -> int:
         return c % self.p
 
     def _build_tables(self):
         q, p = self.q, self.p
-        # find the smallest primitive element by packed-integer order
         mod = list(self.modulus)
-        gen = None
-        for cand in range(1, q):
-            if self._multiplicative_order_polybasis(cand) == q - 1:
-                gen = cand
-                break
-        assert gen is not None
+        cofactors = [(q - 1) // ell for ell in _prime_divisors(q - 1)]
+        gen = next(
+            cand for cand in range(1, q)
+            if all(_pol_trim(_pol_powmod(self._unpack(cand), e, mod, p)) != [1] for e in cofactors)
+        )
         exp = np.zeros(q - 1, dtype=np.int64)
         log = np.full(q, LOG_ZERO, dtype=np.int64)
         gen_coeffs = self._unpack(gen)
@@ -182,44 +186,24 @@ class FqField:
             exp[i] = packed
             log[packed] = i
             cur = _pol_mulmod(cur, gen_coeffs, mod, p)
-        # zech[i] = log(1 + g^i), LOG_ZERO when 1 + g^i = 0
-        zech = np.full(q - 1, LOG_ZERO, dtype=np.int64)
-        for i in range(q - 1):
-            s = self.add(int(exp[i]), 1)
-            zech[i] = LOG_ZERO if s == 0 else int(log[s])
+        # zech[i] = log(1 + g^i), LOG_ZERO when 1 + g^i = 0: adding 1 raises the
+        # lowest base-p digit mod p, and log[0] is LOG_ZERO
+        self.zech = log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
         self.exp = exp
         self.log = log
-        self.zech = zech
-
-    def _multiplicative_order_polybasis(self, a: int) -> int:
-        mod = list(self.modulus)
-        coeffs = self._unpack(a)
-        cur = list(coeffs)
-        order = 1
-        one = [1]
-        limit = self.q
-        while _pol_trim(list(cur)) != one:
-            cur = _pol_mulmod(cur, coeffs, mod, self.p)
-            order += 1
-            if order > limit:
-                raise RuntimeError("order computation overflow")
-        return order
-
-    def quad_char(self, a: int) -> int:
-        """0 for zero, +1 for nonzero squares, -1 otherwise."""
-        if self.p == 2:
-            raise EvenCharacteristicError("quadratic character needs odd characteristic")
-        if a == 0:
-            return 0
-        return 1 if int(self.log[a]) % 2 == 0 else -1
 
 
-def make_field(p: int, n: int) -> FqField:
-    """Deterministic field construction; raises NotPrime / TooLarge."""
+def check_field(p: int, n: int):
+    """Raise unless F_{p^n} can be built: p prime, n >= 1, q <= ZECH_CAP."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be >= 1")
     if p ** n > ZECH_CAP:
         raise TooLargeError(f"q = {p}^{n} exceeds the log-table limit 2^20")
+
+
+def make_field(p: int, n: int) -> FqField:
+    """Deterministic field construction; raises NotPrime / TooLarge."""
+    check_field(p, n)
     return FqField(p, n, smallest_irreducible(p, n))

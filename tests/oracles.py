@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they check: rank by plain
 fraction Gaussian elimination (vs fraction-free Bareiss), point counts by
-direct evaluation over all base points (vs the vectorized fiber loop).
+direct evaluation over all base points (vs the vectorized fiber loop),
+field tables by an order search with plain digit-list arithmetic (vs the
+primitivity test and the vectorized Zech table).
 """
 from __future__ import annotations
 
@@ -60,3 +62,46 @@ def count_double_cover_f3(coeffs_mod3) -> int:
             elif v == 1:  # squares mod 3 are {1}
                 total += 2
     return total
+
+
+def field_tables(p: int, n: int, modulus) -> tuple:
+    """exp, log and Zech lists of F_p[x]/(modulus), built one element at a time.
+
+    `modulus` is monic, ascending.  Elements pack base p.  The generator is
+    the smallest packed integer whose multiplicative order, found by
+    repeated multiplication, is q - 1; zech[i] = log(1 + g^i), -1 for zero.
+    """
+    q = p**n
+
+    def unpack(a):
+        return [a // p**k % p for k in range(n)]
+
+    def pack(digits):
+        return sum(d * p**k for k, d in enumerate(digits))
+
+    def mul(a, b):
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(unpack(a)):
+            for j, y in enumerate(unpack(b)):
+                prod[i + j] += x * y
+        for top in range(2 * n - 2, n - 1, -1):
+            c = prod[top] % p
+            for k in range(n + 1):
+                prod[top - n + k] -= c * modulus[k]
+        return pack([d % p for d in prod[:n]])
+
+    def order(a):
+        cur, k = a, 1
+        while cur != 1:
+            cur, k = mul(cur, a), k + 1
+        return k
+
+    gen = next(a for a in range(1, q) if order(a) == q - 1)
+    exp = [1]
+    while len(exp) < q - 1:
+        exp.append(mul(exp[-1], gen))
+    log = [-1] * q
+    for i, e in enumerate(exp):
+        log[e] = i
+    zech = [log[pack([(d + (k == 0)) % p for k, d in enumerate(unpack(e))])] for e in exp]
+    return exp, log, zech

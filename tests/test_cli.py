@@ -1,10 +1,11 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from bundlecert import cli
+from bundlecert import cli, zeta
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -46,7 +47,7 @@ def test_quartic_run_is_byte_stable(capsys):
 
 
 def test_count_points_b44(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "count-points", "--surface", INPUTS / "b44.poly", "--prime", 3, "--max-n", 6
     )
     assert code == cli.EXIT_OK
@@ -54,6 +55,11 @@ def test_count_points_b44(capsys):
         "1, 3, 14, 4\n2, 9, 98, 16\n3, 27, 848, 118\n"
         "4, 81, 6566, 4\n5, 243, 59219, 169\n6, 729, 530948, -494\n"
     )
+    progress = err.splitlines()
+    assert len(progress) == 6
+    orbit_fibers = [4, 7, 12, 25, 52, 131]  # orbits of x -> x^3 on F_q, plus x = [0:1]
+    for n, (line, fibers) in enumerate(zip(progress, orbit_fibers), start=1):
+        assert re.fullmatch(rf"n={n} q={3**n}: {fibers} orbit fibers, \d+\.\d s", line)
 
 
 def test_unproved_exactness_is_inconclusive(capsys, tmp_path):
@@ -79,6 +85,20 @@ def test_polynomial_syntax_error_exits_1(capsys, tmp_path):
 def test_prime_above_the_field_cap_exits_1(capsys):
     code, out, err = run(
         capsys, "count-points", "--surface", INPUTS / "b44.poly", "--prime", 1048583, "--max-n", 1
+    )
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["count-points", "picard-bound"])
+def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command):
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted a field below the cap before refusing the one above")
+
+    monkeypatch.setattr(zeta, "count_points", no_count)
+    code, out, err = run(
+        capsys, command, "--surface", INPUTS / "b44.poly", "--prime", 1031, "--max-n", 2
     )
     assert code == cli.EXIT_ERROR
     assert out == ""

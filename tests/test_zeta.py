@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bundlecert import zeta
@@ -18,8 +19,15 @@ from bundlecert.zeta import (
     unit_root_count,
 )
 from bundlecert.zeta.charpoly import all_roots_on_circle, poly_divmod, poly_mul
+from bundlecert.zeta.count import (
+    _LogTables,
+    _orbit_fibers,
+    _specialize,
+    _weighted_fiber_sum,
+    frobenius_orbits,
+)
 
-from oracles import count_double_cover_f3
+from oracles import count_double_cover_f3, field_tables
 
 PP = Ambient.product_projective(1, 1)
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -58,6 +66,64 @@ class TestCounts:
             make_field(1048583, 1)
         with pytest.raises(TooLargeError):
             count_points(form("b44"), 3, 13)
+
+
+# counts made fiber by fiber, one fiber per x, before fibers were grouped into orbits
+FIBER_BY_FIBER_COUNTS = {
+    ("sparse", 3, 4): 7039, ("sparse", 3, 5): 59455, ("sparse", 3, 6): 535519,
+    ("sparse", 3, 7): 4802410, ("sparse", 5, 1): 53, ("sparse", 5, 2): 795,
+    ("sparse", 5, 3): 16229, ("sparse", 5, 4): 395487,
+    ("signed", 3, 4): 6715, ("signed", 3, 5): 59293, ("signed", 3, 6): 529687,
+    ("signed", 3, 7): 4785157, ("signed", 5, 1): 39, ("signed", 5, 2): 765,
+    ("signed", 5, 3): 16038, ("signed", 5, 4): 394197,
+    ("b44", 3, 7): 4796078, ("b44", 3, 8): 43037342,
+}
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("name,p,n", sorted(FIBER_BY_FIBER_COUNTS))
+    def test_matches_the_fiber_by_fiber_count(self, name, p, n):
+        assert count_points(form(name), p, n) == FIBER_BY_FIBER_COUNTS[name, p, n]
+
+    def test_signed_matches_bruteforce_over_f49(self):
+        f = form("signed")
+        assert count_points(f, 7, 2) == count_points_bruteforce(f, 7, 2)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_orbit_weights_replace_every_fiber(self, n):
+        p, q = 3, 3**n
+        reps, sizes = frobenius_orbits(p, n)
+        assert sizes.sum() == q - 1
+        assert all(n % int(s) == 0 for s in sizes)
+        f = form("b44")
+        A = curve_coefficients(f, p)
+        t = _LogTables(make_field(p, n))
+        # every x = g^i on its own: fiber counts are constant on each orbit i -> p i
+        rows = _specialize(t, A, np.arange(q - 1, dtype=np.int64))
+        fiber = [_weighted_fiber_sum(t, rows[i : i + 1], np.ones(1, dtype=np.int64)) for i in range(q - 1)]
+        for i in range(q - 1):
+            assert fiber[i] == fiber[i * p % (q - 1)]
+        rows, weights = _orbit_fibers(t, p, n, A)
+        ends = _weighted_fiber_sum(t, rows[-2:], weights[-2:])
+        assert _weighted_fiber_sum(t, rows, weights) == sum(fiber) + ends == count_points(f, p, n)
+
+    def test_threads_give_the_same_count(self):
+        f = form("b44")
+        assert count_points(f, 3, 5, threads=2) == count_points(f, 3, 5, threads=1)
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize(
+        "p,n",
+        [(3, n) for n in range(1, 8)] + [(5, n) for n in range(1, 5)]
+        + [(7, n) for n in range(1, 4)] + [(1009, 1)],
+    )
+    def test_tables_match_the_order_search(self, p, n):
+        F = make_field(p, n)
+        exp, log, zech = field_tables(p, n, F.modulus)
+        assert F.exp.tolist() == exp
+        assert F.log.tolist() == log
+        assert F.zech.tolist() == zech
 
 
 class TestDivision:
