@@ -16,7 +16,7 @@ import sys
 
 from . import k3lat
 from .cohom import h0_exterior, h0_homology
-from .errors import BundleCertError
+from .errors import BundleCertError, DocumentError
 from .monad import KERNEL, chern_monad, monad_from_document
 from .polycore import Ambient, parse_poly
 from .stability import CertifyOptions, Polarization, certify, verify_certificate
@@ -210,10 +210,14 @@ def cmd_picard_bound(args) -> int:
 
 def cmd_verify(args) -> int:
     doc = _load_json(args.certificate)
-    schema = doc.get("schema", "")
+    if not isinstance(doc, dict):
+        raise DocumentError("a certificate is a JSON object")
+    schema = str(doc.get("schema", ""))
     if schema.startswith("stability-certificate"):
         problems = verify_certificate(doc)
     elif schema.startswith("quartic-certificate"):
+        if not isinstance(doc.get("surface"), str):
+            raise DocumentError("a quartic certificate needs the surface as a string")
         cert = k3lat.quartic_region_run(doc["surface"])
         problems = []
         if cert.to_document() != doc:

@@ -16,6 +16,7 @@ vanish-on-divisor descent certificate for a whole half-plane of twists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -125,11 +126,6 @@ def h0_kernel(m: MonadComplex, L) -> CohomResult:
     return _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
 
 
-def _h0_kernel_part(m: MonadComplex, L) -> CohomResult:
-    # kernel of b regardless of monad kind (the K in 0 -> A -> K -> E -> 0)
-    return _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
-
-
 def _wedge_twists(m: MonadComplex, s: int, base) -> list:
     """base + the sum of the middle twists over each s-subset, in combinations order."""
     out = []
@@ -141,8 +137,10 @@ def _wedge_twists(m: MonadComplex, s: int, base) -> list:
     return out
 
 
+@lru_cache(maxsize=32)
 def exterior_contraction(m: MonadComplex, s: int):
-    """Entries and twists for the contraction Λ^s B -> Λ^{s-1} B ⊗ C (rank-1 C)."""
+    """Entries and twists for the contraction Λ^s B -> Λ^{s-1} B ⊗ C (rank-1 C);
+    independent of the twist, so built once per (monad, s) and shared immutable."""
     if m.target.rank != 1:
         raise UnsupportedCokernelRankError(
             f"exterior powers need a rank-1 cokernel, got rank {m.target.rank}"
@@ -163,7 +161,7 @@ def exterior_contraction(m: MonadComplex, s: int):
             T = S[:pos] + S[pos + 1 :]
             sign = 1 if pos % 2 == 0 else -1
             entries[tpos[T]][col] = entries[tpos[T]][col] + b[i] * sign
-    return entries, src_twists, tgt_twists
+    return tuple(map(tuple, entries)), tuple(src_twists), tuple(tgt_twists)
 
 
 def h0_exterior(m: MonadComplex, s: int, L) -> CohomResult:
@@ -181,7 +179,8 @@ def h0_homology(m: MonadComplex, L) -> CohomResult:
     if m.kind != HOMOLOGY:
         raise ValidationError("h0_homology needs a homology monad")
     L = m.ambient.normalize_degree(L)
-    k = _h0_kernel_part(m, L)
+    # the K in 0 -> A -> K -> E -> 0
+    k = _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
     a0 = h_line_sum(m.ambient, m.source.twists, L, 0)
     a1 = h_line_sum(m.ambient, m.source.twists, L, 1)
     lo = k.value - a0

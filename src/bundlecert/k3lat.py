@@ -516,7 +516,7 @@ def quartic_h0(
                     continue
                 prod = ring.reduce(p * mono_poly)
                 for e, c in prod.terms.items():
-                    M.entries[row_pos[i][e]][col] += c
+                    M.add(row_pos[i][e], col, c)
             col += 1
     return M.kernel_dim()
 

@@ -1,11 +1,10 @@
-"""Exact multigraded polynomial arithmetic, parsing, monomial bases, and
-fraction-free rational linear algebra."""
+"""Exact multigraded polynomials, parsing, monomial bases, and sparse exact linear
+algebra: rank by singleton peeling, then fraction-free Bareiss on the core."""
 
 from .linalg import (
     ExactMatrix,
     bareiss_det,
     bareiss_rank,
-    kernel_dim,
     section_matrix,
 )
 from .parse import parse_poly
@@ -29,7 +28,6 @@ __all__ = [
     "bareiss_det",
     "bareiss_rank",
     "intersection_product",
-    "kernel_dim",
     "mdeg_add",
     "mdeg_leq",
     "mdeg_sub",

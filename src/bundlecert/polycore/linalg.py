@@ -1,7 +1,13 @@
-"""Exact linear algebra: dense rational matrices with fraction-free elimination.
+"""Exact linear algebra over Q on sparse rows: one dict per row, column ->
+nonzero Fraction (section matrices have a few nonzeros among many cells).
 
-Rank is computed by Bareiss elimination over the integers after clearing row
-denominators; no floating point enters any dimension count.
+Rank peels singleton pivots first (structured Gaussian elimination,
+LaMacchia-Odlyzko): if column c has its only nonzero in row i, or row i its
+only nonzero in column c, operations with that pivot clear the rest of its
+row or column, so rank M = 1 + rank(M without row i and column c).  The rule
+reads only the sparsity pattern and is exact over any field.  The core that
+no singleton reaches gets its row denominators cleared and goes to Bareiss
+elimination over the integers; no floating point or prime enters a rank.
 """
 from __future__ import annotations
 
@@ -17,54 +23,71 @@ from .poly import mdeg_add, mdeg_sub, monomial_basis
 class ExactMatrix:
     rows: int
     cols: int
-    entries: list  # list of rows, each a list of Fraction
+    entries: list  # one dict per row: column -> nonzero Fraction
 
     @staticmethod
     def from_rows(rows) -> "ExactMatrix":
-        data = [[Fraction(x) for x in row] for row in rows]
-        ncols = len(data[0]) if data else 0
-        if any(len(r) != ncols for r in data):
+        rows = [list(row) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return ExactMatrix(len(data), ncols, data)
+        entries = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
+        return ExactMatrix(len(rows), ncols, entries)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols, [[Fraction(0)] * cols for _ in range(rows)])
+        return ExactMatrix(rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        m = ExactMatrix.zero(n, n)
-        for i in range(n):
-            m.entries[i][i] = Fraction(1)
-        return m
+        return ExactMatrix(n, n, [{i: Fraction(1)} for i in range(n)])
+
+    def add(self, i: int, j: int, value) -> None:
+        """entries[i][j] += value, dropping the cell when the sum is zero."""
+        row = self.entries[i]
+        total = row.get(j, 0) + value
+        if total:
+            row[j] = total
+        else:
+            row.pop(j, None)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         out = ExactMatrix.zero(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            for k in range(self.cols):
-                a = row[k]
-                if not a:
-                    continue
-                orow = other.entries[k]
-                trow = out.entries[i]
-                for j in range(other.cols):
-                    trow[j] += a * orow[j]
-        return out
-
-    def _integer_rows(self):
-        out = []
-        for row in self.entries:
-            denom = 1
-            for x in row:
-                denom = lcm(denom, x.denominator)
-            out.append([int(x * denom) for x in row])
+        for i, row in enumerate(self.entries):
+            for k, a in row.items():
+                for j, b in other.entries[k].items():
+                    out.add(i, j, a * b)
         return out
 
     def rank(self) -> int:
-        return bareiss_rank(self._integer_rows())
+        rows = {i: dict(row) for i, row in enumerate(self.entries) if row}
+        cols = {}
+        for i, row in rows.items():
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+        peeled, todo = 0, [(i, None) for i in rows] + [(None, j) for j in cols]
+        while todo:  # peel singleton pivots (module docstring)
+            i, j = todo.pop()
+            if i is None and len(cols.get(j, ())) == 1:
+                (i,) = cols[j]
+            elif j is None and len(rows.get(i, ())) == 1:
+                (j,) = rows[i]
+            else:
+                continue
+            for jj in rows.pop(i):
+                cols[jj].discard(i)
+                todo.append((None, jj))
+            for ii in cols.pop(j):
+                del rows[ii][j]
+                todo.append((ii, None))
+            peeled += 1
+        core = []
+        for row in filter(None, rows.values()):
+            denom = lcm(*(x.denominator for x in row.values()))
+            core.append([int(row.get(j, 0) * denom) for j, at in cols.items() if at])
+        return peeled + bareiss_rank(core)
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
@@ -136,11 +159,6 @@ def bareiss_det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def kernel_dim(matrix: ExactMatrix) -> int:
-    """Exact nullity over the rationals."""
-    return matrix.kernel_dim()
-
-
 def section_matrix(map_entries, source_twists, target_twists, L) -> ExactMatrix:
     """Matrix of H^0(source twisted by L) -> H^0(target twisted by L) in monomial bases.
 
@@ -148,6 +166,7 @@ def section_matrix(map_entries, source_twists, target_twists, L) -> ExactMatrix:
     indexed by target summands and columns by source summands; entry (i,j)
     must be homogeneous of multidegree target_i - source_j (or zero).
     Columns are ordered by source summand then basis order, rows likewise.
+    The result holds only the nonzero cells.
     """
     if not map_entries:
         raise ValueError("empty map")
@@ -179,11 +198,8 @@ def section_matrix(map_entries, source_twists, target_twists, L) -> ExactMatrix:
     src_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in src]
     tgt_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in tgt]
 
-    col_offsets = []
-    ncols = 0
-    for b in src_bases:
-        col_offsets.append(ncols)
-        ncols += len(b)
+    col_offsets = [sum(map(len, src_bases[:j])) for j in range(len(src_bases))]
+    ncols = sum(map(len, src_bases))
     row_pos = []
     nrows = 0
     for b in tgt_bases:
@@ -198,8 +214,6 @@ def section_matrix(map_entries, source_twists, target_twists, L) -> ExactMatrix:
                 continue
             base_col = col_offsets[j]
             for k, mono in enumerate(src_bases[j]):
-                col = base_col + k
                 for e, c in p.terms.items():
-                    target_exp = tuple(a + b for a, b in zip(e, mono))
-                    M.entries[pos[target_exp]][col] += c
+                    M.add(pos[tuple(a + b for a, b in zip(e, mono))], base_col + k, c)
     return M

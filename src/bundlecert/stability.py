@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .cohom import h0_monad, tail_vanish
 from .errors import (
+    DocumentError,
     FiberNotVanishingError,
     NotApplicableError,
     UnsupportedOperationError,
@@ -81,9 +82,6 @@ class Region:
     s: int
     kind: str  # "halfline" (P^n) or "band" (P1xP1, H ∝ O(1,1))
     bound: int  # max k on P^n; max k+l on the product
-
-    def contains(self, L) -> bool:
-        return sum(L) <= self.bound
 
 
 def twist_region(c: ChernData, s: int, H: Polarization) -> Region:
@@ -385,12 +383,37 @@ def ambient_from_cert(cert: StabilityCertificate) -> Ambient:
     return ambient_from_document(cert.monad_document["ambient"])
 
 
+_SHAPES = {  # the JSON type of each field verify reads; "ints" is a list of integers
+    "certificate": dict(input=dict, chern=dict, slope=str, polarization="ints", regions=dict,
+                        core_checks=list, tail_rules=list),
+    "region": dict(kind=str, bound=int),
+    "core check": dict(s=int, twist="ints", h0=list, witness=dict),
+    "tail rule": dict(s=int, axis=int, bound=int, point="ints", witness=dict),
+}
+
+
+def _check_shape(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise DocumentError(f"{what} is not a JSON object")
+    for key, kind in _SHAPES[what].items():
+        value = obj.get(key)
+        if not (isinstance(value, list) and all(isinstance(x, int) for x in value)
+                if kind == "ints" else isinstance(value, kind)):
+            raise DocumentError(f"{what}: {key!r} must be of type {getattr(kind, '__name__', kind)}")
+
+
 def verify_certificate(doc: dict) -> list:
-    """Replay a serialized certificate: recompute every recorded dimension.
+    """Replay a serialized certificate: recompute every recorded dimension
+    and every core check's witness (matrix shape, rank, nullity).
 
     Returns a list of mismatch descriptions; empty means the certificate
-    re-verifies.
+    re-verifies.  A malformed document raises DocumentError.
     """
+    _check_shape(doc, "certificate")
+    for what, parts in (("region", doc["regions"].values()), ("core check", doc["core_checks"]),
+                        ("tail rule", doc["tail_rules"])):
+        for part in parts:
+            _check_shape(part, what)
     problems = []
     try:
         m = monad_from_document(doc["input"]["monad"])
@@ -415,6 +438,8 @@ def verify_certificate(doc: dict) -> list:
                 f"core check mismatch at s={c['s']} twist={c['twist']}: "
                 f"recomputed [{res.lo},{res.hi}] != {c['h0']}"
             )
+        if json.loads(json.dumps(res.witness)) != c["witness"]:
+            problems.append(f"core check witness mismatch at s={c['s']} twist={c['twist']}")
     for t in doc["tail_rules"]:
         try:
             res = tail_vanish(m, t["s"], t["axis"], t["bound"], tuple(t["point"]))

@@ -19,6 +19,35 @@ CERTIFICATE_SHA256 = {
 }
 QUARTIC_SHA256 = "7d21f8dd13ab4c84a7dc4ac65b1beb5b0b8b7f41b24fe1ae0a267f9c3b2f6eef"
 
+# sha256 of `certify --format json` on scaled monads (maps of degree n), recorded
+# with the dense Bareiss rank before section matrices became sparse
+SCALED_SHA256 = {
+    "k-rank3-n3": "7b887f3be324c9f71b86a4702a048f3df9c48b1d4b3fe77f1d1116588210cac6",
+    "k-rank3-n4": "64bb962e59f9e7e062f04551ed4bdd94ecb49ef91ca8624525e4190a5c223ef8",
+    "ks-8": "855c029c1e0b68ff354feddb5bf0dbf19b2112b3a0b148c90fe7a002588a42fa",
+}
+
+
+def scaled_monad(name):
+    """ker(O(-n,0)^2 + O(0,-n)^2 -> O) on P1 x P1 or ker(O^3 -> O(n)) on P2."""
+    family, _, n = name.rpartition("-")
+    n = int(n.lstrip("n"))
+    if family == "k-rank3":
+        return {
+            "ambient": {"dims": [1, 1], "type": "product_projective"},
+            "map_b": [[f"{v}^{n}" for v in ("x0", "x1", "y0", "y1")]],
+            "middle": [[-n, 0], [-n, 0], [0, -n], [0, -n]],
+            "name": name,
+            "target": [[0, 0]],
+        }
+    return {
+        "ambient": {"dim": 2, "type": "projective"},
+        "map_b": [[f"{v}^{n}" for v in ("x0", "x1", "x2")]],
+        "middle": [0, 0, 0],
+        "name": name,
+        "target": [n],
+    }
+
 
 def run(capsys, *argv):
     code = cli.main([str(a) for a in argv])
@@ -38,6 +67,17 @@ def test_certify_is_byte_stable(capsys, name, polarization):
     )
     assert code == cli.EXIT_OK
     assert sha256(out) == CERTIFICATE_SHA256[name, polarization]
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_SHA256))
+def test_scaled_certificates_are_byte_stable(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.monad"
+    path.write_text(json.dumps(scaled_monad(name)))
+    polarization = "1" if name.startswith("ks") else "1,1"
+    code, out, _ = run(capsys, "certify", "--monad", path, "--polarization", polarization,
+                       "--format", "json")
+    assert code == cli.EXIT_OK
+    assert sha256(out) == SCALED_SHA256[name]
 
 
 def test_quartic_run_is_byte_stable(capsys):
@@ -103,3 +143,60 @@ def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command):
     assert code == cli.EXIT_ERROR
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture
+def k_rank3_certificate(capsys, tmp_path):
+    path = tmp_path / "k_rank3.json"
+    code, _, _ = run(capsys, "certify", "--monad", INPUTS / "k_rank3.monad",
+                     "--polarization", "1,1", "--out", path)
+    assert code == cli.EXIT_OK
+    return json.loads(path.read_text())
+
+
+def verify_document(capsys, tmp_path, doc):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "verify", path)
+
+
+def test_verify_accepts_the_certificate(capsys, tmp_path, k_rank3_certificate):
+    code, out, _ = verify_document(capsys, tmp_path, k_rank3_certificate)
+    assert code == cli.EXIT_OK
+    assert out.startswith("certificate verified")
+
+
+def _s_not_an_integer(doc):
+    doc["core_checks"][0]["s"] = "x"
+    return doc
+
+
+def _core_checks_not_a_list(doc):
+    doc["core_checks"] = 5
+    return doc
+
+
+def _witness_deleted(doc):
+    del doc["core_checks"][0]["witness"]
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [1], _s_not_an_integer, _core_checks_not_a_list, _witness_deleted,
+    lambda doc: {"schema": 5}, lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
+], ids=["top-level-list", "s-not-an-integer", "core-checks-not-a-list", "witness-deleted",
+        "schema-not-a-string", "quartic-surface-not-a-string"])
+def test_verify_rejects_a_malformed_certificate(capsys, tmp_path, k_rank3_certificate, edit):
+    code, out, err = verify_document(capsys, tmp_path, edit(k_rank3_certificate))
+    assert code == cli.EXIT_ERROR
+    assert err.startswith("error: ") or out.startswith("unknown certificate schema")
+    assert "certificate verified" not in out and "Traceback" not in err
+
+
+def test_verify_replays_the_recorded_rank(capsys, tmp_path, k_rank3_certificate):
+    witness = k_rank3_certificate["core_checks"][0]["witness"]
+    witness["rank"] += 1
+    code, out, _ = verify_document(capsys, tmp_path, k_rank3_certificate)
+    assert code == cli.EXIT_ERROR
+    assert out.startswith("verification FAILED") and "witness mismatch" in out
+

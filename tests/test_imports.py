@@ -1,5 +1,9 @@
-"""Every name a module under src/ imports is used in it or re-exported by __all__."""
+"""Every name a module under src/ imports is used in it or re-exported by __all__,
+and the certify path loads no numpy."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -28,3 +32,16 @@ def unused_imports(path):
 def test_no_unused_imports_under_src():
     found = [u for path in sorted(SRC.rglob("*.py")) for u in unused_imports(path)]
     assert found == []
+
+
+def test_certify_path_does_not_import_numpy():
+    # numpy would add about 0.1 s to the start of every certify and verify
+    code = (
+        "import sys, bundlecert.cli, bundlecert.stability, bundlecert.k3lat; "
+        "print('numpy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from bundlecert.polycore import (
     ExactMatrix,
     RationalPolynomial,
     bareiss_rank,
-    kernel_dim,
+    mdeg_add,
     mdeg_leq,
     monomial_basis,
     monomial_count,
@@ -24,11 +25,29 @@ from bundlecert.polycore import (
     section_matrix,
 )
 
+from bundlecert.cohom import exterior_contraction
+from bundlecert.monad import kernel_monad
+from bundlecert.polycore import linalg
+
 from oracles import gauss_rank
 
 P2 = Ambient.projective(2)
 P2XYZ = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)
+
+
+def dense(M):
+    """The full rows-by-cols grid of a sparse ExactMatrix."""
+    return [[row.get(j, Fraction(0)) for j in range(M.cols)] for row in M.entries]
+
+
+def cleared_rows(rows):
+    """Each row times the lcm of its denominators: integer rows of the same rank."""
+    out = []
+    for row in rows:
+        d = lcm(*(Fraction(x).denominator for x in row)) if row else 1
+        out.append([int(x * d) for x in row])
+    return out
 
 
 class TestParser:
@@ -139,17 +158,17 @@ class TestSectionMatrix:
     def test_empty_domain(self):
         row = [[parse_poly(v, P2XYZ) for v in ("x", "y", "z")]]
         M = section_matrix(row, [0, 0, 0], [1], -1)
-        assert M.cols == 0 and kernel_dim(M) == 0
+        assert M.cols == 0 and M.kernel_dim() == 0
 
     def test_rank3_map_at_11_and_22(self):
         # oracle-frozen values; the spec sheet's "kernel 13" is unreachable
         # under any assembly convention (see the decisions ledger)
         b = [[parse_poly(s, PP) for s in ("x0*y0", "x0*y1", "x1*y0", "x1*y1")]]
         M1 = section_matrix(b, [(-1, -1)] * 4, [(0, 0)], (1, 1))
-        assert (M1.cols, kernel_dim(M1)) == (4, 0)
+        assert (M1.cols, M1.kernel_dim()) == (4, 0)
         M2 = section_matrix(b, [(-1, -1)] * 4, [(0, 0)], (2, 2))
-        assert (M2.cols, kernel_dim(M2)) == (16, 7)
-        assert gauss_rank(M2.entries) == M2.rank()
+        assert (M2.cols, M2.kernel_dim()) == (16, 7)
+        assert gauss_rank(dense(M2)) == M2.rank()
 
     def test_homogeneity_error_identifies_entry(self):
         bad = [[parse_poly("x0", PP), parse_poly("x0*y0", PP)]]
@@ -198,13 +217,59 @@ class TestSectionMatrix:
             Mgf = section_matrix(gf, src, tgt, L)
             assert (Mg @ Mf).entries == Mgf.entries
 
+    def test_matches_dense_reference(self):
+        # reference: one polynomial product per (source monomial, target summand)
+        def reference(entries, src, tgt, L, amb):
+            src_bases = [monomial_basis(amb, mdeg_add(t, L)) for t in src]
+            rows = []
+            for i, t in enumerate(tgt):
+                for e in monomial_basis(amb, mdeg_add(t, L)):
+                    row = []
+                    for j, basis in enumerate(src_bases):
+                        for mono in basis:
+                            prod = entries[i][j] * RationalPolynomial.monomial(amb, mono)
+                            row.append(prod.terms.get(e, Fraction(0)))
+                    rows.append(row)
+            return rows
+
+        def poly(amb, *terms):
+            return sum(
+                (RationalPolynomial.monomial(amb, e, c) for e, c in terms),
+                RationalPolynomial.zero(amb),
+            )
+
+        half = Fraction(1, 2)
+        zero = RationalPolynomial.zero(PP)
+        monad = kernel_monad(
+            PP, [(-1, 0), (-1, 0), (0, -1), (0, -1)], [(0, 0)], [["x0", "x1", "y0", "y1"]]
+        )
+        contraction, c_src, c_tgt = exterior_contraction(monad, 2)
+        cases = [
+            ([[parse_poly(v, P2XYZ) for v in ("x", "y", "z")]], [(0,)] * 3, [(1,)], (2,), P2XYZ),
+            (
+                [
+                    [poly(PP, ((1, 0, 1, 0), half), ((0, 1, 0, 1), -3)), zero],
+                    [poly(PP, ((2, 0, 1, 0), 1), ((1, 1, 0, 1), Fraction(-2, 3))),
+                     poly(PP, ((1, 0, 0, 1), 5))],
+                ],
+                [(-1, -1), (0, -1)], [(0, 0), (1, 0)], (2, 1), PP,
+            ),
+            (contraction, c_src, c_tgt, (1, 2), PP),
+        ]
+        for entries, src, tgt, L, amb in cases:
+            M = section_matrix(entries, src, tgt, L)
+            expected = reference(entries, src, tgt, L, amb)
+            assert dense(M) == expected
+            assert all(v for row in M.entries for v in row.values())  # no stored zeros
+            assert M.rank() == gauss_rank(expected)
+
 
 class TestRank:
     def test_identity(self):
-        assert kernel_dim(ExactMatrix.identity(3)) == 0
+        assert ExactMatrix.identity(3).kernel_dim() == 0
 
     def test_zero_matrix(self):
-        assert kernel_dim(ExactMatrix.zero(2, 4)) == 4
+        assert ExactMatrix.zero(2, 4).kernel_dim() == 4
 
     def test_rank_nullity_random_vs_oracle(self):
         rng = random.Random(7)
@@ -223,6 +288,90 @@ class TestRank:
     def test_bareiss_known(self):
         assert bareiss_rank([[2, 4], [1, 2]]) == 1
         assert bareiss_rank([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == 3
+
+
+class TestSparseRank:
+    """ExactMatrix.rank (singleton peeling, then Bareiss on the core) against
+    dense Bareiss and plain fraction elimination."""
+
+    @staticmethod
+    def spy_cores(monkeypatch):
+        cores = []
+
+        def spy(rows):
+            cores.append([list(r) for r in rows])
+            return bareiss_rank(rows)
+
+        monkeypatch.setattr(linalg, "bareiss_rank", spy)
+        return cores
+
+    def test_random_sparse_vs_oracles(self):
+        rng = random.Random(11)
+        seen = {"zero row": 0, "zero col": 0, "cancelled": 0, "rational": 0, "deficient": 0}
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+            density = rng.choice([0.1, 0.25, 0.5])
+            M = ExactMatrix.zero(nrows, ncols)
+            for i in range(nrows):
+                for j in range(ncols):
+                    if rng.random() < density:
+                        v = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+                        M.add(i, j, v)
+                        seen["rational"] += v.denominator != 1
+                    if rng.random() < 0.1:  # a term that cancels the cell to zero
+                        v = Fraction(rng.randint(1, 4))
+                        M.add(i, j, v)
+                        M.add(i, j, -v)
+                        seen["cancelled"] += 1
+            assert all(v for row in M.entries for v in row.values())
+            rows = dense(M)
+            seen["zero row"] += any(not any(r) for r in rows)
+            seen["zero col"] += any(not any(col) for col in zip(*rows))
+            r = M.rank()
+            assert r == bareiss_rank(cleared_rows(rows)) == gauss_rank(rows)
+            assert r + M.kernel_dim() == ncols
+            seen["deficient"] += r < min(nrows, ncols)
+        assert all(seen.values()), seen
+
+    def test_cores_that_do_not_peel(self, monkeypatch):
+        cores = self.spy_cores(monkeypatch)
+        cases = [
+            ([[1, 1], [1, 1]], 1),  # 2x2 all-ones block
+            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3),  # odd cycle, two nonzeros a row
+            ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], 3),  # even cycle: singular
+            ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], 2),  # signed cycle: rows sum to 0
+            ([[1, 2, 3], [2, 4, 6], [1, 1, 1]], 2),  # rank-deficient dense core
+        ]
+        for rows, rank in cases:
+            cores.clear()
+            assert ExactMatrix.from_rows(rows).rank() == rank == gauss_rank(rows)
+            assert cores == [rows]  # nothing peeled: the whole matrix is the core
+
+    def test_peeling_reaches_a_core_inside_a_larger_matrix(self, monkeypatch):
+        cores = self.spy_cores(monkeypatch)
+        # singleton columns 2 and 4, then 3, peel away around a 2x2 all-ones block
+        rows = [
+            [1, 1, 0, 0, 0],
+            [1, 1, 0, 0, 0],
+            [0, 1, 1, 0, 0],
+            [0, 0, 0, 1, 1],
+            [0, 0, 0, 1, 0],
+            [0, 0, 0, 0, 0],
+        ]
+        assert ExactMatrix.from_rows(rows).rank() == 4 == gauss_rank(rows)
+        assert [sorted(map(tuple, core)) for core in cores] == [[(1, 1), (1, 1)]]
+
+    def test_empty_core_still_goes_to_bareiss(self, monkeypatch):
+        cores = self.spy_cores(monkeypatch)
+        assert ExactMatrix.identity(4).rank() == 4
+        assert ExactMatrix.zero(3, 2).rank() == 0
+        assert ExactMatrix.from_rows([[0, Fraction(1, 3), 0], [2, 5, 0]]).rank() == 2
+        assert cores == [[], [], []]
+
+    def test_product_drops_cancelled_cells(self):
+        A = ExactMatrix.from_rows([[1, 1], [2, -3]])
+        B = ExactMatrix.from_rows([[1, 0], [-1, Fraction(1, 2)]])
+        assert (A @ B).entries == [{1: Fraction(1, 2)}, {0: Fraction(5), 1: Fraction(-3, 2)}]
 
 
 def test_mdeg_partial_order():
