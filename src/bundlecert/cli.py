@@ -19,7 +19,13 @@ from .cohom import h0_exterior, h0_homology
 from .errors import BundleCertError, DocumentError
 from .monad import KERNEL, chern_monad, monad_from_document
 from .polycore import Ambient, parse_poly
-from .stability import CertifyOptions, Polarization, certify, verify_certificate
+from .stability import (
+    CertifyOptions,
+    Polarization,
+    certify,
+    document_mismatches,
+    verify_certificate,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -218,17 +224,14 @@ def cmd_verify(args) -> int:
     elif schema.startswith("quartic-certificate"):
         if not isinstance(doc.get("surface"), str):
             raise DocumentError("a quartic certificate needs the surface as a string")
-        cert = k3lat.quartic_region_run(doc["surface"])
-        problems = []
-        if cert.to_document() != doc:
-            problems = ["quartic certificate does not reproduce byte-identically"]
+        problems = document_mismatches(k3lat.quartic_region_run(doc["surface"]).to_document(), doc)
     else:
         sys.stdout.write(f"unknown certificate schema {schema!r}\n")
         return EXIT_ERROR
     if problems:
         sys.stdout.write("verification FAILED:\n" + "\n".join(problems) + "\n")
         return EXIT_ERROR
-    sys.stdout.write("certificate verified: all recorded dimensions recompute identically\n")
+    sys.stdout.write("certificate verified: the re-run reproduces every field\n")
     return EXIT_OK
 
 
@@ -297,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_picard_bound)
 
-    p = sub.add_parser("verify", help="replay a certificate document")
+    p = sub.add_parser(
+        "verify", help="re-run the computation a certificate records and compare the result "
+        "with the whole document")
     p.add_argument("certificate")
     add_common(p)
     p.set_defaults(fn=cmd_verify)

@@ -434,6 +434,8 @@ def monad_from_document(doc: dict) -> MonadComplex:
     Fields: ambient, middle, target (twist arrays), map_b (row-major polynomial
     strings); optional source/map_a for homology monads; optional name.
     """
+    if not isinstance(doc, dict):
+        raise DocumentError("a monad document is a JSON object")
     try:
         amb = ambient_from_document(doc["ambient"])
         middle = doc["middle"]
@@ -448,6 +450,17 @@ def monad_from_document(doc: dict) -> MonadComplex:
     unknown = set(doc) - known
     if unknown:
         raise DocumentError(f"unknown monad document fields: {sorted(unknown)}")
+
+    def list_of(value, ok) -> bool:
+        return isinstance(value, list) and all(ok(x) for x in value)
+
+    for key in ("map_b", "map_a"):
+        if not list_of(doc.get(key, []), lambda row: list_of(row, lambda e: isinstance(e, str))):
+            raise DocumentError(f"{key} must be a list of rows of polynomial strings")
+    for key in ("middle", "target", "source"):
+        if not list_of(doc.get(key, []), lambda t: isinstance(t, int)
+                       or list_of(t, lambda c: isinstance(c, int))):
+            raise DocumentError(f"{key} must be a list of twists (integers or lists of integers)")
     name = doc.get("name", "")
     if has_source:
         return homology_monad(amb, doc["source"], middle, target, doc["map_a"], map_b, name=name)

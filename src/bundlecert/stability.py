@@ -8,6 +8,11 @@ P1 x P1) two infinite TAILS covered by the fiber-descent rule, plus monotone
 downward propagation (multiplication by a section of an effective divisor
 class is injective on sections of a torsion-free sheaf).  Only the sufficient
 direction is used: a nonzero h^0 yields Inconclusive, never "unstable".
+
+A certificate records the monad, polarization and options it was made from.
+verify re-runs certify on them and compares the whole result with the
+document, so a certificate that leaves out an obligation, or claims a
+verdict its checks do not support, differs from its re-run.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ from .errors import (
 from .monad import (
     ChernData,
     MonadComplex,
+    ambient_from_document,
     chern_monad,
     monad_from_document,
     monad_to_document,
@@ -188,17 +194,22 @@ class StabilityCertificate:
         return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
 
 
+TAIL_FLOOR = -6  # the lowest tail bound the fiber-descent search tries
+
+
 @dataclass(frozen=True)
 class CertifyOptions:
     fiber_points: tuple = ((0, 1), (0, 1))  # per axis
-    tail_floor: int = -6
     margin: int | None = None  # None: evaluate every core point; else maximal points only
-    surjectivity_trials: int = 20
+
+    def __post_init__(self):
+        if self.margin is not None and self.margin < 0:
+            raise ValidationError("margin must be a nonnegative integer")
 
     def to_dict(self) -> dict:
         return {
             "fiber_points": [list(p) for p in self.fiber_points],
-            "tail_floor": self.tail_floor,
+            "tail_floor": TAIL_FLOOR,
             "margin": self.margin,
         }
 
@@ -214,7 +225,7 @@ def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = N
     if m.ambient != H.ambient:
         raise ValidationError("polarization ambient differs from the monad's")
 
-    report = validate(m, trials=options.surjectivity_trials)
+    report = validate(m)
     if not report.structure_ok:
         raise ValidationError(
             f"monad fails structural validation: {report.homogeneity_detail or 'b∘a != 0'}"
@@ -307,7 +318,7 @@ def _run_band(m, s, region, cert, options) -> dict | None:
         point = options.fiber_points[axis - 1]
         t = -1
         rule = None
-        while t >= options.tail_floor:
+        while t >= TAIL_FLOOR:
             try:
                 res = tail_vanish(m, s, axis, t, point)
                 rule = TailRule(s, axis, t, tuple(point), res.witness)
@@ -316,7 +327,7 @@ def _run_band(m, s, region, cert, options) -> dict | None:
                 t -= 1
         if rule is None:
             raise FiberNotVanishingError(
-                tuple(point), f"no tail bound above the floor {options.tail_floor} (s={s})"
+                tuple(point), f"no tail bound above the floor {TAIL_FLOOR} (s={s})"
             )
         cert.tail_rules.append(rule)
         tail_bounds.append(t)
@@ -343,112 +354,65 @@ def _run_band(m, s, region, cert, options) -> dict | None:
     return None
 
 
-def audit_coverage(cert: StabilityCertificate, window: int = 8) -> bool:
-    """Every lattice point of each region inside a finite window is justified
-    by a core check, a propagation, or a tail rule."""
-    H = Polarization(
-        ambient_from_cert(cert), tuple(cert.polarization)
-    )
-    for s, region in cert.regions.items():
-        checks = {tuple(c.twist) for c in cert.core_checks if c.s == s and c.h0_hi == 0}
-        props = [p for p in cert.propagations if p.s == s]
-        tails = [(t.axis, t.bound) for t in cert.tail_rules if t.s == s]
-        if region.kind == "halfline":
-            pts = [(k,) for k in range(region.bound - window, region.bound + 1)]
-        else:
-            pts = [
-                (k, l)
-                for k in range(-window, window + 1)
-                for l in range(-window, window + 1)
-                if k + l <= region.bound
-            ]
-        for pt in pts:
-            if tuple(pt) in checks:
-                continue
-            if any(pt[axis - 1] <= b for axis, b in tails):
-                continue
-            covered = False
-            for p in props:
-                if all(a <= b for a, b in zip(pt, p.source)) and tuple(p.source) in checks:
-                    covered = True
-                    break
-            if not covered:
-                return False
-    return True
+def _is_ints(value, length=None) -> bool:
+    return (isinstance(value, list) and all(isinstance(x, int) for x in value)
+            and length in (None, len(value)))
 
 
-def ambient_from_cert(cert: StabilityCertificate) -> Ambient:
-    from .monad import ambient_from_document
+def _read_inputs(doc) -> tuple:
+    """The monad, polarization and options a certificate records.  Only these
+    are read before the re-run; a wrong JSON type raises DocumentError."""
+    if not isinstance(doc, dict):
+        raise DocumentError("a certificate is a JSON object")
+    inp = doc.get("input")
+    if not (isinstance(inp, dict) and isinstance(inp.get("monad"), dict)):
+        raise DocumentError("'input' and 'input.monad' must be JSON objects")
+    if not _is_ints(doc.get("polarization")):
+        raise DocumentError("'polarization' must be a list of integers")
+    opts = inp.get("options")
+    points = opts.get("fiber_points") if isinstance(opts, dict) else None
+    if not (isinstance(points, list) and len(points) == 2 and all(_is_ints(p, 2) for p in points)):
+        raise DocumentError("'input.options.fiber_points' must be two [int, int]")
+    margin = opts.get("margin")
+    if not (margin is None or isinstance(margin, int)):
+        raise DocumentError("'input.options.margin' must be an integer or null")
+    m = monad_from_document(inp["monad"])
+    options = CertifyOptions(tuple(tuple(p) for p in points), margin)
+    return m, Polarization(m.ambient, tuple(doc["polarization"])), options
 
-    return ambient_from_document(cert.monad_document["ambient"])
 
-
-_SHAPES = {  # the JSON type of each field verify reads; "ints" is a list of integers
-    "certificate": dict(input=dict, chern=dict, slope=str, polarization="ints", regions=dict,
-                        core_checks=list, tail_rules=list),
-    "region": dict(kind=str, bound=int),
-    "core check": dict(s=int, twist="ints", h0=list, witness=dict),
-    "tail rule": dict(s=int, axis=int, bound=int, point="ints", witness=dict),
-}
-
-
-def _check_shape(obj, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise DocumentError(f"{what} is not a JSON object")
-    for key, kind in _SHAPES[what].items():
-        value = obj.get(key)
-        if not (isinstance(value, list) and all(isinstance(x, int) for x in value)
-                if kind == "ints" else isinstance(value, kind)):
-            raise DocumentError(f"{what}: {key!r} must be of type {getattr(kind, '__name__', kind)}")
+def document_mismatches(replayed: dict, doc: dict) -> list:
+    """One line per top-level field where `doc` differs from the document a
+    re-run produced (after a JSON round trip); a list field also names the
+    first entry that differs.  Empty when the two are equal."""
+    replayed = json.loads(json.dumps(replayed))
+    problems = []
+    for key in sorted(set(replayed) | set(doc)):
+        if key not in doc or key not in replayed:
+            where = "certificate" if key not in doc else "re-run"
+            problems.append(f"{key}: missing from the {where}")
+        elif replayed[key] != doc[key]:
+            got, recorded = replayed[key], doc[key]
+            if isinstance(got, list) and isinstance(recorded, list):
+                i = next((i for i, (a, b) in enumerate(zip(got, recorded)) if a != b),
+                         min(len(got), len(recorded)))
+                problems.append(f"{key}: entry {i} differs from the re-run "
+                                f"({len(recorded)} recorded, {len(got)} re-run)")
+            else:
+                problems.append(f"{key}: differs from the re-run")
+    return problems
 
 
 def verify_certificate(doc: dict) -> list:
-    """Replay a serialized certificate: recompute every recorded dimension
-    and every core check's witness (matrix shape, rank, nullity).
+    """Re-run certify on the monad, polarization and options the certificate
+    records and compare the result with the whole document.
 
-    Returns a list of mismatch descriptions; empty means the certificate
-    re-verifies.  A malformed document raises DocumentError.
+    Returns one description per top-level field that differs; empty means the
+    certificate re-verifies.  Recorded inputs of the wrong JSON type raise
+    DocumentError.
     """
-    _check_shape(doc, "certificate")
-    for what, parts in (("region", doc["regions"].values()), ("core check", doc["core_checks"]),
-                        ("tail rule", doc["tail_rules"])):
-        for part in parts:
-            _check_shape(part, what)
-    problems = []
-    try:
-        m = monad_from_document(doc["input"]["monad"])
-    except Exception as e:  # corrupt document
-        return [f"cannot reload monad: {e}"]
-    chern = chern_monad(m)
-    got = {"rank": chern.rank, "c1": list(chern.c1), "c2": chern.c2}
-    if got != doc["chern"]:
-        problems.append(f"chern mismatch: {got} != {doc['chern']}")
-    H = Polarization(m.ambient, tuple(doc["polarization"]))
-    mu = slope(chern, H)
-    if str(mu) != doc["slope"]:
-        problems.append(f"slope mismatch: {mu} != {doc['slope']}")
-    for s_str, r in doc["regions"].items():
-        region = twist_region(chern, int(s_str), H)
-        if region.bound != r["bound"] or region.kind != r["kind"]:
-            problems.append(f"region mismatch at s={s_str}")
-    for c in doc["core_checks"]:
-        res = h0_monad(m, c["s"], tuple(c["twist"]))
-        if [res.lo, res.hi] != c["h0"]:
-            problems.append(
-                f"core check mismatch at s={c['s']} twist={c['twist']}: "
-                f"recomputed [{res.lo},{res.hi}] != {c['h0']}"
-            )
-        if json.loads(json.dumps(res.witness)) != c["witness"]:
-            problems.append(f"core check witness mismatch at s={c['s']} twist={c['twist']}")
-    for t in doc["tail_rules"]:
-        try:
-            res = tail_vanish(m, t["s"], t["axis"], t["bound"], tuple(t["point"]))
-        except FiberNotVanishingError:
-            problems.append(f"tail rule no longer certifies: s={t['s']} axis={t['axis']}")
-            continue
-        if res.witness.get("fiber") != t["witness"].get("fiber"):
-            problems.append(f"tail witness mismatch: s={t['s']} axis={t['axis']}")
-    return problems
+    m, H, options = _read_inputs(doc)
+    return document_mismatches(certify(m, H, options).to_document(), doc)
 
 
 # --- pullback transfer ---------------------------------------------------------
@@ -475,7 +439,7 @@ def pullback_transfer(cert: StabilityCertificate, cover) -> TransferredStatement
     """
     if cert.verdict != STABLE:
         raise NotApplicableError("only Stable certificates transfer")
-    amb = ambient_from_cert(cert)
+    amb = ambient_from_document(cert.monad_document["ambient"])
     if getattr(cover, "pic_isomorphism", False):
         rule = "pic-isomorphism"
         why = "every line bundle on the cover is pulled back, so the vanishing hypothesis transfers"

@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: rank by plain
 fraction Gaussian elimination (vs fraction-free Bareiss), point counts by
 direct evaluation over all base points (vs the vectorized fiber loop),
 field tables by an order search with plain digit-list arithmetic (vs the
-primitivity test and the vectorized Zech table).
+primitivity test and the vectorized Zech table), coverage of the twist
+regions by a point-by-point walk over a window (vs the tail and core layout
+certify builds).
 """
 from __future__ import annotations
 
@@ -105,3 +107,35 @@ def field_tables(p: int, n: int, modulus) -> tuple:
         log[e] = i
     zech = [log[pack([(d + (k == 0)) % p for k, d in enumerate(unpack(e))])] for e in exp]
     return exp, log, zech
+
+
+def audit_coverage(cert, window: int = 8) -> bool:
+    """Every lattice point of each twist region of a StabilityCertificate
+    inside a finite window is justified by a core check, a propagation from a
+    checked point, or a tail rule."""
+    for s, region in cert.regions.items():
+        checks = {tuple(c.twist) for c in cert.core_checks if c.s == s and c.h0_hi == 0}
+        props = [p for p in cert.propagations if p.s == s]
+        tails = [(t.axis, t.bound) for t in cert.tail_rules if t.s == s]
+        if region.kind == "halfline":
+            pts = [(k,) for k in range(region.bound - window, region.bound + 1)]
+        else:
+            pts = [
+                (k, l)
+                for k in range(-window, window + 1)
+                for l in range(-window, window + 1)
+                if k + l <= region.bound
+            ]
+        for pt in pts:
+            if tuple(pt) in checks:
+                continue
+            if any(pt[axis - 1] <= b for axis, b in tails):
+                continue
+            covered = False
+            for p in props:
+                if all(a <= b for a, b in zip(pt, p.source)) and tuple(p.source) in checks:
+                    covered = True
+                    break
+            if not covered:
+                return False
+    return True

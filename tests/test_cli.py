@@ -145,13 +145,44 @@ def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("map_b", [[5, "x1", "x2"]]), ("map_b", ["x0"]), ("middle", 5), ("target", [None]), (None, [1]),
+], ids=["numeric-map-entry", "map-row-not-a-list", "middle-not-a-list", "null-twist",
+        "top-level-list"])
+def test_malformed_monad_document_exits_1(capsys, tmp_path, field, value):
+    doc = json.loads((INPUTS / "euler.monad").read_text())
+    if field is None:
+        doc = value
+    else:
+        doc[field] = value
+    path = tmp_path / "malformed.monad"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "certify", "--monad", path, "--polarization", 1)
+    assert code == cli.EXIT_ERROR
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_negative_margin_exits_1(capsys):
+    # a negative margin would leave every core point to a propagation from an
+    # unchecked point, and certify would print Stable without a core check
+    code, out, err = run(capsys, "certify", "--monad", INPUTS / "k_rank3.monad",
+                         "--polarization", "1,1", "--margin", -1)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def certificate(capsys, tmp_path, *argv):
+    """Run a certificate-producing command with --out and load the result."""
+    path = tmp_path / "certificate.json"
+    code, _, _ = run(capsys, *argv, "--out", path)
+    assert code in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE)
+    return json.loads(path.read_text())
+
+
 @pytest.fixture
 def k_rank3_certificate(capsys, tmp_path):
-    path = tmp_path / "k_rank3.json"
-    code, _, _ = run(capsys, "certify", "--monad", INPUTS / "k_rank3.monad",
-                     "--polarization", "1,1", "--out", path)
-    assert code == cli.EXIT_OK
-    return json.loads(path.read_text())
+    return certificate(capsys, tmp_path, "certify", "--monad", INPUTS / "k_rank3.monad",
+                       "--polarization", "1,1")
 
 
 def verify_document(capsys, tmp_path, doc):
@@ -164,6 +195,42 @@ def test_verify_accepts_the_certificate(capsys, tmp_path, k_rank3_certificate):
     code, out, _ = verify_document(capsys, tmp_path, k_rank3_certificate)
     assert code == cli.EXIT_OK
     assert out.startswith("certificate verified")
+
+
+@pytest.mark.parametrize("argv", [
+    *(("certify", "--monad", INPUTS / f"{name}.monad", "--polarization", polarization)
+      for name, polarization in sorted(CERTIFICATE_SHA256)),
+    ("quartic-run", "--surface", INPUTS / "quartic.json"),
+], ids=[*(name for name, _ in sorted(CERTIFICATE_SHA256)), "quartic"])
+def test_every_shipped_certificate_round_trips(capsys, tmp_path, argv):
+    doc = certificate(capsys, tmp_path, *argv)
+    code, out, _ = verify_document(capsys, tmp_path, doc)
+    assert code == cli.EXIT_OK
+    assert out.startswith("certificate verified")
+
+
+def _margin_not_an_integer(doc):
+    doc["input"]["options"]["margin"] = "0"
+    return doc
+
+
+def _polarization_not_integers(doc):
+    doc["polarization"] = ["1", "1"]
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [1], lambda doc: {"schema": 5},
+    lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
+    _margin_not_an_integer, _polarization_not_integers,
+], ids=["top-level-list", "schema-not-a-string", "quartic-surface-not-a-string",
+        "margin-not-an-integer", "polarization-not-integers"])
+def test_verify_rejects_a_malformed_certificate(capsys, tmp_path, k_rank3_certificate, edit):
+    """Fields the re-run reads must have the right JSON type."""
+    code, out, err = verify_document(capsys, tmp_path, edit(k_rank3_certificate))
+    assert code == cli.EXIT_ERROR
+    assert err.startswith("error: ") or out.startswith("unknown certificate schema")
+    assert "certificate verified" not in out and "Traceback" not in err
 
 
 def _s_not_an_integer(doc):
@@ -181,16 +248,15 @@ def _witness_deleted(doc):
     return doc
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: [1], _s_not_an_integer, _core_checks_not_a_list, _witness_deleted,
-    lambda doc: {"schema": 5}, lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
-], ids=["top-level-list", "s-not-an-integer", "core-checks-not-a-list", "witness-deleted",
-        "schema-not-a-string", "quartic-surface-not-a-string"])
-def test_verify_rejects_a_malformed_certificate(capsys, tmp_path, k_rank3_certificate, edit):
+@pytest.mark.parametrize("edit", [_s_not_an_integer, _core_checks_not_a_list, _witness_deleted],
+                         ids=["s-not-an-integer", "core-checks-not-a-list", "witness-deleted"])
+def test_verify_fails_a_certificate_that_differs_from_its_rerun(
+        capsys, tmp_path, k_rank3_certificate, edit):
+    """Recorded fields the re-run does not read are compared, not type-checked."""
     code, out, err = verify_document(capsys, tmp_path, edit(k_rank3_certificate))
     assert code == cli.EXIT_ERROR
-    assert err.startswith("error: ") or out.startswith("unknown certificate schema")
-    assert "certificate verified" not in out and "Traceback" not in err
+    assert out.startswith("verification FAILED") and "core_checks" in out
+    assert "Traceback" not in err
 
 
 def test_verify_replays_the_recorded_rank(capsys, tmp_path, k_rank3_certificate):
@@ -198,5 +264,60 @@ def test_verify_replays_the_recorded_rank(capsys, tmp_path, k_rank3_certificate)
     witness["rank"] += 1
     code, out, _ = verify_document(capsys, tmp_path, k_rank3_certificate)
     assert code == cli.EXIT_ERROR
-    assert out.startswith("verification FAILED") and "witness mismatch" in out
+    assert out.startswith("verification FAILED") and "core_checks" in out
 
+
+DESTABILIZED = {  # the kernel splits off O, so sections appear inside the s=1 band
+    "ambient": {"dims": [1, 1], "type": "product_projective"},
+    "map_b": [["0", "x0*y0", "x0*y1", "x1*y0", "x1*y1"]],
+    "middle": [[0, 0], [-1, -1], [-1, -1], [-1, -1], [-1, -1]],
+    "target": [[0, 0]],
+}
+
+
+def _flip_to_stable(doc):
+    assert doc["verdict"] == "Inconclusive"
+    doc["verdict"], doc["failure"] = "Stable", None
+    return "verdict"
+
+
+def _empty_checks_and_tails(doc):
+    doc["core_checks"], doc["tail_rules"] = [], []
+    return "core_checks"
+
+
+def _empty_regions(doc):
+    doc["regions"] = {}
+    return "regions"
+
+
+def _delete_a_propagation(doc):
+    del doc["monotone_propagations"][1]
+    return "monotone_propagations"
+
+
+def _change_the_tail_floor(doc):
+    doc["input"]["options"]["tail_floor"] = -2
+    return "input"
+
+
+@pytest.mark.parametrize("monad,margin,forge", [
+    (DESTABILIZED, None, _flip_to_stable),
+    ("k_rank3", None, _empty_checks_and_tails),
+    ("k_rank3", None, _empty_regions),
+    ("k_rank3", 0, _delete_a_propagation),
+    ("k_rank3", None, _change_the_tail_floor),
+], ids=["inconclusive-flipped-to-stable", "checks-and-tails-emptied", "regions-emptied",
+        "propagation-deleted", "tail-floor-changed"])
+def test_verify_fails_a_forged_certificate(capsys, tmp_path, monad, margin, forge):
+    path = INPUTS / f"{monad}.monad"
+    if isinstance(monad, dict):
+        path = tmp_path / "destabilized.monad"
+        path.write_text(json.dumps(monad))
+    margin = () if margin is None else ("--margin", margin)
+    doc = certificate(capsys, tmp_path, "certify", "--monad", path, "--polarization", "1,1",
+                      *margin)
+    field = forge(doc)
+    code, out, _ = verify_document(capsys, tmp_path, doc)
+    assert code == cli.EXIT_ERROR
+    assert out.startswith("verification FAILED") and f"\n{field}: " in out

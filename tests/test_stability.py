@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bundlecert.errors import (
+    DocumentError,
     NotApplicableError,
     UnsupportedPolarizationError,
     ZeroRankError,
@@ -14,7 +15,6 @@ from bundlecert.polycore import Ambient
 from bundlecert.stability import (
     CertifyOptions,
     Polarization,
-    audit_coverage,
     certify,
     pullback_degree,
     pullback_transfer,
@@ -22,6 +22,7 @@ from bundlecert.stability import (
     twist_region,
     verify_certificate,
 )
+from oracles import audit_coverage
 
 P2 = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)
@@ -152,6 +153,30 @@ class TestCertificateDocument:
         doc = json.loads(cert.to_json())
         doc["core_checks"][0]["h0"] = [1, 1]
         assert verify_certificate(doc) != []
+
+    def test_returns_a_list_of_strings(self):
+        # the benchmark's verify workload json-dumps this list and reads it as problems
+        doc = json.loads(certify(k_rank3(), H_PP, CertifyOptions(margin=0)).to_json())
+        problems = verify_certificate(doc)
+        assert type(problems) is list and problems == []
+        doc["monotone_propagations"].pop()
+        doc["verdict"] = "Inconclusive"
+        problems = verify_certificate(doc)
+        assert type(problems) is list and len(problems) == 2
+        assert all(type(p) is str for p in problems)
+
+    def test_names_the_first_differing_entry(self):
+        doc = json.loads(certify(k_rank3(), H_PP).to_json())
+        del doc["core_checks"][3]
+        assert verify_certificate(doc) == [
+            "core_checks: entry 3 differs from the re-run (26 recorded, 27 re-run)"
+        ]
+
+    def test_reads_only_typed_inputs(self):
+        doc = json.loads(certify(k_rank3(), H_PP).to_json())
+        doc["input"]["options"]["fiber_points"] = [[0, 1]]
+        with pytest.raises(DocumentError):
+            verify_certificate(doc)
 
     def test_byte_stability(self):
         a = certify(k_rank3(), H_PP).to_json()
