@@ -5,6 +5,10 @@ expected-dim | rigid-classes), quartic-run, count-points, picard-bound,
 verify.  Documents are JSON with fixed field names; output is byte-stable
 for fixed inputs and options.
 
+picard-bound makes 9 counts over F_{p^n}, n = 1..9, and at most one at
+n = 10, so it needs p^10 <= 2^20 (p = 3).  Its document, like a stability or
+quartic certificate, records the inputs `verify` re-runs it from.
+
 Exit codes: 0 success, 1 input/usage errors, 2 Inconclusive or Unknown
 verdicts.
 """
@@ -17,7 +21,7 @@ import sys
 from . import k3lat
 from .cohom import h0_exterior, h0_homology
 from .errors import BundleCertError, DocumentError
-from .monad import KERNEL, chern_monad, monad_from_document
+from .monad import KERNEL, chern_monad, is_list_of, monad_from_document
 from .polycore import Ambient, parse_poly
 from .stability import (
     CertifyOptions,
@@ -32,6 +36,7 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 FIELD_LIMIT_HELP = "odd prime p; every field F_q counted needs q = p^n ≤ 2^20"
+SURFACE_AMBIENT = Ambient.product_projective(1, 1)
 
 
 def _load_json(path: str) -> dict:
@@ -61,10 +66,22 @@ def _monad_and_ambient(path: str):
     return monad_from_document(doc), doc
 
 
-def _surface_poly(path: str):
-    doc = _load_json(path)
-    amb = Ambient.product_projective(1, 1)
-    return parse_poly(doc["polynomial"], amb), doc
+def _surface_text(doc) -> str:
+    """The (4,4) branch form of a surface document (or of a picard-bound
+    document's `input`)."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("polynomial"), str)):
+        raise DocumentError("a surface is a JSON object with the polynomial as a string")
+    return doc["polynomial"]
+
+
+def _picard_bound_document(polynomial: str, p: int, threads: int = 1) -> dict:
+    """run_picard_bound on the branch form, with the inputs its replay reads."""
+    from .zeta import check_field, run_picard_bound
+
+    check_field(p, 10)  # before the first count: the last one may be over F_{p^10}
+    doc = run_picard_bound(parse_poly(polynomial, SURFACE_AMBIENT), p, threads=threads)
+    doc["input"] = {"polynomial": polynomial, "prime": p}
+    return doc
 
 
 def cmd_certify(args) -> int:
@@ -133,7 +150,14 @@ def _lattice_from_args(args) -> k3lat.GramLattice:
     if args.lattice in catalogue:
         return catalogue[args.lattice]
     doc = _load_json(args.lattice)
-    return k3lat.GramLattice(tuple(doc["names"]), tuple(tuple(r) for r in doc["gram"]))
+    if not isinstance(doc, dict):
+        raise DocumentError("a lattice is a JSON object")
+    names, gram = doc.get("names"), doc.get("gram")
+    if not is_list_of(names, lambda n: isinstance(n, str)):
+        raise DocumentError("'names' must be a list of strings")
+    if not is_list_of(gram, lambda row: is_list_of(row, lambda x: isinstance(x, int))):
+        raise DocumentError("'gram' must be a list of lists of integers")
+    return k3lat.GramLattice(tuple(names), tuple(tuple(r) for r in gram))
 
 
 def cmd_lattice(args) -> int:
@@ -182,7 +206,12 @@ def cmd_lattice(args) -> int:
 
 def cmd_quartic_run(args) -> int:
     doc = _load_json(args.surface)
-    cert = k3lat.quartic_region_run(doc["surface"], tuple(doc.get("map", ("x", "y", "w"))))
+    if not (isinstance(doc, dict) and isinstance(doc.get("surface"), str)):
+        raise DocumentError("a quartic surface is a JSON object with the quartic as a string")
+    section_map = doc.get("map", ["x", "y", "w"])
+    if not (is_list_of(section_map, lambda e: isinstance(e, str)) and len(section_map) == 3):
+        raise DocumentError("'map' must be a list of three linear forms as strings")
+    cert = k3lat.quartic_region_run(doc["surface"], tuple(section_map))
     _emit(cert.to_json(), args.out)
     return EXIT_OK if cert.verdict == "Stable" else EXIT_INCONCLUSIVE
 
@@ -191,7 +220,7 @@ def cmd_count_points(args) -> int:
     from .zeta import check_field, count_points
 
     check_field(args.prime, args.max_n)
-    f, _ = _surface_poly(args.surface)
+    f = parse_poly(_surface_text(_load_json(args.surface)), SURFACE_AMBIENT)
     lines = []
     for n in range(1, args.max_n + 1):
         N = count_points(f, args.prime, n, threads=args.threads)
@@ -203,13 +232,8 @@ def cmd_count_points(args) -> int:
 
 
 def cmd_picard_bound(args) -> int:
-    from .zeta import check_field, run_picard_bound
-
-    check_field(args.prime, args.max_n)
-    f, _ = _surface_poly(args.surface)
-    result = run_picard_bound(
-        f, args.prime, max_n=args.max_n, threads=args.threads, k_alg=args.k_alg
-    )
+    polynomial = _surface_text(_load_json(args.surface))
+    result = _picard_bound_document(polynomial, args.prime, threads=args.threads)
     _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -225,6 +249,12 @@ def cmd_verify(args) -> int:
         if not isinstance(doc.get("surface"), str):
             raise DocumentError("a quartic certificate needs the surface as a string")
         problems = document_mismatches(k3lat.quartic_region_run(doc["surface"]).to_document(), doc)
+    elif schema.startswith("picard-bound-profile"):
+        inp = doc.get("input")
+        polynomial = _surface_text(inp)
+        if not isinstance(inp.get("prime"), int):
+            raise DocumentError("'input.prime' of a picard-bound document must be an integer")
+        problems = document_mismatches(_picard_bound_document(polynomial, inp["prime"]), doc)
     else:
         sys.stdout.write(f"unknown certificate schema {schema!r}\n")
         return EXIT_ERROR
@@ -291,18 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_count_points)
 
-    p = sub.add_parser("picard-bound", help="geometric Picard-rank upper bound")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--prime", type=int, required=True, help=FIELD_LIMIT_HELP)
-    p.add_argument("--max-n", type=int, default=9)
+    text = ("geometric Picard-rank upper bound from 9 point counts over F_{p^n}, n = 1..9, "
+            "and at most one at n = 10")
+    p = sub.add_parser("picard-bound", help=text, description=text)
+    p.add_argument("--surface", required=True, help="JSON with the (4,4) branch curve")
+    p.add_argument("--prime", type=int, required=True,
+                   help="odd prime p with p^10 ≤ 2^20 (p = 3)")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--k-alg", type=int, default=2)
     add_common(p)
     p.set_defaults(fn=cmd_picard_bound)
 
-    p = sub.add_parser(
-        "verify", help="re-run the computation a certificate records and compare the result "
-        "with the whole document")
+    text = ("re-run the computation a stability or quartic certificate or a picard-bound "
+            "document records and compare the result with the whole document")
+    p = sub.add_parser("verify", help=text, description=text)
     p.add_argument("certificate")
     add_common(p)
     p.set_defaults(fn=cmd_verify)

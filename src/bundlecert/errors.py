@@ -80,10 +80,6 @@ class ZeroRankError(BundleCertError):
     pass
 
 
-class NotApplicableError(BundleCertError):
-    pass
-
-
 class UnsupportedPolarizationError(BundleCertError):
     pass
 

@@ -1,16 +1,19 @@
 """Intersection lattices of K3 surfaces and the quartic-surface pipeline.
 
-Gram arithmetic and adjunction, effectivity obstruction certificates on
-rank-2 lattices, expected moduli dimension, rigid rank-2 classification on
-the double plane, cover-doubling of Chern data, and exact section kernels on
-a quartic hypersurface's coordinate ring.
+Gram arithmetic and adjunction on a small catalogue of lattices (U, U(2),
+the double plane, the quartic's <H, C>, E8(-1)), effectivity obstruction
+certificates on rank-2 lattices, expected moduli dimension, rigid rank-2
+classification on the double plane, the doubling of c2 under a double
+cover, and exact section kernels on a quartic hypersurface's coordinate
+ring.  The quartic run derives the base point of its section map, the common
+zero of three linear forms, by exact linear algebra.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import (
     BasepointFailureError,
@@ -25,6 +28,7 @@ from .polycore import (
     ExactMatrix,
     RationalPolynomial,
     bareiss_det,
+    monomial_basis,
     parse_poly,
 )
 
@@ -141,19 +145,26 @@ def dependency(classes) -> tuple:
     mat, det = gram_of(classes)
     if det != 0:
         raise ValueError("classes are independent (nonzero Gram determinant)")
-    rows = [[Fraction(x) for x in row] for row in mat]
-    n = len(rows)
-    # fraction Gaussian elimination to a row echelon form
+    return _kernel_vector(mat)
+
+
+def _kernel_vector(rows) -> tuple:
+    """The primitive integer vector spanning the kernel of a rational matrix,
+    with its free coordinate positive; ValueError unless the kernel is
+    one-dimensional."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    n = len(rows[0])
+    # fraction Gaussian elimination to a reduced row echelon form
     pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c]), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pv = rows[r][c]
         rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
+        for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
@@ -162,8 +173,6 @@ def dependency(classes) -> tuple:
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise ValueError("kernel is not one-dimensional")
-    from math import gcd, lcm
-
     j = free[0]
     vec = [Fraction(0)] * n
     vec[j] = Fraction(1)
@@ -171,9 +180,7 @@ def dependency(classes) -> tuple:
         vec[c] = -row[j]
     denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     if ints[j] < 0:
         ints = [-x for x in ints]
@@ -211,50 +218,6 @@ E8_MINUS = GramLattice(
 )
 
 
-def k3_lattice() -> GramLattice:
-    """U^3 ⊕ E8(-1)^2 as one 22x22 Gram matrix (context only)."""
-    blocks = [U.gram] * 3 + [E8_MINUS.gram] * 2
-    names = []
-    for t in range(3):
-        names += [f"u{t}a", f"u{t}b"]
-    for t in range(2):
-        names += [f"e{t}_{i}" for i in range(1, 9)]
-    n = len(names)
-    g = [[0] * n for _ in range(n)]
-    ofs = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                g[ofs + i][ofs + j] = x
-        ofs += len(b)
-    return GramLattice(tuple(names), tuple(tuple(r) for r in g))
-
-
-# --- cover specifications -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoverSpec:
-    """A catalogued branched double cover with small class group."""
-
-    family: str  # "double_plane_sextic" | "double_quadric_44" | "quartic"
-    base: str  # "p2" | "p1xp1" | "none"
-    pic_isomorphism: bool
-
-    def __post_init__(self):
-        allowed = {
-            ("double_plane_sextic", "p2", True),
-            ("double_quadric_44", "p1xp1", True),
-            ("quartic", "none", False),
-        }
-        if (self.family, self.base, self.pic_isomorphism) not in allowed:
-            raise ValueError("not a catalogued cover family")
-
-
-DOUBLE_PLANE_COVER = CoverSpec("double_plane_sextic", "p2", True)
-DOUBLE_QUADRIC_COVER = CoverSpec("double_quadric_44", "p1xp1", True)
-
-
 # --- numerology -----------------------------------------------------------------
 
 
@@ -277,10 +240,6 @@ def rigid_rank2_classes(k: int) -> tuple:
 def pullback_chern(c: ChernData) -> ChernData:
     """Chern data of the pullback along a double cover: c1 formal, c2 doubles."""
     return ChernData(c.rank, c.c1, 2 * c.c2)
-
-
-def cover_c1_squared(base_c1_sq: int) -> int:
-    return 2 * base_c1_sq
 
 
 # --- effectivity obstructions ---------------------------------------------------
@@ -310,8 +269,6 @@ def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: in
         g[0][0] * H.coords[0] + g[0][1] * H.coords[1],
         g[1][0] * H.coords[0] + g[1][1] * H.coords[1],
     )  # degree(a, b) = a*w0 + b*w1
-    from math import gcd
-
     gw = gcd(w[0], w[1])
     out = []
     for delta in range(1, max_degree + 1):
@@ -434,8 +391,6 @@ class QuarticRing:
         return comb(d + 3, 3) - (comb(d - 1, 3) if d >= 1 else 0)
 
     def basis(self, d: int) -> list:
-        from .polycore import monomial_basis
-
         if d < 0:
             return []
         out = [
@@ -547,28 +502,50 @@ class QuarticCertificate:
         return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
 
 
+def _base_point(forms) -> tuple:
+    """The one common zero on P3 of three linear forms, as a primitive integer
+    vector."""
+    rows = []
+    for j, form in enumerate(forms):
+        if not form.is_homogeneous_of(1):
+            raise HomogeneityError(0, j, "the section map needs linear forms")
+        rows.append([form.terms.get(e, 0) for e in monomial_basis(QUARTIC_AMBIENT, 1)])
+    try:
+        return _kernel_vector(rows)
+    except ValueError:
+        raise BasepointFailureError(
+            "the linear forms of the section map have rank below 3: they vanish on a "
+            "line or plane, which meets X"
+        ) from None
+
+
 def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> QuarticCertificate:
     """Stability verification for the rank-2 kernel bundle on the quartic.
 
-    The bundle is ker((x,y,w): O(-1)^3 -> O) restricted to X = Z(f); its slope
-    region {4k + 5l <= 6} is covered by one direct section-kernel check at
+    The bundle is ker(map: O(-1)^3 -> O) restricted to X = Z(f), where the map
+    is three linear forms, (x, y, w) by default; it is locally free when their
+    one common zero lies off X.  Its slope region {4k + 5l <= 6} is covered by one direct section-kernel check at
     (1,0) and by effectivity obstructions for every other integer point,
     stratified by the H-degree of the would-be effective class
     (k-1)H + lC, which is 4k + 5l - 4 <= 2 throughout the region.
     """
     f = parse_poly(f_text, QUARTIC_AMBIENT)
     ring = QuarticRing(f)
-    # local freeness: the map (x,y,w) must not vanish anywhere on X
-    val = ring.evaluate((0, 0, 1, 0))
+    forms = [parse_poly(e, QUARTIC_AMBIENT) for e in map_entries]
+    # local freeness: the map must not vanish anywhere on X
+    point = _base_point(forms)
+    val = ring.evaluate(point)
     if val == 0:
+        where = ":".join(map(str, point))
         raise BasepointFailureError(
-            "f(0,0,1,0) = 0: [0:0:1:0] lies on X and the section map drops rank there"
+            f"f vanishes at [{where}]: the base point of the section map lies on X, "
+            "and the map drops rank there"
         )
     lattice = QUARTIC_452
     H = lattice.basis_class(0)
     C = lattice.basis_class(1)
 
-    h0_10 = quartic_h0(ring, [list(map_entries)], [-1, -1, -1], [0], 1)
+    h0_10 = quartic_h0(ring, [forms], [-1, -1, -1], [0], 1)
     checks = [(1, 0, h0_10)]
     ok = h0_10 == 0
 

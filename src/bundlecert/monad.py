@@ -428,6 +428,11 @@ def ambient_to_document(amb: Ambient) -> dict:
     return {"type": "product_projective", "dims": list(amb.dims)}
 
 
+def is_list_of(value, ok) -> bool:
+    """Whether a JSON value is a list whose every entry passes `ok`."""
+    return isinstance(value, list) and all(ok(x) for x in value)
+
+
 def monad_from_document(doc: dict) -> MonadComplex:
     """Load a monad from its canonical document.
 
@@ -451,15 +456,13 @@ def monad_from_document(doc: dict) -> MonadComplex:
     if unknown:
         raise DocumentError(f"unknown monad document fields: {sorted(unknown)}")
 
-    def list_of(value, ok) -> bool:
-        return isinstance(value, list) and all(ok(x) for x in value)
-
     for key in ("map_b", "map_a"):
-        if not list_of(doc.get(key, []), lambda row: list_of(row, lambda e: isinstance(e, str))):
+        if not is_list_of(doc.get(key, []),
+                          lambda row: is_list_of(row, lambda e: isinstance(e, str))):
             raise DocumentError(f"{key} must be a list of rows of polynomial strings")
     for key in ("middle", "target", "source"):
-        if not list_of(doc.get(key, []), lambda t: isinstance(t, int)
-                       or list_of(t, lambda c: isinstance(c, int))):
+        if not is_list_of(doc.get(key, []), lambda t: isinstance(t, int)
+                          or is_list_of(t, lambda c: isinstance(c, int))):
             raise DocumentError(f"{key} must be a list of twists (integers or lists of integers)")
     name = doc.get("name", "")
     if has_source:

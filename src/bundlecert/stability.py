@@ -24,7 +24,6 @@ from .cohom import h0_monad, tail_vanish
 from .errors import (
     DocumentError,
     FiberNotVanishingError,
-    NotApplicableError,
     UnsupportedOperationError,
     UnsupportedPolarizationError,
     ValidationError,
@@ -33,7 +32,6 @@ from .errors import (
 from .monad import (
     ChernData,
     MonadComplex,
-    ambient_from_document,
     chern_monad,
     monad_from_document,
     monad_to_document,
@@ -414,53 +412,3 @@ def verify_certificate(doc: dict) -> list:
     m, H, options = _read_inputs(doc)
     return document_mismatches(certify(m, H, options).to_document(), doc)
 
-
-# --- pullback transfer ---------------------------------------------------------
-
-def pullback_degree(degree: int) -> int:
-    """Degrees double under pullback along a double cover."""
-    return 2 * degree
-
-
-@dataclass(frozen=True)
-class TransferredStatement:
-    rule: str
-    statement: str
-    base_slope: Fraction
-    cover_degree_of_c1: int
-    cover_c2: int
-
-
-def pullback_transfer(cert: StabilityCertificate, cover) -> TransferredStatement:
-    """Transfer a Stable certificate to the double cover.
-
-    Requires either a catalogued cover with an isomorphism on line-bundle
-    classes (works for any rank), or the rank-2-over-P2 route.
-    """
-    if cert.verdict != STABLE:
-        raise NotApplicableError("only Stable certificates transfer")
-    amb = ambient_from_document(cert.monad_document["ambient"])
-    if getattr(cover, "pic_isomorphism", False):
-        rule = "pic-isomorphism"
-        why = "every line bundle on the cover is pulled back, so the vanishing hypothesis transfers"
-    elif cert.chern.rank == 2 and amb.arity == 1 and amb.dims == (2,):
-        rule = "rank2-double-plane"
-        why = "rank-2 stable bundles on P2 pull back stably along branched double covers"
-    else:
-        raise NotApplicableError(
-            "no transfer rule applies: need a Pic-isomorphism cover or rank 2 over P2"
-        )
-    H = Polarization(amb, tuple(cert.polarization))
-    base_deg = H.degree(cert.chern.c1)
-    stmt = (
-        f"pullback of {cert.bundle} is mu-stable on the cover w.r.t. the pulled-back "
-        f"polarization ({rule}); deg of c1 doubles {base_deg} -> {pullback_degree(base_deg)}, "
-        f"c2 doubles {cert.chern.c2} -> {2 * cert.chern.c2}"
-    )
-    return TransferredStatement(
-        rule=rule,
-        statement=stmt,
-        base_slope=cert.slope,
-        cover_degree_of_c1=pullback_degree(base_deg),
-        cover_c2=2 * cert.chern.c2,
-    )

@@ -85,16 +85,19 @@ def resolve_family_with_count(profile: ZetaProfile, extra_count: int) -> ZetaPro
     return out
 
 
-def run_picard_bound(f, p: int, max_n: int = 9, threads: int = 1, k_alg: int = 2) -> dict:
+def run_picard_bound(f, p: int, threads: int = 1) -> dict:
     """Counts, candidate assembly, and the rank bound, as one document.
 
-    The nine counts determine the minus-sign completion and leave one free
-    coefficient for the plus sign; when a feasible plus-sign completion with
-    unit roots survives, one extra count pins the coefficient and removes the
-    ambiguity (recorded in the document).
+    The algebraic part taken out of the traces is the U(2) spanned by the
+    pulled-back rulings (k_alg = 2), the only classes known to be algebraic.
+    The nine counts over F_{p^n}, n = 1..9, determine the minus-sign completion
+    and leave one free coefficient for the plus sign; when a feasible
+    plus-sign completion with unit roots survives, one count at n = 10 pins
+    the coefficient and removes the ambiguity (recorded in the document).
+    The caller checks that p^10 fits the field cap before the first count.
     """
-    counts = [count_points(f, p, n, threads=threads) for n in range(1, max_n + 1)]
-    profile = assemble_charpoly(counts, p, k_alg=k_alg)
+    counts = [count_points(f, p, n, threads=threads) for n in range(1, 10)]
+    profile = assemble_charpoly(counts, p)
     first = rank_upper_bound(profile)
     doc = profile.to_document()
     doc["stage1_bound"] = first.to_document()
@@ -102,7 +105,7 @@ def run_picard_bound(f, p: int, max_n: int = 9, threads: int = 1, k_alg: int = 2
         kind == "family" and contrib > 0 for _, kind, contrib, _ in first.per_candidate
     )
     if ambiguous:
-        n_next = max_n + 1
+        n_next = len(counts) + 1
         extra = count_points(f, p, n_next, threads=threads)
         resolved = resolve_family_with_count(profile, extra)
         final = rank_upper_bound(resolved)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bundlecert import cli, zeta
+from bundlecert.polycore import parse_poly
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -18,6 +19,17 @@ CERTIFICATE_SHA256 = {
     ("e_rank2", "1,1"): "ab4d7d3c887237e3cf35b333e643e7543defbfbe403ac25f26b4fdb7c1635fe3",
 }
 QUARTIC_SHA256 = "7d21f8dd13ab4c84a7dc4ac65b1beb5b0b8b7f41b24fe1ae0a267f9c3b2f6eef"
+# sha256 of `picard-bound --surface b44.poly --prime 3` output without its `input` field
+B44_BOUND_SHA256 = "f258a80d9db2419ac4cbe9011f233d860aa96e04a72e092a18d7893152300d5f"
+
+B44 = json.loads((INPUTS / "b44.poly").read_text())["polynomial"]
+EDITED_B44 = B44.replace("+ 2*x0^4*y1^4", "+ x0^4*y1^4")
+# point counts over F_{3^n}, n = 1, 2, ..., of the double covers branched over
+# these forms; b44 needs the count at n = 10 to pin its plus-sign family
+COUNTS_AT_3 = {
+    B44: [14, 98, 848, 6566, 59219, 530948, 4796078, 43037342, 387408206, 3487024373],
+    EDITED_B44: [17, 95, 803, 6767, 59477, 534341, 4794695, 43079351, 387532487],
+}
 
 # sha256 of `certify --format json` on scaled monads (maps of degree n), recorded
 # with the dense Bareiss rank before section matrices became sparse
@@ -131,14 +143,15 @@ def test_prime_above_the_field_cap_exits_1(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["count-points", "picard-bound"])
-def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command):
+@pytest.mark.parametrize("command,max_n", [("count-points", ("--max-n", 2)), ("picard-bound", ())],
+                         ids=["count-points", "picard-bound"])
+def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command, max_n):
     def no_count(*args, **kwargs):
         raise AssertionError("counted a field below the cap before refusing the one above")
 
     monkeypatch.setattr(zeta, "count_points", no_count)
     code, out, err = run(
-        capsys, command, "--surface", INPUTS / "b44.poly", "--prime", 1031, "--max-n", 2
+        capsys, command, "--surface", INPUTS / "b44.poly", "--prime", 1031, *max_n
     )
     assert code == cli.EXIT_ERROR
     assert out == ""
@@ -160,6 +173,27 @@ def test_malformed_monad_document_exits_1(capsys, tmp_path, field, value):
     code, _, err = run(capsys, "certify", "--monad", path, "--polarization", 1)
     assert code == cli.EXIT_ERROR
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (("count-points", "--prime", 3, "--max-n", 1), {"polynomial": 5}),
+    (("count-points", "--prime", 3, "--max-n", 1), [1]),
+    (("picard-bound", "--prime", 3), {"polynomial": 5}),
+    (("picard-bound", "--prime", 3), [1]),
+    (("quartic-run",), {"surface": 5}),
+    (("quartic-run",), [1]),
+    (("quartic-run",), {"surface": "x^4 + y^4 + z^4 + w^4", "map": 7}),
+    (("lattice", "pair", "--class", "1,0", "--class", "0,1"), {"names": ["A", "B"], "gram": 3}),
+], ids=["count-points-numeric-polynomial", "count-points-top-level-list",
+        "picard-bound-numeric-polynomial", "picard-bound-top-level-list",
+        "quartic-run-numeric-surface", "quartic-run-top-level-list", "quartic-run-numeric-map",
+        "lattice-numeric-gram"])
+def test_malformed_surface_or_lattice_document_exits_1(capsys, tmp_path, argv, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--lattice" if argv[0] == "lattice" else "--surface", path)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_negative_margin_exits_1(capsys):
@@ -223,8 +257,12 @@ def _polarization_not_integers(doc):
     lambda doc: [1], lambda doc: {"schema": 5},
     lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
     _margin_not_an_integer, _polarization_not_integers,
+    lambda doc: {"schema": "picard-bound-profile/1", "input": {"polynomial": 5, "prime": 3}},
+    lambda doc: {"schema": "picard-bound-profile/1", "input": {"polynomial": B44, "prime": "3"}},
+    lambda doc: {"schema": "picard-bound-profile/1", "input": {"polynomial": B44, "prime": 1031}},
 ], ids=["top-level-list", "schema-not-a-string", "quartic-surface-not-a-string",
-        "margin-not-an-integer", "polarization-not-integers"])
+        "margin-not-an-integer", "polarization-not-integers", "picard-polynomial-not-a-string",
+        "picard-prime-not-an-integer", "picard-prime-above-the-field-cap"])
 def test_verify_rejects_a_malformed_certificate(capsys, tmp_path, k_rank3_certificate, edit):
     """Fields the re-run reads must have the right JSON type."""
     code, out, err = verify_document(capsys, tmp_path, edit(k_rank3_certificate))
@@ -321,3 +359,54 @@ def test_verify_fails_a_forged_certificate(capsys, tmp_path, monad, margin, forg
     code, out, _ = verify_document(capsys, tmp_path, doc)
     assert code == cli.EXIT_ERROR
     assert out.startswith("verification FAILED") and f"\n{field}: " in out
+
+
+def test_picard_bound_has_no_count_or_k_alg_option(capsys):
+    code, out, _ = run(capsys, "picard-bound", "--help")
+    assert code == cli.EXIT_OK and "--prime" in out
+    assert "--max-n" not in out and "--k-alg" not in out
+
+
+@pytest.fixture
+def b44_bound(capsys, tmp_path, monkeypatch):
+    """picard-bound on b44 at p = 3, with the counts read from COUNTS_AT_3."""
+    table = {parse_poly(text, cli.SURFACE_AMBIENT): counts for text, counts in COUNTS_AT_3.items()}
+    monkeypatch.setattr(zeta, "count_points", lambda f, p, n, threads=1: table[f][n - 1])
+    return certificate(capsys, tmp_path, "picard-bound", "--surface", INPUTS / "b44.poly",
+                       "--prime", 3)
+
+
+def test_picard_bound_round_trips(capsys, tmp_path, b44_bound):
+    assert b44_bound.pop("input") == {"polynomial": B44, "prime": 3}
+    assert sha256(json.dumps(b44_bound, sort_keys=True, indent=2) + "\n") == B44_BOUND_SHA256
+    assert b44_bound["rank_upper_bound"] == 2
+    assert b44_bound["disambiguation"]["count"] == 3487024373
+    b44_bound["input"] = {"polynomial": B44, "prime": 3}
+    code, out, _ = verify_document(capsys, tmp_path, b44_bound)
+    assert code == cli.EXIT_OK
+    assert out.startswith("certificate verified")
+
+
+def _change_a_count(doc):
+    doc["counts"][4] += 2
+    return ["counts"]
+
+
+def _change_the_polynomial(doc):
+    doc["input"]["polynomial"] = EDITED_B44  # its surface needs no count at n = 10
+    return ["counts", "disambiguation", "rank_upper_bound"]
+
+
+def _change_the_bound(doc):
+    doc["rank_upper_bound"] = 1
+    return ["rank_upper_bound"]
+
+
+@pytest.mark.parametrize("edit", [_change_a_count, _change_the_polynomial, _change_the_bound],
+                         ids=["count-changed", "polynomial-changed", "bound-changed"])
+def test_verify_fails_an_edited_picard_bound(capsys, tmp_path, b44_bound, edit):
+    fields = edit(b44_bound)
+    code, out, _ = verify_document(capsys, tmp_path, b44_bound)
+    assert code == cli.EXIT_ERROR
+    assert out.startswith("verification FAILED")
+    assert all(f"\n{field}: " in out for field in fields)

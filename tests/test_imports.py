@@ -1,6 +1,7 @@
 """Every name a module under src/ imports is used in it or re-exported by __all__,
-and the certify path loads no numpy."""
+every __all__ entry is bound in its module, and the certify path loads no numpy."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -32,6 +33,16 @@ def unused_imports(path):
 def test_no_unused_imports_under_src():
     found = [u for path in sorted(SRC.rglob("*.py")) for u in unused_imports(path)]
     assert found == []
+
+
+def test_every_all_entry_is_bound():
+    stale = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        stale += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", [])
+                  if not hasattr(module, name)]
+    assert stale == []
 
 
 def test_certify_path_does_not_import_numpy():

@@ -4,6 +4,7 @@ import pytest
 
 from bundlecert.errors import (
     BasepointFailureError,
+    HomogeneityError,
     LatticeMismatchError,
     OddSquareError,
     UnsupportedTwistError,
@@ -14,17 +15,14 @@ from bundlecert.k3lat import (
     QUARTIC_AMBIENT,
     U,
     U2,
-    CoverSpec,
     GramLattice,
     QuarticRing,
     bracket,
-    cover_c1_squared,
     curve_class_candidates,
     dependency,
     expected_dim,
     genus,
     gram_of,
-    k3_lattice,
     not_effective_cert,
     pair,
     pullback_chern,
@@ -77,7 +75,7 @@ class TestPairing:
             assert pair(a + b, c) == pair(a, c) + pair(b, c)
 
     def test_catalogue_evenness(self):
-        for lat in (U, U2, DOUBLE_PLANE, QUARTIC_452, k3_lattice()):
+        for lat in (U, U2, DOUBLE_PLANE, QUARTIC_452):
             assert lat.is_even
 
 
@@ -181,11 +179,6 @@ class TestNumerology:
         assert pullback_chern(ChernData(3, (-4, -4), 12)).c2 == 24
         assert pullback_chern(ChernData(2, (-2,), 4)).c2 == 8  # K_2: 2 s^2
         assert pullback_chern(ChernData(2, (-3,), 3)).c2 == 6
-        assert cover_c1_squared(32) == 64
-
-    def test_cover_catalogue(self):
-        with pytest.raises(ValueError):
-            CoverSpec("double_plane_sextic", "p2", False)
 
 
 class TestQuartic:
@@ -230,6 +223,21 @@ class TestQuartic:
         cert = quartic_region_run("x^4 + y^4 + z^4 + w^4")
         assert cert.verdict == "Stable"
         assert cert.h0_checks == [(1, 0, 0)]
+
+    def test_basepoint_is_derived_from_the_map(self):
+        # (x, y, z) vanish together at [0:0:0:1], where this f vanishes too
+        with pytest.raises(BasepointFailureError, match=r"\[0:0:0:1\]"):
+            quartic_region_run("z^4 + x*w^3 + y*w^3 + x^4 + y^4", ("x", "y", "z"))
+        cert = quartic_region_run("x^4 + y^4 + z^4 + w^4", ("x - w", "y", "z"))
+        assert cert.basepoint_value == "2"  # f(1, 0, 0, 1)
+
+    def test_map_of_rank_below_3(self):
+        with pytest.raises(BasepointFailureError, match="rank below 3"):
+            quartic_region_run("x^4 + y^4 + z^4 + w^4", ("x", "y", "x + y"))
+
+    def test_nonlinear_map(self):
+        with pytest.raises(HomogeneityError):
+            quartic_region_run("x^4 + y^4 + z^4 + w^4", ("x", "y", "z^2"))
 
     def test_basepoint_failure(self):
         # z^4 missing and f(0,0,1,0) = 0

@@ -5,19 +5,15 @@ import pytest
 
 from bundlecert.errors import (
     DocumentError,
-    NotApplicableError,
     UnsupportedPolarizationError,
     ZeroRankError,
 )
-from bundlecert.k3lat import DOUBLE_PLANE_COVER, DOUBLE_QUADRIC_COVER
 from bundlecert.monad import ChernData, chern_monad, homology_monad, kernel_monad
 from bundlecert.polycore import Ambient
 from bundlecert.stability import (
     CertifyOptions,
     Polarization,
     certify,
-    pullback_degree,
-    pullback_transfer,
     slope,
     twist_region,
     verify_certificate,
@@ -183,35 +179,3 @@ class TestCertificateDocument:
         b = certify(k_rank3(), H_PP).to_json()
         assert a == b
 
-
-class TestPullback:
-    def test_degree_doubling(self):
-        assert pullback_degree(1) == 2
-        assert pullback_degree(0) == 0
-        assert pullback_degree(-4) == -8
-
-    def test_cotangent_transfer(self):
-        cert = certify(euler(), H_P2)
-        t = pullback_transfer(cert, DOUBLE_PLANE_COVER)
-        assert t.rule == "pic-isomorphism"
-        assert t.cover_degree_of_c1 == -6
-        assert t.cover_c2 == 6
-
-    def test_k_rank3_transfer(self):
-        cert = certify(k_rank3(), H_PP)
-        t = pullback_transfer(cert, DOUBLE_QUADRIC_COVER)
-        assert t.cover_c2 == 24
-
-    def test_rank2_route_without_pic_isomorphism(self):
-        class BareCover:
-            pic_isomorphism = False
-
-        cert = certify(euler(), H_P2)
-        t = pullback_transfer(cert, BareCover())
-        assert t.rule == "rank2-double-plane"
-
-    def test_inconclusive_not_applicable(self):
-        m = kernel_monad(P2, [-1, -1, -1], [0], [["x + y", "y + z", "z"]])
-        cert = certify(m, H_P2)
-        with pytest.raises(NotApplicableError):
-            pullback_transfer(cert, DOUBLE_PLANE_COVER)

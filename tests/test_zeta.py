@@ -196,16 +196,16 @@ def power_sums(coeffs, m):
     return out
 
 
-def bound_from_weil_polynomial(monkeypatch, factors, p, k_alg=2):
+def bound_from_weil_polynomial(monkeypatch, factors, p):
     Q = [1]
     for f in factors:
         Q = poly_mul(Q, f)
-    assert len(Q) - 1 == 22 - k_alg
+    assert len(Q) - 1 == 20  # 22 - k_alg, with k_alg = 2
     counts = [
-        1 + p ** (2 * i) + k_alg * p**i + s for i, s in enumerate(power_sums(Q, 10), start=1)
+        1 + p ** (2 * i) + 2 * p**i + s for i, s in enumerate(power_sums(Q, 10), start=1)
     ]
     monkeypatch.setattr(zeta, "count_points", lambda f, p, n, threads=1: counts[n - 1])
-    doc = zeta.run_picard_bound(None, p, max_n=9, k_alg=k_alg)
+    doc = zeta.run_picard_bound(None, p)
     if "disambiguation" in doc:
         assert any(
             c["sign"] == 1 and c["coeffs_ascending"] == Q and c["status"] == "surviving"
