@@ -11,19 +11,22 @@ family in the middle coefficient.
 
 Every completed candidate must pass an exact all-roots-on-|z| = p test
 (self-inversive reduction u = S + 1/S, squarefree part, Sturm count on
-[-2, 2]; no floating point anywhere).  The rank bound adds to k_alg the
-maximum number of roots of the form p * (root of unity) over surviving
-candidates, counted by trial division of Q(pT) by cyclotomic polynomials.
-For the underdetermined plus-sign family, a cyclotomic divisor pins the
-middle coefficient by a linear condition, so the family contributes the
-maximum over its finitely many solvable completions (zero when none exists);
-the bound therefore covers the true polynomial whichever sign holds.
+[-2, 2]).  The whole layer runs in Z[T]: R(S) = Q(pS)/p^d is scaled by p^d,
+every cyclotomic is monic, and the gcd and the Sturm chain are primitive
+pseudo-remainder sequences, so no step needs a rational or a float.  The
+rank bound adds to k_alg the maximum number of roots of the form
+p * (root of unity) over surviving candidates, counted by trial division of
+Q(pT) by cyclotomic polynomials.  For the underdetermined plus-sign family,
+a cyclotomic divisor pins the middle coefficient by a linear condition, so
+the family contributes the maximum over its finitely many solvable
+completions (zero when none exists); the bound therefore covers the true
+polynomial whichever sign holds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from math import gcd
 
 from ..errors import (
     InsufficientCountsError,
@@ -52,41 +55,34 @@ def poly_divmod_exact(a, b):
     db = len(b) - 1
     lead = b[-1]
     quot = [0] * max(1, len(a) - db)
-    while True:
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db or not any(a):
-            break
-        c = a[-1]
-        if c % lead:
-            return None, None
-        c //= lead
-        shift = len(a) - 1 - db
-        quot[shift] = c
-        for i, x in enumerate(b):
-            a[shift + i] -= c * x
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = a[shift + db]
+        if c:
+            c, frac = divmod(c, lead)
+            if frac:
+                return None, None
+            quot[shift] = c
+            a[shift : shift + db + 1] = [x - c * y for x, y in zip(a[shift : shift + db + 1], b)]
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     return quot, a
 
 
-def poly_divmod(a, b):
-    """(quotient, remainder) of a by b over Q, as Fraction lists."""
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(1, len(r) - len(b) + 1)
-    while len(r) >= len(b) and any(r):
-        c = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = c
-        for i, x in enumerate(b):
-            r[shift + i] -= c * x
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-    return q, r
+def primitive_remainder(a, b):
+    """Remainder of |lc(b)|^(deg a - deg b + 1) * a by b, over its positive content.
+
+    The scale is a positive integer that makes the division exact, and the
+    content is taken positive, so the result is a positive multiple of the
+    rational remainder of a by b: signs, and hence Sturm counts, are kept.
+    """
+    scale = abs(b[-1]) ** (len(a) - len(b) + 1)
+    rem = poly_divmod_exact([c * scale for c in a], b)[1]
+    content = gcd(*rem)
+    return [c // content for c in rem] if content > 1 else rem
 
 
-def _evaluate(poly, x: Fraction) -> Fraction:
-    total = Fraction(0)
+def _value(poly, x: int) -> int:
+    total = 0
     for c in reversed(poly):
         total = total * x + c
     return total
@@ -130,20 +126,16 @@ def cyclotomics_up_to(d: int) -> tuple:
 
 def newton_elementary_from_power_sums(power_sums) -> list:
     """e_1..e_m from p_1..p_m; raises on a non-integral value."""
-    e = [Fraction(1)]
+    e = [1]
     for k in range(1, len(power_sums) + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * power_sums[i - 1]
-        e.append(acc / k)
-    out = []
-    for x in e[1:]:
-        if x.denominator != 1:
+        acc = sum((-1) ** (i - 1) * e[k - i] * power_sums[i - 1] for i in range(1, k + 1))
+        if acc % k:
+            g = gcd(acc, k)
             raise NoConsistentCandidateError(
-                f"Newton identities give non-integral coefficient {x}"
+                f"Newton identities give non-integral coefficient {acc // g}/{k // g}"
             )
-        out.append(int(x))
-    return out
+        e.append(acc // k)
+    return e[1:]
 
 
 # --- candidates ------------------------------------------------------------------
@@ -201,37 +193,35 @@ def complete_with_functional_equation(e_known, d: int, p: int, sign: int):
 
 # --- exact all-roots-on-the-circle test ------------------------------------------
 
-def _sturm_count(poly, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b] for a squarefree rational poly."""
-    chain = [[Fraction(c) for c in poly]]
-    deriv = [Fraction(i * c) for i, c in enumerate(poly)][1:]
+def _sturm_count(poly, a: int, b: int) -> int:
+    """Number of distinct real roots in (a, b] for a squarefree integer poly."""
+    chain = [poly]
+    deriv = [i * c for i, c in enumerate(poly)][1:]
     if any(deriv):
         chain.append(deriv)
         while len(chain[-1]) > 1:
-            r = [-c for c in poly_divmod(chain[-2], chain[-1])[1]]
+            r = primitive_remainder(chain[-2], chain[-1])
             if not any(r):
                 break
-            chain.append(r)
+            chain.append([-c for c in r])
 
     def sign_changes(x):
-        signs = [v > 0 for v in (_evaluate(q, x) for q in chain) if v]
+        signs = [v > 0 for v in (_value(q, x) for q in chain) if v]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return sign_changes(a) - sign_changes(b)
 
 
 def _squarefree_part(poly):
-    """poly / gcd(poly, poly') over Q."""
-    f = [Fraction(c) for c in poly]
-    a, b = f, [Fraction(i * c) for i, c in enumerate(poly)][1:]
+    """poly / gcd(poly, poly'), both in Z[T]."""
+    a, b = poly, [i * c for i, c in enumerate(poly)][1:]
     while any(b) and len(b) > 1:
-        a, b = b, poly_divmod(a, b)[1]
-    gcd = a if not any(b) else b  # a nonzero constant b: squarefree already
-    if len(gcd) == 1:
-        return f
-    q, r = poly_divmod(f, gcd)
-    assert not any(r)
-    return q
+        a, b = b, primitive_remainder(a, b)
+    if any(b) or len(a) == 1:  # the gcd is a constant: squarefree already
+        return poly
+    content = gcd(*a)
+    # a / content is primitive, so the quotient is integral (Gauss's lemma)
+    return poly_divmod_exact(poly, [c // content for c in a])[0]
 
 
 def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
@@ -241,18 +231,19 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
     with the given sign; for sign -1 the forced roots S = ±1 are divided out.
     The remainder satisfies S^e R(1/S) = R(S), hence S^{-e/2} R(S) = G(u) with
     u = S + 1/S; all roots of R lie on |S| = 1 iff all roots of G are real in
-    [-2, 2], decided by a Sturm count on the squarefree part.
+    [-2, 2], decided by a Sturm count on the squarefree part.  Everything is
+    scaled by p^d, which moves no root.
     """
-    d = len(coeffs) - 1
-    r = [Fraction(coeffs[j], p ** (d - j)) for j in range(d + 1)]  # R ascending
+    r = [c * p ** j for j, c in enumerate(coeffs)]  # p^d R(S), ascending
+    # the divisors are monic, so the quotients are integral
     if sign == -1:
         # divide by (S-1)(S+1) = S^2 - 1
-        r, remdr = poly_divmod(r, [-1, 0, 1])
+        r, remdr = poly_divmod_exact(r, [-1, 0, 1])
         if any(remdr):
             return False
     if (len(r) - 1) % 2:
         # self-inversive of odd degree with sign +1 has S = -1 as a root
-        r, remdr = poly_divmod(r, [1, 1])
+        r, remdr = poly_divmod_exact(r, [1, 1])
         if any(remdr):
             return False
     e = len(r) - 1
@@ -263,13 +254,13 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
             return False
     # G(u) = r_h + sum_{m>=1} r_{h+m} * b_m(u), with b_0 = 2, b_1 = u and
     # b_m = u b_{m-1} - b_{m-2}
-    G = [Fraction(0)] * (h + 1)
+    G = [0] * (h + 1)
     G[0] = r[h]
-    b_prev, b_cur = [Fraction(2)], [Fraction(0), Fraction(1)]
+    b_prev, b_cur = [2], [0, 1]
     for m in range(1, h + 1):
         for i, c in enumerate(b_cur):
             G[i] += r[h + m] * c
-        b_next = [Fraction(0)] + b_cur
+        b_next = [0] + b_cur
         for i, c in enumerate(b_prev):
             b_next[i] -= c
         b_prev, b_cur = b_cur, b_next
@@ -281,12 +272,11 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
     sq = _squarefree_part(G)
     total_needed = len(sq) - 1
     found = 0
-    for endpoint in (Fraction(-2), Fraction(2)):
-        if _evaluate(sq, endpoint) == 0:
-            sq, remdr = poly_divmod(sq, [-endpoint, 1])
-            assert not any(remdr)
+    for endpoint in (-2, 2):
+        if _value(sq, endpoint) == 0:
+            sq = poly_divmod_exact(sq, [-endpoint, 1])[0]
             found += 1
-    found += _sturm_count(sq, Fraction(-2), Fraction(2))
+    found += _sturm_count(sq, -2, 2)
     return found == total_needed
 
 
@@ -383,8 +373,6 @@ def assemble_charpoly(counts, p: int, k_alg: int = 2) -> ZetaProfile:
 
 
 def _vet(cand: Candidate, p: int) -> Candidate:
-    from dataclasses import replace
-
     if cand.kind == "family":
         # vetting happens per pinned completion inside the rank bound
         return replace(cand, status="surviving", reason="family: vetted per completion")
@@ -409,16 +397,16 @@ def family_completions(cand: Candidate, p: int) -> list:
     out = set()
     for cyc in cyclotomics_up_to(cand.degree):
         width = len(cyc) - 1
-        r0 = _pad(poly_divmod(w0, cyc)[1], width)
-        r1 = _pad(poly_divmod(t_mid, cyc)[1], width)
+        r0 = _pad(poly_divmod_exact(w0, cyc)[1], width)
+        r1 = _pad(poly_divmod_exact(t_mid, cyc)[1], width)
         if not any(r1):
             continue  # cannot happen: Phi_k never divides T^mid
-        # solve r0 + e*r1 = 0
+        # r0 + e*r1 = 0 is solved over Q by e = num/den when every equation
+        # agrees with it; keep e when den divides num
         idx = next(i for i, c in enumerate(r1) if c)
-        e = -r0[idx] / r1[idx]
-        if all(a + e * b == 0 for a, b in zip(r0, r1)):
-            if e.denominator == 1:
-                out.add(int(e))
+        num, den = -r0[idx], r1[idx]
+        if all(a * den + num * b == 0 for a, b in zip(r0, r1)) and num % den == 0:
+            out.add(num // den)
     completions = []
     for e in sorted(out):
         coeffs = list(cand.coeffs)
@@ -428,7 +416,7 @@ def family_completions(cand: Candidate, p: int) -> list:
 
 
 def _pad(a, width):
-    return list(a) + [Fraction(0)] * (width - len(a))
+    return list(a) + [0] * (width - len(a))
 
 
 @dataclass

@@ -177,15 +177,28 @@ class FqField:
             cand for cand in range(1, q)
             if all(_pol_trim(_pol_powmod(self._unpack(cand), e, mod, p)) != [1] for e in cofactors)
         )
-        exp = np.zeros(q - 1, dtype=np.int64)
+        # multiplication by g is F_p-linear: row j of `step` holds the digits of
+        # x^j g, and digits(g^(k0+k)) = digits(g^k) @ step^k0 fills [k0, 2 k0)
+        # from [0, k0); the dtype holds every dot product before its mod p.
+        n = self.n
+        dtype = np.min_scalar_type(n * (p - 1) ** 2)
+        step = np.zeros((n, n), dtype=dtype)
+        for j in range(n):
+            row = _pol_mulmod([0] * j + [1], self._unpack(gen), mod, p)
+            step[j, : len(row)] = row
+        digits = np.zeros((q - 1, n), dtype=dtype)
+        digits[0, 0] = 1
+        done = 1
+        while done < q - 1:
+            todo = min(done, q - 1 - done)
+            digits[done : done + todo] = digits[:todo] @ step % p
+            step = step @ step % p
+            done += todo
+        exp = digits[:, n - 1].astype(np.int64)
+        for j in range(n - 2, -1, -1):
+            exp = exp * p + digits[:, j]
         log = np.full(q, LOG_ZERO, dtype=np.int64)
-        gen_coeffs = self._unpack(gen)
-        cur = [1]
-        for i in range(q - 1):
-            packed = self._pack(cur)
-            exp[i] = packed
-            log[packed] = i
-            cur = _pol_mulmod(cur, gen_coeffs, mod, p)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
         # zech[i] = log(1 + g^i), LOG_ZERO when 1 + g^i = 0: adding 1 raises the
         # lowest base-p digit mod p, and log[0] is LOG_ZERO
         self.zech = log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]

@@ -6,11 +6,17 @@ direct evaluation over all base points (vs the vectorized fiber loop),
 field tables by an order search with plain digit-list arithmetic (vs the
 primitivity test and the vectorized Zech table), coverage of the twist
 regions by a point-by-point walk over a window (vs the tail and core layout
-certify builds).
+certify builds), and the all-roots-on-the-circle test with rational
+division, a plain Sturm chain and a rational gcd, and the plus-sign
+family's middle coefficients by rational remainders and a rational solve
+(vs the integer pseudo-remainder sequences and divisibility tests of
+`zeta.charpoly`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+from bundlecert.zeta.charpoly import cyclotomics_up_to
 
 
 def gauss_rank(rows) -> int:
@@ -139,3 +145,136 @@ def audit_coverage(cert, window: int = 8) -> bool:
             if not covered:
                 return False
     return True
+
+
+# --- the circle test over Q -------------------------------------------------------
+
+def poly_divmod(a, b):
+    """(quotient, remainder) of a by b over Q, as Fraction lists."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(1, len(r) - len(b) + 1)
+    while len(r) >= len(b) and any(r):
+        c = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, x in enumerate(b):
+            r[shift + i] -= c * x
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def _evaluate(poly, x: Fraction) -> Fraction:
+    total = Fraction(0)
+    for c in reversed(poly):
+        total = total * x + c
+    return total
+
+
+def _sturm_count(poly, a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots in (a, b] for a squarefree rational poly."""
+    chain = [[Fraction(c) for c in poly]]
+    deriv = [Fraction(i * c) for i, c in enumerate(poly)][1:]
+    if any(deriv):
+        chain.append(deriv)
+        while len(chain[-1]) > 1:
+            r = [-c for c in poly_divmod(chain[-2], chain[-1])[1]]
+            if not any(r):
+                break
+            chain.append(r)
+
+    def sign_changes(x):
+        signs = [v > 0 for v in (_evaluate(q, x) for q in chain) if v]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    return sign_changes(a) - sign_changes(b)
+
+
+def _squarefree_part(poly):
+    """poly / gcd(poly, poly') over Q."""
+    f = [Fraction(c) for c in poly]
+    a, b = f, [Fraction(i * c) for i, c in enumerate(poly)][1:]
+    while any(b) and len(b) > 1:
+        a, b = b, poly_divmod(a, b)[1]
+    gcd = a if not any(b) else b  # a nonzero constant b: squarefree already
+    if len(gcd) == 1:
+        return f
+    q, r = poly_divmod(f, gcd)
+    assert not any(r)
+    return q
+
+
+def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
+    """Exact test that every root of the monic integer polynomial has |z| = p.
+
+    Uses the built-in functional equation: R(S) = Q(pS)/p^d is self-inversive
+    with the given sign; for sign -1 the forced roots S = ±1 are divided out.
+    The remainder satisfies S^e R(1/S) = R(S), hence S^{-e/2} R(S) = G(u) with
+    u = S + 1/S; all roots of R lie on |S| = 1 iff all roots of G are real in
+    [-2, 2], decided by a Sturm count on the squarefree part.
+    """
+    d = len(coeffs) - 1
+    r = [Fraction(coeffs[j], p ** (d - j)) for j in range(d + 1)]  # R ascending
+    if sign == -1:
+        # divide by (S-1)(S+1) = S^2 - 1
+        r, remdr = poly_divmod(r, [-1, 0, 1])
+        if any(remdr):
+            return False
+    if (len(r) - 1) % 2:
+        # self-inversive of odd degree with sign +1 has S = -1 as a root
+        r, remdr = poly_divmod(r, [1, 1])
+        if any(remdr):
+            return False
+    e = len(r) - 1
+    h = e // 2
+    # verify self-inversivity of the remainder (sign +1)
+    for j in range(e + 1):
+        if r[j] != r[e - j]:
+            return False
+    # G(u) = r_h + sum_{m>=1} r_{h+m} * b_m(u), with b_0 = 2, b_1 = u and
+    # b_m = u b_{m-1} - b_{m-2}
+    G = [Fraction(0)] * (h + 1)
+    G[0] = r[h]
+    b_prev, b_cur = [Fraction(2)], [Fraction(0), Fraction(1)]
+    for m in range(1, h + 1):
+        for i, c in enumerate(b_cur):
+            G[i] += r[h + m] * c
+        b_next = [Fraction(0)] + b_cur
+        for i, c in enumerate(b_prev):
+            b_next[i] -= c
+        b_prev, b_cur = b_cur, b_next
+    while len(G) > 1 and G[-1] == 0:
+        G.pop()
+    if len(G) == 1:
+        return not any(G) or h == 0
+    # count roots in [-2, 2]: handle endpoints exactly, then Sturm on the rest
+    sq = _squarefree_part(G)
+    total_needed = len(sq) - 1
+    found = 0
+    for endpoint in (Fraction(-2), Fraction(2)):
+        if _evaluate(sq, endpoint) == 0:
+            sq, remdr = poly_divmod(sq, [-endpoint, 1])
+            assert not any(remdr)
+            found += 1
+    found += _sturm_count(sq, Fraction(-2), Fraction(2))
+    return found == total_needed
+
+
+def family_completions(cand, p: int) -> list:
+    """(e, coeffs) for every integer middle coefficient e that lets a
+    cyclotomic Phi_k divide Q(pT), by solving r0 + e r1 = 0 over Q."""
+    mid = cand.middle_index
+    w0 = [c * p ** j for j, c in enumerate(cand.coeffs)]
+    t_mid = [0] * mid + [p ** mid]
+    out = set()
+    for cyc in cyclotomics_up_to(cand.degree):
+        width = len(cyc) - 1
+        r0 = poly_divmod(w0, cyc)[1]
+        r0 += [Fraction(0)] * (width - len(r0))
+        r1 = poly_divmod(t_mid, cyc)[1]
+        r1 += [Fraction(0)] * (width - len(r1))
+        idx = next(i for i, c in enumerate(r1) if c)
+        e = -r0[idx] / r1[idx]
+        if all(a + e * b == 0 for a, b in zip(r0, r1)) and e.denominator == 1:
+            out.add(int(e))
+    return [(e, tuple(cand.coeffs[:mid]) + (e,) + tuple(cand.coeffs[mid + 1 :])) for e in sorted(out)]

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from bundlecert import zeta
-from bundlecert.errors import TooLargeError
+from bundlecert.errors import NoConsistentCandidateError, TooLargeError
 from bundlecert.polycore import Ambient, parse_poly
 from bundlecert.zeta import (
     count_points,
@@ -18,7 +19,17 @@ from bundlecert.zeta import (
     make_field,
     unit_root_count,
 )
-from bundlecert.zeta.charpoly import all_roots_on_circle, poly_divmod, poly_mul
+from bundlecert.zeta.charpoly import (
+    Candidate,
+    _squarefree_part,
+    _sturm_count,
+    all_roots_on_circle,
+    family_completions,
+    newton_elementary_from_power_sums,
+    poly_divmod_exact,
+    poly_mul,
+    primitive_remainder,
+)
 from bundlecert.zeta.count import (
     _LogTables,
     _orbit_fibers,
@@ -27,6 +38,7 @@ from bundlecert.zeta.count import (
     frobenius_orbits,
 )
 
+import oracles
 from oracles import count_double_cover_f3, field_tables
 
 PP = Ambient.product_projective(1, 1)
@@ -126,32 +138,66 @@ class TestFieldTables:
         assert F.zech.tolist() == zech
 
 
+def sympy_poly(coeffs, x):
+    """A sympy Poly over ZZ from ascending integer coefficients."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(list(reversed(coeffs)), x, domain="ZZ")
+
+
+def ascending(poly):
+    return [int(c) for c in reversed(poly.all_coeffs())]
+
+
+def ratio(a, b):
+    """The rational c with a = c * b (ascending lists, trailing zeros trimmed),
+    1 when both are zero, None when there is none."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    if not any(b) or len(a) != len(b):
+        return 1 if not any(a) and not any(b) else None
+    c = a[-1] / b[-1]
+    return c if all(x == c * y for x, y in zip(a, b)) else None
+
+
 class TestDivision:
     def test_matches_sympy(self):
+        """poly_divmod_exact gives sympy's rational quotient and remainder when
+        that quotient is integral, and (None, None) when it is not."""
         sympy = pytest.importorskip("sympy")
         T = sympy.Symbol("T")
         rng = random.Random(20261017)
+        for _ in range(200):
+            a = [rng.randint(-30, 30) for _ in range(rng.randint(1, 13))]
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+            b[-1] = b[-1] or rng.choice([-1, 1])
+            q, r = poly_divmod_exact(a, b)
+            sq, sr = sympy.div(sympy_poly(a, T), sympy_poly(b, T), domain="QQ")
+            if any(c.q != 1 for c in sq.all_coeffs()):
+                assert (q, r) == (None, None)
+                continue
+            want_q = ascending(sq) + [0] * (max(1, len(a) - len(b) + 1) - len(sq.all_coeffs()))
+            assert q == want_q
+            assert r == ascending(sr)
 
-        def rand_poly(deg):
-            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg + 1)]
-            coeffs[-1] = coeffs[-1] or Fraction(1)
-            return coeffs
-
-        def to_sympy(coeffs):
-            return sympy.Poly(
-                [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], T
-            )
-
-        def from_sympy(poly):
-            return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-
-        for _ in range(40):
-            a = rand_poly(rng.randint(0, 12))
-            b = rand_poly(rng.randint(0, 6))
-            q, r = poly_divmod(a, b)
-            sq, sr = sympy.div(to_sympy(a), to_sympy(b), domain="QQ")
-            assert q == from_sympy(sq)
-            assert r == from_sympy(sr)
+    def test_primitive_remainder_matches_sympy_prem(self):
+        """A positive multiple of sympy's pseudo-remainder times sign(lc(b))^(delta+1),
+        i.e. of the rational remainder; its content is 1."""
+        sympy = pytest.importorskip("sympy")
+        T = sympy.Symbol("T")
+        rng = random.Random(20261018)
+        negative_scales = 0
+        for _ in range(200):
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(2, 7))]
+            b[-1] = b[-1] or rng.choice([-3, -1, 2])
+            a = [rng.randint(-30, 30) for _ in range(len(b) + rng.randint(0, 6))]
+            a[-1] = a[-1] or 1
+            r = primitive_remainder(a, b)
+            prem = ascending(sympy.prem(sympy_poly(a, T), sympy_poly(b, T)))
+            delta = len(a) - len(b)
+            sign = 1 if b[-1] > 0 or delta % 2 else -1
+            negative_scales += sign < 0
+            assert ratio(r, [sign * c for c in prem]) > 0
+            assert math.gcd(*r) in (0, 1)
+        assert negative_scales > 20  # lc(b)^(delta+1) < 0 is exercised
 
 
 class TestCyclotomics:
@@ -234,3 +280,146 @@ class TestRoundTrip:
         c = scaled_cyclotomic(k, p)
         filler = [quad(1, p)] * ((20 - (len(c) - 1)) // 2)
         assert bound_from_weil_polynomial(monkeypatch, [c] + filler, p) == 2 + euler_phi(k)
+
+
+# --- the integer circle test against the rational oracle and sympy -------------------
+
+def weil_inputs():
+    """(kind, p, sign, coeffs, on_circle, unit_roots) for seeded products of
+    T^2 - aT + p^2, times T^2 - p^2 for sign -1 and T + p for odd degree.
+
+    Kinds: generic a in (-2p, 2p); repeated (a from three values: the
+    squarefree path); endpoint (a = 2p and a = -2p: roots of G at u = +-2);
+    off (one |a| > 2p: real roots off the circle).
+    """
+    rng = random.Random(20261018)
+    out = []
+    for p in (3, 5, 7):
+        special = (0, p, -p, 2 * p, -2 * p)
+        inner = range(-2 * p + 1, 2 * p)
+        for kind in ("generic", "repeated", "endpoint", "off"):
+            for sign in (1, -1):
+                for odd in (False, True):
+                    extra = [[-p * p, 0, 1]] * (sign < 0) + [[p, 1]] * odd
+                    n_quads = (20 - sum(len(f) - 1 for f in extra)) // 2
+                    pool = rng.sample(inner, 3) if kind == "repeated" else inner
+                    a = [rng.choice(pool) for _ in range(n_quads)]
+                    if kind == "endpoint":
+                        a[:2] = [2 * p, -2 * p]
+                    if kind == "off":
+                        a[0] = rng.choice([-1, 1]) * (2 * p + rng.randint(1, 3))
+                    Q = [1]
+                    for f in extra + [quad(x, p) for x in a]:
+                        Q = poly_mul(Q, f)
+                    units = 2 * (sign < 0) + odd + 2 * sum(x in special for x in a)
+                    out.append((kind, p, sign, Q, kind != "off", units))
+    return out
+
+
+WEIL_INPUTS = weil_inputs()
+
+
+def chebyshev_reduction(coeffs, p, sign):
+    """G(u) with S^(-e/2) R(S) = G(S + 1/S), by sympy division and Chebyshev
+    polynomials, for R(S) = Q(pS); None when R fails a division or is not
+    self-inversive."""
+    sympy = pytest.importorskip("sympy")
+    S, u = sympy.symbols("S u")
+    R = sympy_poly([c * p**j for j, c in enumerate(coeffs)], S)
+    if sign < 0:
+        R, rem = sympy.div(R, sympy.Poly(S**2 - 1, S))
+        if not rem.is_zero:
+            return None
+    if R.degree() % 2:
+        R, rem = sympy.div(R, sympy.Poly(S + 1, S))
+        if not rem.is_zero:
+            return None
+    r = ascending(R)
+    if r != r[::-1]:
+        return None
+    h = len(r) // 2
+    G = r[h] + sum(r[h + m] * 2 * sympy.chebyshevt_poly(m, u / 2) for m in range(1, h + 1))
+    return sympy.Poly(G, u, domain="ZZ")
+
+
+def circle_by_sympy(coeffs, p, sign) -> bool:
+    G = chebyshev_reduction(coeffs, p, sign)
+    if G is None:
+        return False
+    sq = G.sqf_part()
+    return sq.count_roots(-2, 2) == sq.degree()
+
+
+def unit_roots_by_sympy(coeffs, p) -> int:
+    """Total degree of the cyclotomic factors of Q(pT), from sympy's factorization."""
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("T")
+    _, factors = sympy_poly([c * p**j for j, c in enumerate(coeffs)], T).factor_list()
+    return sum(f.degree() * m for f, m in factors if f.is_cyclotomic)
+
+
+class TestCircleOracle:
+    @pytest.mark.parametrize("kind,p,sign,Q,on_circle,units", WEIL_INPUTS)
+    def test_circle_test_matches_both_oracles(self, kind, p, sign, Q, on_circle, units):
+        assert all_roots_on_circle(Q, p, sign) == on_circle
+        assert oracles.all_roots_on_circle(Q, p, sign) == on_circle
+        assert circle_by_sympy(Q, p, sign) == on_circle
+        # the other sign fails the division by S^2 - 1 or its functional equation
+        assert not all_roots_on_circle(Q, p, -sign)
+        assert not oracles.all_roots_on_circle(Q, p, -sign)
+
+    @pytest.mark.parametrize("kind,p,sign,Q,on_circle,units", WEIL_INPUTS)
+    def test_squarefree_part_and_sturm_count_match_sympy(self, kind, p, sign, Q, on_circle, units):
+        G = chebyshev_reduction(Q, p, sign)
+        g = ascending(G)
+        sq = _squarefree_part(g)
+        assert ratio(sq, ascending(G.sqf_part())) is not None
+        assert ratio(sq, oracles._squarefree_part(g)) is not None
+        if kind == "repeated":
+            assert len(sq) < len(g)
+        # roots in (-2, 2]: count_roots counts the closed interval
+        at_minus_two = G.sqf_part().eval(-2) == 0
+        assert _sturm_count(sq, -2, 2) == G.sqf_part().count_roots(-2, 2) - at_minus_two
+        assert _sturm_count(sq, -2, 2) == oracles._sturm_count(sq, Fraction(-2), Fraction(2))
+
+    @pytest.mark.parametrize("kind,p,sign,Q,on_circle,units", WEIL_INPUTS)
+    def test_unit_root_count_matches_sympy(self, kind, p, sign, Q, on_circle, units):
+        assert unit_root_count(Q, p) == units
+        assert unit_roots_by_sympy(Q, p) == units
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_family_completions_match_the_rational_solve(self, p):
+        """Degree-20 plus-sign families: the middle coefficient of each Q made free."""
+        mid = 10
+        found_true_middle = 0
+        for kind, q_p, sign, Q, on_circle, units in WEIL_INPUTS:
+            if q_p != p or sign != 1 or len(Q) != 21:
+                continue
+            coeffs = list(Q)
+            coeffs[mid] = 0
+            cand = Candidate(sign=1, kind="family", coeffs=tuple(coeffs), middle_index=mid)
+            got = family_completions(cand, p)
+            assert got == oracles.family_completions(cand, p)
+            for e, completed in got:
+                assert unit_roots_by_sympy(completed, p) > 0
+            if units:
+                assert (Q[mid], tuple(Q)) in got
+                found_true_middle += 1
+        assert found_true_middle > 0
+
+    def test_family_completions_refuse_a_non_integral_middle(self):
+        """Without the functional equation, r0 + e r1 = 0 mostly has a rational,
+        non-integral solution (for Phi_1, e = -W0(1) / p^mid)."""
+        rng = random.Random(11)
+        for _ in range(30):
+            p = rng.choice([3, 5, 7])
+            coeffs = [rng.randint(-5, 5) for _ in range(20)] + [1]
+            coeffs[10] = 0
+            cand = Candidate(sign=1, kind="family", coeffs=tuple(coeffs), middle_index=10)
+            assert family_completions(cand, p) == oracles.family_completions(cand, p)
+
+
+class TestNewton:
+    def test_non_integral_value_is_refused(self):
+        with pytest.raises(NoConsistentCandidateError, match="1/2"):
+            newton_elementary_from_power_sums([1, 0])
