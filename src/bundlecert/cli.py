@@ -5,6 +5,12 @@ expected-dim | rigid-classes), quartic-run, count-points, picard-bound,
 verify.  Documents are JSON with fixed field names; output is byte-stable
 for fixed inputs and options.
 
+`certify` prints a text summary, or the certificate with `--format json`.
+`--out FILE` writes the main artifact of certify, chern, lattice,
+quartic-run, count-points and picard-bound to FILE instead of stdout; h0 and
+verify print to stdout only.  quartic-run certifies ker(O(-1)^3 -> O) on a
+quartic X = Z(f) in P3 and refuses a document with other twists.
+
 picard-bound makes 9 counts over F_{p^n}, n = 1..9, and at most one at
 n = 10, so it needs p^10 <= 2^20 (p = 3).  Its document, like a stability or
 quartic certificate, records the inputs `verify` re-runs it from.
@@ -211,6 +217,9 @@ def cmd_quartic_run(args) -> int:
     section_map = doc.get("map", ["x", "y", "w"])
     if not (is_list_of(section_map, lambda e: isinstance(e, str)) and len(section_map) == 3):
         raise DocumentError("'map' must be a list of three linear forms as strings")
+    # the region and strata are derived for ker(O(-1)^3 -> O) only
+    if doc.get("source", [-1, -1, -1]) != [-1, -1, -1] or doc.get("target", [0]) != [0]:
+        raise DocumentError("quartic-run supports 'source' [-1, -1, -1] and 'target' [0] only")
     cert = k3lat.quartic_region_run(doc["surface"], tuple(section_map))
     _emit(cert.to_json(), args.out)
     return EXIT_OK if cert.verdict == "Stable" else EXIT_INCONCLUSIVE
@@ -269,29 +278,29 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bundlecert")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_out(p):
         p.add_argument("--out", default=None, help="write the main artifact to this path")
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("certify", help="stability certificate for a monad bundle")
     p.add_argument("--monad", required=True)
     p.add_argument("--polarization", required=True, help='e.g. "1" on P2 or "1,1"')
     p.add_argument("--fiber-point", default="0:1")
     p.add_argument("--margin", type=int, default=None)
-    add_common(p)
+    add_out(p)
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="a text summary on stdout, or the certificate JSON")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("h0", help="h^0 of (an exterior power of) a monad bundle")
     p.add_argument("--monad", required=True)
     p.add_argument("--twist", required=True, help='"k" or "k,l"')
     p.add_argument("--exterior", type=int, default=1)
-    add_common(p)
     p.set_defaults(fn=cmd_h0)
 
     p = sub.add_parser("chern", help="Chern data of a monad bundle")
     p.add_argument("--monad", required=True)
     p.add_argument("--cover", choices=("none", "double"), default="none")
-    add_common(p)
+    add_out(p)
     p.set_defaults(fn=cmd_chern)
 
     p = sub.add_parser("lattice", help="intersection-lattice computations")
@@ -305,12 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1sq", type=int, default=0)
     p.add_argument("--c2", type=int, default=0)
     p.add_argument("--k", type=int, default=0)
-    add_common(p)
+    add_out(p)
     p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("quartic-run", help="stability pipeline on the quartic surface")
     p.add_argument("--surface", required=True, help="JSON with the quartic and the section map")
-    add_common(p)
+    add_out(p)
     p.set_defaults(fn=cmd_quartic_run)
 
     p = sub.add_parser("count-points", help="point counts of the branched double cover")
@@ -318,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, required=True, help=FIELD_LIMIT_HELP)
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--threads", type=int, default=1)
-    add_common(p)
+    add_out(p)
     p.set_defaults(fn=cmd_count_points)
 
     text = ("geometric Picard-rank upper bound from 9 point counts over F_{p^n}, n = 1..9, "
@@ -328,14 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, required=True,
                    help="odd prime p with p^10 ≤ 2^20 (p = 3)")
     p.add_argument("--threads", type=int, default=1)
-    add_common(p)
+    add_out(p)
     p.set_defaults(fn=cmd_picard_bound)
 
     text = ("re-run the computation a stability or quartic certificate or a picard-bound "
             "document records and compare the result with the whole document")
     p = sub.add_parser("verify", help=text, description=text)
     p.add_argument("certificate")
-    add_common(p)
     p.set_defaults(fn=cmd_verify)
 
     return ap

@@ -119,13 +119,6 @@ def _kernel_result(m: MonadComplex, entries, src_twists, tgt_twists, L, method) 
     return CohomResult(nullity, nullity, method, witness)
 
 
-def h0_kernel(m: MonadComplex, L) -> CohomResult:
-    """h^0(ker(b) ⊗ O(L)), exact."""
-    if m.kind != KERNEL:
-        raise ValidationError("h0_kernel needs a kernel monad")
-    return _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
-
-
 def _wedge_twists(m: MonadComplex, s: int, base) -> list:
     """base + the sum of the middle twists over each s-subset, in combinations order."""
     out = []

@@ -94,10 +94,6 @@ class OddSquareError(BundleCertError):
     pass
 
 
-class UnsupportedTwistError(BundleCertError):
-    pass
-
-
 class BasepointFailureError(BundleCertError):
     pass
 

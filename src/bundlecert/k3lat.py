@@ -4,32 +4,36 @@ Gram arithmetic and adjunction on a small catalogue of lattices (U, U(2),
 the double plane, the quartic's <H, C>, E8(-1)), effectivity obstruction
 certificates on rank-2 lattices, expected moduli dimension, rigid rank-2
 classification on the double plane, the doubling of c2 under a double
-cover, and exact section kernels on a quartic hypersurface's coordinate
-ring.  The quartic run derives the base point of its section map, the common
-zero of three linear forms, by exact linear algebra.
+cover, and exact section kernels on a quartic X = Z(f) in P3.
+
+Sections on X come from the one section-matrix builder of `polycore`: a
+kernel over the coordinate ring R = S/(f) lifts to a kernel of [E | -f·I]
+on P3, and the lifts of zero, (f·u, E·u), are counted in closed form (see
+`quartic_h0`).  The quartic run derives the base point of its section map,
+the common zero of three linear forms, by exact linear algebra.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
+from .cohom import h_line_sum
 from .errors import (
     BasepointFailureError,
     HomogeneityError,
     LatticeMismatchError,
     OddSquareError,
-    UnsupportedTwistError,
 )
 from .monad import ChernData
 from .polycore import (
     Ambient,
-    ExactMatrix,
     RationalPolynomial,
     bareiss_det,
     monomial_basis,
     parse_poly,
+    section_matrix,
 )
 
 # --- lattices -----------------------------------------------------------------
@@ -55,14 +59,6 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.names)
 
-    @property
-    def det(self) -> int:
-        return bareiss_det([list(r) for r in self.gram])
-
-    @property
-    def is_even(self) -> bool:
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
     def cls(self, coords, name: str = "") -> "LatticeClass":
         return LatticeClass(self, tuple(int(c) for c in coords), name)
 
@@ -82,17 +78,10 @@ class LatticeClass:
         _same_lattice(self, other)
         return LatticeClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other):
-        _same_lattice(self, other)
-        return LatticeClass(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __mul__(self, n: int):
         return LatticeClass(self.lattice, tuple(n * a for a in self.coords))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -359,121 +348,43 @@ def _decomposes(target, budget, candidates) -> bool:
     return rec(tuple(target), budget, 0)
 
 
-# --- quartic coordinate-ring machinery -------------------------------------------
+# --- sections on the quartic ---------------------------------------------------
 
 QUARTIC_AMBIENT = Ambient.projective(3, names=("x", "y", "z", "w"))
 
 
-@dataclass
-class QuarticRing:
-    """R/(f) for a quartic f in four variables, with monomial normal forms.
+def _check_quartic(f: RationalPolynomial):
+    if f.ambient != QUARTIC_AMBIENT:
+        raise ValueError("quartic must live on P3 with coordinates x,y,z,w")
+    if f.is_zero() or not f.is_homogeneous_of(4):
+        raise ValueError("f must be a nonzero homogeneous quartic")
 
-    The lex-leading monomial of f is the rewrite head; since the ideal is
-    principal, monomials not divisible by it form a basis of each graded
-    piece, of dimension C(d+3,3) - C(d-1,3).
+
+def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: int) -> int:
+    """h^0(X, ker(E: ⊕_j O(s_j) -> ⊕_i O(t_i)) ⊗ O(k)) on the quartic X = Z(f).
+
+    X is projectively normal, so H^0(O_X(d)) = R_d = S_d / f·S_{d-4} with S
+    the coordinate ring of P3.  A kernel element over R lifts to a pair
+    (G, h) in ⊕_j S_{k+s_j} ⊕ ⊕_i S_{k+t_i-4} with Σ_j e_ij G_j = h_i·f: the
+    kernel of the P3 section matrix of [E | -f·I].  Since S is a domain, the
+    pairs that lift 0 are exactly (f·u, E·u) for u in ⊕_j S_{k+s_j-4}, so
+
+        h^0 = nullity([E | -f·I]) - Σ_j h^0(O_P3(k + s_j - 4)).
+
+    One exact section-matrix rank thus serves the quartic as it serves P2
+    and P1 x P1, with no normal forms modulo f.
     """
-
-    f: RationalPolynomial
-    lead: tuple = field(init=False)
-    lead_coeff: Fraction = field(init=False)
-
-    def __post_init__(self):
-        if self.f.ambient != QUARTIC_AMBIENT:
-            raise ValueError("quartic must live on P3 with coordinates x,y,z,w")
-        if self.f.is_zero() or not self.f.is_homogeneous_of(4):
-            raise ValueError("f must be a nonzero homogeneous quartic")
-        self.lead = max(self.f.terms)
-        self.lead_coeff = self.f.terms[self.lead]
-
-    def hilbert(self, d: int) -> int:
-        if d < 0:
-            return 0
-        return comb(d + 3, 3) - (comb(d - 1, 3) if d >= 1 else 0)
-
-    def basis(self, d: int) -> list:
-        if d < 0:
-            return []
-        out = [
-            e
-            for e in monomial_basis(QUARTIC_AMBIENT, d)
-            if not all(a >= b for a, b in zip(e, self.lead))
-        ]
-        assert len(out) == self.hilbert(d)
-        return out
-
-    def reduce(self, p: RationalPolynomial) -> RationalPolynomial:
-        """Normal form modulo f: eliminate every monomial divisible by the head."""
-        terms = dict(p.terms)
-        while True:
-            divisible = [e for e in terms if all(a >= b for a, b in zip(e, self.lead))]
-            if not divisible:
-                break
-            e = max(divisible)
-            c = terms[e]
-            quot = tuple(a - b for a, b in zip(e, self.lead))
-            factor = RationalPolynomial.monomial(QUARTIC_AMBIENT, quot, c / self.lead_coeff)
-            reducer = factor * self.f
-            for ee, cc in reducer.terms.items():
-                s = terms.get(ee, Fraction(0)) - cc
-                if s:
-                    terms[ee] = s
-                else:
-                    terms.pop(ee, None)
-        return RationalPolynomial(QUARTIC_AMBIENT, terms)
-
-    def evaluate(self, point) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.f.terms.items():
-            v = Fraction(1)
-            for coord, exp in zip(point, e):
-                if exp:
-                    v *= Fraction(coord) ** exp
-            total += c * v
-        return total
-
-
-def quartic_h0(
-    ring: QuarticRing, entries, source_twists, target_twists, k: int, l: int = 0
-) -> int:
-    """h^0 of the kernel of a section map between twisted sums on the quartic.
-
-    Only hyperplane twists are computed directly (l = 0); curve twists go
-    through effectivity certificates instead.
-    """
-    if l != 0:
-        raise UnsupportedTwistError("only hyperplane twists are computed on the quartic")
-    entries = [
-        [parse_poly(p, QUARTIC_AMBIENT) if isinstance(p, str) else p for p in row]
-        for row in entries
-    ]
+    _check_quartic(f)
     src = [int(t) for t in source_twists]
     tgt = [int(t) for t in target_twists]
-    for i, row in enumerate(entries):
-        for j, p in enumerate(row):
-            if not p.is_homogeneous_of(tgt[i] - src[j]):
-                raise HomogeneityError(i, j, f"expected degree {tgt[i] - src[j]}")
-    src_bases = [ring.basis(t + k) for t in src]
-    tgt_bases = [ring.basis(t + k) for t in tgt]
-    ncols = sum(len(b) for b in src_bases)
-    row_pos = []
-    nrows = 0
-    for b in tgt_bases:
-        row_pos.append({e: nrows + i for i, e in enumerate(b)})
-        nrows += len(b)
-    M = ExactMatrix.zero(nrows, ncols)
-    col = 0
-    for j, sb in enumerate(src_bases):
-        for mono in sb:
-            mono_poly = RationalPolynomial.monomial(QUARTIC_AMBIENT, mono)
-            for i, row in enumerate(entries):
-                p = row[j]
-                if p.is_zero():
-                    continue
-                prod = ring.reduce(p * mono_poly)
-                for e, c in prod.terms.items():
-                    M.add(row_pos[i][e], col, c)
-            col += 1
-    return M.kernel_dim()
+    zero = RationalPolynomial.zero(QUARTIC_AMBIENT)
+    rows = [
+        [parse_poly(p, QUARTIC_AMBIENT) if isinstance(p, str) else p for p in row]
+        + [-f if r == i else zero for r in range(len(tgt))]
+        for i, row in enumerate(entries)
+    ]
+    M = section_matrix(rows, src + [t - 4 for t in tgt], tgt, k)
+    return M.kernel_dim() - h_line_sum(QUARTIC_AMBIENT, src, k - 4, 0)
 
 
 @dataclass
@@ -530,11 +441,11 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> QuarticCerti
     (k-1)H + lC, which is 4k + 5l - 4 <= 2 throughout the region.
     """
     f = parse_poly(f_text, QUARTIC_AMBIENT)
-    ring = QuarticRing(f)
+    _check_quartic(f)
     forms = [parse_poly(e, QUARTIC_AMBIENT) for e in map_entries]
     # local freeness: the map must not vanish anywhere on X
     point = _base_point(forms)
-    val = ring.evaluate(point)
+    val = f.evaluate(point)
     if val == 0:
         where = ":".join(map(str, point))
         raise BasepointFailureError(
@@ -545,7 +456,7 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> QuarticCerti
     H = lattice.basis_class(0)
     C = lattice.basis_class(1)
 
-    h0_10 = quartic_h0(ring, [forms], [-1, -1, -1], [0], 1)
+    h0_10 = quartic_h0(f, [forms], [-1, -1, -1], [0], 1)
     checks = [(1, 0, h0_10)]
     ok = h0_10 == 0
 

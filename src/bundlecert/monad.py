@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import (
@@ -38,6 +37,10 @@ PROVED_BY_RANDOMIZED_RANK = "ProvedByRandomizedRank"
 UNKNOWN = "Unknown"
 VACUOUS = "Vacuous"
 
+# the sampling fallback's rational points per map, and its seed
+TRIALS = 20
+SEED = 20240915
+
 
 @dataclass(frozen=True)
 class FreeSheaf:
@@ -61,9 +64,6 @@ class ChernData:
     rank: int
     c1: tuple
     c2: int
-
-    def dual(self) -> "ChernData":
-        return ChernData(self.rank, tuple(-x for x in self.c1), self.c2)
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def _rank_one_monomial_status(entries, ambient) -> ExactnessStatus | None:
     return ExactnessStatus(PROVED_BY_MONOMIAL_COVER)
 
 
-def _randomized_full_rank(entry_rows, need_rank, ambient, trials, seed) -> ExactnessStatus:
+def _randomized_full_rank(entry_rows, need_rank, ambient, seed) -> ExactnessStatus:
     """Sample rational points and check the evaluated matrix has full rank.
 
     Evidence only, never a proof; a witnessed rank drop downgrades to Unknown.
@@ -244,39 +244,29 @@ def _randomized_full_rank(entry_rows, need_rank, ambient, trials, seed) -> Exact
     from .polycore import ExactMatrix
 
     rng = random.Random(seed)
-    for t in range(trials):
-        values = {}
+    for t in range(TRIALS):
+        point = []
         for lo, hi in ambient.group_slices():
             while True:
                 coords = [rng.randint(-9, 9) for _ in range(hi - lo)]
                 if any(coords):
                     break
-            for k, i in enumerate(range(lo, hi)):
-                values[ambient.variables[i]] = Fraction(coords[k])
-        rows = []
-        for row in entry_rows:
-            rows.append([_eval_poly(p, values) for p in row])
+            point += coords
+        rows = [[p.evaluate(point) for p in row] for row in entry_rows]
         if ExactMatrix.from_rows(rows).rank() < need_rank:
             return ExactnessStatus(UNKNOWN, trials=t + 1, detail="rank drop at a sample point")
-    return ExactnessStatus(PROVED_BY_RANDOMIZED_RANK, trials=trials)
+    return ExactnessStatus(PROVED_BY_RANDOMIZED_RANK, trials=TRIALS)
 
 
-def _eval_poly(p: RationalPolynomial, values: dict) -> Fraction:
-    total = Fraction(0)
-    names = p.ambient.variables
-    for exps, c in p.terms.items():
-        v = Fraction(1)
-        for name, e in zip(names, exps):
-            if e:
-                v *= values[name] ** e
-        total += c * v
-    return total
-
-
-def validate(m: MonadComplex, trials: int = 20, seed: int = 20240915) -> ValidationReport:
-    """Structural validation: homogeneity, b∘a = 0, and exactness at the ends."""
+def _structure(m: MonadComplex) -> tuple:
+    """(homogeneous, homogeneity detail, b∘a = 0): the checks that need no sampling."""
     homog, detail = _check_homogeneity(m)
-    composite = _composite_is_zero(m) if homog else False
+    return homog, detail, _composite_is_zero(m) if homog else False
+
+
+def validate(m: MonadComplex) -> ValidationReport:
+    """Structural validation: homogeneity, b∘a = 0, and exactness at the ends."""
+    homog, detail, composite = _structure(m)
 
     if not homog:
         surj = ExactnessStatus(UNKNOWN, detail="skipped: inhomogeneous data")
@@ -287,7 +277,7 @@ def validate(m: MonadComplex, trials: int = 20, seed: int = 20240915) -> Validat
         else:
             surj = None
         if surj is None:
-            surj = _randomized_full_rank(m.map_b, m.target.rank, m.ambient, trials, seed)
+            surj = _randomized_full_rank(m.map_b, m.target.rank, m.ambient, SEED)
 
         if m.map_a is None:
             inj = ExactnessStatus(VACUOUS)
@@ -295,11 +285,11 @@ def validate(m: MonadComplex, trials: int = 20, seed: int = 20240915) -> Validat
             inj = _rank_one_monomial_status([row[0] for row in m.map_a], m.ambient)
             if inj is None:
                 inj = _randomized_full_rank(
-                    _transpose(m.map_a), m.source.rank, m.ambient, trials, seed + 1
+                    _transpose(m.map_a), m.source.rank, m.ambient, SEED + 1
                 )
         else:
             inj = _randomized_full_rank(
-                _transpose(m.map_a), m.source.rank, m.ambient, trials, seed + 1
+                _transpose(m.map_a), m.source.rank, m.ambient, SEED + 1
             )
 
     return ValidationReport(
@@ -347,11 +337,9 @@ def _quotient_chern(total: ChernData, quot: ChernData, ambient: Ambient) -> Cher
 
 def chern_monad(m: MonadComplex) -> ChernData:
     """Chern data of ker(b) (kernel kind) or ker(b)/im(a) (homology kind)."""
-    report = validate(m, trials=0)
-    if not report.structure_ok:
-        raise ValidationError(
-            f"monad fails structural validation: {report.homogeneity_detail or 'b∘a != 0'}"
-        )
+    homog, detail, composite = _structure(m)
+    if not (homog and composite):
+        raise ValidationError(f"monad fails structural validation: {detail or 'b∘a != 0'}")
     kernel = _quotient_chern(chern_free(m.middle), chern_free(m.target), m.ambient)
     if m.kind == KERNEL:
         return kernel

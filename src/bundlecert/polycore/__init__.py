@@ -14,10 +14,8 @@ from .poly import (
     RationalPolynomial,
     intersection_product,
     mdeg_add,
-    mdeg_leq,
     mdeg_sub,
     monomial_basis,
-    monomial_count,
 )
 
 __all__ = [
@@ -29,10 +27,8 @@ __all__ = [
     "bareiss_rank",
     "intersection_product",
     "mdeg_add",
-    "mdeg_leq",
     "mdeg_sub",
     "monomial_basis",
-    "monomial_count",
     "parse_poly",
     "section_matrix",
 ]

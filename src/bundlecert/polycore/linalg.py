@@ -38,10 +38,6 @@ class ExactMatrix:
     def zero(rows: int, cols: int) -> "ExactMatrix":
         return ExactMatrix(rows, cols, [{} for _ in range(rows)])
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(n, n, [{i: Fraction(1)} for i in range(n)])
-
     def add(self, i: int, j: int, value) -> None:
         """entries[i][j] += value, dropping the cell when the sum is zero."""
         row = self.entries[i]
@@ -50,16 +46,6 @@ class ExactMatrix:
             row[j] = total
         else:
             row.pop(j, None)
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = ExactMatrix.zero(self.rows, other.cols)
-        for i, row in enumerate(self.entries):
-            for k, a in row.items():
-                for j, b in other.entries[k].items():
-                    out.add(i, j, a * b)
-        return out
 
     def rank(self) -> int:
         rows = {i: dict(row) for i, row in enumerate(self.entries) if row}

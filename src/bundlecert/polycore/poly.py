@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import comb
 
 from ..errors import AmbientMismatchError
 
@@ -123,11 +122,6 @@ def mdeg_sub(a: MultiDegree, b: MultiDegree) -> MultiDegree:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mdeg_leq(a: MultiDegree, b: MultiDegree) -> bool:
-    """Componentwise partial order."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _coeff(value):
     """Normalize a coefficient: exact rationals stay exact, ints are lifted."""
     if isinstance(value, Fraction):
@@ -161,16 +155,6 @@ class RationalPolynomial:
         e = [0] * ambient.nvars
         e[i] = 1
         return RationalPolynomial(ambient, {tuple(e): Fraction(1)})
-
-    @staticmethod
-    def monomial(ambient: Ambient, exps, coeff=1) -> "RationalPolynomial":
-        c = _coeff(coeff)
-        if not c:
-            return RationalPolynomial.zero(ambient)
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != ambient.nvars or any(e < 0 for e in exps):
-            raise ValueError("bad exponent vector")
-        return RationalPolynomial(ambient, {exps: c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -215,9 +199,6 @@ class RationalPolynomial:
             other = RationalPolynomial.constant(self.ambient, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c0 = _coeff(other)
@@ -246,23 +227,23 @@ class RationalPolynomial:
             out = out * self
         return out
 
-    def homogeneous_multidegree(self):
-        """The common multidegree of all terms, or None if mixed.  Zero -> (0,..,0)."""
-        deg = None
-        for e in self.terms:
-            d = self.ambient.exponent_multidegree(e)
-            if deg is None:
-                deg = d
-            elif d != deg:
-                return None
-        return deg if deg is not None else self.ambient.zero_degree()
-
     def is_homogeneous_of(self, d) -> bool:
         """Zero is homogeneous of every multidegree."""
         if not self.terms:
             return True
         d = self.ambient.normalize_degree(d)
         return all(self.ambient.exponent_multidegree(e) == d for e in self.terms)
+
+    def evaluate(self, point) -> Fraction:
+        """The exact value at a point given by one coordinate per variable."""
+        total = Fraction(0)
+        for exps, c in self.terms.items():
+            v = Fraction(1)
+            for x, e in zip(point, exps):
+                if e:
+                    v *= Fraction(x) ** e
+            total += c * v
+        return total
 
     def substitute(self, assignment: dict, result_ambient: Ambient) -> "RationalPolynomial":
         """Substitute some variables by constants or polynomials on result_ambient.
@@ -351,17 +332,6 @@ def _exponents_of_degree(nvars: int, d: int) -> list:
         for rest in _exponents_of_degree(nvars - 1, d - e):
             out.append((e,) + rest)
     return out
-
-
-def monomial_count(ambient: Ambient, d) -> int:
-    """|monomial_basis| in closed form: prod of C(n_i + d_i, n_i)."""
-    d = ambient.normalize_degree(d)
-    if any(c < 0 for c in d):
-        return 0
-    total = 1
-    for n, deg in zip(ambient.dims, d):
-        total *= comb(n + deg, n)
-    return total
 
 
 def intersection_product(ambient: Ambient, d1, d2) -> int:

@@ -40,15 +40,6 @@ WEIL_TRACE_FACTOR = 22  # |t_i| <= 22 p^i
 
 # --- polynomial helpers (dense lists, ascending coefficients) -------------------
 
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def poly_divmod_exact(a, b):
     """Division in Z[T] by b with integer quotient; (None, None) if it fails."""
     a = list(a)

@@ -10,12 +10,30 @@ certify builds), and the all-roots-on-the-circle test with rational
 division, a plain Sturm chain and a rational gcd, and the plus-sign
 family's middle coefficients by rational remainders and a rational solve
 (vs the integer pseudo-remainder sequences and divisibility tests of
-`zeta.charpoly`).
+`zeta.charpoly`), and h^0 on a quartic surface by normal forms modulo f
+in the coordinate ring (vs the lifted section matrix of `k3lat.quartic_h0`).
+
+The last section holds helpers only tests use, moved out of `src/` with
+their logic unchanged.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
+from bundlecert.cohom import SECTION_KERNEL, _kernel_result
+from bundlecert.errors import HomogeneityError, ValidationError
+from bundlecert.k3lat import QUARTIC_AMBIENT
+from bundlecert.monad import KERNEL, ChernData
+from bundlecert.polycore import (
+    ExactMatrix,
+    RationalPolynomial,
+    bareiss_det,
+    monomial_basis,
+    parse_poly,
+)
+from bundlecert.polycore.poly import _coeff
 from bundlecert.zeta.charpoly import cyclotomics_up_to
 
 
@@ -278,3 +296,183 @@ def family_completions(cand, p: int) -> list:
         if all(a + e * b == 0 for a, b in zip(r0, r1)) and e.denominator == 1:
             out.add(int(e))
     return [(e, tuple(cand.coeffs[:mid]) + (e,) + tuple(cand.coeffs[mid + 1 :])) for e in sorted(out)]
+
+
+# --- h^0 on a quartic surface by normal forms ---------------------------------------
+
+@dataclass
+class QuarticRing:
+    """R/(f) for a quartic f in four variables, with monomial normal forms.
+
+    The lex-leading monomial of f is the rewrite head; since the ideal is
+    principal, monomials not divisible by it form a basis of each graded
+    piece, of dimension C(d+3,3) - C(d-1,3).
+    """
+
+    f: RationalPolynomial
+    lead: tuple = field(init=False)
+    lead_coeff: Fraction = field(init=False)
+
+    def __post_init__(self):
+        if self.f.ambient != QUARTIC_AMBIENT:
+            raise ValueError("quartic must live on P3 with coordinates x,y,z,w")
+        if self.f.is_zero() or not self.f.is_homogeneous_of(4):
+            raise ValueError("f must be a nonzero homogeneous quartic")
+        self.lead = max(self.f.terms)
+        self.lead_coeff = self.f.terms[self.lead]
+
+    def hilbert(self, d: int) -> int:
+        if d < 0:
+            return 0
+        return comb(d + 3, 3) - (comb(d - 1, 3) if d >= 1 else 0)
+
+    def basis(self, d: int) -> list:
+        if d < 0:
+            return []
+        out = [
+            e
+            for e in monomial_basis(QUARTIC_AMBIENT, d)
+            if not all(a >= b for a, b in zip(e, self.lead))
+        ]
+        assert len(out) == self.hilbert(d)
+        return out
+
+    def reduce(self, p: RationalPolynomial) -> RationalPolynomial:
+        """Normal form modulo f: eliminate every monomial divisible by the head."""
+        terms = dict(p.terms)
+        while True:
+            divisible = [e for e in terms if all(a >= b for a, b in zip(e, self.lead))]
+            if not divisible:
+                break
+            e = max(divisible)
+            c = terms[e]
+            quot = tuple(a - b for a, b in zip(e, self.lead))
+            factor = monomial(QUARTIC_AMBIENT, quot, c / self.lead_coeff)
+            reducer = factor * self.f
+            for ee, cc in reducer.terms.items():
+                s = terms.get(ee, Fraction(0)) - cc
+                if s:
+                    terms[ee] = s
+                else:
+                    terms.pop(ee, None)
+        return RationalPolynomial(QUARTIC_AMBIENT, terms)
+
+
+def quartic_h0(ring: QuarticRing, entries, source_twists, target_twists, k: int) -> int:
+    """h^0 of the kernel of a section map between twisted sums on the quartic,
+    from the matrix of the map on normal-form bases of R = S/(f)."""
+    entries = [
+        [parse_poly(p, QUARTIC_AMBIENT) if isinstance(p, str) else p for p in row]
+        for row in entries
+    ]
+    src = [int(t) for t in source_twists]
+    tgt = [int(t) for t in target_twists]
+    for i, row in enumerate(entries):
+        for j, p in enumerate(row):
+            if not p.is_homogeneous_of(tgt[i] - src[j]):
+                raise HomogeneityError(i, j, f"expected degree {tgt[i] - src[j]}")
+    src_bases = [ring.basis(t + k) for t in src]
+    tgt_bases = [ring.basis(t + k) for t in tgt]
+    ncols = sum(len(b) for b in src_bases)
+    row_pos = []
+    nrows = 0
+    for b in tgt_bases:
+        row_pos.append({e: nrows + i for i, e in enumerate(b)})
+        nrows += len(b)
+    M = ExactMatrix.zero(nrows, ncols)
+    col = 0
+    for j, sb in enumerate(src_bases):
+        for mono in sb:
+            mono_poly = monomial(QUARTIC_AMBIENT, mono)
+            for i, row in enumerate(entries):
+                p = row[j]
+                if p.is_zero():
+                    continue
+                prod = ring.reduce(p * mono_poly)
+                for e, c in prod.terms.items():
+                    M.add(row_pos[i][e], col, c)
+            col += 1
+    return M.kernel_dim()
+
+
+# --- helpers only tests use -----------------------------------------------------------
+
+def monomial(ambient, exps, coeff=1) -> RationalPolynomial:
+    c = _coeff(coeff)
+    if not c:
+        return RationalPolynomial.zero(ambient)
+    exps = tuple(int(e) for e in exps)
+    if len(exps) != ambient.nvars or any(e < 0 for e in exps):
+        raise ValueError("bad exponent vector")
+    return RationalPolynomial(ambient, {exps: c})
+
+
+def identity_matrix(n: int) -> ExactMatrix:
+    return ExactMatrix(n, n, [{i: Fraction(1)} for i in range(n)])
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    out = ExactMatrix.zero(a.rows, b.cols)
+    for i, row in enumerate(a.entries):
+        for k, x in row.items():
+            for j, y in b.entries[k].items():
+                out.add(i, j, x * y)
+    return out
+
+
+def mdeg_leq(a, b) -> bool:
+    """Componentwise partial order."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def monomial_count(ambient, d) -> int:
+    """|monomial_basis| in closed form: prod of C(n_i + d_i, n_i)."""
+    d = ambient.normalize_degree(d)
+    if any(c < 0 for c in d):
+        return 0
+    total = 1
+    for n, deg in zip(ambient.dims, d):
+        total *= comb(n + deg, n)
+    return total
+
+
+def homogeneous_multidegree(p: RationalPolynomial):
+    """The common multidegree of all terms, or None if mixed.  Zero -> (0,..,0)."""
+    deg = None
+    for e in p.terms:
+        d = p.ambient.exponent_multidegree(e)
+        if deg is None:
+            deg = d
+        elif d != deg:
+            return None
+    return deg if deg is not None else p.ambient.zero_degree()
+
+
+def h0_kernel(m, L):
+    """h^0(ker(b) ⊗ O(L)), exact."""
+    if m.kind != KERNEL:
+        raise ValidationError("h0_kernel needs a kernel monad")
+    return _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
+
+
+def chern_dual(c: ChernData) -> ChernData:
+    return ChernData(c.rank, tuple(-x for x in c.c1), c.c2)
+
+
+def gram_det(lattice) -> int:
+    return bareiss_det([list(r) for r in lattice.gram])
+
+
+def is_even(lattice) -> bool:
+    return all(lattice.gram[i][i] % 2 == 0 for i in range(lattice.rank))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out

@@ -1,6 +1,10 @@
+import argparse
+import ast
 import hashlib
+import inspect
 import json
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -194,6 +198,55 @@ def test_malformed_surface_or_lattice_document_exits_1(capsys, tmp_path, argv, d
     code, out, err = run(capsys, *argv, "--lattice" if argv[0] == "lattice" else "--surface", path)
     assert code == cli.EXIT_ERROR
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"source": [-1, -1, -2]}, {"target": [1]}, {"source": [-1, -1, -1, -1]}, {"target": 0},
+], ids=["other-source", "other-target", "four-sources", "target-not-a-list"])
+def test_quartic_run_refuses_twists_it_does_not_certify(capsys, tmp_path, doc):
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps({**json.loads((INPUTS / "quartic.json").read_text()), **doc}))
+    code, out, err = run(capsys, "quartic-run", "--surface", path)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("h0", "--monad", INPUTS / "euler.monad", "--twist", "1", "--out", "h0.txt"),
+    ("verify", INPUTS / "quartic.json", "--format", "json"),
+    ("chern", "--monad", INPUTS / "euler.monad", "--format", "json"),
+], ids=["h0-out", "verify-format", "chern-format"])
+def test_removed_options_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and "unrecognized arguments" in err and "Traceback" not in err
+
+
+def _args_read(fn, seen=()) -> set:
+    """Attributes `fn` reads from `args`, and those read by the module-level
+    helpers it passes `args` to."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)
+                and node.func.id not in seen):
+            helper = getattr(cli, node.func.id, None)
+            if inspect.isfunction(helper):
+                read |= _args_read(helper, (*seen, node.func.id))
+    return read
+
+
+def test_every_cli_option_is_read():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sub in commands.choices.items():
+        read = _args_read(sub.get_default("fn"))
+        unread += [f"{name} {a.option_strings or a.dest}" for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in read]
+    assert unread == []
 
 
 def test_negative_margin_exits_1(capsys):

@@ -4,7 +4,6 @@ from bundlecert.cohom import (
     fiber_h0_vanishes,
     h0_exterior,
     h0_homology,
-    h0_kernel,
     h0_monad,
     h_line,
     tail_vanish,
@@ -16,7 +15,8 @@ from bundlecert.errors import (
     UnsupportedOperationError,
 )
 from bundlecert.monad import homology_monad, kernel_monad, restrict_to_fiber
-from bundlecert.polycore import Ambient, RationalPolynomial, mdeg_leq
+from bundlecert.polycore import Ambient, RationalPolynomial
+from oracles import h0_kernel, mdeg_leq
 
 P2 = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)

@@ -7,7 +7,6 @@ from bundlecert.errors import (
     HomogeneityError,
     LatticeMismatchError,
     OddSquareError,
-    UnsupportedTwistError,
 )
 from bundlecert.k3lat import (
     DOUBLE_PLANE,
@@ -16,7 +15,6 @@ from bundlecert.k3lat import (
     U,
     U2,
     GramLattice,
-    QuarticRing,
     bracket,
     curve_class_candidates,
     dependency,
@@ -33,8 +31,19 @@ from bundlecert.k3lat import (
 )
 from bundlecert.monad import ChernData
 from bundlecert.polycore import parse_poly
+from oracles import QuarticRing, gram_det, is_even
+from oracles import quartic_h0 as normal_form_h0
 
 FX = "-x*(x + z - w)*(x*w - y*z) + z*(x + z)*(x*y - z^2) + (x*y + w^2)*(y^2 - z*w)"
+QUARTICS = [FX, "x^4 + y^4 + z^4 + w^4", "x^4 + y^3*z + z^4 + w^4 + x*y*z*w"]
+# (entries, source twists, target twists) of maps with linear and quadratic entries
+SECTION_MAPS = [
+    ([["x", "y", "w"]], [-1, -1, -1], [0]),
+    ([["x", "y", "z", "w"]], [-1, -1, -1, -1], [0]),
+    ([["x^2", "y^2 + z*w", "x*y - w^2"]], [-2, -2, -2], [0]),
+    ([["x + z", "y^2", "z^2 - x*w"]], [-1, -2, -2], [0]),
+    ([["x", "y", "0"], ["0", "z", "w^2"]], [-1, -1, -2], [0, 0]),
+]
 
 
 class TestPairing:
@@ -42,7 +51,7 @@ class TestPairing:
         E1, E2 = U2.basis_class(0), U2.basis_class(1)
         assert pair(E1, E2) == 2
         assert self_int(E1) == 0
-        assert U2.det == -4
+        assert gram_det(U2) == -4
 
     def test_quartic_lattice(self):
         H, C = QUARTIC_452.basis_class(0), QUARTIC_452.basis_class(1)
@@ -76,7 +85,7 @@ class TestPairing:
 
     def test_catalogue_evenness(self):
         for lat in (U, U2, DOUBLE_PLANE, QUARTIC_452):
-            assert lat.is_even
+            assert is_even(lat)
 
 
 class TestGramAndDependency:
@@ -118,7 +127,7 @@ class TestEffectivity:
 
     def test_real_curves_are_unknown(self):
         # H, C and the twisted cubic 2H - C are all effective: no certificate
-        for D in (self.H, self.C, 2 * self.H - self.C):
+        for D in (self.H, self.C, 2 * self.H + -1 * self.C):
             assert not_effective_cert(D, self.H) is None
 
     def test_candidate_enumeration_finds_twisted_cubic(self):
@@ -133,7 +142,7 @@ class TestEffectivity:
         while tried < 40:
             a, b, c = 2 * rng.randint(0, 2), rng.randint(1, 4), 2 * rng.randint(-3, -1)
             lat = bracket(a, b, c)
-            if lat.det >= 0:
+            if gram_det(lat) >= 0:
                 continue
             H = lat.cls((1, 0))
             if self_int(H) <= 0:
@@ -198,17 +207,26 @@ class TestQuartic:
         assert all(not all(a >= b for a, b in zip(e, ring.lead)) for e in r.terms)
 
     def test_h0_at_10(self):
-        ring = QuarticRing(parse_poly(FX, QUARTIC_AMBIENT))
-        assert quartic_h0(ring, [["x", "y", "w"]], [-1, -1, -1], [0], 1) == 0
+        f = parse_poly(FX, QUARTIC_AMBIENT)
+        assert quartic_h0(f, [["x", "y", "w"]], [-1, -1, -1], [0], 1) == 0
 
     def test_h0_at_00(self):
-        ring = QuarticRing(parse_poly(FX, QUARTIC_AMBIENT))
-        assert quartic_h0(ring, [["x", "y", "w"]], [-1, -1, -1], [0], 0) == 0
+        f = parse_poly(FX, QUARTIC_AMBIENT)
+        assert quartic_h0(f, [["x", "y", "w"]], [-1, -1, -1], [0], 0) == 0
 
-    def test_unsupported_curve_twist(self):
-        ring = QuarticRing(parse_poly(FX, QUARTIC_AMBIENT))
-        with pytest.raises(UnsupportedTwistError):
-            quartic_h0(ring, [["x", "y", "w"]], [-1, -1, -1], [0], 1, l=1)
+    @pytest.mark.parametrize("surface", QUARTICS)
+    @pytest.mark.parametrize("entries,source,target", SECTION_MAPS,
+                             ids=["linear", "four-linear", "quadratic", "mixed", "two-rows"])
+    def test_h0_matches_the_normal_form_oracle(self, surface, entries, source, target):
+        f = parse_poly(surface, QUARTIC_AMBIENT)
+        ring = QuarticRing(f)
+        values = [quartic_h0(f, entries, source, target, k) for k in range(7)]
+        assert values == [normal_form_h0(ring, entries, source, target, k) for k in range(7)]
+        assert values[-1] > 0  # a nonzero kernel at k = 6, where reductions mod f occur
+
+    def test_h0_refuses_a_non_quartic(self):
+        with pytest.raises(ValueError, match="homogeneous quartic"):
+            quartic_h0(parse_poly("x^3*w + y^3", QUARTIC_AMBIENT), [["x"]], [-1], [0], 1)
 
     def test_region_run_paper_surface(self):
         cert = quartic_region_run(FX)

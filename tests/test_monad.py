@@ -5,6 +5,7 @@ import pytest
 from bundlecert.errors import AmbientMismatchError, InvalidPointError, ValidationError
 from bundlecert.monad import (
     HOMOLOGY,
+    TRIALS,
     ChernData,
     FreeSheaf,
     chern_free,
@@ -17,6 +18,7 @@ from bundlecert.monad import (
     validate,
 )
 from bundlecert.polycore import Ambient, parse_poly
+from oracles import chern_dual
 
 P2 = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)
@@ -77,9 +79,24 @@ class TestValidate:
     def test_randomized_rank_path(self):
         # non-monomial entries force the sampling fallback
         m = kernel_monad(P2, [-1, -1, -1], [0], [["x + y", "y + z", "z"]])
-        r = validate(m, trials=5)
+        r = validate(m)
         assert r.surjectivity_of_b.status == "ProvedByRandomizedRank"
-        assert r.surjectivity_of_b.trials == 5
+        assert r.surjectivity_of_b.trials == TRIALS
+
+    def test_randomized_injectivity_path(self):
+        # a non-monomial column a sends injectivity to the sampling fallback too
+        m = homology_monad(
+            PP,
+            [(0, 0)],
+            [(1, 0), (1, 0), (0, 1), (0, 1)],
+            [(1, 1)],
+            [["x0 + x1"], ["x1"], ["y0"], ["y1"]],
+            [["y0", "y1", "-x0 - x1", "-x1"]],
+        )
+        r = validate(m)
+        assert r.composite_zero
+        assert r.injectivity_of_a.status == "ProvedByRandomizedRank"
+        assert r.injectivity_of_a.trials == TRIALS
 
 
 class TestChern:
@@ -97,7 +114,7 @@ class TestChern:
         for s in (1, 2, 3):
             ks = kernel_monad(P2, [0, 0, 0], [s], [[f"x^{s}", f"y^{s}", f"z^{s}"]])
             c = chern_monad(ks)
-            assert c.dual() == ChernData(2, (s,), s * s)
+            assert chern_dual(c) == ChernData(2, (s,), s * s)
 
     def test_chern_monad_homology(self):
         assert chern_monad(e_rank2()) == ChernData(2, (1, 1), 2)

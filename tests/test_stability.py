@@ -18,7 +18,7 @@ from bundlecert.stability import (
     twist_region,
     verify_certificate,
 )
-from oracles import audit_coverage
+from oracles import audit_coverage, chern_dual
 
 P2 = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)
@@ -58,7 +58,7 @@ class TestSlope:
     def test_ks_dual(self):
         for s in (1, 2, 3, 4):
             ks = kernel_monad(P2, [0, 0, 0], [s], [[f"x^{s}", f"y^{s}", f"z^{s}"]])
-            assert slope(chern_monad(ks).dual(), H_P2) == Fraction(s, 2)
+            assert slope(chern_dual(chern_monad(ks)), H_P2) == Fraction(s, 2)
 
     def test_zero_rank(self):
         with pytest.raises(ZeroRankError):

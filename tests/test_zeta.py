@@ -27,7 +27,6 @@ from bundlecert.zeta.charpoly import (
     family_completions,
     newton_elementary_from_power_sums,
     poly_divmod_exact,
-    poly_mul,
     primitive_remainder,
 )
 from bundlecert.zeta.count import (
@@ -39,7 +38,7 @@ from bundlecert.zeta.count import (
 )
 
 import oracles
-from oracles import count_double_cover_f3, field_tables
+from oracles import count_double_cover_f3, field_tables, poly_mul
 
 PP = Ambient.product_projective(1, 1)
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
