@@ -25,9 +25,9 @@ import json
 import sys
 
 from . import k3lat
-from .cohom import h0_exterior, h0_homology
+from .cohom import h0_monad
 from .errors import BundleCertError, DocumentError
-from .monad import KERNEL, chern_monad, is_list_of, monad_from_document
+from .monad import chern_monad, is_list_of, monad_from_document
 from .polycore import Ambient, parse_poly
 from .stability import (
     CertifyOptions,
@@ -116,13 +116,7 @@ def cmd_certify(args) -> int:
 
 def cmd_h0(args) -> int:
     m, _ = _monad_and_ambient(args.monad)
-    L = _parse_twist(args.twist)
-    if m.kind == KERNEL:
-        res = h0_exterior(m, args.exterior, L)
-    else:
-        if args.exterior != 1:
-            raise BundleCertError("homology monads support --exterior 1 only")
-        res = h0_homology(m, L)
+    res = h0_monad(m, args.exterior, _parse_twist(args.twist))
     if res.exact:
         sys.stdout.write(f"{res.value}\n")
     else:
@@ -166,9 +160,17 @@ def _lattice_from_args(args) -> k3lat.GramLattice:
     return k3lat.GramLattice(tuple(names), tuple(tuple(r) for r in gram))
 
 
+# the number of --class options each lattice command reads; gram reads 1 or more
+_CLASS_COUNTS = {"pair": 2, "genus": 1, "effectivity": 2}
+
+
 def cmd_lattice(args) -> int:
     lat = _lattice_from_args(args)
     sub = args.lattice_cmd
+    n = len(args.classes)
+    if n != _CLASS_COUNTS.get(sub, n) or (sub == "gram" and n == 0):
+        want = _CLASS_COUNTS.get(sub, "at least 1")
+        raise DocumentError(f"lattice {sub} needs {want} --class, got {n}")
     out = {}
     if sub == "pair":
         D1 = lat.cls(_parse_twist(args.classes[0]))

@@ -106,7 +106,7 @@ def h_line_sum(ambient: Ambient, twists, L, i: int) -> int:
 
 def _kernel_result(m: MonadComplex, entries, src_twists, tgt_twists, L, method) -> CohomResult:
     L = m.ambient.normalize_degree(L)
-    M = section_matrix(entries, src_twists, tgt_twists, L)
+    M = section_matrix(m.ambient, entries, src_twists, tgt_twists, L)
     rank = M.rank()
     nullity = M.cols - rank
     witness = {

@@ -60,7 +60,13 @@ class GramLattice:
         return len(self.names)
 
     def cls(self, coords, name: str = "") -> "LatticeClass":
-        return LatticeClass(self, tuple(int(c) for c in coords), name)
+        coords = tuple(int(c) for c in coords)
+        if len(coords) != self.rank:
+            raise LatticeMismatchError(
+                f"a class on a rank-{self.rank} lattice needs {self.rank} coordinates, "
+                f"got {len(coords)}"
+            )
+        return LatticeClass(self, coords, name)
 
     def basis_class(self, i: int) -> "LatticeClass":
         coords = [0] * self.rank
@@ -244,7 +250,8 @@ class EffectivityCertificate:
 
 
 def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: int) -> list:
-    """All classes K with 1 <= K.H <= max_degree and K^2 >= -2.
+    """All classes K with 1 <= K.H <= max_degree and K^2 >= -2, as triples
+    (coordinates, K.H, K^2) sorted by degree, then coordinates.
 
     On a rank-2 lattice of signature (1,1) the classes of fixed degree form a
     line on which the square is a concave quadratic, so the enumeration per
@@ -284,7 +291,7 @@ def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: in
             out.append(((base[0] + t * direction[0], base[1] + t * direction[1]), delta, q(t)))
             t += 1
     out.sort(key=lambda c: (c[1], c[0]))
-    return [lattice.cls(c[0]) for c in out], [(c[0], c[1], c[2]) for c in out]
+    return out
 
 
 def _solve_linear(w, delta):
@@ -324,7 +331,7 @@ def not_effective_cert(D: LatticeClass, H: LatticeClass) -> EffectivityCertifica
         return EffectivityCertificate(D.coords, "zero-class", 0, detail="the zero class is not a curve class")
     if deg <= 0:
         return EffectivityCertificate(D.coords, "nonpositive-degree", deg)
-    classes, raw = curve_class_candidates(D.lattice, H, deg)
+    raw = curve_class_candidates(D.lattice, H, deg)
     if _decomposes(D.coords, deg, raw):
         return None
     return EffectivityCertificate(D.coords, "no-decomposition", deg, candidates=tuple(raw))
@@ -372,18 +379,21 @@ def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: 
         h^0 = nullity([E | -f·I]) - Σ_j h^0(O_P3(k + s_j - 4)).
 
     One exact section-matrix rank thus serves the quartic as it serves P2
-    and P1 x P1, with no normal forms modulo f.
+    and P1 x P1, with no normal forms modulo f.  An entry e_ij that is not
+    homogeneous of degree t_i - s_j on P3 raises HomogeneityError(i, j).
     """
     _check_quartic(f)
     src = [int(t) for t in source_twists]
     tgt = [int(t) for t in target_twists]
+    E = [[parse_poly(p, QUARTIC_AMBIENT) if isinstance(p, str) else p for p in row]
+         for row in entries]
+    for i, (row, t) in enumerate(zip(E, tgt)):
+        for j, (p, s) in enumerate(zip(row, src)):
+            if p.ambient != QUARTIC_AMBIENT or not p.is_homogeneous_of(t - s):
+                raise HomogeneityError(i, j, f"expected degree {t - s} on P3")
     zero = RationalPolynomial.zero(QUARTIC_AMBIENT)
-    rows = [
-        [parse_poly(p, QUARTIC_AMBIENT) if isinstance(p, str) else p for p in row]
-        + [-f if r == i else zero for r in range(len(tgt))]
-        for i, row in enumerate(entries)
-    ]
-    M = section_matrix(rows, src + [t - 4 for t in tgt], tgt, k)
+    rows = [row + [-f if r == i else zero for r in range(len(tgt))] for i, row in enumerate(E)]
+    M = section_matrix(QUARTIC_AMBIENT, rows, src + [t - 4 for t in tgt], tgt, k)
     return M.kernel_dim() - h_line_sum(QUARTIC_AMBIENT, src, k - 4, 0)
 
 
@@ -469,7 +479,7 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> QuarticCerti
         }
     ]
     for d in (1, 2):
-        _, raw = curve_class_candidates(lattice, H, d)
+        raw = curve_class_candidates(lattice, H, d)
         if raw:
             ok = False
             strata.append({"degrees": str(d), "rule": "unknown", "candidates": raw})

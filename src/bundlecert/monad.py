@@ -1,8 +1,12 @@
 """Monad complexes A -> B -> C of twisted sums of line bundles.
 
-Covers the data model, structural validation (homogeneity, b∘a = 0, exactness
-at the ends), Chern-class calculus for the kernel/homology bundle, and
-restriction to a fiber of P1 x P1.
+Covers the data model, exactness at the ends, Chern-class calculus for the
+kernel/homology bundle, and restriction to a fiber of P1 x P1.
+
+A monad's structure is checked once, when it is built: `MonadComplex`
+refuses (ValidationError) an entry on another ambient, an entry that is not
+homogeneous of target - source, and b∘a != 0.  Every later layer (validate,
+chern_monad, the section matrices of `cohom`) trusts a built monad.
 
 Coefficients are exact rationals.  The input grammar admits integer constants
 only, so every loaded monad is defined over Q and invariant under complex
@@ -75,21 +79,13 @@ class ExactnessStatus:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    homogeneous: bool
-    homogeneity_detail: str
-    composite_zero: bool
     surjectivity_of_b: ExactnessStatus
     injectivity_of_a: ExactnessStatus
 
     @property
-    def structure_ok(self) -> bool:
-        return self.homogeneous and self.composite_zero
-
-    @property
     def exactness_proved(self) -> bool:
         return (
-            self.structure_ok
-            and self.surjectivity_of_b.status == PROVED_BY_MONOMIAL_COVER
+            self.surjectivity_of_b.status == PROVED_BY_MONOMIAL_COVER
             and self.injectivity_of_a.status in (PROVED_BY_MONOMIAL_COVER, VACUOUS)
         )
 
@@ -100,6 +96,7 @@ class MonadComplex:
 
     map_b is stored row-major with rows indexed by C summands and columns by B
     summands; map_a likewise with rows indexed by B and columns by A.
+    Construction checks the shapes, then the structure (module docstring).
     """
 
     middle: FreeSheaf
@@ -123,6 +120,13 @@ class MonadComplex:
             for row in self.map_a:
                 if len(row) != self.source.rank:
                     raise ValidationError("map_a column count differs from rank of A")
+        problem = _grading_problem(self.map_b, self.target, self.middle, "map_b", self.ambient)
+        if problem is None and self.map_a is not None:
+            problem = _grading_problem(self.map_a, self.middle, self.source, "map_a", self.ambient)
+        if problem is None and not _composite_is_zero(self):
+            problem = "b∘a != 0"
+        if problem is not None:
+            raise ValidationError(f"monad fails structural validation: {problem}")
 
     @property
     def ambient(self) -> Ambient:
@@ -160,19 +164,17 @@ def homology_monad(
     return MonadComplex(middle=B, target=C, map_b=rb, source=A, map_a=ra, name=name)
 
 
-def _check_homogeneity(m: MonadComplex):
-    for i, row in enumerate(m.map_b):
+def _grading_problem(rows, target: FreeSheaf, source: FreeSheaf, label: str, ambient):
+    """The first entry of a map source -> target that is on another ambient or
+    not homogeneous of target_i - source_j, described; None when there is none."""
+    for i, row in enumerate(rows):
         for j, p in enumerate(row):
-            want = mdeg_sub(m.target.twists[i], m.middle.twists[j])
+            if p.ambient != ambient:
+                return f"{label}[{i}][{j}] is not on the monad's ambient"
+            want = mdeg_sub(target.twists[i], source.twists[j])
             if not p.is_homogeneous_of(want):
-                return False, f"map_b[{i}][{j}] not homogeneous of {want}"
-    if m.map_a is not None:
-        for i, row in enumerate(m.map_a):
-            for j, p in enumerate(row):
-                want = mdeg_sub(m.middle.twists[i], m.source.twists[j])
-                if not p.is_homogeneous_of(want):
-                    return False, f"map_a[{i}][{j}] not homogeneous of {want}"
-    return True, ""
+                return f"{label}[{i}][{j}] not homogeneous of {want}"
+    return None
 
 
 def _composite_is_zero(m: MonadComplex) -> bool:
@@ -258,47 +260,26 @@ def _randomized_full_rank(entry_rows, need_rank, ambient, seed) -> ExactnessStat
     return ExactnessStatus(PROVED_BY_RANDOMIZED_RANK, trials=TRIALS)
 
 
-def _structure(m: MonadComplex) -> tuple:
-    """(homogeneous, homogeneity detail, b∘a = 0): the checks that need no sampling."""
-    homog, detail = _check_homogeneity(m)
-    return homog, detail, _composite_is_zero(m) if homog else False
-
-
 def validate(m: MonadComplex) -> ValidationReport:
-    """Structural validation: homogeneity, b∘a = 0, and exactness at the ends."""
-    homog, detail, composite = _structure(m)
+    """Exactness at the ends: b onto at every point, a injective at every point.
 
-    if not homog:
-        surj = ExactnessStatus(UNKNOWN, detail="skipped: inhomogeneous data")
-        inj = surj
+    The structure (grading, b∘a = 0) was checked when m was built.
+    """
+    surj = None
+    if m.target.rank == 1:
+        surj = _rank_one_monomial_status(list(m.map_b[0]), m.ambient)
+    if surj is None:
+        surj = _randomized_full_rank(m.map_b, m.target.rank, m.ambient, SEED)
+
+    if m.map_a is None:
+        inj = ExactnessStatus(VACUOUS)
     else:
-        if m.target.rank == 1:
-            surj = _rank_one_monomial_status(list(m.map_b[0]), m.ambient)
-        else:
-            surj = None
-        if surj is None:
-            surj = _randomized_full_rank(m.map_b, m.target.rank, m.ambient, SEED)
-
-        if m.map_a is None:
-            inj = ExactnessStatus(VACUOUS)
-        elif m.source.rank == 1:
+        inj = None
+        if m.source.rank == 1:
             inj = _rank_one_monomial_status([row[0] for row in m.map_a], m.ambient)
-            if inj is None:
-                inj = _randomized_full_rank(
-                    _transpose(m.map_a), m.source.rank, m.ambient, SEED + 1
-                )
-        else:
-            inj = _randomized_full_rank(
-                _transpose(m.map_a), m.source.rank, m.ambient, SEED + 1
-            )
-
-    return ValidationReport(
-        homogeneous=homog,
-        homogeneity_detail=detail,
-        composite_zero=composite,
-        surjectivity_of_b=surj,
-        injectivity_of_a=inj,
-    )
+        if inj is None:
+            inj = _randomized_full_rank(_transpose(m.map_a), m.source.rank, m.ambient, SEED + 1)
+    return ValidationReport(surjectivity_of_b=surj, injectivity_of_a=inj)
 
 
 def _transpose(rows):
@@ -337,9 +318,6 @@ def _quotient_chern(total: ChernData, quot: ChernData, ambient: Ambient) -> Cher
 
 def chern_monad(m: MonadComplex) -> ChernData:
     """Chern data of ker(b) (kernel kind) or ker(b)/im(a) (homology kind)."""
-    homog, detail, composite = _structure(m)
-    if not (homog and composite):
-        raise ValidationError(f"monad fails structural validation: {detail or 'b∘a != 0'}")
     kernel = _quotient_chern(chern_free(m.middle), chern_free(m.target), m.ambient)
     if m.kind == KERNEL:
         return kernel
@@ -368,27 +346,18 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point) -> MonadComplex:
     new_amb = Ambient.projective(1, names=amb.groups[surviving])
     assignment = {sub_names[0]: a, sub_names[1]: b}
 
-    def restrict_entry(p):
-        return p.substitute(assignment, new_amb)
-
     def restrict_twists(F):
         return FreeSheaf(new_amb, tuple((t[surviving],) for t in F.twists))
 
-    rb = tuple(tuple(restrict_entry(p) for p in row) for row in m.map_b)
-    if m.map_a is None:
-        return MonadComplex(
-            middle=restrict_twists(m.middle),
-            target=restrict_twists(m.target),
-            map_b=rb,
-            name=f"{m.name}|fiber" if m.name else "",
-        )
-    ra = tuple(tuple(restrict_entry(p) for p in row) for row in m.map_a)
+    def restrict_rows(rows):
+        return tuple(tuple(p.substitute(assignment, new_amb) for p in row) for row in rows)
+
     return MonadComplex(
         middle=restrict_twists(m.middle),
         target=restrict_twists(m.target),
-        map_b=rb,
-        source=restrict_twists(m.source),
-        map_a=ra,
+        map_b=restrict_rows(m.map_b),
+        source=None if m.source is None else restrict_twists(m.source),
+        map_a=None if m.map_a is None else restrict_rows(m.map_a),
         name=f"{m.name}|fiber" if m.name else "",
     )
 

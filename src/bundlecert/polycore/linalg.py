@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ..errors import HomogeneityError
-from .poly import mdeg_add, mdeg_sub, monomial_basis
+from .poly import mdeg_add, monomial_basis
 
 
 @dataclass
@@ -145,41 +144,25 @@ def bareiss_det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def section_matrix(map_entries, source_twists, target_twists, L) -> ExactMatrix:
+def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> ExactMatrix:
     """Matrix of H^0(source twisted by L) -> H^0(target twisted by L) in monomial bases.
 
-    map_entries is a rows-by-cols nested list of RationalPolynomial, rows
-    indexed by target summands and columns by source summands; entry (i,j)
-    must be homogeneous of multidegree target_i - source_j (or zero).
+    map_entries is a rows-by-cols nested list of RationalPolynomial on
+    `ambient`, rows indexed by target summands and columns by source
+    summands.  Precondition, not checked here: entry (i,j) is homogeneous of
+    multidegree target_i - source_j (or zero).  The caller checks the grading
+    once, where the map is built (a MonadComplex at construction,
+    `k3lat.quartic_h0` per call), not once per twist.
     Columns are ordered by source summand then basis order, rows likewise.
     The result holds only the nonzero cells.
     """
-    if not map_entries:
-        raise ValueError("empty map")
-    ambient = None
-    for row in map_entries:
-        for p in row:
-            ambient = p.ambient
-            break
-        if ambient:
-            break
-    if ambient is None:
-        raise ValueError("map has no entries")
     if len(map_entries) != len(target_twists):
         raise ValueError("row count differs from target rank")
-
+    if any(len(row) != len(source_twists) for row in map_entries):
+        raise ValueError("column count differs from source rank")
     src = [ambient.normalize_degree(t) for t in source_twists]
     tgt = [ambient.normalize_degree(t) for t in target_twists]
     L = ambient.normalize_degree(L)
-
-    for i, row in enumerate(map_entries):
-        if len(row) != len(src):
-            raise ValueError("column count differs from source rank")
-        for j, p in enumerate(row):
-            if p.ambient != ambient:
-                raise HomogeneityError(i, j, "entry on a different ambient")
-            if not p.is_homogeneous_of(mdeg_sub(tgt[i], src[j])):
-                raise HomogeneityError(i, j, f"expected degree {mdeg_sub(tgt[i], src[j])}")
 
     src_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in src]
     tgt_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in tgt]

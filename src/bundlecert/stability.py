@@ -224,10 +224,6 @@ def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = N
         raise ValidationError("polarization ambient differs from the monad's")
 
     report = validate(m)
-    if not report.structure_ok:
-        raise ValidationError(
-            f"monad fails structural validation: {report.homogeneity_detail or 'b∘a != 0'}"
-        )
     chern = chern_monad(m)
     mu = slope(chern, H)
 

@@ -147,15 +147,20 @@ def test_prime_above_the_field_cap_exits_1(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,max_n", [("count-points", ("--max-n", 2)), ("picard-bound", ())],
-                         ids=["count-points", "picard-bound"])
-def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command, max_n):
+@pytest.mark.parametrize("command,prime,max_n", [
+    ("count-points", 1031, ("--max-n", 2)), ("picard-bound", 1031, ()),
+    ("count-points", 4, ()), ("count-points", 2, ()), ("picard-bound", 2, ()),
+], ids=["count-points", "picard-bound", "count-points-not-prime", "count-points-even",
+        "picard-bound-even"])
+def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command, prime, max_n):
+    """A prime above the cap, a composite (NotPrimeError) and p = 2
+    (EvenCharacteristicError) are refused before a count reads the form."""
     def no_count(*args, **kwargs):
-        raise AssertionError("counted a field below the cap before refusing the one above")
+        raise AssertionError("started a count before refusing the prime")
 
-    monkeypatch.setattr(zeta, "count_points", no_count)
+    monkeypatch.setattr(zeta.count, "curve_coefficients", no_count)
     code, out, err = run(
-        capsys, command, "--surface", INPUTS / "b44.poly", "--prime", 1031, *max_n
+        capsys, command, "--surface", INPUTS / "b44.poly", "--prime", prime, *max_n
     )
     assert code == cli.EXIT_ERROR
     assert out == ""
@@ -177,6 +182,56 @@ def test_malformed_monad_document_exits_1(capsys, tmp_path, field, value):
     code, _, err = run(capsys, "certify", "--monad", path, "--polarization", 1)
     assert code == cli.EXIT_ERROR
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _e_rank2_edited(field, i, j, entry):
+    doc = json.loads((INPUTS / "e_rank2.monad").read_text())
+    doc[field][i][j] = entry
+    return doc
+
+
+@pytest.mark.parametrize("command", [
+    ("certify", "--polarization", "1,1"), ("chern",), ("h0", "--twist", "1,1"),
+], ids=["certify", "chern", "h0"])
+@pytest.mark.parametrize("doc,problem", [
+    (_e_rank2_edited("map_b", 0, 2, "-x0*y0"), "map_b[0][2] not homogeneous of (1, 0)"),
+    (_e_rank2_edited("map_a", 1, 0, "y1"), "map_a[1][0] not homogeneous of (1, 0)"),
+    (_e_rank2_edited("map_a", 3, 0, "y0"), "b∘a != 0"),
+], ids=["map-b-inhomogeneous", "map-a-inhomogeneous", "composite-nonzero"])
+def test_malformed_monad_structure_exits_1(capsys, tmp_path, command, doc, problem):
+    """The grading and b∘a = 0 are checked when the monad is built, so every
+    command that reads a monad refuses the same documents with the same line."""
+    path = tmp_path / "malformed.monad"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], "--monad", path, *command[1:])
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err == f"error: monad fails structural validation: {problem}\n"
+
+
+def test_h0_of_an_exterior_power_of_a_homology_monad_exits_1(capsys):
+    code, out, err = run(capsys, "h0", "--monad", INPUTS / "e_rank2.monad", "--twist", "1,1",
+                         "--exterior", 2)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err == "error: exterior powers (s >= 2) of homology monads are unsupported\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("pair", "--class", "1,0,5", "--class", "1,0"),
+    ("pair", "--class", "1,0"),
+    ("pair", "--class", "1,0", "--class", "0,1", "--class", "1,1"),
+    ("genus",),
+    ("genus", "--class", "1,0", "--lattice", "E8-minus"),
+    ("genus", "--class", "1,0", "--class", "0,1"),
+    ("effectivity", "--class", "1,0"),
+    ("gram",),
+    ("gram", "--class", "1"),
+], ids=["pair-three-coordinates", "pair-one-class", "pair-three-classes", "genus-no-class",
+        "genus-rank-8-lattice", "genus-two-classes", "effectivity-one-class", "gram-no-class",
+        "gram-one-coordinate"])
+def test_lattice_refuses_a_wrong_class_count_or_length(capsys, argv):
+    code, out, err = run(capsys, "lattice", *argv)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,doc", [

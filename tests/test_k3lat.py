@@ -64,6 +64,14 @@ class TestPairing:
         assert self_int(R) == 16
         assert genus(R) == 9
 
+    @pytest.mark.parametrize("lattice,coords", [(QUARTIC_452, (1, 0, 5)), (QUARTIC_452, (1,)),
+                                                 (DOUBLE_PLANE, (1, 1)), (U, ())],
+                             ids=["three-on-rank-2", "one-on-rank-2", "two-on-rank-1",
+                                  "none-on-rank-2"])
+    def test_class_needs_one_coordinate_per_basis_vector(self, lattice, coords):
+        with pytest.raises(LatticeMismatchError, match=f"rank-{lattice.rank}"):
+            lattice.cls(coords)
+
     def test_lattice_mismatch(self):
         with pytest.raises(LatticeMismatchError):
             pair(U.basis_class(0), U2.basis_class(0))
@@ -131,7 +139,7 @@ class TestEffectivity:
             assert not_effective_cert(D, self.H) is None
 
     def test_candidate_enumeration_finds_twisted_cubic(self):
-        classes, raw = curve_class_candidates(QUARTIC_452, self.H, 5)
+        raw = curve_class_candidates(QUARTIC_452, self.H, 5)
         assert ((2, -1), 3, -2) in raw  # degree 3, square -2
         assert ((1, 0), 4, 4) in raw and ((0, 1), 5, 2) in raw
         assert all(d >= 1 and sq >= -2 for _, d, sq in raw)
@@ -148,7 +156,7 @@ class TestEffectivity:
             if self_int(H) <= 0:
                 continue
             tried += 1
-            _, raw = curve_class_candidates(lat, H, 6)
+            raw = curve_class_candidates(lat, H, 6)
             if not raw:
                 continue
             parts = rng.sample(raw, k=min(len(raw), rng.randint(1, 2)))
@@ -223,6 +231,16 @@ class TestQuartic:
         values = [quartic_h0(f, entries, source, target, k) for k in range(7)]
         assert values == [normal_form_h0(ring, entries, source, target, k) for k in range(7)]
         assert values[-1] > 0  # a nonzero kernel at k = 6, where reductions mod f occur
+
+    @pytest.mark.parametrize("entries,source,target,at", [
+        ([["x", "y^2", "w"]], [-1, -1, -1], [0], (0, 1)),
+        ([["x", "y", "0"], ["0", "z^2", "w^2"]], [-1, -1, -2], [0, 0], (1, 1)),
+    ], ids=["quadratic-in-a-linear-slot", "second-row"])
+    def test_h0_homogeneity_error_identifies_entry(self, entries, source, target, at):
+        f = parse_poly(QUARTICS[1], QUARTIC_AMBIENT)
+        with pytest.raises(HomogeneityError) as e:
+            quartic_h0(f, entries, source, target, 1)
+        assert (e.value.row, e.value.col) == at
 
     def test_h0_refuses_a_non_quartic(self):
         with pytest.raises(ValueError, match="homogeneous quartic"):

@@ -46,7 +46,6 @@ def e_rank2():
 class TestValidate:
     def test_euler_cover(self):
         r = validate(euler())
-        assert r.homogeneous and r.composite_zero
         assert r.surjectivity_of_b.status == "ProvedByMonomialCover"
         assert r.injectivity_of_a.status == "Vacuous"
 
@@ -55,16 +54,16 @@ class TestValidate:
         assert r.surjectivity_of_b.status == "ProvedByMonomialCover"
 
     def test_composite_nonzero_fails(self):
-        bad = homology_monad(
-            PP,
-            [(-1, 0)],
-            [(0, 0), (0, 0)],
-            [(1, 0)],
-            [["x0"], ["0"]],
-            [["x1", "x0"]],
-        )
-        r = validate(bad)
-        assert not r.composite_zero
+        # b∘a = x1*x0 != 0: refused when the monad is built
+        with pytest.raises(ValidationError, match="monad fails structural validation: b∘a != 0"):
+            homology_monad(
+                PP,
+                [(-1, 0)],
+                [(0, 0), (0, 0)],
+                [(1, 0)],
+                [["x0"], ["0"]],
+                [["x1", "x0"]],
+            )
 
     def test_common_zero_detected(self):
         # entries x0*y0, x0*y1 all vanish where x0 = 0
@@ -94,9 +93,22 @@ class TestValidate:
             [["y0", "y1", "-x0 - x1", "-x1"]],
         )
         r = validate(m)
-        assert r.composite_zero
         assert r.injectivity_of_a.status == "ProvedByRandomizedRank"
         assert r.injectivity_of_a.trials == TRIALS
+
+
+class TestStructure:
+    """The grading and b∘a = 0 are checked once, when a monad is built."""
+
+    def test_homogeneity_error_identifies_entry(self):
+        with pytest.raises(ValidationError, match=r"map_b\[0\]\[1\] not homogeneous of \(1, 0\)"):
+            kernel_monad(PP, [(-1, 0), (-1, 0)], [(0, 0)], [["x0", "x0*y0"]])
+
+    def test_entry_on_another_ambient_is_refused(self):
+        other = Ambient.product_projective(1, 1, names=(("a0", "a1"), ("b0", "b1")))
+        entries = [[parse_poly("x0*y0", PP), parse_poly("a0*b1", other)]]
+        with pytest.raises(ValidationError, match=r"map_b\[0\]\[1\] is not on the monad's ambient"):
+            kernel_monad(PP, [(-1, -1)] * 2, [(0, 0)], entries)
 
 
 class TestChern:
@@ -143,9 +155,9 @@ class TestChern:
         assert chern_monad(k_rank3()).rank == k_rank3().middle.rank - k_rank3().target.rank
 
     def test_invalid_monad_raises(self):
-        bad = kernel_monad(PP, [(-1, -1)], [(0, 0)], [["x0"]])  # inhomogeneous
-        with pytest.raises(ValidationError):
-            chern_monad(bad)
+        # x0 has degree (1, 0), not (1, 1): no monad, so no Chern data, is made
+        with pytest.raises(ValidationError, match=r"map_b\[0\]\[0\] not homogeneous of \(1, 1\)"):
+            kernel_monad(PP, [(-1, -1)], [(0, 0)], [["x0"]])
 
 
 class TestFiberRestriction:
