@@ -186,12 +186,22 @@ def h0_homology(m: MonadComplex, L) -> CohomResult:
 
 
 def h0_monad(m: MonadComplex, s: int, L) -> CohomResult:
-    """Uniform front end: Λ^s of the monad bundle, twisted by L."""
+    """Uniform front end: Λ^s of the monad bundle, twisted by L.
+
+    s must lie in 1..rank for a kernel monad and be 1 for a homology monad
+    (exterior powers of homology monads are unsupported); any other s is
+    refused before any other check.
+    """
     if m.kind == KERNEL:
+        rank = m.middle.rank - m.target.rank
+        if not 1 <= s <= rank:
+            raise UnsupportedOperationError(
+                f"s = {s} is out of range: a kernel monad of rank {rank} takes s in 1..{rank}"
+            )
         return h0_exterior(m, s, L)
     if s != 1:
         raise UnsupportedOperationError(
-            "exterior powers (s >= 2) of homology monads are unsupported"
+            f"s = {s} is out of range: a homology monad takes s = 1 only"
         )
     return h0_homology(m, L)
 

@@ -128,6 +128,10 @@ class NoCandidateError(BundleCertError):
     pass
 
 
+class ThreadCountError(BundleCertError):
+    """A point count asked for fewer than one worker."""
+
+
 # --- documents / CLI ---------------------------------------------------------
 
 class DocumentError(BundleCertError):

@@ -17,26 +17,44 @@ fibers have the same count.  With t = g^i the orbit of t is
 orbit's size, which divides n.  t = 0 and [0:1] are fixed and counted once
 each: about q/n + 2 fibers instead of q + 1.
 
-Kernel.  The orbit representatives are specialized all at once, and each
-fiber's sum over y = [1:u], u = g^s, is one Horner pass over all q - 1
-values of s, in the discrete-log domain with zero encoded as 2(q-1)
-(`_LogTables`), so every step is an add and one or two table lookups into
-buffers allocated once per count.
+Kernel.  One blocked Horner pass (`_horner`) evaluates both the
+specialization c_j(x) at the orbit representatives and each fiber's sum over
+y = [1:u], u = g^s, s = 0..L-1 with L = q - 1.  It runs in the discrete-log
+domain, with zero encoded as 3L, on a (rows, values) int32 block of about
+BLOCK = 2^16 cells: for the fibers, max(1, BLOCK // L) rows of L values, in
+buffers allocated once per count.  Each value is held as
+acc_j = g^(K_j) g^(z_j) with K_j one integer per row (`_steps`), so c_j
+never multiplies the block: a step is z_j = table[z_(j+1) + log u + off_j],
+one broadcast add of log u, one of a per-row column and one lookup.  off_j
+picks the zech part of `table` (acc u + c = c (acc u / c + 1), K_j = log c_j)
+when c_j != 0 and its reduce part (acc u, K unchanged) when c_j = 0, so rows
+with different zero patterns share a block.  The first step needs no add
+(acc_4 = c_4 is constant per row), and the last looks up the int8 quadratic
+character instead: chi(acc_0) = (-1)^(K_0) chi(g^(z_0)), so a fiber's sum is
+a row sum times a sign.  The tables (`_Tables`) hold 10L int32 entries and
+10L int8 ones, about 50L bytes.
 
 Threads.  The pool partitions the (fiber, weight) rows; the total is a sum
-of per-row integers, hence independent of the partition shape.
+of per-row integers, hence independent of the partition shape.  It has at
+most min(threads, cores, chunks) workers.
 
 Each finished count writes one progress line to stderr.
 """
 from __future__ import annotations
 
+import os
 import sys
 from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
 
-from ..errors import CoefficientReductionError, EvenCharacteristicError, ValidationError
+from ..errors import (
+    CoefficientReductionError,
+    EvenCharacteristicError,
+    ThreadCountError,
+    ValidationError,
+)
 from ..polycore import RationalPolynomial
 from .field import LOG_ZERO, FqField, make_field
 
@@ -77,93 +95,130 @@ def frobenius_orbits(p: int, n: int):
     return reps, sizes[reps]
 
 
-class _LogTables:
-    """Tables for acc * u + c on logs, with zero encoded as `zero` = 2L, L = q - 1.
+BLOCK = 1 << 16  # int32 cells per kernel call
 
-    A nonzero log lies in [0, L).  For acc in [0, L) or 2L and a shift in
-    [0, L), acc + shift lies in [0, 3L).  Each table repeats its [0, L) part
-    on [L, 2L), which reduces the sum mod L, and holds the zero case from 2L
-    on (acc was zero): `reduce` gives the log (2L for zero), `chi` the
-    quadratic character of the element, and `zech[v]` log(1 + g^v) (2L when
-    1 + g^v = 0), or 0 from 2L on, where acc * u + c = c.
+
+class _Tables:
+    """The folded tables of one field, with L = q - 1 and zero encoded as `zero` = 3L.
+
+    A nonzero element is held as its log in [0, L).  `table` (10L int32) has a
+    zech part on [0, 5L) and a reduce part on [5L, 10L).  Each part is
+    L-periodic on its first 3L entries, zech[v] = log(1 + g^v) (3L when
+    1 + g^v = 0) and reduce[v] = v mod L, and holds the image of zero on its
+    last 2L: 0 in zech (0 * u + c = c * g^0) and 3L in reduce.  `chi` (10L
+    int8) is the quadratic character of the element each entry of `table`
+    encodes, 0 for 3L; chi[5L + v] is that of the encoded v itself.
     """
 
     def __init__(self, field: FqField):
         L = self.L = field.q - 1
-        self.zero = 2 * L
-        self.log = np.where(field.log == LOG_ZERO, self.zero, field.log)
-        logs = np.arange(L, dtype=np.int64)
-        self.reduce = np.concatenate([logs, logs, np.full(L, self.zero)])
-        chi = 1 - 2 * (logs % 2)
-        self.chi = np.concatenate([chi, chi, np.zeros(L, dtype=np.int64)])
-        zech = np.where(field.zech == LOG_ZERO, self.zero, field.zech)
-        self.zech = np.concatenate([zech, zech, np.zeros(L, dtype=np.int64)])
+        zero = self.zero = 3 * L
+        self.log = field.log
+        table = self.table = np.empty(10 * L, dtype=np.int32)
+        zech, reduce = table[: 5 * L].reshape(5, L), table[5 * L :].reshape(5, L)
+        zech[0] = field.zech
+        zech[0][field.zech == LOG_ZERO] = zero
+        zech[1:3] = zech[0]
+        zech[3:] = 0
+        reduce[0] = np.arange(L, dtype=np.int32)
+        reduce[1:3] = reduce[0]
+        reduce[3:] = zero
+        chi = self.chi = np.empty(10 * L, dtype=np.int8)
+        np.bitwise_and(table, 1, out=chi, casting="unsafe")
+        np.multiply(chi, -2, out=chi)
+        np.add(chi, 1, out=chi)
+        chi[table == zero] = 0
 
-    def offset(self, c: int) -> int:
-        """k with (log u + k) mod L = log(u / c), or log u when c is zero."""
-        return 0 if c == self.zero else self.L - c
-
-    def u_over(self, c: int) -> np.ndarray:
-        """log(u / c) for u = g^0, ..., g^(L-1), as a view (log u when c is zero)."""
-        k = self.offset(c)
-        return self.reduce[k : k + self.L]
+    def encode(self, a: int) -> int:
+        """The encoded log of the field element a."""
+        v = int(self.log[a])
+        return self.zero if v == LOG_ZERO else v
 
 
-def _horner(t: _LogTables, c, shifts, acc, tmp, final) -> np.ndarray:
-    """c[4] u^4 + ... + c[0] at every u, mapped through `final` (t.reduce or t.chi).
+def _steps(t: _Tables, c):
+    """Per-row constants of the Horner pass c_4 u^4 + ... + c_0, rows c of encoded logs.
 
-    c holds encoded logs; shifts[j] holds log(u / c[j]) per u (log u where
-    c[j] is zero).  Each step writes into acc and tmp only; returns the
-    buffer that holds the result.
+    acc_4 = c_4 is K_4 = log c_4 and z_4 = 0 (K_4 = 0 and z_4 = 3L when
+    c_4 = 0).  Step j has off_j = (K_(j+1) - log c_j) mod L and
+    K_j = log c_j when c_j != 0, off_j = 5L and K_j = K_(j+1) when c_j = 0.
+    Returns the int32 columns (z_4 + off_3, off_2, off_1, off_0), one row
+    per row of c, and K_0.
     """
-    acc.fill(c[4])
+    L = t.L
+    c = np.asarray(c, dtype=np.int64)
+    zero = c == t.zero
+    K = np.where(zero[:, 4], 0, c[:, 4])
+    cols = np.empty((len(c), 4), dtype=np.int32)
     for j in (3, 2, 1, 0):
-        table = final if j == 0 else t.reduce
-        np.add(acc, shifts[j], out=tmp)
-        if c[j] == t.zero:
-            np.take(table, tmp, out=acc, mode="clip")
-        else:
-            np.take(t.zech, tmp, out=acc, mode="clip")
-            np.take(table[c[j]:], acc, out=tmp, mode="clip")
-            acc, tmp = tmp, acc
-    return acc
+        cols[:, 3 - j] = np.where(zero[:, j], 5 * L, (K - c[:, j]) % L)
+        K = np.where(zero[:, j], K, c[:, j])
+    cols[:, 0] += np.where(zero[:, 4], t.zero, 0)
+    return cols, K
 
 
-def _specialize(t: _LogTables, A, x_logs) -> np.ndarray:
+def _horner(t: _Tables, cols, u, acc, final, out):
+    """final[index of z_0] for a block of rows at every log in u, written into out.
+
+    cols is a block of `_steps` columns and acc a (rows, len(u)) int32
+    buffer; out is acc itself, or an int8 buffer when final is t.chi.
+    """
+    np.add(cols[:, :1], u, out=acc)
+    for j in (1, 2, 3):
+        np.take(t.table, acc, out=acc, mode="clip")
+        np.add(acc, u, out=acc)
+        np.add(acc, cols[:, j : j + 1], out=acc)
+    np.take(final, acc, out=out, mode="clip")
+
+
+def _specialize(t: _Tables, A, x_logs) -> np.ndarray:
     """Encoded c_j(x) = sum_k A[k][j] x^k for every x = g^i, i in x_logs: one row per x."""
-    cols = []
-    for j in range(5):
-        c = [int(t.log[A[k][j]]) for k in range(5)]
-        shifts = [t.reduce[x_logs + t.offset(ck)] for ck in c]
-        cols.append(_horner(t, c, shifts, np.empty_like(x_logs), np.empty_like(x_logs), t.reduce))
-    return np.column_stack(cols)
+    cols, K = _steps(t, [[t.encode(A[k][j]) for k in range(5)] for j in range(5)])
+    # K_0 + z_0 through the reduce part is the encoded log of c_j(x)
+    back = (K + 5 * t.L).astype(np.int32)[:, None]
+    width = max(1, BLOCK // 5)
+    buf = np.empty(5 * min(width, len(x_logs)), dtype=np.int32)
+    out = np.empty((len(x_logs), 5), dtype=np.int32)
+    for s in range(0, len(x_logs), width):
+        x = x_logs[s : s + width].astype(np.int32)
+        acc = buf[: 5 * len(x)].reshape(5, len(x))
+        _horner(t, cols, x, acc, t.table, acc)
+        np.add(acc, back, out=acc)
+        np.take(t.table, acc, out=acc, mode="clip")
+        out[s : s + len(x)] = acc.T
+    return out
 
 
-def _orbit_fibers(t: _LogTables, p: int, n: int, A):
+def _orbit_fibers(t: _Tables, p: int, n: int, A):
     """Encoded (c_0, ..., c_4) of one fiber per Frobenius orbit, and the weights.
 
     The last two rows are x = 0, where c_j = A[0][j], and x = [0:1], where
     c_j = A[4][j]; each has weight 1.
     """
     reps, sizes = frobenius_orbits(p, n)
-    ends = [[int(t.log[A[i][j]]) for j in range(5)] for i in (0, 4)]
+    ends = [[t.encode(A[i][j]) for j in range(5)] for i in (0, 4)]
     return np.vstack([_specialize(t, A, reps), ends]), np.concatenate([sizes, [1, 1]])
 
 
-def _weighted_fiber_sum(t: _LogTables, rows, weights) -> int:
-    """Sum of weight * (points over the fiber) over (row, weight) pairs.
+def _fiber_counts(t: _Tables, rows) -> np.ndarray:
+    """Points over each fiber, one per row of encoded (c_0, ..., c_4).
 
     A fiber has y = [1:0] (value c_0), y = [0:1] (value c_4) and y = [1:u]
-    for every u != 0.
+    for every u = g^s != 0; the sum over u is a row sum of t.chi times
+    (-1)^(K_0).  The rows go through the kernel about BLOCK cells at a time.
     """
-    acc = np.empty(t.L, dtype=np.int64)
-    tmp = np.empty_like(acc)
-    total = 0
-    for row, w in zip(rows, weights.tolist()):
-        c = row.tolist()
-        sums = _horner(t, c, [t.u_over(cj) for cj in c], acc, tmp, t.chi)
-        total += w * (t.L + 2 + int(t.chi[c[0]] + t.chi[c[4]] + sums.sum()))
-    return total
+    L = t.L
+    cols, K = _steps(t, rows)
+    u = np.arange(L, dtype=np.int32)
+    height = max(1, min(BLOCK // L, len(rows)))
+    acc = np.empty((height, L), dtype=np.int32)
+    chi = np.empty((height, L), dtype=np.int8)
+    sums = np.empty(len(rows), dtype=np.int64)
+    for s in range(0, len(rows), height):
+        b = min(height, len(rows) - s)
+        _horner(t, cols[s : s + b], u, acc[:b], t.chi, chi[:b])
+        chi[:b].sum(axis=1, dtype=np.int64, out=sums[s : s + b])
+    ends = t.chi[5 * L + rows[:, 0]].astype(np.int64) + t.chi[5 * L + rows[:, 4]]
+    return L + 2 + ends + (1 - 2 * (K & 1)) * sums
 
 
 @lru_cache(maxsize=8)
@@ -173,20 +228,22 @@ def _cached_field(p: int, n: int) -> FqField:
 
 def _worker(args) -> int:
     p, n, rows, weights = args
-    return _weighted_fiber_sum(_LogTables(_cached_field(p, n)), rows, weights)
+    return int(_fiber_counts(_Tables(_cached_field(p, n)), rows) @ weights)
 
 
 def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int:
     """Exact number of points of the branched double cover over F_{p^n}."""
+    if threads < 1:
+        raise ThreadCountError(f"threads must be at least 1, got {threads}")
     if p == 2:
         raise EvenCharacteristicError("double-cover counting needs odd characteristic")
     start = perf_counter()
     A = curve_coefficients(f, p)
     field = _cached_field(p, n)
-    t = _LogTables(field)
+    t = _Tables(field)
     rows, weights = _orbit_fibers(t, p, n, A)
-    if threads <= 1:
-        total = _weighted_fiber_sum(t, rows, weights)
+    if threads == 1:
+        total = int(_fiber_counts(t, rows) @ weights)
     else:
         import concurrent.futures as cf
 
@@ -194,7 +251,9 @@ def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int
         chunks = [
             (p, n, rows[s : s + step], weights[s : s + step]) for s in range(0, len(rows), step)
         ]
-        with cf.ProcessPoolExecutor(max_workers=threads) as ex:
+        # a forking pool starts all its workers at the first submit
+        workers = min(threads, os.cpu_count() or 1, len(chunks))
+        with cf.ProcessPoolExecutor(max_workers=workers) as ex:
             total = sum(ex.map(_worker, chunks))
     sys.stderr.write(f"n={n} q={field.q}: {len(rows)} orbit fibers, {perf_counter() - start:.1f} s\n")
     return total

@@ -11,7 +11,10 @@ division, a plain Sturm chain and a rational gcd, and the plus-sign
 family's middle coefficients by rational remainders and a rational solve
 (vs the integer pseudo-remainder sequences and divisibility tests of
 `zeta.charpoly`), and h^0 on a quartic surface by normal forms modulo f
-in the coordinate ring (vs the lifted section matrix of `k3lat.quartic_h0`).
+in the coordinate ring (vs the lifted section matrix of `k3lat.quartic_h0`),
+and fiber counts and specialized coefficients one point at a time through
+`field.exp` and `field.log` (vs the blocked log-domain Horner of
+`zeta.count`).
 
 The last section holds helpers only tests use, moved out of `src/` with
 their logic unchanged.
@@ -131,6 +134,42 @@ def field_tables(p: int, n: int, modulus) -> tuple:
         log[e] = i
     zech = [log[pack([(d + (k == 0)) % p for k, d in enumerate(unpack(e))])] for e in exp]
     return exp, log, zech
+
+
+def field_value(field, coeffs, x) -> int:
+    """sum_j coeffs[j] x^j in F_q for packed elements, by Horner: products
+    through field.exp and field.log only, sums digit by digit in base p."""
+    p, L = field.p, field.q - 1
+
+    def add(a, b):
+        out, scale = 0, 1
+        while a or b:
+            out += (a + b) % p * scale
+            a, b, scale = a // p, b // p, scale * p
+        return out
+
+    def mul(a, b):
+        return 0 if a == 0 or b == 0 else int(field.exp[(field.log[a] + field.log[b]) % L])
+
+    v = 0
+    for c in reversed(coeffs):
+        v = add(mul(v, x), c)
+    return v
+
+
+def fiber_count(field, coeffs) -> int:
+    """Points over one fiber with coefficients (c_0, ..., c_4) (packed
+    elements): 1 + chi(value) summed over y = [1:0] (c_0), y = [0:1] (c_4)
+    and y = [1:u] for each u != 0 (the value sum_j c_j u^j), one point at a
+    time; chi is +1 or -1 by the parity of the log, 0 at zero."""
+
+    def points(v):
+        return 1 if v == 0 else 2 - 2 * (int(field.log[v]) % 2)
+
+    total = points(coeffs[0]) + points(coeffs[4])
+    for u in field.exp.tolist():
+        total += points(field_value(field, coeffs, u))
+    return total
 
 
 def audit_coverage(cert, window: int = 8) -> bool:

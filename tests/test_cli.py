@@ -212,7 +212,34 @@ def test_h0_of_an_exterior_power_of_a_homology_monad_exits_1(capsys):
     code, out, err = run(capsys, "h0", "--monad", INPUTS / "e_rank2.monad", "--twist", "1,1",
                          "--exterior", 2)
     assert code == cli.EXIT_ERROR
-    assert out == "" and err == "error: exterior powers (s >= 2) of homology monads are unsupported\n"
+    assert out == "" and err == "error: s = 2 is out of range: a homology monad takes s = 1 only\n"
+
+
+@pytest.mark.parametrize("name,s,allowed", [
+    ("e_rank2", 0, "a homology monad takes s = 1 only"),
+    ("e_rank2", -1, "a homology monad takes s = 1 only"),
+    ("euler", 0, "a kernel monad of rank 2 takes s in 1..2"),
+    ("euler", 3, "a kernel monad of rank 2 takes s in 1..2"),
+    ("k_rank3", 0, "a kernel monad of rank 3 takes s in 1..3"),
+    ("k_rank3", 4, "a kernel monad of rank 3 takes s in 1..3"),
+])
+def test_h0_exterior_out_of_range_exits_1(capsys, name, s, allowed):
+    twist = "1" if name == "euler" else "1,1"
+    code, out, err = run(capsys, "h0", "--monad", INPUTS / f"{name}.monad", "--twist", twist,
+                         "--exterior", s)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err == f"error: s = {s} is out of range: {allowed}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("count-points", "--max-n", 1), ("picard-bound",),
+], ids=["count-points", "picard-bound"])
+@pytest.mark.parametrize("threads", [0, -2])
+def test_fewer_than_one_thread_exits_1(capsys, command, threads):
+    code, out, err = run(capsys, command[0], "--surface", INPUTS / "b44.poly", "--prime", 3,
+                         *command[1:], "--threads", threads)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err == f"error: threads must be at least 1, got {threads}\n"
 
 
 @pytest.mark.parametrize("argv", [

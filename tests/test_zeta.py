@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bundlecert import zeta
-from bundlecert.errors import NoConsistentCandidateError, TooLargeError
+from bundlecert.errors import NoConsistentCandidateError, ThreadCountError, TooLargeError
 from bundlecert.polycore import Ambient, parse_poly
 from bundlecert.zeta import (
     count_points,
@@ -29,11 +29,12 @@ from bundlecert.zeta.charpoly import (
     poly_divmod_exact,
     primitive_remainder,
 )
+from bundlecert.zeta import count
 from bundlecert.zeta.count import (
-    _LogTables,
+    _fiber_counts,
     _orbit_fibers,
     _specialize,
-    _weighted_fiber_sum,
+    _Tables,
     frobenius_orbits,
 )
 
@@ -108,19 +109,126 @@ class TestOrbits:
         assert all(n % int(s) == 0 for s in sizes)
         f = form("b44")
         A = curve_coefficients(f, p)
-        t = _LogTables(make_field(p, n))
+        t = _Tables(make_field(p, n))
         # every x = g^i on its own: fiber counts are constant on each orbit i -> p i
-        rows = _specialize(t, A, np.arange(q - 1, dtype=np.int64))
-        fiber = [_weighted_fiber_sum(t, rows[i : i + 1], np.ones(1, dtype=np.int64)) for i in range(q - 1)]
+        fiber = _fiber_counts(t, _specialize(t, A, np.arange(q - 1))).tolist()
         for i in range(q - 1):
             assert fiber[i] == fiber[i * p % (q - 1)]
         rows, weights = _orbit_fibers(t, p, n, A)
-        ends = _weighted_fiber_sum(t, rows[-2:], weights[-2:])
-        assert _weighted_fiber_sum(t, rows, weights) == sum(fiber) + ends == count_points(f, p, n)
+        ends = int(_fiber_counts(t, rows[-2:]).sum())
+        assert _fiber_counts(t, rows) @ weights == sum(fiber) + ends == count_points(f, p, n)
 
     def test_threads_give_the_same_count(self):
         f = form("b44")
         assert count_points(f, 3, 5, threads=2) == count_points(f, 3, 5, threads=1)
+
+
+# counts made with one Horner pass per fiber, before fibers were evaluated in blocks
+PRIME_FIELD_COUNTS = {
+    ("b44", 101): 10313, ("b44", 1009): 1021323,
+    ("signed", 101): 10361, ("signed", 1009): 1023089,
+    ("sparse", 101): 10805, ("sparse", 1009): 1021857,
+}
+
+
+def random_fibers(field, seed):
+    """Coefficients (c_0, ..., c_4) of 32 fibers, one per zero pattern, the
+    other entries random nonzero elements; row 31 is the zero fiber."""
+    rng = random.Random(seed)
+    return [
+        [0 if mask >> j & 1 else rng.randrange(1, field.q) for j in range(5)]
+        for mask in range(32)
+    ]
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2), (101, 1)])
+    def test_every_zero_pattern_in_one_block(self, p, n):
+        field = make_field(p, n)
+        t = _Tables(field)
+        coeffs = random_fibers(field, p * 10 + n)
+        assert len(coeffs) <= max(1, count.BLOCK // t.L)  # one block
+        counts = _fiber_counts(t, np.array([[t.encode(c) for c in row] for row in coeffs]))
+        assert counts.tolist() == [oracles.fiber_count(field, row) for row in coeffs]
+        assert counts[31] == t.L + 2
+
+    @pytest.mark.parametrize("height", [2, 3, 8])
+    def test_blocks_with_a_ragged_last_block(self, monkeypatch, height):
+        field = make_field(5, 2)
+        t = _Tables(field)
+        coeffs = random_fibers(field, height) + random_fibers(field, height + 1)[:3]
+        rows = np.array([[t.encode(c) for c in row] for row in coeffs])
+        monkeypatch.setattr(count, "BLOCK", height * t.L)
+        assert len(rows) >= 3 * height and len(rows) % height != 0
+        assert _fiber_counts(t, rows).tolist() == [oracles.fiber_count(field, row) for row in coeffs]
+
+    @pytest.mark.parametrize("block", [5, 35, count.BLOCK])
+    def test_specialization_in_blocks(self, monkeypatch, block):
+        field = make_field(3, 4)
+        t = _Tables(field)
+        A = curve_coefficients(form("b44"), 3)
+        monkeypatch.setattr(count, "BLOCK", block)
+        rows = _specialize(t, A, np.arange(t.L))
+        expected = [
+            [t.encode(oracles.field_value(field, [A[k][j] for k in range(5)], int(field.exp[i])))
+             for j in range(5)]
+            for i in range(t.L)
+        ]
+        assert rows.tolist() == expected
+
+
+class TestPrimeFieldCounts:
+    @pytest.mark.parametrize("name,p", sorted(PRIME_FIELD_COUNTS))
+    def test_matches_the_per_fiber_count(self, name, p):
+        assert count_points(form(name), p, 1) == PRIME_FIELD_COUNTS[name, p]
+
+    def test_threads_give_the_same_count_over_several_blocks(self):
+        # 1,010 rows of 1,008 cells: 65 rows per block, chunks of 126 rows
+        f = form("b44")
+        assert count_points(f, 1009, 1, threads=2) == count_points(f, 1009, 1, threads=1)
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """ProcessPoolExecutor replaced by a stub that records its size and maps here."""
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("cores,n,threads,size", [
+        (3, 2, 64, 3),  # 7 rows, 7 chunks: bounded by the cores
+        (None, 2, 64, 1),  # cpu_count unknown: one worker
+        (64, 1, 64, 4),  # q = 3: 4 rows, 4 chunks
+        (64, 2, 2, 2),
+    ])
+    def test_pool_size(self, monkeypatch, pools, cores, n, threads, size):
+        monkeypatch.setattr(count.os, "cpu_count", lambda: cores)
+        f = form("b44")
+        assert count_points(f, 3, n, threads=threads) == count_points(f, 3, n)
+        assert pools == [size]
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_thread_is_refused(self, pools, threads):
+        with pytest.raises(ThreadCountError, match="threads must be at least 1"):
+            count_points(form("b44"), 3, 1, threads=threads)
+        assert pools == []
 
 
 class TestFieldTables:
