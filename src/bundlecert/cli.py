@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: certify, h0, chern, lattice (pair | gram | genus | effectivity |
-expected-dim | rigid-classes), quartic-run, count-points, picard-bound,
-verify.  Documents are JSON with fixed field names; output is byte-stable
-for fixed inputs and options.
+expected-dim), quartic-run, count-points, picard-bound, verify.  Documents
+are JSON with fixed field names; output is byte-stable for fixed inputs and
+options.
 
 `certify` prints a text summary, or the certificate with `--format json`.
 `--out FILE` writes the main artifact of certify, chern, lattice,
@@ -143,9 +143,7 @@ def _lattice_from_args(args) -> k3lat.GramLattice:
     catalogue = {
         "U": k3lat.U,
         "U2": k3lat.U2,
-        "double-plane": k3lat.DOUBLE_PLANE,
         "quartic-452": k3lat.QUARTIC_452,
-        "E8-minus": k3lat.E8_MINUS,
     }
     if args.lattice in catalogue:
         return catalogue[args.lattice]
@@ -203,9 +201,6 @@ def cmd_lattice(args) -> int:
             }
     elif sub == "expected-dim":
         out = {"expected_dim": k3lat.expected_dim(args.rank, args.c1sq, args.c2)}
-    elif sub == "rigid-classes":
-        x, y = k3lat.rigid_rank2_classes(args.k)
-        out = {"c1": x, "c2": y}
     _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
     if out.get("verdict") == "Unknown":
         return EXIT_INCONCLUSIVE
@@ -307,15 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="intersection-lattice computations")
     p.add_argument("lattice_cmd", choices=(
-        "pair", "gram", "genus", "effectivity", "expected-dim", "rigid-classes"))
+        "pair", "gram", "genus", "effectivity", "expected-dim"))
     p.add_argument("--lattice", default="quartic-452",
-                   help="catalogue name (U, U2, double-plane, quartic-452, E8-minus) or a JSON file")
+                   help="catalogue name (U, U2, quartic-452) or a JSON file")
     p.add_argument("--class", dest="classes", action="append", default=[],
                    help='class coordinates, e.g. "1,0" (repeatable)')
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--c1sq", type=int, default=0)
     p.add_argument("--c2", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
     add_out(p)
     p.set_defaults(fn=cmd_lattice)
 

@@ -267,7 +267,7 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomR
     other = 2 - axis  # 0-based index of the descending component
 
     # evaluate the factor not carrying the bound; `axis` is the surviving one
-    fiber = restrict_to_fiber(m, 3 - axis, point)
+    fiber = restrict_to_fiber(m, 3 - axis, tuple(point))
     try:
         fiber_witness = fiber_h0_vanishes(fiber, s, bound)
     except FiberNotVanishingError as e:

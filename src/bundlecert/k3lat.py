@@ -1,10 +1,10 @@
 """Intersection lattices of K3 surfaces and the quartic-surface pipeline.
 
 Gram arithmetic and adjunction on a small catalogue of lattices (U, U(2),
-the double plane, the quartic's <H, C>, E8(-1)), effectivity obstruction
-certificates on rank-2 lattices, expected moduli dimension, rigid rank-2
-classification on the double plane, the doubling of c2 under a double
-cover, and exact section kernels on a quartic X = Z(f) in P3.
+the quartic's <H, C>) or any Gram matrix, effectivity obstruction
+certificates on rank-2 lattices, expected moduli dimension, the doubling of
+c2 under a double cover, and exact section kernels on a quartic X = Z(f) in
+P3.
 
 Sections on X come from the one section-matrix builder of `polycore`: a
 kernel over the coordinate ring R = S/(f) lifts to a kernel of [E | -f·I]
@@ -188,29 +188,9 @@ def bracket(a: int, b: int, c: int, names=("A", "B")) -> GramLattice:
     return GramLattice(tuple(names), ((a, b), (b, c)))
 
 
-def span1(a: int, name: str = "H") -> GramLattice:
-    return GramLattice((name,), ((a,),))
-
-
 U = bracket(0, 1, 0, names=("F1", "F2"))
 U2 = bracket(0, 2, 0, names=("E1", "E2"))
-DOUBLE_PLANE = span1(2, name="H")
 QUARTIC_452 = bracket(4, 5, 2, names=("H", "C"))
-
-_E8_GRAM = (
-    (2, -1, 0, 0, 0, 0, 0, 0),
-    (-1, 2, -1, 0, 0, 0, 0, 0),
-    (0, -1, 2, -1, 0, 0, 0, -1),
-    (0, 0, -1, 2, -1, 0, 0, 0),
-    (0, 0, 0, -1, 2, -1, 0, 0),
-    (0, 0, 0, 0, -1, 2, -1, 0),
-    (0, 0, 0, 0, 0, -1, 2, 0),
-    (0, 0, -1, 0, 0, 0, 0, 2),
-)
-E8_MINUS = GramLattice(
-    tuple(f"e{i}" for i in range(1, 9)),
-    tuple(tuple(-x for x in row) for row in _E8_GRAM),
-)
 
 
 # --- numerology -----------------------------------------------------------------
@@ -221,15 +201,6 @@ def expected_dim(r: int, c1_sq: int, c2: int) -> int:
     if r < 1:
         raise ValueError("rank must be positive")
     return 2 * r * c2 - (r - 1) * c1_sq - (r * r - 1) * 2
-
-
-def rigid_rank2_classes(k: int) -> tuple:
-    """The unique family (x, y) with vanishing expected dimension on the double
-    plane: c1 = x * (pullback of O(1)), c2 = y."""
-    x = 2 * k + 1
-    y = 2 + 2 * k + 2 * k * k
-    assert expected_dim(2, 2 * x * x, y) == 0
-    return x, y
 
 
 def pullback_chern(c: ChernData) -> ChernData:

@@ -8,14 +8,43 @@ refuses (ValidationError) an entry on another ambient, an entry that is not
 homogeneous of target - source, and b∘a != 0.  Every later layer (validate,
 chern_monad, the section matrices of `cohom`) trusts a built monad.
 
+Exactness at the ends.  When C has rank 1, b is onto at every point iff the
+entries of its row share no zero over Q-bar; when A has rank 1, a is
+injective at every point iff the entries of its column do.  `validate`
+decides this exactly, in two stages, for forms f_j with ideal I = (f_j) in
+the Cox ring S (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3;
+Maclagan-Smith 2004 for products of projective spaces):
+
+  1. The lex-leading monomials share no zero (the subset enumerator of
+     `_monomials_have_common_zero`).  Then the monomial ideal they span
+     contains all of S_d for some d, and dim I_d = dim in(I)_d, so I_d = S_d
+     and the forms share no zero.  For monomial entries this is the whole
+     rule.
+  2. Otherwise, with D the largest component of any entry's multidegree,
+     N = dim of the ambient and d* = (N+1)D - max(dims), all d* components
+     equal: the forms share no zero iff the section matrix of
+     (f_j): ⊕ S_{d* - deg f_j} -> S_{d*} has rank dim S_{d*}.  If they share
+     no zero, N+1 generic elements of I of degree (D, ..., D) share none
+     either, so their Koszul complex is exact; H^i(O(d* - (i+1)D)) = 0 for
+     1 <= i <= N, so its last map is onto on global sections at d*.  A
+     common zero p keeps every form of I zero at p, so I_{d*} != S_{d*}.
+     On P^n, d* = (n+1)(D-1)+1; on P1 x P1, d* = (3D-1, 3D-1).  A proof
+     never rests on the choice of d*: full rank at any degree excludes a
+     common zero; d* only makes the test complete.
+
+Stage 1 is the fast path that every shipped monad takes; stage 2 builds one
+matrix.  Both end in a cover of every monomial of one graded piece, hence
+the one status `ProvedByMonomialCover`.  Unknown means a common zero exists,
+or that the end has rank >= 2, which no rule here decides.
+
 Coefficients are exact rationals.  The input grammar admits integer constants
 only, so every loaded monad is defined over Q and invariant under complex
 conjugation: the real structure holds by construction and needs no check.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import (
@@ -30,20 +59,16 @@ from .polycore import (
     intersection_product,
     mdeg_sub,
     parse_poly,
+    section_matrix,
 )
 
 KERNEL = "kernel"
 HOMOLOGY = "homology"
 
-# exactness statuses; the randomized one is sampling evidence, not a proof
+# exactness statuses; each is a proof or Unknown (module docstring)
 PROVED_BY_MONOMIAL_COVER = "ProvedByMonomialCover"
-PROVED_BY_RANDOMIZED_RANK = "ProvedByRandomizedRank"
 UNKNOWN = "Unknown"
 VACUOUS = "Vacuous"
-
-# the sampling fallback's rational points per map, and its seed
-TRIALS = 20
-SEED = 20240915
 
 
 @dataclass(frozen=True)
@@ -73,7 +98,6 @@ class ChernData:
 @dataclass(frozen=True)
 class ExactnessStatus:
     status: str
-    trials: int = 0
     detail: str = ""
 
 
@@ -190,14 +214,6 @@ def _composite_is_zero(m: MonadComplex) -> bool:
     return True
 
 
-def _monomial_support(p: RationalPolynomial):
-    """Variable-index support if p is a single monomial, else None."""
-    if len(p.terms) != 1:
-        return None
-    (exps,) = p.terms
-    return frozenset(i for i, e in enumerate(exps) if e > 0)
-
-
 def _monomials_have_common_zero(supports, ambient: Ambient) -> bool:
     """Whether some point of the ambient kills every monomial.
 
@@ -221,69 +237,51 @@ def _monomials_have_common_zero(supports, ambient: Ambient) -> bool:
     return False
 
 
-def _rank_one_monomial_status(entries, ambient) -> ExactnessStatus | None:
-    """Exactness status via the common-zero-locus rule, when it applies."""
-    supports = []
-    for p in entries:
-        if p.is_zero():
-            continue  # a zero entry vanishes everywhere and constrains nothing
-        s = _monomial_support(p)
-        if s is None:
-            return None
-        supports.append(s)
-    if not supports:
+def leading_monomials_cover(forms, ambient: Ambient) -> bool:
+    """Stage 1: the lex-leading monomials of the forms share no zero."""
+    supports = [frozenset(i for i, e in enumerate(max(p.terms)) if e) for p in forms]
+    return not _monomials_have_common_zero(supports, ambient)
+
+
+def forms_cover_degree(forms, ambient: Ambient) -> bool:
+    """Stage 2: the ideal of the forms holds every form of multidegree (d*, ..., d*)."""
+    degrees = [ambient.exponent_multidegree(next(iter(p.terms))) for p in forms]
+    top = max(max(d) for d in degrees)
+    d_star = (ambient.dim + 1) * top - max(ambient.dims)
+    zero = ambient.zero_degree()
+    M = section_matrix(ambient, [forms], [mdeg_sub(zero, d) for d in degrees], [zero],
+                       (d_star,) * ambient.arity)
+    return M.rank() == M.rows
+
+
+def _common_zero_status(entries, ambient: Ambient) -> ExactnessStatus:
+    """Whether the entries, one rank-1 end of the monad, share no zero over Q-bar."""
+    forms = [p for p in entries if not p.is_zero()]
+    if not forms:
         return ExactnessStatus(UNKNOWN, detail="all entries are zero")
-    if _monomials_have_common_zero(supports, ambient):
-        return ExactnessStatus(UNKNOWN, detail="monomial entries share a common zero")
-    return ExactnessStatus(PROVED_BY_MONOMIAL_COVER)
-
-
-def _randomized_full_rank(entry_rows, need_rank, ambient, seed) -> ExactnessStatus:
-    """Sample rational points and check the evaluated matrix has full rank.
-
-    Evidence only, never a proof; a witnessed rank drop downgrades to Unknown.
-    """
-    from .polycore import ExactMatrix
-
-    rng = random.Random(seed)
-    for t in range(TRIALS):
-        point = []
-        for lo, hi in ambient.group_slices():
-            while True:
-                coords = [rng.randint(-9, 9) for _ in range(hi - lo)]
-                if any(coords):
-                    break
-            point += coords
-        rows = [[p.evaluate(point) for p in row] for row in entry_rows]
-        if ExactMatrix.from_rows(rows).rank() < need_rank:
-            return ExactnessStatus(UNKNOWN, trials=t + 1, detail="rank drop at a sample point")
-    return ExactnessStatus(PROVED_BY_RANDOMIZED_RANK, trials=TRIALS)
+    if leading_monomials_cover(forms, ambient) or forms_cover_degree(forms, ambient):
+        return ExactnessStatus(PROVED_BY_MONOMIAL_COVER)
+    return ExactnessStatus(UNKNOWN, detail="the entries share a common zero")
 
 
 def validate(m: MonadComplex) -> ValidationReport:
     """Exactness at the ends: b onto at every point, a injective at every point.
 
-    The structure (grading, b∘a = 0) was checked when m was built.
+    Decided exactly when C (resp. A) has rank 1 (module docstring); Unknown
+    for rank >= 2.  The structure (grading, b∘a = 0) was checked when m was
+    built.
     """
-    surj = None
     if m.target.rank == 1:
-        surj = _rank_one_monomial_status(list(m.map_b[0]), m.ambient)
-    if surj is None:
-        surj = _randomized_full_rank(m.map_b, m.target.rank, m.ambient, SEED)
-
+        surj = _common_zero_status(m.map_b[0], m.ambient)
+    else:
+        surj = ExactnessStatus(UNKNOWN, detail="C has rank >= 2")
     if m.map_a is None:
         inj = ExactnessStatus(VACUOUS)
+    elif m.source.rank == 1:
+        inj = _common_zero_status([row[0] for row in m.map_a], m.ambient)
     else:
-        inj = None
-        if m.source.rank == 1:
-            inj = _rank_one_monomial_status([row[0] for row in m.map_a], m.ambient)
-        if inj is None:
-            inj = _randomized_full_rank(_transpose(m.map_a), m.source.rank, m.ambient, SEED + 1)
+        inj = ExactnessStatus(UNKNOWN, detail="A has rank >= 2")
     return ValidationReport(surjectivity_of_b=surj, injectivity_of_a=inj)
-
-
-def _transpose(rows):
-    return tuple(tuple(row[i] for row in rows) for i in range(len(rows[0])))
 
 
 def chern_free(F: FreeSheaf) -> ChernData:
@@ -325,11 +323,14 @@ def chern_monad(m: MonadComplex) -> ChernData:
     return _quotient_chern(kernel, chern_free(m.source), m.ambient)
 
 
-def restrict_to_fiber(m: MonadComplex, axis: int, point) -> MonadComplex:
+@lru_cache(maxsize=32)
+def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
     """Restrict to a fiber of P1 x P1 by substituting the chosen factor at a point.
 
     axis is the factor being evaluated (1 or 2); the result is a monad on the
-    other P1, with twists projected to the surviving component.
+    other P1, with twists projected to the surviving component.  The tail
+    rule asks for the same fiber at several s and bounds, so each
+    (monad, axis, point) is restricted once and the result shared immutable.
     """
     amb = m.ambient
     if amb.arity != 2 or amb.dims != (1, 1):

@@ -12,7 +12,6 @@ elimination over the integers; no floating point or prime enters a rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .poly import mdeg_add, monomial_basis
@@ -23,15 +22,6 @@ class ExactMatrix:
     rows: int
     cols: int
     entries: list  # one dict per row: column -> nonzero Fraction
-
-    @staticmethod
-    def from_rows(rows) -> "ExactMatrix":
-        rows = [list(row) for row in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        entries = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
-        return ExactMatrix(len(rows), ncols, entries)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "ExactMatrix":

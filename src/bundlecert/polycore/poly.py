@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 
 from ..errors import AmbientMismatchError
@@ -308,20 +309,22 @@ class RationalPolynomial:
         return f"<poly {self.render()}>"
 
 
-def monomial_basis(ambient: Ambient, d) -> list:
+@lru_cache(maxsize=None)
+def monomial_basis(ambient: Ambient, d) -> tuple:
     """All exponent vectors of multidegree d, graded-lexicographic per factor.
 
     Within a factor the order is descending lexicographic on exponents, so on
     P^2 at d=1 the basis reads x0, x1, x2.  Empty when any component of d is
-    negative.
+    negative.  Built once per (ambient, d): every twist of a section matrix
+    asks for the same few bases.
     """
     d = ambient.normalize_degree(d)
     if any(c < 0 for c in d):
-        return []
+        return ()
     per_group = []
     for names, deg in zip(ambient.groups, d):
         per_group.append(_exponents_of_degree(len(names), deg))
-    return [tuple(x for part in combo for x in part) for combo in iter_product(*per_group)]
+    return tuple(tuple(x for part in combo for x in part) for combo in iter_product(*per_group))
 
 
 def _exponents_of_degree(nvars: int, d: int) -> list:

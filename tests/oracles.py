@@ -27,7 +27,7 @@ from math import comb
 
 from bundlecert.cohom import SECTION_KERNEL, _kernel_result
 from bundlecert.errors import HomogeneityError, ValidationError
-from bundlecert.k3lat import QUARTIC_AMBIENT
+from bundlecert.k3lat import QUARTIC_AMBIENT, GramLattice
 from bundlecert.monad import KERNEL, ChernData
 from bundlecert.polycore import (
     ExactMatrix,
@@ -446,6 +446,16 @@ def monomial(ambient, exps, coeff=1) -> RationalPolynomial:
     return RationalPolynomial(ambient, {exps: c})
 
 
+def from_rows(rows) -> ExactMatrix:
+    """An ExactMatrix from a dense list of rows."""
+    rows = [list(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    entries = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
+    return ExactMatrix(len(rows), ncols, entries)
+
+
 def identity_matrix(n: int) -> ExactMatrix:
     return ExactMatrix(n, n, [{i: Fraction(1)} for i in range(n)])
 
@@ -496,8 +506,29 @@ def h0_kernel(m, L):
     return _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
 
 
+def ideal_fills_degree(forms, ambient, d) -> bool:
+    """Whether the forms span every form of multidegree d: one dense row per
+    (form, monomial) product, ranked by `gauss_rank` (vs `section_matrix`)."""
+    basis = monomial_basis(ambient, d)
+    index = {e: k for k, e in enumerate(basis)}
+    rows = []
+    for f in forms:
+        deg = ambient.exponent_multidegree(next(iter(f.terms)))
+        for mono in monomial_basis(ambient, tuple(a - b for a, b in zip(d, deg))):
+            row = [0] * len(basis)
+            for e, c in (f * monomial(ambient, mono)).terms.items():
+                row[index[e]] = c
+            rows.append(row)
+    return gauss_rank(rows) == len(basis)
+
+
 def chern_dual(c: ChernData) -> ChernData:
     return ChernData(c.rank, tuple(-x for x in c.c1), c.c2)
+
+
+def span1(a: int, name: str = "H") -> GramLattice:
+    """The rank-1 lattice <a>."""
+    return GramLattice((name,), ((a,),))
 
 
 def gram_det(lattice) -> int:

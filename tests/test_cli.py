@@ -120,12 +120,14 @@ def test_count_points_b44(capsys):
 
 def test_unproved_exactness_is_inconclusive(capsys, tmp_path):
     doc = json.loads((INPUTS / "euler.monad").read_text())
-    doc["map_b"] = [["x0 + x1", "x1", "x2"]]
-    path = tmp_path / "sheared.monad"
+    doc["map_b"] = [["x0 + x1", "x0 + x1", "x2"]]  # a common zero at (1:-1:0)
+    path = tmp_path / "common-zero.monad"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "certify", "--monad", path, "--polarization", 1)
+    code, out, _ = run(capsys, "certify", "--monad", path, "--polarization", 1, "--format", "json")
     assert code == cli.EXIT_INCONCLUSIVE
-    assert "verdict: Inconclusive" in out
+    cert = json.loads(out)
+    assert cert["verdict"] == "Inconclusive"
+    assert cert["failure"]["surjectivity_of_b"] == "Unknown"
 
 
 def test_polynomial_syntax_error_exits_1(capsys, tmp_path):
@@ -242,12 +244,19 @@ def test_fewer_than_one_thread_exits_1(capsys, command, threads):
     assert out == "" and err == f"error: threads must be at least 1, got {threads}\n"
 
 
+# A8(-1), a rank-8 lattice given as a document
+RANK8_LATTICE = {
+    "names": [f"e{i}" for i in range(1, 9)],
+    "gram": [[-2 if i == j else int(abs(i - j) == 1) for j in range(8)] for i in range(8)],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("pair", "--class", "1,0,5", "--class", "1,0"),
     ("pair", "--class", "1,0"),
     ("pair", "--class", "1,0", "--class", "0,1", "--class", "1,1"),
     ("genus",),
-    ("genus", "--class", "1,0", "--lattice", "E8-minus"),
+    ("genus", "--class", "1,0", "--lattice", RANK8_LATTICE),
     ("genus", "--class", "1,0", "--class", "0,1"),
     ("effectivity", "--class", "1,0"),
     ("gram",),
@@ -255,10 +264,25 @@ def test_fewer_than_one_thread_exits_1(capsys, command, threads):
 ], ids=["pair-three-coordinates", "pair-one-class", "pair-three-classes", "genus-no-class",
         "genus-rank-8-lattice", "genus-two-classes", "effectivity-one-class", "gram-no-class",
         "gram-one-coordinate"])
-def test_lattice_refuses_a_wrong_class_count_or_length(capsys, argv):
-    code, out, err = run(capsys, "lattice", *argv)
+def test_lattice_refuses_a_wrong_class_count_or_length(capsys, tmp_path, argv):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(RANK8_LATTICE))
+    code, out, err = run(capsys, "lattice", *(path if a is RANK8_LATTICE else a for a in argv))
     assert code == cli.EXIT_ERROR
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rigid-classes",),
+    ("rigid-classes", "--k", 0),
+    ("expected-dim", "--k", 0),
+    ("genus", "--class", "1", "--lattice", "double-plane"),
+    ("genus", "--class", "1,0,0,0,0,0,0,0", "--lattice", "E8-minus"),
+], ids=["rigid-classes", "rigid-classes-k", "k-option", "double-plane", "E8-minus"])
+def test_removed_lattice_names_exit_1(capsys, argv):
+    code, out, err = run(capsys, "lattice", *argv)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,doc", [

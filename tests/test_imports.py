@@ -1,5 +1,6 @@
 """Every name a module under src/ imports is used in it or re-exported by __all__,
-every __all__ entry is bound in its module, and the certify path loads no numpy."""
+every __all__ entry is bound in its module, no module under src/ imports random,
+and the certify path loads no numpy."""
 import ast
 import importlib
 import os
@@ -32,6 +33,23 @@ def unused_imports(path):
 
 def test_no_unused_imports_under_src():
     found = [u for path in sorted(SRC.rglob("*.py")) for u in unused_imports(path)]
+    assert found == []
+
+
+def imported_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_under_src_imports_random():
+    # a verdict is a proof, never a sample; the stdlib loads random on the
+    # certify path anyway, so sys.modules cannot tell
+    found = [f"{path.relative_to(SRC)} {name}" for path in sorted(SRC.rglob("*.py"))
+             for name in imported_modules(path) if name.split(".")[0] == "random"]
     assert found == []
 
 

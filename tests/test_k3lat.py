@@ -9,7 +9,6 @@ from bundlecert.errors import (
     OddSquareError,
 )
 from bundlecert.k3lat import (
-    DOUBLE_PLANE,
     QUARTIC_452,
     QUARTIC_AMBIENT,
     U,
@@ -26,12 +25,11 @@ from bundlecert.k3lat import (
     pullback_chern,
     quartic_h0,
     quartic_region_run,
-    rigid_rank2_classes,
     self_int,
 )
 from bundlecert.monad import ChernData
 from bundlecert.polycore import parse_poly
-from oracles import QuarticRing, gram_det, is_even
+from oracles import QuarticRing, gram_det, is_even, span1
 from oracles import quartic_h0 as normal_form_h0
 
 FX = "-x*(x + z - w)*(x*w - y*z) + z*(x + z)*(x*y - z^2) + (x*y + w^2)*(y^2 - z*w)"
@@ -65,7 +63,7 @@ class TestPairing:
         assert genus(R) == 9
 
     @pytest.mark.parametrize("lattice,coords", [(QUARTIC_452, (1, 0, 5)), (QUARTIC_452, (1,)),
-                                                 (DOUBLE_PLANE, (1, 1)), (U, ())],
+                                                 (span1(2), (1, 1)), (U, ())],
                              ids=["three-on-rank-2", "one-on-rank-2", "two-on-rank-1",
                                   "none-on-rank-2"])
     def test_class_needs_one_coordinate_per_basis_vector(self, lattice, coords):
@@ -92,7 +90,7 @@ class TestPairing:
             assert pair(a + b, c) == pair(a, c) + pair(b, c)
 
     def test_catalogue_evenness(self):
-        for lat in (U, U2, DOUBLE_PLANE, QUARTIC_452):
+        for lat in (U, U2, QUARTIC_452):
             assert is_even(lat)
 
 
@@ -111,7 +109,7 @@ class TestGramAndDependency:
         assert det == -4
 
     def test_span1(self):
-        H = DOUBLE_PLANE.basis_class(0)
+        H = span1(2).basis_class(0)
         mat, det = gram_of([H])
         assert det == 2
 
@@ -180,17 +178,6 @@ class TestNumerology:
         for x in range(-5, 6):
             for y in range(-5, 6):
                 assert expected_dim(2, 2 * x * x, y) == 4 * y - 2 * x * x - 6
-
-    def test_rigid_classes(self):
-        assert rigid_rank2_classes(0) == (1, 2)
-        assert rigid_rank2_classes(-2) == (-3, 6)
-
-    def test_rigid_exhaustive(self):
-        family = {rigid_rank2_classes(k) for k in range(-60, 60)}
-        for x in range(-99, 100, 2):
-            sols = [y for y in range(-200, 200) if 4 * y - 2 * x * x - 6 == 0]
-            for y in sols:
-                assert (x, y) in family
 
     def test_pullback_chern(self):
         assert pullback_chern(ChernData(3, (-4, -4), 12)).c2 == 24

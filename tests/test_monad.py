@@ -5,20 +5,22 @@ import pytest
 from bundlecert.errors import AmbientMismatchError, InvalidPointError, ValidationError
 from bundlecert.monad import (
     HOMOLOGY,
-    TRIALS,
     ChernData,
     FreeSheaf,
+    _monomials_have_common_zero,
     chern_free,
     chern_monad,
+    forms_cover_degree,
     homology_monad,
     kernel_monad,
+    leading_monomials_cover,
     monad_from_document,
     monad_to_document,
     restrict_to_fiber,
     validate,
 )
-from bundlecert.polycore import Ambient, parse_poly
-from oracles import chern_dual
+from bundlecert.polycore import Ambient, RationalPolynomial, monomial_basis, parse_poly
+from oracles import chern_dual, ideal_fills_degree, monomial, poly_divmod
 
 P2 = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)
@@ -75,15 +77,15 @@ class TestValidate:
         m = kernel_monad(PP, [(0, 0), (-1, -1)], [(0, 0)], [["1", "x0*y0"]])
         assert validate(m).surjectivity_of_b.status == "ProvedByMonomialCover"
 
-    def test_randomized_rank_path(self):
-        # non-monomial entries force the sampling fallback
+    def test_sheared_euler_leading_monomials(self):
+        # lex-leading monomials x, y, z: stage 1 proves the non-monomial row
         m = kernel_monad(P2, [-1, -1, -1], [0], [["x + y", "y + z", "z"]])
+        assert leading_monomials_cover(m.map_b[0], P2)
         r = validate(m)
-        assert r.surjectivity_of_b.status == "ProvedByRandomizedRank"
-        assert r.surjectivity_of_b.trials == TRIALS
+        assert r.surjectivity_of_b.status == "ProvedByMonomialCover"
 
-    def test_randomized_injectivity_path(self):
-        # a non-monomial column a sends injectivity to the sampling fallback too
+    def test_sheared_e_rank2_leading_monomials(self):
+        # a's column (x0 + x1, x1, y0, y1) leads with x0, x1, y0, y1
         m = homology_monad(
             PP,
             [(0, 0)],
@@ -92,9 +94,198 @@ class TestValidate:
             [["x0 + x1"], ["x1"], ["y0"], ["y1"]],
             [["y0", "y1", "-x0 - x1", "-x1"]],
         )
+        assert leading_monomials_cover([row[0] for row in m.map_a], PP)
         r = validate(m)
-        assert r.injectivity_of_a.status == "ProvedByRandomizedRank"
-        assert r.injectivity_of_a.trials == TRIALS
+        assert r.surjectivity_of_b.status == "ProvedByMonomialCover"
+        assert r.injectivity_of_a.status == "ProvedByMonomialCover"
+
+    def test_repeated_linear_form_shares_a_zero(self):
+        # every entry vanishes at (1:-1:0)
+        m = kernel_monad(P2, [-1, -1, -1], [0], [["x + y", "x + y", "z"]])
+        assert not forms_cover_degree(m.map_b[0], P2)
+        assert validate(m).surjectivity_of_b.status == "Unknown"
+
+    def test_cyclic_differences_share_a_zero(self):
+        # x - y, y - z, z - x vanish at (1:1:1); one term per entry, x, y, z,
+        # would share no zero, but the leading ones (x, y, x) do
+        forms = [parse_poly(t, P2) for t in ("x - y", "y - z", "z - x")]
+        assert not leading_monomials_cover(forms, P2)
+        assert not forms_cover_degree(forms, P2)
+
+    def test_quadrics_without_common_zero_reach_stage_two(self):
+        # leading monomials x^2, xz, xy all vanish on x = 0; the forms do not
+        m = kernel_monad(P2, [-2, -2, -2], [0], [["x^2 + y*z", "y^2 + x*z", "z^2 + x*y"]])
+        assert not leading_monomials_cover(m.map_b[0], P2)
+        assert forms_cover_degree(m.map_b[0], P2)
+        assert validate(m).surjectivity_of_b.status == "ProvedByMonomialCover"
+
+    def test_quadrics_with_an_irrational_common_zero(self):
+        # the common zero lies over Q-bar only, so no rational point witnesses it
+        m = kernel_monad(P2, [-2, -2, -2], [0], [["x^2 + y^2 + z^2", "x*y + z^2", "x*z + y^2"]])
+        r = validate(m)
+        assert r.surjectivity_of_b.status == "Unknown"
+
+    def test_rank_two_target_is_unknown(self):
+        m = kernel_monad(P2, [-1, -1, -1], [0, 0], [["x", "y", "z"], ["y", "z", "x"]])
+        assert validate(m).surjectivity_of_b.status == "Unknown"
+
+
+def random_form(rng, amb, d, nterms):
+    """A form of multidegree d with up to nterms random monomials; zero if d < 0."""
+    basis = monomial_basis(amb, d)
+    out = RationalPolynomial.zero(amb)
+    for exps in rng.sample(basis, min(nterms, len(basis))):
+        out = out + monomial(amb, exps, rng.choice([-3, -2, -1, 1, 2, 3]))
+    return out
+
+
+def random_degree(rng, amb, top):
+    return tuple(rng.randint(0, top) for _ in range(amb.arity))
+
+
+def d_star(forms, amb):
+    top = max(max(amb.exponent_multidegree(next(iter(p.terms)))) for p in forms)
+    return ((amb.dim + 1) * top - max(amb.dims),) * amb.arity
+
+
+P1 = Ambient.projective(1)
+P2X = Ambient.projective(2)
+
+
+class TestCommonZeroRule:
+    """The two stages of `validate` against each other and independent inputs."""
+
+    def test_stage_one_implies_stage_two(self):
+        rng = random.Random(5)
+        proved = 0
+        for trial in range(120):
+            amb = (P2X, PP)[trial % 2]
+            forms = [random_form(rng, amb, random_degree(rng, amb, 3), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 5))]
+            forms = [p for p in forms if not p.is_zero()]
+            if forms and leading_monomials_cover(forms, amb):
+                proved += 1
+                assert forms_cover_degree(forms, amb), forms
+        assert proved >= 20
+
+    def test_monomial_sets_agree_with_the_enumerator(self):
+        rng = random.Random(6)
+        agree = {True: 0, False: 0}
+        for trial in range(160):
+            amb = (P2X, PP)[trial % 2]
+            forms = [random_form(rng, amb, random_degree(rng, amb, 3), 1)
+                     for _ in range(rng.randint(1, 5))]
+            supports = [frozenset(i for i, e in enumerate(next(iter(p.terms))) if e)
+                        for p in forms]
+            free = not _monomials_have_common_zero(supports, amb)
+            assert leading_monomials_cover(forms, amb) == free
+            assert forms_cover_degree(forms, amb) == free, forms
+            agree[free] += 1
+        assert min(agree.values()) >= 20
+
+    @pytest.mark.parametrize("amb", [P1, P2X, PP, Ambient.projective(3),
+                                     Ambient.product_projective(1, 2)],
+                             ids=["P1", "P2", "P1xP1", "P3", "P1xP2"])
+    def test_planted_rational_zero_is_unknown(self, amb):
+        rng = random.Random(7)
+        planted = 0
+        for _ in range(25):
+            point = []
+            for lo, hi in amb.group_slices():
+                coords = [0] * (hi - lo)
+                while not any(coords):
+                    coords = [rng.randint(-2, 2) for _ in coords]
+                point += coords
+            # linear forms x_i p_j - x_j p_i of one factor vanish at the point
+            lines = []
+            for g, (lo, hi) in enumerate(amb.group_slices()):
+                deg = tuple(int(k == g) for k in range(amb.arity))
+                for i in range(lo, hi):
+                    for j in range(i + 1, hi):
+                        ell = monomial(amb, _unit(amb, i), point[j]) - monomial(amb, _unit(amb, j), point[i])
+                        if not ell.is_zero():
+                            lines.append((ell, deg))
+            top = 2 if amb.dim <= 2 else 1
+            forms = []
+            for _ in range(rng.randint(1, 4)):
+                d = tuple(rng.randint(1, top) for _ in range(amb.arity))
+                f = RationalPolynomial.zero(amb)
+                for ell, deg in rng.sample(lines, min(3, len(lines))):
+                    rest = tuple(a - b for a, b in zip(d, deg))
+                    f = f + ell * random_form(rng, amb, rest, 3)
+                if not f.is_zero():
+                    assert f.evaluate(point) == 0
+                    forms.append(f)
+            if forms:
+                planted += 1
+                assert not leading_monomials_cover(forms, amb)
+                assert not forms_cover_degree(forms, amb), forms
+        assert planted >= 20
+
+    def test_binary_forms_match_the_gcd(self):
+        # on P1 the forms share a zero iff all vanish at (1:0) or gcd(f(t, 1)) is not constant
+        rng = random.Random(8)
+        outcomes = {True: 0, False: 0}
+        for _ in range(150):
+            forms = []
+            common = random_form(rng, P1, (rng.randint(0, 1),), 2)
+            for _ in range(rng.randint(1, 3)):
+                f = random_form(rng, P1, (rng.randint(0, 2),), 2)
+                f = f * common if rng.random() < 0.3 else f
+                if not f.is_zero():
+                    forms.append(f)
+            if not forms:
+                continue
+            dense = []
+            for f in forms:
+                deg = P1.exponent_multidegree(next(iter(f.terms)))[0]
+                dense.append([f.terms.get((deg - k, k), 0) for k in range(deg + 1)][::-1])
+            at_infinity = all(c[-1] == 0 for c in dense)  # x0^deg coefficient at (1:0)
+            g = _trim(dense[0])
+            for c in dense[1:]:
+                g = _gcd(g, _trim(c))
+            shared = at_infinity or len(g) > 1
+            assert forms_cover_degree(forms, P1) == (not shared), forms
+            outcomes[shared] += 1
+        assert min(outcomes.values()) >= 20
+
+    def test_degree_past_d_star_agrees(self):
+        # an ideal that fills S_{d*} fills every later degree; one that misses
+        # S_{d*} has a common zero and misses every degree
+        rng = random.Random(9)
+        outcomes = {True: 0, False: 0}
+        for trial in range(60):
+            amb = (P2X, PP)[trial % 2]
+            top = 2 if amb is P2X else 1
+            forms = [random_form(rng, amb, random_degree(rng, amb, top), 3)
+                     for _ in range(rng.randint(2, 4))]
+            forms = [p for p in forms if not p.is_zero()]
+            if not forms:
+                continue
+            later = tuple(c + 1 for c in d_star(forms, amb))
+            proved = forms_cover_degree(forms, amb)
+            assert proved == ideal_fills_degree(forms, amb, later), forms
+            outcomes[proved] += 1
+        assert min(outcomes.values()) >= 5
+
+
+def _unit(amb, i):
+    return tuple(int(k == i) for k in range(amb.nvars))
+
+
+def _trim(c):
+    c = list(c)
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _gcd(a, b):
+    """Monic-free gcd of coefficient lists (low degree first) over Q."""
+    while any(b):
+        _, r = poly_divmod(a, b)
+        a, b = b, _trim(r)
+    return a
 
 
 class TestStructure:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,15 @@ from bundlecert.errors import (
     UnsupportedPolarizationError,
     ZeroRankError,
 )
-from bundlecert.monad import ChernData, chern_monad, homology_monad, kernel_monad
+from bundlecert import stability
+from bundlecert.monad import (
+    ChernData,
+    chern_monad,
+    homology_monad,
+    kernel_monad,
+    monad_from_document,
+    restrict_to_fiber,
+)
 from bundlecert.polycore import Ambient
 from bundlecert.stability import (
     CertifyOptions,
@@ -132,10 +141,48 @@ class TestCertify:
         assert k + l <= 2  # inside the s=1 band
 
     def test_unproved_surjectivity_is_inconclusive(self):
-        m = kernel_monad(P2, [-1, -1, -1], [0], [["x + y", "y + z", "z"]], name="nonmono")
+        # every entry vanishes at (1:-1:0), so b is not onto there
+        m = kernel_monad(P2, [-1, -1, -1], [0], [["x + y", "x + y", "z"]], name="nonmono")
         cert = certify(m, H_P2)
         assert cert.verdict == "Inconclusive"
         assert cert.failure["reason"] == "exactness not proved"
+        assert cert.failure["surjectivity_of_b"] == "Unknown"
+
+    def test_quadrics_proved_by_the_section_matrix_are_stable(self):
+        # leading monomials x^2, xz, xy share the zero x = 0; the forms share none
+        m = kernel_monad(P2, [-2, -2, -2], [0], [["x^2 + y*z", "y^2 + x*z", "z^2 + x*y"]])
+        cert = certify(m, H_P2)
+        assert cert.verdict == "Stable"
+        assert "exactness at the ends proved by the monomial cover rule" in cert.notes
+        assert verify_certificate(json.loads(cert.to_json())) == []
+
+    def test_sheared_euler_matches_euler(self):
+        # (x + y, y + z, z) is Euler's row after an automorphism of O(-1)^3
+        sheared = kernel_monad(P2, [-1, -1, -1], [0], [["x + y", "y + z", "z"]], name="cotangent")
+        a, b = certify(euler(), H_P2), certify(sheared, H_P2)
+        assert b.verdict == a.verdict == "Stable"
+        assert b.regions == a.regions
+        assert b.core_checks == a.core_checks
+        assert b.tail_rules == a.tail_rules
+
+
+def test_one_restriction_per_distinct_fiber(monkeypatch):
+    # the tail rule restricts the same fiber for several s and bounds
+    fibers = []
+
+    def spy(m, s, axis, bound, point, tail_vanish=stability.tail_vanish):
+        fibers.append((m, 3 - axis, tuple(point)))
+        return tail_vanish(m, s, axis, bound, point)
+
+    monkeypatch.setattr(stability, "tail_vanish", spy)
+    restrict_to_fiber.cache_clear()
+    inputs = Path(__file__).resolve().parent.parent / "inputs"
+    for name in ("e_rank2", "k_rank3", "k_rank3_n2"):
+        m = monad_from_document(json.loads((inputs / f"{name}.monad").read_text()))
+        assert certify(m, H_PP).verdict == "Stable"
+    info = restrict_to_fiber.cache_info()
+    assert info.misses == len(set(fibers))
+    assert info.hits == len(fibers) - len(set(fibers)) > 0
 
 
 class TestCertificateDocument:
