@@ -112,10 +112,6 @@ class EvenCharacteristicError(BundleCertError):
     pass
 
 
-class CoefficientReductionError(BundleCertError):
-    pass
-
-
 class InsufficientCountsError(BundleCertError):
     pass
 

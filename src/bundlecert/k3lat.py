@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd
 
 from .cohom import h_line_sum
 from .errors import (
@@ -144,42 +144,31 @@ def dependency(classes) -> tuple:
 
 
 def _kernel_vector(rows) -> tuple:
-    """The primitive integer vector spanning the kernel of a rational matrix,
-    with its free coordinate positive; ValueError unless the kernel is
-    one-dimensional."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+    """The primitive integer vector spanning the kernel of an integer matrix
+    with n columns, its last nonzero coordinate positive; ValueError unless
+    the kernel is one-dimensional.
+
+    The signed maximal minors of n-1 rows, v_j = (-1)^j det(those rows
+    without column j), are orthogonal to each of those rows (Laplace
+    expansion of a matrix with a repeated row).  The rule is complete: on a
+    kernel line the rank is n-1, so some n-1 rows give v != 0, their own
+    kernel is a line holding the matrix's, and v spans it; at rank n-2 or
+    below every such v is 0; at rank n a nonzero v is off the kernel, so
+    some row is not orthogonal to it.
+    """
     n = len(rows[0])
-    # fraction Gaussian elimination to a reduced row echelon form
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    for subset in combinations(rows, n - 1):
+        v = [(-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in subset]) for j in range(n)]
+        if any(v):
+            break
+    else:
         raise ValueError("kernel is not one-dimensional")
-    j = free[0]
-    vec = [Fraction(0)] * n
-    vec[j] = Fraction(1)
-    for row, c in zip(rows, pivots):
-        vec[c] = -row[j]
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    if ints[j] < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    if any(sum(a * b for a, b in zip(r, v)) for r in rows):
+        raise ValueError("kernel is not one-dimensional")
+    g = gcd(*v)
+    if next(x for x in reversed(v) if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 # catalogued lattices
@@ -251,8 +240,7 @@ def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: in
         # q(t) = bb + 2t*bd + t^2*dd is concave; integer solutions of q >= -2
         # form a contiguous range around the vertex -bd/dd
         q = lambda t: bb + 2 * t * bd + t * t * dd
-        vertex = Fraction(-bd, dd)
-        t0 = vertex.numerator // vertex.denominator
+        t0 = (-bd) // dd  # floor of the vertex
         t = t0
         while q(t) >= -2:
             out.append(((base[0] + t * direction[0], base[1] + t * direction[1]), delta, q(t)))
@@ -364,7 +352,8 @@ def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: 
                 raise HomogeneityError(i, j, f"expected degree {t - s} on P3")
     zero = RationalPolynomial.zero(QUARTIC_AMBIENT)
     rows = [row + [-f if r == i else zero for r in range(len(tgt))] for i, row in enumerate(E)]
-    M = section_matrix(QUARTIC_AMBIENT, rows, src + [t - 4 for t in tgt], tgt, k)
+    M = section_matrix(QUARTIC_AMBIENT, rows, [(t,) for t in src + [t - 4 for t in tgt]],
+                       [(t,) for t in tgt], (k,))
     return M.kernel_dim() - h_line_sum(QUARTIC_AMBIENT, src, k - 4, 0)
 
 

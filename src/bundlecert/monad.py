@@ -37,9 +37,10 @@ matrix.  Both end in a cover of every monomial of one graded piece, hence
 the one status `ProvedByMonomialCover`.  Unknown means a common zero exists,
 or that the end has rank >= 2, which no rule here decides.
 
-Coefficients are exact rationals.  The input grammar admits integer constants
-only, so every loaded monad is defined over Q and invariant under complex
-conjugation: the real structure holds by construction and needs no check.
+Coefficients are integers: the input grammar admits integer constants only,
+and the polynomial layer stores Python ints.  So every loaded monad is defined
+over Q and invariant under complex conjugation: the real structure holds by
+construction and needs no check.
 """
 from __future__ import annotations
 

@@ -1,5 +1,7 @@
-"""Exact multigraded polynomials, parsing, monomial bases, and sparse exact linear
-algebra: rank by singleton peeling, then fraction-free Bareiss on the core."""
+"""Exact multigraded polynomials with integer coefficients, parsing, monomial
+bases, and sparse integer linear algebra: rank by singleton peeling, then
+fraction-free Bareiss on the core.  Every coefficient and every matrix cell is
+a Python int; ranks and kernels are still those over Q."""
 
 from .linalg import (
     ExactMatrix,

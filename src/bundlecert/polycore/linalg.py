@@ -1,18 +1,19 @@
-"""Exact linear algebra over Q on sparse rows: one dict per row, column ->
-nonzero Fraction (section matrices have a few nonzeros among many cells).
+"""Exact linear algebra on sparse integer rows: one dict per row, column ->
+nonzero int (section matrices have a few nonzeros among many cells).  The
+polynomials the cells come from have integer coefficients, so a rank over Q
+is a rank of an integer matrix.
 
 Rank peels singleton pivots first (structured Gaussian elimination,
 LaMacchia-Odlyzko): if column c has its only nonzero in row i, or row i its
 only nonzero in column c, operations with that pivot clear the rest of its
 row or column, so rank M = 1 + rank(M without row i and column c).  The rule
 reads only the sparsity pattern and is exact over any field.  The core that
-no singleton reaches gets its row denominators cleared and goes to Bareiss
-elimination over the integers; no floating point or prime enters a rank.
+no singleton reaches goes as it is to Bareiss elimination over the integers
+(Bareiss, Math. Comp. 22, 1968); no floating point or prime enters a rank.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .poly import mdeg_add, monomial_basis
 
@@ -21,7 +22,7 @@ from .poly import mdeg_add, monomial_basis
 class ExactMatrix:
     rows: int
     cols: int
-    entries: list  # one dict per row: column -> nonzero Fraction
+    entries: list  # one dict per row: column -> nonzero int
 
     @staticmethod
     def zero(rows: int, cols: int) -> "ExactMatrix":
@@ -58,10 +59,7 @@ class ExactMatrix:
                 del rows[ii][j]
                 todo.append((ii, None))
             peeled += 1
-        core = []
-        for row in filter(None, rows.values()):
-            denom = lcm(*(x.denominator for x in row.values()))
-            core.append([int(row.get(j, 0) * denom) for j, at in cols.items() if at])
+        core = [[row.get(j, 0) for j, at in cols.items() if at] for row in rows.values() if row]
         return peeled + bareiss_rank(core)
 
     def kernel_dim(self) -> int:
@@ -139,10 +137,11 @@ def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> Exa
 
     map_entries is a rows-by-cols nested list of RationalPolynomial on
     `ambient`, rows indexed by target summands and columns by source
-    summands.  Precondition, not checked here: entry (i,j) is homogeneous of
-    multidegree target_i - source_j (or zero).  The caller checks the grading
-    once, where the map is built (a MonadComplex at construction,
-    `k3lat.quartic_h0` per call), not once per twist.
+    summands.  Preconditions, not checked here: every twist and L is a tuple
+    with one component per factor of the ambient, and entry (i,j) is
+    homogeneous of multidegree target_i - source_j (or zero).  The caller
+    establishes both once, where the map is built (a MonadComplex at
+    construction, `k3lat.quartic_h0` per call), not once per twist.
     Columns are ordered by source summand then basis order, rows likewise.
     The result holds only the nonzero cells.
     """
@@ -150,12 +149,8 @@ def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> Exa
         raise ValueError("row count differs from target rank")
     if any(len(row) != len(source_twists) for row in map_entries):
         raise ValueError("column count differs from source rank")
-    src = [ambient.normalize_degree(t) for t in source_twists]
-    tgt = [ambient.normalize_degree(t) for t in target_twists]
-    L = ambient.normalize_degree(L)
-
-    src_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in src]
-    tgt_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in tgt]
+    src_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in source_twists]
+    tgt_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in target_twists]
 
     col_offsets = [sum(map(len, src_bases[:j])) for j in range(len(src_bases))]
     ncols = sum(map(len, src_bases))

@@ -1,15 +1,18 @@
-"""Exact multigraded polynomials over the rationals.
+"""Exact multigraded polynomials with integer coefficients.
 
 A polynomial lives on an Ambient (a projective space or a product of two),
-and is stored as a map from exponent vectors to exact coefficients.  Each
+and is stored as a map from exponent vectors to nonzero Python ints.  Each
 variable carries a multidegree that is a standard basis vector of Z^g, where
 g is the number of projective factors, so homogeneity is decidable per term.
+
+The input grammar has integer constants only and no operation here divides,
+so the algebra is exact over Q with no rational type: a polynomial is an
+element of Q[x] whose coefficients are integers.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -124,17 +127,15 @@ def mdeg_sub(a: MultiDegree, b: MultiDegree) -> MultiDegree:
 
 
 def _coeff(value):
-    """Normalize a coefficient: exact rationals stay exact, ints are lifted."""
-    if isinstance(value, Fraction):
-        return value
+    """A coefficient is a Python int; a rational or a float is refused."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
 class RationalPolynomial:
-    """Sparse exact polynomial: exponent vector -> nonzero coefficient."""
+    """Sparse exact polynomial: exponent vector -> nonzero int coefficient."""
 
     ambient: Ambient
     terms: dict
@@ -155,7 +156,7 @@ class RationalPolynomial:
         i = ambient.var_index(name)
         e = [0] * ambient.nvars
         e[i] = 1
-        return RationalPolynomial(ambient, {tuple(e): Fraction(1)})
+        return RationalPolynomial(ambient, {tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -166,7 +167,7 @@ class RationalPolynomial:
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):
             return self.ambient == other.ambient and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == RationalPolynomial.constant(self.ambient, other)
         return NotImplemented
 
@@ -178,7 +179,7 @@ class RationalPolynomial:
             raise AmbientMismatchError("polynomials on different ambients")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalPolynomial):
             other = RationalPolynomial.constant(self.ambient, other)
         self._check_same_ambient(other)
         terms = dict(self.terms)
@@ -196,12 +197,12 @@ class RationalPolynomial:
         return RationalPolynomial(self.ambient, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalPolynomial):
             other = RationalPolynomial.constant(self.ambient, other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalPolynomial):
             c0 = _coeff(other)
             if not c0:
                 return RationalPolynomial.zero(self.ambient)
@@ -235,15 +236,15 @@ class RationalPolynomial:
         d = self.ambient.normalize_degree(d)
         return all(self.ambient.exponent_multidegree(e) == d for e in self.terms)
 
-    def evaluate(self, point) -> Fraction:
-        """The exact value at a point given by one coordinate per variable."""
-        total = Fraction(0)
+    def evaluate(self, point) -> int:
+        """The exact value at an integer point given by one coordinate per variable."""
+        total = 0
         for exps, c in self.terms.items():
-            v = Fraction(1)
+            v = c
             for x, e in zip(point, exps):
                 if e:
-                    v *= Fraction(x) ** e
-            total += c * v
+                    v *= x ** e
+            total += v
         return total
 
     def substitute(self, assignment: dict, result_ambient: Ambient) -> "RationalPolynomial":
@@ -276,7 +277,7 @@ class RationalPolynomial:
         return out
 
     def render(self) -> str:
-        """Canonical printing; reparses to the same polynomial for integer coefficients."""
+        """Canonical printing; reparses to the same polynomial."""
         if not self.terms:
             return "0"
         names = self.ambient.variables
@@ -291,12 +292,7 @@ class RationalPolynomial:
                     factors.append(f"{name}^{e}")
             neg = c < 0
             a = -c if neg else c
-            coeff_txt = None
-            if a.denominator == 1:
-                if a.numerator != 1 or not factors:
-                    coeff_txt = str(a.numerator)
-            else:
-                coeff_txt = f"{a.numerator}/{a.denominator}"  # not in the input grammar
+            coeff_txt = str(a) if a != 1 or not factors else None
             mono = "*".join(([coeff_txt] if coeff_txt else []) + factors)
             parts.append(("-" if neg else "+", mono))
         sign, mono = parts[0]

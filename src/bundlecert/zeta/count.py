@@ -50,7 +50,6 @@ from time import perf_counter
 import numpy as np
 
 from ..errors import (
-    CoefficientReductionError,
     EvenCharacteristicError,
     ThreadCountError,
     ValidationError,
@@ -68,11 +67,7 @@ def curve_coefficients(f: RationalPolynomial, p: int):
         raise ValidationError("branch curve must be a nonzero form of bidegree (4,4)")
     A = [[0] * 5 for _ in range(5)]
     for exps, c in f.terms.items():
-        if c.denominator != 1:
-            raise CoefficientReductionError(
-                f"coefficient {c} is not an integer; cannot reduce mod {p}"
-            )
-        A[exps[1]][exps[3]] = (A[exps[1]][exps[3]] + c.numerator) % p
+        A[exps[1]][exps[3]] = (A[exps[1]][exps[3]] + c) % p
     return A
 
 

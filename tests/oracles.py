@@ -14,7 +14,9 @@ family's middle coefficients by rational remainders and a rational solve
 in the coordinate ring (vs the lifted section matrix of `k3lat.quartic_h0`),
 and fiber counts and specialized coefficients one point at a time through
 `field.exp` and `field.log` (vs the blocked log-domain Horner of
-`zeta.count`).
+`zeta.count`), and the kernel vector of an integer matrix by a fraction
+reduced row echelon form (vs the signed maximal minors of
+`k3lat._kernel_vector`).
 
 The last section holds helpers only tests use, moved out of `src/` with
 their logic unchanged.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from bundlecert.cohom import SECTION_KERNEL, _kernel_result
 from bundlecert.errors import HomogeneityError, ValidationError
@@ -61,6 +63,44 @@ def gauss_rank(rows) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def rref_kernel_vector(rows) -> tuple:
+    """The primitive integer vector spanning the kernel of a rational matrix,
+    with its free coordinate positive, by a fraction reduced row echelon form;
+    ValueError unless the kernel is one-dimensional."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    n = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise ValueError("kernel is not one-dimensional")
+    j = free[0]
+    vec = [Fraction(0)] * n
+    vec[j] = Fraction(1)
+    for row, c in zip(rows, pivots):
+        vec[c] = -row[j]
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    if ints[j] < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
 
 
 def count_double_cover_f3(coeffs_mod3) -> int:
@@ -350,7 +390,7 @@ class QuarticRing:
 
     f: RationalPolynomial
     lead: tuple = field(init=False)
-    lead_coeff: Fraction = field(init=False)
+    lead_coeff: int = field(init=False)
 
     def __post_init__(self):
         if self.f.ambient != QUARTIC_AMBIENT:
@@ -376,25 +416,25 @@ class QuarticRing:
         assert len(out) == self.hilbert(d)
         return out
 
-    def reduce(self, p: RationalPolynomial) -> RationalPolynomial:
-        """Normal form modulo f: eliminate every monomial divisible by the head."""
-        terms = dict(p.terms)
+    def reduce(self, terms: dict) -> dict:
+        """Normal form modulo f of a polynomial given as its terms (exponent
+        vector -> coefficient): eliminate every monomial divisible by the head,
+        in rational arithmetic on plain term dicts."""
+        terms = {e: Fraction(c) for e, c in terms.items()}
         while True:
             divisible = [e for e in terms if all(a >= b for a, b in zip(e, self.lead))]
             if not divisible:
-                break
+                return terms
             e = max(divisible)
-            c = terms[e]
+            q = terms[e] / self.lead_coeff
             quot = tuple(a - b for a, b in zip(e, self.lead))
-            factor = monomial(QUARTIC_AMBIENT, quot, c / self.lead_coeff)
-            reducer = factor * self.f
-            for ee, cc in reducer.terms.items():
-                s = terms.get(ee, Fraction(0)) - cc
+            for ef, cf in self.f.terms.items():
+                ee = tuple(a + b for a, b in zip(quot, ef))
+                s = terms.get(ee, 0) - q * cf
                 if s:
                     terms[ee] = s
                 else:
                     terms.pop(ee, None)
-        return RationalPolynomial(QUARTIC_AMBIENT, terms)
 
 
 def quartic_h0(ring: QuarticRing, entries, source_twists, target_twists, k: int) -> int:
@@ -423,13 +463,11 @@ def quartic_h0(ring: QuarticRing, entries, source_twists, target_twists, k: int)
     for j, sb in enumerate(src_bases):
         for mono in sb:
             mono_poly = monomial(QUARTIC_AMBIENT, mono)
-            for i, row in enumerate(entries):
-                p = row[j]
-                if p.is_zero():
-                    continue
-                prod = ring.reduce(p * mono_poly)
-                for e, c in prod.terms.items():
-                    M.add(row_pos[i][e], col, c)
+            cells = [(row_pos[i][e], c) for i, row in enumerate(entries)
+                     for e, c in ring.reduce((row[j] * mono_poly).terms).items()]
+            scale = lcm(*(c.denominator for _, c in cells))  # a column scaling keeps the rank
+            for r, c in cells:
+                M.add(r, col, int(c * scale))
             col += 1
     return M.kernel_dim()
 
@@ -452,12 +490,12 @@ def from_rows(rows) -> ExactMatrix:
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged rows")
-    entries = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
+    entries = [{j: _coeff(x) for j, x in enumerate(r) if x} for r in rows]
     return ExactMatrix(len(rows), ncols, entries)
 
 
 def identity_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix(n, n, [{i: Fraction(1)} for i in range(n)])
+    return ExactMatrix(n, n, [{i: 1} for i in range(n)])
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from bundlecert import cli, zeta
-from bundlecert.polycore import parse_poly
+from bundlecert import cli, cohom, k3lat, monad, zeta
+from bundlecert.polycore import parse_poly, section_matrix
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -83,6 +83,25 @@ def test_certify_is_byte_stable(capsys, name, polarization):
     )
     assert code == cli.EXIT_OK
     assert sha256(out) == CERTIFICATE_SHA256[name, polarization]
+
+
+def test_section_matrix_cells_are_ints(capsys, monkeypatch):
+    # every matrix certify and quartic-run build on the shipped inputs
+    cells = []
+
+    def spy(*args):
+        M = section_matrix(*args)
+        cells.extend(v for row in M.entries for v in row.values())
+        return M
+
+    for module in (cohom, k3lat, monad):
+        monkeypatch.setattr(module, "section_matrix", spy)
+    for name, polarization in sorted(CERTIFICATE_SHA256):
+        code, _, _ = run(capsys, "certify", "--monad", INPUTS / f"{name}.monad",
+                         "--polarization", polarization, "--format", "json")
+        assert code == cli.EXIT_OK
+    assert run(capsys, "quartic-run", "--surface", INPUTS / "quartic.json")[0] == cli.EXIT_OK
+    assert cells and all(type(v) is int for v in cells)
 
 
 @pytest.mark.parametrize("name", sorted(SCALED_SHA256))

@@ -1,6 +1,6 @@
 """Every name a module under src/ imports is used in it or re-exported by __all__,
 every __all__ entry is bound in its module, no module under src/ imports random,
-and the certify path loads no numpy."""
+only stability.py imports fractions, and the certify path loads no numpy."""
 import ast
 import importlib
 import os
@@ -51,6 +51,14 @@ def test_no_module_under_src_imports_random():
     found = [f"{path.relative_to(SRC)} {name}" for path in sorted(SRC.rglob("*.py"))
              for name in imported_modules(path) if name.split(".")[0] == "random"]
     assert found == []
+
+
+def test_only_stability_imports_fractions():
+    # coefficients, matrix cells and kernel vectors are ints; a slope is the
+    # one rational value, and its str is in every certificate
+    found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+             for name in imported_modules(path) if name.split(".")[0] == "fractions"]
+    assert found == ["bundlecert/stability.py"]
 
 
 def test_every_all_entry_is_bound():

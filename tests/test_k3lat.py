@@ -14,6 +14,7 @@ from bundlecert.k3lat import (
     U,
     U2,
     GramLattice,
+    _kernel_vector,
     bracket,
     curve_class_candidates,
     dependency,
@@ -29,7 +30,7 @@ from bundlecert.k3lat import (
 )
 from bundlecert.monad import ChernData
 from bundlecert.polycore import parse_poly
-from oracles import QuarticRing, gram_det, is_even, span1
+from oracles import QuarticRing, gauss_rank, gram_det, is_even, rref_kernel_vector, span1
 from oracles import quartic_h0 as normal_form_h0
 
 FX = "-x*(x + z - w)*(x*w - y*z) + z*(x + z)*(x*y - z^2) + (x*y + w^2)*(y^2 - z*w)"
@@ -102,6 +103,31 @@ class TestGramAndDependency:
         assert det == 0
         # R = 2 E1 + 2 E2
         assert dependency(classes) in ((-2, -2, 1), (2, 2, -1))
+
+    def test_kernel_vector_matches_the_rref_oracle(self):
+        # integer matrices of rank n - 2, n - 1 and n: the same vector where
+        # the kernel is a line, a refusal from both everywhere else
+        rng = random.Random(12)
+        seen = {-2: 0, -1: 0, 0: 0}
+        for _ in range(600):
+            n = rng.randint(2, 5)
+            r = rng.choice([n - 2, n - 1, n])
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(max(r, 1), 6))]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            rows = [[sum(row[k] * right[k][c] for k in range(r)) for c in range(n)] for row in left]
+            outcomes = []
+            for kernel_vector in (_kernel_vector, rref_kernel_vector):
+                try:
+                    outcomes.append(kernel_vector(rows))
+                except ValueError:
+                    outcomes.append(None)
+            rank = gauss_rank(rows)
+            assert all(len(row) == n for row in rows)
+            assert outcomes[0] == outcomes[1]
+            assert (outcomes[0] is not None) == (rank == n - 1)
+            if rank >= n - 2:
+                seen[rank - n] += 1
+        assert all(count >= 50 for count in seen.values()), seen
 
     def test_rank2_det(self):
         E1, E2 = U2.basis_class(0), U2.basis_class(1)
@@ -196,10 +222,10 @@ class TestQuartic:
     def test_reduce_idempotent(self):
         ring = QuarticRing(parse_poly(FX, QUARTIC_AMBIENT))
         p = parse_poly("x^5*w + y^2*z^4", QUARTIC_AMBIENT)
-        r = ring.reduce(p)
+        r = ring.reduce(p.terms)
         assert ring.reduce(r) == r
         # reduction preserves the residue class: difference divisible by f
-        assert all(not all(a >= b for a, b in zip(e, ring.lead)) for e in r.terms)
+        assert all(not all(a >= b for a, b in zip(e, ring.lead)) for e in r)
 
     def test_h0_at_10(self):
         f = parse_poly(FX, QUARTIC_AMBIENT)
