@@ -11,6 +11,9 @@ quartic-run, count-points and picard-bound to FILE instead of stdout; h0 and
 verify print to stdout only.  quartic-run certifies ker(O(-1)^3 -> O) on a
 quartic X = Z(f) in P3 and refuses a document with other twists.
 
+A negative twist on P1 x P1 is written `h0 --twist=-1,-1`: argparse reads a
+separate `-1,-1` as an option, not as the value.
+
 picard-bound makes 9 counts over F_{p^n}, n = 1..9, and at most one at
 n = 10, so it needs p^10 <= 2^20 (p = 3).  Its document, like a stability or
 quartic certificate, records the inputs `verify` re-runs it from.
@@ -67,11 +70,6 @@ def _parse_point(text: str) -> tuple:
     return (int(a), int(b))
 
 
-def _monad_and_ambient(path: str):
-    doc = _load_json(path)
-    return monad_from_document(doc), doc
-
-
 def _surface_text(doc) -> str:
     """The (4,4) branch form of a surface document (or of a picard-bound
     document's `input`)."""
@@ -82,16 +80,16 @@ def _surface_text(doc) -> str:
 
 def _picard_bound_document(polynomial: str, p: int, threads: int = 1) -> dict:
     """run_picard_bound on the branch form, with the inputs its replay reads."""
-    from .zeta import check_field, run_picard_bound
+    from .zeta import HALF, check_field, run_picard_bound
 
-    check_field(p, 10)  # before the first count: the last one may be over F_{p^10}
+    check_field(p, HALF)  # before the first count: the last one may be over F_{p^HALF}
     doc = run_picard_bound(parse_poly(polynomial, SURFACE_AMBIENT), p, threads=threads)
     doc["input"] = {"polynomial": polynomial, "prime": p}
     return doc
 
 
 def cmd_certify(args) -> int:
-    m, _ = _monad_and_ambient(args.monad)
+    m = monad_from_document(_load_json(args.monad))
     H = Polarization(m.ambient, _parse_twist(args.polarization))
     opts = CertifyOptions(
         fiber_points=(_parse_point(args.fiber_point), _parse_point(args.fiber_point)),
@@ -115,7 +113,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_h0(args) -> int:
-    m, _ = _monad_and_ambient(args.monad)
+    m = monad_from_document(_load_json(args.monad))
     res = h0_monad(m, args.exterior, _parse_twist(args.twist))
     if res.exact:
         sys.stdout.write(f"{res.value}\n")
@@ -125,7 +123,7 @@ def cmd_h0(args) -> int:
 
 
 def cmd_chern(args) -> int:
-    m, _ = _monad_and_ambient(args.monad)
+    m = monad_from_document(_load_json(args.monad))
     c = chern_monad(m)
     doc = {"rank": c.rank, "c1": list(c.c1), "c2": c.c2}
     if args.cover == "double":
@@ -290,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("h0", help="h^0 of (an exterior power of) a monad bundle")
     p.add_argument("--monad", required=True)
-    p.add_argument("--twist", required=True, help='"k" or "k,l"')
+    p.add_argument("--twist", required=True,
+                   help='"k" or "k,l"; a negative twist is written --twist=-1,-1')
     p.add_argument("--exterior", type=int, default=1)
     p.set_defaults(fn=cmd_h0)
 

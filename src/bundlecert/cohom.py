@@ -67,35 +67,24 @@ class CohomResult:
         return self.lo
 
 
-def h_line_p1(d: int, i: int) -> int:
+def _h_line_pn(n: int, k: int, i: int) -> int:
+    """h^i(P^n, O(k)) by Bott's formula: only h^0 and h^n can be nonzero."""
     if i == 0:
-        return d + 1 if d >= 0 else 0
-    if i == 1:
-        return -d - 1 if d <= -2 else 0
-    raise IndexOutOfRangeError(f"h^{i} on P1")
+        return comb(n + k, n) if k >= 0 else 0
+    if i == n:
+        return comb(-k - 1, n) if k <= -n - 1 else 0
+    return 0
 
 
 def h_line(ambient: Ambient, d, i: int) -> int:
-    """h^i of a line bundle: closed form on P^n, Künneth on P1 x P1."""
+    """h^i of a line bundle: Bott's formula on P^n, Künneth on P1 x P1."""
     d = ambient.normalize_degree(d)
     if i < 0 or i > ambient.dim:
         raise IndexOutOfRangeError(f"h^{i} outside 0..{ambient.dim}")
     if ambient.arity == 1:
-        n = ambient.dims[0]
-        k = d[0]
-        if i == 0:
-            return comb(n + k, n) if k >= 0 else 0
-        if i == n:
-            kk = -k - n - 1
-            return comb(n + kk, n) if kk >= 0 else 0
-        return 0
+        return _h_line_pn(ambient.dims[0], d[0], i)
     if ambient.dims == (1, 1):
-        total = 0
-        for p in range(i + 1):
-            q = i - p
-            if p <= 1 and q <= 1:
-                total += h_line_p1(d[0], p) * h_line_p1(d[1], q)
-        return total
+        return sum(_h_line_pn(1, d[0], a) * _h_line_pn(1, d[1], i - a) for a in range(i + 1))
     raise AmbientMismatchError("h_line implemented for P^n and P1 x P1")
 
 

@@ -431,14 +431,11 @@ def monad_from_document(doc: dict) -> MonadComplex:
 
 def monad_to_document(m: MonadComplex) -> dict:
     """Serialize in the canonical document coordinates (default variable names)."""
+    # the canonical ambient has the same shape, so only the names change
     canonical = ambient_from_document(ambient_to_document(m.ambient))
-    rename = {
-        old: RationalPolynomial.variable(canonical, new)
-        for old, new in zip(m.ambient.variables, canonical.variables)
-    }
 
     def render(p: RationalPolynomial) -> str:
-        return p.substitute(rename, canonical).render()
+        return RationalPolynomial(canonical, p.terms).render()
 
     def twists_out(F):
         if m.ambient.arity == 1:

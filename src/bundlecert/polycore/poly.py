@@ -248,19 +248,12 @@ class RationalPolynomial:
         return total
 
     def substitute(self, assignment: dict, result_ambient: Ambient) -> "RationalPolynomial":
-        """Substitute some variables by constants or polynomials on result_ambient.
+        """Substitute integers for some variables.
 
         Unsubstituted variables must exist (by name) in result_ambient.
         """
-        values = {}
-        for name, val in assignment.items():
+        for name in assignment:
             self.ambient.var_index(name)  # raises AmbientMismatchError if absent
-            if isinstance(val, RationalPolynomial):
-                if val.ambient != result_ambient:
-                    raise AmbientMismatchError("substituted value on wrong ambient")
-                values[name] = val
-            else:
-                values[name] = RationalPolynomial.constant(result_ambient, val)
         out = RationalPolynomial.zero(result_ambient)
         names = self.ambient.variables
         for exps, c in self.terms.items():
@@ -268,11 +261,10 @@ class RationalPolynomial:
             for name, e in zip(names, exps):
                 if e == 0:
                     continue
-                if name in values:
-                    factor = values[name]
+                if name in assignment:
+                    term = term * assignment[name] ** e
                 else:
-                    factor = RationalPolynomial.variable(result_ambient, name)
-                term = term * factor ** e
+                    term = term * RationalPolynomial.variable(result_ambient, name) ** e
             out = out + term
         return out
 

@@ -33,6 +33,7 @@ from .monad import (
     ChernData,
     MonadComplex,
     chern_monad,
+    is_list_of,
     monad_from_document,
     monad_to_document,
     validate,
@@ -348,11 +349,6 @@ def _run_band(m, s, region, cert, options) -> dict | None:
     return None
 
 
-def _is_ints(value, length=None) -> bool:
-    return (isinstance(value, list) and all(isinstance(x, int) for x in value)
-            and length in (None, len(value)))
-
-
 def _read_inputs(doc) -> tuple:
     """The monad, polarization and options a certificate records.  Only these
     are read before the re-run; a wrong JSON type raises DocumentError."""
@@ -361,11 +357,12 @@ def _read_inputs(doc) -> tuple:
     inp = doc.get("input")
     if not (isinstance(inp, dict) and isinstance(inp.get("monad"), dict)):
         raise DocumentError("'input' and 'input.monad' must be JSON objects")
-    if not _is_ints(doc.get("polarization")):
+    if not is_list_of(doc.get("polarization"), lambda x: isinstance(x, int)):
         raise DocumentError("'polarization' must be a list of integers")
     opts = inp.get("options")
     points = opts.get("fiber_points") if isinstance(opts, dict) else None
-    if not (isinstance(points, list) and len(points) == 2 and all(_is_ints(p, 2) for p in points)):
+    if not (is_list_of(points, lambda pt: is_list_of(pt, lambda x: isinstance(x, int))
+                       and len(pt) == 2) and len(points) == 2):
         raise DocumentError("'input.options.fiber_points' must be two [int, int]")
     margin = opts.get("margin")
     if not (margin is None or isinstance(margin, int)):

@@ -1,20 +1,27 @@
 """From point counts to a geometric Picard-rank upper bound.
 
-Pipeline: traces t_i = N_i - 1 - p^{2i} are power sums of the 22 Frobenius
-eigenvalues on middle cohomology; subtracting p^i per known algebraic class
-leaves the power sums of a degree-(22 - k_alg) factor Q.  Newton's identities
-convert them to elementary symmetric functions, and the Weil functional
-equation T^d Q(p^2/T) = ±p^d Q(T) completes the remaining coefficients.  With
-exactly d/2 - 1 power sums the minus sign determines Q outright (the middle
-coefficient is forced to zero) while the plus sign leaves a one-parameter
-family in the middle coefficient.
+One shape: H^2 of the double cover of P1 x P1 has dimension H2_DIM = 22, and
+the U(2) of the two pulled-back rulings is the only part known to be
+algebraic (K_ALG = 2).  Taking p^i per class out of each trace
+t_i = N_i - 1 - p^{2i} leaves the power sums of a Weil factor Q of degree
+DEGREE = 20.  Nine counts (n = 1..HALF - 1) give e_1..e_9 by Newton's
+identities, and the functional equation T^20 Q(p^2/T) = ±p^20 Q(T) gives
+every other coefficient except e_HALF = e_10: the minus sign forces it to
+zero, and the plus sign leaves a one-parameter family in that slot, which
+the tenth count, over F_{p^10}, pins.
 
-Every completed candidate must pass an exact all-roots-on-|z| = p test
-(self-inversive reduction u = S + 1/S, squarefree part, Sturm count on
+Other k_alg values are refused rather than supported: no other classes are
+known to be algebraic, and the single free slot and the sign of its pinned
+coefficient, (-1)^h e_h with h = HALF even, hold for degree 20 only.  With
+k_alg = 0 or 4, h is odd; with an odd k_alg there is no single middle slot.
+
+Every trace must pass the Weil bound |t_i| <= 22 p^i before a profile
+exists.  Every completed candidate must pass an exact all-roots-on-|z| = p
+test (self-inversive reduction u = S + 1/S, squarefree part, Sturm count on
 [-2, 2]).  The whole layer runs in Z[T]: R(S) = Q(pS)/p^d is scaled by p^d,
 every cyclotomic is monic, and the gcd and the Sturm chain are primitive
 pseudo-remainder sequences, so no step needs a rational or a float.  The
-rank bound adds to k_alg the maximum number of roots of the form
+rank bound adds to K_ALG the maximum number of roots of the form
 p * (root of unity) over surviving candidates, counted by trial division of
 Q(pT) by cyclotomic polynomials.  For the underdetermined plus-sign family,
 a cyclotomic divisor pins the middle coefficient by a linear condition, so
@@ -35,6 +42,9 @@ from ..errors import (
 )
 
 H2_DIM = 22
+K_ALG = 2  # the U(2) of the two pulled-back rulings
+DEGREE = H2_DIM - K_ALG  # of the Weil factor Q
+HALF = DEGREE // 2  # the free slot of the plus-sign family, and the pinning count
 WEIL_TRACE_FACTOR = 22  # |t_i| <= 22 p^i
 
 
@@ -133,12 +143,11 @@ def newton_elementary_from_power_sums(power_sums) -> list:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A degree-d factor of the Frobenius characteristic polynomial."""
+    """A degree-DEGREE factor of the Frobenius characteristic polynomial."""
 
     sign: int  # functional-equation sign
     kind: str  # "complete" | "family"
-    coeffs: tuple  # ascending; for a family, the middle slot holds 0
-    middle_index: int | None = None  # set for families: the free coefficient slot
+    coeffs: tuple  # ascending; for a family, the free slot T^HALF holds 0
     status: str = "candidate"  # "surviving" | "discarded"
     reason: str = ""
 
@@ -147,39 +156,18 @@ class Candidate:
         return len(self.coeffs) - 1
 
 
-def complete_with_functional_equation(e_known, d: int, p: int, sign: int):
-    """Coefficients of Q from e_1..e_m and e_{d-j} = sign * p^{d-2j} e_j.
+def complete_with_functional_equation(e_known, p: int, sign: int):
+    """Coefficients of Q from e_1..e_{HALF-1} and e_{DEGREE-j} = sign * p^{DEGREE-2j} e_j.
 
-    Returns (coeffs ascending, kind, middle_index).  Requires m >= d/2 - 1.
+    e_HALF is set to 0: sign -1 forces it (e_HALF = -e_HALF), and for sign +1
+    it is the family's free slot.  Returns (coeffs ascending, kind).
     """
-    m = len(e_known)
-    h = d // 2
-    if m < h - 1:
-        raise InsufficientCountsError(f"need at least {h - 1} counts, got {m}")
-    e = [0] * (d + 1)
-    e[0] = 1
-    for j in range(1, min(m, h) + 1):
-        if j <= m:
-            e[j] = e_known[j - 1]
-    kind = "complete"
-    middle_index = None
-    if m < h:  # middle coefficient undetermined
-        if sign == -1:
-            e[h] = 0  # forced: e_h = -e_h
-            kind = "complete"
-        else:
-            e[h] = 0  # free slot
-            kind = "family"
-            middle_index = d - h  # ascending index of T^{d-h}
-    for j in range(0, h):
-        e[d - j] = sign * p ** (d - 2 * j) * e[j]
-    if sign == -1 and m >= h and e[h] != 0:
-        raise NoConsistentCandidateError("middle coefficient nonzero under sign -1")
-    # ascending coefficients: coeff of T^{d-j} is (-1)^j e_j
-    coeffs = [0] * (d + 1)
-    for j in range(d + 1):
-        coeffs[d - j] = (-1) ** j * e[j]
-    return tuple(coeffs), kind, middle_index
+    e = [1, *e_known] + [0] * (HALF + 1)
+    for j in range(HALF):
+        e[DEGREE - j] = sign * p ** (DEGREE - 2 * j) * e[j]
+    # ascending coefficients: coeff of T^{DEGREE-j} is (-1)^j e_j
+    coeffs = tuple((-1) ** j * e[j] for j in range(DEGREE, -1, -1))
+    return coeffs, "family" if sign == 1 else "complete"
 
 
 # --- exact all-roots-on-the-circle test ------------------------------------------
@@ -291,14 +279,14 @@ def unit_root_count(coeffs, p: int) -> int:
 
 @dataclass
 class ZetaProfile:
+    """Traces, reduced power sums and e_1.. of counts that passed the Weil audit."""
+
     p: int
     counts: list
-    k_alg: int
-    traces: list = field(default_factory=list)
-    reduced_power_sums: list = field(default_factory=list)
-    elementary: list = field(default_factory=list)
+    traces: list
+    reduced_power_sums: list
+    elementary: list
     candidates: list = field(default_factory=list)
-    weil_audit_ok: bool = True
 
     def surviving(self) -> list:
         return [c for c in self.candidates if c.status == "surviving"]
@@ -307,12 +295,12 @@ class ZetaProfile:
         return {
             "schema": "picard-bound-profile/1",
             "p": self.p,
-            "k_alg": self.k_alg,
+            "k_alg": K_ALG,
             "counts": list(self.counts),
             "traces": list(self.traces),
             "reduced_power_sums": list(self.reduced_power_sums),
             "elementary_symmetric": list(self.elementary),
-            "weil_audit_ok": self.weil_audit_ok,
+            "weil_audit_ok": True,
             "candidates": [
                 {
                     "sign": c.sign,
@@ -326,41 +314,56 @@ class ZetaProfile:
         }
 
 
-def traces_from_counts(counts, p: int) -> list:
-    return [N - 1 - p ** (2 * i) for i, N in enumerate(counts, start=1)]
-
-
-def assemble_charpoly(counts, p: int, k_alg: int = 2) -> ZetaProfile:
-    """Build candidate characteristic-polynomial factors from 9 point counts."""
-    counts = list(counts)
-    if len(counts) != (H2_DIM - k_alg) // 2 - 1:
-        raise InsufficientCountsError(
-            f"expected {(H2_DIM - k_alg) // 2 - 1} counts, got {len(counts)}"
-        )
-    if k_alg > 4:
-        raise ValueError("k_alg must be at most 4")
-    profile = ZetaProfile(p=p, counts=counts, k_alg=k_alg)
-    profile.traces = traces_from_counts(counts, p)
-    for i, t in enumerate(profile.traces, start=1):
+def profile_from_counts(counts, p: int) -> ZetaProfile:
+    """Traces, each audited against the Weil bound, reduced power sums and
+    e_1..e_m by Newton's identities, from the counts over F_{p^n}, n = 1..m."""
+    traces = [N - 1 - p ** (2 * i) for i, N in enumerate(counts, start=1)]
+    for i, t in enumerate(traces, start=1):
         if abs(t) > WEIL_TRACE_FACTOR * p ** i:
-            profile.weil_audit_ok = False
             raise NoConsistentCandidateError(
                 f"trace t_{i} = {t} violates the Weil bound {WEIL_TRACE_FACTOR}*{p}^{i}"
             )
-    profile.reduced_power_sums = [
-        t - k_alg * p ** i for i, t in enumerate(profile.traces, start=1)
-    ]
-    profile.elementary = newton_elementary_from_power_sums(profile.reduced_power_sums)
-    d = H2_DIM - k_alg
+    power_sums = [t - K_ALG * p ** i for i, t in enumerate(traces, start=1)]
+    return ZetaProfile(p, counts, traces, power_sums, newton_elementary_from_power_sums(power_sums))
+
+
+def assemble_charpoly(counts, p: int, k_alg: int = K_ALG) -> ZetaProfile:
+    """Build candidate characteristic-polynomial factors from HALF - 1 = 9 point counts."""
+    if k_alg != K_ALG:
+        raise ValueError(f"k_alg must be {K_ALG}, the rank of the U(2) of the rulings")
+    counts = list(counts)
+    if len(counts) != HALF - 1:
+        raise InsufficientCountsError(f"expected {HALF - 1} counts, got {len(counts)}")
+    profile = profile_from_counts(counts, p)
     for sign in (1, -1):
-        coeffs, kind, middle = complete_with_functional_equation(
-            profile.elementary, d, p, sign
-        )
-        cand = Candidate(sign=sign, kind=kind, coeffs=coeffs, middle_index=middle)
-        profile.candidates.append(_vet(cand, p))
+        coeffs, kind = complete_with_functional_equation(profile.elementary, p, sign)
+        profile.candidates.append(_vet(Candidate(sign=sign, kind=kind, coeffs=coeffs), p))
     if not profile.surviving():
         raise NoConsistentCandidateError("both functional-equation signs discarded")
     return profile
+
+
+def resolve_family_with_count(profile: ZetaProfile, extra_count: int) -> ZetaProfile:
+    """Pin the plus-sign family's middle coefficient with the count over F_{p^HALF}.
+
+    The tenth count goes through the same audit and Newton's identities as
+    the first nine; its e_HALF fills the free slot, turning the family into a
+    complete candidate (re-vetted by the circle test).
+    """
+    out = profile_from_counts(profile.counts + [extra_count], profile.p)
+    middle = (-1) ** HALF * out.elementary[HALF - 1]
+    for cand in profile.candidates:
+        if cand.kind != "family":
+            out.candidates.append(cand)
+            continue
+        coeffs = list(cand.coeffs)
+        coeffs[HALF] = middle
+        if all_roots_on_circle(coeffs, profile.p, cand.sign):
+            status, reason = "surviving", "circle test passed (pinned middle)"
+        else:
+            status, reason = "discarded", "pinned middle fails the circle test"
+        out.candidates.append(Candidate(cand.sign, "complete", tuple(coeffs), status, reason))
+    return out
 
 
 def _vet(cand: Candidate, p: int) -> Candidate:
@@ -380,9 +383,9 @@ def family_completions(cand: Candidate, p: int) -> list:
     Any completion whose polynomial has a root p*zeta must have the scaled
     cyclotomic as a divisor of Q(pT) = W0 + e * p^mid T^mid, a linear
     condition on e per cyclotomic; collect the finitely many integer
-    solutions.
+    solutions.  The free slot is T^(degree/2).
     """
-    mid = cand.middle_index
+    mid = cand.degree // 2
     w0 = [c * p ** j for j, c in enumerate(cand.coeffs)]
     t_mid = [0] * mid + [p ** mid]
     out = set()
@@ -426,7 +429,7 @@ class RankBoundResult:
 
 
 def rank_upper_bound(profile: ZetaProfile) -> RankBoundResult:
-    """k_alg + max over surviving candidates of the unit-root multiplicity."""
+    """K_ALG + max over surviving candidates of the unit-root multiplicity."""
     survivors = profile.surviving()
     if not survivors:
         raise NoCandidateError("no surviving characteristic-polynomial candidate")
@@ -455,4 +458,4 @@ def rank_upper_bound(profile: ZetaProfile) -> RankBoundResult:
                 )
             )
         best = max(best, contrib)
-    return RankBoundResult(bound=profile.k_alg + best, per_candidate=per)
+    return RankBoundResult(bound=K_ALG + best, per_candidate=per)

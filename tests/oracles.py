@@ -360,7 +360,7 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
 def family_completions(cand, p: int) -> list:
     """(e, coeffs) for every integer middle coefficient e that lets a
     cyclotomic Phi_k divide Q(pT), by solving r0 + e r1 = 0 over Q."""
-    mid = cand.middle_index
+    mid = cand.degree // 2
     w0 = [c * p ** j for j, c in enumerate(cand.coeffs)]
     t_mid = [0] * mid + [p ** mid]
     out = set()

@@ -1,0 +1,20 @@
+"""The benchmark calls the program through `bench/child.py`; a change to that
+API (a dropped keyword, a renamed function) must fail here, not only there."""
+import importlib
+import json
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_counts_to_bound_runs_a_charpoly_case(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    child = importlib.import_module("child")
+    gen = importlib.import_module("gen")
+    name, case = gen.charpoly_cases(1)[1]  # one unit-root factor: the tenth count is used
+    doc = child.counts_to_bound(case["counts"], case["p"])
+    assert "disambiguation" in doc
+    assert doc["rank_upper_bound"] == case["known_bound"]
+    (job,) = [j for j in child._charpoly_jobs(1) if j.name == name]
+    refs = json.loads(child.REFERENCES.read_text())
+    assert job.check(job.render(doc), refs) is None

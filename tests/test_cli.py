@@ -431,15 +431,24 @@ def _polarization_not_integers(doc):
     return doc
 
 
+def _fiber_points(points):
+    def edit(doc):
+        doc["input"]["options"]["fiber_points"] = points
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: [1], lambda doc: {"schema": 5},
     lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
     _margin_not_an_integer, _polarization_not_integers,
+    _fiber_points([0, 1]), _fiber_points([[0, 1], [0]]), _fiber_points([[0, "1"], [0, 1]]),
     lambda doc: {"schema": "picard-bound-profile/1", "input": {"polynomial": 5, "prime": 3}},
     lambda doc: {"schema": "picard-bound-profile/1", "input": {"polynomial": B44, "prime": "3"}},
     lambda doc: {"schema": "picard-bound-profile/1", "input": {"polynomial": B44, "prime": 1031}},
 ], ids=["top-level-list", "schema-not-a-string", "quartic-surface-not-a-string",
-        "margin-not-an-integer", "polarization-not-integers", "picard-polynomial-not-a-string",
+        "margin-not-an-integer", "polarization-not-integers", "fiber-points-not-pairs",
+        "fiber-point-too-short", "fiber-point-not-integers", "picard-polynomial-not-a-string",
         "picard-prime-not-an-integer", "picard-prime-above-the-field-cap"])
 def test_verify_rejects_a_malformed_certificate(capsys, tmp_path, k_rank3_certificate, edit):
     """Fields the re-run reads must have the right JSON type."""

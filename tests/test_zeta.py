@@ -504,7 +504,7 @@ class TestCircleOracle:
                 continue
             coeffs = list(Q)
             coeffs[mid] = 0
-            cand = Candidate(sign=1, kind="family", coeffs=tuple(coeffs), middle_index=mid)
+            cand = Candidate(sign=1, kind="family", coeffs=tuple(coeffs))
             got = family_completions(cand, p)
             assert got == oracles.family_completions(cand, p)
             for e, completed in got:
@@ -522,7 +522,7 @@ class TestCircleOracle:
             p = rng.choice([3, 5, 7])
             coeffs = [rng.randint(-5, 5) for _ in range(20)] + [1]
             coeffs[10] = 0
-            cand = Candidate(sign=1, kind="family", coeffs=tuple(coeffs), middle_index=10)
+            cand = Candidate(sign=1, kind="family", coeffs=tuple(coeffs))
             assert family_completions(cand, p) == oracles.family_completions(cand, p)
 
 
@@ -530,3 +530,49 @@ class TestNewton:
     def test_non_integral_value_is_refused(self):
         with pytest.raises(NoConsistentCandidateError, match="1/2"):
             newton_elementary_from_power_sums([1, 0])
+
+
+# --- the one shape: 9 counts, a tenth to pin, every trace audited -------------------
+
+WITNESS_P = 3
+WITNESS_A = [5, -3, -5, 2, -1, 2, -6, -2, 6, 4]
+
+
+def witness_counts():
+    """N_n = 1 + 3^(2n) + 2*3^n + p_n(Q), n = 1..10, for Q = prod (T^2 - aT + 9)."""
+    Q = [1]
+    for a in WITNESS_A:
+        Q = poly_mul(Q, quad(a, WITNESS_P))
+    p = WITNESS_P
+    return [1 + p ** (2 * n) + 2 * p**n + s for n, s in enumerate(power_sums(Q, 10), start=1)]
+
+
+class TestWeilAudit:
+    def test_the_tenth_count_is_audited(self):
+        # the shift is a multiple of 10, so Newton's identities stay integral and
+        # only the audit can refuse it: |t_10| ~ 5.9e11 > 22 * 3^10 = 1,299,078
+        counts = witness_counts()
+        counts[9] += 10**7 * WITNESS_P**10
+        profile = zeta.assemble_charpoly(counts[:9], WITNESS_P)
+        assert zeta.rank_upper_bound(profile).bound == 8
+        with pytest.raises(NoConsistentCandidateError, match=r"t_10 = \d+ violates the Weil bound"):
+            zeta.resolve_family_with_count(profile, counts[9])
+
+    def test_the_first_count_is_audited(self):
+        counts = witness_counts()[:9]
+        counts[0] += 22 * WITNESS_P + 1  # t_1 = 8 + 67 > 22 * 3
+        with pytest.raises(NoConsistentCandidateError, match=r"t_1 = 75 violates the Weil bound"):
+            zeta.assemble_charpoly(counts, WITNESS_P)
+
+
+class TestShape:
+    @pytest.mark.parametrize("k_alg", [0, 1, 3, 4])
+    def test_other_k_alg_is_refused(self, k_alg):
+        with pytest.raises(ValueError, match="k_alg must be 2"):
+            zeta.assemble_charpoly(witness_counts()[:9], WITNESS_P, k_alg=k_alg)
+
+    def test_k_alg_2_by_keyword_is_the_default(self):
+        counts = witness_counts()[:9]
+        by_keyword = zeta.assemble_charpoly(counts, WITNESS_P, k_alg=2)
+        assert by_keyword.to_document() == zeta.assemble_charpoly(counts, WITNESS_P).to_document()
+        assert by_keyword.to_document()["k_alg"] == 2
