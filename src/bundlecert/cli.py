@@ -6,13 +6,17 @@ are JSON with fixed field names; output is byte-stable for fixed inputs and
 options.
 
 `certify` prints a text summary, or the certificate with `--format json`.
+certify and quartic-run return their certificate as the JSON document itself,
+and every JSON artifact is printed by `Document.to_json`, the one canonical
+rendering.
 `--out FILE` writes the main artifact of certify, chern, lattice,
 quartic-run, count-points and picard-bound to FILE instead of stdout; h0 and
 verify print to stdout only.  quartic-run certifies ker(O(-1)^3 -> O) on a
 quartic X = Z(f) in P3 and refuses a document with other twists.
 
-A negative twist on P1 x P1 is written `h0 --twist=-1,-1`: argparse reads a
-separate `-1,-1` as an option, not as the value.
+A negative twist on P1 x P1 is written `h0 --twist=-1,-1`, and a negative
+lattice class `lattice --class=-1,2`: argparse reads a separate `-1,-1` as an
+option, not as the value.
 
 picard-bound makes 9 counts over F_{p^n}, n = 1..9, and at most one at
 n = 10, so it needs p^10 <= 2^20 (p = 3).  Its document, like a stability or
@@ -30,7 +34,7 @@ import sys
 from . import k3lat
 from .cohom import h0_monad
 from .errors import BundleCertError, DocumentError
-from .monad import chern_monad, is_list_of, monad_from_document
+from .monad import Document, chern_monad, is_list_of, monad_from_document
 from .polycore import Ambient, parse_poly
 from .stability import (
     CertifyOptions,
@@ -99,17 +103,18 @@ def cmd_certify(args) -> int:
     if args.format == "json" or args.out:
         _emit(cert.to_json(), args.out)
     if args.format == "text":
+        c = cert["chern"]
         lines = [
-            f"bundle: {cert.bundle}",
-            f"chern: rank {cert.chern.rank}, c1 {list(cert.chern.c1)}, c2 {cert.chern.c2}",
-            f"slope: {cert.slope}",
-            f"core checks: {len(cert.core_checks)}, tail rules: {len(cert.tail_rules)}",
-            f"verdict: {cert.verdict}",
+            f"bundle: {cert['bundle']}",
+            f"chern: rank {c['rank']}, c1 {c['c1']}, c2 {c['c2']}",
+            f"slope: {cert['slope']}",
+            f"core checks: {len(cert['core_checks'])}, tail rules: {len(cert['tail_rules'])}",
+            f"verdict: {cert['verdict']}",
         ]
-        if cert.failure:
-            lines.append(f"failure: {json.dumps(cert.failure, sort_keys=True)}")
+        if cert["failure"]:
+            lines.append(f"failure: {json.dumps(cert['failure'], sort_keys=True)}")
         sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if cert.verdict == "Stable" else EXIT_INCONCLUSIVE
+    return EXIT_OK if cert["verdict"] == "Stable" else EXIT_INCONCLUSIVE
 
 
 def cmd_h0(args) -> int:
@@ -125,7 +130,7 @@ def cmd_h0(args) -> int:
 def cmd_chern(args) -> int:
     m = monad_from_document(_load_json(args.monad))
     c = chern_monad(m)
-    doc = {"rank": c.rank, "c1": list(c.c1), "c2": c.c2}
+    doc = Document(rank=c.rank, c1=list(c.c1), c2=c.c2)
     if args.cover == "double":
         cc = k3lat.pullback_chern(c)
         doc["cover"] = {
@@ -133,7 +138,7 @@ def cmd_chern(args) -> int:
             "c1": f"pullback of O({list(cc.c1)})",
             "c2": cc.c2,
         }
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(doc.to_json(), args.out)
     return EXIT_OK
 
 
@@ -199,7 +204,7 @@ def cmd_lattice(args) -> int:
             }
     elif sub == "expected-dim":
         out = {"expected_dim": k3lat.expected_dim(args.rank, args.c1sq, args.c2)}
-    _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(Document(out).to_json(), args.out)
     if out.get("verdict") == "Unknown":
         return EXIT_INCONCLUSIVE
     return EXIT_OK
@@ -217,7 +222,7 @@ def cmd_quartic_run(args) -> int:
         raise DocumentError("quartic-run supports 'source' [-1, -1, -1] and 'target' [0] only")
     cert = k3lat.quartic_region_run(doc["surface"], tuple(section_map))
     _emit(cert.to_json(), args.out)
-    return EXIT_OK if cert.verdict == "Stable" else EXIT_INCONCLUSIVE
+    return EXIT_OK if cert["verdict"] == "Stable" else EXIT_INCONCLUSIVE
 
 
 def cmd_count_points(args) -> int:
@@ -238,7 +243,7 @@ def cmd_count_points(args) -> int:
 def cmd_picard_bound(args) -> int:
     polynomial = _surface_text(_load_json(args.surface))
     result = _picard_bound_document(polynomial, args.prime, threads=args.threads)
-    _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(Document(result).to_json(), args.out)
     return EXIT_OK
 
 
@@ -252,7 +257,7 @@ def cmd_verify(args) -> int:
     elif schema.startswith("quartic-certificate"):
         if not isinstance(doc.get("surface"), str):
             raise DocumentError("a quartic certificate needs the surface as a string")
-        problems = document_mismatches(k3lat.quartic_region_run(doc["surface"]).to_document(), doc)
+        problems = document_mismatches(k3lat.quartic_region_run(doc["surface"]), doc)
     elif schema.startswith("picard-bound-profile"):
         inp = doc.get("input")
         polynomial = _surface_text(inp)
@@ -305,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", default="quartic-452",
                    help="catalogue name (U, U2, quartic-452) or a JSON file")
     p.add_argument("--class", dest="classes", action="append", default=[],
-                   help='class coordinates, e.g. "1,0" (repeatable)')
+                   help='class coordinates, e.g. "1,0" (repeatable); a negative class is '
+                        'written --class=-1,2')
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--c1sq", type=int, default=0)
     p.add_argument("--c2", type=int, default=0)

@@ -10,11 +10,11 @@ Sections on X come from the one section-matrix builder of `polycore`: a
 kernel over the coordinate ring R = S/(f) lifts to a kernel of [E | -f·I]
 on P3, and the lifts of zero, (f·u, E·u), are counted in closed form (see
 `quartic_h0`).  The quartic run derives the base point of its section map,
-the common zero of three linear forms, by exact linear algebra.
+the common zero of three linear forms, by exact linear algebra, and returns
+its certificate as the JSON document that `verify` compares with a re-run.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -26,7 +26,7 @@ from .errors import (
     LatticeMismatchError,
     OddSquareError,
 )
-from .monad import ChernData
+from .monad import ChernData, Document
 from .polycore import (
     Ambient,
     RationalPolynomial,
@@ -202,11 +202,9 @@ def pullback_chern(c: ChernData) -> ChernData:
 
 @dataclass(frozen=True)
 class EffectivityCertificate:
-    cls: tuple
     rule: str  # "zero-class" | "nonpositive-degree" | "no-decomposition"
     degree: int
     candidates: tuple = ()
-    detail: str = ""
 
 
 def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: int) -> list:
@@ -287,13 +285,13 @@ def not_effective_cert(D: LatticeClass, H: LatticeClass) -> EffectivityCertifica
         raise ValueError("H must have positive self-intersection")
     deg = pair(D, H)
     if D.is_zero():
-        return EffectivityCertificate(D.coords, "zero-class", 0, detail="the zero class is not a curve class")
+        return EffectivityCertificate("zero-class", 0)
     if deg <= 0:
-        return EffectivityCertificate(D.coords, "nonpositive-degree", deg)
+        return EffectivityCertificate("nonpositive-degree", deg)
     raw = curve_class_candidates(D.lattice, H, deg)
     if _decomposes(D.coords, deg, raw):
         return None
-    return EffectivityCertificate(D.coords, "no-decomposition", deg, candidates=tuple(raw))
+    return EffectivityCertificate("no-decomposition", deg, candidates=tuple(raw))
 
 
 def _decomposes(target, budget, candidates) -> bool:
@@ -357,32 +355,6 @@ def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: 
     return M.kernel_dim() - h_line_sum(QUARTIC_AMBIENT, src, k - 4, 0)
 
 
-@dataclass
-class QuarticCertificate:
-    surface: str
-    basepoint_value: str
-    h0_checks: list  # [(k, l, value)]
-    strata: list  # descriptions of the uniform rules
-    sample_points: list  # [(k, l, rule)]
-    verdict: str
-    lattice: dict
-
-    def to_document(self) -> dict:
-        return {
-            "schema": "quartic-certificate/1",
-            "surface": self.surface,
-            "basepoint_value": self.basepoint_value,
-            "core_checks": [{"twist": [k, l], "h0": v} for k, l, v in self.h0_checks],
-            "strata": self.strata,
-            "sample_points": [{"twist": [k, l], "rule": r} for k, l, r in self.sample_points],
-            "verdict": self.verdict,
-            "lattice": self.lattice,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
-
-
 def _base_point(forms) -> tuple:
     """The one common zero on P3 of three linear forms, as a primitive integer
     vector."""
@@ -400,15 +372,17 @@ def _base_point(forms) -> tuple:
         ) from None
 
 
-def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> QuarticCertificate:
+def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:
     """Stability verification for the rank-2 kernel bundle on the quartic.
 
     The bundle is ker(map: O(-1)^3 -> O) restricted to X = Z(f), where the map
     is three linear forms, (x, y, w) by default; it is locally free when their
-    one common zero lies off X.  Its slope region {4k + 5l <= 6} is covered by one direct section-kernel check at
-    (1,0) and by effectivity obstructions for every other integer point,
-    stratified by the H-degree of the would-be effective class
-    (k-1)H + lC, which is 4k + 5l - 4 <= 2 throughout the region.
+    one common zero lies off X.  Its slope region {4k + 5l <= 6} is covered by
+    one direct section-kernel check at (1,0) and by effectivity obstructions
+    for every other integer point, stratified by the H-degree of the would-be
+    effective class (k-1)H + lC, which is 4k + 5l - 4 <= 2 throughout the
+    region.  Returns the certificate: the document `verify` compares with its
+    re-run.
     """
     f = parse_poly(f_text, QUARTIC_AMBIENT)
     _check_quartic(f)
@@ -427,7 +401,6 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> QuarticCerti
     C = lattice.basis_class(1)
 
     h0_10 = quartic_h0(f, [forms], [-1, -1, -1], [0], 1)
-    checks = [(1, 0, h0_10)]
     ok = h0_10 == 0
 
     # strata by degree d = deg((k-1)H + lC) = 4k + 5l - 4 <= 2
@@ -462,20 +435,18 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> QuarticCerti
             if 4 * k + 5 * l > 6:
                 continue
             if (k, l) == (1, 0):
-                samples.append((k, l, "section-kernel"))
-                continue
-            D = (k - 1) * H + l * C
-            cert = not_effective_cert(D, H)
-            if cert is None:
-                ok = False
-                samples.append((k, l, "unknown"))
+                rule = "section-kernel"
             else:
-                samples.append((k, l, cert.rule))
+                cert = not_effective_cert((k - 1) * H + l * C, H)
+                ok = ok and cert is not None
+                rule = "unknown" if cert is None else cert.rule
+            samples.append({"twist": [k, l], "rule": rule})
 
-    return QuarticCertificate(
+    return Document(
+        schema="quartic-certificate/1",
         surface=f_text,
         basepoint_value=str(val),
-        h0_checks=checks,
+        core_checks=[{"twist": [1, 0], "h0": h0_10}],
         strata=strata,
         sample_points=samples,
         verdict="Stable" if ok else "Inconclusive",

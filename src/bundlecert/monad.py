@@ -44,6 +44,7 @@ construction and needs no check.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -385,6 +386,15 @@ def ambient_to_document(amb: Ambient) -> dict:
     if amb.arity == 1:
         return {"type": "projective", "dim": amb.dims[0]}
     return {"type": "product_projective", "dims": list(amb.dims)}
+
+
+class Document(dict):
+    """A JSON document a command prints: a certificate, or the result of chern
+    or lattice.  Its one rendering is canonical, so a document is byte-stable
+    for fixed inputs."""
+
+    def to_json(self) -> str:
+        return json.dumps(self, sort_keys=True, indent=2) + "\n"
 
 
 def is_list_of(value, ok) -> bool:

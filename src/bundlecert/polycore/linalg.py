@@ -67,15 +67,32 @@ class ExactMatrix:
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination.
+    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+    return _bareiss(rows)[0]
+
+
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix, fraction-free."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("not square")
+    rank, sign, pivot = _bareiss(rows)
+    return sign * pivot if rank == n else 0
+
+
+def _bareiss(rows) -> tuple:
+    """(rank, sign of the row swaps, last pivot) of Bareiss elimination.
 
     All divisions are exact (Sylvester's identity); column skips for
-    rank-deficient steps keep that property.
+    rank-deficient steps keep that property.  On a square matrix of full rank
+    no column is skipped, and the last pivot is the determinant up to the
+    sign of the swaps; on the empty matrix it is 1.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     r = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
         piv = None
@@ -87,6 +104,7 @@ def bareiss_rank(rows) -> int:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         pv = m[r][c]
         for i in range(r + 1, nrows):
             t = m[i][c]
@@ -98,38 +116,7 @@ def bareiss_rank(rows) -> int:
         r += 1
         if r == nrows:
             break
-    return r
-
-
-def bareiss_det(rows) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in m):
-        raise ValueError("not square")
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = None
-        for i in range(c, n):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        pv = m[c][c]
-        for i in range(c + 1, n):
-            t = m[i][c]
-            for j in range(c + 1, n):
-                m[i][j] = (pv * m[i][j] - t * m[c][j]) // prev
-            m[i][c] = 0
-        prev = pv
-    return sign * m[n - 1][n - 1]
+    return r, sign, prev
 
 
 def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> ExactMatrix:

@@ -9,10 +9,12 @@ downward propagation (multiplication by a section of an effective divisor
 class is injective on sections of a torsion-free sheaf).  Only the sufficient
 direction is used: a nonzero h^0 yields Inconclusive, never "unstable".
 
-A certificate records the monad, polarization and options it was made from.
-verify re-runs certify on them and compares the whole result with the
-document, so a certificate that leaves out an obligation, or claims a
-verdict its checks do not support, differs from its re-run.
+certify builds the certificate as a JSON document while it runs, and returns
+that document.  A certificate records the monad, polarization and options it
+was made from.  verify re-runs certify on them and compares the document it
+returns with the recorded one, field by field, so a certificate that leaves
+out an obligation, or claims a verdict its checks do not support, differs
+from its re-run.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .errors import (
 )
 from .monad import (
     ChernData,
+    Document,
     MonadComplex,
     chern_monad,
     is_list_of,
@@ -80,117 +83,19 @@ def slope(c: ChernData, H: Polarization) -> Fraction:
     return Fraction(H.degree(c.c1), c.rank)
 
 
-@dataclass(frozen=True)
-class Region:
-    """The set {L : deg_H(L) <= -s·μ}, described by one integer bound."""
-
-    s: int
-    kind: str  # "halfline" (P^n) or "band" (P1xP1, H ∝ O(1,1))
-    bound: int  # max k on P^n; max k+l on the product
-
-
-def twist_region(c: ChernData, s: int, H: Polarization) -> Region:
-    """Integer description of {deg_H(L) <= -s·μ(E)}."""
+def twist_region(c: ChernData, s: int, H: Polarization) -> int:
+    """The integer bound of {deg_H(L) <= -s·μ(E)}: the region is every L whose
+    components sum to at most the bound (a half-line on P^n, a band on
+    P1 x P1)."""
     if not 1 <= s <= c.rank - 1:
         raise ValueError(f"s must lie in 1..{c.rank - 1}")
     if not H.is_balanced:
         raise UnsupportedPolarizationError(
             "twist regions are implemented for multiples of O(1) / O(1,1)"
         )
-    mu = slope(c, H)
-    h = H.coords[0]
-    # deg_H(L) = h * (sum of L's components); the region is componentsum <= bound
-    bound = -s * mu / h
-    bound_int = bound.numerator // bound.denominator  # exact floor
-    if c.rank and len(H.coords) == 1:
-        return Region(s, "halfline", bound_int)
-    return Region(s, "band", bound_int)
-
-
-@dataclass
-class CoreCheck:
-    s: int
-    twist: tuple
-    h0_lo: int
-    h0_hi: int
-    method: str
-    witness: dict
-
-
-@dataclass
-class TailRule:
-    s: int
-    axis: int
-    bound: int
-    point: tuple
-    witness: dict
-
-
-@dataclass
-class Propagation:
-    s: int
-    source: tuple
-    description: str
-
-
-@dataclass
-class StabilityCertificate:
-    bundle: str
-    chern: ChernData
-    slope: Fraction
-    polarization: tuple
-    regions: dict  # s -> Region
-    core_checks: list
-    tail_rules: list
-    propagations: list
-    verdict: str
-    failure: dict | None
-    notes: list
-    monad_document: dict
-    options: dict
-
-    def to_document(self) -> dict:
-        return {
-            "schema": "stability-certificate/1",
-            "bundle": self.bundle,
-            "chern": {"rank": self.chern.rank, "c1": list(self.chern.c1), "c2": self.chern.c2},
-            "slope": str(self.slope),
-            "polarization": list(self.polarization),
-            "regions": {
-                str(s): {"kind": r.kind, "bound": r.bound} for s, r in self.regions.items()
-            },
-            "core_checks": [
-                {
-                    "s": c.s,
-                    "twist": list(c.twist),
-                    "h0": [c.h0_lo, c.h0_hi],
-                    "method": c.method,
-                    "witness": c.witness,
-                }
-                for c in self.core_checks
-            ],
-            "tail_rules": [
-                {
-                    "s": t.s,
-                    "axis": t.axis,
-                    "bound": t.bound,
-                    "point": list(t.point),
-                    "witness": t.witness,
-                }
-                for t in self.tail_rules
-            ],
-            "monotone_propagations": [
-                {"s": p.s, "from": list(p.source), "covers": p.description}
-                for p in self.propagations
-            ],
-            "verdict": self.verdict,
-            "failure": self.failure,
-            "notes": self.notes,
-            "input": {"monad": self.monad_document, "options": self.options},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
+    # deg_H(L) = h * (sum of L's components), h = H.coords[0]
+    bound = -s * slope(c, H) / H.coords[0]
+    return bound.numerator // bound.denominator  # exact floor
 
 
 TAIL_FLOOR = -6  # the lowest tail bound the fiber-descent search tries
@@ -218,113 +123,95 @@ _GIESEKER_NOTE = (
 )
 
 
-def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = None) -> StabilityCertificate:
-    """Run the full vanishing verification and assemble a certificate."""
+def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = None) -> Document:
+    """Run the full vanishing verification and return the certificate: the
+    document `verify` compares with its re-run."""
     options = options or CertifyOptions()
     if m.ambient != H.ambient:
         raise ValidationError("polarization ambient differs from the monad's")
 
     report = validate(m)
     chern = chern_monad(m)
-    mu = slope(chern, H)
-
-    notes = [_GIESEKER_NOTE]
+    cert = Document(
+        schema="stability-certificate/1",
+        bundle=m.name or "monad-bundle",
+        chern={"rank": chern.rank, "c1": list(chern.c1), "c2": chern.c2},
+        slope=str(slope(chern, H)),
+        polarization=list(H.coords),
+        regions={},
+        core_checks=[],
+        tail_rules=[],
+        monotone_propagations=[],
+        verdict=INCONCLUSIVE,
+        failure=None,
+        notes=[_GIESEKER_NOTE],
+        input={"monad": monad_to_document(m), "options": options.to_dict()},
+    )
     if not report.exactness_proved:
-        cert = _base_certificate(m, H, chern, mu, notes, options)
-        cert.verdict = INCONCLUSIVE
-        cert.failure = {
+        cert["failure"] = {
             "reason": "exactness not proved",
             "surjectivity_of_b": report.surjectivity_of_b.status,
             "injectivity_of_a": report.injectivity_of_a.status,
         }
         return cert
-    notes.append("exactness at the ends proved by the monomial cover rule")
+    cert["notes"].append("exactness at the ends proved by the monomial cover rule")
 
-    cert = _base_certificate(m, H, chern, mu, notes, options)
     try:
         for s in range(1, chern.rank):
-            region = twist_region(chern, s, H)
-            cert.regions[s] = region
+            bound = twist_region(chern, s, H)
             if m.ambient.arity == 1:
-                fail = _run_halfline(m, s, region, cert)
+                cert["regions"][str(s)] = {"kind": "halfline", "bound": bound}
+                fail = _run_halfline(m, s, bound, cert)
             else:
-                fail = _run_band(m, s, region, cert, options)
+                cert["regions"][str(s)] = {"kind": "band", "bound": bound}
+                fail = _run_band(m, s, bound, cert, options)
             if fail is not None:
-                cert.verdict = INCONCLUSIVE
-                cert.failure = fail
+                cert["failure"] = fail
                 return cert
     except (FiberNotVanishingError, UnsupportedOperationError) as e:
-        cert.verdict = INCONCLUSIVE
-        cert.failure = {"reason": type(e).__name__, "detail": str(e)}
+        cert["failure"] = {"reason": type(e).__name__, "detail": str(e)}
         return cert
 
-    cert.verdict = STABLE
+    cert["verdict"] = STABLE
     return cert
 
 
-def _base_certificate(m, H, chern, mu, notes, options) -> StabilityCertificate:
-    return StabilityCertificate(
-        bundle=m.name or "monad-bundle",
-        chern=chern,
-        slope=mu,
-        polarization=H.coords,
-        regions={},
-        core_checks=[],
-        tail_rules=[],
-        propagations=[],
-        verdict=INCONCLUSIVE,
-        failure=None,
-        notes=notes,
-        monad_document=monad_to_document(m),
-        options=options.to_dict(),
-    )
-
-
 def _record_check(cert, s, twist, res) -> dict | None:
-    cert.core_checks.append(
-        CoreCheck(s, tuple(twist), res.lo, res.hi, res.method, res.witness)
-    )
+    cert["core_checks"].append({"s": s, "twist": list(twist), "h0": [res.lo, res.hi],
+                                "method": res.method, "witness": res.witness})
     if res.hi != 0:
-        return {
-            "reason": "nonzero h0 upper bound",
-            "s": s,
-            "twist": list(twist),
-            "h0": [res.lo, res.hi],
-        }
+        return {"reason": "nonzero h0 upper bound", "s": s, "twist": list(twist),
+                "h0": [res.lo, res.hi]}
     return None
 
 
-def _run_halfline(m, s, region, cert) -> dict | None:
-    k_max = region.bound
-    res = h0_monad(m, s, (k_max,))
-    fail = _record_check(cert, s, (k_max,), res)
+def _run_halfline(m, s, bound, cert) -> dict | None:
+    fail = _record_check(cert, s, (bound,), h0_monad(m, s, (bound,)))
     if fail:
         return fail
-    cert.propagations.append(
-        Propagation(s, (k_max,), f"all k <= {k_max} by downward monotonicity")
+    cert["monotone_propagations"].append(
+        {"s": s, "from": [bound], "covers": f"all k <= {bound} by downward monotonicity"}
     )
     return None
 
 
-def _run_band(m, s, region, cert, options) -> dict | None:
-    bound = region.bound
+def _run_band(m, s, bound, cert, options) -> dict | None:
     tail_bounds = []
     for axis in (1, 2):
         point = options.fiber_points[axis - 1]
-        t = -1
-        rule = None
-        while t >= TAIL_FLOOR:
+        for t in range(-1, TAIL_FLOOR - 1, -1):
             try:
                 res = tail_vanish(m, s, axis, t, point)
-                rule = TailRule(s, axis, t, tuple(point), res.witness)
                 break
             except FiberNotVanishingError:
-                t -= 1
-        if rule is None:
+                pass
+        else:
             raise FiberNotVanishingError(
                 tuple(point), f"no tail bound above the floor {TAIL_FLOOR} (s={s})"
             )
-        cert.tail_rules.append(rule)
+        cert["tail_rules"].append(
+            {"s": s, "axis": axis, "bound": t, "point": list(point), "witness": res.witness}
+        )
         tail_bounds.append(t)
 
     t1, t2 = tail_bounds
@@ -343,9 +230,8 @@ def _run_band(m, s, region, cert, options) -> dict | None:
         if fail:
             return fail
     for kl in covered:
-        cert.propagations.append(
-            Propagation(s, (kl[0], bound - kl[0]), f"covers {kl} by downward monotonicity")
-        )
+        cert["monotone_propagations"].append({"s": s, "from": [kl[0], bound - kl[0]],
+                                              "covers": f"covers {kl} by downward monotonicity"})
     return None
 
 
@@ -403,5 +289,5 @@ def verify_certificate(doc: dict) -> list:
     DocumentError.
     """
     m, H, options = _read_inputs(doc)
-    return document_mismatches(certify(m, H, options).to_document(), doc)
+    return document_mismatches(certify(m, H, options), doc)
 

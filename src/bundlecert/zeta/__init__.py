@@ -80,6 +80,6 @@ def run_picard_bound(f, p: int, threads: int = 1) -> dict:
         doc["final_bound"] = first.to_document()
     doc["lower_bound"] = {
         "value": K_ALG,
-        "source": "catalogued pullback classes spanning U(2) = [0 2 0]",
+        "source": "pullbacks of the two rulings of P1 x P1, spanning U(2) = [0 2 0]",
     }
     return doc

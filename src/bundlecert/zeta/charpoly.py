@@ -338,8 +338,6 @@ def assemble_charpoly(counts, p: int, k_alg: int = K_ALG) -> ZetaProfile:
     for sign in (1, -1):
         coeffs, kind = complete_with_functional_equation(profile.elementary, p, sign)
         profile.candidates.append(_vet(Candidate(sign=sign, kind=kind, coeffs=coeffs), p))
-    if not profile.surviving():
-        raise NoConsistentCandidateError("both functional-equation signs discarded")
     return profile
 
 

@@ -16,7 +16,8 @@ and fiber counts and specialized coefficients one point at a time through
 `field.exp` and `field.log` (vs the blocked log-domain Horner of
 `zeta.count`), and the kernel vector of an integer matrix by a fraction
 reduced row echelon form (vs the signed maximal minors of
-`k3lat._kernel_vector`).
+`k3lat._kernel_vector`), and determinants by the Leibniz sum over
+permutations (vs the fraction-free elimination of `polycore.bareiss_det`).
 
 The last section holds helpers only tests use, moved out of `src/` with
 their logic unchanged.
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from itertools import permutations
+from math import comb, gcd, lcm, prod
 
 from bundlecert.cohom import SECTION_KERNEL, _kernel_result
 from bundlecert.errors import HomogeneityError, ValidationError
@@ -63,6 +65,17 @@ def gauss_rank(rows) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def leibniz_det(rows) -> int:
+    """Determinant as the signed sum over all permutations (Leibniz); the sign
+    is the parity of the permutation's inversions."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
 
 
 def rref_kernel_vector(rows) -> tuple:
@@ -213,21 +226,22 @@ def fiber_count(field, coeffs) -> int:
 
 
 def audit_coverage(cert, window: int = 8) -> bool:
-    """Every lattice point of each twist region of a StabilityCertificate
-    inside a finite window is justified by a core check, a propagation from a
-    checked point, or a tail rule."""
-    for s, region in cert.regions.items():
-        checks = {tuple(c.twist) for c in cert.core_checks if c.s == s and c.h0_hi == 0}
-        props = [p for p in cert.propagations if p.s == s]
-        tails = [(t.axis, t.bound) for t in cert.tail_rules if t.s == s]
-        if region.kind == "halfline":
-            pts = [(k,) for k in range(region.bound - window, region.bound + 1)]
+    """Every lattice point of each twist region of a stability certificate
+    document inside a finite window is justified by a core check, a
+    propagation from a checked point, or a tail rule."""
+    for key, region in cert["regions"].items():
+        s, bound = int(key), region["bound"]
+        checks = {tuple(c["twist"]) for c in cert["core_checks"] if c["s"] == s and c["h0"][1] == 0}
+        props = [tuple(p["from"]) for p in cert["monotone_propagations"] if p["s"] == s]
+        tails = [(t["axis"], t["bound"]) for t in cert["tail_rules"] if t["s"] == s]
+        if region["kind"] == "halfline":
+            pts = [(k,) for k in range(bound - window, bound + 1)]
         else:
             pts = [
                 (k, l)
                 for k in range(-window, window + 1)
                 for l in range(-window, window + 1)
-                if k + l <= region.bound
+                if k + l <= bound
             ]
         for pt in pts:
             if tuple(pt) in checks:
@@ -235,8 +249,8 @@ def audit_coverage(cert, window: int = 8) -> bool:
             if any(pt[axis - 1] <= b for axis, b in tails):
                 continue
             covered = False
-            for p in props:
-                if all(a <= b for a, b in zip(pt, p.source)) and tuple(p.source) in checks:
+            for source in props:
+                if all(a <= b for a, b in zip(pt, source)) and source in checks:
                     covered = True
                     break
             if not covered:

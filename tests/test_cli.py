@@ -24,7 +24,7 @@ CERTIFICATE_SHA256 = {
 }
 QUARTIC_SHA256 = "7d21f8dd13ab4c84a7dc4ac65b1beb5b0b8b7f41b24fe1ae0a267f9c3b2f6eef"
 # sha256 of `picard-bound --surface b44.poly --prime 3` output without its `input` field
-B44_BOUND_SHA256 = "f258a80d9db2419ac4cbe9011f233d860aa96e04a72e092a18d7893152300d5f"
+B44_BOUND_SHA256 = "2896ad88c5f4461c765642d7b29d2899a091d2bd4f82acd0b32e81c3fc3d4cbf"
 
 B44 = json.loads((INPUTS / "b44.poly").read_text())["polynomial"]
 EDITED_B44 = B44.replace("+ 2*x0^4*y1^4", "+ x0^4*y1^4")
@@ -250,6 +250,70 @@ def test_h0_exterior_out_of_range_exits_1(capsys, name, s, allowed):
                          "--exterior", s)
     assert code == cli.EXIT_ERROR
     assert out == "" and err == f"error: s = {s} is out of range: {allowed}\n"
+
+
+# When a is injective and b onto on sections at the twist,
+# h0(E(L)) = h0(B(L)) - h0(C(L)) - h0(A(L)), with h0(O_P2(d)) = C(d+2, 2) and
+# h0(O(k,l)) = (k+1)(l+1) on P1 x P1 (Bott)
+@pytest.mark.parametrize("name,twist,h0", [
+    ("euler", "2", 3),  # 3 h0(O(1)) - h0(O(2)) = 9 - 6
+    ("euler", "3", 8),  # 3 h0(O(2)) - h0(O(3)) = 18 - 10
+    ("k_rank3", "2,2", 7),  # 4 h0(O(1,1)) - h0(O(2,2)) = 16 - 9
+    ("e_rank2", "1,1", 11),  # 2 h0(O(2,1)) + 2 h0(O(1,2)) - h0(O(2,2)) - h0(O(1,1)) = 24 - 9 - 4
+])
+def test_h0_prints_the_dimension(capsys, name, twist, h0):
+    code, out, err = run(capsys, "h0", "--monad", INPUTS / f"{name}.monad", f"--twist={twist}")
+    assert code == cli.EXIT_OK
+    assert out == f"{h0}\n" and err == ""
+
+
+def canonical(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# c(E) = c(B) / (c(A) c(C)), with h^2 = 1 on P2 and a^2 = b^2 = 0, ab = 1 on
+# P1 x P1; the double cover doubles c2
+@pytest.mark.parametrize("name,cover,doc", [
+    ("euler", (), {"rank": 2, "c1": [-3], "c2": 3}),  # (1 - h)^3
+    ("euler", ("--cover", "double"), {"rank": 2, "c1": [-3], "c2": 3, "cover": {
+        "rank": 2, "c1": "pullback of O([-3])", "c2": 6}}),
+    ("e_rank2", (), {"rank": 2, "c1": [1, 1], "c2": 2}),  # (1 + 2a)(1 + 2b) / (1 + a + b)
+    ("k_rank3", ("--cover", "double"), {"rank": 3, "c1": [-4, -4], "c2": 12, "cover": {
+        "rank": 3, "c1": "pullback of O([-4, -4])", "c2": 24}}),  # (1 - a - b)^4
+], ids=["euler", "euler-double", "e_rank2", "k_rank3-double"])
+def test_chern_prints_the_chern_data(capsys, name, cover, doc):
+    code, out, err = run(capsys, "chern", "--monad", INPUTS / f"{name}.monad", *cover)
+    assert code == cli.EXIT_OK
+    assert out == canonical(doc) and err == ""
+
+
+# quartic-452 has Gram [[4, 5], [5, 2]] on (H, C); U has [[0, 1], [1, 0]]
+@pytest.mark.parametrize("argv,doc,exit_code", [
+    (("pair", "--class", "1,0", "--class", "1,1"), {"pair": 9}, 0),  # H^2 + H.C
+    # adjunction D^2 = 2g - 2: (H + C)^2 = 4 + 10 + 2
+    (("genus", "--class", "1,1"), {"self_intersection": 16, "genus": 9}, 0),
+    (("genus", "--lattice", "U", "--class=-1,2"), {"self_intersection": -4, "genus": -1}, 0),
+    (("gram", "--class", "1,0", "--class", "0,1"), {"gram": [[4, 5], [5, 2]], "det": -17}, 0),
+    (("gram", "--class", "1,0", "--class", "0,1", "--class", "1,1"),  # H + C - (H + C) = 0
+     {"gram": [[4, 5, 9], [5, 2, 7], [9, 7, 16]], "det": 0, "dependency": [-1, -1, 1]}, 0),
+    (("effectivity", "--class=-1,0", "--class", "1,0"),  # -H.H = -4
+     {"verdict": "NotEffective", "rule": "nonpositive-degree", "degree": -4, "candidates": []}, 0),
+    # on U with H = (1,1), the classes of degree 1 and square >= -2 are (1,0)
+    # and (0,1); (-1,2) is neither, (1,0) is one of them
+    (("effectivity", "--lattice", "U", "--class=-1,2", "--class", "1,1"),
+     {"verdict": "NotEffective", "rule": "no-decomposition", "degree": 1,
+      "candidates": [[0, 1], [1, 0]]}, 0),
+    (("effectivity", "--lattice", "U", "--class", "1,0", "--class", "1,1"),
+     {"verdict": "Unknown"}, 2),
+    # 2 r c2 - (r - 1) c1^2 - 2 (r^2 - 1) = 20 - 4 - 6
+    (("expected-dim", "--rank", 2, "--c1sq", 4, "--c2", 5), {"expected_dim": 10}, 0),
+], ids=["pair", "genus", "genus-negative-class", "gram", "gram-dependency",
+        "effectivity-nonpositive-degree", "effectivity-no-decomposition", "effectivity-unknown",
+        "expected-dim"])
+def test_lattice_prints_the_result(capsys, argv, doc, exit_code):
+    code, out, err = run(capsys, "lattice", *argv)
+    assert code == exit_code
+    assert out == canonical(doc) and err == ""
 
 
 @pytest.mark.parametrize("command", [

@@ -261,24 +261,24 @@ class TestQuartic:
 
     def test_region_run_paper_surface(self):
         cert = quartic_region_run(FX)
-        assert cert.verdict == "Stable"
-        assert cert.basepoint_value != "0"
-        rules = {tuple(s[:2]): s[2] for s in cert.sample_points}
+        assert cert["verdict"] == "Stable"
+        assert cert["basepoint_value"] != "0"
+        rules = {tuple(s["twist"]): s["rule"] for s in cert["sample_points"]}
         assert rules[(1, 0)] == "section-kernel"
         assert rules[(0, 0)] == "nonpositive-degree"
         assert rules[(-1, 2)] == "no-decomposition"
 
     def test_region_run_fermat(self):
         cert = quartic_region_run("x^4 + y^4 + z^4 + w^4")
-        assert cert.verdict == "Stable"
-        assert cert.h0_checks == [(1, 0, 0)]
+        assert cert["verdict"] == "Stable"
+        assert cert["core_checks"] == [{"twist": [1, 0], "h0": 0}]
 
     def test_basepoint_is_derived_from_the_map(self):
         # (x, y, z) vanish together at [0:0:0:1], where this f vanishes too
         with pytest.raises(BasepointFailureError, match=r"\[0:0:0:1\]"):
             quartic_region_run("z^4 + x*w^3 + y*w^3 + x^4 + y^4", ("x", "y", "z"))
         cert = quartic_region_run("x^4 + y^4 + z^4 + w^4", ("x - w", "y", "z"))
-        assert cert.basepoint_value == "2"  # f(1, 0, 0, 1)
+        assert cert["basepoint_value"] == "2"  # f(1, 0, 0, 1)
 
     def test_map_of_rank_below_3(self):
         with pytest.raises(BasepointFailureError, match="rank below 3"):

@@ -15,6 +15,7 @@ from bundlecert.polycore import (
     Ambient,
     ExactMatrix,
     RationalPolynomial,
+    bareiss_det,
     bareiss_rank,
     mdeg_add,
     monomial_basis,
@@ -31,6 +32,7 @@ from oracles import (
     gauss_rank,
     homogeneous_multidegree,
     identity_matrix,
+    leibniz_det,
     matmul,
     mdeg_leq,
     monomial,
@@ -303,6 +305,27 @@ class TestRank:
     def test_bareiss_known(self):
         assert bareiss_rank([[2, 4], [1, 2]]) == 1
         assert bareiss_rank([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == 3
+
+    def test_bareiss_det_vs_leibniz(self):
+        # seeded square matrices, sparse enough that many need a row swap and
+        # some are singular, so both the sign and the early zero are reached
+        rng = random.Random(5)
+        seen = {"swapped": 0, "singular": 0}
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [[rng.choice([0, 0, -3, -1, 1, 2, 5]) for _ in range(n)] for _ in range(n)]
+            det = leibniz_det(rows)
+            assert bareiss_det(rows) == det
+            seen["swapped"] += rows[0][0] == 0 and det != 0
+            seen["singular"] += det == 0
+        assert all(seen.values()), seen
+
+    def test_bareiss_det_edges(self):
+        assert bareiss_det([]) == 1
+        assert bareiss_det([[0, 1], [1, 0]]) == -1  # one swap
+        assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        with pytest.raises(ValueError, match="not square"):
+            bareiss_det([[1, 2], [3]])
 
 
 class TestSparseRank:

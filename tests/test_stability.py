@@ -77,17 +77,17 @@ class TestSlope:
 class TestRegion:
     def test_k_rank3_bands(self):
         c = chern_monad(k_rank3())
-        assert twist_region(c, 2, H_PP).bound == 5  # 16/3
-        assert twist_region(c, 1, H_PP).bound == 2  # 8/3
+        assert twist_region(c, 2, H_PP) == 5  # 16/3
+        assert twist_region(c, 1, H_PP) == 2  # 8/3
 
     def test_cotangent_halfline(self):
-        assert twist_region(chern_monad(euler()), 1, H_P2).bound == 1
+        assert twist_region(chern_monad(euler()), 1, H_P2) == 1
 
     def test_scaling_invariance(self):
         c = chern_monad(k_rank3())
         H2 = Polarization(PP, (2, 2))
         for s in (1, 2):
-            assert twist_region(c, s, H_PP).bound == twist_region(c, s, H2).bound
+            assert twist_region(c, s, H_PP) == twist_region(c, s, H2)
 
     def test_unbalanced_polarization_rejected(self):
         c = chern_monad(k_rank3())
@@ -98,34 +98,34 @@ class TestRegion:
 class TestCertify:
     def test_euler_stable(self):
         cert = certify(euler(), H_P2)
-        assert cert.verdict == "Stable"
+        assert cert["verdict"] == "Stable"
         assert audit_coverage(cert)
 
     def test_e_rank2_stable_with_paper_core(self):
         cert = certify(e_rank2(), H_PP)
-        assert cert.verdict == "Stable"
-        assert sorted(c.twist for c in cert.core_checks) == [(-1, -1), (-1, 0), (0, -1)]
-        assert sorted((t.axis, t.bound) for t in cert.tail_rules) == [(1, -2), (2, -2)]
+        assert cert["verdict"] == "Stable"
+        assert sorted(c["twist"] for c in cert["core_checks"]) == [[-1, -1], [-1, 0], [0, -1]]
+        assert sorted((t["axis"], t["bound"]) for t in cert["tail_rules"]) == [(1, -2), (2, -2)]
         assert audit_coverage(cert)
 
     def test_k_rank3_stable_with_paper_core(self):
         cert = certify(k_rank3(), H_PP)
-        assert cert.verdict == "Stable"
-        s1 = sorted(c.twist for c in cert.core_checks if c.s == 1)
+        assert cert["verdict"] == "Stable"
+        s1 = sorted(tuple(c["twist"]) for c in cert["core_checks"] if c["s"] == 1)
         assert s1 == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
-        assert {t.s for t in cert.tail_rules} == {1, 2}
+        assert {t["s"] for t in cert["tail_rules"]} == {1, 2}
         assert audit_coverage(cert)
 
     def test_scaling_leaves_verdict(self):
         cert = certify(k_rank3(), Polarization(PP, (2, 2)))
-        assert cert.verdict == "Stable"
+        assert cert["verdict"] == "Stable"
 
     def test_margin_option_uses_propagation(self):
         cert = certify(k_rank3(), H_PP, CertifyOptions(margin=0))
-        assert cert.verdict == "Stable"
-        s1 = sorted(c.twist for c in cert.core_checks if c.s == 1)
+        assert cert["verdict"] == "Stable"
+        s1 = sorted(tuple(c["twist"]) for c in cert["core_checks"] if c["s"] == 1)
         assert s1 == [(0, 2), (1, 1), (2, 0)]  # maximal band points only
-        assert any(p.s == 1 for p in cert.propagations)
+        assert any(p["s"] == 1 for p in cert["monotone_propagations"])
         assert audit_coverage(cert)
 
     def test_inconclusive_on_destabilized_bundle(self):
@@ -135,35 +135,54 @@ class TestCertify:
             [["0", "x0*y0", "x0*y1", "x1*y0", "x1*y1"]],
         )
         cert = certify(m, H_PP)
-        assert cert.verdict == "Inconclusive"
-        assert cert.failure["reason"] == "nonzero h0 upper bound"
-        k, l = cert.failure["twist"]
+        assert cert["verdict"] == "Inconclusive"
+        assert cert["failure"]["reason"] == "nonzero h0 upper bound"
+        k, l = cert["failure"]["twist"]
         assert k + l <= 2  # inside the s=1 band
+
+    def test_tail_search_reaching_the_floor_is_inconclusive(self):
+        # b's zero column makes O(0,7) a summand of E; twisted by l >= -7 it
+        # keeps sections on every y-line, so no tail bound on axis 2 down to
+        # TAIL_FLOOR = -6 vanishes
+        m = kernel_monad(
+            PP, [(0, 7)] + [(-1, -1)] * 4, [(0, 0)],
+            [["0", "x0*y0", "x0*y1", "x1*y0", "x1*y1"]],
+        )
+        cert = certify(m, H_PP)
+        assert cert["verdict"] == "Inconclusive"
+        assert cert["failure"] == {
+            "reason": "FiberNotVanishingError",
+            "detail": "fiber h0 does not vanish at point (0, 1): no tail bound above the "
+                      f"floor {stability.TAIL_FLOOR} (s=1)",
+        }
+        assert [(t["axis"], t["bound"]) for t in cert["tail_rules"]] == [(1, -1)]
+        assert cert["core_checks"] == []
+        assert verify_certificate(json.loads(cert.to_json())) == []
 
     def test_unproved_surjectivity_is_inconclusive(self):
         # every entry vanishes at (1:-1:0), so b is not onto there
         m = kernel_monad(P2, [-1, -1, -1], [0], [["x + y", "x + y", "z"]], name="nonmono")
         cert = certify(m, H_P2)
-        assert cert.verdict == "Inconclusive"
-        assert cert.failure["reason"] == "exactness not proved"
-        assert cert.failure["surjectivity_of_b"] == "Unknown"
+        assert cert["verdict"] == "Inconclusive"
+        assert cert["failure"]["reason"] == "exactness not proved"
+        assert cert["failure"]["surjectivity_of_b"] == "Unknown"
 
     def test_quadrics_proved_by_the_section_matrix_are_stable(self):
         # leading monomials x^2, xz, xy share the zero x = 0; the forms share none
         m = kernel_monad(P2, [-2, -2, -2], [0], [["x^2 + y*z", "y^2 + x*z", "z^2 + x*y"]])
         cert = certify(m, H_P2)
-        assert cert.verdict == "Stable"
-        assert "exactness at the ends proved by the monomial cover rule" in cert.notes
+        assert cert["verdict"] == "Stable"
+        assert "exactness at the ends proved by the monomial cover rule" in cert["notes"]
         assert verify_certificate(json.loads(cert.to_json())) == []
 
     def test_sheared_euler_matches_euler(self):
         # (x + y, y + z, z) is Euler's row after an automorphism of O(-1)^3
         sheared = kernel_monad(P2, [-1, -1, -1], [0], [["x + y", "y + z", "z"]], name="cotangent")
         a, b = certify(euler(), H_P2), certify(sheared, H_P2)
-        assert b.verdict == a.verdict == "Stable"
-        assert b.regions == a.regions
-        assert b.core_checks == a.core_checks
-        assert b.tail_rules == a.tail_rules
+        assert b["verdict"] == a["verdict"] == "Stable"
+        assert b["regions"] == a["regions"]
+        assert b["core_checks"] == a["core_checks"]
+        assert b["tail_rules"] == a["tail_rules"]
 
 
 def test_one_restriction_per_distinct_fiber(monkeypatch):
@@ -179,7 +198,7 @@ def test_one_restriction_per_distinct_fiber(monkeypatch):
     inputs = Path(__file__).resolve().parent.parent / "inputs"
     for name in ("e_rank2", "k_rank3", "k_rank3_n2"):
         m = monad_from_document(json.loads((inputs / f"{name}.monad").read_text()))
-        assert certify(m, H_PP).verdict == "Stable"
+        assert certify(m, H_PP)["verdict"] == "Stable"
     info = restrict_to_fiber.cache_info()
     assert info.misses == len(set(fibers))
     assert info.hits == len(fibers) - len(set(fibers)) > 0

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from bundlecert import zeta
-from bundlecert.errors import NoConsistentCandidateError, ThreadCountError, TooLargeError
+from bundlecert.errors import (
+    InsufficientCountsError,
+    NoConsistentCandidateError,
+    ThreadCountError,
+    TooLargeError,
+)
 from bundlecert.polycore import Ambient, parse_poly
 from bundlecert.zeta import (
     count_points,
@@ -563,6 +568,27 @@ class TestWeilAudit:
         counts[0] += 22 * WITNESS_P + 1  # t_1 = 8 + 67 > 22 * 3
         with pytest.raises(NoConsistentCandidateError, match=r"t_1 = 75 violates the Weil bound"):
             zeta.assemble_charpoly(counts, WITNESS_P)
+
+
+class TestPinnedMiddle:
+    def test_a_tenth_count_off_the_circle_discards_the_family(self):
+        # a = 2 twice puts a double root of the reduced polynomial at u = 2/3;
+        # ten more points lower e_10 by 1, which moves that pair of roots off
+        # the real line, so the pinned completion fails the circle test
+        counts = witness_counts()
+        profile = zeta.assemble_charpoly(counts[:9], WITNESS_P)
+        for extra, status in [(0, "surviving"), (10, "discarded")]:
+            resolved = zeta.resolve_family_with_count(profile, counts[9] + extra)
+            (pinned,) = [c for c in resolved.candidates if c.sign == 1]
+            assert (pinned.kind, pinned.status) == ("complete", status)
+            assert oracles.all_roots_on_circle(pinned.coeffs, WITNESS_P, 1) == (extra == 0)
+        assert pinned.reason == "pinned middle fails the circle test"
+        assert [c.status for c in resolved.surviving()] == ["surviving"]  # the minus sign
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_other_count_lengths_are_refused(self, n):
+        with pytest.raises(InsufficientCountsError, match=f"expected 9 counts, got {n}"):
+            zeta.assemble_charpoly(witness_counts()[:n], WITNESS_P)
 
 
 class TestShape:
