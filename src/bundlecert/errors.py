@@ -94,6 +94,18 @@ class OddSquareError(BundleCertError):
     pass
 
 
+class GramMatrixError(BundleCertError):
+    """A Gram matrix that is not square of the basis size, or not symmetric."""
+
+
+class UnsupportedLatticeError(BundleCertError):
+    """Curve-class candidates are enumerated on rank-2 lattices of signature (1,1) only."""
+
+
+class NonPositivePolarizationError(BundleCertError):
+    """A polarization class H with H^2 <= 0."""
+
+
 class BasepointFailureError(BundleCertError):
     pass
 

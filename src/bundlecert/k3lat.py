@@ -22,9 +22,13 @@ from math import gcd
 from .cohom import h_line_sum
 from .errors import (
     BasepointFailureError,
+    GramMatrixError,
     HomogeneityError,
     LatticeMismatchError,
+    NonPositivePolarizationError,
     OddSquareError,
+    UnsupportedLatticeError,
+    ZeroRankError,
 )
 from .monad import ChernData, Document
 from .polycore import (
@@ -48,11 +52,11 @@ class GramLattice:
         n = len(self.names)
         g = tuple(tuple(int(x) for x in row) for row in self.gram)
         if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError("Gram matrix shape does not match basis")
+            raise GramMatrixError("Gram matrix shape does not match basis")
         for i in range(n):
             for j in range(n):
                 if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+                    raise GramMatrixError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", g)
 
     @property
@@ -188,7 +192,7 @@ QUARTIC_452 = bracket(4, 5, 2, names=("H", "C"))
 def expected_dim(r: int, c1_sq: int, c2: int) -> int:
     """Expected moduli dimension on a K3: 2rc2 - (r-1)c1^2 - (r^2-1)*chi(O), chi = 2."""
     if r < 1:
-        raise ValueError("rank must be positive")
+        raise ZeroRankError("rank must be positive")
     return 2 * r * c2 - (r - 1) * c1_sq - (r * r - 1) * 2
 
 
@@ -217,7 +221,7 @@ def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: in
     occupy (adjunction forces C^2 >= -2, ampleness forces C.H >= 1).
     """
     if lattice.rank != 2:
-        raise ValueError("candidate enumeration implemented for rank-2 lattices")
+        raise UnsupportedLatticeError("candidate enumeration implemented for rank-2 lattices")
     g = lattice.gram
     w = (
         g[0][0] * H.coords[0] + g[0][1] * H.coords[1],
@@ -232,7 +236,7 @@ def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: in
         direction = (-w[1] // gw, w[0] // gw)
         dd = _q(g, direction, direction)
         if dd >= 0:
-            raise ValueError("lattice is not hyperbolic on the degree line")
+            raise UnsupportedLatticeError("lattice is not hyperbolic on the degree line")
         bd = _q(g, base, direction)
         bb = _q(g, base, base)
         # q(t) = bb + 2t*bd + t^2*dd is concave; integer solutions of q >= -2
@@ -282,7 +286,7 @@ def not_effective_cert(D: LatticeClass, H: LatticeClass) -> EffectivityCertifica
     """
     _same_lattice(D, H)
     if self_int(H) <= 0:
-        raise ValueError("H must have positive self-intersection")
+        raise NonPositivePolarizationError("H must have positive self-intersection")
     deg = pair(D, H)
     if D.is_zero():
         return EffectivityCertificate("zero-class", 0)

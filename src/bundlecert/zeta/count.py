@@ -17,12 +17,14 @@ fibers have the same count.  With t = g^i the orbit of t is
 orbit's size, which divides n.  t = 0 and [0:1] are fixed and counted once
 each: about q/n + 2 fibers instead of q + 1.
 
-Kernel.  One blocked Horner pass (`_horner`) evaluates both the
-specialization c_j(x) at the orbit representatives and each fiber's sum over
-y = [1:u], u = g^s, s = 0..L-1 with L = q - 1.  It runs in the discrete-log
-domain, with zero encoded as 3L, on a (rows, values) int32 block of about
-BLOCK = 2^16 cells: for the fibers, max(1, BLOCK // L) rows of L values, in
-buffers allocated once per count.  Each value is held as
+Kernel.  One blocked Horner pass (`_horner`) evaluates the specialization
+c_j(x) at the orbit representatives, and each fiber's sum over y = [1:u],
+u = g^s, s = 0..L-1 with L = q - 1, for the fibers the Jacobian route below
+leaves to it: singular fibers, every fiber when q <= 229, and fibers still
+unresolved after POINTS points.  It costs O(q) per fiber.  It runs in the
+discrete-log domain, with zero encoded as 3L, on a (rows, values) int32
+block of about BLOCK = 2^16 cells: for the fibers, max(1, BLOCK // L) rows
+of L values, in buffers allocated once per count.  Each value is held as
 acc_j = g^(K_j) g^(z_j) with K_j one integer per row (`_steps`), so c_j
 never multiplies the block: a step is z_j = table[z_(j+1) + log u + off_j],
 one broadcast add of log u, one of a per-row column and one lookup.  off_j
@@ -34,17 +36,55 @@ character instead: chi(acc_0) = (-1)^(K_0) chi(g^(z_0)), so a fiber's sum is
 a row sum times a sign.  The tables (`_Tables`) hold 10L int32 entries and
 10L int8 ones, about 50L bytes.
 
+Jacobians.  A fiber is the curve C: w^2 = F(u) with
+F = a u^4 + b u^3 + c u^2 + d u + e (a = c_4, e = c_0), and its count is
+#C = q + 1 + sum over u in P1 of chi(F(u)) (`_fiber_counts`).  The cubic
+X^3 + c X^2 + (bd - 4ae) X + (b^2 e + a d^2 - 4ace) is Ferrari's resolvent:
+for a = 1 its roots are -(r1 r2 + r3 r4), -(r1 r3 + r2 r4), -(r1 r4 + r2 r3),
+and its discriminant equals that of F as binary quartics, an identity over
+Z.  So a nonzero discriminant (`_jacobians`) means four distinct roots on P1
+and C smooth of genus one, with Jacobian
+E: Y^2 = X^3 + c X^2 + (bd - 4ae) X + (b^2 e + a d^2 - 4ace).  X -> X - c/3
+and scalings by 9 and 27 turn E into the 27I/27J model (An, Kim, Marshall,
+Marshall, McCallum and Perlis, J. Number Theory 90 (2001)); E itself divides
+by nothing, so it serves every odd characteristic, p = 3 included, where
+that model degenerates (the tests compare it with the kernel over F_(3^5)
+to F_(3^8)).  By Lang's theorem C has an F_q-point, so C is isomorphic to E
+over F_q and #C = #E(F_q).
+
+The curves of one count are handled together, up to CURVES = 2^14 per
+numpy call (`_Curves`), in the encoded-log domain of `_Tables` (`_Field`):
+a product is an add of logs, an inverse a negated log, -1 is g^(L/2), chi
+is the parity of a log and a square root half an even log; sums go through
+a Zech table.  Points are affine, with O as x = y = -1 and masks for O,
+doubling and P + (-P).  For a point P (`_point`, the first x = g^k of a
+fixed range with a square right side; no randomness), `_bsgs` finds every t
+with |t| <= T = floor(2 sqrt q) and [q + 1 - t]P = O: baby steps jP,
+j = 0..m, stride S = 2m + 1 and giant steps R_i = (q + 1 - iS)P over
+|i| <= G with GS + m >= T, so the steps cover the whole Hasse interval; each
+giant step compares one point per curve with the (m + 1) x rows baby array.
+#E lies in the interval (Hasse) and is a multiple of the order of P, so
+when exactly one t is found, #E = q + 1 - t is proved; otherwise the row
+stays open (Cohen, A Course in Computational Algebraic Number Theory, 7.4).
+Mestre's theorem (as in Schoof, J. Theor. Nombres Bordeaux 7 (1995))
+guarantees a point with a unique multiple on E or its twist only for
+q > 229.  Routing: a fiber goes to the kernel when its discriminant is 0
+(F = 0 included), when q <= MESTRE_Q = 229, and when POINTS points leave it
+open; every other fiber is counted through E.
+
 Threads.  The pool partitions the (fiber, weight) rows; the total is a sum
 of per-row integers, hence independent of the partition shape.  It has at
 most min(threads, cores, chunks) workers.
 
-Each finished count writes one progress line to stderr.
+Each finished count writes one progress line to stderr, with the number of
+fibers counted through their Jacobians and through the kernel.
 """
 from __future__ import annotations
 
 import os
 import sys
 from functools import lru_cache
+from math import isqrt
 from time import perf_counter
 
 import numpy as np
@@ -216,14 +256,233 @@ def _fiber_counts(t: _Tables, rows) -> np.ndarray:
     return L + 2 + ends + (1 - 2 * (K & 1)) * sums
 
 
+# --- Jacobians ---------------------------------------------------------------------
+
+MESTRE_Q = 229  # up to here every fiber goes to the kernel: Mestre's theorem needs q > 229
+POINTS = 2  # points tried on a Jacobian before its fiber goes to the kernel
+CANDIDATES = 8  # x = g^(8r), ..., g^(8r + 7): where the r-th point is looked for
+CURVES = 1 << 14  # rows per Jacobian pass; m + 1 <= 46 baby steps up to q = 2^20
+
+
+class _Field:
+    """Arithmetic on encoded logs (`_Tables`: zero is Z = 3L), one numpy call
+    per table lookup, for arrays of any shape.
+
+    red[v] is v mod L for v < 3L and Z from 3L on (lookups clip), so a
+    product of up to three factors is red[a + b + c] and a quotient
+    red[a - b + 2L], b a product of up to two.  A sum is
+    a + b = red[a + plus[b - a + 3L]] and a difference red[a + minus[b - a + 3L]]:
+    on (2L, 4L) plus is the zech log of 1 + g^(b - a) (Z when that is zero)
+    and minus that of 1 - g^(b - a); on [0, L) (a = Z) they give b and -b;
+    from 5L on (b = Z) they are 0; at 3L (a = b) they give 2a and Z.
+    """
+
+    def __init__(self, t: _Tables, p: int):
+        L = self.L = t.L
+        self.zero, self.encode, self.p = t.zero, t.encode, p
+        self.chi = t.chi[5 * L :]
+        zech = t.table[:L]
+        logs = np.arange(L, dtype=np.int64)
+        self.red = np.concatenate([logs, logs, logs, [t.zero]])
+        self.plus = np.zeros(6 * L + 1, dtype=np.int64)
+        self.minus = np.zeros(6 * L + 1, dtype=np.int64)
+        self.plus[:L] = logs - 3 * L
+        self.minus[:L] = self.red[L // 2 : L // 2 + L] - 3 * L
+        self.plus[2 * L : 4 * L] = np.tile(zech, 2)
+        self.minus[2 * L : 4 * L] = np.tile(np.roll(zech, -(L // 2)), 2)
+
+    def const(self, k: int) -> int:
+        return self.encode(k % self.p)
+
+    def mul(self, a, b):
+        return self.red.take(a + b, mode="clip")
+
+    def div(self, a, b):
+        return self.red.take(a - b + 2 * self.L, mode="clip")
+
+    def add(self, a, b):
+        return self.red.take(a + self.plus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
+
+    def sub(self, a, b):
+        return self.red.take(a + self.minus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
+
+    def neg(self, a):
+        return self.red.take(a + self.L // 2, mode="clip")
+
+
+def _jacobians(F: _Field, rows):
+    """(a2, a4, a6) of E: Y^2 = X^3 + a2 X^2 + a4 X + a6 for each fiber row, and
+    whether the cubic's discriminant is nonzero.
+
+    With F = a u^4 + b u^3 + c u^2 + d u + e (a = c_4, e = c_0): a2 = c,
+    a4 = bd - 4ae, a6 = b^2 e + a d^2 - 4ace.
+    """
+    e, d, c, b, a = np.asarray(rows, dtype=np.int64).T
+    m4 = F.const(-4)
+    a4 = F.add(F.mul(b, d), F.mul(m4 + a, e))
+    a6 = F.add(F.add(F.mul(F.mul(b, b), e), F.mul(a, F.mul(d, d))), F.mul(m4 + a, F.mul(c, e)))
+    c2, a42 = F.mul(c, c), F.mul(a4, a4)
+    # c^2 a4^2 - 4 a4^3 - 4 c^3 a6 + 18 c a4 a6 - 27 a6^2
+    disc = F.add(
+        F.add(F.mul(c2, a42), F.mul(m4 + a42, a4)),
+        F.add(F.mul(m4 + F.mul(c2, c), a6),
+              F.add(F.mul(F.const(18) + F.mul(c, a4), a6), F.mul(F.const(-27) + a6, a6))),
+    )
+    return c, a4, a6, disc != F.zero
+
+
+class _Curves:
+    """The group law on Y^2 = X^3 + a2 X^2 + a4 X + a6, one curve per column;
+    a point is a pair (x, y) of code arrays, with x = y = -1 at O."""
+
+    def __init__(self, F: _Field, a2, a4):
+        self.F, self.a2, self.a4 = F, a2, a4
+        self.k2, self.k3 = F.const(2), F.const(3)
+        self.a2_2 = self.k2 + a2  # 2 a2, unreduced
+
+    def neg(self, P):
+        x, y = P
+        return x, np.where(x < 0, -1, self.F.neg(y))
+
+    def double(self, P):
+        F, (x, y) = self.F, P
+        slope = F.add(F.add(F.mul(self.k3 + x, x), F.mul(self.a2_2, x)), self.a4)
+        lam = F.div(slope, self.k2 + y)
+        x3 = F.sub(F.mul(lam, lam), F.add(self.a2, F.mul(self.k2, x)))
+        y3 = F.sub(F.mul(lam, F.sub(x, x3)), y)
+        o = (x < 0) | (y == F.zero)
+        x3[o], y3[o] = -1, -1
+        return x3, y3
+
+    def add(self, P, Q):
+        F, (x1, y1), (x2, y2) = self.F, P, Q
+        lam = F.div(F.sub(y2, y1), F.sub(x2, x1))
+        x3 = F.sub(F.mul(lam, lam), F.add(F.add(self.a2, x1), x2))
+        y3 = F.sub(F.mul(lam, F.sub(x1, x3)), y1)
+        same = x1 == x2
+        if np.count_nonzero(same):  # P = -Q or both O, unless P = Q
+            dbl = same & (y1 == y2) & (x1 >= 0)
+            x3[same], y3[same] = -1, -1
+            if np.count_nonzero(dbl):
+                x2P, y2P = self.double(P)
+                x3[dbl], y3[dbl] = x2P[dbl], y2P[dbl]
+        for o, R in ((x1 < 0, Q), (x2 < 0, P)):
+            if np.count_nonzero(o):
+                x3[o], y3[o] = R[0][o], R[1][o]
+        return x3, y3
+
+    def mul(self, k: int, P):
+        """[k]P for k >= 1, left to right."""
+        R = P
+        for bit in bin(k)[3:]:
+            R = self.double(R)
+            if bit == "1":
+                R = self.add(R, P)
+        return R
+
+
+def _point(F: _Field, a2, a4, a6, r: int):
+    """A point (x, y) on each curve: x = g^k for the least k in
+    [8r, 8r + 8) where the right side is a nonzero square, and
+    y = g^(log(rhs) / 2); and whether each curve has one."""
+    x = np.zeros(len(a2), dtype=np.int64)
+    y = np.zeros(len(a2), dtype=np.int64)
+    found = np.zeros(len(a2), dtype=bool)
+    for k in range(CANDIDATES * r, CANDIDATES * (r + 1)):
+        rhs = F.add(F.add(3 * k % F.L, F.mul(a2, 2 * k)), F.add(F.mul(a4, k), a6))
+        new = (F.chi.take(rhs, mode="clip") == 1) & ~found
+        x[new], y[new] = k, rhs[new] // 2
+        found |= new
+    return (x, y), found
+
+
+def _bsgs(E: _Curves, q: int, P):
+    """#E(F_q) from the point P on each curve, and whether it is proved.
+
+    Every t in the Hasse interval |t| <= T = floor(2 sqrt q) with
+    [q + 1 - t]P = O is found: baby steps jP (j = 0..m), stride S = 2m + 1,
+    giant steps R_i = (q + 1 - iS)P for |i| <= G with GS + m >= T, and
+    R_i = +-jP exactly when t = iS +- j.  #E is a multiple of the order of
+    P in the interval, so a unique t proves #E = q + 1 - t.
+    """
+    T = isqrt(4 * q)
+    m = max(1, isqrt(T))
+    S = 2 * m + 1
+    G = -(-(T - m) // S)
+    bx = np.full((m + 1, len(P[0])), -1, dtype=np.int32)
+    by = bx.copy()
+    jP = P
+    for j in range(1, m + 1):
+        bx[j], by[j] = jP
+        jP = E.add(jP, P) if j > 1 else E.double(P)
+    SP = E.add(E.double((bx[m], by[m])), P)
+    # R_(-G) = (q + 1 + GS)P = [u](SP) + [v]P with |v| <= m
+    u, v = divmod(q + 1 + G * S, S)
+    if v > m:
+        u, v = u + 1, v - S
+    vP = (bx[abs(v)], by[abs(v)])
+    R = E.add(E.mul(u, SP), vP if v >= 0 else E.neg(vP))
+    minus_S = E.neg(SP)
+    hits = np.zeros(len(P[0]), dtype=np.int64)
+    trace = np.zeros(len(P[0]), dtype=np.int64)
+    for i in range(-G, G + 1):
+        js, cols = np.nonzero(bx == R[0])
+        if len(js):
+            # R_i = jP: t = iS + j; R_i = -jP (-R_i = jP): t = iS - j, j > 0
+            for sign, y in ((1, R[1]), (-1, E.neg(R)[1])):
+                tt = i * S + sign * js
+                ok = (by[js, cols] == y[cols]) & (np.abs(tt) <= T) & ((sign > 0) | (js > 0))
+                hits += np.bincount(cols[ok], minlength=len(hits))
+                np.add.at(trace, cols[ok], tt[ok])
+        if i < G:
+            R = E.add(R, minus_S)
+    return q + 1 - trace, hits == 1
+
+
+def _jacobian_counts(F: _Field, rows):
+    """#E(F_q) of each row's Jacobian, and which rows it is proved for:
+    smooth rows, at most POINTS points each."""
+    a2, a4, a6, smooth = _jacobians(F, rows)
+    counts = np.zeros(len(rows), dtype=np.int64)
+    proved = np.zeros(len(rows), dtype=bool)
+    todo = np.flatnonzero(smooth)
+    for r in range(POINTS):
+        if not len(todo):
+            break
+        P, found = _point(F, a2[todo], a4[todo], a6[todo], r)
+        N, unique = _bsgs(_Curves(F, a2[todo], a4[todo]), F.L + 1, P)
+        done = todo[found & unique]
+        counts[done], proved[done] = N[found & unique], True
+        todo = todo[~(found & unique)]
+    return counts, proved
+
+
+def _row_counts(t: _Tables, p: int, rows):
+    """Points over each fiber row, and how many rows were counted through
+    their Jacobians; the kernel counts the rest.  The Jacobians go CURVES
+    rows at a time, so the baby-step array stays below 46 x CURVES cells."""
+    if t.L + 1 <= MESTRE_Q:
+        return _fiber_counts(t, rows), 0
+    F = _Field(t, p)
+    counts = np.zeros(len(rows), dtype=np.int64)
+    proved = np.zeros(len(rows), dtype=bool)
+    for s in range(0, len(rows), CURVES):
+        counts[s : s + CURVES], proved[s : s + CURVES] = _jacobian_counts(F, rows[s : s + CURVES])
+    del F  # the kernel's blocks need not sit on the Jacobian tables
+    if not proved.all():
+        counts[~proved] = _fiber_counts(t, rows[~proved])
+    return counts, int(proved.sum())
+
+
 @lru_cache(maxsize=8)
 def _cached_field(p: int, n: int) -> FqField:
     return make_field(p, n)
 
 
-def _worker(args) -> int:
+def _worker(args):
     p, n, rows, weights = args
-    return int(_fiber_counts(_Tables(_cached_field(p, n)), rows) @ weights)
+    counts, jacobian = _row_counts(_Tables(_cached_field(p, n)), p, rows)
+    return int(counts @ weights), jacobian
 
 
 def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int:
@@ -238,7 +497,8 @@ def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int
     t = _Tables(field)
     rows, weights = _orbit_fibers(t, p, n, A)
     if threads == 1:
-        total = int(_fiber_counts(t, rows) @ weights)
+        counts, jacobian = _row_counts(t, p, rows)
+        total = int(counts @ weights)
     else:
         import concurrent.futures as cf
 
@@ -249,8 +509,11 @@ def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int
         # a forking pool starts all its workers at the first submit
         workers = min(threads, os.cpu_count() or 1, len(chunks))
         with cf.ProcessPoolExecutor(max_workers=workers) as ex:
-            total = sum(ex.map(_worker, chunks))
-    sys.stderr.write(f"n={n} q={field.q}: {len(rows)} orbit fibers, {perf_counter() - start:.1f} s\n")
+            total, jacobian = map(sum, zip(*ex.map(_worker, chunks)))
+    sys.stderr.write(
+        f"n={n} q={field.q}: {len(rows)} orbit fibers ({jacobian} Jacobian, "
+        f"{len(rows) - jacobian} kernel), {perf_counter() - start:.3f} s\n"
+    )
     return total
 
 

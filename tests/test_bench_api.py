@@ -18,3 +18,14 @@ def test_counts_to_bound_runs_a_charpoly_case(monkeypatch):
     (job,) = [j for j in child._charpoly_jobs(1) if j.name == name]
     refs = json.loads(child.REFERENCES.read_text())
     assert job.check(job.render(doc), refs) is None
+
+
+def test_count_jobs_match_the_references(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    child = importlib.import_module("child")
+    refs = json.loads(child.REFERENCES.read_text())
+    jobs = child._count_jobs("count-prime", 1) + child._count_jobs("count-ext", 1)
+    small = [job for job in jobs if int(job.name.rsplit("/n", 1)[1]) <= 6]
+    assert len(small) == 9  # three primes, n = 1..6 over F_3
+    for job in small:
+        assert job.check(job.render(job.call()), refs) is None, job.name

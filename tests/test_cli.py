@@ -134,7 +134,14 @@ def test_count_points_b44(capsys):
     assert len(progress) == 6
     orbit_fibers = [4, 7, 12, 25, 52, 131]  # orbits of x -> x^3 on F_q, plus x = [0:1]
     for n, (line, fibers) in enumerate(zip(progress, orbit_fibers), start=1):
-        assert re.fullmatch(rf"n={n} q={3**n}: {fibers} orbit fibers, \d+\.\d s", line)
+        m = re.fullmatch(
+            rf"n={n} q={3**n}: {fibers} orbit fibers \((\d+) Jacobian, (\d+) kernel\), \d+\.\d{{3}} s",
+            line,
+        )
+        assert m, line
+        jacobian, kernel = int(m[1]), int(m[2])
+        assert jacobian + kernel == fibers
+        assert (jacobian > 0) == (3**n > 229)  # q <= 229: every fiber through the kernel
 
 
 def test_unproved_exactness_is_inconclusive(capsys, tmp_path):
@@ -387,6 +394,29 @@ def test_malformed_surface_or_lattice_document_exits_1(capsys, tmp_path, argv, d
     code, out, err = run(capsys, *argv, "--lattice" if argv[0] == "lattice" else "--surface", path)
     assert code == cli.EXIT_ERROR
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lattice,argv,message", [
+    ("U", ("effectivity", "--class", "0,1", "--class", "1,0"), "H must have positive self-intersection"),
+    ({"names": ["A", "B", "C"], "gram": [[2, 1, 0], [1, -2, 0], [0, 0, -2]]},
+     ("effectivity", "--class", "1,1,0", "--class", "1,0,0"), "rank-2 lattices"),
+    ({"names": ["A", "B"], "gram": [[2, 0], [0, 2]]},
+     ("effectivity", "--class", "1,1", "--class", "1,0"), "not hyperbolic"),
+    ({"names": ["A", "B"], "gram": [[2, 1], [0, 2]]}, ("pair", "--class", "1,0", "--class", "0,1"),
+     "must be symmetric"),
+    ({"names": ["A", "B"], "gram": [[2, 1, 0], [1, 2, 0]]}, ("pair", "--class", "1,0", "--class", "0,1"),
+     "shape does not match"),
+    ("U", ("expected-dim", "--rank", "0"), "rank must be positive"),
+], ids=["nonpositive-polarization", "rank-3-effectivity", "definite-effectivity", "asymmetric-gram",
+        "ragged-gram", "rank-0-expected-dim"])
+def test_lattice_errors_are_typed(capsys, tmp_path, lattice, argv, message):
+    if isinstance(lattice, dict):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(lattice))
+        lattice = path
+    code, out, err = run(capsys, "lattice", argv[0], "--lattice", lattice, *argv[1:])
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", [

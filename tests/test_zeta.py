@@ -236,6 +236,168 @@ class TestWorkerPool:
         assert pools == []
 
 
+# a fiber over F_1009 whose Jacobian has 960 points, and a point on it of order 80:
+# both 960 and 1040 lie in the Hasse interval [947, 1073]
+ORDER_80_FIBER = [435, 228, 660, 461, 201]  # c_0, ..., c_4
+
+
+def packed_neg(field, a):
+    return field._pack([-d % field.p for d in field._unpack(a)])
+
+
+def packed_mul(field, a, b):
+    if a == 0 or b == 0:
+        return 0
+    return int(field.exp[(field.log[a] + field.log[b]) % (field.q - 1)])
+
+
+def smooth_points(t, p, rows, r):
+    """Jacobians of the smooth rows, the r-th point on each, and _bsgs from it."""
+    F = count._Field(t, p)
+    a2, a4, a6, smooth = count._jacobians(F, rows)
+    P, found = count._point(F, a2[smooth], a4[smooth], a6[smooth], r)
+    N, proved = count._bsgs(count._Curves(F, a2[smooth], a4[smooth]), t.L + 1, P)
+    return smooth, N, proved & found
+
+
+class TestJacobians:
+    @pytest.mark.parametrize("p,n", [(13, 1), (3, 3), (5, 2)])
+    def test_field_arithmetic_matches_packed_elements(self, p, n):
+        field = make_field(p, n)
+        t = _Tables(field)
+        F = count._Field(t, p)
+        enc = np.array([t.encode(a) for a in range(field.q)])
+        a, b = (v.ravel() for v in np.meshgrid(np.arange(field.q), np.arange(field.q)))
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert F.add(enc[a], enc[b]).tolist() == [enc[field.add(x, y)] for x, y in pairs]
+        assert F.sub(enc[a], enc[b]).tolist() == [
+            enc[field.add(x, packed_neg(field, y))] for x, y in pairs
+        ]
+        assert F.mul(enc[a], enc[b]).tolist() == [enc[packed_mul(field, x, y)] for x, y in pairs]
+        assert F.neg(enc).tolist() == [enc[packed_neg(field, x)] for x in range(field.q)]
+        # a product of three factors, and a quotient by a product of two
+        c = b * 7 % field.q
+        abc = [packed_mul(field, packed_mul(field, x, y), z) for (x, y), z in zip(pairs, c)]
+        assert F.mul(enc[a] + enc[b], enc[c]).tolist() == [enc[v] for v in abc]
+        nz = (b > 0) & (c > 0)
+        x, y, z = enc[a][nz], enc[b][nz], enc[c][nz]
+        assert (F.div(x, y + z) == F.div(F.div(x, y), z)).all()
+        assert (F.mul(F.div(x, y), y) == x).all()
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_the_kernel_over_f3n(self, name, n):
+        t = _Tables(make_field(3, n))
+        rows, _ = _orbit_fibers(t, 3, n, curve_coefficients(form(name), 3))
+        counts, jacobian = count._row_counts(t, 3, rows)
+        assert counts.tolist() == _fiber_counts(t, rows).tolist()
+        assert jacobian > len(rows) // 2
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    @pytest.mark.parametrize("p", [101, 1009])
+    def test_bsgs_on_every_smooth_fiber(self, name, p):
+        t = _Tables(make_field(p, 1))
+        rows, _ = _orbit_fibers(t, p, 1, curve_coefficients(form(name), p))
+        kernel = _fiber_counts(t, rows)
+        for r in range(2):
+            smooth, N, proved = smooth_points(t, p, rows, r)
+            assert N[proved].tolist() == kernel[smooth][proved].tolist()
+            assert proved.sum() > smooth.sum() // 2
+
+    def test_two_multiples_in_the_interval_leave_the_row_unresolved(self):
+        # narrowing the interval to |t| <= 33 would find 1040 alone and accept it
+        p = 1009
+        field = make_field(p, 1)
+        t = _Tables(field)
+        F = count._Field(t, p)
+        row = np.array([[t.encode(c) for c in ORDER_80_FIBER]])
+        assert _fiber_counts(t, row).tolist() == [960]
+        a2, a4, a6, smooth = count._jacobians(F, row)
+        assert smooth.tolist() == [True]
+        x = t.encode(6)
+        rhs = F.add(F.add(F.mul(F.mul(x, x), x), F.mul(a2, F.mul(x, x))), F.add(F.mul(a4, x), a6))
+        assert rhs[0] % 2 == 0 and rhs[0] != t.zero
+        P = (np.array([x]), rhs // 2)
+        E = count._Curves(F, a2, a4)
+        assert E.mul(80, P)[0].tolist() == [-1] and E.mul(40, P)[0].tolist() != [-1]
+        assert E.mul(16, P)[0].tolist() != [-1]
+        _, proved = count._bsgs(E, p, P)
+        assert proved.tolist() == [False]
+        # the route's first point leaves it open too; its second proves 960
+        _, proved = count._bsgs(E, p, count._point(F, a2, a4, a6, 0)[0])
+        assert proved.tolist() == [False]
+        Q, found = count._point(F, a2, a4, a6, 1)
+        N, proved = count._bsgs(E, p, Q)
+        assert found.tolist() == proved.tolist() == [True] and N.tolist() == [960]
+
+    def test_singular_fibers_go_to_the_kernel(self, monkeypatch):
+        p = 1009
+        field = make_field(p, 1)
+        t = _Tables(field)
+
+        def expand(*roots, lead=1):
+            coeffs = [lead]
+            for r in roots:  # times (u - r), ascending coefficients
+                coeffs = [(lo - r * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+            return coeffs + [0] * (5 - len(coeffs))
+
+        cases = [
+            (expand(1, 1, 2, 3), False),  # a double root
+            ([0] * 5, False),  # F = 0
+            (expand(0, 0, 1, 2), False),  # a double root at u = 0
+            (expand(1, 2), False),  # degree 2: a double root at infinity
+            (expand(1, 1, 2, 2, lead=2), False),  # 2 (u - 1)^2 (u - 2)^2
+            (expand(1, 2, 3), True),  # degree 3: a simple root at infinity
+            (expand(1, 2, 3, 4, lead=5), True),
+        ]
+        rows = np.array([[t.encode(c) for c in coeffs] for coeffs, _ in cases])
+        F = count._Field(t, p)
+        assert count._jacobians(F, rows)[3].tolist() == [s for _, s in cases]
+        seen = []
+        kernel = count._fiber_counts
+
+        def recording_kernel(t, rows):
+            seen.extend(rows.tolist())
+            return kernel(t, rows)
+
+        monkeypatch.setattr(count, "_fiber_counts", recording_kernel)
+        counts, jacobian = count._row_counts(t, p, rows)
+        assert counts.tolist() == [oracles.fiber_count(field, coeffs) for coeffs, _ in cases]
+        assert jacobian == 2
+        assert seen == rows[:5].tolist()
+
+    @pytest.mark.parametrize("p,routed", [(229, False), (233, True)])
+    def test_fields_up_to_229_use_the_kernel(self, p, routed):
+        t = _Tables(make_field(p, 1))
+        rows, _ = _orbit_fibers(t, p, 1, curve_coefficients(form("b44"), p))
+        counts, jacobian = count._row_counts(t, p, rows)
+        assert counts.tolist() == _fiber_counts(t, rows).tolist()
+        assert (jacobian > 0) == routed
+
+    def test_passes_of_a_few_rows_give_the_same_counts(self, monkeypatch):
+        p = 1009
+        t = _Tables(make_field(p, 1))
+        rows, _ = _orbit_fibers(t, p, 1, curve_coefficients(form("b44"), p))
+        whole = count._row_counts(t, p, rows)
+        monkeypatch.setattr(count, "CURVES", 7)  # 1,010 rows: 145 passes, the last of 2 rows
+        counts, jacobian = count._row_counts(t, p, rows)
+        assert counts.tolist() == whole[0].tolist() == _fiber_counts(t, rows).tolist()
+        assert jacobian == whole[1]
+
+    def test_unresolved_rows_go_to_the_kernel(self, monkeypatch):
+        p = 1009
+        t = _Tables(make_field(p, 1))
+        rows, _ = _orbit_fibers(t, p, 1, curve_coefficients(form("signed"), p))
+        expected = _fiber_counts(t, rows).tolist()
+        resolved = []
+        for points in (0, 1, 2):
+            monkeypatch.setattr(count, "POINTS", points)
+            counts, jacobian = count._row_counts(t, p, rows)
+            assert counts.tolist() == expected
+            resolved.append(jacobian)
+        assert resolved[0] == 0 < resolved[1] < resolved[2] < len(rows)
+
+
 class TestFieldTables:
     @pytest.mark.parametrize(
         "p,n",
