@@ -261,7 +261,7 @@ def cmd_verify(args) -> int:
     elif schema.startswith("picard-bound-profile"):
         inp = doc.get("input")
         polynomial = _surface_text(inp)
-        if not isinstance(inp.get("prime"), int):
+        if not isinstance(inp.get("prime"), int) or isinstance(inp["prime"], bool):
             raise DocumentError("'input.prime' of a picard-bound document must be an integer")
         problems = document_mismatches(_picard_bound_document(polynomial, inp["prime"]), doc)
     else:

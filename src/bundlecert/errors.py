@@ -120,6 +120,10 @@ class TooLargeError(BundleCertError):
     pass
 
 
+class ExtensionDegreeError(BundleCertError):
+    """A field F_(p^n) asked for with extension degree n < 1."""
+
+
 class EvenCharacteristicError(BundleCertError):
     pass
 

@@ -17,24 +17,13 @@ fibers have the same count.  With t = g^i the orbit of t is
 orbit's size, which divides n.  t = 0 and [0:1] are fixed and counted once
 each: about q/n + 2 fibers instead of q + 1.
 
-Kernel.  One blocked Horner pass (`_horner`) evaluates the specialization
-c_j(x) at the orbit representatives, and each fiber's sum over y = [1:u],
-u = g^s, s = 0..L-1 with L = q - 1, for the fibers the Jacobian route below
-leaves to it: singular fibers, every fiber when q <= 229, and fibers still
-unresolved after POINTS points.  It costs O(q) per fiber.  It runs in the
-discrete-log domain, with zero encoded as 3L, on a (rows, values) int32
-block of about BLOCK = 2^16 cells: for the fibers, max(1, BLOCK // L) rows
-of L values, in buffers allocated once per count.  Each value is held as
-acc_j = g^(K_j) g^(z_j) with K_j one integer per row (`_steps`), so c_j
-never multiplies the block: a step is z_j = table[z_(j+1) + log u + off_j],
-one broadcast add of log u, one of a per-row column and one lookup.  off_j
-picks the zech part of `table` (acc u + c = c (acc u / c + 1), K_j = log c_j)
-when c_j != 0 and its reduce part (acc u, K unchanged) when c_j = 0, so rows
-with different zero patterns share a block.  The first step needs no add
-(acc_4 = c_4 is constant per row), and the last looks up the int8 quadratic
-character instead: chi(acc_0) = (-1)^(K_0) chi(g^(z_0)), so a fiber's sum is
-a row sum times a sign.  The tables (`_Tables`) hold 10L int32 entries and
-10L int8 ones, about 50L bytes.
+Kernel.  `_Field.horner` evaluates sum_j c_j x^j at every pair of a row of
+coefficients and a value x by acc <- add(mul(acc, x), c_j), from acc = c_4,
+one numpy call per table lookup.  It serves the specialization c_j(x) at the
+orbit representatives, and each fiber's values at y = [1:u], u = g^s,
+s = 0..L-1 with L = q - 1, whose quadratic characters sum to the fiber's sum
+over u; that costs O(q) per fiber.  It works in chunks of CELLS = 2^17
+(rows x values) cells, in one int64 buffer allocated once per call.
 
 Jacobians.  A fiber is the curve C: w^2 = F(u) with
 F = a u^4 + b u^3 + c u^2 + d u + e (a = c_4, e = c_0), and its count is
@@ -53,27 +42,34 @@ to F_(3^8)).  By Lang's theorem C has an F_q-point, so C is isomorphic to E
 over F_q and #C = #E(F_q).
 
 The curves of one count are handled together, up to CURVES = 2^14 per
-numpy call (`_Curves`), in the encoded-log domain of `_Tables` (`_Field`):
-a product is an add of logs, an inverse a negated log, -1 is g^(L/2), chi
-is the parity of a log and a square root half an even log; sums go through
-a Zech table.  Points are affine, with O as x = y = -1 and masks for O,
-doubling and P + (-P).  For a point P (`_point`, the first x = g^k of a
-fixed range with a square right side; no randomness), `_bsgs` finds every t
-with |t| <= T = floor(2 sqrt q) and [q + 1 - t]P = O: baby steps jP,
-j = 0..m, stride S = 2m + 1 and giant steps R_i = (q + 1 - iS)P over
-|i| <= G with GS + m >= T, so the steps cover the whole Hasse interval; each
-giant step compares one point per curve with the (m + 1) x rows baby array.
-#E lies in the interval (Hasse) and is a multiple of the order of P, so
-when exactly one t is found, #E = q + 1 - t is proved; otherwise the row
-stays open (Cohen, A Course in Computational Algebraic Number Theory, 7.4).
-Mestre's theorem (as in Schoof, J. Theor. Nombres Bordeaux 7 (1995))
-guarantees a point with a unique multiple on E or its twist only for
-q > 229.  Routing: a fiber goes to the kernel when its discriminant is 0
-(F = 0 included), when q <= MESTRE_Q = 229, and when POINTS points leave it
-open; every other fiber is counted through E.
+numpy call (`_Curves`), on the codes of `_Field`: a product is an add of
+logs, an inverse a negated log, -1 is g^(L/2), chi is the parity of a log
+and a square root half an even log; sums go through a Zech table.  Points
+are affine, with O as x = y = -1 and masks for O, doubling and P + (-P).
+For a point P (`_point`, the first x = g^k of a fixed range with a square
+right side; no randomness), `_bsgs` finds every t with |t| <= T =
+floor(2 sqrt q) and [q + 1 - t]P = O: baby steps jP, j = 0..m, stride
+S = 2m + 1 and giant steps R_i = (q + 1 - iS)P over |i| <= G with
+GS + m >= T, so the steps cover the whole Hasse interval; each giant step
+compares one point per curve with the (m + 1) x rows baby array.  #E lies
+in the interval (Hasse) and is a multiple of the order of P, so when
+exactly one t is found, #E = q + 1 - t is proved, at every q; otherwise the
+row stays open (Cohen, A Course in Computational Algebraic Number Theory,
+7.4).  Mestre's theorem (as in Schoof, J. Theor. Nombres Bordeaux 7 (1995))
+only says when a point is sure to settle a row: on E or its twist, for
+q > 229.
+
+Routing.  A count whose fiber rows fit in one kernel chunk (rows x L <=
+CELLS: every q <= 359, which covers the q <= 229 that Mestre's theorem
+leaves out, and b44 over F_(3^n) for n <= 6) goes wholly to the kernel,
+which costs less there than the BSGS passes.  Otherwise the Jacobian
+route runs first, and the kernel counts, a chunk at a time, the rows it
+leaves: singular fibers (discriminant 0, F = 0 included) and fibers still
+open after POINTS points.
 
 Threads.  The pool partitions the (fiber, weight) rows; the total is a sum
-of per-row integers, hence independent of the partition shape.  It has at
+of per-row integers, hence independent of the partition shape.  The count
+is routed as a whole, so the workers route their rows alike.  It has at
 most min(threads, cores, chunks) workers.
 
 Each finished count writes one progress line to stderr, with the number of
@@ -111,7 +107,7 @@ def curve_coefficients(f: RationalPolynomial, p: int):
     return A
 
 
-# --- Frobenius orbits and the vectorized kernel --------------------------------
+# --- Frobenius orbits, field codes and the kernel ------------------------------
 
 def frobenius_orbits(p: int, n: int):
     """Representatives (least members) and sizes of the orbits of i -> p*i mod (q-1).
@@ -130,166 +126,44 @@ def frobenius_orbits(p: int, n: int):
     return reps, sizes[reps]
 
 
-BLOCK = 1 << 16  # int32 cells per kernel call
+CELLS = 1 << 17  # kernel chunk: rows x values cells; counts that fit one chunk skip the route
 
 
-class _Tables:
-    """The folded tables of one field, with L = q - 1 and zero encoded as `zero` = 3L.
+class _Field:
+    """Arithmetic on the codes of one field, one numpy call per table lookup,
+    for arrays of any shape.
 
-    A nonzero element is held as its log in [0, L).  `table` (10L int32) has a
-    zech part on [0, 5L) and a reduce part on [5L, 10L).  Each part is
-    L-periodic on its first 3L entries, zech[v] = log(1 + g^v) (3L when
-    1 + g^v = 0) and reduce[v] = v mod L, and holds the image of zero on its
-    last 2L: 0 in zech (0 * u + c = c * g^0) and 3L in reduce.  `chi` (10L
-    int8) is the quadratic character of the element each entry of `table`
-    encodes, 0 for 3L; chi[5L + v] is that of the encoded v itself.
+    A nonzero element is coded by its log in [0, L), L = q - 1, and zero by
+    Z = 3L.  red[v] is v mod L for v < 3L and Z from 3L on (lookups clip), so
+    a product of up to three factors is red[a + b + c] and a quotient
+    red[a - b + 2L], b a product of up to two.  A sum is
+    a + b = red[b + plus[d]] and a difference red[b + minus[d]], with
+    d = b - a + 3L, so that b + 3L - d = a: on (2L, 4L) plus[d] is 3L - d
+    plus the zech log of 1 + g^(b - a) (Z when that is zero) and minus[d]
+    3L - d plus that of 1 - g^(b - a); on [0, L) (a = Z) b + plus[d] and
+    b + minus[d] are b and -b; from 5L on (b = Z) both are a; at 3L (a = b)
+    they are 2a and Z.  chi[v] is the quadratic character of the code v, 0
+    at Z (clipped to L).
     """
 
     def __init__(self, field: FqField):
         L = self.L = field.q - 1
-        zero = self.zero = 3 * L
-        self.log = field.log
-        table = self.table = np.empty(10 * L, dtype=np.int32)
-        zech, reduce = table[: 5 * L].reshape(5, L), table[5 * L :].reshape(5, L)
-        zech[0] = field.zech
-        zech[0][field.zech == LOG_ZERO] = zero
-        zech[1:3] = zech[0]
-        zech[3:] = 0
-        reduce[0] = np.arange(L, dtype=np.int32)
-        reduce[1:3] = reduce[0]
-        reduce[3:] = zero
-        chi = self.chi = np.empty(10 * L, dtype=np.int8)
-        np.bitwise_and(table, 1, out=chi, casting="unsafe")
-        np.multiply(chi, -2, out=chi)
-        np.add(chi, 1, out=chi)
-        chi[table == zero] = 0
+        self.p, self.log, self.zero = field.p, field.log, 3 * L
+        zech = np.where(field.zech == LOG_ZERO, self.zero, field.zech)
+        logs = np.arange(L, dtype=np.int64)
+        self.red = np.concatenate([logs, logs, logs, [self.zero]])
+        self.chi = np.concatenate([1 - 2 * (logs & 1), [0]])
+        self.plus = np.arange(3 * L, -3 * L - 1, -1, dtype=np.int64)  # 3L - d
+        self.minus = self.plus.copy()
+        self.plus[:L] = 0
+        self.minus[:L] = self.red[L // 2 : L // 2 + L] - logs
+        self.plus[2 * L : 4 * L].reshape(2, L)[:] += zech
+        self.minus[2 * L : 4 * L].reshape(2, L)[:] += np.roll(zech, -(L // 2))
 
     def encode(self, a: int) -> int:
-        """The encoded log of the field element a."""
+        """The code of the field element a (packed, as in `FqField`)."""
         v = int(self.log[a])
         return self.zero if v == LOG_ZERO else v
-
-
-def _steps(t: _Tables, c):
-    """Per-row constants of the Horner pass c_4 u^4 + ... + c_0, rows c of encoded logs.
-
-    acc_4 = c_4 is K_4 = log c_4 and z_4 = 0 (K_4 = 0 and z_4 = 3L when
-    c_4 = 0).  Step j has off_j = (K_(j+1) - log c_j) mod L and
-    K_j = log c_j when c_j != 0, off_j = 5L and K_j = K_(j+1) when c_j = 0.
-    Returns the int32 columns (z_4 + off_3, off_2, off_1, off_0), one row
-    per row of c, and K_0.
-    """
-    L = t.L
-    c = np.asarray(c, dtype=np.int64)
-    zero = c == t.zero
-    K = np.where(zero[:, 4], 0, c[:, 4])
-    cols = np.empty((len(c), 4), dtype=np.int32)
-    for j in (3, 2, 1, 0):
-        cols[:, 3 - j] = np.where(zero[:, j], 5 * L, (K - c[:, j]) % L)
-        K = np.where(zero[:, j], K, c[:, j])
-    cols[:, 0] += np.where(zero[:, 4], t.zero, 0)
-    return cols, K
-
-
-def _horner(t: _Tables, cols, u, acc, final, out):
-    """final[index of z_0] for a block of rows at every log in u, written into out.
-
-    cols is a block of `_steps` columns and acc a (rows, len(u)) int32
-    buffer; out is acc itself, or an int8 buffer when final is t.chi.
-    """
-    np.add(cols[:, :1], u, out=acc)
-    for j in (1, 2, 3):
-        np.take(t.table, acc, out=acc, mode="clip")
-        np.add(acc, u, out=acc)
-        np.add(acc, cols[:, j : j + 1], out=acc)
-    np.take(final, acc, out=out, mode="clip")
-
-
-def _specialize(t: _Tables, A, x_logs) -> np.ndarray:
-    """Encoded c_j(x) = sum_k A[k][j] x^k for every x = g^i, i in x_logs: one row per x."""
-    cols, K = _steps(t, [[t.encode(A[k][j]) for k in range(5)] for j in range(5)])
-    # K_0 + z_0 through the reduce part is the encoded log of c_j(x)
-    back = (K + 5 * t.L).astype(np.int32)[:, None]
-    width = max(1, BLOCK // 5)
-    buf = np.empty(5 * min(width, len(x_logs)), dtype=np.int32)
-    out = np.empty((len(x_logs), 5), dtype=np.int32)
-    for s in range(0, len(x_logs), width):
-        x = x_logs[s : s + width].astype(np.int32)
-        acc = buf[: 5 * len(x)].reshape(5, len(x))
-        _horner(t, cols, x, acc, t.table, acc)
-        np.add(acc, back, out=acc)
-        np.take(t.table, acc, out=acc, mode="clip")
-        out[s : s + len(x)] = acc.T
-    return out
-
-
-def _orbit_fibers(t: _Tables, p: int, n: int, A):
-    """Encoded (c_0, ..., c_4) of one fiber per Frobenius orbit, and the weights.
-
-    The last two rows are x = 0, where c_j = A[0][j], and x = [0:1], where
-    c_j = A[4][j]; each has weight 1.
-    """
-    reps, sizes = frobenius_orbits(p, n)
-    ends = [[t.encode(A[i][j]) for j in range(5)] for i in (0, 4)]
-    return np.vstack([_specialize(t, A, reps), ends]), np.concatenate([sizes, [1, 1]])
-
-
-def _fiber_counts(t: _Tables, rows) -> np.ndarray:
-    """Points over each fiber, one per row of encoded (c_0, ..., c_4).
-
-    A fiber has y = [1:0] (value c_0), y = [0:1] (value c_4) and y = [1:u]
-    for every u = g^s != 0; the sum over u is a row sum of t.chi times
-    (-1)^(K_0).  The rows go through the kernel about BLOCK cells at a time.
-    """
-    L = t.L
-    cols, K = _steps(t, rows)
-    u = np.arange(L, dtype=np.int32)
-    height = max(1, min(BLOCK // L, len(rows)))
-    acc = np.empty((height, L), dtype=np.int32)
-    chi = np.empty((height, L), dtype=np.int8)
-    sums = np.empty(len(rows), dtype=np.int64)
-    for s in range(0, len(rows), height):
-        b = min(height, len(rows) - s)
-        _horner(t, cols[s : s + b], u, acc[:b], t.chi, chi[:b])
-        chi[:b].sum(axis=1, dtype=np.int64, out=sums[s : s + b])
-    ends = t.chi[5 * L + rows[:, 0]].astype(np.int64) + t.chi[5 * L + rows[:, 4]]
-    return L + 2 + ends + (1 - 2 * (K & 1)) * sums
-
-
-# --- Jacobians ---------------------------------------------------------------------
-
-MESTRE_Q = 229  # up to here every fiber goes to the kernel: Mestre's theorem needs q > 229
-POINTS = 2  # points tried on a Jacobian before its fiber goes to the kernel
-CANDIDATES = 8  # x = g^(8r), ..., g^(8r + 7): where the r-th point is looked for
-CURVES = 1 << 14  # rows per Jacobian pass; m + 1 <= 46 baby steps up to q = 2^20
-
-
-class _Field:
-    """Arithmetic on encoded logs (`_Tables`: zero is Z = 3L), one numpy call
-    per table lookup, for arrays of any shape.
-
-    red[v] is v mod L for v < 3L and Z from 3L on (lookups clip), so a
-    product of up to three factors is red[a + b + c] and a quotient
-    red[a - b + 2L], b a product of up to two.  A sum is
-    a + b = red[a + plus[b - a + 3L]] and a difference red[a + minus[b - a + 3L]]:
-    on (2L, 4L) plus is the zech log of 1 + g^(b - a) (Z when that is zero)
-    and minus that of 1 - g^(b - a); on [0, L) (a = Z) they give b and -b;
-    from 5L on (b = Z) they are 0; at 3L (a = b) they give 2a and Z.
-    """
-
-    def __init__(self, t: _Tables, p: int):
-        L = self.L = t.L
-        self.zero, self.encode, self.p = t.zero, t.encode, p
-        self.chi = t.chi[5 * L :]
-        zech = t.table[:L]
-        logs = np.arange(L, dtype=np.int64)
-        self.red = np.concatenate([logs, logs, logs, [t.zero]])
-        self.plus = np.zeros(6 * L + 1, dtype=np.int64)
-        self.minus = np.zeros(6 * L + 1, dtype=np.int64)
-        self.plus[:L] = logs - 3 * L
-        self.minus[:L] = self.red[L // 2 : L // 2 + L] - 3 * L
-        self.plus[2 * L : 4 * L] = np.tile(zech, 2)
-        self.minus[2 * L : 4 * L] = np.tile(np.roll(zech, -(L // 2)), 2)
 
     def const(self, k: int) -> int:
         return self.encode(k % self.p)
@@ -301,13 +175,82 @@ class _Field:
         return self.red.take(a - b + 2 * self.L, mode="clip")
 
     def add(self, a, b):
-        return self.red.take(a + self.plus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
+        return self.red.take(b + self.plus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
 
     def sub(self, a, b):
-        return self.red.take(a + self.minus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
+        return self.red.take(b + self.minus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
 
     def neg(self, a):
         return self.red.take(a + self.L // 2, mode="clip")
+
+    def horner(self, coeffs, x, acc):
+        """acc[r, s] = sum_j coeffs[r, j] x[s]^j, by acc <- add(mul(acc, x), c_j)
+        from acc = c_4; coeffs is (rows, 5), x a row of codes, and acc a
+        (rows, len(x)) int64 buffer.
+
+        The sum c_j + plus[d] of `add` is left unreduced until the next
+        step's mul: it lies in [0, 2L), or from 3L on when it is zero, so
+        red[sum + x] is the code of the product."""
+        shifted = coeffs + 3 * self.L
+        np.add(coeffs[:, 4:], x, out=acc)
+        for j in (3, 2, 1, 0):
+            self.red.take(acc, out=acc, mode="clip")  # mul(acc, x)
+            np.subtract(shifted[:, j : j + 1], acc, out=acc)
+            self.plus.take(acc, out=acc, mode="clip")
+            np.add(acc, coeffs[:, j : j + 1], out=acc)  # add(., c_j), unreduced
+            if j:
+                np.add(acc, x, out=acc)
+        return self.red.take(acc, out=acc, mode="clip")
+
+
+def _specialize(F: _Field, A, x_logs) -> np.ndarray:
+    """Codes of c_j(x) = sum_k A[k][j] x^k for every x = g^i, i in x_logs: one row per x."""
+    coeffs = np.array([[F.encode(A[k][j]) for k in range(5)] for j in range(5)])
+    width = max(1, CELLS // 5)
+    acc = np.empty(5 * min(width, len(x_logs)), dtype=np.int64)
+    out = np.empty((len(x_logs), 5), dtype=np.int64)
+    for s in range(0, len(x_logs), width):
+        x = x_logs[s : s + width]
+        out[s : s + len(x)] = F.horner(coeffs, x, acc[: 5 * len(x)].reshape(5, len(x))).T
+    return out
+
+
+def _orbit_fibers(F: _Field, n: int, A):
+    """Codes (c_0, ..., c_4) of one fiber per Frobenius orbit, and the weights.
+
+    The last two rows are x = 0, where c_j = A[0][j], and x = [0:1], where
+    c_j = A[4][j]; each has weight 1.
+    """
+    reps, sizes = frobenius_orbits(F.p, n)
+    ends = [[F.encode(A[i][j]) for j in range(5)] for i in (0, 4)]
+    return np.vstack([_specialize(F, A, reps), ends]), np.concatenate([sizes, [1, 1]])
+
+
+def _fiber_counts(F: _Field, rows) -> np.ndarray:
+    """Points over each fiber, one per row of codes (c_0, ..., c_4).
+
+    A fiber has y = [1:0] (value c_0), y = [0:1] (value c_4) and y = [1:u]
+    for every u = g^s != 0; the sum over u is a row sum of chi.  The rows go
+    through the kernel max(1, CELLS // L) at a time.
+    """
+    L = F.L
+    u = np.arange(L, dtype=np.int64)
+    acc = np.empty((max(1, min(CELLS // L, len(rows))), L), dtype=np.int64)
+    sums = np.empty(len(rows), dtype=np.int64)
+    for s in range(0, len(rows), len(acc)):
+        b = min(len(acc), len(rows) - s)
+        values = F.horner(rows[s : s + b], u, acc[:b])
+        F.chi.take(values, out=values, mode="clip")
+        values.sum(axis=1, out=sums[s : s + b])
+    ends = F.chi.take(rows[:, 0], mode="clip") + F.chi.take(rows[:, 4], mode="clip")
+    return L + 2 + ends + sums
+
+
+# --- Jacobians ---------------------------------------------------------------------
+
+POINTS = 2  # points tried on a Jacobian before its fiber goes to the kernel
+CANDIDATES = 8  # x = g^(8r), ..., g^(8r + 7): where the r-th point is looked for
+CURVES = 1 << 14  # rows per Jacobian pass; m + 1 <= 46 baby steps up to q = 2^20
 
 
 def _jacobians(F: _Field, rows):
@@ -457,20 +400,19 @@ def _jacobian_counts(F: _Field, rows):
     return counts, proved
 
 
-def _row_counts(t: _Tables, p: int, rows):
+def _row_counts(F: _Field, rows, route: bool):
     """Points over each fiber row, and how many rows were counted through
-    their Jacobians; the kernel counts the rest.  The Jacobians go CURVES
-    rows at a time, so the baby-step array stays below 46 x CURVES cells."""
-    if t.L + 1 <= MESTRE_Q:
-        return _fiber_counts(t, rows), 0
-    F = _Field(t, p)
+    their Jacobians; the kernel counts the rest, and every row when route is
+    false.  The Jacobians go CURVES rows at a time, so the baby-step array
+    stays below 46 x CURVES cells."""
+    if not route:
+        return _fiber_counts(F, rows), 0
     counts = np.zeros(len(rows), dtype=np.int64)
     proved = np.zeros(len(rows), dtype=bool)
     for s in range(0, len(rows), CURVES):
         counts[s : s + CURVES], proved[s : s + CURVES] = _jacobian_counts(F, rows[s : s + CURVES])
-    del F  # the kernel's blocks need not sit on the Jacobian tables
     if not proved.all():
-        counts[~proved] = _fiber_counts(t, rows[~proved])
+        counts[~proved] = _fiber_counts(F, rows[~proved])
     return counts, int(proved.sum())
 
 
@@ -480,8 +422,8 @@ def _cached_field(p: int, n: int) -> FqField:
 
 
 def _worker(args):
-    p, n, rows, weights = args
-    counts, jacobian = _row_counts(_Tables(_cached_field(p, n)), p, rows)
+    p, n, route, rows, weights = args
+    counts, jacobian = _row_counts(_Field(_cached_field(p, n)), rows, route)
     return int(counts @ weights), jacobian
 
 
@@ -494,17 +436,19 @@ def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int
     start = perf_counter()
     A = curve_coefficients(f, p)
     field = _cached_field(p, n)
-    t = _Tables(field)
-    rows, weights = _orbit_fibers(t, p, n, A)
+    F = _Field(field)
+    rows, weights = _orbit_fibers(F, n, A)
+    route = len(rows) * F.L > CELLS
     if threads == 1:
-        counts, jacobian = _row_counts(t, p, rows)
+        counts, jacobian = _row_counts(F, rows, route)
         total = int(counts @ weights)
     else:
         import concurrent.futures as cf
 
         step = max(1, len(rows) // (threads * 4))
         chunks = [
-            (p, n, rows[s : s + step], weights[s : s + step]) for s in range(0, len(rows), step)
+            (p, n, route, rows[s : s + step], weights[s : s + step])
+            for s in range(0, len(rows), step)
         ]
         # a forking pool starts all its workers at the first submit
         workers = min(threads, os.cpu_count() or 1, len(chunks))

@@ -16,7 +16,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from ..errors import NotPrimeError, TooLargeError
+from ..errors import ExtensionDegreeError, NotPrimeError, TooLargeError
 
 ZECH_CAP = 1 << 20
 
@@ -211,7 +211,7 @@ def check_field(p: int, n: int):
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if n < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise ExtensionDegreeError(f"extension degree must be >= 1, got {n}")
     if p ** n > ZECH_CAP:
         raise TooLargeError(f"q = {p}^{n} exceeds the log-table limit 2^20")
 

@@ -141,7 +141,8 @@ def test_count_points_b44(capsys):
         assert m, line
         jacobian, kernel = int(m[1]), int(m[2])
         assert jacobian + kernel == fibers
-        assert (jacobian > 0) == (3**n > 229)  # q <= 229: every fiber through the kernel
+        # a count whose rows fit one kernel chunk is not routed: every n <= 6 here
+        assert (jacobian > 0) == (fibers * (3**n - 1) > zeta.count.CELLS)
 
 
 def test_unproved_exactness_is_inconclusive(capsys, tmp_path):
@@ -178,11 +179,13 @@ def test_prime_above_the_field_cap_exits_1(capsys):
 @pytest.mark.parametrize("command,prime,max_n", [
     ("count-points", 1031, ("--max-n", 2)), ("picard-bound", 1031, ()),
     ("count-points", 4, ()), ("count-points", 2, ()), ("picard-bound", 2, ()),
+    ("count-points", 3, ("--max-n", 0)),
 ], ids=["count-points", "picard-bound", "count-points-not-prime", "count-points-even",
-        "picard-bound-even"])
+        "picard-bound-even", "count-points-degree-0"])
 def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command, prime, max_n):
-    """A prime above the cap, a composite (NotPrimeError) and p = 2
-    (EvenCharacteristicError) are refused before a count reads the form."""
+    """A prime above the cap, a composite (NotPrimeError), p = 2
+    (EvenCharacteristicError) and n < 1 (ExtensionDegreeError) are refused
+    before a count reads the form."""
     def no_count(*args, **kwargs):
         raise AssertionError("started a count before refusing the prime")
 
@@ -532,23 +535,47 @@ def _fiber_points(points):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: [1], lambda doc: {"schema": 5},
-    lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
-    _margin_not_an_integer, _polarization_not_integers,
-    _fiber_points([0, 1]), _fiber_points([[0, 1], [0]]), _fiber_points([[0, "1"], [0, 1]]),
-    lambda doc: {"schema": "picard-bound-profile/1", "input": {"polynomial": 5, "prime": 3}},
-    lambda doc: {"schema": "picard-bound-profile/1", "input": {"polynomial": B44, "prime": "3"}},
-    lambda doc: {"schema": "picard-bound-profile/1", "input": {"polynomial": B44, "prime": 1031}},
-], ids=["top-level-list", "schema-not-a-string", "quartic-surface-not-a-string",
-        "margin-not-an-integer", "polarization-not-integers", "fiber-points-not-pairs",
-        "fiber-point-too-short", "fiber-point-not-integers", "picard-polynomial-not-a-string",
-        "picard-prime-not-an-integer", "picard-prime-above-the-field-cap"])
-def test_verify_rejects_a_malformed_certificate(capsys, tmp_path, k_rank3_certificate, edit):
+PICARD = "picard-bound-profile/1"
+PRIME_NOT_AN_INTEGER = "error: 'input.prime' of a picard-bound document must be an integer"
+# (id, edit, start of stderr, or of stdout for an unknown schema)
+MALFORMED_CERTIFICATES = [
+    ("top-level-list", lambda doc: [1], "error: a certificate is a JSON object"),
+    ("schema-not-a-string", lambda doc: {"schema": 5}, "unknown certificate schema '5'"),
+    ("quartic-surface-not-a-string", lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
+     "error: a quartic certificate needs the surface as a string"),
+    ("margin-not-an-integer", _margin_not_an_integer,
+     "error: 'input.options.margin' must be an integer or null"),
+    ("polarization-not-integers", _polarization_not_integers,
+     "error: 'polarization' must be a list of integers"),
+    ("fiber-points-not-pairs", _fiber_points([0, 1]),
+     "error: 'input.options.fiber_points' must be two [int, int]"),
+    ("fiber-point-too-short", _fiber_points([[0, 1], [0]]),
+     "error: 'input.options.fiber_points' must be two [int, int]"),
+    ("fiber-point-not-integers", _fiber_points([[0, "1"], [0, 1]]),
+     "error: 'input.options.fiber_points' must be two [int, int]"),
+    ("picard-polynomial-not-a-string",
+     lambda doc: {"schema": PICARD, "input": {"polynomial": 5, "prime": 3}},
+     "error: a surface is a JSON object with the polynomial as a string"),
+    ("picard-prime-not-an-integer",
+     lambda doc: {"schema": PICARD, "input": {"polynomial": B44, "prime": "3"}},
+     PRIME_NOT_AN_INTEGER),
+    ("picard-prime-above-the-field-cap",
+     lambda doc: {"schema": PICARD, "input": {"polynomial": B44, "prime": 1031}},
+     "error: q = 1031^10 exceeds the log-table limit 2^20"),
+    ("picard-prime-a-bool",  # a bool is an int to isinstance
+     lambda doc: {"schema": PICARD, "input": {"polynomial": B44, "prime": True}},
+     PRIME_NOT_AN_INTEGER),
+]
+
+
+@pytest.mark.parametrize("edit,message", [case[1:] for case in MALFORMED_CERTIFICATES],
+                         ids=[case[0] for case in MALFORMED_CERTIFICATES])
+def test_verify_rejects_a_malformed_certificate(capsys, tmp_path, k_rank3_certificate, edit,
+                                                message):
     """Fields the re-run reads must have the right JSON type."""
     code, out, err = verify_document(capsys, tmp_path, edit(k_rank3_certificate))
     assert code == cli.EXIT_ERROR
-    assert err.startswith("error: ") or out.startswith("unknown certificate schema")
+    assert (err or out).startswith(message)
     assert "certificate verified" not in out and "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,9 +38,9 @@ from bundlecert.zeta.charpoly import (
 from bundlecert.zeta import count
 from bundlecert.zeta.count import (
     _fiber_counts,
+    _Field,
     _orbit_fibers,
     _specialize,
-    _Tables,
     frobenius_orbits,
 )
 
@@ -114,14 +115,14 @@ class TestOrbits:
         assert all(n % int(s) == 0 for s in sizes)
         f = form("b44")
         A = curve_coefficients(f, p)
-        t = _Tables(make_field(p, n))
+        F = _Field(make_field(p, n))
         # every x = g^i on its own: fiber counts are constant on each orbit i -> p i
-        fiber = _fiber_counts(t, _specialize(t, A, np.arange(q - 1))).tolist()
+        fiber = _fiber_counts(F, _specialize(F, A, np.arange(q - 1))).tolist()
         for i in range(q - 1):
             assert fiber[i] == fiber[i * p % (q - 1)]
-        rows, weights = _orbit_fibers(t, p, n, A)
-        ends = int(_fiber_counts(t, rows[-2:]).sum())
-        assert _fiber_counts(t, rows) @ weights == sum(fiber) + ends == count_points(f, p, n)
+        rows, weights = _orbit_fibers(F, n, A)
+        ends = int(_fiber_counts(F, rows[-2:]).sum())
+        assert _fiber_counts(F, rows) @ weights == sum(fiber) + ends == count_points(f, p, n)
 
     def test_threads_give_the_same_count(self):
         f = form("b44")
@@ -150,34 +151,34 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2), (101, 1)])
     def test_every_zero_pattern_in_one_block(self, p, n):
         field = make_field(p, n)
-        t = _Tables(field)
+        F = _Field(field)
         coeffs = random_fibers(field, p * 10 + n)
-        assert len(coeffs) <= max(1, count.BLOCK // t.L)  # one block
-        counts = _fiber_counts(t, np.array([[t.encode(c) for c in row] for row in coeffs]))
+        assert len(coeffs) * F.L <= count.CELLS  # one chunk
+        counts = _fiber_counts(F, np.array([[F.encode(c) for c in row] for row in coeffs]))
         assert counts.tolist() == [oracles.fiber_count(field, row) for row in coeffs]
-        assert counts[31] == t.L + 2
+        assert counts[31] == F.L + 2
 
     @pytest.mark.parametrize("height", [2, 3, 8])
     def test_blocks_with_a_ragged_last_block(self, monkeypatch, height):
         field = make_field(5, 2)
-        t = _Tables(field)
+        F = _Field(field)
         coeffs = random_fibers(field, height) + random_fibers(field, height + 1)[:3]
-        rows = np.array([[t.encode(c) for c in row] for row in coeffs])
-        monkeypatch.setattr(count, "BLOCK", height * t.L)
+        rows = np.array([[F.encode(c) for c in row] for row in coeffs])
+        monkeypatch.setattr(count, "CELLS", height * F.L + F.L - 1)  # height rows per chunk
         assert len(rows) >= 3 * height and len(rows) % height != 0
-        assert _fiber_counts(t, rows).tolist() == [oracles.fiber_count(field, row) for row in coeffs]
+        assert _fiber_counts(F, rows).tolist() == [oracles.fiber_count(field, row) for row in coeffs]
 
-    @pytest.mark.parametrize("block", [5, 35, count.BLOCK])
-    def test_specialization_in_blocks(self, monkeypatch, block):
+    @pytest.mark.parametrize("cells", [5, 35, count.CELLS])
+    def test_specialization_in_blocks(self, monkeypatch, cells):
         field = make_field(3, 4)
-        t = _Tables(field)
+        F = _Field(field)
         A = curve_coefficients(form("b44"), 3)
-        monkeypatch.setattr(count, "BLOCK", block)
-        rows = _specialize(t, A, np.arange(t.L))
+        monkeypatch.setattr(count, "CELLS", cells)
+        rows = _specialize(F, A, np.arange(F.L))
         expected = [
-            [t.encode(oracles.field_value(field, [A[k][j] for k in range(5)], int(field.exp[i])))
+            [F.encode(oracles.field_value(field, [A[k][j] for k in range(5)], int(field.exp[i])))
              for j in range(5)]
-            for i in range(t.L)
+            for i in range(F.L)
         ]
         assert rows.tolist() == expected
 
@@ -187,10 +188,13 @@ class TestPrimeFieldCounts:
     def test_matches_the_per_fiber_count(self, name, p):
         assert count_points(form(name), p, 1) == PRIME_FIELD_COUNTS[name, p]
 
-    def test_threads_give_the_same_count_over_several_blocks(self):
-        # 1,010 rows of 1,008 cells: 65 rows per block, chunks of 126 rows
+    def test_threads_give_the_same_count_over_several_blocks(self, capsys):
+        # 1,010 rows of 1,008 cells, chunks of 126 rows: each would fit one kernel
+        # chunk, but the count is routed as a whole
         f = form("b44")
         assert count_points(f, 1009, 1, threads=2) == count_points(f, 1009, 1, threads=1)
+        two, one = (re.search(r"\(.*\)", line)[0] for line in capsys.readouterr().err.splitlines())
+        assert two == one
 
 
 class TestWorkerPool:
@@ -251,12 +255,11 @@ def packed_mul(field, a, b):
     return int(field.exp[(field.log[a] + field.log[b]) % (field.q - 1)])
 
 
-def smooth_points(t, p, rows, r):
+def smooth_points(F, rows, r):
     """Jacobians of the smooth rows, the r-th point on each, and _bsgs from it."""
-    F = count._Field(t, p)
     a2, a4, a6, smooth = count._jacobians(F, rows)
     P, found = count._point(F, a2[smooth], a4[smooth], a6[smooth], r)
-    N, proved = count._bsgs(count._Curves(F, a2[smooth], a4[smooth]), t.L + 1, P)
+    N, proved = count._bsgs(count._Curves(F, a2[smooth], a4[smooth]), F.L + 1, P)
     return smooth, N, proved & found
 
 
@@ -264,9 +267,8 @@ class TestJacobians:
     @pytest.mark.parametrize("p,n", [(13, 1), (3, 3), (5, 2)])
     def test_field_arithmetic_matches_packed_elements(self, p, n):
         field = make_field(p, n)
-        t = _Tables(field)
-        F = count._Field(t, p)
-        enc = np.array([t.encode(a) for a in range(field.q)])
+        F = _Field(field)
+        enc = np.array([F.encode(a) for a in range(field.q)])
         a, b = (v.ravel() for v in np.meshgrid(np.arange(field.q), np.arange(field.q)))
         pairs = list(zip(a.tolist(), b.tolist()))
         assert F.add(enc[a], enc[b]).tolist() == [enc[field.add(x, y)] for x, y in pairs]
@@ -275,6 +277,10 @@ class TestJacobians:
         ]
         assert F.mul(enc[a], enc[b]).tolist() == [enc[packed_mul(field, x, y)] for x, y in pairs]
         assert F.neg(enc).tolist() == [enc[packed_neg(field, x)] for x in range(field.q)]
+        squares = {packed_mul(field, x, x) for x in range(1, field.q)}
+        assert F.chi.take(enc, mode="clip").tolist() == [
+            0 if x == 0 else 1 if x in squares else -1 for x in range(field.q)
+        ]
         # a product of three factors, and a quotient by a product of two
         c = b * 7 % field.q
         abc = [packed_mul(field, packed_mul(field, x, y), z) for (x, y), z in zip(pairs, c)]
@@ -287,20 +293,21 @@ class TestJacobians:
     @pytest.mark.parametrize("name", sorted(FORMS))
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_matches_the_kernel_over_f3n(self, name, n):
-        t = _Tables(make_field(3, n))
-        rows, _ = _orbit_fibers(t, 3, n, curve_coefficients(form(name), 3))
-        counts, jacobian = count._row_counts(t, 3, rows)
-        assert counts.tolist() == _fiber_counts(t, rows).tolist()
+        F = _Field(make_field(3, n))
+        rows, _ = _orbit_fibers(F, n, curve_coefficients(form(name), 3))
+        # count_points does not route n = 5, 6: their rows fit one kernel chunk
+        counts, jacobian = count._row_counts(F, rows, True)
+        assert counts.tolist() == _fiber_counts(F, rows).tolist()
         assert jacobian > len(rows) // 2
 
     @pytest.mark.parametrize("name", sorted(FORMS))
     @pytest.mark.parametrize("p", [101, 1009])
     def test_bsgs_on_every_smooth_fiber(self, name, p):
-        t = _Tables(make_field(p, 1))
-        rows, _ = _orbit_fibers(t, p, 1, curve_coefficients(form(name), p))
-        kernel = _fiber_counts(t, rows)
+        F = _Field(make_field(p, 1))
+        rows, _ = _orbit_fibers(F, 1, curve_coefficients(form(name), p))
+        kernel = _fiber_counts(F, rows)
         for r in range(2):
-            smooth, N, proved = smooth_points(t, p, rows, r)
+            smooth, N, proved = smooth_points(F, rows, r)
             assert N[proved].tolist() == kernel[smooth][proved].tolist()
             assert proved.sum() > smooth.sum() // 2
 
@@ -308,15 +315,14 @@ class TestJacobians:
         # narrowing the interval to |t| <= 33 would find 1040 alone and accept it
         p = 1009
         field = make_field(p, 1)
-        t = _Tables(field)
-        F = count._Field(t, p)
-        row = np.array([[t.encode(c) for c in ORDER_80_FIBER]])
-        assert _fiber_counts(t, row).tolist() == [960]
+        F = _Field(field)
+        row = np.array([[F.encode(c) for c in ORDER_80_FIBER]])
+        assert _fiber_counts(F, row).tolist() == [960]
         a2, a4, a6, smooth = count._jacobians(F, row)
         assert smooth.tolist() == [True]
-        x = t.encode(6)
+        x = F.encode(6)
         rhs = F.add(F.add(F.mul(F.mul(x, x), x), F.mul(a2, F.mul(x, x))), F.add(F.mul(a4, x), a6))
-        assert rhs[0] % 2 == 0 and rhs[0] != t.zero
+        assert rhs[0] % 2 == 0 and rhs[0] != F.zero
         P = (np.array([x]), rhs // 2)
         E = count._Curves(F, a2, a4)
         assert E.mul(80, P)[0].tolist() == [-1] and E.mul(40, P)[0].tolist() != [-1]
@@ -333,7 +339,7 @@ class TestJacobians:
     def test_singular_fibers_go_to_the_kernel(self, monkeypatch):
         p = 1009
         field = make_field(p, 1)
-        t = _Tables(field)
+        F = _Field(field)
 
         def expand(*roots, lead=1):
             coeffs = [lead]
@@ -350,49 +356,78 @@ class TestJacobians:
             (expand(1, 2, 3), True),  # degree 3: a simple root at infinity
             (expand(1, 2, 3, 4, lead=5), True),
         ]
-        rows = np.array([[t.encode(c) for c in coeffs] for coeffs, _ in cases])
-        F = count._Field(t, p)
+        rows = np.array([[F.encode(c) for c in coeffs] for coeffs, _ in cases])
         assert count._jacobians(F, rows)[3].tolist() == [s for _, s in cases]
         seen = []
         kernel = count._fiber_counts
 
-        def recording_kernel(t, rows):
+        def recording_kernel(F, rows):
             seen.extend(rows.tolist())
-            return kernel(t, rows)
+            return kernel(F, rows)
 
         monkeypatch.setattr(count, "_fiber_counts", recording_kernel)
-        counts, jacobian = count._row_counts(t, p, rows)
+        counts, jacobian = count._row_counts(F, rows, True)
         assert counts.tolist() == [oracles.fiber_count(field, coeffs) for coeffs, _ in cases]
         assert jacobian == 2
         assert seen == rows[:5].tolist()
 
-    @pytest.mark.parametrize("p,routed", [(229, False), (233, True)])
-    def test_fields_up_to_229_use_the_kernel(self, p, routed):
-        t = _Tables(make_field(p, 1))
-        rows, _ = _orbit_fibers(t, p, 1, curve_coefficients(form("b44"), p))
-        counts, jacobian = count._row_counts(t, p, rows)
-        assert counts.tolist() == _fiber_counts(t, rows).tolist()
-        assert (jacobian > 0) == routed
+    @pytest.mark.parametrize("p,n", [(5, 2), (3, 3)])
+    def test_a_count_with_every_fiber_singular(self, monkeypatch, capsys, p, n):
+        # f = g^2: every fiber is the square of a binary quadratic, so the route
+        # proves nothing and the kernel counts every row, 3 rows per chunk
+        g = parse_poly("x0^2*y0^2 + x0*x1*y0*y1 + 2*x1^2*y1^2 + x0^2*y1^2 - x1^2*y0*y1", PP)
+        f = g * g
+        monkeypatch.setattr(count, "CELLS", 3 * (p**n - 1))
+        routed, chunks = [], []
+        route, horner = count._jacobian_counts, _Field.horner
+
+        def recording_route(F, rows):
+            counts, proved = route(F, rows)
+            routed.append((len(rows), int(proved.sum())))
+            return counts, proved
+
+        def recording_horner(F, coeffs, x, acc):
+            if len(x) == F.L:
+                chunks.append(len(coeffs))
+            return horner(F, coeffs, x, acc)
+
+        monkeypatch.setattr(count, "_jacobian_counts", recording_route)
+        monkeypatch.setattr(_Field, "horner", recording_horner)
+        assert count_points(f, p, n) == count_points_bruteforce(f, p, n)
+        rows = len(frobenius_orbits(p, n)[0]) + 2
+        assert routed == [(rows, 0)]
+        assert chunks == [3] * (rows // 3) + [rows % 3] * (rows % 3 > 0)
+        assert f"(0 Jacobian, {rows} kernel)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p,routed", [(359, False), (367, True)])
+    def test_a_count_in_one_chunk_skips_the_route(self, capsys, p, routed):
+        f = form("b44")
+        F = _Field(make_field(p, 1))
+        rows, weights = _orbit_fibers(F, 1, curve_coefficients(f, p))
+        assert (len(rows) * F.L > count.CELLS) == routed  # 360 x 358 and 368 x 366 cells
+        assert count_points(f, p, 1) == _fiber_counts(F, rows) @ weights
+        jacobian = re.search(r"\((\d+) Jacobian", capsys.readouterr().err)[1]
+        assert (int(jacobian) > 0) == routed
 
     def test_passes_of_a_few_rows_give_the_same_counts(self, monkeypatch):
         p = 1009
-        t = _Tables(make_field(p, 1))
-        rows, _ = _orbit_fibers(t, p, 1, curve_coefficients(form("b44"), p))
-        whole = count._row_counts(t, p, rows)
+        F = _Field(make_field(p, 1))
+        rows, _ = _orbit_fibers(F, 1, curve_coefficients(form("b44"), p))
+        whole = count._row_counts(F, rows, True)
         monkeypatch.setattr(count, "CURVES", 7)  # 1,010 rows: 145 passes, the last of 2 rows
-        counts, jacobian = count._row_counts(t, p, rows)
-        assert counts.tolist() == whole[0].tolist() == _fiber_counts(t, rows).tolist()
+        counts, jacobian = count._row_counts(F, rows, True)
+        assert counts.tolist() == whole[0].tolist() == _fiber_counts(F, rows).tolist()
         assert jacobian == whole[1]
 
     def test_unresolved_rows_go_to_the_kernel(self, monkeypatch):
         p = 1009
-        t = _Tables(make_field(p, 1))
-        rows, _ = _orbit_fibers(t, p, 1, curve_coefficients(form("signed"), p))
-        expected = _fiber_counts(t, rows).tolist()
+        F = _Field(make_field(p, 1))
+        rows, _ = _orbit_fibers(F, 1, curve_coefficients(form("signed"), p))
+        expected = _fiber_counts(F, rows).tolist()
         resolved = []
         for points in (0, 1, 2):
             monkeypatch.setattr(count, "POINTS", points)
-            counts, jacobian = count._row_counts(t, p, rows)
+            counts, jacobian = count._row_counts(F, rows, True)
             assert counts.tolist() == expected
             resolved.append(jacobian)
         assert resolved[0] == 0 < resolved[1] < resolved[2] < len(rows)
