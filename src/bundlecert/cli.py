@@ -82,12 +82,12 @@ def _surface_text(doc) -> str:
     return doc["polynomial"]
 
 
-def _picard_bound_document(polynomial: str, p: int, threads: int = 1) -> dict:
+def _picard_bound_document(polynomial: str, p: int) -> dict:
     """run_picard_bound on the branch form, with the inputs its replay reads."""
     from .zeta import HALF, check_field, run_picard_bound
 
     check_field(p, HALF)  # before the first count: the last one may be over F_{p^HALF}
-    doc = run_picard_bound(parse_poly(polynomial, SURFACE_AMBIENT), p, threads=threads)
+    doc = run_picard_bound(parse_poly(polynomial, SURFACE_AMBIENT), p)
     doc["input"] = {"polynomial": polynomial, "prime": p}
     return doc
 
@@ -162,7 +162,7 @@ def _lattice_from_args(args) -> k3lat.GramLattice:
 
 
 # the number of --class options each lattice command reads; gram reads 1 or more
-_CLASS_COUNTS = {"pair": 2, "genus": 1, "effectivity": 2}
+_CLASS_COUNTS = {"pair": 2, "genus": 1, "effectivity": 2, "expected-dim": 0}
 
 
 def cmd_lattice(args) -> int:
@@ -232,7 +232,7 @@ def cmd_count_points(args) -> int:
     f = parse_poly(_surface_text(_load_json(args.surface)), SURFACE_AMBIENT)
     lines = []
     for n in range(1, args.max_n + 1):
-        N = count_points(f, args.prime, n, threads=args.threads)
+        N = count_points(f, args.prime, n)
         q = args.prime ** n
         t = N - 1 - q * q
         lines.append(f"{n}, {q}, {N}, {t}")
@@ -242,7 +242,7 @@ def cmd_count_points(args) -> int:
 
 def cmd_picard_bound(args) -> int:
     polynomial = _surface_text(_load_json(args.surface))
-    result = _picard_bound_document(polynomial, args.prime, threads=args.threads)
+    result = _picard_bound_document(polynomial, args.prime)
     _emit(Document(result).to_json(), args.out)
     return EXIT_OK
 
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True, help="JSON with the (4,4) branch curve")
     p.add_argument("--prime", type=int, required=True, help=FIELD_LIMIT_HELP)
     p.add_argument("--max-n", type=int, default=9)
-    p.add_argument("--threads", type=int, default=1)
     add_out(p)
     p.set_defaults(fn=cmd_count_points)
 
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True, help="JSON with the (4,4) branch curve")
     p.add_argument("--prime", type=int, required=True,
                    help="odd prime p with p^10 ≤ 2^20 (p = 3)")
-    p.add_argument("--threads", type=int, default=1)
     add_out(p)
     p.set_defaults(fn=cmd_picard_bound)
 

@@ -141,7 +141,7 @@ class NoCandidateError(BundleCertError):
 
 
 class ThreadCountError(BundleCertError):
-    """A point count asked for fewer than one worker."""
+    """A point count asked for more or fewer than one process."""
 
 
 # --- documents / CLI ---------------------------------------------------------

@@ -16,6 +16,7 @@ from .charpoly import (
     rank_upper_bound,
     resolve_family_with_count,
     unit_root_count,
+    weil_trace,
 )
 from .count import count_points, count_points_bruteforce, curve_coefficients
 from .field import FqField, check_field, make_field, smallest_irreducible
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 
-def run_picard_bound(f, p: int, threads: int = 1) -> dict:
+def run_picard_bound(f, p: int) -> dict:
     """Counts, candidate assembly, and the rank bound, as one document.
 
     The one shape of `charpoly`: the U(2) of the pulled-back rulings
@@ -53,10 +54,14 @@ def run_picard_bound(f, p: int, threads: int = 1) -> dict:
     completion and leave the coefficient of T^HALF free for the plus sign;
     when a plus-sign completion with unit roots survives, the count at
     n = HALF = 10 pins it and removes the ambiguity (recorded in the
-    document).  The caller checks that p^HALF fits the field cap before the
-    first count.
+    document).  Each trace is audited against the Weil bound as soon as its
+    count is made, so a bad one stops the run before the next count.  The
+    caller checks that p^HALF fits the field cap before the first count.
     """
-    counts = [count_points(f, p, n, threads=threads) for n in range(1, HALF)]
+    counts = []
+    for n in range(1, HALF):
+        counts.append(count_points(f, p, n))
+        weil_trace(counts[-1], p, n)
     profile = assemble_charpoly(counts, p)
     first = rank_upper_bound(profile)
     doc = profile.to_document()
@@ -65,7 +70,7 @@ def run_picard_bound(f, p: int, threads: int = 1) -> dict:
         kind == "family" and contrib > 0 for _, kind, contrib, _ in first.per_candidate
     )
     if ambiguous:
-        extra = count_points(f, p, HALF, threads=threads)
+        extra = count_points(f, p, HALF)
         resolved = resolve_family_with_count(profile, extra)
         final = rank_upper_bound(resolved)
         doc["disambiguation"] = {

@@ -314,15 +314,21 @@ class ZetaProfile:
         }
 
 
+def weil_trace(count: int, p: int, n: int) -> int:
+    """The trace t_n = N - 1 - p^{2n} of the count N over F_{p^n}, audited
+    against the Weil bound."""
+    t = count - 1 - p ** (2 * n)
+    if abs(t) > WEIL_TRACE_FACTOR * p ** n:
+        raise NoConsistentCandidateError(
+            f"trace t_{n} = {t} violates the Weil bound {WEIL_TRACE_FACTOR}*{p}^{n}"
+        )
+    return t
+
+
 def profile_from_counts(counts, p: int) -> ZetaProfile:
     """Traces, each audited against the Weil bound, reduced power sums and
     e_1..e_m by Newton's identities, from the counts over F_{p^n}, n = 1..m."""
-    traces = [N - 1 - p ** (2 * i) for i, N in enumerate(counts, start=1)]
-    for i, t in enumerate(traces, start=1):
-        if abs(t) > WEIL_TRACE_FACTOR * p ** i:
-            raise NoConsistentCandidateError(
-                f"trace t_{i} = {t} violates the Weil bound {WEIL_TRACE_FACTOR}*{p}^{i}"
-            )
+    traces = [weil_trace(N, p, i) for i, N in enumerate(counts, start=1)]
     power_sums = [t - K_ALG * p ** i for i, t in enumerate(traces, start=1)]
     return ZetaProfile(p, counts, traces, power_sums, newton_elementary_from_power_sums(power_sums))
 

@@ -59,27 +59,20 @@ row stays open (Cohen, A Course in Computational Algebraic Number Theory,
 only says when a point is sure to settle a row: on E or its twist, for
 q > 229.
 
-Routing.  A count whose fiber rows fit in one kernel chunk (rows x L <=
-CELLS: every q <= 359, which covers the q <= 229 that Mestre's theorem
-leaves out, and b44 over F_(3^n) for n <= 6) goes wholly to the kernel,
-which costs less there than the BSGS passes.  Otherwise the Jacobian
-route runs first, and the kernel counts, a chunk at a time, the rows it
-leaves: singular fibers (discriminant 0, F = 0 included) and fibers still
-open after POINTS points.
-
-Threads.  The pool partitions the (fiber, weight) rows; the total is a sum
-of per-row integers, hence independent of the partition shape.  The count
-is routed as a whole, so the workers route their rows alike.  It has at
-most min(threads, cores, chunks) workers.
+Routing.  `count_points` decides it for the whole count.  A count whose
+fiber rows fit in one kernel chunk (rows x L <= CELLS: every q <= 359,
+which covers the q <= 229 that Mestre's theorem leaves out, and b44 over
+F_(3^n) for n <= 6) goes wholly to the kernel, which costs less there than
+the BSGS passes.  Otherwise `_row_counts` runs the Jacobian route first, and
+the kernel counts, a chunk at a time, the rows it leaves: singular fibers
+(discriminant 0, F = 0 included) and fibers still open after POINTS points.
 
 Each finished count writes one progress line to stderr, with the number of
 fibers counted through their Jacobians and through the kernel.
 """
 from __future__ import annotations
 
-import os
 import sys
-from functools import lru_cache
 from math import isqrt
 from time import perf_counter
 
@@ -400,13 +393,10 @@ def _jacobian_counts(F: _Field, rows):
     return counts, proved
 
 
-def _row_counts(F: _Field, rows, route: bool):
+def _row_counts(F: _Field, rows):
     """Points over each fiber row, and how many rows were counted through
-    their Jacobians; the kernel counts the rest, and every row when route is
-    false.  The Jacobians go CURVES rows at a time, so the baby-step array
-    stays below 46 x CURVES cells."""
-    if not route:
-        return _fiber_counts(F, rows), 0
+    their Jacobians; the kernel counts the rest.  The Jacobians go CURVES
+    rows at a time, so the baby-step array stays below 46 x CURVES cells."""
     counts = np.zeros(len(rows), dtype=np.int64)
     proved = np.zeros(len(rows), dtype=bool)
     for s in range(0, len(rows), CURVES):
@@ -416,49 +406,27 @@ def _row_counts(F: _Field, rows, route: bool):
     return counts, int(proved.sum())
 
 
-@lru_cache(maxsize=8)
-def _cached_field(p: int, n: int) -> FqField:
-    return make_field(p, n)
-
-
-def _worker(args):
-    p, n, route, rows, weights = args
-    counts, jacobian = _row_counts(_Field(_cached_field(p, n)), rows, route)
-    return int(counts @ weights), jacobian
-
-
 def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int:
-    """Exact number of points of the branched double cover over F_{p^n}."""
-    if threads < 1:
-        raise ThreadCountError(f"threads must be at least 1, got {threads}")
+    """Exact number of points of the branched double cover over F_{p^n}.
+
+    Counts run in one process: any threads other than 1 is refused."""
+    if threads != 1:
+        raise ThreadCountError(f"counts run in one process, got threads={threads}")
     if p == 2:
         raise EvenCharacteristicError("double-cover counting needs odd characteristic")
     start = perf_counter()
     A = curve_coefficients(f, p)
-    field = _cached_field(p, n)
-    F = _Field(field)
+    F = _Field(make_field(p, n))
     rows, weights = _orbit_fibers(F, n, A)
-    route = len(rows) * F.L > CELLS
-    if threads == 1:
-        counts, jacobian = _row_counts(F, rows, route)
-        total = int(counts @ weights)
+    if len(rows) * F.L <= CELLS:
+        counts, jacobian = _fiber_counts(F, rows), 0
     else:
-        import concurrent.futures as cf
-
-        step = max(1, len(rows) // (threads * 4))
-        chunks = [
-            (p, n, route, rows[s : s + step], weights[s : s + step])
-            for s in range(0, len(rows), step)
-        ]
-        # a forking pool starts all its workers at the first submit
-        workers = min(threads, os.cpu_count() or 1, len(chunks))
-        with cf.ProcessPoolExecutor(max_workers=workers) as ex:
-            total, jacobian = map(sum, zip(*ex.map(_worker, chunks)))
+        counts, jacobian = _row_counts(F, rows)
     sys.stderr.write(
-        f"n={n} q={field.q}: {len(rows)} orbit fibers ({jacobian} Jacobian, "
+        f"n={n} q={F.L + 1}: {len(rows)} orbit fibers ({jacobian} Jacobian, "
         f"{len(rows) - jacobian} kernel), {perf_counter() - start:.3f} s\n"
     )
-    return total
+    return int(counts @ weights)
 
 
 def count_points_bruteforce(f: RationalPolynomial, p: int, n: int) -> int:

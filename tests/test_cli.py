@@ -326,17 +326,6 @@ def test_lattice_prints_the_result(capsys, argv, doc, exit_code):
     assert out == canonical(doc) and err == ""
 
 
-@pytest.mark.parametrize("command", [
-    ("count-points", "--max-n", 1), ("picard-bound",),
-], ids=["count-points", "picard-bound"])
-@pytest.mark.parametrize("threads", [0, -2])
-def test_fewer_than_one_thread_exits_1(capsys, command, threads):
-    code, out, err = run(capsys, command[0], "--surface", INPUTS / "b44.poly", "--prime", 3,
-                         *command[1:], "--threads", threads)
-    assert code == cli.EXIT_ERROR
-    assert out == "" and err == f"error: threads must be at least 1, got {threads}\n"
-
-
 # A8(-1), a rank-8 lattice given as a document
 RANK8_LATTICE = {
     "names": [f"e{i}" for i in range(1, 9)],
@@ -354,9 +343,10 @@ RANK8_LATTICE = {
     ("effectivity", "--class", "1,0"),
     ("gram",),
     ("gram", "--class", "1"),
+    ("expected-dim", "--class", "1,0"),
 ], ids=["pair-three-coordinates", "pair-one-class", "pair-three-classes", "genus-no-class",
         "genus-rank-8-lattice", "genus-two-classes", "effectivity-one-class", "gram-no-class",
-        "gram-one-coordinate"])
+        "gram-one-coordinate", "expected-dim-one-class"])
 def test_lattice_refuses_a_wrong_class_count_or_length(capsys, tmp_path, argv):
     path = tmp_path / "lattice.json"
     path.write_text(json.dumps(RANK8_LATTICE))
@@ -437,7 +427,11 @@ def test_quartic_run_refuses_twists_it_does_not_certify(capsys, tmp_path, doc):
     ("h0", "--monad", INPUTS / "euler.monad", "--twist", "1", "--out", "h0.txt"),
     ("verify", INPUTS / "quartic.json", "--format", "json"),
     ("chern", "--monad", INPUTS / "euler.monad", "--format", "json"),
-], ids=["h0-out", "verify-format", "chern-format"])
+    ("count-points", "--surface", INPUTS / "b44.poly", "--prime", 3, "--max-n", 1,
+     "--threads", 1),
+    ("picard-bound", "--surface", INPUTS / "b44.poly", "--prime", 3, "--threads", 1),
+], ids=["h0-out", "verify-format", "chern-format", "count-points-threads",
+        "picard-bound-threads"])
 def test_removed_options_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_ERROR
@@ -675,11 +669,21 @@ def test_picard_bound_has_no_count_or_k_alg_option(capsys):
     assert "--max-n" not in out and "--k-alg" not in out
 
 
+def test_picard_bound_stops_at_the_first_bad_trace(capsys, tmp_path):
+    path = tmp_path / "x4.json"
+    path.write_text(json.dumps({"polynomial": "x0^4*y0^4"}))
+    code, out, err = run(capsys, "picard-bound", "--surface", path, "--prime", 3)
+    assert code == cli.EXIT_ERROR and out == ""
+    *progress, last = err.splitlines()
+    assert [line.split(":")[0] for line in progress] == ["n=1 q=3", "n=2 q=9", "n=3 q=27"]
+    assert last == "error: trace t_3 = 783 violates the Weil bound 22*3^3"
+
+
 @pytest.fixture
 def b44_bound(capsys, tmp_path, monkeypatch):
     """picard-bound on b44 at p = 3, with the counts read from COUNTS_AT_3."""
     table = {parse_poly(text, cli.SURFACE_AMBIENT): counts for text, counts in COUNTS_AT_3.items()}
-    monkeypatch.setattr(zeta, "count_points", lambda f, p, n, threads=1: table[f][n - 1])
+    monkeypatch.setattr(zeta, "count_points", lambda f, p, n: table[f][n - 1])
     return certificate(capsys, tmp_path, "picard-bound", "--surface", INPUTS / "b44.poly",
                        "--prime", 3)
 

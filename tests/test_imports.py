@@ -1,6 +1,7 @@
 """Every name a module under src/ imports is used in it or re-exported by __all__,
-every __all__ entry is bound in its module, no module under src/ imports random,
-only stability.py imports fractions, and the certify path loads no numpy."""
+every __all__ entry is bound in its module, no module under src/ imports random
+or starts processes, only stability.py imports fractions, and the certify path
+loads no numpy."""
 import ast
 import importlib
 import os
@@ -50,6 +51,15 @@ def test_no_module_under_src_imports_random():
     # certify path anyway, so sys.modules cannot tell
     found = [f"{path.relative_to(SRC)} {name}" for path in sorted(SRC.rglob("*.py"))
              for name in imported_modules(path) if name.split(".")[0] == "random"]
+    assert found == []
+
+
+def test_no_module_under_src_starts_processes():
+    # a count runs in the process that asked for it; a worker pool only
+    # doubled the wall time of picard-bound on two cores
+    found = [f"{path.relative_to(SRC)} {name}" for path in sorted(SRC.rglob("*.py"))
+             for name in imported_modules(path)
+             if name.split(".")[0] in ("concurrent", "multiprocessing")]
     assert found == []
 
 

@@ -124,10 +124,6 @@ class TestOrbits:
         ends = int(_fiber_counts(F, rows[-2:]).sum())
         assert _fiber_counts(F, rows) @ weights == sum(fiber) + ends == count_points(f, p, n)
 
-    def test_threads_give_the_same_count(self):
-        f = form("b44")
-        assert count_points(f, 3, 5, threads=2) == count_points(f, 3, 5, threads=1)
-
 
 # counts made with one Horner pass per fiber, before fibers were evaluated in blocks
 PRIME_FIELD_COUNTS = {
@@ -188,56 +184,11 @@ class TestPrimeFieldCounts:
     def test_matches_the_per_fiber_count(self, name, p):
         assert count_points(form(name), p, 1) == PRIME_FIELD_COUNTS[name, p]
 
-    def test_threads_give_the_same_count_over_several_blocks(self, capsys):
-        # 1,010 rows of 1,008 cells, chunks of 126 rows: each would fit one kernel
-        # chunk, but the count is routed as a whole
-        f = form("b44")
-        assert count_points(f, 1009, 1, threads=2) == count_points(f, 1009, 1, threads=1)
-        two, one = (re.search(r"\(.*\)", line)[0] for line in capsys.readouterr().err.splitlines())
-        assert two == one
 
-
-class TestWorkerPool:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """ProcessPoolExecutor replaced by a stub that records its size and maps here."""
-        import concurrent.futures
-
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return sizes
-
-    @pytest.mark.parametrize("cores,n,threads,size", [
-        (3, 2, 64, 3),  # 7 rows, 7 chunks: bounded by the cores
-        (None, 2, 64, 1),  # cpu_count unknown: one worker
-        (64, 1, 64, 4),  # q = 3: 4 rows, 4 chunks
-        (64, 2, 2, 2),
-    ])
-    def test_pool_size(self, monkeypatch, pools, cores, n, threads, size):
-        monkeypatch.setattr(count.os, "cpu_count", lambda: cores)
-        f = form("b44")
-        assert count_points(f, 3, n, threads=threads) == count_points(f, 3, n)
-        assert pools == [size]
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_fewer_than_one_thread_is_refused(self, pools, threads):
-        with pytest.raises(ThreadCountError, match="threads must be at least 1"):
-            count_points(form("b44"), 3, 1, threads=threads)
-        assert pools == []
+@pytest.mark.parametrize("threads", [0, 2])
+def test_counts_run_in_one_process(threads):
+    with pytest.raises(ThreadCountError, match="counts run in one process"):
+        count_points(form("b44"), 3, 1, threads=threads)
 
 
 # a fiber over F_1009 whose Jacobian has 960 points, and a point on it of order 80:
@@ -296,7 +247,7 @@ class TestJacobians:
         F = _Field(make_field(3, n))
         rows, _ = _orbit_fibers(F, n, curve_coefficients(form(name), 3))
         # count_points does not route n = 5, 6: their rows fit one kernel chunk
-        counts, jacobian = count._row_counts(F, rows, True)
+        counts, jacobian = count._row_counts(F, rows)
         assert counts.tolist() == _fiber_counts(F, rows).tolist()
         assert jacobian > len(rows) // 2
 
@@ -366,7 +317,7 @@ class TestJacobians:
             return kernel(F, rows)
 
         monkeypatch.setattr(count, "_fiber_counts", recording_kernel)
-        counts, jacobian = count._row_counts(F, rows, True)
+        counts, jacobian = count._row_counts(F, rows)
         assert counts.tolist() == [oracles.fiber_count(field, coeffs) for coeffs, _ in cases]
         assert jacobian == 2
         assert seen == rows[:5].tolist()
@@ -413,9 +364,9 @@ class TestJacobians:
         p = 1009
         F = _Field(make_field(p, 1))
         rows, _ = _orbit_fibers(F, 1, curve_coefficients(form("b44"), p))
-        whole = count._row_counts(F, rows, True)
+        whole = count._row_counts(F, rows)
         monkeypatch.setattr(count, "CURVES", 7)  # 1,010 rows: 145 passes, the last of 2 rows
-        counts, jacobian = count._row_counts(F, rows, True)
+        counts, jacobian = count._row_counts(F, rows)
         assert counts.tolist() == whole[0].tolist() == _fiber_counts(F, rows).tolist()
         assert jacobian == whole[1]
 
@@ -427,7 +378,7 @@ class TestJacobians:
         resolved = []
         for points in (0, 1, 2):
             monkeypatch.setattr(count, "POINTS", points)
-            counts, jacobian = count._row_counts(F, rows, True)
+            counts, jacobian = count._row_counts(F, rows)
             assert counts.tolist() == expected
             resolved.append(jacobian)
         assert resolved[0] == 0 < resolved[1] < resolved[2] < len(rows)
@@ -559,7 +510,7 @@ def bound_from_weil_polynomial(monkeypatch, factors, p):
     counts = [
         1 + p ** (2 * i) + 2 * p**i + s for i, s in enumerate(power_sums(Q, 10), start=1)
     ]
-    monkeypatch.setattr(zeta, "count_points", lambda f, p, n, threads=1: counts[n - 1])
+    monkeypatch.setattr(zeta, "count_points", lambda f, p, n: counts[n - 1])
     doc = zeta.run_picard_bound(None, p)
     if "disambiguation" in doc:
         assert any(
@@ -759,6 +710,22 @@ class TestWeilAudit:
         assert zeta.rank_upper_bound(profile).bound == 8
         with pytest.raises(NoConsistentCandidateError, match=r"t_10 = \d+ violates the Weil bound"):
             zeta.resolve_family_with_count(profile, counts[9])
+
+    @pytest.mark.parametrize("bad", [1, 3, 8])
+    def test_a_bad_trace_stops_the_counts(self, monkeypatch, bad):
+        counts = witness_counts()
+        counts[bad - 1] += 10**6 * WITNESS_P**bad  # |t_bad| > 22 * 3^bad
+        made = []
+
+        def count(f, p, n):
+            made.append(n)
+            return counts[n - 1]
+
+        monkeypatch.setattr(zeta, "count_points", count)
+        with pytest.raises(NoConsistentCandidateError,
+                           match=rf"t_{bad} = \d+ violates the Weil bound 22\*3\^{bad}"):
+            zeta.run_picard_bound(None, WITNESS_P)
+        assert made == list(range(1, bad + 1))
 
     def test_the_first_count_is_audited(self):
         counts = witness_counts()[:9]
