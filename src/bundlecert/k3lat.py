@@ -37,6 +37,7 @@ from .polycore import (
     bareiss_det,
     monomial_basis,
     parse_poly,
+    parse_rows,
     section_matrix,
 )
 
@@ -346,14 +347,13 @@ def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: 
     _check_quartic(f)
     src = [int(t) for t in source_twists]
     tgt = [int(t) for t in target_twists]
-    E = [[parse_poly(p, QUARTIC_AMBIENT) if isinstance(p, str) else p for p in row]
-         for row in entries]
+    E = parse_rows(entries, QUARTIC_AMBIENT)
     for i, (row, t) in enumerate(zip(E, tgt)):
         for j, (p, s) in enumerate(zip(row, src)):
             if p.ambient != QUARTIC_AMBIENT or not p.is_homogeneous_of(t - s):
                 raise HomogeneityError(i, j, f"expected degree {t - s} on P3")
     zero = RationalPolynomial.zero(QUARTIC_AMBIENT)
-    rows = [row + [-f if r == i else zero for r in range(len(tgt))] for i, row in enumerate(E)]
+    rows = [[*row, *(-f if r == i else zero for r in range(len(tgt)))] for i, row in enumerate(E)]
     M = section_matrix(QUARTIC_AMBIENT, rows, [(t,) for t in src + [t - 4 for t in tgt]],
                        [(t,) for t in tgt], (k,))
     return M.kernel_dim() - h_line_sum(QUARTIC_AMBIENT, src, k - 4, 0)

@@ -60,7 +60,7 @@ from .polycore import (
     RationalPolynomial,
     intersection_product,
     mdeg_sub,
-    parse_poly,
+    parse_rows,
     section_matrix,
 )
 
@@ -166,11 +166,7 @@ class MonadComplex:
 def kernel_monad(ambient, middle_twists, target_twists, map_b_texts, name="") -> MonadComplex:
     B = FreeSheaf(ambient, tuple(middle_twists))
     C = FreeSheaf(ambient, tuple(target_twists))
-    rows = tuple(
-        tuple(parse_poly(s, ambient) if isinstance(s, str) else s for s in row)
-        for row in map_b_texts
-    )
-    return MonadComplex(middle=B, target=C, map_b=rows, name=name)
+    return MonadComplex(middle=B, target=C, map_b=parse_rows(map_b_texts, ambient), name=name)
 
 
 def homology_monad(
@@ -179,15 +175,10 @@ def homology_monad(
     A = FreeSheaf(ambient, tuple(source_twists))
     B = FreeSheaf(ambient, tuple(middle_twists))
     C = FreeSheaf(ambient, tuple(target_twists))
-    ra = tuple(
-        tuple(parse_poly(s, ambient) if isinstance(s, str) else s for s in row)
-        for row in map_a_texts
+    return MonadComplex(
+        middle=B, target=C, map_b=parse_rows(map_b_texts, ambient),
+        source=A, map_a=parse_rows(map_a_texts, ambient), name=name,
     )
-    rb = tuple(
-        tuple(parse_poly(s, ambient) if isinstance(s, str) else s for s in row)
-        for row in map_b_texts
-    )
-    return MonadComplex(middle=B, target=C, map_b=rb, source=A, map_a=ra, name=name)
 
 
 def _grading_problem(rows, target: FreeSheaf, source: FreeSheaf, label: str, ambient):
@@ -367,18 +358,24 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
 
 # --- document schema ----------------------------------------------------------
 
+def _dimension(value) -> int:
+    if type(value) is not int or value < 1:
+        raise DocumentError(f"an ambient dimension is a positive integer, got {value!r}")
+    return value
+
+
 def ambient_from_document(doc: dict) -> Ambient:
     try:
         kind = doc["type"]
     except (KeyError, TypeError):
         raise DocumentError("ambient document needs a 'type' field") from None
     if kind == "projective":
-        return Ambient.projective(int(doc["dim"]))
+        return Ambient.projective(_dimension(doc.get("dim")))
     if kind == "product_projective":
-        dims = [int(d) for d in doc["dims"]]
-        if len(dims) != 2:
+        dims = doc.get("dims")
+        if not isinstance(dims, list) or len(dims) != 2:
             raise DocumentError("product_projective expects two dims")
-        return Ambient.product_projective(dims[0], dims[1])
+        return Ambient.product_projective(_dimension(dims[0]), _dimension(dims[1]))
     raise DocumentError(f"unknown ambient type {kind!r}")
 
 
@@ -434,6 +431,8 @@ def monad_from_document(doc: dict) -> MonadComplex:
                           or is_list_of(t, lambda c: isinstance(c, int))):
             raise DocumentError(f"{key} must be a list of twists (integers or lists of integers)")
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise DocumentError("name must be a string")
     if has_source:
         return homology_monad(amb, doc["source"], middle, target, doc["map_a"], map_b, name=name)
     return kernel_monad(amb, middle, target, map_b, name=name)

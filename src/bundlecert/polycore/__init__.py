@@ -9,7 +9,7 @@ from .linalg import (
     bareiss_rank,
     section_matrix,
 )
-from .parse import parse_poly
+from .parse import parse_poly, parse_rows
 from .poly import (
     Ambient,
     MultiDegree,
@@ -32,5 +32,6 @@ __all__ = [
     "mdeg_sub",
     "monomial_basis",
     "parse_poly",
+    "parse_rows",
     "section_matrix",
 ]

@@ -67,6 +67,14 @@ def parse_poly(text: str, ambient: Ambient) -> RationalPolynomial:
     return p
 
 
+def parse_rows(rows, ambient: Ambient) -> tuple:
+    """The rows of a map with every string entry parsed on the ambient;
+    entries that are polynomials already are kept."""
+    return tuple(
+        tuple(parse_poly(e, ambient) if isinstance(e, str) else e for e in row) for row in rows
+    )
+
+
 def _expr(toks, ambient):
     negate = False
     if toks.peek()[0] == "-":

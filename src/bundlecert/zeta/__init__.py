@@ -19,11 +19,11 @@ from .charpoly import (
     weil_trace,
 )
 from .count import count_points, count_points_bruteforce, curve_coefficients
-from .field import FqField, check_field, make_field, smallest_irreducible
+from .field import Field, check_field, make_field, smallest_irreducible
 
 __all__ = [
     "Candidate",
-    "FqField",
+    "Field",
     "RankBoundResult",
     "ZetaProfile",
     "all_roots_on_circle",

@@ -100,18 +100,26 @@ def cyclotomic(k: int) -> tuple:
     return tuple(num)
 
 
+def prime_divisors(m: int) -> list:
+    """The distinct primes dividing m, by trial division.  `field` imports it
+    from here, so that this module, which needs no numpy, imports none."""
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def euler_phi(k: int) -> int:
-    """Euler's totient, by trial factorisation of k."""
-    phi, n, f = k, k, 2
-    while f * f <= n:
-        if n % f == 0:
-            phi -= phi // f
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        phi -= phi // n
-    return phi
+    """Euler's totient: k times the product of 1 - 1/l over the primes l | k."""
+    for ell in prime_divisors(k):
+        k -= k // ell
+    return k
 
 
 @lru_cache(maxsize=None)

@@ -17,12 +17,14 @@ fibers have the same count.  With t = g^i the orbit of t is
 orbit's size, which divides n.  t = 0 and [0:1] are fixed and counted once
 each: about q/n + 2 fibers instead of q + 1.
 
-Kernel.  `_Field.horner` evaluates sum_j c_j x^j at every pair of a row of
-coefficients and a value x by acc <- add(mul(acc, x), c_j), from acc = c_4,
-one numpy call per table lookup.  It serves the specialization c_j(x) at the
-orbit representatives, and each fiber's values at y = [1:u], u = g^s,
-s = 0..L-1 with L = q - 1, whose quadratic characters sum to the fiber's sum
-over u; that costs O(q) per fiber.  It works in chunks of CELLS = 2^17
+Kernel.  Every value of a count is a code of the one field type
+`field.Field`: the log to the generator g of a nonzero element, 3L for zero
+(L = q - 1).  `Field.horner` evaluates sum_j c_j x^j at every pair of a row
+of coefficients and a value x by acc <- add(mul(acc, x), c_j), from
+acc = c_4, one numpy call per table lookup.  It serves the specialization
+c_j(x) at the orbit representatives, and each fiber's values at y = [1:u],
+u = g^s, s = 0..L-1, whose quadratic characters sum to the fiber's sum over
+u; that costs O(q) per fiber.  It works in chunks of CELLS = 2^17
 (rows x values) cells, in one int64 buffer allocated once per call.
 
 Jacobians.  A fiber is the curve C: w^2 = F(u) with
@@ -42,7 +44,7 @@ to F_(3^8)).  By Lang's theorem C has an F_q-point, so C is isomorphic to E
 over F_q and #C = #E(F_q).
 
 The curves of one count are handled together, up to CURVES = 2^14 per
-numpy call (`_Curves`), on the codes of `_Field`: a product is an add of
+numpy call (`_Curves`), on the same codes: a product is an add of
 logs, an inverse a negated log, -1 is g^(L/2), chi is the parity of a log
 and a square root half an even log; sums go through a Zech table.  Points
 are affine, with O as x = y = -1 and masks for O, doubling and P + (-P).
@@ -73,6 +75,7 @@ fibers counted through their Jacobians and through the kernel.
 from __future__ import annotations
 
 import sys
+from itertools import product as iter_product
 from math import isqrt
 from time import perf_counter
 
@@ -84,7 +87,15 @@ from ..errors import (
     ValidationError,
 )
 from ..polycore import RationalPolynomial
-from .field import LOG_ZERO, FqField, make_field
+from .field import (
+    Field,
+    _pol_mulmod,
+    _pol_powmod,
+    _pol_trim,
+    check_field,
+    make_field,
+    smallest_irreducible,
+)
 
 
 def curve_coefficients(f: RationalPolynomial, p: int):
@@ -97,6 +108,8 @@ def curve_coefficients(f: RationalPolynomial, p: int):
     A = [[0] * 5 for _ in range(5)]
     for exps, c in f.terms.items():
         A[exps[1]][exps[3]] = (A[exps[1]][exps[3]] + c) % p
+    if not any(map(any, A)):
+        raise ValidationError(f"branch curve vanishes mod {p}")
     return A
 
 
@@ -122,81 +135,7 @@ def frobenius_orbits(p: int, n: int):
 CELLS = 1 << 17  # kernel chunk: rows x values cells; counts that fit one chunk skip the route
 
 
-class _Field:
-    """Arithmetic on the codes of one field, one numpy call per table lookup,
-    for arrays of any shape.
-
-    A nonzero element is coded by its log in [0, L), L = q - 1, and zero by
-    Z = 3L.  red[v] is v mod L for v < 3L and Z from 3L on (lookups clip), so
-    a product of up to three factors is red[a + b + c] and a quotient
-    red[a - b + 2L], b a product of up to two.  A sum is
-    a + b = red[b + plus[d]] and a difference red[b + minus[d]], with
-    d = b - a + 3L, so that b + 3L - d = a: on (2L, 4L) plus[d] is 3L - d
-    plus the zech log of 1 + g^(b - a) (Z when that is zero) and minus[d]
-    3L - d plus that of 1 - g^(b - a); on [0, L) (a = Z) b + plus[d] and
-    b + minus[d] are b and -b; from 5L on (b = Z) both are a; at 3L (a = b)
-    they are 2a and Z.  chi[v] is the quadratic character of the code v, 0
-    at Z (clipped to L).
-    """
-
-    def __init__(self, field: FqField):
-        L = self.L = field.q - 1
-        self.p, self.log, self.zero = field.p, field.log, 3 * L
-        zech = np.where(field.zech == LOG_ZERO, self.zero, field.zech)
-        logs = np.arange(L, dtype=np.int64)
-        self.red = np.concatenate([logs, logs, logs, [self.zero]])
-        self.chi = np.concatenate([1 - 2 * (logs & 1), [0]])
-        self.plus = np.arange(3 * L, -3 * L - 1, -1, dtype=np.int64)  # 3L - d
-        self.minus = self.plus.copy()
-        self.plus[:L] = 0
-        self.minus[:L] = self.red[L // 2 : L // 2 + L] - logs
-        self.plus[2 * L : 4 * L].reshape(2, L)[:] += zech
-        self.minus[2 * L : 4 * L].reshape(2, L)[:] += np.roll(zech, -(L // 2))
-
-    def encode(self, a: int) -> int:
-        """The code of the field element a (packed, as in `FqField`)."""
-        v = int(self.log[a])
-        return self.zero if v == LOG_ZERO else v
-
-    def const(self, k: int) -> int:
-        return self.encode(k % self.p)
-
-    def mul(self, a, b):
-        return self.red.take(a + b, mode="clip")
-
-    def div(self, a, b):
-        return self.red.take(a - b + 2 * self.L, mode="clip")
-
-    def add(self, a, b):
-        return self.red.take(b + self.plus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
-
-    def sub(self, a, b):
-        return self.red.take(b + self.minus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
-
-    def neg(self, a):
-        return self.red.take(a + self.L // 2, mode="clip")
-
-    def horner(self, coeffs, x, acc):
-        """acc[r, s] = sum_j coeffs[r, j] x[s]^j, by acc <- add(mul(acc, x), c_j)
-        from acc = c_4; coeffs is (rows, 5), x a row of codes, and acc a
-        (rows, len(x)) int64 buffer.
-
-        The sum c_j + plus[d] of `add` is left unreduced until the next
-        step's mul: it lies in [0, 2L), or from 3L on when it is zero, so
-        red[sum + x] is the code of the product."""
-        shifted = coeffs + 3 * self.L
-        np.add(coeffs[:, 4:], x, out=acc)
-        for j in (3, 2, 1, 0):
-            self.red.take(acc, out=acc, mode="clip")  # mul(acc, x)
-            np.subtract(shifted[:, j : j + 1], acc, out=acc)
-            self.plus.take(acc, out=acc, mode="clip")
-            np.add(acc, coeffs[:, j : j + 1], out=acc)  # add(., c_j), unreduced
-            if j:
-                np.add(acc, x, out=acc)
-        return self.red.take(acc, out=acc, mode="clip")
-
-
-def _specialize(F: _Field, A, x_logs) -> np.ndarray:
+def _specialize(F: Field, A, x_logs) -> np.ndarray:
     """Codes of c_j(x) = sum_k A[k][j] x^k for every x = g^i, i in x_logs: one row per x."""
     coeffs = np.array([[F.encode(A[k][j]) for k in range(5)] for j in range(5)])
     width = max(1, CELLS // 5)
@@ -208,7 +147,7 @@ def _specialize(F: _Field, A, x_logs) -> np.ndarray:
     return out
 
 
-def _orbit_fibers(F: _Field, n: int, A):
+def _orbit_fibers(F: Field, n: int, A):
     """Codes (c_0, ..., c_4) of one fiber per Frobenius orbit, and the weights.
 
     The last two rows are x = 0, where c_j = A[0][j], and x = [0:1], where
@@ -219,7 +158,7 @@ def _orbit_fibers(F: _Field, n: int, A):
     return np.vstack([_specialize(F, A, reps), ends]), np.concatenate([sizes, [1, 1]])
 
 
-def _fiber_counts(F: _Field, rows) -> np.ndarray:
+def _fiber_counts(F: Field, rows) -> np.ndarray:
     """Points over each fiber, one per row of codes (c_0, ..., c_4).
 
     A fiber has y = [1:0] (value c_0), y = [0:1] (value c_4) and y = [1:u]
@@ -246,7 +185,7 @@ CANDIDATES = 8  # x = g^(8r), ..., g^(8r + 7): where the r-th point is looked fo
 CURVES = 1 << 14  # rows per Jacobian pass; m + 1 <= 46 baby steps up to q = 2^20
 
 
-def _jacobians(F: _Field, rows):
+def _jacobians(F: Field, rows):
     """(a2, a4, a6) of E: Y^2 = X^3 + a2 X^2 + a4 X + a6 for each fiber row, and
     whether the cubic's discriminant is nonzero.
 
@@ -271,7 +210,7 @@ class _Curves:
     """The group law on Y^2 = X^3 + a2 X^2 + a4 X + a6, one curve per column;
     a point is a pair (x, y) of code arrays, with x = y = -1 at O."""
 
-    def __init__(self, F: _Field, a2, a4):
+    def __init__(self, F: Field, a2, a4):
         self.F, self.a2, self.a4 = F, a2, a4
         self.k2, self.k3 = F.const(2), F.const(3)
         self.a2_2 = self.k2 + a2  # 2 a2, unreduced
@@ -317,7 +256,7 @@ class _Curves:
         return R
 
 
-def _point(F: _Field, a2, a4, a6, r: int):
+def _point(F: Field, a2, a4, a6, r: int):
     """A point (x, y) on each curve: x = g^k for the least k in
     [8r, 8r + 8) where the right side is a nonzero square, and
     y = g^(log(rhs) / 2); and whether each curve has one."""
@@ -375,7 +314,7 @@ def _bsgs(E: _Curves, q: int, P):
     return q + 1 - trace, hits == 1
 
 
-def _jacobian_counts(F: _Field, rows):
+def _jacobian_counts(F: Field, rows):
     """#E(F_q) of each row's Jacobian, and which rows it is proved for:
     smooth rows, at most POINTS points each."""
     a2, a4, a6, smooth = _jacobians(F, rows)
@@ -393,7 +332,7 @@ def _jacobian_counts(F: _Field, rows):
     return counts, proved
 
 
-def _row_counts(F: _Field, rows):
+def _row_counts(F: Field, rows):
     """Points over each fiber row, and how many rows were counted through
     their Jacobians; the kernel counts the rest.  The Jacobians go CURVES
     rows at a time, so the baby-step array stays below 46 x CURVES cells."""
@@ -416,7 +355,7 @@ def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int
         raise EvenCharacteristicError("double-cover counting needs odd characteristic")
     start = perf_counter()
     A = curve_coefficients(f, p)
-    F = _Field(make_field(p, n))
+    F = make_field(p, n)
     rows, weights = _orbit_fibers(F, n, A)
     if len(rows) * F.L <= CELLS:
         counts, jacobian = _fiber_counts(F, rows), 0
@@ -430,54 +369,37 @@ def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int
 
 
 def count_points_bruteforce(f: RationalPolynomial, p: int, n: int) -> int:
-    """Independent slow oracle: direct evaluation at every base point using
-    scalar polynomial-basis arithmetic only (no tables)."""
+    """Independent slow oracle: direct evaluation at every base point, on
+    digit lists multiplied modulo the smallest irreducible (no tables)."""
     if p == 2:
         raise EvenCharacteristicError("double-cover counting needs odd characteristic")
+    check_field(p, n)
     A = curve_coefficients(f, p)
-    field = make_field(p, n)
+    mod = list(smallest_irreducible(p, n))
+    half = (p ** n - 1) // 2
 
-    def value(x0, x1, y0, y1):
-        acc = 0
-        for i in range(5):
-            for j in range(5):
-                if A[i][j] == 0:
-                    continue
-                m = field.from_int(A[i][j])
-                for base, e in ((x0, 4 - i), (x1, i), (y0, 4 - j), (y1, j)):
-                    me = 1
-                    for _ in range(e):
-                        me = _polybasis_mul(field, me, base)
-                    m = _polybasis_mul(field, m, me)
-                acc = field.add(acc, m)
-        return acc
+    def add(a, b):
+        a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+        return _pol_trim([(x + y) % p for x, y in zip(a, b)])
 
-    def polybasis_pow(a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = _polybasis_mul(field, result, base)
-            base = _polybasis_mul(field, base, base)
-            e >>= 1
-        return result
+    def monomials(u0, u1):
+        """u0^(4-i) u1^i, i = 0..4."""
+        powers = [[[1]], [[1]]]
+        for _ in range(4):
+            for pw, u in zip(powers, (u0, u1)):
+                pw.append(_pol_mulmod(pw[-1], u, mod, p))
+        return [_pol_mulmod(powers[0][4 - i], powers[1][i], mod, p) for i in range(5)]
 
-    pts = [(1, t) for t in range(field.q)] + [(0, 1)]
+    elements = [_pol_trim(list(d)) for d in iter_product(range(p), repeat=n)]
+    points = [monomials([1], t) for t in elements] + [monomials([], [1])]
     total = 0
-    for x in pts:
-        for y in pts:
-            v = value(x[0], x[1], y[0], y[1])
-            if v == 0:
-                total += 1
-            else:
-                total += 1 + (1 if polybasis_pow(v, (field.q - 1) // 2) == 1 else -1)
+    for mx in points:
+        for my in points:
+            v = []
+            for i in range(5):
+                for j in range(5):
+                    if A[i][j]:
+                        m = _pol_mulmod(mx[i], my[j], mod, p)
+                        v = add(v, [A[i][j] * c % p for c in m])
+            total += 1 if not v else 2 if _pol_powmod(v, half, mod, p) == [1] else 0
     return total
-
-
-def _polybasis_mul(field: FqField, a: int, b: int) -> int:
-    # bypass the log tables on purpose: oracle independence
-    from .field import _pol_mulmod
-
-    if a == 0 or b == 0:
-        return 0
-    prod = _pol_mulmod(field._unpack(a), field._unpack(b), list(field.modulus), field.p)
-    return field._pack(prod)

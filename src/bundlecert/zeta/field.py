@@ -1,51 +1,31 @@
-"""Finite fields F_{p^n} with deterministic construction.
+"""Finite fields F_{p^n}, built deterministically, with arithmetic on codes.
 
 The modulus is the lexicographically smallest monic irreducible of degree n
-over F_p (high-degree coefficients compared first), elements are packed into
-integers base p, and multiplication runs on discrete-log tables with a
-Zech-logarithm table for addition.  The generator is the smallest packed
-integer g with g^((q-1)/l) != 1 for every prime l dividing q - 1, which is
-the smallest element of order q - 1.  Building the tables costs O(q) time
-and memory, so `make_field` refuses q > ZECH_CAP = 2^20; there is no
-table-free arithmetic.
+over F_p (high-degree coefficients compared first).  An element is named by
+the integer packing its base-p digits; that name only indexes `Field.log`,
+which maps it to the element's code: its discrete log to the generator g
+for a nonzero element, 3(q - 1) for zero.  g is the smallest packed integer
+with g^((q-1)/l) != 1 for every prime l dividing q - 1, the smallest element
+of order q - 1.  Every operation of `Field` is a lookup in a table indexed
+by codes (see its docstring).  Building the tables costs O(q) time and
+memory, so `make_field` refuses q > ZECH_CAP = 2^20; there is no table-free
+arithmetic.  The digit-list helpers below build the tables and serve the
+table-free brute-force oracle of `count`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
 
 from ..errors import ExtensionDegreeError, NotPrimeError, TooLargeError
+from .charpoly import prime_divisors
 
 ZECH_CAP = 1 << 20
 
-LOG_ZERO = -1  # sentinel log value for the zero element
-
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_divisors(m: int) -> list:
-    """The distinct primes dividing m, by trial division."""
-    out, d = [], 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
+    return prime_divisors(n) == [n]
 
 
 # --- dense polynomial helpers over F_p (ascending coefficient lists) -----------
@@ -111,7 +91,7 @@ def _is_irreducible(poly, p) -> bool:
     minus_x = _pol_trim([(a - b) % p for a, b in zip(xq + [0] * 2, [0, 1] + [0] * len(xq))])
     if minus_x:
         return False
-    for ell in _prime_divisors(n):
+    for ell in prime_divisors(n):
         xe = _pol_powmod(x, p ** (n // ell), poly, p)
         diff = [(a - b) % p for a, b in zip(xe + [0, 0], [0, 1] + [0] * len(xe))]
         g = _pol_gcd(poly, diff, p)
@@ -131,79 +111,119 @@ def smallest_irreducible(p: int, n: int) -> tuple:
     raise RuntimeError("unreachable: irreducibles exist in every degree")
 
 
-@dataclass
-class FqField:
-    """F_{p^n}; elements are integers packing base-p coefficient vectors."""
+class Field:
+    """F_{p^n}, with arithmetic on the codes of its elements, one numpy call
+    per table lookup, for arrays of any shape.
 
-    p: int
-    n: int
-    modulus: tuple
-    q: int = field(init=False)
-    exp: np.ndarray = field(init=False, repr=False)
-    log: np.ndarray = field(init=False, repr=False)
-    zech: np.ndarray = field(init=False, repr=False)
+    An element is named by the integer that packs its base-p digits (digit
+    k is the coefficient of x^k), and log[a] is the code of the element a.
+    A nonzero element is coded by its log to the generator g, in [0, L),
+    L = q - 1, and zero by Z = 3L.  red[v] is v mod L for v < 3L and Z from
+    3L on (lookups clip), so a product of up to three factors is
+    red[a + b + c] and a quotient red[a - b + 2L], b a product of up to two.
+    A sum is a + b = red[b + plus[d]] and a difference red[b + minus[d]],
+    with d = b - a + 3L, so that b + 3L - d = a: on (2L, 4L) plus[d] is
+    3L - d plus the zech log of 1 + g^(b - a) (Z when that is zero) and
+    minus[d] 3L - d plus that of 1 - g^(b - a); on [0, L) (a = Z) b + plus[d]
+    and b + minus[d] are b and -b; from 5L on (b = Z) both are a; at 3L
+    (a = b) they are 2a and Z.  chi[v] is the quadratic character of the
+    code v, 0 at Z (clipped to L).
+    """
 
-    def __post_init__(self):
-        self.q = self.p ** self.n
-        self._build_tables()
+    def __init__(self, p: int, n: int, modulus: tuple):
+        self.p, self.n, self.modulus = p, n, modulus
+        self.q = p ** n
+        L = self.L = self.q - 1
+        self.zero = 3 * L
+        exp = self._powers()
+        logs = np.arange(L, dtype=np.int64)
+        self.log = np.full(self.q, self.zero, dtype=np.int64)
+        self.log[exp] = logs
+        # the code of 1 + g^i: adding 1 raises the lowest base-p digit mod p
+        zech = self.log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
+        self.red = np.concatenate([logs, logs, logs, [self.zero]])
+        self.chi = np.concatenate([1 - 2 * (logs & 1), [0]])
+        self.plus = np.arange(3 * L, -3 * L - 1, -1, dtype=np.int64)  # 3L - d
+        self.minus = self.plus.copy()
+        self.plus[:L] = 0
+        self.minus[:L] = self.red[L // 2 : L // 2 + L] - logs
+        self.plus[2 * L : 4 * L].reshape(2, L)[:] += zech
+        self.minus[2 * L : 4 * L].reshape(2, L)[:] += np.roll(zech, -(L // 2))
 
-    # packing helpers
-    def _unpack(self, a: int):
-        out = []
-        for _ in range(self.n):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _pack(self, coeffs) -> int:
-        a = 0
-        for c in reversed(list(coeffs) + [0] * (self.n - len(coeffs))):
-            a = a * self.p + c % self.p
-        return a
-
-    # scalar arithmetic (packed representation)
-    def add(self, a: int, b: int) -> int:
-        ca, cb = self._unpack(a), self._unpack(b)
-        return self._pack([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def from_int(self, c: int) -> int:
-        return c % self.p
-
-    def _build_tables(self):
-        q, p = self.q, self.p
+    def _powers(self) -> np.ndarray:
+        """The packed elements g^i, i = 0..L-1."""
+        p, n, q = self.p, self.n, self.q
         mod = list(self.modulus)
-        cofactors = [(q - 1) // ell for ell in _prime_divisors(q - 1)]
+
+        def digits(a):
+            return [a // p ** k % p for k in range(n)]
+
+        cofactors = [(q - 1) // ell for ell in prime_divisors(q - 1)]
         gen = next(
             cand for cand in range(1, q)
-            if all(_pol_trim(_pol_powmod(self._unpack(cand), e, mod, p)) != [1] for e in cofactors)
+            if all(_pol_trim(_pol_powmod(digits(cand), e, mod, p)) != [1] for e in cofactors)
         )
         # multiplication by g is F_p-linear: row j of `step` holds the digits of
         # x^j g, and digits(g^(k0+k)) = digits(g^k) @ step^k0 fills [k0, 2 k0)
         # from [0, k0); the dtype holds every dot product before its mod p.
-        n = self.n
         dtype = np.min_scalar_type(n * (p - 1) ** 2)
         step = np.zeros((n, n), dtype=dtype)
         for j in range(n):
-            row = _pol_mulmod([0] * j + [1], self._unpack(gen), mod, p)
+            row = _pol_mulmod([0] * j + [1], digits(gen), mod, p)
             step[j, : len(row)] = row
-        digits = np.zeros((q - 1, n), dtype=dtype)
-        digits[0, 0] = 1
+        table = np.zeros((q - 1, n), dtype=dtype)
+        table[0, 0] = 1
         done = 1
         while done < q - 1:
             todo = min(done, q - 1 - done)
-            digits[done : done + todo] = digits[:todo] @ step % p
+            table[done : done + todo] = table[:todo] @ step % p
             step = step @ step % p
             done += todo
-        exp = digits[:, n - 1].astype(np.int64)
+        exp = table[:, n - 1].astype(np.int64)
         for j in range(n - 2, -1, -1):
-            exp = exp * p + digits[:, j]
-        log = np.full(q, LOG_ZERO, dtype=np.int64)
-        log[exp] = np.arange(q - 1, dtype=np.int64)
-        # zech[i] = log(1 + g^i), LOG_ZERO when 1 + g^i = 0: adding 1 raises the
-        # lowest base-p digit mod p, and log[0] is LOG_ZERO
-        self.zech = log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
-        self.exp = exp
-        self.log = log
+            exp = exp * p + table[:, j]
+        return exp
+
+    def encode(self, a: int) -> int:
+        """The code of the element a (packed)."""
+        return int(self.log[a])
+
+    def const(self, k: int) -> int:
+        return self.encode(k % self.p)
+
+    def mul(self, a, b):
+        return self.red.take(a + b, mode="clip")
+
+    def div(self, a, b):
+        return self.red.take(a - b + 2 * self.L, mode="clip")
+
+    def add(self, a, b):
+        return self.red.take(b + self.plus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
+
+    def sub(self, a, b):
+        return self.red.take(b + self.minus.take(b - a + 3 * self.L, mode="clip"), mode="clip")
+
+    def neg(self, a):
+        return self.red.take(a + self.L // 2, mode="clip")
+
+    def horner(self, coeffs, x, acc):
+        """acc[r, s] = sum_j coeffs[r, j] x[s]^j, by acc <- add(mul(acc, x), c_j)
+        from acc = c_4; coeffs is (rows, 5), x a row of codes, and acc a
+        (rows, len(x)) int64 buffer.
+
+        The sum c_j + plus[d] of `add` is left unreduced until the next
+        step's mul: it lies in [0, 2L), or from 3L on when it is zero, so
+        red[sum + x] is the code of the product."""
+        shifted = coeffs + 3 * self.L
+        np.add(coeffs[:, 4:], x, out=acc)
+        for j in (3, 2, 1, 0):
+            self.red.take(acc, out=acc, mode="clip")  # mul(acc, x)
+            np.subtract(shifted[:, j : j + 1], acc, out=acc)
+            self.plus.take(acc, out=acc, mode="clip")
+            np.add(acc, coeffs[:, j : j + 1], out=acc)  # add(., c_j), unreduced
+            if j:
+                np.add(acc, x, out=acc)
+        return self.red.take(acc, out=acc, mode="clip")
 
 
 def check_field(p: int, n: int):
@@ -216,7 +236,7 @@ def check_field(p: int, n: int):
         raise TooLargeError(f"q = {p}^{n} exceeds the log-table limit 2^20")
 
 
-def make_field(p: int, n: int) -> FqField:
+def make_field(p: int, n: int) -> Field:
     """Deterministic field construction; raises NotPrime / TooLarge."""
     check_field(p, n)
-    return FqField(p, n, smallest_irreducible(p, n))
+    return Field(p, n, smallest_irreducible(p, n))

@@ -13,9 +13,9 @@ family's middle coefficients by rational remainders and a rational solve
 `zeta.charpoly`), and h^0 on a quartic surface by normal forms modulo f
 in the coordinate ring (vs the lifted section matrix of `k3lat.quartic_h0`),
 and fiber counts and specialized coefficients one point at a time through
-`field.exp` and `field.log` (vs the blocked log-domain Horner of
-`zeta.count`), and the kernel vector of an integer matrix by a fraction
-reduced row echelon form (vs the signed maximal minors of
+the exp and log lists of `field_tables` (vs the blocked Horner on the
+codes of `zeta.field.Field`), and the kernel vector of an integer matrix by
+a fraction reduced row echelon form (vs the signed maximal minors of
 `k3lat._kernel_vector`), and determinants by the Leibniz sum over
 permutations (vs the fraction-free elimination of `polycore.bareiss_det`).
 
@@ -25,6 +25,7 @@ their logic unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd, lcm, prod
@@ -146,6 +147,7 @@ def count_double_cover_f3(coeffs_mod3) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
 def field_tables(p: int, n: int, modulus) -> tuple:
     """exp, log and Zech lists of F_p[x]/(modulus), built one element at a time.
 
@@ -189,24 +191,28 @@ def field_tables(p: int, n: int, modulus) -> tuple:
     return exp, log, zech
 
 
+def packed_add(p: int, a: int, b: int) -> int:
+    """a + b for packed elements, digit by digit in base p."""
+    out, scale = 0, 1
+    while a or b:
+        out += (a + b) % p * scale
+        a, b, scale = a // p, b // p, scale * p
+    return out
+
+
+def packed_mul(field, a: int, b: int) -> int:
+    """a b for packed elements of the field's p, n and modulus, through the
+    exp and log lists of `field_tables`."""
+    exp, log, _ = field_tables(field.p, field.n, field.modulus)
+    return 0 if a == 0 or b == 0 else exp[(log[a] + log[b]) % (field.q - 1)]
+
+
 def field_value(field, coeffs, x) -> int:
-    """sum_j coeffs[j] x^j in F_q for packed elements, by Horner: products
-    through field.exp and field.log only, sums digit by digit in base p."""
-    p, L = field.p, field.q - 1
-
-    def add(a, b):
-        out, scale = 0, 1
-        while a or b:
-            out += (a + b) % p * scale
-            a, b, scale = a // p, b // p, scale * p
-        return out
-
-    def mul(a, b):
-        return 0 if a == 0 or b == 0 else int(field.exp[(field.log[a] + field.log[b]) % L])
-
+    """sum_j coeffs[j] x^j in F_q for packed elements, by Horner with
+    `packed_mul` and `packed_add`."""
     v = 0
     for c in reversed(coeffs):
-        v = add(mul(v, x), c)
+        v = packed_add(field.p, packed_mul(field, v, x), c)
     return v
 
 
@@ -214,13 +220,15 @@ def fiber_count(field, coeffs) -> int:
     """Points over one fiber with coefficients (c_0, ..., c_4) (packed
     elements): 1 + chi(value) summed over y = [1:0] (c_0), y = [0:1] (c_4)
     and y = [1:u] for each u != 0 (the value sum_j c_j u^j), one point at a
-    time; chi is +1 or -1 by the parity of the log, 0 at zero."""
+    time; chi is +1 or -1 by the parity of the log in `field_tables`, 0 at
+    zero."""
+    exp, log, _ = field_tables(field.p, field.n, field.modulus)
 
     def points(v):
-        return 1 if v == 0 else 2 - 2 * (int(field.log[v]) % 2)
+        return 1 if v == 0 else 2 - 2 * (log[v] % 2)
 
     total = points(coeffs[0]) + points(coeffs[4])
-    for u in field.exp.tolist():
+    for u in exp:
         total += points(field_value(field, coeffs, u))
     return total
 

@@ -2,7 +2,12 @@
 API (a dropped keyword, a renamed function) must fail here, not only there."""
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,3 +34,20 @@ def test_count_jobs_match_the_references(monkeypatch):
     assert len(small) == 9  # three primes, n = 1..6 over F_3
     for job in small:
         assert job.check(job.render(job.call()), refs) is None, job.name
+
+
+@pytest.mark.parametrize("workload,q_max", [("count-prime", 3001), ("count-ext", 6561)])
+def test_count_workloads_reach_every_span(workload, q_max):
+    """bench/spans.py wraps `make_field` and `count_points` at the names the
+    program calls them by; a count that reached its field another way would
+    leave a span at 0 calls."""
+    path = [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "--workload", workload, "--seed", "1", "--trace", "1"],
+        capture_output=True, text=True, check=True, env=env, timeout=300,
+    ).stdout
+    report = json.loads(out)
+    assert report["missing_spans"] == []
+    assert all(job["problem"] is None for job in report["jobs"])
+    assert report["layers"]["zeta.field.q_max"] == q_max

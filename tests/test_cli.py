@@ -176,6 +176,15 @@ def test_prime_above_the_field_cap_exits_1(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_form_that_vanishes_mod_p_exits_1(capsys, tmp_path):
+    path = tmp_path / "3b.poly"
+    path.write_text(json.dumps({"polynomial": "3*x0^4*y0^4"}))
+    code, out, err = run(capsys, "count-points", "--surface", path, "--prime", 3, "--max-n", 2)
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == "error: branch curve vanishes mod 3\n"
+
+
 @pytest.mark.parametrize("command,prime,max_n", [
     ("count-points", 1031, ("--max-n", 2)), ("picard-bound", 1031, ()),
     ("count-points", 4, ()), ("count-points", 2, ()), ("picard-bound", 2, ()),
@@ -200,8 +209,14 @@ def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command, pri
 
 @pytest.mark.parametrize("field,value", [
     ("map_b", [[5, "x1", "x2"]]), ("map_b", ["x0"]), ("middle", 5), ("target", [None]), (None, [1]),
+    ("ambient", {"type": "projective", "dim": [2]}),
+    ("ambient", {"type": "product_projective", "dims": 3}),
+    ("ambient", {"type": "projective", "dim": 2.5}),
+    ("ambient", {"type": "projective", "dim": True}),
+    ("name", 5),
 ], ids=["numeric-map-entry", "map-row-not-a-list", "middle-not-a-list", "null-twist",
-        "top-level-list"])
+        "top-level-list", "dim-a-list", "dims-not-a-list", "dim-not-an-integer", "dim-a-boolean",
+        "name-not-a-string"])
 def test_malformed_monad_document_exits_1(capsys, tmp_path, field, value):
     doc = json.loads((INPUTS / "euler.monad").read_text())
     if field is None:

@@ -36,9 +36,10 @@ from bundlecert.zeta.charpoly import (
     primitive_remainder,
 )
 from bundlecert.zeta import count
+from bundlecert.zeta import field as field_module
+from bundlecert.zeta.field import Field, is_prime
 from bundlecert.zeta.count import (
     _fiber_counts,
-    _Field,
     _orbit_fibers,
     _specialize,
     frobenius_orbits,
@@ -79,6 +80,19 @@ class TestCounts:
         counts = [count_points(f, 3, n) for n in range(1, 7)]
         assert counts == [14, 98, 848, 6566, 59219, 530948]
 
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
+    def test_bruteforce_builds_no_field(self, monkeypatch, p, n):
+        f = form("b44")
+        expected = count_points(f, p, n)
+
+        def no_field(*args):
+            raise AssertionError("the oracle built a field")
+
+        monkeypatch.setattr(field_module, "make_field", no_field)
+        monkeypatch.setattr(count, "make_field", no_field)
+        monkeypatch.setattr(field_module, "Field", no_field)
+        assert count_points_bruteforce(f, p, n) == expected
+
     def test_field_above_the_table_cap_is_refused(self):
         with pytest.raises(TooLargeError):
             make_field(1048583, 1)
@@ -115,7 +129,7 @@ class TestOrbits:
         assert all(n % int(s) == 0 for s in sizes)
         f = form("b44")
         A = curve_coefficients(f, p)
-        F = _Field(make_field(p, n))
+        F = make_field(p, n)
         # every x = g^i on its own: fiber counts are constant on each orbit i -> p i
         fiber = _fiber_counts(F, _specialize(F, A, np.arange(q - 1))).tolist()
         for i in range(q - 1):
@@ -133,12 +147,12 @@ PRIME_FIELD_COUNTS = {
 }
 
 
-def random_fibers(field, seed):
+def random_fibers(F, seed):
     """Coefficients (c_0, ..., c_4) of 32 fibers, one per zero pattern, the
     other entries random nonzero elements; row 31 is the zero fiber."""
     rng = random.Random(seed)
     return [
-        [0 if mask >> j & 1 else rng.randrange(1, field.q) for j in range(5)]
+        [0 if mask >> j & 1 else rng.randrange(1, F.q) for j in range(5)]
         for mask in range(32)
     ]
 
@@ -146,34 +160,31 @@ def random_fibers(field, seed):
 class TestBlockedKernel:
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2), (101, 1)])
     def test_every_zero_pattern_in_one_block(self, p, n):
-        field = make_field(p, n)
-        F = _Field(field)
-        coeffs = random_fibers(field, p * 10 + n)
+        F = make_field(p, n)
+        coeffs = random_fibers(F, p * 10 + n)
         assert len(coeffs) * F.L <= count.CELLS  # one chunk
         counts = _fiber_counts(F, np.array([[F.encode(c) for c in row] for row in coeffs]))
-        assert counts.tolist() == [oracles.fiber_count(field, row) for row in coeffs]
+        assert counts.tolist() == [oracles.fiber_count(F, row) for row in coeffs]
         assert counts[31] == F.L + 2
 
     @pytest.mark.parametrize("height", [2, 3, 8])
     def test_blocks_with_a_ragged_last_block(self, monkeypatch, height):
-        field = make_field(5, 2)
-        F = _Field(field)
-        coeffs = random_fibers(field, height) + random_fibers(field, height + 1)[:3]
+        F = make_field(5, 2)
+        coeffs = random_fibers(F, height) + random_fibers(F, height + 1)[:3]
         rows = np.array([[F.encode(c) for c in row] for row in coeffs])
         monkeypatch.setattr(count, "CELLS", height * F.L + F.L - 1)  # height rows per chunk
         assert len(rows) >= 3 * height and len(rows) % height != 0
-        assert _fiber_counts(F, rows).tolist() == [oracles.fiber_count(field, row) for row in coeffs]
+        assert _fiber_counts(F, rows).tolist() == [oracles.fiber_count(F, row) for row in coeffs]
 
     @pytest.mark.parametrize("cells", [5, 35, count.CELLS])
     def test_specialization_in_blocks(self, monkeypatch, cells):
-        field = make_field(3, 4)
-        F = _Field(field)
+        F = make_field(3, 4)
         A = curve_coefficients(form("b44"), 3)
         monkeypatch.setattr(count, "CELLS", cells)
         rows = _specialize(F, A, np.arange(F.L))
+        exp = field_tables(3, 4, F.modulus)[0]
         expected = [
-            [F.encode(oracles.field_value(field, [A[k][j] for k in range(5)], int(field.exp[i])))
-             for j in range(5)]
+            [F.encode(oracles.field_value(F, [A[k][j] for k in range(5)], exp[i])) for j in range(5)]
             for i in range(F.L)
         ]
         assert rows.tolist() == expected
@@ -196,14 +207,13 @@ def test_counts_run_in_one_process(threads):
 ORDER_80_FIBER = [435, 228, 660, 461, 201]  # c_0, ..., c_4
 
 
-def packed_neg(field, a):
-    return field._pack([-d % field.p for d in field._unpack(a)])
-
-
-def packed_mul(field, a, b):
-    if a == 0 or b == 0:
-        return 0
-    return int(field.exp[(field.log[a] + field.log[b]) % (field.q - 1)])
+def packed_neg(p, a):
+    """-a for a packed element, digit by digit in base p."""
+    out, scale = 0, 1
+    while a:
+        out += -a % p * scale
+        a, scale = a // p, scale * p
+    return out
 
 
 def smooth_points(F, rows, r):
@@ -217,24 +227,24 @@ def smooth_points(F, rows, r):
 class TestJacobians:
     @pytest.mark.parametrize("p,n", [(13, 1), (3, 3), (5, 2)])
     def test_field_arithmetic_matches_packed_elements(self, p, n):
-        field = make_field(p, n)
-        F = _Field(field)
-        enc = np.array([F.encode(a) for a in range(field.q)])
-        a, b = (v.ravel() for v in np.meshgrid(np.arange(field.q), np.arange(field.q)))
+        F = make_field(p, n)
+        enc = np.array([F.encode(a) for a in range(F.q)])
+        a, b = (v.ravel() for v in np.meshgrid(np.arange(F.q), np.arange(F.q)))
         pairs = list(zip(a.tolist(), b.tolist()))
-        assert F.add(enc[a], enc[b]).tolist() == [enc[field.add(x, y)] for x, y in pairs]
+        add, mul = oracles.packed_add, oracles.packed_mul
+        assert F.add(enc[a], enc[b]).tolist() == [enc[add(p, x, y)] for x, y in pairs]
         assert F.sub(enc[a], enc[b]).tolist() == [
-            enc[field.add(x, packed_neg(field, y))] for x, y in pairs
+            enc[add(p, x, packed_neg(p, y))] for x, y in pairs
         ]
-        assert F.mul(enc[a], enc[b]).tolist() == [enc[packed_mul(field, x, y)] for x, y in pairs]
-        assert F.neg(enc).tolist() == [enc[packed_neg(field, x)] for x in range(field.q)]
-        squares = {packed_mul(field, x, x) for x in range(1, field.q)}
+        assert F.mul(enc[a], enc[b]).tolist() == [enc[mul(F, x, y)] for x, y in pairs]
+        assert F.neg(enc).tolist() == [enc[packed_neg(p, x)] for x in range(F.q)]
+        squares = {mul(F, x, x) for x in range(1, F.q)}
         assert F.chi.take(enc, mode="clip").tolist() == [
-            0 if x == 0 else 1 if x in squares else -1 for x in range(field.q)
+            0 if x == 0 else 1 if x in squares else -1 for x in range(F.q)
         ]
         # a product of three factors, and a quotient by a product of two
-        c = b * 7 % field.q
-        abc = [packed_mul(field, packed_mul(field, x, y), z) for (x, y), z in zip(pairs, c)]
+        c = b * 7 % F.q
+        abc = [mul(F, mul(F, x, y), z) for (x, y), z in zip(pairs, c)]
         assert F.mul(enc[a] + enc[b], enc[c]).tolist() == [enc[v] for v in abc]
         nz = (b > 0) & (c > 0)
         x, y, z = enc[a][nz], enc[b][nz], enc[c][nz]
@@ -244,7 +254,7 @@ class TestJacobians:
     @pytest.mark.parametrize("name", sorted(FORMS))
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_matches_the_kernel_over_f3n(self, name, n):
-        F = _Field(make_field(3, n))
+        F = make_field(3, n)
         rows, _ = _orbit_fibers(F, n, curve_coefficients(form(name), 3))
         # count_points does not route n = 5, 6: their rows fit one kernel chunk
         counts, jacobian = count._row_counts(F, rows)
@@ -254,7 +264,7 @@ class TestJacobians:
     @pytest.mark.parametrize("name", sorted(FORMS))
     @pytest.mark.parametrize("p", [101, 1009])
     def test_bsgs_on_every_smooth_fiber(self, name, p):
-        F = _Field(make_field(p, 1))
+        F = make_field(p, 1)
         rows, _ = _orbit_fibers(F, 1, curve_coefficients(form(name), p))
         kernel = _fiber_counts(F, rows)
         for r in range(2):
@@ -265,8 +275,7 @@ class TestJacobians:
     def test_two_multiples_in_the_interval_leave_the_row_unresolved(self):
         # narrowing the interval to |t| <= 33 would find 1040 alone and accept it
         p = 1009
-        field = make_field(p, 1)
-        F = _Field(field)
+        F = make_field(p, 1)
         row = np.array([[F.encode(c) for c in ORDER_80_FIBER]])
         assert _fiber_counts(F, row).tolist() == [960]
         a2, a4, a6, smooth = count._jacobians(F, row)
@@ -289,8 +298,7 @@ class TestJacobians:
 
     def test_singular_fibers_go_to_the_kernel(self, monkeypatch):
         p = 1009
-        field = make_field(p, 1)
-        F = _Field(field)
+        F = make_field(p, 1)
 
         def expand(*roots, lead=1):
             coeffs = [lead]
@@ -318,7 +326,7 @@ class TestJacobians:
 
         monkeypatch.setattr(count, "_fiber_counts", recording_kernel)
         counts, jacobian = count._row_counts(F, rows)
-        assert counts.tolist() == [oracles.fiber_count(field, coeffs) for coeffs, _ in cases]
+        assert counts.tolist() == [oracles.fiber_count(F, coeffs) for coeffs, _ in cases]
         assert jacobian == 2
         assert seen == rows[:5].tolist()
 
@@ -330,7 +338,7 @@ class TestJacobians:
         f = g * g
         monkeypatch.setattr(count, "CELLS", 3 * (p**n - 1))
         routed, chunks = [], []
-        route, horner = count._jacobian_counts, _Field.horner
+        route, horner = count._jacobian_counts, Field.horner
 
         def recording_route(F, rows):
             counts, proved = route(F, rows)
@@ -343,7 +351,7 @@ class TestJacobians:
             return horner(F, coeffs, x, acc)
 
         monkeypatch.setattr(count, "_jacobian_counts", recording_route)
-        monkeypatch.setattr(_Field, "horner", recording_horner)
+        monkeypatch.setattr(Field, "horner", recording_horner)
         assert count_points(f, p, n) == count_points_bruteforce(f, p, n)
         rows = len(frobenius_orbits(p, n)[0]) + 2
         assert routed == [(rows, 0)]
@@ -353,7 +361,7 @@ class TestJacobians:
     @pytest.mark.parametrize("p,routed", [(359, False), (367, True)])
     def test_a_count_in_one_chunk_skips_the_route(self, capsys, p, routed):
         f = form("b44")
-        F = _Field(make_field(p, 1))
+        F = make_field(p, 1)
         rows, weights = _orbit_fibers(F, 1, curve_coefficients(f, p))
         assert (len(rows) * F.L > count.CELLS) == routed  # 360 x 358 and 368 x 366 cells
         assert count_points(f, p, 1) == _fiber_counts(F, rows) @ weights
@@ -362,7 +370,7 @@ class TestJacobians:
 
     def test_passes_of_a_few_rows_give_the_same_counts(self, monkeypatch):
         p = 1009
-        F = _Field(make_field(p, 1))
+        F = make_field(p, 1)
         rows, _ = _orbit_fibers(F, 1, curve_coefficients(form("b44"), p))
         whole = count._row_counts(F, rows)
         monkeypatch.setattr(count, "CURVES", 7)  # 1,010 rows: 145 passes, the last of 2 rows
@@ -372,7 +380,7 @@ class TestJacobians:
 
     def test_unresolved_rows_go_to_the_kernel(self, monkeypatch):
         p = 1009
-        F = _Field(make_field(p, 1))
+        F = make_field(p, 1)
         rows, _ = _orbit_fibers(F, 1, curve_coefficients(form("signed"), p))
         expected = _fiber_counts(F, rows).tolist()
         resolved = []
@@ -392,10 +400,10 @@ class TestFieldTables:
     )
     def test_tables_match_the_order_search(self, p, n):
         F = make_field(p, n)
-        exp, log, zech = field_tables(p, n, F.modulus)
-        assert F.exp.tolist() == exp
-        assert F.log.tolist() == log
-        assert F.zech.tolist() == zech
+        _, log, zech = field_tables(p, n, F.modulus)
+        assert F.log.tolist() == [F.zero if v < 0 else v for v in log]
+        # 1 + g^i, through the Zech values of Field.add
+        assert F.add(F.const(1), np.arange(F.L)).tolist() == [F.zero if v < 0 else v for v in zech]
 
 
 def sympy_poly(coeffs, x):
@@ -464,6 +472,18 @@ class TestCyclotomics:
     def test_euler_phi_matches_cyclotomic_degree(self):
         for k in range(1, 200):
             assert euler_phi(k) == len(cyclotomic(k)) - 1
+
+    def test_euler_phi_matches_a_gcd_count(self):
+        # cyclotomics_up_to(20) reads every k <= 2 * 20^2
+        for k in range(1, 801):
+            assert euler_phi(k) == sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+    def test_is_prime_matches_a_sieve(self):
+        sieve = [False, False] + [True] * 1998
+        for d in range(2, 45):
+            if sieve[d]:
+                sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+        assert [is_prime(n) for n in range(-2, 2000)] == [False, False] + sieve
 
     @pytest.mark.parametrize("k", [44, 48, 50, 54, 60, 66])
     def test_unit_roots_of_every_order(self, k):
