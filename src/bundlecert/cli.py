@@ -33,8 +33,8 @@ import sys
 
 from . import k3lat
 from .cohom import h0_monad
-from .errors import BundleCertError, DocumentError
-from .monad import Document, chern_monad, is_list_of, monad_from_document
+from .errors import BundleCertError
+from .monad import Document, chern_monad, is_int, is_list_of, monad_from_document
 from .polycore import Ambient, parse_poly
 from .stability import (
     CertifyOptions,
@@ -78,7 +78,7 @@ def _surface_text(doc) -> str:
     """The (4,4) branch form of a surface document (or of a picard-bound
     document's `input`)."""
     if not (isinstance(doc, dict) and isinstance(doc.get("polynomial"), str)):
-        raise DocumentError("a surface is a JSON object with the polynomial as a string")
+        raise BundleCertError("a surface is a JSON object with the polynomial as a string")
     return doc["polynomial"]
 
 
@@ -152,12 +152,12 @@ def _lattice_from_args(args) -> k3lat.GramLattice:
         return catalogue[args.lattice]
     doc = _load_json(args.lattice)
     if not isinstance(doc, dict):
-        raise DocumentError("a lattice is a JSON object")
+        raise BundleCertError("a lattice is a JSON object")
     names, gram = doc.get("names"), doc.get("gram")
     if not is_list_of(names, lambda n: isinstance(n, str)):
-        raise DocumentError("'names' must be a list of strings")
-    if not is_list_of(gram, lambda row: is_list_of(row, lambda x: isinstance(x, int))):
-        raise DocumentError("'gram' must be a list of lists of integers")
+        raise BundleCertError("'names' must be a list of strings")
+    if not is_list_of(gram, lambda row: is_list_of(row, is_int)):
+        raise BundleCertError("'gram' must be a list of lists of integers")
     return k3lat.GramLattice(tuple(names), tuple(tuple(r) for r in gram))
 
 
@@ -171,7 +171,7 @@ def cmd_lattice(args) -> int:
     n = len(args.classes)
     if n != _CLASS_COUNTS.get(sub, n) or (sub == "gram" and n == 0):
         want = _CLASS_COUNTS.get(sub, "at least 1")
-        raise DocumentError(f"lattice {sub} needs {want} --class, got {n}")
+        raise BundleCertError(f"lattice {sub} needs {want} --class, got {n}")
     out = {}
     if sub == "pair":
         D1 = lat.cls(_parse_twist(args.classes[0]))
@@ -213,13 +213,13 @@ def cmd_lattice(args) -> int:
 def cmd_quartic_run(args) -> int:
     doc = _load_json(args.surface)
     if not (isinstance(doc, dict) and isinstance(doc.get("surface"), str)):
-        raise DocumentError("a quartic surface is a JSON object with the quartic as a string")
+        raise BundleCertError("a quartic surface is a JSON object with the quartic as a string")
     section_map = doc.get("map", ["x", "y", "w"])
     if not (is_list_of(section_map, lambda e: isinstance(e, str)) and len(section_map) == 3):
-        raise DocumentError("'map' must be a list of three linear forms as strings")
+        raise BundleCertError("'map' must be a list of three linear forms as strings")
     # the region and strata are derived for ker(O(-1)^3 -> O) only
     if doc.get("source", [-1, -1, -1]) != [-1, -1, -1] or doc.get("target", [0]) != [0]:
-        raise DocumentError("quartic-run supports 'source' [-1, -1, -1] and 'target' [0] only")
+        raise BundleCertError("quartic-run supports 'source' [-1, -1, -1] and 'target' [0] only")
     cert = k3lat.quartic_region_run(doc["surface"], tuple(section_map))
     _emit(cert.to_json(), args.out)
     return EXIT_OK if cert["verdict"] == "Stable" else EXIT_INCONCLUSIVE
@@ -250,19 +250,19 @@ def cmd_picard_bound(args) -> int:
 def cmd_verify(args) -> int:
     doc = _load_json(args.certificate)
     if not isinstance(doc, dict):
-        raise DocumentError("a certificate is a JSON object")
+        raise BundleCertError("a certificate is a JSON object")
     schema = str(doc.get("schema", ""))
     if schema.startswith("stability-certificate"):
         problems = verify_certificate(doc)
     elif schema.startswith("quartic-certificate"):
         if not isinstance(doc.get("surface"), str):
-            raise DocumentError("a quartic certificate needs the surface as a string")
+            raise BundleCertError("a quartic certificate needs the surface as a string")
         problems = document_mismatches(k3lat.quartic_region_run(doc["surface"]), doc)
     elif schema.startswith("picard-bound-profile"):
         inp = doc.get("input")
         polynomial = _surface_text(inp)
-        if not isinstance(inp.get("prime"), int) or isinstance(inp["prime"], bool):
-            raise DocumentError("'input.prime' of a picard-bound document must be an integer")
+        if not is_int(inp.get("prime")):
+            raise BundleCertError("'input.prime' of a picard-bound document must be an integer")
         problems = document_mismatches(_picard_bound_document(polynomial, inp["prime"]), doc)
     else:
         sys.stdout.write(f"unknown certificate schema {schema!r}\n")

@@ -20,15 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import (
-    AmbientMismatchError,
-    FiberNotVanishingError,
-    IndexOutOfRangeError,
-    NoTerminalBoundError,
-    UnsupportedCokernelRankError,
-    UnsupportedOperationError,
-    ValidationError,
-)
+from .errors import BundleCertError, FiberNotVanishingError, UnsupportedOperationError
 from .monad import HOMOLOGY, KERNEL, MonadComplex, restrict_to_fiber
 from .polycore import (
     Ambient,
@@ -80,12 +72,12 @@ def h_line(ambient: Ambient, d, i: int) -> int:
     """h^i of a line bundle: Bott's formula on P^n, Künneth on P1 x P1."""
     d = ambient.normalize_degree(d)
     if i < 0 or i > ambient.dim:
-        raise IndexOutOfRangeError(f"h^{i} outside 0..{ambient.dim}")
+        raise BundleCertError(f"h^{i} outside 0..{ambient.dim}")
     if ambient.arity == 1:
         return _h_line_pn(ambient.dims[0], d[0], i)
     if ambient.dims == (1, 1):
         return sum(_h_line_pn(1, d[0], a) * _h_line_pn(1, d[1], i - a) for a in range(i + 1))
-    raise AmbientMismatchError("h_line implemented for P^n and P1 x P1")
+    raise BundleCertError("h_line implemented for P^n and P1 x P1")
 
 
 def h_line_sum(ambient: Ambient, twists, L, i: int) -> int:
@@ -124,7 +116,7 @@ def exterior_contraction(m: MonadComplex, s: int):
     """Entries and twists for the contraction Λ^s B -> Λ^{s-1} B ⊗ C (rank-1 C);
     independent of the twist, so built once per (monad, s) and shared immutable."""
     if m.target.rank != 1:
-        raise UnsupportedCokernelRankError(
+        raise BundleCertError(
             f"exterior powers need a rank-1 cokernel, got rank {m.target.rank}"
         )
     r = m.middle.rank
@@ -159,7 +151,7 @@ def h0_exterior(m: MonadComplex, s: int, L) -> CohomResult:
 def h0_homology(m: MonadComplex, L) -> CohomResult:
     """h^0((ker b / im a) ⊗ O(L)); exact when h^1(A⊗L) = 0, else an interval."""
     if m.kind != HOMOLOGY:
-        raise ValidationError("h0_homology needs a homology monad")
+        raise BundleCertError("h0_homology needs a homology monad")
     L = m.ambient.normalize_degree(L)
     # the K in 0 -> A -> K -> E -> 0
     k = _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
@@ -167,7 +159,7 @@ def h0_homology(m: MonadComplex, L) -> CohomResult:
     a1 = h_line_sum(m.ambient, m.source.twists, L, 1)
     lo = k.value - a0
     if lo < 0:
-        raise ValidationError(
+        raise BundleCertError(
             "h^0(A) exceeds h^0(K); the monad is not exact at A"
         )
     witness = {"twist": list(L), "h0_kernel": k.witness, "h0_A": a0, "h1_A": a1}
@@ -250,7 +242,7 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomR
     """
     amb = m.ambient
     if amb.arity != 2 or amb.dims != (1, 1):
-        raise AmbientMismatchError("tail rule needs ambient P1 x P1")
+        raise BundleCertError("tail rule needs ambient P1 x P1")
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     other = 2 - axis  # 0-based index of the descending component
@@ -265,13 +257,13 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomR
     # terminal twist for the descent: beyond it, h^0 vanishes for ambient reasons
     lam_twists = _wedge_twists(m, s, m.ambient.zero_degree())
     if not lam_twists:
-        raise NoTerminalBoundError("Λ^s B has rank 0")
+        raise BundleCertError("Λ^s B has rank 0")
     terminal = -max(t[other] for t in lam_twists) - 1
     if m.kind == HOMOLOGY:
         # h^0(E) <= h^0(K) + h^1(A): the A-term needs the bounded component to
         # keep h^0 of the A twists at zero along the whole tail
         if any(bound + t[axis - 1] >= 0 for t in m.source.twists):
-            raise NoTerminalBoundError(
+            raise BundleCertError(
                 "h^1(A) obstruction: tail bound too high for the source twists"
             )
     witness = {

@@ -20,16 +20,7 @@ from itertools import combinations
 from math import gcd
 
 from .cohom import h_line_sum
-from .errors import (
-    BasepointFailureError,
-    GramMatrixError,
-    HomogeneityError,
-    LatticeMismatchError,
-    NonPositivePolarizationError,
-    OddSquareError,
-    UnsupportedLatticeError,
-    ZeroRankError,
-)
+from .errors import BundleCertError
 from .monad import ChernData, Document
 from .polycore import (
     Ambient,
@@ -53,11 +44,11 @@ class GramLattice:
         n = len(self.names)
         g = tuple(tuple(int(x) for x in row) for row in self.gram)
         if len(g) != n or any(len(row) != n for row in g):
-            raise GramMatrixError("Gram matrix shape does not match basis")
+            raise BundleCertError("Gram matrix shape does not match basis")
         for i in range(n):
             for j in range(n):
                 if g[i][j] != g[j][i]:
-                    raise GramMatrixError("Gram matrix must be symmetric")
+                    raise BundleCertError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", g)
 
     @property
@@ -67,7 +58,7 @@ class GramLattice:
     def cls(self, coords, name: str = "") -> "LatticeClass":
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.rank:
-            raise LatticeMismatchError(
+            raise BundleCertError(
                 f"a class on a rank-{self.rank} lattice needs {self.rank} coordinates, "
                 f"got {len(coords)}"
             )
@@ -100,7 +91,7 @@ class LatticeClass:
 
 def _same_lattice(a: LatticeClass, b: LatticeClass):
     if a.lattice != b.lattice:
-        raise LatticeMismatchError("classes live on different lattices")
+        raise BundleCertError("classes live on different lattices")
 
 
 def pair(D1: LatticeClass, D2: LatticeClass) -> int:
@@ -121,7 +112,7 @@ def genus(D: LatticeClass) -> int:
     """Adjunction on a K3: D^2 = 2g - 2."""
     sq = self_int(D)
     if sq % 2:
-        raise OddSquareError(f"D^2 = {sq} is odd; not a class on an even lattice")
+        raise BundleCertError(f"D^2 = {sq} is odd; not a class on an even lattice")
     return sq // 2 + 1
 
 
@@ -193,7 +184,7 @@ QUARTIC_452 = bracket(4, 5, 2, names=("H", "C"))
 def expected_dim(r: int, c1_sq: int, c2: int) -> int:
     """Expected moduli dimension on a K3: 2rc2 - (r-1)c1^2 - (r^2-1)*chi(O), chi = 2."""
     if r < 1:
-        raise ZeroRankError("rank must be positive")
+        raise BundleCertError("rank must be positive")
     return 2 * r * c2 - (r - 1) * c1_sq - (r * r - 1) * 2
 
 
@@ -222,7 +213,7 @@ def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: in
     occupy (adjunction forces C^2 >= -2, ampleness forces C.H >= 1).
     """
     if lattice.rank != 2:
-        raise UnsupportedLatticeError("candidate enumeration implemented for rank-2 lattices")
+        raise BundleCertError("candidate enumeration implemented for rank-2 lattices")
     g = lattice.gram
     w = (
         g[0][0] * H.coords[0] + g[0][1] * H.coords[1],
@@ -237,7 +228,7 @@ def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: in
         direction = (-w[1] // gw, w[0] // gw)
         dd = _q(g, direction, direction)
         if dd >= 0:
-            raise UnsupportedLatticeError("lattice is not hyperbolic on the degree line")
+            raise BundleCertError("lattice is not hyperbolic on the degree line")
         bd = _q(g, base, direction)
         bb = _q(g, base, base)
         # q(t) = bb + 2t*bd + t^2*dd is concave; integer solutions of q >= -2
@@ -287,7 +278,7 @@ def not_effective_cert(D: LatticeClass, H: LatticeClass) -> EffectivityCertifica
     """
     _same_lattice(D, H)
     if self_int(H) <= 0:
-        raise NonPositivePolarizationError("H must have positive self-intersection")
+        raise BundleCertError("H must have positive self-intersection")
     deg = pair(D, H)
     if D.is_zero():
         return EffectivityCertificate("zero-class", 0)
@@ -300,21 +291,15 @@ def not_effective_cert(D: LatticeClass, H: LatticeClass) -> EffectivityCertifica
 
 
 def _decomposes(target, budget, candidates) -> bool:
-    """Whether some multiset of candidate (coords, degree, sq) sums to target."""
-    cands = sorted(candidates, key=lambda c: -c[1])
-
-    def rec(remaining, budget, start):
-        if budget == 0:
-            return remaining == (0, 0)
-        for i in range(start, len(cands)):
-            (a, b), d, _ = cands[i]
-            if d > budget:
-                continue
-            if rec((remaining[0] - a, remaining[1] - b), budget - d, i):
-                return True
-        return False
-
-    return rec(tuple(target), budget, 0)
+    """Whether some multiset of candidate (coords, degree, sq) of total degree
+    budget sums to target.  reach[d] holds every such sum of total degree d,
+    so each class is visited once per degree."""
+    reach = [{(0, 0)}] + [set() for _ in range(budget)]
+    for d in range(1, budget + 1):
+        for (a, b), k, _ in candidates:
+            if k <= d:
+                reach[d].update((x + a, y + b) for x, y in reach[d - k])
+    return tuple(target) in reach[budget]
 
 
 # --- sections on the quartic ---------------------------------------------------
@@ -342,7 +327,7 @@ def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: 
 
     One exact section-matrix rank thus serves the quartic as it serves P2
     and P1 x P1, with no normal forms modulo f.  An entry e_ij that is not
-    homogeneous of degree t_i - s_j on P3 raises HomogeneityError(i, j).
+    homogeneous of degree t_i - s_j on P3 raises BundleCertError naming entry (i,j).
     """
     _check_quartic(f)
     src = [int(t) for t in source_twists]
@@ -351,7 +336,9 @@ def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: 
     for i, (row, t) in enumerate(zip(E, tgt)):
         for j, (p, s) in enumerate(zip(row, src)):
             if p.ambient != QUARTIC_AMBIENT or not p.is_homogeneous_of(t - s):
-                raise HomogeneityError(i, j, f"expected degree {t - s} on P3")
+                raise BundleCertError(
+                    f"entry ({i},{j}) inhomogeneous: expected degree {t - s} on P3"
+                )
     zero = RationalPolynomial.zero(QUARTIC_AMBIENT)
     rows = [[*row, *(-f if r == i else zero for r in range(len(tgt)))] for i, row in enumerate(E)]
     M = section_matrix(QUARTIC_AMBIENT, rows, [(t,) for t in src + [t - 4 for t in tgt]],
@@ -365,12 +352,14 @@ def _base_point(forms) -> tuple:
     rows = []
     for j, form in enumerate(forms):
         if not form.is_homogeneous_of(1):
-            raise HomogeneityError(0, j, "the section map needs linear forms")
+            raise BundleCertError(
+                f"entry (0,{j}) inhomogeneous: the section map needs linear forms"
+            )
         rows.append([form.terms.get(e, 0) for e in monomial_basis(QUARTIC_AMBIENT, 1)])
     try:
         return _kernel_vector(rows)
     except ValueError:
-        raise BasepointFailureError(
+        raise BundleCertError(
             "the linear forms of the section map have rank below 3: they vanish on a "
             "line or plane, which meets X"
         ) from None
@@ -396,7 +385,7 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:
     val = f.evaluate(point)
     if val == 0:
         where = ":".join(map(str, point))
-        raise BasepointFailureError(
+        raise BundleCertError(
             f"f vanishes at [{where}]: the base point of the section map lies on X, "
             "and the map drops rank there"
         )

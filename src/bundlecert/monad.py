@@ -4,7 +4,7 @@ Covers the data model, exactness at the ends, Chern-class calculus for the
 kernel/homology bundle, and restriction to a fiber of P1 x P1.
 
 A monad's structure is checked once, when it is built: `MonadComplex`
-refuses (ValidationError) an entry on another ambient, an entry that is not
+refuses (BundleCertError) an entry on another ambient, an entry that is not
 homogeneous of target - source, and b∘a != 0.  Every later layer (validate,
 chern_monad, the section matrices of `cohom`) trusts a built monad.
 
@@ -49,12 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .errors import (
-    AmbientMismatchError,
-    DocumentError,
-    InvalidPointError,
-    ValidationError,
-)
+from .errors import BundleCertError
 from .polycore import (
     Ambient,
     RationalPolynomial,
@@ -100,7 +95,6 @@ class ChernData:
 @dataclass(frozen=True)
 class ExactnessStatus:
     status: str
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -134,25 +128,25 @@ class MonadComplex:
 
     def __post_init__(self):
         if (self.source is None) != (self.map_a is None):
-            raise ValidationError("source and map_a must be both present or both absent")
+            raise BundleCertError("source and map_a must be both present or both absent")
         if len(self.map_b) != self.target.rank:
-            raise ValidationError("map_b row count differs from rank of C")
+            raise BundleCertError("map_b row count differs from rank of C")
         for row in self.map_b:
             if len(row) != self.middle.rank:
-                raise ValidationError("map_b column count differs from rank of B")
+                raise BundleCertError("map_b column count differs from rank of B")
         if self.map_a is not None:
             if len(self.map_a) != self.middle.rank:
-                raise ValidationError("map_a row count differs from rank of B")
+                raise BundleCertError("map_a row count differs from rank of B")
             for row in self.map_a:
                 if len(row) != self.source.rank:
-                    raise ValidationError("map_a column count differs from rank of A")
+                    raise BundleCertError("map_a column count differs from rank of A")
         problem = _grading_problem(self.map_b, self.target, self.middle, "map_b", self.ambient)
         if problem is None and self.map_a is not None:
             problem = _grading_problem(self.map_a, self.middle, self.source, "map_a", self.ambient)
         if problem is None and not _composite_is_zero(self):
             problem = "b∘a != 0"
         if problem is not None:
-            raise ValidationError(f"monad fails structural validation: {problem}")
+            raise BundleCertError(f"monad fails structural validation: {problem}")
 
     @property
     def ambient(self) -> Ambient:
@@ -251,10 +245,10 @@ def _common_zero_status(entries, ambient: Ambient) -> ExactnessStatus:
     """Whether the entries, one rank-1 end of the monad, share no zero over Q-bar."""
     forms = [p for p in entries if not p.is_zero()]
     if not forms:
-        return ExactnessStatus(UNKNOWN, detail="all entries are zero")
+        return ExactnessStatus(UNKNOWN)
     if leading_monomials_cover(forms, ambient) or forms_cover_degree(forms, ambient):
         return ExactnessStatus(PROVED_BY_MONOMIAL_COVER)
-    return ExactnessStatus(UNKNOWN, detail="the entries share a common zero")
+    return ExactnessStatus(UNKNOWN)
 
 
 def validate(m: MonadComplex) -> ValidationReport:
@@ -267,13 +261,13 @@ def validate(m: MonadComplex) -> ValidationReport:
     if m.target.rank == 1:
         surj = _common_zero_status(m.map_b[0], m.ambient)
     else:
-        surj = ExactnessStatus(UNKNOWN, detail="C has rank >= 2")
+        surj = ExactnessStatus(UNKNOWN)
     if m.map_a is None:
         inj = ExactnessStatus(VACUOUS)
     elif m.source.rank == 1:
         inj = _common_zero_status([row[0] for row in m.map_a], m.ambient)
     else:
-        inj = ExactnessStatus(UNKNOWN, detail="A has rank >= 2")
+        inj = ExactnessStatus(UNKNOWN)
     return ValidationReport(surjectivity_of_b=surj, injectivity_of_a=inj)
 
 
@@ -295,7 +289,7 @@ def chern_free(F: FreeSheaf) -> ChernData:
             for j in range(i + 1, len(ks))
         )
         return ChernData(F.rank, c1, c2)
-    raise AmbientMismatchError("Chern calculus implemented for P2 and P1xP1 only")
+    raise BundleCertError("Chern calculus implemented for P2 and P1xP1 only")
 
 
 def _quotient_chern(total: ChernData, quot: ChernData, ambient: Ambient) -> ChernData:
@@ -327,12 +321,12 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
     """
     amb = m.ambient
     if amb.arity != 2 or amb.dims != (1, 1):
-        raise AmbientMismatchError("fiber restriction needs ambient P1 x P1")
+        raise BundleCertError("fiber restriction needs ambient P1 x P1")
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     a, b = int(point[0]), int(point[1])
     if a == 0 and b == 0:
-        raise InvalidPointError("(0:0) is not a point of P1")
+        raise BundleCertError("(0:0) is not a point of P1")
 
     fixed = axis - 1
     surviving = 1 - fixed
@@ -359,8 +353,8 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
 # --- document schema ----------------------------------------------------------
 
 def _dimension(value) -> int:
-    if type(value) is not int or value < 1:
-        raise DocumentError(f"an ambient dimension is a positive integer, got {value!r}")
+    if not is_int(value) or value < 1:
+        raise BundleCertError(f"an ambient dimension is a positive integer, got {value!r}")
     return value
 
 
@@ -368,15 +362,15 @@ def ambient_from_document(doc: dict) -> Ambient:
     try:
         kind = doc["type"]
     except (KeyError, TypeError):
-        raise DocumentError("ambient document needs a 'type' field") from None
+        raise BundleCertError("ambient document needs a 'type' field") from None
     if kind == "projective":
         return Ambient.projective(_dimension(doc.get("dim")))
     if kind == "product_projective":
         dims = doc.get("dims")
         if not isinstance(dims, list) or len(dims) != 2:
-            raise DocumentError("product_projective expects two dims")
+            raise BundleCertError("product_projective expects two dims")
         return Ambient.product_projective(_dimension(dims[0]), _dimension(dims[1]))
-    raise DocumentError(f"unknown ambient type {kind!r}")
+    raise BundleCertError(f"unknown ambient type {kind!r}")
 
 
 def ambient_to_document(amb: Ambient) -> dict:
@@ -394,6 +388,11 @@ class Document(dict):
         return json.dumps(self, sort_keys=True, indent=2) + "\n"
 
 
+def is_int(value) -> bool:
+    """Whether a JSON value is an integer; `true` and `false` are not."""
+    return type(value) is int
+
+
 def is_list_of(value, ok) -> bool:
     """Whether a JSON value is a list whose every entry passes `ok`."""
     return isinstance(value, list) and all(ok(x) for x in value)
@@ -406,33 +405,34 @@ def monad_from_document(doc: dict) -> MonadComplex:
     strings); optional source/map_a for homology monads; optional name.
     """
     if not isinstance(doc, dict):
-        raise DocumentError("a monad document is a JSON object")
+        raise BundleCertError("a monad document is a JSON object")
     try:
         amb = ambient_from_document(doc["ambient"])
         middle = doc["middle"]
         target = doc["target"]
         map_b = doc["map_b"]
     except KeyError as e:
-        raise DocumentError(f"monad document missing field {e.args[0]!r}") from None
+        raise BundleCertError(f"monad document missing field {e.args[0]!r}") from None
     has_source = "source" in doc or "map_a" in doc
     if has_source and not ("source" in doc and "map_a" in doc):
-        raise DocumentError("source and map_a must be given together")
+        raise BundleCertError("source and map_a must be given together")
     known = {"ambient", "middle", "target", "map_b", "source", "map_a", "name"}
     unknown = set(doc) - known
     if unknown:
-        raise DocumentError(f"unknown monad document fields: {sorted(unknown)}")
+        raise BundleCertError(f"unknown monad document fields: {sorted(unknown)}")
 
     for key in ("map_b", "map_a"):
         if not is_list_of(doc.get(key, []),
                           lambda row: is_list_of(row, lambda e: isinstance(e, str))):
-            raise DocumentError(f"{key} must be a list of rows of polynomial strings")
+            raise BundleCertError(f"{key} must be a list of rows of polynomial strings")
     for key in ("middle", "target", "source"):
-        if not is_list_of(doc.get(key, []), lambda t: isinstance(t, int)
-                          or is_list_of(t, lambda c: isinstance(c, int))):
-            raise DocumentError(f"{key} must be a list of twists (integers or lists of integers)")
+        if not is_list_of(doc.get(key, []), lambda t: is_int(t) or is_list_of(t, is_int)):
+            raise BundleCertError(
+                f"{key} must be a list of twists (integers or lists of integers)"
+            )
     name = doc.get("name", "")
     if not isinstance(name, str):
-        raise DocumentError("name must be a string")
+        raise BundleCertError("name must be a string")
     if has_source:
         return homology_monad(amb, doc["source"], middle, target, doc["map_a"], map_b, name=name)
     return kernel_monad(amb, middle, target, map_b, name=name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from ..errors import PolySyntaxError, UnknownVariableError
+from ..errors import BundleCertError
 from .poly import Ambient, RationalPolynomial
 
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[a-z][a-z0-9]*)|(?P<op>[-+*^()])")
@@ -31,7 +31,7 @@ class _Tokens:
                 continue
             m = _TOKEN_RE.match(text, pos)
             if not m:
-                raise PolySyntaxError(f"unexpected character {text[pos]!r}", pos)
+                raise BundleCertError(f"unexpected character {text[pos]!r} (at offset {pos})")
             if m.lastgroup == "int":
                 self.toks.append(("int", int(m.group()), pos))
             elif m.lastgroup == "name":
@@ -53,7 +53,7 @@ class _Tokens:
     def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            raise PolySyntaxError(f"expected {kind!r}, found {t[1]!r}", t[2])
+            raise BundleCertError(f"expected {kind!r}, found {t[1]!r} (at offset {t[2]})")
         return t
 
 
@@ -63,7 +63,7 @@ def parse_poly(text: str, ambient: Ambient) -> RationalPolynomial:
     p = _expr(toks, ambient)
     t = toks.peek()
     if t[0] != "end":
-        raise PolySyntaxError(f"trailing input {t[1]!r}", t[2])
+        raise BundleCertError(f"trailing input {t[1]!r} (at offset {t[2]})")
     return p
 
 
@@ -113,10 +113,12 @@ def _base(toks, ambient):
         return RationalPolynomial.constant(ambient, value)
     if kind == "name":
         if value not in ambient.variables:
-            raise UnknownVariableError(value, offset)
+            raise BundleCertError(f"unknown variable {value!r} (at offset {offset})")
         return RationalPolynomial.variable(ambient, value)
     if kind == "(":
         p = _expr(toks, ambient)
         toks.expect(")")
         return p
-    raise PolySyntaxError(f"expected integer, variable or '(', found {value!r}", offset)
+    raise BundleCertError(
+        f"expected integer, variable or '(', found {value!r} (at offset {offset})"
+    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
-from ..errors import AmbientMismatchError
+from ..errors import BundleCertError
 
 _NAME_RE = re.compile(r"\A[a-z][0-9]*\Z")
 
@@ -85,7 +85,7 @@ class Ambient:
         try:
             return self.variables.index(name)
         except ValueError:
-            raise AmbientMismatchError(f"no variable {name!r} in ambient") from None
+            raise BundleCertError(f"no variable {name!r} in ambient") from None
 
     def group_slices(self):
         out, start = [], 0
@@ -101,11 +101,11 @@ class Ambient:
         """Accept an int for arity-1 ambients; always return a tuple."""
         if isinstance(d, int):
             if self.arity != 1:
-                raise AmbientMismatchError("scalar degree on a product ambient")
+                raise BundleCertError("scalar degree on a product ambient")
             return (d,)
         d = tuple(int(c) for c in d)
         if len(d) != self.arity:
-            raise AmbientMismatchError(
+            raise BundleCertError(
                 f"degree {d} has {len(d)} components, ambient has {self.arity}"
             )
         return d
@@ -176,7 +176,7 @@ class RationalPolynomial:
 
     def _check_same_ambient(self, other):
         if self.ambient != other.ambient:
-            raise AmbientMismatchError("polynomials on different ambients")
+            raise BundleCertError("polynomials on different ambients")
 
     def __add__(self, other):
         if not isinstance(other, RationalPolynomial):
@@ -253,7 +253,7 @@ class RationalPolynomial:
         Unsubstituted variables must exist (by name) in result_ambient.
         """
         for name in assignment:
-            self.ambient.var_index(name)  # raises AmbientMismatchError if absent
+            self.ambient.var_index(name)  # raises BundleCertError if absent
         out = RationalPolynomial.zero(result_ambient)
         names = self.ambient.variables
         for exps, c in self.terms.items():
@@ -333,4 +333,4 @@ def intersection_product(ambient: Ambient, d1, d2) -> int:
         return d1[0] * d2[0]
     if ambient.arity == 2 and ambient.dims == (1, 1):
         return d1[0] * d2[1] + d1[1] * d2[0]
-    raise AmbientMismatchError("intersection form only defined on P2 and P1xP1")
+    raise BundleCertError("intersection form only defined on P2 and P1xP1")

@@ -23,19 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohom import h0_monad, tail_vanish
-from .errors import (
-    DocumentError,
-    FiberNotVanishingError,
-    UnsupportedOperationError,
-    UnsupportedPolarizationError,
-    ValidationError,
-    ZeroRankError,
-)
+from .errors import BundleCertError, FiberNotVanishingError, UnsupportedOperationError
 from .monad import (
     ChernData,
     Document,
     MonadComplex,
     chern_monad,
+    is_int,
     is_list_of,
     monad_from_document,
     monad_to_document,
@@ -57,11 +51,11 @@ class Polarization:
     def __post_init__(self):
         object.__setattr__(self, "coords", self.ambient.normalize_degree(self.coords))
         if self.self_intersection <= 0:
-            raise UnsupportedPolarizationError(
+            raise BundleCertError(
                 f"polarization {self.coords} has nonpositive self-intersection"
             )
         if any(c <= 0 for c in self.coords):
-            raise UnsupportedPolarizationError("polarization components must be positive")
+            raise BundleCertError("polarization components must be positive")
 
     @property
     def self_intersection(self) -> int:
@@ -79,7 +73,7 @@ class Polarization:
 def slope(c: ChernData, H: Polarization) -> Fraction:
     """deg_H(c1) / rank."""
     if c.rank < 1:
-        raise ZeroRankError("slope of a rank-0 sheaf")
+        raise BundleCertError("slope of a rank-0 sheaf")
     return Fraction(H.degree(c.c1), c.rank)
 
 
@@ -90,7 +84,7 @@ def twist_region(c: ChernData, s: int, H: Polarization) -> int:
     if not 1 <= s <= c.rank - 1:
         raise ValueError(f"s must lie in 1..{c.rank - 1}")
     if not H.is_balanced:
-        raise UnsupportedPolarizationError(
+        raise BundleCertError(
             "twist regions are implemented for multiples of O(1) / O(1,1)"
         )
     # deg_H(L) = h * (sum of L's components), h = H.coords[0]
@@ -108,7 +102,7 @@ class CertifyOptions:
 
     def __post_init__(self):
         if self.margin is not None and self.margin < 0:
-            raise ValidationError("margin must be a nonnegative integer")
+            raise BundleCertError("margin must be a nonnegative integer")
 
     def to_dict(self) -> dict:
         return {
@@ -128,7 +122,7 @@ def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = N
     document `verify` compares with its re-run."""
     options = options or CertifyOptions()
     if m.ambient != H.ambient:
-        raise ValidationError("polarization ambient differs from the monad's")
+        raise BundleCertError("polarization ambient differs from the monad's")
 
     report = validate(m)
     chern = chern_monad(m)
@@ -237,22 +231,22 @@ def _run_band(m, s, bound, cert, options) -> dict | None:
 
 def _read_inputs(doc) -> tuple:
     """The monad, polarization and options a certificate records.  Only these
-    are read before the re-run; a wrong JSON type raises DocumentError."""
+    are read before the re-run; a wrong JSON type raises BundleCertError."""
     if not isinstance(doc, dict):
-        raise DocumentError("a certificate is a JSON object")
+        raise BundleCertError("a certificate is a JSON object")
     inp = doc.get("input")
     if not (isinstance(inp, dict) and isinstance(inp.get("monad"), dict)):
-        raise DocumentError("'input' and 'input.monad' must be JSON objects")
-    if not is_list_of(doc.get("polarization"), lambda x: isinstance(x, int)):
-        raise DocumentError("'polarization' must be a list of integers")
+        raise BundleCertError("'input' and 'input.monad' must be JSON objects")
+    if not is_list_of(doc.get("polarization"), is_int):
+        raise BundleCertError("'polarization' must be a list of integers")
     opts = inp.get("options")
     points = opts.get("fiber_points") if isinstance(opts, dict) else None
-    if not (is_list_of(points, lambda pt: is_list_of(pt, lambda x: isinstance(x, int))
+    if not (is_list_of(points, lambda pt: is_list_of(pt, is_int)
                        and len(pt) == 2) and len(points) == 2):
-        raise DocumentError("'input.options.fiber_points' must be two [int, int]")
+        raise BundleCertError("'input.options.fiber_points' must be two [int, int]")
     margin = opts.get("margin")
-    if not (margin is None or isinstance(margin, int)):
-        raise DocumentError("'input.options.margin' must be an integer or null")
+    if not (margin is None or is_int(margin)):
+        raise BundleCertError("'input.options.margin' must be an integer or null")
     m = monad_from_document(inp["monad"])
     options = CertifyOptions(tuple(tuple(p) for p in points), margin)
     return m, Polarization(m.ambient, tuple(doc["polarization"])), options
@@ -286,7 +280,7 @@ def verify_certificate(doc: dict) -> list:
 
     Returns one description per top-level field that differs; empty means the
     certificate re-verifies.  Recorded inputs of the wrong JSON type raise
-    DocumentError.
+    BundleCertError.
     """
     m, H, options = _read_inputs(doc)
     return document_mismatches(certify(m, H, options), doc)

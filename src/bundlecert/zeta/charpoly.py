@@ -35,11 +35,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import gcd
 
-from ..errors import (
-    InsufficientCountsError,
-    NoCandidateError,
-    NoConsistentCandidateError,
-)
+from ..errors import BundleCertError
 
 H2_DIM = 22
 K_ALG = 2  # the U(2) of the two pulled-back rulings
@@ -140,7 +136,7 @@ def newton_elementary_from_power_sums(power_sums) -> list:
         acc = sum((-1) ** (i - 1) * e[k - i] * power_sums[i - 1] for i in range(1, k + 1))
         if acc % k:
             g = gcd(acc, k)
-            raise NoConsistentCandidateError(
+            raise BundleCertError(
                 f"Newton identities give non-integral coefficient {acc // g}/{k // g}"
             )
         e.append(acc // k)
@@ -327,7 +323,7 @@ def weil_trace(count: int, p: int, n: int) -> int:
     against the Weil bound."""
     t = count - 1 - p ** (2 * n)
     if abs(t) > WEIL_TRACE_FACTOR * p ** n:
-        raise NoConsistentCandidateError(
+        raise BundleCertError(
             f"trace t_{n} = {t} violates the Weil bound {WEIL_TRACE_FACTOR}*{p}^{n}"
         )
     return t
@@ -347,7 +343,7 @@ def assemble_charpoly(counts, p: int, k_alg: int = K_ALG) -> ZetaProfile:
         raise ValueError(f"k_alg must be {K_ALG}, the rank of the U(2) of the rulings")
     counts = list(counts)
     if len(counts) != HALF - 1:
-        raise InsufficientCountsError(f"expected {HALF - 1} counts, got {len(counts)}")
+        raise BundleCertError(f"expected {HALF - 1} counts, got {len(counts)}")
     profile = profile_from_counts(counts, p)
     for sign in (1, -1):
         coeffs, kind = complete_with_functional_equation(profile.elementary, p, sign)
@@ -444,7 +440,7 @@ def rank_upper_bound(profile: ZetaProfile) -> RankBoundResult:
     """K_ALG + max over surviving candidates of the unit-root multiplicity."""
     survivors = profile.surviving()
     if not survivors:
-        raise NoCandidateError("no surviving characteristic-polynomial candidate")
+        raise BundleCertError("no surviving characteristic-polynomial candidate")
     per = []
     best = 0
     for cand in survivors:

@@ -81,11 +81,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..errors import (
-    EvenCharacteristicError,
-    ThreadCountError,
-    ValidationError,
-)
+from ..errors import BundleCertError
 from ..polycore import RationalPolynomial
 from .field import (
     Field,
@@ -102,14 +98,14 @@ def curve_coefficients(f: RationalPolynomial, p: int):
     """5x5 integer matrix A[i][j] = coefficient of x0^(4-i) x1^i y0^(4-j) y1^j mod p."""
     amb = f.ambient
     if amb.arity != 2 or amb.dims != (1, 1):
-        raise ValidationError("branch curve must live on P1 x P1")
+        raise BundleCertError("branch curve must live on P1 x P1")
     if not f.is_homogeneous_of((4, 4)) or f.is_zero():
-        raise ValidationError("branch curve must be a nonzero form of bidegree (4,4)")
+        raise BundleCertError("branch curve must be a nonzero form of bidegree (4,4)")
     A = [[0] * 5 for _ in range(5)]
     for exps, c in f.terms.items():
         A[exps[1]][exps[3]] = (A[exps[1]][exps[3]] + c) % p
     if not any(map(any, A)):
-        raise ValidationError(f"branch curve vanishes mod {p}")
+        raise BundleCertError(f"branch curve vanishes mod {p}")
     return A
 
 
@@ -350,9 +346,9 @@ def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int
 
     Counts run in one process: any threads other than 1 is refused."""
     if threads != 1:
-        raise ThreadCountError(f"counts run in one process, got threads={threads}")
+        raise BundleCertError(f"counts run in one process, got threads={threads}")
     if p == 2:
-        raise EvenCharacteristicError("double-cover counting needs odd characteristic")
+        raise BundleCertError("double-cover counting needs odd characteristic")
     start = perf_counter()
     A = curve_coefficients(f, p)
     F = make_field(p, n)
@@ -372,7 +368,7 @@ def count_points_bruteforce(f: RationalPolynomial, p: int, n: int) -> int:
     """Independent slow oracle: direct evaluation at every base point, on
     digit lists multiplied modulo the smallest irreducible (no tables)."""
     if p == 2:
-        raise EvenCharacteristicError("double-cover counting needs odd characteristic")
+        raise BundleCertError("double-cover counting needs odd characteristic")
     check_field(p, n)
     A = curve_coefficients(f, p)
     mod = list(smallest_irreducible(p, n))

@@ -18,7 +18,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from ..errors import ExtensionDegreeError, NotPrimeError, TooLargeError
+from ..errors import BundleCertError
 from .charpoly import prime_divisors
 
 ZECH_CAP = 1 << 20
@@ -229,11 +229,11 @@ class Field:
 def check_field(p: int, n: int):
     """Raise unless F_{p^n} can be built: p prime, n >= 1, q <= ZECH_CAP."""
     if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise BundleCertError(f"{p} is not prime")
     if n < 1:
-        raise ExtensionDegreeError(f"extension degree must be >= 1, got {n}")
+        raise BundleCertError(f"extension degree must be >= 1, got {n}")
     if p ** n > ZECH_CAP:
-        raise TooLargeError(f"q = {p}^{n} exceeds the log-table limit 2^20")
+        raise BundleCertError(f"q = {p}^{n} exceeds the log-table limit 2^20")
 
 
 def make_field(p: int, n: int) -> Field:

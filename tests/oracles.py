@@ -17,7 +17,9 @@ the exp and log lists of `field_tables` (vs the blocked Horner on the
 codes of `zeta.field.Field`), and the kernel vector of an integer matrix by
 a fraction reduced row echelon form (vs the signed maximal minors of
 `k3lat._kernel_vector`), and determinants by the Leibniz sum over
-permutations (vs the fraction-free elimination of `polycore.bareiss_det`).
+permutations (vs the fraction-free elimination of `polycore.bareiss_det`),
+and sums of curve-class candidates by a recursive search over multisets
+(vs the table of reachable sums per degree of `k3lat._decomposes`).
 
 The last section holds helpers only tests use, moved out of `src/` with
 their logic unchanged.
@@ -31,7 +33,7 @@ from itertools import permutations
 from math import comb, gcd, lcm, prod
 
 from bundlecert.cohom import SECTION_KERNEL, _kernel_result
-from bundlecert.errors import HomogeneityError, ValidationError
+from bundlecert.errors import BundleCertError
 from bundlecert.k3lat import QUARTIC_AMBIENT, GramLattice
 from bundlecert.monad import KERNEL, ChernData
 from bundlecert.polycore import (
@@ -471,7 +473,9 @@ def quartic_h0(ring: QuarticRing, entries, source_twists, target_twists, k: int)
     for i, row in enumerate(entries):
         for j, p in enumerate(row):
             if not p.is_homogeneous_of(tgt[i] - src[j]):
-                raise HomogeneityError(i, j, f"expected degree {tgt[i] - src[j]}")
+                raise BundleCertError(
+                    f"entry ({i},{j}) inhomogeneous: expected degree {tgt[i] - src[j]}"
+                )
     src_bases = [ring.basis(t + k) for t in src]
     tgt_bases = [ring.basis(t + k) for t in tgt]
     ncols = sum(len(b) for b in src_bases)
@@ -492,6 +496,28 @@ def quartic_h0(ring: QuarticRing, entries, source_twists, target_twists, k: int)
                 M.add(r, col, int(c * scale))
             col += 1
     return M.kernel_dim()
+
+
+# --- sums of curve-class candidates by search ---------------------------------------
+
+def decomposes_by_search(target, budget, candidates) -> bool:
+    """Whether some multiset of candidate (coords, degree, sq) of total degree
+    budget sums to target, by a depth-first search over candidates in
+    decreasing degree; exponential in budget."""
+    cands = sorted(candidates, key=lambda c: -c[1])
+
+    def rec(remaining, budget, start):
+        if budget == 0:
+            return remaining == (0, 0)
+        for i in range(start, len(cands)):
+            (a, b), d, _ = cands[i]
+            if d > budget:
+                continue
+            if rec((remaining[0] - a, remaining[1] - b), budget - d, i):
+                return True
+        return False
+
+    return rec(tuple(target), budget, 0)
 
 
 # --- helpers only tests use -----------------------------------------------------------
@@ -562,7 +588,7 @@ def homogeneous_multidegree(p: RationalPolynomial):
 def h0_kernel(m, L):
     """h^0(ker(b) ⊗ O(L)), exact."""
     if m.kind != KERNEL:
-        raise ValidationError("h0_kernel needs a kernel monad")
+        raise BundleCertError("h0_kernel needs a kernel monad")
     return _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
 
 

@@ -192,8 +192,7 @@ def test_a_form_that_vanishes_mod_p_exits_1(capsys, tmp_path):
 ], ids=["count-points", "picard-bound", "count-points-not-prime", "count-points-even",
         "picard-bound-even", "count-points-degree-0"])
 def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command, prime, max_n):
-    """A prime above the cap, a composite (NotPrimeError), p = 2
-    (EvenCharacteristicError) and n < 1 (ExtensionDegreeError) are refused
+    """A prime above the cap, a composite, p = 2 and n < 1 are refused
     before a count reads the form."""
     def no_count(*args, **kwargs):
         raise AssertionError("started a count before refusing the prime")
@@ -213,10 +212,10 @@ def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command, pri
     ("ambient", {"type": "product_projective", "dims": 3}),
     ("ambient", {"type": "projective", "dim": 2.5}),
     ("ambient", {"type": "projective", "dim": True}),
-    ("name", 5),
+    ("name", 5), ("target", [False]),
 ], ids=["numeric-map-entry", "map-row-not-a-list", "middle-not-a-list", "null-twist",
         "top-level-list", "dim-a-list", "dims-not-a-list", "dim-not-an-integer", "dim-a-boolean",
-        "name-not-a-string"])
+        "name-not-a-string", "twist-a-boolean"])
 def test_malformed_monad_document_exits_1(capsys, tmp_path, field, value):
     doc = json.loads((INPUTS / "euler.monad").read_text())
     if field is None:
@@ -392,10 +391,12 @@ def test_removed_lattice_names_exit_1(capsys, argv):
     (("quartic-run",), [1]),
     (("quartic-run",), {"surface": "x^4 + y^4 + z^4 + w^4", "map": 7}),
     (("lattice", "pair", "--class", "1,0", "--class", "0,1"), {"names": ["A", "B"], "gram": 3}),
+    (("lattice", "pair", "--class", "1,0", "--class", "0,1"),
+     {"names": ["A", "B"], "gram": [[True, False], [False, False]]}),
 ], ids=["count-points-numeric-polynomial", "count-points-top-level-list",
         "picard-bound-numeric-polynomial", "picard-bound-top-level-list",
         "quartic-run-numeric-surface", "quartic-run-top-level-list", "quartic-run-numeric-map",
-        "lattice-numeric-gram"])
+        "lattice-numeric-gram", "lattice-boolean-gram"])
 def test_malformed_surface_or_lattice_document_exits_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
@@ -532,6 +533,11 @@ def _margin_not_an_integer(doc):
     return doc
 
 
+def _margin_a_boolean(doc):
+    doc["input"]["options"]["margin"] = True
+    return doc
+
+
 def _polarization_not_integers(doc):
     doc["polarization"] = ["1", "1"]
     return doc
@@ -556,11 +562,17 @@ MALFORMED_CERTIFICATES = [
      "error: 'input.options.margin' must be an integer or null"),
     ("polarization-not-integers", _polarization_not_integers,
      "error: 'polarization' must be a list of integers"),
+    ("polarization-booleans", lambda doc: {**doc, "polarization": [True, True]},
+     "error: 'polarization' must be a list of integers"),
+    ("margin-a-boolean", _margin_a_boolean,
+     "error: 'input.options.margin' must be an integer or null"),
     ("fiber-points-not-pairs", _fiber_points([0, 1]),
      "error: 'input.options.fiber_points' must be two [int, int]"),
     ("fiber-point-too-short", _fiber_points([[0, 1], [0]]),
      "error: 'input.options.fiber_points' must be two [int, int]"),
     ("fiber-point-not-integers", _fiber_points([[0, "1"], [0, 1]]),
+     "error: 'input.options.fiber_points' must be two [int, int]"),
+    ("fiber-points-booleans", _fiber_points([[False, True], [False, True]]),
      "error: 'input.options.fiber_points' must be two [int, int]"),
     ("picard-polynomial-not-a-string",
      lambda doc: {"schema": PICARD, "input": {"polynomial": 5, "prime": 3}},

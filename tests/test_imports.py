@@ -1,7 +1,7 @@
 """Every name a module under src/ imports is used in it or re-exported by __all__,
 every __all__ entry is bound in its module, no module under src/ imports random
-or starts processes, only stability.py imports fractions, and the certify path
-loads no numpy."""
+or starts processes, only stability.py imports fractions, the certify path
+loads no numpy, and every exception subclass is caught by name somewhere."""
 import ast
 import importlib
 import os
@@ -69,6 +69,29 @@ def test_only_stability_imports_fractions():
     found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
              for name in imported_modules(path) if name.split(".")[0] == "fractions"]
     assert found == ["bundlecert/stability.py"]
+
+
+def test_every_error_subclass_is_caught_by_name():
+    # a failure nothing catches by name raises BundleCertError itself; the
+    # message says what went wrong
+    errors = ast.parse((SRC / "bundlecert" / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    assert sorted(defined - caught - {"BundleCertError"}) == []
+
+
+def test_only_errors_py_defines_exceptions():
+    found = [f"{path.relative_to(SRC)} {node.name}" for path in sorted(SRC.rglob("*.py"))
+             if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(b, ast.Name) and b.id.endswith(("Error", "Exception"))
+                     for b in node.bases)]
+    assert found == []
 
 
 def test_every_all_entry_is_bound():

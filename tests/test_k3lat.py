@@ -2,18 +2,14 @@ import random
 
 import pytest
 
-from bundlecert.errors import (
-    BasepointFailureError,
-    HomogeneityError,
-    LatticeMismatchError,
-    OddSquareError,
-)
+from bundlecert.errors import BundleCertError
 from bundlecert.k3lat import (
     QUARTIC_452,
     QUARTIC_AMBIENT,
     U,
     U2,
     GramLattice,
+    _decomposes,
     _kernel_vector,
     bracket,
     curve_class_candidates,
@@ -30,7 +26,15 @@ from bundlecert.k3lat import (
 )
 from bundlecert.monad import ChernData
 from bundlecert.polycore import parse_poly
-from oracles import QuarticRing, gauss_rank, gram_det, is_even, rref_kernel_vector, span1
+from oracles import (
+    QuarticRing,
+    decomposes_by_search,
+    gauss_rank,
+    gram_det,
+    is_even,
+    rref_kernel_vector,
+    span1,
+)
 from oracles import quartic_h0 as normal_form_h0
 
 FX = "-x*(x + z - w)*(x*w - y*z) + z*(x + z)*(x*y - z^2) + (x*y + w^2)*(y^2 - z*w)"
@@ -68,16 +72,16 @@ class TestPairing:
                              ids=["three-on-rank-2", "one-on-rank-2", "two-on-rank-1",
                                   "none-on-rank-2"])
     def test_class_needs_one_coordinate_per_basis_vector(self, lattice, coords):
-        with pytest.raises(LatticeMismatchError, match=f"rank-{lattice.rank}"):
+        with pytest.raises(BundleCertError, match=f"rank-{lattice.rank}"):
             lattice.cls(coords)
 
     def test_lattice_mismatch(self):
-        with pytest.raises(LatticeMismatchError):
+        with pytest.raises(BundleCertError, match="classes live on different lattices"):
             pair(U.basis_class(0), U2.basis_class(0))
 
     def test_odd_square(self):
         odd = GramLattice(("A",), ((3,),))
-        with pytest.raises(OddSquareError):
+        with pytest.raises(BundleCertError, match=r"D\^2 = 3 is odd"):
             genus(odd.basis_class(0))
 
     def test_bilinearity_random(self):
@@ -192,6 +196,31 @@ class TestEffectivity:
             cert = not_effective_cert(D, H)
             # D is a sum of candidate classes, so rule iii must not certify
             assert cert is None or cert.rule != "no-decomposition"
+            # the degree table and the search agree on D and on classes near it
+            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, -1), (-1, 2)):
+                E = D + lat.cls((dx, dy))
+                deg = pair(E, H)
+                if 1 <= deg <= 12:
+                    cands = curve_class_candidates(lat, H, deg)
+                    assert _decomposes(E.coords, deg, cands) == \
+                        decomposes_by_search(E.coords, deg, cands), (lat.gram, E.coords)
+
+    def test_degree_89_has_no_decomposition(self):
+        # out of reach of decomposes_by_search, which is exponential in the degree
+        D = QUARTIC_452.cls((-14, 29))
+        cert = not_effective_cert(D, self.H)
+        assert cert.rule == "no-decomposition" and cert.degree == 89
+        assert not_effective_cert(QUARTIC_452.cls((1, 17)), self.H) is None  # H + 17 C
+
+    def test_decomposition_matches_the_search_on_quartic_452(self):
+        raw = curve_class_candidates(QUARTIC_452, self.H, 30)
+        for a in range(-8, 9):
+            for b in range(-8, 9):
+                deg = pair(QUARTIC_452.cls((a, b)), self.H)
+                if 1 <= deg <= 30:
+                    cands = [c for c in raw if c[1] <= deg]
+                    assert _decomposes((a, b), deg, cands) == \
+                        decomposes_by_search((a, b), deg, cands), (a, b)
 
 
 class TestNumerology:
@@ -251,9 +280,8 @@ class TestQuartic:
     ], ids=["quadratic-in-a-linear-slot", "second-row"])
     def test_h0_homogeneity_error_identifies_entry(self, entries, source, target, at):
         f = parse_poly(QUARTICS[1], QUARTIC_AMBIENT)
-        with pytest.raises(HomogeneityError) as e:
+        with pytest.raises(BundleCertError, match=rf"entry \({at[0]},{at[1]}\) inhomogeneous"):
             quartic_h0(f, entries, source, target, 1)
-        assert (e.value.row, e.value.col) == at
 
     def test_h0_refuses_a_non_quartic(self):
         with pytest.raises(ValueError, match="homogeneous quartic"):
@@ -275,20 +303,20 @@ class TestQuartic:
 
     def test_basepoint_is_derived_from_the_map(self):
         # (x, y, z) vanish together at [0:0:0:1], where this f vanishes too
-        with pytest.raises(BasepointFailureError, match=r"\[0:0:0:1\]"):
+        with pytest.raises(BundleCertError, match=r"\[0:0:0:1\]"):
             quartic_region_run("z^4 + x*w^3 + y*w^3 + x^4 + y^4", ("x", "y", "z"))
         cert = quartic_region_run("x^4 + y^4 + z^4 + w^4", ("x - w", "y", "z"))
         assert cert["basepoint_value"] == "2"  # f(1, 0, 0, 1)
 
     def test_map_of_rank_below_3(self):
-        with pytest.raises(BasepointFailureError, match="rank below 3"):
+        with pytest.raises(BundleCertError, match="rank below 3"):
             quartic_region_run("x^4 + y^4 + z^4 + w^4", ("x", "y", "x + y"))
 
     def test_nonlinear_map(self):
-        with pytest.raises(HomogeneityError):
+        with pytest.raises(BundleCertError, match=r"entry \(0,2\) inhomogeneous: .* linear forms"):
             quartic_region_run("x^4 + y^4 + z^4 + w^4", ("x", "y", "z^2"))
 
     def test_basepoint_failure(self):
         # z^4 missing and f(0,0,1,0) = 0
-        with pytest.raises(BasepointFailureError):
+        with pytest.raises(BundleCertError, match=r"f vanishes at \[0:0:1:0\]"):
             quartic_region_run("x^4 + y^4 + z^3*w + w^4")

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlecert.errors import (
-    AmbientMismatchError,
-    PolySyntaxError,
-    UnknownVariableError,
-)
+from bundlecert.errors import BundleCertError
 from bundlecert.polycore import (
     Ambient,
     ExactMatrix,
@@ -73,19 +69,16 @@ class TestParser:
         assert p.is_homogeneous_of((4, 4))
 
     def test_juxtaposition_is_unknown_variable(self):
-        with pytest.raises(UnknownVariableError) as e:
+        with pytest.raises(BundleCertError, match=r"unknown variable 'x1y1' \(at offset 0\)"):
             parse_poly("x1y1", PP)
-        assert e.value.name == "x1y1"
 
     def test_syntax_error_offset(self):
-        with pytest.raises(PolySyntaxError) as e:
+        with pytest.raises(BundleCertError, match=r"found '\^' \(at offset 5\)"):
             parse_poly("x0 + ^2", PP)
-        assert e.value.offset == 5
 
     def test_unknown_variable_offset(self):
-        with pytest.raises(UnknownVariableError) as e:
+        with pytest.raises(BundleCertError, match=r"unknown variable 'z3' \(at offset 5\)"):
             parse_poly("x0 + z3", PP)
-        assert e.value.offset == 5
 
     def test_leading_minus_and_parens(self):
         p = parse_poly("-x0*(x1 + y0*0) + x0*x1", PP)
@@ -97,7 +90,7 @@ class TestParser:
         assert p == q
 
     def test_trailing_garbage(self):
-        with pytest.raises(PolySyntaxError):
+        with pytest.raises(BundleCertError, match=r"trailing input 'x1' \(at offset 3\)"):
             parse_poly("x0 x1", PP)
 
     @given(st.integers(-9, 9), st.integers(0, 3), st.integers(0, 3))
@@ -168,7 +161,7 @@ class TestSubstitute:
 
     def test_ambient_mismatch(self):
         p = parse_poly("x0", PP)
-        with pytest.raises(AmbientMismatchError):
+        with pytest.raises(BundleCertError, match="no variable 'nope' in ambient"):
             p.substitute({"nope": 1}, P2)
 
 
