@@ -14,10 +14,6 @@ quartic-run, count-points and picard-bound to FILE instead of stdout; h0 and
 verify print to stdout only.  quartic-run certifies ker(O(-1)^3 -> O) on a
 quartic X = Z(f) in P3 and refuses a document with other twists.
 
-A negative twist on P1 x P1 is written `h0 --twist=-1,-1`, and a negative
-lattice class `lattice --class=-1,2`: argparse reads a separate `-1,-1` as an
-option, not as the value.
-
 picard-bound makes 9 counts over F_{p^n}, n = 1..9, and at most one at
 n = 10, so it needs p^10 <= 2^20 (p = 3).  Its document, like a stability or
 quartic certificate, records the inputs `verify` re-runs it from.
@@ -119,11 +115,8 @@ def cmd_certify(args) -> int:
 
 def cmd_h0(args) -> int:
     m = monad_from_document(_load_json(args.monad))
-    res = h0_monad(m, args.exterior, _parse_twist(args.twist))
-    if res.exact:
-        sys.stdout.write(f"{res.value}\n")
-    else:
-        sys.stdout.write(f"[{res.lo}, {res.hi}]\n")
+    lo, hi = h0_monad(m, args.exterior, _parse_twist(args.twist))["h0"]
+    sys.stdout.write(f"{lo}\n" if lo == hi else f"[{lo}, {hi}]\n")
     return EXIT_OK
 
 
@@ -172,36 +165,24 @@ def cmd_lattice(args) -> int:
     if n != _CLASS_COUNTS.get(sub, n) or (sub == "gram" and n == 0):
         want = _CLASS_COUNTS.get(sub, "at least 1")
         raise BundleCertError(f"lattice {sub} needs {want} --class, got {n}")
+    classes = [lat.cls(_parse_twist(c)) for c in args.classes]
     out = {}
     if sub == "pair":
-        D1 = lat.cls(_parse_twist(args.classes[0]))
-        D2 = lat.cls(_parse_twist(args.classes[1]))
-        out = {"pair": k3lat.pair(D1, D2)}
+        out = {"pair": lat.pair(*classes)}
     elif sub == "genus":
-        D = lat.cls(_parse_twist(args.classes[0]))
-        out = {"self_intersection": k3lat.self_int(D), "genus": k3lat.genus(D)}
+        D = classes[0]
+        out = {"self_intersection": lat.pair(D, D), "genus": k3lat.genus(lat, D)}
     elif sub == "gram":
-        classes = [lat.cls(_parse_twist(c)) for c in args.classes]
-        mat, det = k3lat.gram_of(classes)
+        mat, det = k3lat.gram_of(lat, classes)
         out = {"gram": [list(r) for r in mat], "det": det}
         if det == 0:
             try:
-                out["dependency"] = list(k3lat.dependency(classes))
+                out["dependency"] = list(k3lat.dependency(lat, classes))
             except ValueError:
                 pass
     elif sub == "effectivity":
-        D = lat.cls(_parse_twist(args.classes[0]))
-        H = lat.cls(_parse_twist(args.classes[1]))
-        cert = k3lat.not_effective_cert(D, H)
-        if cert is None:
-            out = {"verdict": "Unknown"}
-        else:
-            out = {
-                "verdict": "NotEffective",
-                "rule": cert.rule,
-                "degree": cert.degree,
-                "candidates": [list(c[0]) for c in cert.candidates],
-            }
+        cert = k3lat.not_effective_cert(lat, *classes)
+        out = {"verdict": "Unknown"} if cert is None else {"verdict": "NotEffective", **cert}
     elif sub == "expected-dim":
         out = {"expected_dim": k3lat.expected_dim(args.rank, args.c1sq, args.c2)}
     _emit(Document(out).to_json(), args.out)
@@ -293,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("h0", help="h^0 of (an exterior power of) a monad bundle")
     p.add_argument("--monad", required=True)
-    p.add_argument("--twist", required=True,
-                   help='"k" or "k,l"; a negative twist is written --twist=-1,-1')
+    p.add_argument("--twist", required=True, help='"k" or "k,l"')
     p.add_argument("--exterior", type=int, default=1)
     p.set_defaults(fn=cmd_h0)
 
@@ -310,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", default="quartic-452",
                    help="catalogue name (U, U2, quartic-452) or a JSON file")
     p.add_argument("--class", dest="classes", action="append", default=[],
-                   help='class coordinates, e.g. "1,0" (repeatable); a negative class is '
-                        'written --class=-1,2')
+                   help='class coordinates, e.g. "1,0" (repeatable)')
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--c1sq", type=int, default=0)
     p.add_argument("--c2", type=int, default=0)
@@ -348,10 +327,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# options whose value is a tuple of integers: argparse reads a separate value
+# such as "-1,2" or "-1:1" as an option, so main attaches it as --class=-1,2
+_TUPLE_OPTIONS = ("--polarization", "--fiber-point", "--twist", "--class")
+
+
+def _attach_negative_values(argv) -> list:
+    out = []
+    for arg in argv:
+        if out and out[-1] in _TUPLE_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_negative_values(argv))
     except SystemExit as e:
         return EXIT_ERROR if e.code else EXIT_OK
     try:

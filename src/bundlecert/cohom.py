@@ -10,12 +10,16 @@ line bundles, by left exactness of global sections:
   * homology monads:  h^0(E⊗L) is sandwiched by the A-cohomology of the
     splitting 0 -> A -> K -> E -> 0 and is exact when h^1(A⊗L) = 0.
 
+Each h^0 function returns the fragment a certificate's core check records,
+{"h0": [lo, hi], "method": ..., "witness": {...}}: lo == hi is an exact value,
+lo < hi an interval bound.  lo <= hi holds by construction, since hi - lo is
+a dimension, h^1(A⊗L).
+
 The tail rule turns the fiber-restriction estimate into a rigorous
 vanish-on-divisor descent certificate for a whole half-plane of twists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -32,31 +36,6 @@ from .polycore import (
 SECTION_KERNEL = "SectionKernel"
 EXTERIOR_KERNEL = "ExteriorKernel"
 HOMOLOGY_BOUND = "HomologyBound"
-FIBER_DESCENT = "FiberDescent"
-
-
-@dataclass(frozen=True)
-class CohomResult:
-    """An exact value (lo == hi) or an interval bound on a cohomology dimension."""
-
-    lo: int
-    hi: int
-    method: str
-    witness: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval with lo > hi")
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ValueError(f"interval result [{self.lo}, {self.hi}] has no single value")
-        return self.lo
 
 
 def _h_line_pn(n: int, k: int, i: int) -> int:
@@ -85,7 +64,7 @@ def h_line_sum(ambient: Ambient, twists, L, i: int) -> int:
     return sum(h_line(ambient, mdeg_add(ambient.normalize_degree(t), L), i) for t in twists)
 
 
-def _kernel_result(m: MonadComplex, entries, src_twists, tgt_twists, L, method) -> CohomResult:
+def _kernel_result(m: MonadComplex, entries, src_twists, tgt_twists, L, method) -> dict:
     L = m.ambient.normalize_degree(L)
     M = section_matrix(m.ambient, entries, src_twists, tgt_twists, L)
     rank = M.rank()
@@ -97,7 +76,7 @@ def _kernel_result(m: MonadComplex, entries, src_twists, tgt_twists, L, method) 
         "rank": rank,
         "nullity": nullity,
     }
-    return CohomResult(nullity, nullity, method, witness)
+    return {"h0": [nullity, nullity], "method": method, "witness": witness}
 
 
 def _wedge_twists(m: MonadComplex, s: int, base) -> list:
@@ -138,17 +117,17 @@ def exterior_contraction(m: MonadComplex, s: int):
     return tuple(map(tuple, entries)), tuple(src_twists), tuple(tgt_twists)
 
 
-def h0_exterior(m: MonadComplex, s: int, L) -> CohomResult:
+def h0_exterior(m: MonadComplex, s: int, L) -> dict:
     """h^0((Λ^s ker b) ⊗ O(L)), exact, for kernel monads with rank-1 cokernel."""
     if m.kind != KERNEL:
         raise UnsupportedOperationError("exterior powers of homology monads are unsupported")
     entries, src, tgt = exterior_contraction(m, s)
     res = _kernel_result(m, entries, src, tgt, L, EXTERIOR_KERNEL)
-    res.witness["s"] = s
+    res["witness"]["s"] = s
     return res
 
 
-def h0_homology(m: MonadComplex, L) -> CohomResult:
+def h0_homology(m: MonadComplex, L) -> dict:
     """h^0((ker b / im a) ⊗ O(L)); exact when h^1(A⊗L) = 0, else an interval."""
     if m.kind != HOMOLOGY:
         raise BundleCertError("h0_homology needs a homology monad")
@@ -157,16 +136,16 @@ def h0_homology(m: MonadComplex, L) -> CohomResult:
     k = _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
     a0 = h_line_sum(m.ambient, m.source.twists, L, 0)
     a1 = h_line_sum(m.ambient, m.source.twists, L, 1)
-    lo = k.value - a0
+    lo = k["h0"][0] - a0
     if lo < 0:
         raise BundleCertError(
             "h^0(A) exceeds h^0(K); the monad is not exact at A"
         )
-    witness = {"twist": list(L), "h0_kernel": k.witness, "h0_A": a0, "h1_A": a1}
-    return CohomResult(lo, lo + a1, HOMOLOGY_BOUND, witness)
+    witness = {"twist": list(L), "h0_kernel": k["witness"], "h0_A": a0, "h1_A": a1}
+    return {"h0": [lo, lo + a1], "method": HOMOLOGY_BOUND, "witness": witness}
 
 
-def h0_monad(m: MonadComplex, s: int, L) -> CohomResult:
+def h0_monad(m: MonadComplex, s: int, L) -> dict:
     """Uniform front end: Λ^s of the monad bundle, twisted by L.
 
     s must lie in 1..rank for a kernel monad and be 1 for a homology monad
@@ -202,24 +181,22 @@ def fiber_h0_vanishes(fiber: MonadComplex, s: int, bound: int) -> dict:
     """
     if fiber.kind == KERNEL:
         res = h0_exterior(fiber, s, (bound,))
-        if res.value != 0:
-            raise FiberNotVanishingError("?", f"h0 = {res.value} at twist {bound}")
-        return {"rule": "kernel-exact", "twist": bound, "h0": 0, "witness": res.witness}
+        h0 = res["h0"][0]
+        if h0 != 0:
+            raise FiberNotVanishingError(f"fiber h0 = {h0} at twist {bound}")
+        return {"rule": "kernel-exact", "twist": bound, "h0": 0, "witness": res["witness"]}
     if s != 1:
         raise UnsupportedOperationError("homology fibers support s = 1 only")
     t0 = max(-1 - t[0] for t in fiber.source.twists)
     if bound >= t0:
-        res = h0_homology(fiber, (bound,))
-        if not res.exact or res.value != 0:
-            raise FiberNotVanishingError("?", f"h0 in [{res.lo},{res.hi}] at twist {bound}")
+        lo, hi = h0_homology(fiber, (bound,))["h0"]
+        if hi != 0:
+            raise FiberNotVanishingError(f"fiber h0 in [{lo},{hi}] at twist {bound}")
         return {"rule": "homology-exact", "twist": bound, "h0": 0}
     rank = fiber.middle.rank - fiber.target.rank - fiber.source.rank
     for t in range(t0, t0 + rank + 3):
-        res = h0_homology(fiber, (t,))
-        if not res.exact:
-            continue
-        n = res.value
-        if n <= t - bound:
+        n, hi = h0_homology(fiber, (t,))["h0"]
+        if n == hi and n <= t - bound:
             return {
                 "rule": "splitting-bound",
                 "probe_twist": t,
@@ -227,10 +204,10 @@ def fiber_h0_vanishes(fiber: MonadComplex, s: int, bound: int) -> dict:
                 "max_summand": n - t - 1,
                 "bound": bound,
             }
-    raise FiberNotVanishingError("?", f"no splitting certificate down to twist {bound}")
+    raise FiberNotVanishingError(f"no fiber splitting certificate down to twist {bound}")
 
 
-def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomResult:
+def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> dict:
     """Certify h^0((Λ^s F)(k, l)) = 0 for every twist whose `axis` component
     is <= bound (the other component arbitrary).
 
@@ -238,7 +215,8 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomR
     restricted h^0 vanishes at all twists <= bound by P1 monotonicity, so
     every global section vanishes on the fiber divisor and h^0 is unchanged
     by twisting down in the other component; iterating reaches an outright
-    ambient vanishing twist.
+    ambient vanishing twist.  Returns the witness a certificate's tail rule
+    records; raises FiberNotVanishingError when the fiber keeps sections.
     """
     amb = m.ambient
     if amb.arity != 2 or amb.dims != (1, 1):
@@ -249,10 +227,7 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomR
 
     # evaluate the factor not carrying the bound; `axis` is the surviving one
     fiber = restrict_to_fiber(m, 3 - axis, tuple(point))
-    try:
-        fiber_witness = fiber_h0_vanishes(fiber, s, bound)
-    except FiberNotVanishingError as e:
-        raise FiberNotVanishingError(tuple(point), e.detail) from None
+    fiber_witness = fiber_h0_vanishes(fiber, s, bound)
 
     # terminal twist for the descent: beyond it, h^0 vanishes for ambient reasons
     lam_twists = _wedge_twists(m, s, m.ambient.zero_degree())
@@ -266,7 +241,7 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomR
             raise BundleCertError(
                 "h^1(A) obstruction: tail bound too high for the source twists"
             )
-    witness = {
+    return {
         "s": s,
         "axis": axis,
         "bound": bound,
@@ -275,4 +250,3 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> CohomR
         "descent_component": other + 1,
         "terminal_twist": terminal,
     }
-    return CohomResult(0, 0, FIBER_DESCENT, witness)

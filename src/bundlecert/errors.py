@@ -2,8 +2,10 @@
 
 Every failure raises BundleCertError, which the CLI prints and maps to exit
 code 1; the message says what went wrong.  A subclass exists only where code
-catches it by name: `cohom.tail_vanish` and `stability.certify` catch the two
-below, and `certify` records the class name in an Inconclusive certificate.
+catches it by name.  `stability.certify` catches both below and records the
+class name and message in an Inconclusive certificate; its band search also
+catches FiberNotVanishingError from `cohom.tail_vanish` to try the next tail
+bound, and raises one naming the fiber point once no bound is left.
 """
 
 
@@ -16,8 +18,4 @@ class UnsupportedOperationError(BundleCertError):
 
 
 class FiberNotVanishingError(BundleCertError):
-    """Fiber restriction has sections; the tail rule hypothesis fails at this point."""
-
-    def __init__(self, point, detail):
-        super().__init__(f"fiber h0 does not vanish at point {point}: {detail}")
-        self.detail = detail
+    """Fiber restriction has sections; the tail rule hypothesis fails."""

@@ -1,7 +1,8 @@
 """Intersection lattices of K3 surfaces and the quartic-surface pipeline.
 
 Gram arithmetic and adjunction on a small catalogue of lattices (U, U(2),
-the quartic's <H, C>) or any Gram matrix, effectivity obstruction
+the quartic's <H, C>) or any Gram matrix, with a class written as its
+tuple of integer coordinates in the lattice's basis, effectivity obstruction
 certificates on rank-2 lattices, expected moduli dimension, the doubling of
 c2 under a double cover, and exact section kernels on a quartic X = Z(f) in
 P3.
@@ -55,85 +56,47 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.names)
 
-    def cls(self, coords, name: str = "") -> "LatticeClass":
+    def cls(self, coords) -> tuple:
+        """The class with these coordinates, refused unless there is one per
+        basis vector."""
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.rank:
             raise BundleCertError(
                 f"a class on a rank-{self.rank} lattice needs {self.rank} coordinates, "
                 f"got {len(coords)}"
             )
-        return LatticeClass(self, coords, name)
+        return coords
 
-    def basis_class(self, i: int) -> "LatticeClass":
-        coords = [0] * self.rank
-        coords[i] = 1
-        return self.cls(coords, self.names[i])
-
-
-@dataclass(frozen=True)
-class LatticeClass:
-    lattice: GramLattice
-    coords: tuple
-    name: str = ""
-
-    def __add__(self, other):
-        _same_lattice(self, other)
-        return LatticeClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, n: int):
-        return LatticeClass(self.lattice, tuple(n * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+    def pair(self, u, v) -> int:
+        """The intersection number u.v of two classes."""
+        g = self.gram
+        return sum(u[i] * g[i][j] * v[j] for i in range(len(g)) for j in range(len(g)))
 
 
-def _same_lattice(a: LatticeClass, b: LatticeClass):
-    if a.lattice != b.lattice:
-        raise BundleCertError("classes live on different lattices")
-
-
-def pair(D1: LatticeClass, D2: LatticeClass) -> int:
-    _same_lattice(D1, D2)
-    g = D1.lattice.gram
-    return sum(
-        D1.coords[i] * g[i][j] * D2.coords[j]
-        for i in range(len(g))
-        for j in range(len(g))
-    )
-
-
-def self_int(D: LatticeClass) -> int:
-    return pair(D, D)
-
-
-def genus(D: LatticeClass) -> int:
+def genus(lattice: GramLattice, D) -> int:
     """Adjunction on a K3: D^2 = 2g - 2."""
-    sq = self_int(D)
+    sq = lattice.pair(D, D)
     if sq % 2:
         raise BundleCertError(f"D^2 = {sq} is odd; not a class on an even lattice")
     return sq // 2 + 1
 
 
-def gram_of(classes) -> tuple:
+def gram_of(lattice: GramLattice, classes) -> tuple:
     """Gram matrix of the given classes and its exact determinant."""
     if not classes:
         return (), 1
-    for c in classes[1:]:
-        _same_lattice(classes[0], c)
-    mat = tuple(tuple(pair(a, b) for b in classes) for a in classes)
+    mat = tuple(tuple(lattice.pair(a, b) for b in classes) for a in classes)
     return mat, bareiss_det([list(r) for r in mat])
 
 
-def dependency(classes) -> tuple:
+def dependency(lattice: GramLattice, classes) -> tuple:
     """A primitive integer vector in the kernel of the classes' Gram matrix.
 
     Requires the Gram determinant to vanish with a one-dimensional kernel; the
     returned coefficients (c_1..c_n) satisfy sum c_i (D_i . D_j) = 0 for all j,
     exhibiting the linear dependency among the classes.
     """
-    mat, det = gram_of(classes)
+    mat, det = gram_of(lattice, classes)
     if det != 0:
         raise ValueError("classes are independent (nonzero Gram determinant)")
     return _kernel_vector(mat)
@@ -196,14 +159,7 @@ def pullback_chern(c: ChernData) -> ChernData:
 # --- effectivity obstructions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EffectivityCertificate:
-    rule: str  # "zero-class" | "nonpositive-degree" | "no-decomposition"
-    degree: int
-    candidates: tuple = ()
-
-
-def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: int) -> list:
+def curve_class_candidates(lattice: GramLattice, H, max_degree: int) -> list:
     """All classes K with 1 <= K.H <= max_degree and K^2 >= -2, as triples
     (coordinates, K.H, K^2) sorted by degree, then coordinates.
 
@@ -214,11 +170,7 @@ def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: in
     """
     if lattice.rank != 2:
         raise BundleCertError("candidate enumeration implemented for rank-2 lattices")
-    g = lattice.gram
-    w = (
-        g[0][0] * H.coords[0] + g[0][1] * H.coords[1],
-        g[1][0] * H.coords[0] + g[1][1] * H.coords[1],
-    )  # degree(a, b) = a*w0 + b*w1
+    w = (lattice.pair((1, 0), H), lattice.pair((0, 1), H))  # degree(a, b) = a*w0 + b*w1
     gw = gcd(w[0], w[1])
     out = []
     for delta in range(1, max_degree + 1):
@@ -226,11 +178,11 @@ def curve_class_candidates(lattice: GramLattice, H: LatticeClass, max_degree: in
             continue
         base = _solve_linear(w, delta)
         direction = (-w[1] // gw, w[0] // gw)
-        dd = _q(g, direction, direction)
+        dd = lattice.pair(direction, direction)
         if dd >= 0:
             raise BundleCertError("lattice is not hyperbolic on the degree line")
-        bd = _q(g, base, direction)
-        bb = _q(g, base, base)
+        bd = lattice.pair(base, direction)
+        bb = lattice.pair(base, base)
         # q(t) = bb + 2t*bd + t^2*dd is concave; integer solutions of q >= -2
         # form a contiguous range around the vertex -bd/dd
         q = lambda t: bb + 2 * t * bd + t * t * dd
@@ -262,12 +214,10 @@ def _ext_gcd(a, b):
     return (y, x - (a // b) * y)
 
 
-def _q(g, u, v):
-    return sum(u[i] * g[i][j] * v[j] for i in range(2) for j in range(2))
-
-
-def not_effective_cert(D: LatticeClass, H: LatticeClass) -> EffectivityCertificate | None:
-    """A soundness certificate that D is not the class of an effective divisor.
+def not_effective_cert(lattice: GramLattice, D, H) -> dict | None:
+    """A soundness certificate that D is not the class of an effective divisor,
+    as {"rule", "degree", "candidates"}: the rule that applies, D.H, and the
+    coordinates of the candidate curve classes the last rule rules out.
 
     Rules (each sound, none asserts effectivity):
       zero-class:         D = 0 is not a curve class;
@@ -276,18 +226,17 @@ def not_effective_cert(D: LatticeClass, H: LatticeClass) -> EffectivityCertifica
                           (square >= -2, degree in [1, D.H]) sums to D.
     Returns None (Unknown) when no rule applies.
     """
-    _same_lattice(D, H)
-    if self_int(H) <= 0:
+    if lattice.pair(H, H) <= 0:
         raise BundleCertError("H must have positive self-intersection")
-    deg = pair(D, H)
-    if D.is_zero():
-        return EffectivityCertificate("zero-class", 0)
+    deg = lattice.pair(D, H)
+    if not any(D):
+        return {"rule": "zero-class", "degree": 0, "candidates": []}
     if deg <= 0:
-        return EffectivityCertificate("nonpositive-degree", deg)
-    raw = curve_class_candidates(D.lattice, H, deg)
-    if _decomposes(D.coords, deg, raw):
+        return {"rule": "nonpositive-degree", "degree": deg, "candidates": []}
+    raw = curve_class_candidates(lattice, H, deg)
+    if _decomposes(D, deg, raw):
         return None
-    return EffectivityCertificate("no-decomposition", deg, candidates=tuple(raw))
+    return {"rule": "no-decomposition", "degree": deg, "candidates": [list(c) for c, _, _ in raw]}
 
 
 def _decomposes(target, budget, candidates) -> bool:
@@ -309,9 +258,9 @@ QUARTIC_AMBIENT = Ambient.projective(3, names=("x", "y", "z", "w"))
 
 def _check_quartic(f: RationalPolynomial):
     if f.ambient != QUARTIC_AMBIENT:
-        raise ValueError("quartic must live on P3 with coordinates x,y,z,w")
+        raise BundleCertError("quartic must live on P3 with coordinates x,y,z,w")
     if f.is_zero() or not f.is_homogeneous_of(4):
-        raise ValueError("f must be a nonzero homogeneous quartic")
+        raise BundleCertError("f must be a nonzero homogeneous quartic")
 
 
 def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: int) -> int:
@@ -390,8 +339,7 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:
             "and the map drops rank there"
         )
     lattice = QUARTIC_452
-    H = lattice.basis_class(0)
-    C = lattice.basis_class(1)
+    H = (1, 0)
 
     h0_10 = quartic_h0(f, [forms], [-1, -1, -1], [0], 1)
     ok = h0_10 == 0
@@ -430,9 +378,9 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:
             if (k, l) == (1, 0):
                 rule = "section-kernel"
             else:
-                cert = not_effective_cert((k - 1) * H + l * C, H)
+                cert = not_effective_cert(lattice, (k - 1, l), H)
                 ok = ok and cert is not None
-                rule = "unknown" if cert is None else cert.rule
+                rule = "unknown" if cert is None else cert["rule"]
             samples.append({"twist": [k, l], "rule": rule})
 
     return Document(

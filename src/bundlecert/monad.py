@@ -93,24 +93,6 @@ class ChernData:
 
 
 @dataclass(frozen=True)
-class ExactnessStatus:
-    status: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    surjectivity_of_b: ExactnessStatus
-    injectivity_of_a: ExactnessStatus
-
-    @property
-    def exactness_proved(self) -> bool:
-        return (
-            self.surjectivity_of_b.status == PROVED_BY_MONOMIAL_COVER
-            and self.injectivity_of_a.status in (PROVED_BY_MONOMIAL_COVER, VACUOUS)
-        )
-
-
-@dataclass(frozen=True)
 class MonadComplex:
     """0 -> A -> B -> C -> 0, exact at A and C; A may be absent (kernel monad).
 
@@ -241,34 +223,32 @@ def forms_cover_degree(forms, ambient: Ambient) -> bool:
     return M.rank() == M.rows
 
 
-def _common_zero_status(entries, ambient: Ambient) -> ExactnessStatus:
+def _common_zero_status(entries, ambient: Ambient) -> str:
     """Whether the entries, one rank-1 end of the monad, share no zero over Q-bar."""
     forms = [p for p in entries if not p.is_zero()]
-    if not forms:
-        return ExactnessStatus(UNKNOWN)
-    if leading_monomials_cover(forms, ambient) or forms_cover_degree(forms, ambient):
-        return ExactnessStatus(PROVED_BY_MONOMIAL_COVER)
-    return ExactnessStatus(UNKNOWN)
+    if forms and (leading_monomials_cover(forms, ambient) or forms_cover_degree(forms, ambient)):
+        return PROVED_BY_MONOMIAL_COVER
+    return UNKNOWN
 
 
-def validate(m: MonadComplex) -> ValidationReport:
+def validate(m: MonadComplex) -> dict:
     """Exactness at the ends: b onto at every point, a injective at every point.
 
-    Decided exactly when C (resp. A) has rank 1 (module docstring); Unknown
-    for rank >= 2.  The structure (grading, b∘a = 0) was checked when m was
-    built.
+    Returns the status of each end, {"surjectivity_of_b": ...,
+    "injectivity_of_a": ...}, as a certificate records it: ProvedByMonomialCover,
+    Unknown, or Vacuous for the a of a kernel monad.  Decided exactly when C
+    (resp. A) has rank 1 (module docstring); Unknown for rank >= 2.  The
+    structure (grading, b∘a = 0) was checked when m was built.
     """
+    surj = UNKNOWN
     if m.target.rank == 1:
         surj = _common_zero_status(m.map_b[0], m.ambient)
-    else:
-        surj = ExactnessStatus(UNKNOWN)
+    inj = UNKNOWN
     if m.map_a is None:
-        inj = ExactnessStatus(VACUOUS)
+        inj = VACUOUS
     elif m.source.rank == 1:
         inj = _common_zero_status([row[0] for row in m.map_a], m.ambient)
-    else:
-        inj = ExactnessStatus(UNKNOWN)
-    return ValidationReport(surjectivity_of_b=surj, injectivity_of_a=inj)
+    return {"surjectivity_of_b": surj, "injectivity_of_a": inj}
 
 
 def chern_free(F: FreeSheaf) -> ChernData:

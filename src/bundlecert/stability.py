@@ -25,6 +25,7 @@ from fractions import Fraction
 from .cohom import h0_monad, tail_vanish
 from .errors import BundleCertError, FiberNotVanishingError, UnsupportedOperationError
 from .monad import (
+    UNKNOWN,
     ChernData,
     Document,
     MonadComplex,
@@ -103,6 +104,8 @@ class CertifyOptions:
     def __post_init__(self):
         if self.margin is not None and self.margin < 0:
             raise BundleCertError("margin must be a nonnegative integer")
+        if any(a == 0 and b == 0 for a, b in self.fiber_points):
+            raise BundleCertError("fiber point (0:0) is not a point of P1")
 
     def to_dict(self) -> dict:
         return {
@@ -124,7 +127,7 @@ def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = N
     if m.ambient != H.ambient:
         raise BundleCertError("polarization ambient differs from the monad's")
 
-    report = validate(m)
+    ends = validate(m)
     chern = chern_monad(m)
     cert = Document(
         schema="stability-certificate/1",
@@ -141,12 +144,8 @@ def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = N
         notes=[_GIESEKER_NOTE],
         input={"monad": monad_to_document(m), "options": options.to_dict()},
     )
-    if not report.exactness_proved:
-        cert["failure"] = {
-            "reason": "exactness not proved",
-            "surjectivity_of_b": report.surjectivity_of_b.status,
-            "injectivity_of_a": report.injectivity_of_a.status,
-        }
+    if UNKNOWN in ends.values():  # any other status is a proof, or Vacuous
+        cert["failure"] = {"reason": "exactness not proved", **ends}
         return cert
     cert["notes"].append("exactness at the ends proved by the monomial cover rule")
 
@@ -171,11 +170,10 @@ def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = N
 
 
 def _record_check(cert, s, twist, res) -> dict | None:
-    cert["core_checks"].append({"s": s, "twist": list(twist), "h0": [res.lo, res.hi],
-                                "method": res.method, "witness": res.witness})
-    if res.hi != 0:
+    cert["core_checks"].append({"s": s, "twist": list(twist), **res})
+    if res["h0"][1] != 0:
         return {"reason": "nonzero h0 upper bound", "s": s, "twist": list(twist),
-                "h0": [res.lo, res.hi]}
+                "h0": list(res["h0"])}
     return None
 
 
@@ -195,16 +193,17 @@ def _run_band(m, s, bound, cert, options) -> dict | None:
         point = options.fiber_points[axis - 1]
         for t in range(-1, TAIL_FLOOR - 1, -1):
             try:
-                res = tail_vanish(m, s, axis, t, point)
+                witness = tail_vanish(m, s, axis, t, point)
                 break
             except FiberNotVanishingError:
                 pass
         else:
             raise FiberNotVanishingError(
-                tuple(point), f"no tail bound above the floor {TAIL_FLOOR} (s={s})"
+                f"fiber h0 does not vanish at point {tuple(point)}: "
+                f"no tail bound above the floor {TAIL_FLOOR} (s={s})"
             )
         cert["tail_rules"].append(
-            {"s": s, "axis": axis, "bound": t, "point": list(point), "witness": res.witness}
+            {"s": s, "axis": axis, "bound": t, "point": list(point), "witness": witness}
         )
         tail_bounds.append(t)
 

@@ -284,6 +284,9 @@ def test_h0_exterior_out_of_range_exits_1(capsys, name, s, allowed):
     ("euler", "3", 8),  # 3 h0(O(2)) - h0(O(3)) = 18 - 10
     ("k_rank3", "2,2", 7),  # 4 h0(O(1,1)) - h0(O(2,2)) = 16 - 9
     ("e_rank2", "1,1", 11),  # 2 h0(O(2,1)) + 2 h0(O(1,2)) - h0(O(2,2)) - h0(O(1,1)) = 24 - 9 - 4
+    # an interval: 0 -> A -> K -> E -> 0 gives h0(K) - h0(A) <= h0(E) <= h0(K) + h1(A),
+    # with h0(K) = h0(A) = 0 and h1(A) = h1(O(-2, 0)) = 1
+    ("e_rank2", "-2,0", "[0, 1]"),
 ])
 def test_h0_prints_the_dimension(capsys, name, twist, h0):
     code, out, err = run(capsys, "h0", "--monad", INPUTS / f"{name}.monad", f"--twist={twist}")
@@ -340,6 +343,22 @@ def test_lattice_prints_the_result(capsys, argv, doc, exit_code):
     assert out == canonical(doc) and err == ""
 
 
+# a separate value that starts with "-" and a digit belongs to the option before it
+@pytest.mark.parametrize("before,option,value,after,printed", [
+    (("lattice", "effectivity"), "--class", "-10,21", ("--class", "1,0"),
+     '"rule": "no-decomposition"'),  # degree -40 + 105 = 65
+    (("h0", "--monad", INPUTS / "e_rank2.monad"), "--twist", "-2,0", (), "[0, 1]\n"),
+    (("certify", "--monad", INPUTS / "k_rank3.monad", "--polarization", "1,1"),
+     "--fiber-point", "-1:1", ("--format", "json"),
+     '"fiber_points": [\n        [\n          -1,\n          1\n        ],'),
+], ids=["lattice-class", "h0-twist", "certify-fiber-point"])
+def test_a_negative_value_follows_its_option(capsys, before, option, value, after, printed):
+    code, out, err = run(capsys, *before, option, value, *after)
+    assert code == cli.EXIT_OK and err == ""
+    assert printed in out
+    assert (code, out, err) == run(capsys, *before, f"{option}={value}", *after)
+
+
 # A8(-1), a rank-8 lattice given as a document
 RANK8_LATTICE = {
     "names": [f"e{i}" for i in range(1, 9)],
@@ -390,12 +409,14 @@ def test_removed_lattice_names_exit_1(capsys, argv):
     (("quartic-run",), {"surface": 5}),
     (("quartic-run",), [1]),
     (("quartic-run",), {"surface": "x^4 + y^4 + z^4 + w^4", "map": 7}),
+    (("quartic-run",), {"surface": "x^3"}),
     (("lattice", "pair", "--class", "1,0", "--class", "0,1"), {"names": ["A", "B"], "gram": 3}),
     (("lattice", "pair", "--class", "1,0", "--class", "0,1"),
      {"names": ["A", "B"], "gram": [[True, False], [False, False]]}),
 ], ids=["count-points-numeric-polynomial", "count-points-top-level-list",
         "picard-bound-numeric-polynomial", "picard-bound-top-level-list",
         "quartic-run-numeric-surface", "quartic-run-top-level-list", "quartic-run-numeric-map",
+        "quartic-run-not-a-quartic",
         "lattice-numeric-gram", "lattice-boolean-gram"])
 def test_malformed_surface_or_lattice_document_exits_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "malformed.json"
@@ -516,6 +537,20 @@ def test_verify_accepts_the_certificate(capsys, tmp_path, k_rank3_certificate):
     assert out.startswith("certificate verified")
 
 
+def test_the_fiber_point_0_0_is_refused(capsys, tmp_path):
+    # certify on P2 restricts to no fiber, so nothing else would catch the
+    # non-point (0:0) that the certificate records
+    argv = ("certify", "--monad", INPUTS / "euler.monad", "--polarization", "1")
+    code, out, err = run(capsys, *argv, "--fiber-point", "0:0")
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err == "error: fiber point (0:0) is not a point of P1\n"
+    doc = certificate(capsys, tmp_path, *argv)
+    doc["input"]["options"]["fiber_points"] = [[0, 1], [0, 0]]
+    code, out, err = verify_document(capsys, tmp_path, doc)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err == "error: fiber point (0:0) is not a point of P1\n"
+
+
 @pytest.mark.parametrize("argv", [
     *(("certify", "--monad", INPUTS / f"{name}.monad", "--polarization", polarization)
       for name, polarization in sorted(CERTIFICATE_SHA256)),
@@ -558,6 +593,9 @@ MALFORMED_CERTIFICATES = [
     ("schema-not-a-string", lambda doc: {"schema": 5}, "unknown certificate schema '5'"),
     ("quartic-surface-not-a-string", lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
      "error: a quartic certificate needs the surface as a string"),
+    ("quartic-surface-not-a-quartic",
+     lambda doc: {"schema": "quartic-certificate/1", "surface": "x^3"},
+     "error: f must be a nonzero homogeneous quartic"),
     ("margin-not-an-integer", _margin_not_an_integer,
      "error: 'input.options.margin' must be an integer or null"),
     ("polarization-not-integers", _polarization_not_integers,

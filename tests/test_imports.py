@@ -1,7 +1,8 @@
 """Every name a module under src/ imports is used in it or re-exported by __all__,
 every __all__ entry is bound in its module, no module under src/ imports random
 or starts processes, only stability.py imports fractions, the certify path
-loads no numpy, and every exception subclass is caught by name somewhere."""
+loads no numpy, zeta loads charpoly before numpy, and every exception subclass
+is caught by name somewhere."""
 import ast
 import importlib
 import os
@@ -115,3 +116,23 @@ def test_certify_path_does_not_import_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "False"
+
+
+def test_zeta_compiles_charpoly_before_numpy():
+    # with no .pyc (PYTHONDONTWRITEBYTECODE=1) a module compiled after numpy is
+    # loaded adds its compile-time peak to numpy's memory: the charpoly
+    # workload, which builds no field, read 34.75 MB of peak RSS against 34.12
+    zeta = SRC / "bundlecert" / "zeta"
+    charpoly = ast.parse((zeta / "charpoly.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(charpoly):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported |= {base} if node.module else {base + alias.name for alias in node.names}
+    assert imported & {"numpy", ".field", ".count"} == set()
+    init = ast.parse((zeta / "__init__.py").read_text(encoding="utf-8"))
+    first = next(node for node in init.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__")
+    assert isinstance(first, ast.ImportFrom) and (first.level, first.module) == (1, "charpoly")
