@@ -28,6 +28,24 @@ a cyclotomic divisor pins the middle coefficient by a linear condition, so
 the family contributes the maximum over its finitely many solvable
 completions (zero when none exists); the bound therefore covers the true
 polynomial whichever sign holds.
+
+Most of those divisions would fail, so each Phi_k is first tried mod a
+prime.  Its witness is the least prime ell > 2^16 with ell = 1 (mod k): there
+Phi_k splits into distinct linear factors, and an element w of order exactly
+k mod ell is a root of it.  If Phi_k divides W in Z[T], say W = Phi_k A, then
+W(w) = Phi_k(w) A(w) = 0 (mod ell); so a nonzero residue W(w) mod ell proves
+that Phi_k does not divide W, and `unit_root_count` divides only while the
+residue is 0, testing again after each division that succeeds.  In a family,
+Phi_k | W0 + e p^mid T^mid with e an integer gives W0(w) + e p^mid w^mid = 0
+(mod ell) at each root w of Phi_k mod ell; eliminating e between two roots
+w1, w2 gives W0(w1) w2^mid = W0(w2) w1^mid (mod ell), so when the two sides
+differ no integer e makes Phi_k a divisor.  Neither argument needs p to be a
+unit mod ell.  Every other case is a "maybe" and goes to the exact division
+in Z[T]: a residue of 0, which a non-divisor can also give, and two roots
+that agree.  Those include every Phi_k of degree 1 or 2 in a family (w2 is w1
+or 1/w1, and the W0 of a plus-sign family is palindromic, so the two sides
+agree) and, for a Weil polynomial, every Phi_k whose witness ell divides p
+(each residue is then Q(0) = 0 mod ell).
 """
 from __future__ import annotations
 
@@ -42,6 +60,7 @@ K_ALG = 2  # the U(2) of the two pulled-back rulings
 DEGREE = H2_DIM - K_ALG  # of the Weil factor Q
 HALF = DEGREE // 2  # the free slot of the plus-sign family, and the pinning count
 WEIL_TRACE_FACTOR = 22  # |t_i| <= 22 p^i
+WITNESS_FLOOR = 2**16  # every witness prime of a cyclotomic lies above it
 
 
 # --- polynomial helpers (dense lists, ascending coefficients) -------------------
@@ -120,11 +139,29 @@ def euler_phi(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomics_up_to(d: int) -> tuple:
-    """Phi_k for every k with phi(k) <= d, in increasing k.
+    """(k, Phi_k) for every k with phi(k) <= d, in increasing k.
 
-    phi(k) >= sqrt(k/2) for every k, so no k above 2 d^2 qualifies.
+    phi(k) >= sqrt(k) for every k > 6 (only k = 2 and 6 break it), so no k
+    above max(6, d^2) qualifies.
     """
-    return tuple(cyclotomic(k) for k in range(1, 2 * d * d + 1) if euler_phi(k) <= d)
+    return tuple(
+        (k, cyclotomic(k)) for k in range(1, max(6, d * d) + 1) if euler_phi(k) <= d
+    )
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_witness(k: int) -> tuple:
+    """(ell, w1, w2): the least prime ell > WITNESS_FLOOR with ell = 1 (mod k),
+    an element w1 of order exactly k mod ell, and w2 = w1^j for the least
+    j >= 2 prime to k.  Both are roots of Phi_k mod ell; w2 differs from w1
+    when phi(k) > 1 and from 1/w1 when phi(k) > 2."""
+    ell = k * -(-WITNESS_FLOOR // k) + 1
+    while prime_divisors(ell) != [ell]:
+        ell += k
+    powers = (pow(x, (ell - 1) // k, ell) for x in range(2, ell))
+    w1 = next(w for w in powers if all(pow(w, k // q, ell) != 1 for q in prime_divisors(k)))
+    j = next(j for j in range(2, k + 2) if gcd(j, k) == 1)  # k + 1 always qualifies
+    return ell, w1, pow(w1, j, ell)
 
 
 # --- symmetric-function plumbing -------------------------------------------------
@@ -266,12 +303,17 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
 # --- cyclotomic root counting ------------------------------------------------------
 
 def unit_root_count(coeffs, p: int) -> int:
-    """Total multiplicity of roots of the form p * (root of unity)."""
+    """Total multiplicity of roots of the form p * (root of unity).
+
+    Q(pT) is divided by Phi_k only while it vanishes at the witness root of
+    Phi_k mod ell; a nonzero residue proves that Phi_k does not divide it.
+    """
     w = [c * p ** j for j, c in enumerate(coeffs)]  # Q(pT), ascending
     total = 0
-    for cyc in cyclotomics_up_to(len(coeffs) - 1):
+    for k, cyc in cyclotomics_up_to(len(coeffs) - 1):
+        ell, root, _ = cyclotomic_witness(k)
         cur = w
-        while True:
+        while _value(cur, root) % ell == 0:
             cur, rem = poly_divmod_exact(cur, cyc)
             if cur is None or any(rem):
                 break
@@ -391,13 +433,18 @@ def family_completions(cand: Candidate, p: int) -> list:
     Any completion whose polynomial has a root p*zeta must have the scaled
     cyclotomic as a divisor of Q(pT) = W0 + e * p^mid T^mid, a linear
     condition on e per cyclotomic; collect the finitely many integer
-    solutions.  The free slot is T^(degree/2).
+    solutions.  The free slot is T^(degree/2).  A cyclotomic whose two
+    witness roots w1, w2 mod ell give W0(w1) w2^mid != W0(w2) w1^mid admits
+    no e and is skipped without a division.
     """
     mid = cand.degree // 2
     w0 = [c * p ** j for j, c in enumerate(cand.coeffs)]
     t_mid = [0] * mid + [p ** mid]
     out = set()
-    for cyc in cyclotomics_up_to(cand.degree):
+    for k, cyc in cyclotomics_up_to(cand.degree):
+        ell, w1, w2 = cyclotomic_witness(k)
+        if (_value(w0, w1) * pow(w2, mid, ell) - _value(w0, w2) * pow(w1, mid, ell)) % ell:
+            continue
         width = len(cyc) - 1
         r0 = _pad(poly_divmod_exact(w0, cyc)[1], width)
         r1 = _pad(poly_divmod_exact(t_mid, cyc)[1], width)

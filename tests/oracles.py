@@ -8,9 +8,10 @@ primitivity test and the vectorized Zech table), coverage of the twist
 regions by a point-by-point walk over a window (vs the tail and core layout
 certify builds), and the all-roots-on-the-circle test with rational
 division, a plain Sturm chain and a rational gcd, and the plus-sign
-family's middle coefficients by rational remainders and a rational solve
-(vs the integer pseudo-remainder sequences and divisibility tests of
-`zeta.charpoly`), and h^0 on a quartic surface by normal forms modulo f
+family's middle coefficients by rational remainders and a rational solve,
+and the unit-root count by dividing by every cyclotomic (vs the integer
+pseudo-remainder sequences, divisibility tests and residues mod a witness
+prime of `zeta.charpoly`), and h^0 on a quartic surface by normal forms modulo f
 in the coordinate ring (vs the lifted section matrix of `k3lat.quartic_h0`),
 and fiber counts and specialized coefficients one point at a time through
 the exp and log lists of `field_tables` (vs the blocked Horner on the
@@ -388,7 +389,7 @@ def family_completions(cand, p: int) -> list:
     w0 = [c * p ** j for j, c in enumerate(cand.coeffs)]
     t_mid = [0] * mid + [p ** mid]
     out = set()
-    for cyc in cyclotomics_up_to(cand.degree):
+    for _, cyc in cyclotomics_up_to(cand.degree):
         width = len(cyc) - 1
         r0 = poly_divmod(w0, cyc)[1]
         r0 += [Fraction(0)] * (width - len(r0))
@@ -399,6 +400,19 @@ def family_completions(cand, p: int) -> list:
         if all(a + e * b == 0 for a, b in zip(r0, r1)) and e.denominator == 1:
             out.add(int(e))
     return [(e, tuple(cand.coeffs[:mid]) + (e,) + tuple(cand.coeffs[mid + 1 :])) for e in sorted(out)]
+
+
+def unit_root_count(coeffs, p: int) -> int:
+    """Total multiplicity of roots p * zeta: Q(pT) divided over Q by every
+    Phi_k with phi(k) <= deg Q, for as long as the remainder is zero."""
+    w = [c * p ** j for j, c in enumerate(coeffs)]
+    total = 0
+    for _, cyc in cyclotomics_up_to(len(coeffs) - 1):
+        quot, rem = poly_divmod(w, cyc)
+        while not any(rem):
+            total += len(cyc) - 1
+            quot, rem = poly_divmod(quot, cyc)
+    return total
 
 
 # --- h^0 on a quartic surface by normal forms ---------------------------------------

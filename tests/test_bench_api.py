@@ -25,6 +25,19 @@ def test_counts_to_bound_runs_a_charpoly_case(monkeypatch):
     assert job.check(job.render(doc), refs) is None
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_charpoly_jobs_match_the_references(monkeypatch, seed):
+    """Every bound document of the charpoly workload is byte-identical to the
+    one recorded in bench/references.json."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    child = importlib.import_module("child")
+    refs = json.loads(child.REFERENCES.read_text())
+    jobs = child._charpoly_jobs(seed)
+    assert len(jobs) == len(refs["charpoly"][str(seed)]) == 24
+    for job in jobs:
+        assert job.check(job.render(job.call()), refs) is None, job.name
+
+
 def test_count_jobs_match_the_references(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     child = importlib.import_module("child")

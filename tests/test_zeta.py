@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlecert import zeta
 from bundlecert.errors import BundleCertError
@@ -21,10 +23,14 @@ from bundlecert.zeta import (
     unit_root_count,
 )
 from bundlecert.zeta.charpoly import (
+    WITNESS_FLOOR,
     Candidate,
     _squarefree_part,
     _sturm_count,
+    _value,
     all_roots_on_circle,
+    cyclotomic_witness,
+    cyclotomics_up_to,
     family_completions,
     newton_elementary_from_power_sums,
     poly_divmod_exact,
@@ -469,9 +475,28 @@ class TestCyclotomics:
             assert euler_phi(k) == len(cyclotomic(k)) - 1
 
     def test_euler_phi_matches_a_gcd_count(self):
-        # cyclotomics_up_to(20) reads every k <= 2 * 20^2
+        # cyclotomics_up_to(20) reads every k <= 20^2; the 2 * 20^2 scan that
+        # test_the_scan_bound_drops_no_order compares it with reads up to 800
         for k in range(1, 801):
             assert euler_phi(k) == sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+    def test_the_scan_bound_drops_no_order(self):
+        """k <= max(6, d^2) finds every k that the bound phi(k) >= sqrt(k/2),
+        which holds for every k, lets in: k <= 2 d^2."""
+        for d in range(1, 21):
+            wide = tuple((k, cyclotomic(k)) for k in range(1, 2 * d * d + 1) if euler_phi(k) <= d)
+            assert cyclotomics_up_to(d) == wide
+
+    def test_every_witness_is_a_root_of_its_cyclotomic(self):
+        for k, cyc in cyclotomics_up_to(20):
+            ell, w1, w2 = cyclotomic_witness(k)
+            assert ell > WITNESS_FLOOR and (ell - 1) % k == 0 and is_prime(ell)
+            assert not any(is_prime(m) for m in range(ell - k, WITNESS_FLOOR, -k))  # the least
+            assert [d for d in range(1, k + 1) if pow(w1, d, ell) == 1][0] == k
+            assert _value(cyc, w1) % ell == 0 and _value(cyc, w2) % ell == 0
+            # two roots that give two conditions on the middle coefficient
+            assert (w2 != w1) == (k > 2)
+            assert (w2 * w1 % ell != 1) == (euler_phi(k) > 2)
 
     def test_is_prime_matches_a_sieve(self):
         sieve = [False, False] + [True] * 1998
@@ -660,6 +685,7 @@ class TestCircleOracle:
     @pytest.mark.parametrize("kind,p,sign,Q,on_circle,units", WEIL_INPUTS)
     def test_unit_root_count_matches_sympy(self, kind, p, sign, Q, on_circle, units):
         assert unit_root_count(Q, p) == units
+        assert oracles.unit_root_count(Q, p) == units
         assert unit_roots_by_sympy(Q, p) == units
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -691,6 +717,127 @@ class TestCircleOracle:
             coeffs = [rng.randint(-5, 5) for _ in range(20)] + [1]
             coeffs[10] = 0
             cand = Candidate(sign=1, kind="family", coeffs=tuple(coeffs))
+            assert family_completions(cand, p) == oracles.family_completions(cand, p)
+
+
+# --- the witness filter: a residue mod ell rules a cyclotomic out --------------------
+
+ORDERS = [k for k, _ in cyclotomics_up_to(20)]
+
+
+def with_cyclotomic_factors(p, orders, filler):
+    """(Q, units): the product of p^phi Phi_k(T/p) over the orders that fit
+    in degree 20, times the last coefficients of the filler, which bring the
+    degree to 20; units is the total degree of the cyclotomic factors."""
+    Q, units = [1], 0
+    for k in orders:
+        if units + euler_phi(k) <= 20:
+            Q, units = poly_mul(Q, scaled_cyclotomic(k, p)), units + euler_phi(k)
+    return poly_mul(Q, filler[units:]), units
+
+
+def family_of(Q):
+    coeffs = list(Q)
+    coeffs[10] = 0
+    return Candidate(sign=1, kind="family", coeffs=tuple(coeffs))
+
+
+class TestWitnessFilter:
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.lists(st.sampled_from(ORDERS), max_size=4),
+        st.lists(st.integers(-60, 60), min_size=21, max_size=21),
+        st.sampled_from([-2, -1, 1, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_oracle_on_degree_20_polynomials(self, p, orders, filler, lead):
+        """Products of scaled cyclotomics (none when `orders` is empty) and a
+        random integer filler; unit roots and family completions both match
+        trial division by every cyclotomic."""
+        Q, units = with_cyclotomic_factors(p, orders, filler[:-1] + [lead])
+        assert len(Q) == 21
+        got = unit_root_count(Q, p)
+        assert got == oracles.unit_root_count(Q, p) >= units
+        completions = family_completions(family_of(Q), p)
+        assert completions == oracles.family_completions(family_of(Q), p)
+        if got:
+            assert (Q[10], tuple(Q)) in completions
+
+    @pytest.mark.parametrize(
+        "k,twice", [(k, False) for k in (3, 5, 7, 12, 15, 16, 11, 25)]
+        + [(k, True) for k in (3, 5, 7, 12, 15, 11)],
+    )
+    def test_a_zero_residue_without_the_divisor(self, k, twice):
+        """w = Phi_k^(1 + twice) A + ell Phi_k^twice C vanishes at the witness root,
+        after one division when twice, yet Phi_k divides it only `twice` times."""
+        rng = random.Random(k)
+        ell, root, _ = cyclotomic_witness(k)
+        cyc = list(cyclotomic(k))
+        phi = euler_phi(k)
+        base = poly_mul(cyc, cyc) if twice else cyc
+        A = [rng.randint(-9, 9) for _ in range(20 - len(base) + 1)] + [1]
+        C = [rng.randint(-9, 9) for _ in range(phi)]
+        C[0] = C[0] or 1
+        C = poly_mul(cyc, C) if twice else C
+        w = [a + ell * c for a, c in zip(poly_mul(base, A), C + [0] * 21)]
+        assert len(w) == 21 and _value(w, root) % ell == 0
+        assert any(poly_divmod_exact(w, cyc)[1]) != twice
+        for p in (3, 5, 7):
+            Q = [c * p ** (20 - j) for j, c in enumerate(w)]  # Q(pT) = p^20 w
+            assert unit_root_count(Q, p) == oracles.unit_root_count(Q, p) >= phi * twice
+
+    @pytest.mark.parametrize("k", [5, 8, 12, 7, 9, 15, 16, 11])
+    def test_agreeing_residues_without_an_integer_middle(self, k):
+        """W0 = p^20 (Phi_k A - m T^10) + p^(phi - 1) (T^10 mod Phi_k) makes
+        Phi_k | W0 + e p^10 T^10 for e = m p^10 - p^(phi - 11) alone: not an
+        integer, though every pair of roots mod ell agrees on it."""
+        rng = random.Random(k)
+        cyc = list(cyclotomic(k))
+        phi = euler_phi(k)
+        r1 = poly_divmod_exact([0] * 10 + [1], cyc)[1]
+        ell, w1, w2 = cyclotomic_witness(k)
+        for p in (3, 5, 7):
+            A = [rng.randint(-9, 9) for _ in range(20 - phi)] + [1]
+            base = poly_mul(cyc, A)
+            m = base[10]
+            W0 = [p**20 * c for c in base]
+            W0[10] = 0
+            for j, c in enumerate(r1):
+                W0[j] += p ** (phi - 1) * c
+            Q0 = [c // p**j for j, c in enumerate(W0)]
+            assert [c * p**j for j, c in enumerate(Q0)] == W0
+            assert _value(W0, w1) * pow(w2, 10, ell) % ell == _value(W0, w2) * pow(w1, 10, ell) % ell
+            cand = Candidate(sign=1, kind="family", coeffs=tuple(Q0))
+            got = family_completions(cand, p)
+            assert got == oracles.family_completions(cand, p)
+            for e, coeffs in got:
+                assert any(poly_divmod_exact([c * p**j for j, c in enumerate(coeffs)], cyc)[1])
+
+    def test_p_is_a_witness_prime(self):
+        """p = 65537 is the witness prime of Phi_4, Phi_8, ..., Phi_64: there
+        every residue of a Weil polynomial is Q(0) = p^20 = 0, and a random
+        polynomial can still be ruled out."""
+        p = 65537
+        assert all(cyclotomic_witness(k)[0] == p for k in (1, 2, 4, 8, 16, 32, 64))
+        rng = random.Random(65537)
+        for a, orders in [
+            ([0, 0, 2 * p, -p, 1, 5, 11, -4], [8]),
+            ([0, p, 3, -2 * p, 6, 100], [16]),
+            ([7, -9], [32]),
+        ]:
+            Q = [1]
+            for f in [scaled_cyclotomic(k, p) for k in orders] + [quad(x, p) for x in a]:
+                Q = poly_mul(Q, f)
+            assert len(Q) == 21
+            units = sum(map(euler_phi, orders)) + 2 * sum(x in (0, p, -p, 2 * p, -2 * p) for x in a)
+            assert unit_root_count(Q, p) == oracles.unit_root_count(Q, p) == units
+            completions = family_completions(family_of(Q), p)
+            assert completions == oracles.family_completions(family_of(Q), p)
+            assert (Q[10], tuple(Q)) in completions
+        for _ in range(5):
+            Q = [rng.randint(-9, 9) for _ in range(20)] + [1]
+            assert unit_root_count(Q, p) == oracles.unit_root_count(Q, p)
+            cand = family_of(Q)
             assert family_completions(cand, p) == oracles.family_completions(cand, p)
 
 
