@@ -123,14 +123,10 @@ def cmd_h0(args) -> int:
 def cmd_chern(args) -> int:
     m = monad_from_document(_load_json(args.monad))
     c = chern_monad(m)
-    doc = Document(rank=c.rank, c1=list(c.c1), c2=c.c2)
+    doc = Document(c)
     if args.cover == "double":
-        cc = k3lat.pullback_chern(c)
-        doc["cover"] = {
-            "rank": cc.rank,
-            "c1": f"pullback of O({list(cc.c1)})",
-            "c2": cc.c2,
-        }
+        cover = k3lat.pullback_chern(c)
+        doc["cover"] = {**cover, "c1": f"pullback of O({cover['c1']})"}
     _emit(doc.to_json(), args.out)
     return EXIT_OK
 

@@ -82,10 +82,10 @@ def _kernel_result(m: MonadComplex, entries, src_twists, tgt_twists, L, method) 
 def _wedge_twists(m: MonadComplex, s: int, base) -> list:
     """base + the sum of the middle twists over each s-subset, in combinations order."""
     out = []
-    for S in combinations(range(m.middle.rank), s):
+    for S in combinations(range(len(m.middle)), s):
         t = base
         for i in S:
-            t = mdeg_add(t, m.middle.twists[i])
+            t = mdeg_add(t, m.middle[i])
         out.append(t)
     return out
 
@@ -94,18 +94,18 @@ def _wedge_twists(m: MonadComplex, s: int, base) -> list:
 def exterior_contraction(m: MonadComplex, s: int):
     """Entries and twists for the contraction Λ^s B -> Λ^{s-1} B ⊗ C (rank-1 C);
     independent of the twist, so built once per (monad, s) and shared immutable."""
-    if m.target.rank != 1:
+    if len(m.target) != 1:
         raise BundleCertError(
-            f"exterior powers need a rank-1 cokernel, got rank {m.target.rank}"
+            f"exterior powers need a rank-1 cokernel, got rank {len(m.target)}"
         )
-    r = m.middle.rank
+    r = len(m.middle)
     if not 1 <= s <= r - 1:
         raise ValueError(f"s must lie in 1..{r - 1}")
     b = m.map_b[0]
     sources = list(combinations(range(r), s))
     targets = list(combinations(range(r), s - 1))
     src_twists = _wedge_twists(m, s, m.ambient.zero_degree())
-    tgt_twists = _wedge_twists(m, s - 1, m.target.twists[0])
+    tgt_twists = _wedge_twists(m, s - 1, m.target[0])
     zero = RationalPolynomial.zero(m.ambient)
     entries = [[zero] * len(sources) for _ in targets]
     tpos = {T: i for i, T in enumerate(targets)}
@@ -133,9 +133,9 @@ def h0_homology(m: MonadComplex, L) -> dict:
         raise BundleCertError("h0_homology needs a homology monad")
     L = m.ambient.normalize_degree(L)
     # the K in 0 -> A -> K -> E -> 0
-    k = _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
-    a0 = h_line_sum(m.ambient, m.source.twists, L, 0)
-    a1 = h_line_sum(m.ambient, m.source.twists, L, 1)
+    k = _kernel_result(m, m.map_b, m.middle, m.target, L, SECTION_KERNEL)
+    a0 = h_line_sum(m.ambient, m.source, L, 0)
+    a1 = h_line_sum(m.ambient, m.source, L, 1)
     lo = k["h0"][0] - a0
     if lo < 0:
         raise BundleCertError(
@@ -153,7 +153,7 @@ def h0_monad(m: MonadComplex, s: int, L) -> dict:
     refused before any other check.
     """
     if m.kind == KERNEL:
-        rank = m.middle.rank - m.target.rank
+        rank = len(m.middle) - len(m.target)
         if not 1 <= s <= rank:
             raise UnsupportedOperationError(
                 f"s = {s} is out of range: a kernel monad of rank {rank} takes s in 1..{rank}"
@@ -187,13 +187,13 @@ def fiber_h0_vanishes(fiber: MonadComplex, s: int, bound: int) -> dict:
         return {"rule": "kernel-exact", "twist": bound, "h0": 0, "witness": res["witness"]}
     if s != 1:
         raise UnsupportedOperationError("homology fibers support s = 1 only")
-    t0 = max(-1 - t[0] for t in fiber.source.twists)
+    t0 = max(-1 - t[0] for t in fiber.source)
     if bound >= t0:
         lo, hi = h0_homology(fiber, (bound,))["h0"]
         if hi != 0:
             raise FiberNotVanishingError(f"fiber h0 in [{lo},{hi}] at twist {bound}")
         return {"rule": "homology-exact", "twist": bound, "h0": 0}
-    rank = fiber.middle.rank - fiber.target.rank - fiber.source.rank
+    rank = len(fiber.middle) - len(fiber.target) - len(fiber.source)
     for t in range(t0, t0 + rank + 3):
         n, hi = h0_homology(fiber, (t,))["h0"]
         if n == hi and n <= t - bound:
@@ -237,7 +237,7 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> dict:
     if m.kind == HOMOLOGY:
         # h^0(E) <= h^0(K) + h^1(A): the A-term needs the bounded component to
         # keep h^0 of the A twists at zero along the whole tail
-        if any(bound + t[axis - 1] >= 0 for t in m.source.twists):
+        if any(bound + t[axis - 1] >= 0 for t in m.source):
             raise BundleCertError(
                 "h^1(A) obstruction: tail bound too high for the source twists"
             )

@@ -22,7 +22,7 @@ from math import gcd
 
 from .cohom import h_line_sum
 from .errors import BundleCertError
-from .monad import ChernData, Document
+from .monad import Document
 from .polycore import (
     Ambient,
     RationalPolynomial,
@@ -151,9 +151,9 @@ def expected_dim(r: int, c1_sq: int, c2: int) -> int:
     return 2 * r * c2 - (r - 1) * c1_sq - (r * r - 1) * 2
 
 
-def pullback_chern(c: ChernData) -> ChernData:
+def pullback_chern(c: dict) -> dict:
     """Chern data of the pullback along a double cover: c1 formal, c2 doubles."""
-    return ChernData(c.rank, c.c1, 2 * c.c2)
+    return {**c, "c2": 2 * c["c2"]}
 
 
 # --- effectivity obstructions ---------------------------------------------------

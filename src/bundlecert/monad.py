@@ -3,10 +3,17 @@
 Covers the data model, exactness at the ends, Chern-class calculus for the
 kernel/homology bundle, and restriction to a fiber of P1 x P1.
 
+The data model.  A twisted sum O(t_1) ⊕ ... ⊕ O(t_r) is the tuple of its
+twists, each a degree tuple on the monad's one `ambient`; its rank is the
+tuple's length.  `MonadComplex` holds the ambient, the twists of B, C and
+(for a homology monad) A, and the maps as row-major tuples of polynomials.
+Chern data is the dict a certificate records, {"rank", "c1": list, "c2"}.
+
 A monad's structure is checked once, when it is built: `MonadComplex`
-refuses (BundleCertError) an entry on another ambient, an entry that is not
-homogeneous of target - source, and b∘a != 0.  Every later layer (validate,
-chern_monad, the section matrices of `cohom`) trusts a built monad.
+normalizes every twist, and refuses (BundleCertError) an entry on another
+ambient, an entry that is not homogeneous of target - source, and b∘a != 0.
+Every later layer (validate, chern_monad, the section matrices of `cohom`)
+trusts a built monad.
 
 Exactness at the ends.  When C has rank 1, b is onto at every point iff the
 entries of its row share no zero over Q-bar; when A has rank 1, a is
@@ -69,58 +76,43 @@ VACUOUS = "Vacuous"
 
 
 @dataclass(frozen=True)
-class FreeSheaf:
-    """A direct sum of line bundles O(t_1) ⊕ ... ⊕ O(t_r) on a fixed ambient."""
-
-    ambient: Ambient
-    twists: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "twists", tuple(self.ambient.normalize_degree(t) for t in self.twists)
-        )
-
-    @property
-    def rank(self) -> int:
-        return len(self.twists)
-
-
-@dataclass(frozen=True)
-class ChernData:
-    rank: int
-    c1: tuple
-    c2: int
-
-
-@dataclass(frozen=True)
 class MonadComplex:
     """0 -> A -> B -> C -> 0, exact at A and C; A may be absent (kernel monad).
 
-    map_b is stored row-major with rows indexed by C summands and columns by B
-    summands; map_a likewise with rows indexed by B and columns by A.
-    Construction checks the shapes, then the structure (module docstring).
+    middle, target and source are the twists of B, C and A.  map_b is stored
+    row-major with rows indexed by C summands and columns by B summands;
+    map_a likewise with rows indexed by B and columns by A.  Construction
+    normalizes the twists, checks the shapes, then the structure (module
+    docstring).
     """
 
-    middle: FreeSheaf
-    target: FreeSheaf
+    ambient: Ambient
+    middle: tuple
+    target: tuple
     map_b: tuple
-    source: FreeSheaf | None = None
+    source: tuple | None = None
     map_a: tuple | None = None
     name: str = ""
 
     def __post_init__(self):
+        for key in ("source", "middle", "target"):
+            twists = getattr(self, key)
+            if twists is not None:
+                object.__setattr__(
+                    self, key, tuple(self.ambient.normalize_degree(t) for t in twists)
+                )
         if (self.source is None) != (self.map_a is None):
             raise BundleCertError("source and map_a must be both present or both absent")
-        if len(self.map_b) != self.target.rank:
+        if len(self.map_b) != len(self.target):
             raise BundleCertError("map_b row count differs from rank of C")
         for row in self.map_b:
-            if len(row) != self.middle.rank:
+            if len(row) != len(self.middle):
                 raise BundleCertError("map_b column count differs from rank of B")
         if self.map_a is not None:
-            if len(self.map_a) != self.middle.rank:
+            if len(self.map_a) != len(self.middle):
                 raise BundleCertError("map_a row count differs from rank of B")
             for row in self.map_a:
-                if len(row) != self.source.rank:
+                if len(row) != len(self.source):
                     raise BundleCertError("map_a column count differs from rank of A")
         problem = _grading_problem(self.map_b, self.target, self.middle, "map_b", self.ambient)
         if problem is None and self.map_a is not None:
@@ -131,40 +123,33 @@ class MonadComplex:
             raise BundleCertError(f"monad fails structural validation: {problem}")
 
     @property
-    def ambient(self) -> Ambient:
-        return self.middle.ambient
-
-    @property
     def kind(self) -> str:
-        return KERNEL if self.source is None or self.source.rank == 0 else HOMOLOGY
+        return HOMOLOGY if self.source else KERNEL
 
 
 def kernel_monad(ambient, middle_twists, target_twists, map_b_texts, name="") -> MonadComplex:
-    B = FreeSheaf(ambient, tuple(middle_twists))
-    C = FreeSheaf(ambient, tuple(target_twists))
-    return MonadComplex(middle=B, target=C, map_b=parse_rows(map_b_texts, ambient), name=name)
+    return MonadComplex(
+        ambient, middle_twists, target_twists, parse_rows(map_b_texts, ambient), name=name
+    )
 
 
 def homology_monad(
     ambient, source_twists, middle_twists, target_twists, map_a_texts, map_b_texts, name=""
 ) -> MonadComplex:
-    A = FreeSheaf(ambient, tuple(source_twists))
-    B = FreeSheaf(ambient, tuple(middle_twists))
-    C = FreeSheaf(ambient, tuple(target_twists))
     return MonadComplex(
-        middle=B, target=C, map_b=parse_rows(map_b_texts, ambient),
-        source=A, map_a=parse_rows(map_a_texts, ambient), name=name,
+        ambient, middle_twists, target_twists, parse_rows(map_b_texts, ambient),
+        source=source_twists, map_a=parse_rows(map_a_texts, ambient), name=name,
     )
 
 
-def _grading_problem(rows, target: FreeSheaf, source: FreeSheaf, label: str, ambient):
+def _grading_problem(rows, target, source, label: str, ambient):
     """The first entry of a map source -> target that is on another ambient or
     not homogeneous of target_i - source_j, described; None when there is none."""
     for i, row in enumerate(rows):
         for j, p in enumerate(row):
             if p.ambient != ambient:
                 return f"{label}[{i}][{j}] is not on the monad's ambient"
-            want = mdeg_sub(target.twists[i], source.twists[j])
+            want = mdeg_sub(target[i], source[j])
             if not p.is_homogeneous_of(want):
                 return f"{label}[{i}][{j}] not homogeneous of {want}"
     return None
@@ -173,10 +158,10 @@ def _grading_problem(rows, target: FreeSheaf, source: FreeSheaf, label: str, amb
 def _composite_is_zero(m: MonadComplex) -> bool:
     if m.map_a is None:
         return True
-    for i in range(m.target.rank):
-        for j in range(m.source.rank):
+    for i in range(len(m.target)):
+        for j in range(len(m.source)):
             acc = RationalPolynomial.zero(m.ambient)
-            for k in range(m.middle.rank):
+            for k in range(len(m.middle)):
                 acc = acc + m.map_b[i][k] * m.map_a[k][j]
             if not acc.is_zero():
                 return False
@@ -241,53 +226,44 @@ def validate(m: MonadComplex) -> dict:
     structure (grading, b∘a = 0) was checked when m was built.
     """
     surj = UNKNOWN
-    if m.target.rank == 1:
+    if len(m.target) == 1:
         surj = _common_zero_status(m.map_b[0], m.ambient)
     inj = UNKNOWN
     if m.map_a is None:
         inj = VACUOUS
-    elif m.source.rank == 1:
+    elif len(m.source) == 1:
         inj = _common_zero_status([row[0] for row in m.map_a], m.ambient)
     return {"surjectivity_of_b": surj, "injectivity_of_a": inj}
 
 
-def chern_free(F: FreeSheaf) -> ChernData:
-    """Closed-form Chern data of a twisted sum of line bundles on P2 or P1xP1."""
-    amb = F.ambient
-    if amb.arity == 1:
-        ks = [t[0] for t in F.twists]
-        c1 = (sum(ks),)
-        c2 = sum(ks[i] * ks[j] for i in range(len(ks)) for j in range(i + 1, len(ks)))
-        return ChernData(F.rank, c1, c2)
-    if amb.arity == 2 and amb.dims == (1, 1):
-        ks = [t[0] for t in F.twists]
-        ms = [t[1] for t in F.twists]
-        c1 = (sum(ks), sum(ms))
-        c2 = sum(
-            ks[i] * ms[j] + ks[j] * ms[i]
-            for i in range(len(ks))
-            for j in range(i + 1, len(ks))
-        )
-        return ChernData(F.rank, c1, c2)
-    raise BundleCertError("Chern calculus implemented for P2 and P1xP1 only")
+def chern_free(ambient: Ambient, twists) -> dict:
+    """Chern data of O(t_1) ⊕ ... ⊕ O(t_r): c1 = Σ t_i and c2 = Σ_{i<j} t_i·t_j
+    (Whitney), the product being the ambient's intersection form."""
+    c1 = [sum(t[i] for t in twists) for i in range(ambient.arity)]
+    c2 = sum(
+        intersection_product(ambient, t, u) for i, t in enumerate(twists) for u in twists[i + 1 :]
+    )
+    return {"rank": len(twists), "c1": c1, "c2": c2}
 
 
-def _quotient_chern(total: ChernData, quot: ChernData, ambient: Ambient) -> ChernData:
+def _quotient_chern(total: dict, quot: dict, ambient: Ambient) -> dict:
     """Chern data of the third term of 0 -> S -> total -> quot -> 0, given `total`
     and one of S, quot (Whitney c(total) = c(S) c(quot), truncated at degree 2)."""
-    rank = total.rank - quot.rank
-    c1 = mdeg_sub(total.c1, quot.c1)
-    c2 = total.c2 - intersection_product(ambient, c1, quot.c1) - quot.c2
-    return ChernData(rank, c1, c2)
+    c1 = mdeg_sub(total["c1"], quot["c1"])
+    c2 = total["c2"] - intersection_product(ambient, c1, quot["c1"]) - quot["c2"]
+    return {"rank": total["rank"] - quot["rank"], "c1": list(c1), "c2": c2}
 
 
-def chern_monad(m: MonadComplex) -> ChernData:
-    """Chern data of ker(b) (kernel kind) or ker(b)/im(a) (homology kind)."""
-    kernel = _quotient_chern(chern_free(m.middle), chern_free(m.target), m.ambient)
+def chern_monad(m: MonadComplex) -> dict:
+    """Chern data of ker(b) (kernel kind) or ker(b)/im(a) (homology kind), as
+    {"rank", "c1", "c2"}; refused off P2 and P1xP1, where the intersection
+    form is not defined."""
+    amb = m.ambient
+    kernel = _quotient_chern(chern_free(amb, m.middle), chern_free(amb, m.target), amb)
     if m.kind == KERNEL:
         return kernel
     # 0 -> A -> K -> E -> 0, so c(K) = c(A) c(E)
-    return _quotient_chern(kernel, chern_free(m.source), m.ambient)
+    return _quotient_chern(kernel, chern_free(amb, m.source), amb)
 
 
 @lru_cache(maxsize=32)
@@ -314,16 +290,17 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
     new_amb = Ambient.projective(1, names=amb.groups[surviving])
     assignment = {sub_names[0]: a, sub_names[1]: b}
 
-    def restrict_twists(F):
-        return FreeSheaf(new_amb, tuple((t[surviving],) for t in F.twists))
+    def restrict_twists(twists):
+        return tuple((t[surviving],) for t in twists)
 
     def restrict_rows(rows):
         return tuple(tuple(p.substitute(assignment, new_amb) for p in row) for row in rows)
 
     return MonadComplex(
-        middle=restrict_twists(m.middle),
-        target=restrict_twists(m.target),
-        map_b=restrict_rows(m.map_b),
+        new_amb,
+        restrict_twists(m.middle),
+        restrict_twists(m.target),
+        restrict_rows(m.map_b),
         source=None if m.source is None else restrict_twists(m.source),
         map_a=None if m.map_a is None else restrict_rows(m.map_a),
         name=f"{m.name}|fiber" if m.name else "",
@@ -426,10 +403,10 @@ def monad_to_document(m: MonadComplex) -> dict:
     def render(p: RationalPolynomial) -> str:
         return RationalPolynomial(canonical, p.terms).render()
 
-    def twists_out(F):
+    def twists_out(twists):
         if m.ambient.arity == 1:
-            return [t[0] for t in F.twists]
-        return [list(t) for t in F.twists]
+            return [t[0] for t in twists]
+        return [list(t) for t in twists]
 
     doc = {
         "ambient": ambient_to_document(m.ambient),

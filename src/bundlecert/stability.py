@@ -26,7 +26,6 @@ from .cohom import h0_monad, tail_vanish
 from .errors import BundleCertError, FiberNotVanishingError, UnsupportedOperationError
 from .monad import (
     UNKNOWN,
-    ChernData,
     Document,
     MonadComplex,
     chern_monad,
@@ -71,19 +70,19 @@ class Polarization:
         return len(set(self.coords)) == 1
 
 
-def slope(c: ChernData, H: Polarization) -> Fraction:
-    """deg_H(c1) / rank."""
-    if c.rank < 1:
+def slope(c: dict, H: Polarization) -> Fraction:
+    """deg_H(c1) / rank, of the Chern data that `chern_monad` returns."""
+    if c["rank"] < 1:
         raise BundleCertError("slope of a rank-0 sheaf")
-    return Fraction(H.degree(c.c1), c.rank)
+    return Fraction(H.degree(c["c1"]), c["rank"])
 
 
-def twist_region(c: ChernData, s: int, H: Polarization) -> int:
+def twist_region(c: dict, s: int, H: Polarization) -> int:
     """The integer bound of {deg_H(L) <= -s·μ(E)}: the region is every L whose
     components sum to at most the bound (a half-line on P^n, a band on
     P1 x P1)."""
-    if not 1 <= s <= c.rank - 1:
-        raise ValueError(f"s must lie in 1..{c.rank - 1}")
+    if not 1 <= s <= c["rank"] - 1:
+        raise ValueError(f"s must lie in 1..{c['rank'] - 1}")
     if not H.is_balanced:
         raise BundleCertError(
             "twist regions are implemented for multiples of O(1) / O(1,1)"
@@ -132,7 +131,7 @@ def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = N
     cert = Document(
         schema="stability-certificate/1",
         bundle=m.name or "monad-bundle",
-        chern={"rank": chern.rank, "c1": list(chern.c1), "c2": chern.c2},
+        chern=chern,
         slope=str(slope(chern, H)),
         polarization=list(H.coords),
         regions={},
@@ -150,7 +149,7 @@ def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = N
     cert["notes"].append("exactness at the ends proved by the monomial cover rule")
 
     try:
-        for s in range(1, chern.rank):
+        for s in range(1, chern["rank"]):
             bound = twist_region(chern, s, H)
             if m.ambient.arity == 1:
                 cert["regions"][str(s)] = {"kind": "halfline", "bound": bound}

@@ -4,7 +4,6 @@ from __future__ import annotations
 from .charpoly import (
     HALF,
     K_ALG,
-    Candidate,
     RankBoundResult,
     ZetaProfile,
     all_roots_on_circle,
@@ -22,7 +21,6 @@ from .count import count_points, count_points_bruteforce, curve_coefficients
 from .field import Field, check_field, make_field, smallest_irreducible
 
 __all__ = [
-    "Candidate",
     "Field",
     "RankBoundResult",
     "ZetaProfile",

@@ -10,6 +10,10 @@ every other coefficient except e_HALF = e_10: the minus sign forces it to
 zero, and the plus sign leaves a one-parameter family in that slot, which
 the tenth count, over F_{p^10}, pins.
 
+A candidate is its document entry, {"sign", "kind", "status", "reason",
+"coeffs_ascending"}: kind "complete" or "family" (the free slot T^HALF holds
+0), status "surviving" or "discarded", and the reason a person reads.
+
 Other k_alg values are refused rather than supported: no other classes are
 known to be algebraic, and the single free slot and the sign of its pinned
 coefficient, (-1)^h e_h with h = HALF even, hold for degree 20 only.  With
@@ -41,15 +45,16 @@ Phi_k | W0 + e p^mid T^mid with e an integer gives W0(w) + e p^mid w^mid = 0
 w1, w2 gives W0(w1) w2^mid = W0(w2) w1^mid (mod ell), so when the two sides
 differ no integer e makes Phi_k a divisor.  Neither argument needs p to be a
 unit mod ell.  Every other case is a "maybe" and goes to the exact division
-in Z[T]: a residue of 0, which a non-divisor can also give, and two roots
-that agree.  Those include every Phi_k of degree 1 or 2 in a family (w2 is w1
-or 1/w1, and the W0 of a plus-sign family is palindromic, so the two sides
-agree) and, for a Weil polynomial, every Phi_k whose witness ell divides p
-(each residue is then Q(0) = 0 mod ell).
+in Z[T], the only step that builds Phi_k itself: a residue of 0, which a
+non-divisor can also give, and two roots that agree.  Those include every
+Phi_k of degree 1 or 2 in a family (w2 is w1 or 1/w1, and the W0 of a
+plus-sign family is palindromic, so the two sides agree) and, for a Weil
+polynomial, every Phi_k whose witness ell divides p (each residue is then
+Q(0) = 0 mod ell).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -139,14 +144,12 @@ def euler_phi(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomics_up_to(d: int) -> tuple:
-    """(k, Phi_k) for every k with phi(k) <= d, in increasing k.
+    """Every order k with phi(k) <= d, in increasing k.
 
     phi(k) >= sqrt(k) for every k > 6 (only k = 2 and 6 break it), so no k
     above max(6, d^2) qualifies.
     """
-    return tuple(
-        (k, cyclotomic(k)) for k in range(1, max(6, d * d) + 1) if euler_phi(k) <= d
-    )
+    return tuple(k for k in range(1, max(6, d * d) + 1) if euler_phi(k) <= d)
 
 
 @lru_cache(maxsize=None)
@@ -181,21 +184,6 @@ def newton_elementary_from_power_sums(power_sums) -> list:
 
 
 # --- candidates ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Candidate:
-    """A degree-DEGREE factor of the Frobenius characteristic polynomial."""
-
-    sign: int  # functional-equation sign
-    kind: str  # "complete" | "family"
-    coeffs: tuple  # ascending; for a family, the free slot T^HALF holds 0
-    status: str = "candidate"  # "surviving" | "discarded"
-    reason: str = ""
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def complete_with_functional_equation(e_known, p: int, sign: int):
     """Coefficients of Q from e_1..e_{HALF-1} and e_{DEGREE-j} = sign * p^{DEGREE-2j} e_j.
@@ -310,10 +298,11 @@ def unit_root_count(coeffs, p: int) -> int:
     """
     w = [c * p ** j for j, c in enumerate(coeffs)]  # Q(pT), ascending
     total = 0
-    for k, cyc in cyclotomics_up_to(len(coeffs) - 1):
+    for k in cyclotomics_up_to(len(coeffs) - 1):
         ell, root, _ = cyclotomic_witness(k)
         cur = w
         while _value(cur, root) % ell == 0:
+            cyc = cyclotomic(k)
             cur, rem = poly_divmod_exact(cur, cyc)
             if cur is None or any(rem):
                 break
@@ -335,7 +324,7 @@ class ZetaProfile:
     candidates: list = field(default_factory=list)
 
     def surviving(self) -> list:
-        return [c for c in self.candidates if c.status == "surviving"]
+        return [c for c in self.candidates if c["status"] == "surviving"]
 
     def to_document(self) -> dict:
         return {
@@ -347,16 +336,7 @@ class ZetaProfile:
             "reduced_power_sums": list(self.reduced_power_sums),
             "elementary_symmetric": list(self.elementary),
             "weil_audit_ok": True,
-            "candidates": [
-                {
-                    "sign": c.sign,
-                    "kind": c.kind,
-                    "status": c.status,
-                    "reason": c.reason,
-                    "coeffs_ascending": list(c.coeffs),
-                }
-                for c in self.candidates
-            ],
+            "candidates": list(self.candidates),
         }
 
 
@@ -389,7 +369,7 @@ def assemble_charpoly(counts, p: int, k_alg: int = K_ALG) -> ZetaProfile:
     profile = profile_from_counts(counts, p)
     for sign in (1, -1):
         coeffs, kind = complete_with_functional_equation(profile.elementary, p, sign)
-        profile.candidates.append(_vet(Candidate(sign=sign, kind=kind, coeffs=coeffs), p))
+        profile.candidates.append(_candidate(sign, kind, coeffs, p))
     return profile
 
 
@@ -403,53 +383,60 @@ def resolve_family_with_count(profile: ZetaProfile, extra_count: int) -> ZetaPro
     out = profile_from_counts(profile.counts + [extra_count], profile.p)
     middle = (-1) ** HALF * out.elementary[HALF - 1]
     for cand in profile.candidates:
-        if cand.kind != "family":
+        if cand["kind"] != "family":
             out.candidates.append(cand)
             continue
-        coeffs = list(cand.coeffs)
+        coeffs = list(cand["coeffs_ascending"])
         coeffs[HALF] = middle
-        if all_roots_on_circle(coeffs, profile.p, cand.sign):
-            status, reason = "surviving", "circle test passed (pinned middle)"
-        else:
-            status, reason = "discarded", "pinned middle fails the circle test"
-        out.candidates.append(Candidate(cand.sign, "complete", tuple(coeffs), status, reason))
+        out.candidates.append(_candidate(cand["sign"], "complete", coeffs, profile.p, pinned=True))
     return out
 
 
-def _vet(cand: Candidate, p: int) -> Candidate:
-    if cand.kind == "family":
-        # vetting happens per pinned completion inside the rank bound
-        return replace(cand, status="surviving", reason="family: vetted per completion")
-    if not all_roots_on_circle(list(cand.coeffs), p, cand.sign):
-        return replace(
-            cand, status="discarded", reason="roots leave the circle |z| = p"
+def _candidate(sign: int, kind: str, coeffs, p: int, pinned: bool = False) -> dict:
+    """The document entry of a candidate.  A complete one is put to the circle
+    test, with the pinned middle named in its reason when `pinned`; a family
+    is vetted per completion inside the rank bound."""
+    if kind == "family":
+        status, reason = "surviving", "family: vetted per completion"
+    elif all_roots_on_circle(coeffs, p, sign):
+        status = "surviving"
+        reason = "circle test passed (pinned middle)" if pinned else "circle test passed"
+    else:
+        status = "discarded"
+        reason = (
+            "pinned middle fails the circle test" if pinned else "roots leave the circle |z| = p"
         )
-    return replace(cand, status="surviving", reason="circle test passed")
+    return {
+        "sign": sign, "kind": kind, "status": status, "reason": reason,
+        "coeffs_ascending": list(coeffs),
+    }
 
 
-def family_completions(cand: Candidate, p: int) -> list:
-    """Integer middle coefficients that admit some cyclotomic divisor.
+def family_completions(coeffs, p: int) -> list:
+    """Integer middle coefficients that admit some cyclotomic divisor, each
+    as (e, the coefficients with e in the free slot).
 
     Any completion whose polynomial has a root p*zeta must have the scaled
     cyclotomic as a divisor of Q(pT) = W0 + e * p^mid T^mid, a linear
     condition on e per cyclotomic; collect the finitely many integer
     solutions.  The free slot is T^(degree/2).  A cyclotomic whose two
     witness roots w1, w2 mod ell give W0(w1) w2^mid != W0(w2) w1^mid admits
-    no e and is skipped without a division.
+    no e and is skipped without a division.  Phi_k(0) = ±1, so Phi_k never
+    divides p^mid T^mid and its remainder r1 is never zero.
     """
-    mid = cand.degree // 2
-    w0 = [c * p ** j for j, c in enumerate(cand.coeffs)]
+    degree = len(coeffs) - 1
+    mid = degree // 2
+    w0 = [c * p ** j for j, c in enumerate(coeffs)]
     t_mid = [0] * mid + [p ** mid]
     out = set()
-    for k, cyc in cyclotomics_up_to(cand.degree):
+    for k in cyclotomics_up_to(degree):
         ell, w1, w2 = cyclotomic_witness(k)
         if (_value(w0, w1) * pow(w2, mid, ell) - _value(w0, w2) * pow(w1, mid, ell)) % ell:
             continue
+        cyc = cyclotomic(k)
         width = len(cyc) - 1
         r0 = _pad(poly_divmod_exact(w0, cyc)[1], width)
         r1 = _pad(poly_divmod_exact(t_mid, cyc)[1], width)
-        if not any(r1):
-            continue  # cannot happen: Phi_k never divides T^mid
         # r0 + e*r1 = 0 is solved over Q by e = num/den when every equation
         # agrees with it; keep e when den divides num
         idx = next(i for i, c in enumerate(r1) if c)
@@ -458,9 +445,9 @@ def family_completions(cand: Candidate, p: int) -> list:
             out.add(num // den)
     completions = []
     for e in sorted(out):
-        coeffs = list(cand.coeffs)
-        coeffs[mid] = e
-        completions.append((e, tuple(coeffs)))
+        completed = list(coeffs)
+        completed[mid] = e
+        completions.append((e, tuple(completed)))
     return completions
 
 
@@ -491,23 +478,24 @@ def rank_upper_bound(profile: ZetaProfile) -> RankBoundResult:
     per = []
     best = 0
     for cand in survivors:
-        if cand.kind == "complete":
-            contrib = unit_root_count(list(cand.coeffs), profile.p)
-            per.append((cand.sign, cand.kind, contrib, "complete candidate"))
+        sign, kind, coeffs = cand["sign"], cand["kind"], cand["coeffs_ascending"]
+        if kind == "complete":
+            contrib = unit_root_count(coeffs, profile.p)
+            per.append((sign, kind, contrib, "complete candidate"))
         else:
             contrib = 0
             details = []
-            for e, coeffs in family_completions(cand, profile.p):
-                if not all_roots_on_circle(list(coeffs), profile.p, cand.sign):
+            for e, completed in family_completions(coeffs, profile.p):
+                if not all_roots_on_circle(completed, profile.p, sign):
                     details.append(f"middle={e}: fails circle test")
                     continue
-                c = unit_root_count(list(coeffs), profile.p)
+                c = unit_root_count(completed, profile.p)
                 details.append(f"middle={e}: unit-root count {c}")
                 contrib = max(contrib, c)
             per.append(
                 (
-                    cand.sign,
-                    cand.kind,
+                    sign,
+                    kind,
                     contrib,
                     "; ".join(details) if details else "no completion admits a unit root",
                 )

@@ -20,7 +20,9 @@ a fraction reduced row echelon form (vs the signed maximal minors of
 `k3lat._kernel_vector`), and determinants by the Leibniz sum over
 permutations (vs the fraction-free elimination of `polycore.bareiss_det`),
 and sums of curve-class candidates by a recursive search over multisets
-(vs the table of reachable sums per degree of `k3lat._decomposes`).
+(vs the table of reachable sums per degree of `k3lat._decomposes`), and the
+Chern data of a twisted sum of line bundles by the closed forms per ambient
+(vs the one rule through the intersection form of `monad.chern_free`).
 
 The last section holds helpers only tests use, moved out of `src/` with
 their logic unchanged.
@@ -36,7 +38,7 @@ from math import comb, gcd, lcm, prod
 from bundlecert.cohom import SECTION_KERNEL, _kernel_result
 from bundlecert.errors import BundleCertError
 from bundlecert.k3lat import QUARTIC_AMBIENT, GramLattice
-from bundlecert.monad import KERNEL, ChernData
+from bundlecert.monad import KERNEL
 from bundlecert.polycore import (
     ExactMatrix,
     RationalPolynomial,
@@ -45,7 +47,7 @@ from bundlecert.polycore import (
     parse_poly,
 )
 from bundlecert.polycore.poly import _coeff
-from bundlecert.zeta.charpoly import cyclotomics_up_to
+from bundlecert.zeta.charpoly import cyclotomic, cyclotomics_up_to
 
 
 def gauss_rank(rows) -> int:
@@ -382,14 +384,14 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
     return found == total_needed
 
 
-def family_completions(cand, p: int) -> list:
+def family_completions(coeffs, p: int) -> list:
     """(e, coeffs) for every integer middle coefficient e that lets a
     cyclotomic Phi_k divide Q(pT), by solving r0 + e r1 = 0 over Q."""
-    mid = cand.degree // 2
-    w0 = [c * p ** j for j, c in enumerate(cand.coeffs)]
+    mid = (len(coeffs) - 1) // 2
+    w0 = [c * p ** j for j, c in enumerate(coeffs)]
     t_mid = [0] * mid + [p ** mid]
     out = set()
-    for _, cyc in cyclotomics_up_to(cand.degree):
+    for cyc in map(cyclotomic, cyclotomics_up_to(len(coeffs) - 1)):
         width = len(cyc) - 1
         r0 = poly_divmod(w0, cyc)[1]
         r0 += [Fraction(0)] * (width - len(r0))
@@ -399,7 +401,7 @@ def family_completions(cand, p: int) -> list:
         e = -r0[idx] / r1[idx]
         if all(a + e * b == 0 for a, b in zip(r0, r1)) and e.denominator == 1:
             out.add(int(e))
-    return [(e, tuple(cand.coeffs[:mid]) + (e,) + tuple(cand.coeffs[mid + 1 :])) for e in sorted(out)]
+    return [(e, tuple(coeffs[:mid]) + (e,) + tuple(coeffs[mid + 1 :])) for e in sorted(out)]
 
 
 def unit_root_count(coeffs, p: int) -> int:
@@ -407,7 +409,7 @@ def unit_root_count(coeffs, p: int) -> int:
     Phi_k with phi(k) <= deg Q, for as long as the remainder is zero."""
     w = [c * p ** j for j, c in enumerate(coeffs)]
     total = 0
-    for _, cyc in cyclotomics_up_to(len(coeffs) - 1):
+    for cyc in map(cyclotomic, cyclotomics_up_to(len(coeffs) - 1)):
         quot, rem = poly_divmod(w, cyc)
         while not any(rem):
             total += len(cyc) - 1
@@ -534,6 +536,25 @@ def decomposes_by_search(target, budget, candidates) -> bool:
     return rec(tuple(target), budget, 0)
 
 
+# --- Chern data of a twisted sum by closed forms --------------------------------------
+
+def chern_free_p2(ks) -> dict:
+    """O(k_1) ⊕ ... ⊕ O(k_r) on P2: c1 = Σ k_i, c2 = Σ_{i<j} k_i k_j."""
+    c2 = sum(ks[i] * ks[j] for i in range(len(ks)) for j in range(i + 1, len(ks)))
+    return {"rank": len(ks), "c1": [sum(ks)], "c2": c2}
+
+
+def chern_free_p1p1(twists) -> dict:
+    """O(k_1, m_1) ⊕ ... ⊕ O(k_r, m_r) on P1 x P1: c1 = (Σ k_i, Σ m_i),
+    c2 = Σ_{i<j} (k_i m_j + k_j m_i)."""
+    ks = [t[0] for t in twists]
+    ms = [t[1] for t in twists]
+    c2 = sum(
+        ks[i] * ms[j] + ks[j] * ms[i] for i in range(len(ks)) for j in range(i + 1, len(ks))
+    )
+    return {"rank": len(ks), "c1": [sum(ks), sum(ms)], "c2": c2}
+
+
 # --- helpers only tests use -----------------------------------------------------------
 
 def monomial(ambient, exps, coeff=1) -> RationalPolynomial:
@@ -603,7 +624,7 @@ def h0_kernel(m, L):
     """h^0(ker(b) ⊗ O(L)), exact."""
     if m.kind != KERNEL:
         raise BundleCertError("h0_kernel needs a kernel monad")
-    return _kernel_result(m, m.map_b, m.middle.twists, m.target.twists, L, SECTION_KERNEL)
+    return _kernel_result(m, m.map_b, m.middle, m.target, L, SECTION_KERNEL)
 
 
 def ideal_fills_degree(forms, ambient, d) -> bool:
@@ -622,8 +643,8 @@ def ideal_fills_degree(forms, ambient, d) -> bool:
     return gauss_rank(rows) == len(basis)
 
 
-def chern_dual(c: ChernData) -> ChernData:
-    return ChernData(c.rank, tuple(-x for x in c.c1), c.c2)
+def chern_dual(c: dict) -> dict:
+    return {"rank": c["rank"], "c1": [-x for x in c["c1"]], "c2": c["c2"]}
 
 
 def span1(a: int, name: str = "H") -> GramLattice:

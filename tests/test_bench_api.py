@@ -49,11 +49,8 @@ def test_count_jobs_match_the_references(monkeypatch):
         assert job.check(job.render(job.call()), refs) is None, job.name
 
 
-@pytest.mark.parametrize("workload,q_max", [("count-prime", 3001), ("count-ext", 6561)])
-def test_count_workloads_reach_every_span(workload, q_max):
-    """bench/spans.py wraps `make_field` and `count_points` at the names the
-    program calls them by; a count that reached its field another way would
-    leave a span at 0 calls."""
+def traced_pass(workload):
+    """The report of one traced `bench/child.py` pass at seed 1."""
     path = [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run(
@@ -63,4 +60,20 @@ def test_count_workloads_reach_every_span(workload, q_max):
     report = json.loads(out)
     assert report["missing_spans"] == []
     assert all(job["problem"] is None for job in report["jobs"])
-    assert report["layers"]["zeta.field.q_max"] == q_max
+    return report
+
+
+@pytest.mark.parametrize("workload,q_max", [("count-prime", 3001), ("count-ext", 6561)])
+def test_count_workloads_reach_every_span(workload, q_max):
+    """bench/spans.py wraps `make_field` and `count_points` at the names the
+    program calls them by; a count that reached its field another way would
+    leave a span at 0 calls."""
+    assert traced_pass(workload)["layers"]["zeta.field.q_max"] == q_max
+
+
+@pytest.mark.parametrize("workload,jobs", [("certify", 13), ("charpoly", 24)])
+def test_certify_and_charpoly_workloads_reach_every_span(workload, jobs):
+    """Every span the workload expects is reached at the names the program
+    calls it by, and every job's output matches bench/references.json: for
+    certify, the certificates of the scaled monads and the quartic."""
+    assert len(traced_pass(workload)["jobs"]) == jobs

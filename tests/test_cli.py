@@ -314,6 +314,35 @@ def test_chern_prints_the_chern_data(capsys, name, cover, doc):
     assert out == canonical(doc) and err == ""
 
 
+@pytest.mark.parametrize("name,polarization", sorted(CERTIFICATE_SHA256))
+def test_chern_prints_the_chern_field_of_the_certificate(capsys, name, polarization):
+    path = INPUTS / f"{name}.monad"
+    code, out, _ = run(capsys, "certify", "--monad", path, "--polarization", polarization,
+                       "--format", "json")
+    assert code == cli.EXIT_OK
+    recorded = json.loads(out)["chern"]
+    code, out, err = run(capsys, "chern", "--monad", path)
+    assert code == cli.EXIT_OK
+    assert out == canonical(recorded) and err == ""
+
+
+@pytest.mark.parametrize("doc", [
+    {"ambient": {"type": "projective", "dim": 3}, "middle": [-1, -1, -1, -1], "target": [0],
+     "map_b": [["x0", "x1", "x2", "x3"]]},
+    {"ambient": {"type": "product_projective", "dims": [1, 2]},
+     "middle": [[-1, 0], [-1, 0], [0, -1], [0, -1], [0, -1]], "target": [[0, 0]],
+     "map_b": [["x0", "x1", "y0", "y1", "y2"]]},
+], ids=["P3", "P1xP2"])
+def test_chern_off_p2_and_p1p1_exits_1(capsys, tmp_path, doc):
+    """Chern data goes through the intersection form, which only P2 and
+    P1 x P1 have here."""
+    path = tmp_path / "other.monad"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "chern", "--monad", path)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err == "error: intersection form only defined on P2 and P1xP1\n"
+
+
 # quartic-452 has Gram [[4, 5], [5, 2]] on (H, C); U has [[0, 1], [1, 0]]
 @pytest.mark.parametrize("argv,doc,exit_code", [
     (("pair", "--class", "1,0", "--class", "1,1"), {"pair": 9}, 0),  # H^2 + H.C

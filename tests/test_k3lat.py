@@ -22,7 +22,6 @@ from bundlecert.k3lat import (
     quartic_h0,
     quartic_region_run,
 )
-from bundlecert.monad import ChernData
 from bundlecert.polycore import parse_poly
 from oracles import (
     QuarticRing,
@@ -231,9 +230,11 @@ class TestNumerology:
                 assert expected_dim(2, 2 * x * x, y) == 4 * y - 2 * x * x - 6
 
     def test_pullback_chern(self):
-        assert pullback_chern(ChernData(3, (-4, -4), 12)).c2 == 24
-        assert pullback_chern(ChernData(2, (-2,), 4)).c2 == 8  # K_2: 2 s^2
-        assert pullback_chern(ChernData(2, (-3,), 3)).c2 == 6
+        assert pullback_chern({"rank": 3, "c1": [-4, -4], "c2": 12}) == {
+            "rank": 3, "c1": [-4, -4], "c2": 24
+        }
+        assert pullback_chern({"rank": 2, "c1": [-2], "c2": 4})["c2"] == 8  # K_2: 2 s^2
+        assert pullback_chern({"rank": 2, "c1": [-3], "c2": 3})["c2"] == 6
 
 
 class TestQuartic:

@@ -1,12 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlecert.errors import BundleCertError
 from bundlecert.monad import (
     HOMOLOGY,
-    ChernData,
-    FreeSheaf,
     _monomials_have_common_zero,
     chern_free,
     chern_monad,
@@ -20,7 +20,14 @@ from bundlecert.monad import (
     validate,
 )
 from bundlecert.polycore import Ambient, RationalPolynomial, monomial_basis, parse_poly
-from oracles import chern_dual, ideal_fills_degree, monomial, poly_divmod
+from oracles import (
+    chern_dual,
+    chern_free_p1p1,
+    chern_free_p2,
+    ideal_fills_degree,
+    monomial,
+    poly_divmod,
+)
 
 P2 = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)
@@ -302,38 +309,62 @@ class TestStructure:
             kernel_monad(PP, [(-1, -1)] * 2, [(0, 0)], entries)
 
 
+def chern(rank, c1, c2):
+    return {"rank": rank, "c1": list(c1), "c2": c2}
+
+
+TWIST = st.integers(-6, 6)
+
+
 class TestChern:
     def test_chern_free_examples(self):
-        assert chern_free(FreeSheaf(PP, [(-1, -1)] * 4)) == ChernData(4, (-4, -4), 12)
-        assert chern_free(FreeSheaf(P2, [-1, -1, -1])) == ChernData(3, (-3,), 3)
-        assert chern_free(
-            FreeSheaf(PP, [(-2, 0), (-2, 0), (0, -2), (0, -2)])
-        ) == ChernData(4, (-4, -4), 16)
+        assert chern_free(PP, [(-1, -1)] * 4) == chern(4, (-4, -4), 12)
+        assert chern_free(P2, [(-1,)] * 3) == chern(3, (-3,), 3)
+        assert chern_free(PP, [(-2, 0), (-2, 0), (0, -2), (0, -2)]) == chern(4, (-4, -4), 16)
+        assert chern_free(PP, []) == chern(0, (0, 0), 0)
+
+    @given(st.lists(TWIST, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_chern_free_matches_the_closed_form_on_p2(self, ks):
+        assert chern_free(P2, [(k,) for k in ks]) == chern_free_p2(ks)
+
+    @given(st.lists(st.tuples(TWIST, TWIST), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_chern_free_matches_the_closed_form_on_p1p1(self, twists):
+        assert chern_free(PP, twists) == chern_free_p1p1(twists)
 
     def test_chern_monad_euler(self):
-        assert chern_monad(euler()) == ChernData(2, (-3,), 3)
+        assert chern_monad(euler()) == chern(2, (-3,), 3)
 
     def test_chern_monad_ks_dual(self):
         for s in (1, 2, 3):
             ks = kernel_monad(P2, [0, 0, 0], [s], [[f"x^{s}", f"y^{s}", f"z^{s}"]])
             c = chern_monad(ks)
-            assert chern_dual(c) == ChernData(2, (s,), s * s)
+            assert chern_dual(c) == chern(2, (s,), s * s)
 
     def test_chern_monad_homology(self):
-        assert chern_monad(e_rank2()) == ChernData(2, (1, 1), 2)
+        assert chern_monad(e_rank2()) == chern(2, (1, 1), 2)
+
+    @pytest.mark.parametrize("ambient", [
+        Ambient.projective(3), Ambient.product_projective(1, 2)
+    ], ids=["P3", "P1xP2"])
+    def test_other_ambients_are_refused(self, ambient):
+        twists = [ambient.zero_degree()] * 2
+        with pytest.raises(BundleCertError, match="intersection form only defined on P2 and P1xP1"):
+            chern_free(ambient, twists)
 
     def test_whitney_consistency_random(self):
         rng = random.Random(3)
         for _ in range(200):
             t1 = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
             t2 = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
-            a = chern_free(FreeSheaf(PP, t1))
-            b = chern_free(FreeSheaf(PP, t2))
-            ab = chern_free(FreeSheaf(PP, t1 + t2))
+            a = chern_free(PP, t1)
+            b = chern_free(PP, t2)
+            ab = chern_free(PP, t1 + t2)
             # Whitney: c1 adds; c2(F⊕G) = c2F + c2G + c1F·c1G
-            assert ab.c1 == (a.c1[0] + b.c1[0], a.c1[1] + b.c1[1])
-            prod = a.c1[0] * b.c1[1] + a.c1[1] * b.c1[0]
-            assert ab.c2 == a.c2 + b.c2 + prod
+            assert ab["c1"] == [a["c1"][0] + b["c1"][0], a["c1"][1] + b["c1"][1]]
+            prod = a["c1"][0] * b["c1"][1] + a["c1"][1] * b["c1"][0]
+            assert ab["c2"] == a["c2"] + b["c2"] + prod
 
     def test_permutation_invariance(self):
         m1 = k_rank3()
@@ -343,7 +374,7 @@ class TestChern:
         assert chern_monad(m1) == chern_monad(m2)
 
     def test_kernel_rank_identity(self):
-        assert chern_monad(k_rank3()).rank == k_rank3().middle.rank - k_rank3().target.rank
+        assert chern_monad(k_rank3())["rank"] == len(k_rank3().middle) - len(k_rank3().target)
 
     def test_invalid_monad_raises(self):
         # x0 has degree (1, 0), not (1, 1): no monad, so no Chern data, is made
@@ -355,7 +386,7 @@ class TestFiberRestriction:
     def test_k_rank3_axis2(self):
         f = restrict_to_fiber(k_rank3(), 2, (0, 1))
         assert [p.render() for p in f.map_b[0]] == ["0", "x0", "0", "x1"]
-        assert f.middle.twists == ((-1,), (-1,), (-1,), (-1,))
+        assert f.middle == ((-1,), (-1,), (-1,), (-1,))
 
     def test_euler_not_a_product(self):
         with pytest.raises(BundleCertError, match="fiber restriction needs ambient P1 x P1"):

@@ -7,7 +7,6 @@ import pytest
 from bundlecert.errors import BundleCertError
 from bundlecert import stability
 from bundlecert.monad import (
-    ChernData,
     chern_monad,
     homology_monad,
     kernel_monad,
@@ -67,7 +66,7 @@ class TestSlope:
 
     def test_zero_rank(self):
         with pytest.raises(BundleCertError, match="slope of a rank-0 sheaf"):
-            slope(ChernData(0, (0, 0), 0), H_PP)
+            slope({"rank": 0, "c1": [0, 0], "c2": 0}, H_PP)
 
 
 class TestRegion:

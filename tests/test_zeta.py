@@ -24,7 +24,6 @@ from bundlecert.zeta import (
 )
 from bundlecert.zeta.charpoly import (
     WITNESS_FLOOR,
-    Candidate,
     _squarefree_part,
     _sturm_count,
     _value,
@@ -484,11 +483,12 @@ class TestCyclotomics:
         """k <= max(6, d^2) finds every k that the bound phi(k) >= sqrt(k/2),
         which holds for every k, lets in: k <= 2 d^2."""
         for d in range(1, 21):
-            wide = tuple((k, cyclotomic(k)) for k in range(1, 2 * d * d + 1) if euler_phi(k) <= d)
+            wide = tuple(k for k in range(1, 2 * d * d + 1) if euler_phi(k) <= d)
             assert cyclotomics_up_to(d) == wide
 
     def test_every_witness_is_a_root_of_its_cyclotomic(self):
-        for k, cyc in cyclotomics_up_to(20):
+        for k in cyclotomics_up_to(20):
+            cyc = cyclotomic(k)
             ell, w1, w2 = cyclotomic_witness(k)
             assert ell > WITNESS_FLOOR and (ell - 1) % k == 0 and is_prime(ell)
             assert not any(is_prime(m) for m in range(ell - k, WITNESS_FLOOR, -k))  # the least
@@ -698,9 +698,8 @@ class TestCircleOracle:
                 continue
             coeffs = list(Q)
             coeffs[mid] = 0
-            cand = Candidate(sign=1, kind="family", coeffs=tuple(coeffs))
-            got = family_completions(cand, p)
-            assert got == oracles.family_completions(cand, p)
+            got = family_completions(coeffs, p)
+            assert got == oracles.family_completions(coeffs, p)
             for e, completed in got:
                 assert unit_roots_by_sympy(completed, p) > 0
             if units:
@@ -716,13 +715,12 @@ class TestCircleOracle:
             p = rng.choice([3, 5, 7])
             coeffs = [rng.randint(-5, 5) for _ in range(20)] + [1]
             coeffs[10] = 0
-            cand = Candidate(sign=1, kind="family", coeffs=tuple(coeffs))
-            assert family_completions(cand, p) == oracles.family_completions(cand, p)
+            assert family_completions(coeffs, p) == oracles.family_completions(coeffs, p)
 
 
 # --- the witness filter: a residue mod ell rules a cyclotomic out --------------------
 
-ORDERS = [k for k, _ in cyclotomics_up_to(20)]
+ORDERS = list(cyclotomics_up_to(20))
 
 
 def with_cyclotomic_factors(p, orders, filler):
@@ -737,9 +735,10 @@ def with_cyclotomic_factors(p, orders, filler):
 
 
 def family_of(Q):
+    """The plus-sign family of Q: its free slot T^10 holds 0."""
     coeffs = list(Q)
     coeffs[10] = 0
-    return Candidate(sign=1, kind="family", coeffs=tuple(coeffs))
+    return coeffs
 
 
 class TestWitnessFilter:
@@ -807,9 +806,8 @@ class TestWitnessFilter:
             Q0 = [c // p**j for j, c in enumerate(W0)]
             assert [c * p**j for j, c in enumerate(Q0)] == W0
             assert _value(W0, w1) * pow(w2, 10, ell) % ell == _value(W0, w2) * pow(w1, 10, ell) % ell
-            cand = Candidate(sign=1, kind="family", coeffs=tuple(Q0))
-            got = family_completions(cand, p)
-            assert got == oracles.family_completions(cand, p)
+            got = family_completions(Q0, p)
+            assert got == oracles.family_completions(Q0, p)
             for e, coeffs in got:
                 assert any(poly_divmod_exact([c * p**j for j, c in enumerate(coeffs)], cyc)[1])
 
@@ -905,11 +903,12 @@ class TestPinnedMiddle:
         profile = zeta.assemble_charpoly(counts[:9], WITNESS_P)
         for extra, status in [(0, "surviving"), (10, "discarded")]:
             resolved = zeta.resolve_family_with_count(profile, counts[9] + extra)
-            (pinned,) = [c for c in resolved.candidates if c.sign == 1]
-            assert (pinned.kind, pinned.status) == ("complete", status)
-            assert oracles.all_roots_on_circle(pinned.coeffs, WITNESS_P, 1) == (extra == 0)
-        assert pinned.reason == "pinned middle fails the circle test"
-        assert [c.status for c in resolved.surviving()] == ["surviving"]  # the minus sign
+            (pinned,) = [c for c in resolved.candidates if c["sign"] == 1]
+            assert (pinned["kind"], pinned["status"]) == ("complete", status)
+            coeffs = pinned["coeffs_ascending"]
+            assert oracles.all_roots_on_circle(coeffs, WITNESS_P, 1) == (extra == 0)
+        assert pinned["reason"] == "pinned middle fails the circle test"
+        assert [c["sign"] for c in resolved.surviving()] == [-1]
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_other_count_lengths_are_refused(self, n):
