@@ -10,7 +10,8 @@ tuple's length.  `MonadComplex` holds the ambient, the twists of B, C and
 Chern data is the dict a certificate records, {"rank", "c1": list, "c2"}.
 
 A monad's structure is checked once, when it is built: `MonadComplex`
-normalizes every twist, and refuses (BundleCertError) an entry on another
+normalizes every twist, and refuses (BundleCertError) a source A of rank 0
+(a monad is of kernel kind exactly when A is absent), an entry on another
 ambient, an entry that is not homogeneous of target - source, and b∘a != 0.
 Every later layer (validate, chern_monad, the section matrices of `cohom`)
 trusts a built monad.
@@ -103,19 +104,21 @@ class MonadComplex:
                 )
         if (self.source is None) != (self.map_a is None):
             raise BundleCertError("source and map_a must be both present or both absent")
+        if self.source == ():
+            raise BundleCertError("source of rank 0: omit source and map_a for a kernel monad")
         if len(self.map_b) != len(self.target):
             raise BundleCertError("map_b row count differs from rank of C")
         for row in self.map_b:
             if len(row) != len(self.middle):
                 raise BundleCertError("map_b column count differs from rank of B")
-        if self.map_a is not None:
+        if self.source is not None:
             if len(self.map_a) != len(self.middle):
                 raise BundleCertError("map_a row count differs from rank of B")
             for row in self.map_a:
                 if len(row) != len(self.source):
                     raise BundleCertError("map_a column count differs from rank of A")
         problem = _grading_problem(self.map_b, self.target, self.middle, "map_b", self.ambient)
-        if problem is None and self.map_a is not None:
+        if problem is None and self.source is not None:
             problem = _grading_problem(self.map_a, self.middle, self.source, "map_a", self.ambient)
         if problem is None and not _composite_is_zero(self):
             problem = "b∘a != 0"
@@ -124,7 +127,7 @@ class MonadComplex:
 
     @property
     def kind(self) -> str:
-        return HOMOLOGY if self.source else KERNEL
+        return KERNEL if self.source is None else HOMOLOGY
 
 
 def kernel_monad(ambient, middle_twists, target_twists, map_b_texts, name="") -> MonadComplex:
@@ -156,7 +159,7 @@ def _grading_problem(rows, target, source, label: str, ambient):
 
 
 def _composite_is_zero(m: MonadComplex) -> bool:
-    if m.map_a is None:
+    if m.source is None:
         return True
     for i in range(len(m.target)):
         for j in range(len(m.source)):
@@ -229,7 +232,7 @@ def validate(m: MonadComplex) -> dict:
     if len(m.target) == 1:
         surj = _common_zero_status(m.map_b[0], m.ambient)
     inj = UNKNOWN
-    if m.map_a is None:
+    if m.source is None:
         inj = VACUOUS
     elif len(m.source) == 1:
         inj = _common_zero_status([row[0] for row in m.map_a], m.ambient)
@@ -302,7 +305,7 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
         restrict_twists(m.target),
         restrict_rows(m.map_b),
         source=None if m.source is None else restrict_twists(m.source),
-        map_a=None if m.map_a is None else restrict_rows(m.map_a),
+        map_a=None if m.source is None else restrict_rows(m.map_a),
         name=f"{m.name}|fiber" if m.name else "",
     )
 
@@ -414,7 +417,7 @@ def monad_to_document(m: MonadComplex) -> dict:
         "target": twists_out(m.target),
         "map_b": [[render(p) for p in row] for row in m.map_b],
     }
-    if m.map_a is not None:
+    if m.source is not None:
         doc["source"] = twists_out(m.source)
         doc["map_a"] = [[render(p) for p in row] for row in m.map_a]
     if m.name:

@@ -18,7 +18,7 @@ from .charpoly import (
     weil_trace,
 )
 from .count import count_points, count_points_bruteforce, curve_coefficients
-from .field import Field, check_field, make_field, smallest_irreducible
+from .field import Field, check_field, make_field, primitive_modulus
 
 __all__ = [
     "Field",
@@ -34,11 +34,11 @@ __all__ = [
     "euler_phi",
     "family_completions",
     "make_field",
+    "primitive_modulus",
     "profile_from_counts",
     "rank_upper_bound",
     "resolve_family_with_count",
     "run_picard_bound",
-    "smallest_irreducible",
     "unit_root_count",
 ]
 

@@ -18,9 +18,10 @@ orbit's size, which divides n.  t = 0 and [0:1] are fixed and counted once
 each: about q/n + 2 fibers instead of q + 1.
 
 Kernel.  Every value of a count is a code of the one field type
-`field.Field`: the log to the generator g of a nonzero element, 3L for zero
-(L = q - 1).  `Field.horner` evaluates sum_j c_j x^j at every pair of a row
-of coefficients and a value x by acc <- add(mul(acc, x), c_j), from
+`field.Field`: the log to the generator g (the root of the field's
+primitive modulus) of a nonzero element, 3L for zero (L = q - 1).
+`Field.horner` evaluates sum_j c_j x^j at every pair of a row of
+coefficients and a value x by acc <- add(mul(acc, x), c_j), from
 acc = c_4, one numpy call per table lookup.  It serves the specialization
 c_j(x) at the orbit representatives, and each fiber's values at y = [1:u],
 u = g^s, s = 0..L-1, whose quadratic characters sum to the fiber's sum over
@@ -90,7 +91,7 @@ from .field import (
     _pol_trim,
     check_field,
     make_field,
-    smallest_irreducible,
+    primitive_modulus,
 )
 
 
@@ -347,8 +348,6 @@ def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int
     Counts run in one process: any threads other than 1 is refused."""
     if threads != 1:
         raise BundleCertError(f"counts run in one process, got threads={threads}")
-    if p == 2:
-        raise BundleCertError("double-cover counting needs odd characteristic")
     start = perf_counter()
     A = curve_coefficients(f, p)
     F = make_field(p, n)
@@ -366,12 +365,10 @@ def count_points(f: RationalPolynomial, p: int, n: int, threads: int = 1) -> int
 
 def count_points_bruteforce(f: RationalPolynomial, p: int, n: int) -> int:
     """Independent slow oracle: direct evaluation at every base point, on
-    digit lists multiplied modulo the smallest irreducible (no tables)."""
-    if p == 2:
-        raise BundleCertError("double-cover counting needs odd characteristic")
+    digit lists multiplied modulo the field's primitive modulus (no tables)."""
     check_field(p, n)
     A = curve_coefficients(f, p)
-    mod = list(smallest_irreducible(p, n))
+    mod = list(primitive_modulus(p, n))
     half = (p ** n - 1) // 2
 
     def add(a, b):

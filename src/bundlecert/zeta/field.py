@@ -1,15 +1,16 @@
 """Finite fields F_{p^n}, built deterministically, with arithmetic on codes.
 
-The modulus is the lexicographically smallest monic irreducible of degree n
-over F_p (high-degree coefficients compared first).  An element is named by
-the integer packing its base-p digits; that name only indexes `Field.log`,
-which maps it to the element's code: its discrete log to the generator g
-for a nonzero element, 3(q - 1) for zero.  g is the smallest packed integer
-with g^((q-1)/l) != 1 for every prime l dividing q - 1, the smallest element
-of order q - 1.  Every operation of `Field` is a lookup in a table indexed
+The modulus is the first primitive polynomial of degree n over F_p in the
+order of `primitive_modulus`, so x generates the multiplicative group, and
+for n = 1 it is x - r with r the least primitive root mod p.  An element is
+named by the integer packing its base-p digits; that name only indexes
+`Field.log`, which maps it to the element's code: its discrete log to x for
+a nonzero element, 3(q - 1) for zero.  x is also the smallest packed element
+of order q - 1: for n >= 2 it packs as p, and 1, ..., p - 1 have order
+dividing p - 1.  Every operation of `Field` is a lookup in a table indexed
 by codes (see its docstring).  Building the tables costs O(q) time and
 memory, so `make_field` refuses q > ZECH_CAP = 2^20; there is no table-free
-arithmetic.  The digit-list helpers below build the tables and serve the
+arithmetic.  The digit-list helpers below find the modulus and serve the
 table-free brute-force oracle of `count`.
 """
 from __future__ import annotations
@@ -73,42 +74,27 @@ def _pol_powmod(a, e, mod, p):
     return result
 
 
-def _pol_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while _pol_trim(b):
-        a = _pol_rem(a, b, p)
-        a, b = b, a
-    return _pol_trim(a)
+def primitive_modulus(p: int, n: int) -> tuple:
+    """The first monic f = x^n + c_{n-1} x^{n-1} + ... + c_1 x - t in lex order
+    on (c_{n-1}, ..., c_1, t) whose root x has order q - 1, ascending.
 
-
-def _is_irreducible(poly, p) -> bool:
-    """Rabin's test: x^(p^n) = x mod f, and gcd(x^(p^(n/l)) - x, f) = 1."""
-    n = len(poly) - 1
-    if n == 1:
-        return True
-    x = [0, 1]
-    xq = _pol_powmod(x, p ** n, poly, p)
-    minus_x = _pol_trim([(a - b) % p for a, b in zip(xq + [0] * 2, [0, 1] + [0] * len(xq))])
-    if minus_x:
-        return False
-    for ell in prime_divisors(n):
-        xe = _pol_powmod(x, p ** (n // ell), poly, p)
-        diff = [(a - b) % p for a, b in zip(xe + [0, 0], [0, 1] + [0] * len(xe))]
-        g = _pol_gcd(poly, diff, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
-def smallest_irreducible(p: int, n: int) -> tuple:
-    """Monic irreducible of degree n, minimal in lex order on (c_{n-1},..,c_0)."""
-    if n == 1:
-        return (0, 1)  # the polynomial x
+    With h = x^((q-1)/2) mod f, h^2 = 1 makes x a unit of order dividing
+    q - 1, which h != 1 and x^((q-1)/l) != 1 for every odd prime l | q - 1
+    make exactly q - 1 (a reducible f can pass all but h^2 = 1).  Then the
+    powers of x are the q - 1 nonzero residues, so F_p[x]/(f) is a field
+    generated by x: f is primitive (Lidl and Niederreiter, Finite Fields,
+    3.1).  Most candidates fail at h.
+    """
+    q = p ** n
+    odd = [(q - 1) // ell for ell in prime_divisors(q - 1) if ell != 2]
     for high_to_low in iter_product(range(p), repeat=n):
-        coeffs = list(reversed(high_to_low)) + [1]  # ascending, monic
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise RuntimeError("unreachable: irreducibles exist in every degree")
+        mod = [-high_to_low[-1] % p, *reversed(high_to_low[:-1]), 1]
+        h = _pol_powmod([0, 1], (q - 1) // 2, mod, p)
+        if h != [1] and _pol_mulmod(h, h, mod, p) == [1] and all(
+            _pol_powmod([0, 1], e, mod, p) != [1] for e in odd
+        ):
+            return tuple(mod)
+    raise RuntimeError("unreachable: primitive polynomials exist in every degree")
 
 
 class Field:
@@ -117,14 +103,14 @@ class Field:
 
     An element is named by the integer that packs its base-p digits (digit
     k is the coefficient of x^k), and log[a] is the code of the element a.
-    A nonzero element is coded by its log to the generator g, in [0, L),
+    A nonzero element is coded by its log to the generator x, in [0, L),
     L = q - 1, and zero by Z = 3L.  red[v] is v mod L for v < 3L and Z from
     3L on (lookups clip), so a product of up to three factors is
     red[a + b + c] and a quotient red[a - b + 2L], b a product of up to two.
     A sum is a + b = red[b + plus[d]] and a difference red[b + minus[d]],
     with d = b - a + 3L, so that b + 3L - d = a: on (2L, 4L) plus[d] is
-    3L - d plus the zech log of 1 + g^(b - a) (Z when that is zero) and
-    minus[d] 3L - d plus that of 1 - g^(b - a); on [0, L) (a = Z) b + plus[d]
+    3L - d plus the zech log of 1 + x^(b - a) (Z when that is zero) and
+    minus[d] 3L - d plus that of 1 - x^(b - a); on [0, L) (a = Z) b + plus[d]
     and b + minus[d] are b and -b; from 5L on (b = Z) both are a; at 3L
     (a = b) they are 2a and Z.  chi[v] is the quadratic character of the
     code v, 0 at Z (clipped to L).
@@ -139,7 +125,7 @@ class Field:
         logs = np.arange(L, dtype=np.int64)
         self.log = np.full(self.q, self.zero, dtype=np.int64)
         self.log[exp] = logs
-        # the code of 1 + g^i: adding 1 raises the lowest base-p digit mod p
+        # the code of 1 + x^i: adding 1 raises the lowest base-p digit mod p
         zech = self.log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
         self.red = np.concatenate([logs, logs, logs, [self.zero]])
         self.chi = np.concatenate([1 - 2 * (logs & 1), [0]])
@@ -151,26 +137,16 @@ class Field:
         self.minus[2 * L : 4 * L].reshape(2, L)[:] += np.roll(zech, -(L // 2))
 
     def _powers(self) -> np.ndarray:
-        """The packed elements g^i, i = 0..L-1."""
+        """The packed elements x^i, i = 0..L-1."""
         p, n, q = self.p, self.n, self.q
-        mod = list(self.modulus)
-
-        def digits(a):
-            return [a // p ** k % p for k in range(n)]
-
-        cofactors = [(q - 1) // ell for ell in prime_divisors(q - 1)]
-        gen = next(
-            cand for cand in range(1, q)
-            if all(_pol_trim(_pol_powmod(digits(cand), e, mod, p)) != [1] for e in cofactors)
-        )
-        # multiplication by g is F_p-linear: row j of `step` holds the digits of
-        # x^j g, and digits(g^(k0+k)) = digits(g^k) @ step^k0 fills [k0, 2 k0)
-        # from [0, k0); the dtype holds every dot product before its mod p.
+        # multiplication by x is F_p-linear with the companion matrix `step`:
+        # row j holds the digits of x^(j+1), row n-1 those of
+        # x^n = -sum c_k x^k, and digits(x^(k0+k)) = digits(x^k) @ step^k0
+        # fills [k0, 2 k0) from [0, k0); the dtype holds every dot product
+        # before its mod p.
         dtype = np.min_scalar_type(n * (p - 1) ** 2)
-        step = np.zeros((n, n), dtype=dtype)
-        for j in range(n):
-            row = _pol_mulmod([0] * j + [1], digits(gen), mod, p)
-            step[j, : len(row)] = row
+        step = np.eye(n, k=1, dtype=dtype)
+        step[n - 1] = [-c % p for c in self.modulus[:n]]
         table = np.zeros((q - 1, n), dtype=dtype)
         table[0, 0] = 1
         done = 1
@@ -227,9 +203,12 @@ class Field:
 
 
 def check_field(p: int, n: int):
-    """Raise unless F_{p^n} can be built: p prime, n >= 1, q <= ZECH_CAP."""
+    """Raise unless F_{p^n} can be built for a count: p an odd prime, n >= 1,
+    q <= ZECH_CAP."""
     if not is_prime(p):
         raise BundleCertError(f"{p} is not prime")
+    if p == 2:
+        raise BundleCertError("double-cover counting needs odd characteristic")
     if n < 1:
         raise BundleCertError(f"extension degree must be >= 1, got {n}")
     if p ** n > ZECH_CAP:
@@ -237,6 +216,6 @@ def check_field(p: int, n: int):
 
 
 def make_field(p: int, n: int) -> Field:
-    """Deterministic field construction; raises NotPrime / TooLarge."""
+    """F_{p^n} on its primitive modulus; refused as `check_field` says."""
     check_field(p, n)
-    return Field(p, n, smallest_irreducible(p, n))
+    return Field(p, n, primitive_modulus(p, n))

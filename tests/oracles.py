@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: rank by plain
 fraction Gaussian elimination (vs fraction-free Bareiss), point counts by
 direct evaluation over all base points (vs the vectorized fiber loop),
 field tables by an order search with plain digit-list arithmetic (vs the
-primitivity test and the vectorized Zech table), coverage of the twist
+primitive modulus, whose root is the generator, and the vectorized Zech
+table), the order of that root by repeated multiplication (vs the
+power tests of `zeta.field.primitive_modulus`), coverage of the twist
 regions by a point-by-point walk over a window (vs the tail and core layout
 certify builds), and the all-roots-on-the-circle test with rational
 division, a plain Sturm chain and a rational gcd, and the plus-sign
@@ -159,6 +161,8 @@ def field_tables(p: int, n: int, modulus) -> tuple:
     `modulus` is monic, ascending.  Elements pack base p.  The generator is
     the smallest packed integer whose multiplicative order, found by
     repeated multiplication, is q - 1; zech[i] = log(1 + g^i), -1 for zero.
+    On the primitive modulus of `zeta.field` that is its root x, so equal
+    logs also check the generator.
     """
     q = p**n
 
@@ -194,6 +198,21 @@ def field_tables(p: int, n: int, modulus) -> tuple:
         log[e] = i
     zech = [log[pack([(d + (k == 0)) % p for k, d in enumerate(unpack(e))])] for e in exp]
     return exp, log, zech
+
+
+def root_order(p: int, modulus) -> int:
+    """The multiplicative order of x in F_p[x]/(modulus), by repeated
+    multiplication by x (`modulus` monic, ascending); 0 when no x^k with
+    1 <= k < p^n is 1."""
+    n = len(modulus) - 1
+    one = [1] + [0] * (n - 1)
+    power = one
+    for k in range(1, p**n):
+        top = power[-1]
+        power = [(low - top * c) % p for low, c in zip([0] + power[:-1], modulus)]
+        if power == one:
+            return k
+    return 0
 
 
 def packed_add(p: int, a: int, b: int) -> int:

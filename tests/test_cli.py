@@ -253,6 +253,22 @@ def test_malformed_monad_structure_exits_1(capsys, tmp_path, command, doc, probl
     assert out == "" and err == f"error: monad fails structural validation: {problem}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ("certify", "--polarization", "1"), ("chern",), ("h0", "--twist", "1"),
+], ids=["certify", "chern", "h0"])
+def test_a_source_of_rank_0_exits_1(capsys, tmp_path, command):
+    """An empty source with empty map_a rows is neither a kernel monad (no
+    source) nor a homology monad (A of rank >= 1): every command refuses it."""
+    doc = json.loads((INPUTS / "euler.monad").read_text())
+    doc["source"], doc["map_a"] = [], [[] for _ in doc["middle"]]
+    path = tmp_path / "empty-source.monad"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], "--monad", path, *command[1:])
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == "error: source of rank 0: omit source and map_a for a kernel monad\n"
+
+
 def test_h0_of_an_exterior_power_of_a_homology_monad_exits_1(capsys):
     code, out, err = run(capsys, "h0", "--monad", INPUTS / "e_rank2.monad", "--twist", "1,1",
                          "--exterior", 2)

@@ -1,5 +1,6 @@
 """Every name a module under src/ imports is used in it or re-exported by __all__,
-every __all__ entry is bound in its module, no module under src/ imports random
+every function, class and method defined under src/ is used there, every
+__all__ entry is bound in its module, no module under src/ imports random
 or starts processes, only stability.py imports fractions, the certify path
 loads no numpy, zeta loads charpoly before numpy, and every exception subclass
 is caught by name somewhere."""
@@ -36,6 +37,31 @@ def unused_imports(path):
 def test_no_unused_imports_under_src():
     found = [u for path in sorted(SRC.rglob("*.py")) for u in unused_imports(path)]
     assert found == []
+
+
+def test_every_definition_under_src_is_used_in_src():
+    # a module-level function or class, or a non-dunder method, that no code
+    # under src/ loads by name or attribute is dead; the brute-force oracle
+    # is kept for the tests and the benchmark's tests, which import it
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.rglob("*.py"))]
+    loaded = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = []
+    for path, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                defined.append((path, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path, item.name) for item in node.body if isinstance(item, functions)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+    dead = [f"{path.relative_to(SRC)} {name}" for path, name in defined if name not in loaded]
+    assert dead == ["bundlecert/zeta/count.py count_points_bruteforce"]
 
 
 def imported_modules(path):

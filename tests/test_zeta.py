@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from bundlecert.zeta.charpoly import (
 )
 from bundlecert.zeta import count
 from bundlecert.zeta import field as field_module
-from bundlecert.zeta.field import Field, is_prime
+from bundlecert.zeta.field import Field, is_prime, primitive_modulus
 from bundlecert.zeta.count import (
     _fiber_counts,
     _orbit_fibers,
@@ -63,6 +64,12 @@ def form(name):
     return parse_poly(FORMS[name], PP)
 
 
+def other_ruling(name):
+    """The form with (x0, x1) and (y0, y1) swapped: the same surface, counted
+    over the other ruling's fibers."""
+    return parse_poly(FORMS[name].translate(str.maketrans("xy", "yx")), PP)
+
+
 class TestCounts:
     @pytest.mark.parametrize("name", sorted(FORMS))
     @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
@@ -79,6 +86,13 @@ class TestCounts:
         f = form("b44")
         counts = [count_points(f, 3, n) for n in range(1, 7)]
         assert counts == [14, 98, 848, 6566, 59219, 530948]
+
+    @pytest.mark.parametrize("name,n", [("b44", n) for n in range(1, 11)] + [
+        (name, n) for name in sorted(FORMS) for n in range(1, 7)
+    ])
+    def test_the_other_ruling_gives_the_same_count(self, name, n):
+        # other fibers, orbits, routes and Jacobians, on the same field tables
+        assert count_points(other_ruling(name), 3, n) == count_points(form(name), 3, n)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
     def test_bruteforce_builds_no_field(self, monkeypatch, p, n):
@@ -390,6 +404,39 @@ class TestJacobians:
             assert counts.tolist() == expected
             resolved.append(jacobian)
         assert resolved[0] == 0 < resolved[1] < resolved[2] < len(rows)
+
+
+SMALL_FIELDS = [(p, n) for p in (3, 5, 7) for n in range(1, 5)] + [(1009, 1)]
+
+
+class TestPrimitiveModulus:
+    @pytest.mark.parametrize("p,n", SMALL_FIELDS)
+    def test_first_candidate_whose_root_has_order_q_minus_1(self, p, n):
+        f = primitive_modulus(p, n)
+        # x^n + c_{n-1} x^{n-1} + ... + c_1 x - t, in lex order on (c_{n-1}, ..., c_1, t)
+        candidates = [(-t % p, *reversed(c), 1) for *c, t in product(range(p), repeat=n)]
+        first = candidates.index(f)
+        assert oracles.root_order(p, f) == p**n - 1
+        assert all(oracles.root_order(p, g) != p**n - 1 for g in candidates[:first])
+
+    @pytest.mark.parametrize("p,n", SMALL_FIELDS)
+    def test_x_is_the_generator(self, p, n):
+        F = make_field(p, n)
+        x = p if n > 1 else -F.modulus[0] % p  # packed
+        assert F.log[x] == 1
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 1009])
+    def test_a_prime_field_is_built_on_its_least_primitive_root(self, p):
+        root = next(r for r in range(1, p) if len({pow(r, k, p) for k in range(p - 1)}) == p - 1)
+        assert primitive_modulus(p, 1) == (p - root, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_characteristic_2_is_refused(self, n):
+        with pytest.raises(BundleCertError, match="needs odd characteristic"):
+            make_field(2, n)
+        for counter in (count_points, count_points_bruteforce):
+            with pytest.raises(BundleCertError, match="needs odd characteristic"):
+                counter(form("b44"), 2, n)
 
 
 class TestFieldTables:
