@@ -53,7 +53,7 @@ construction and needs no check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -124,6 +124,14 @@ class MonadComplex:
             problem = "b∘a != 0"
         if problem is not None:
             raise BundleCertError(f"monad fails structural validation: {problem}")
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self):
+        # the fields __eq__ compares, hashed once at construction: the caches
+        # keyed by a monad hash it on every call, and the generated hash
+        # would rehash every map polynomial each time
+        return self._hash
 
     @property
     def kind(self) -> str:

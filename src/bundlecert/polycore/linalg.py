@@ -10,12 +10,17 @@ row or column, so rank M = 1 + rank(M without row i and column c).  The rule
 reads only the sparsity pattern and is exact over any field.  The core that
 no singleton reaches goes as it is to Bareiss elimination over the integers
 (Bareiss, Math. Comp. 22, 1968); no floating point or prime enters a rank.
+
+A section matrix is built from its live columns only: a source summand with
+no sections at the twist costs nothing, each nonzero cell is written once,
+and each monomial basis is built once per degree with its index.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from .poly import mdeg_add, monomial_basis
+from .poly import indexed_basis
 
 
 @dataclass
@@ -23,19 +28,6 @@ class ExactMatrix:
     rows: int
     cols: int
     entries: list  # one dict per row: column -> nonzero int
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols, [{} for _ in range(rows)])
-
-    def add(self, i: int, j: int, value) -> None:
-        """entries[i][j] += value, dropping the cell when the sum is zero."""
-        row = self.entries[i]
-        total = row.get(j, 0) + value
-        if total:
-            row[j] = total
-        else:
-            row.pop(j, None)
 
     def rank(self) -> int:
         rows = {i: dict(row) for i, row in enumerate(self.entries) if row}
@@ -130,31 +122,41 @@ def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> Exa
     establishes both once, where the map is built (a MonadComplex at
     construction, `k3lat.quartic_h0` per call), not once per twist.
     Columns are ordered by source summand then basis order, rows likewise.
-    The result holds only the nonzero cells.
+
+    The cost follows the live columns and the nonzero cells, not the number
+    of summands: a source summand with a negative twisted component has no
+    sections, so it is skipped before its basis or its column of entries is
+    read.  Each cell is written once: for a fixed target, source and basis
+    monomial, distinct terms of the entry give distinct product monomials,
+    hence distinct rows.  So no cell sums two terms, and the result holds
+    only nonzero cells.  Each basis comes with its {exponent: position}
+    index from one cache per (factor sizes, degree) (`indexed_basis`).
     """
     if len(map_entries) != len(target_twists):
         raise ValueError("row count differs from target rank")
     if any(len(row) != len(source_twists) for row in map_entries):
         raise ValueError("column count differs from source rank")
-    src_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in source_twists]
-    tgt_bases = [monomial_basis(ambient, mdeg_add(t, L)) for t in target_twists]
-
-    col_offsets = [sum(map(len, src_bases[:j])) for j in range(len(src_bases))]
-    ncols = sum(map(len, src_bases))
-    row_pos = []
+    sizes = tuple(map(len, ambient.groups))
+    row_starts = []  # per target summand: (first row, index of its basis)
     nrows = 0
-    for b in tgt_bases:
-        row_pos.append({e: nrows + k for k, e in enumerate(b)})
-        nrows += len(b)
+    for t in target_twists:
+        basis, index = indexed_basis(sizes, tuple(map(add, t, L)))
+        row_starts.append((nrows, index))
+        nrows += len(basis)
 
-    M = ExactMatrix.zero(nrows, ncols)
-    for i, row in enumerate(map_entries):
-        pos = row_pos[i]
-        for j, p in enumerate(row):
-            if p.is_zero():
+    cells = [{} for _ in range(nrows)]
+    col = 0
+    for j, s in enumerate(source_twists):
+        d = tuple(map(add, s, L))
+        if min(d) < 0:
+            continue
+        basis = indexed_basis(sizes, d)[0]
+        for (start, index), row in zip(row_starts, map_entries):
+            terms = row[j].terms.items()
+            if not terms:
                 continue
-            base_col = col_offsets[j]
-            for k, mono in enumerate(src_bases[j]):
-                for e, c in p.terms.items():
-                    M.add(pos[tuple(a + b for a, b in zip(e, mono))], base_col + k, c)
-    return M
+            for k, mono in enumerate(basis, col):
+                for e, c in terms:
+                    cells[start + index[tuple(map(add, e, mono))]][k] = c
+        col += len(basis)
+    return ExactMatrix(nrows, col, cells)

@@ -297,22 +297,29 @@ class RationalPolynomial:
         return f"<poly {self.render()}>"
 
 
-@lru_cache(maxsize=None)
 def monomial_basis(ambient: Ambient, d) -> tuple:
     """All exponent vectors of multidegree d, graded-lexicographic per factor.
 
     Within a factor the order is descending lexicographic on exponents, so on
     P^2 at d=1 the basis reads x0, x1, x2.  Empty when any component of d is
-    negative.  Built once per (ambient, d): every twist of a section matrix
-    asks for the same few bases.
+    negative.
     """
-    d = ambient.normalize_degree(d)
+    return indexed_basis(tuple(map(len, ambient.groups)), ambient.normalize_degree(d))[0]
+
+
+@lru_cache(maxsize=None)
+def indexed_basis(sizes: tuple, d: tuple) -> tuple:
+    """(basis, {exponent vector: its position in basis}) of multidegree d on
+    factors with `sizes` coordinates each, in `monomial_basis` order.
+
+    Built once per (sizes, d): every twist of a section matrix asks for the
+    same few bases, and a key of int tuples hashes faster than an Ambient.
+    """
     if any(c < 0 for c in d):
-        return ()
-    per_group = []
-    for names, deg in zip(ambient.groups, d):
-        per_group.append(_exponents_of_degree(len(names), deg))
-    return tuple(tuple(x for part in combo for x in part) for combo in iter_product(*per_group))
+        return (), {}
+    per_group = [_exponents_of_degree(n, deg) for n, deg in zip(sizes, d)]
+    basis = tuple(tuple(x for part in combo for x in part) for combo in iter_product(*per_group))
+    return basis, {e: k for k, e in enumerate(basis)}
 
 
 def _exponents_of_degree(nvars: int, d: int) -> list:

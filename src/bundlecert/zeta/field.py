@@ -10,8 +10,8 @@ of order q - 1: for n >= 2 it packs as p, and 1, ..., p - 1 have order
 dividing p - 1.  Every operation of `Field` is a lookup in a table indexed
 by codes (see its docstring).  Building the tables costs O(q) time and
 memory, so `make_field` refuses q > ZECH_CAP = 2^20; there is no table-free
-arithmetic.  The digit-list helpers below find the modulus and serve the
-table-free brute-force oracle of `count`.
+arithmetic.  The digit-list helpers below find the modulus for n >= 2 and
+serve the table-free brute-force oracle of `count`.
 """
 from __future__ import annotations
 
@@ -83,8 +83,20 @@ def primitive_modulus(p: int, n: int) -> tuple:
     make exactly q - 1 (a reducible f can pass all but h^2 = 1).  Then the
     powers of x are the q - 1 nonzero residues, so F_p[x]/(f) is a field
     generated by x: f is primitive (Lidl and Niederreiter, Finite Fields,
-    3.1).  Most candidates fail at h.
+    3.1).  Most candidates fail at h.  For n = 1, f = x - t and the root is
+    t itself, so the first such f has t = r, the least primitive root mod p:
+    the least r with r^((p-1)/l) != 1 mod p for every prime l | p - 1.
     """
+    if n == 1:
+        exponents = [(p - 1) // ell for ell in prime_divisors(p - 1)]
+        r = next(r for r in range(1, p) if all(pow(r, e, p) != 1 for e in exponents))
+        return (-r % p, 1)
+    return _search_primitive(p, n)
+
+
+def _search_primitive(p: int, n: int) -> tuple:
+    """The search of `primitive_modulus` over every candidate, with powers on
+    digit lists.  At n = 1 and odd p it finds the f that the int powers find."""
     q = p ** n
     odd = [(q - 1) // ell for ell in prime_divisors(q - 1) if ell != 2]
     for high_to_low in iter_product(range(p), repeat=n):

@@ -24,7 +24,10 @@ permutations (vs the fraction-free elimination of `polycore.bareiss_det`),
 and sums of curve-class candidates by a recursive search over multisets
 (vs the table of reachable sums per degree of `k3lat._decomposes`), and the
 Chern data of a twisted sum of line bundles by the closed forms per ambient
-(vs the one rule through the intersection form of `monad.chern_free`).
+(vs the one rule through the intersection form of `monad.chern_free`), and
+section matrices as dense rows, one polynomial product per source basis
+monomial (vs the cached basis indices, skipped empty summands and cells
+written once of `polycore.section_matrix`).
 
 The last section holds helpers only tests use, moved out of `src/` with
 their logic unchanged.
@@ -519,7 +522,7 @@ def quartic_h0(ring: QuarticRing, entries, source_twists, target_twists, k: int)
     for b in tgt_bases:
         row_pos.append({e: nrows + i for i, e in enumerate(b)})
         nrows += len(b)
-    M = ExactMatrix.zero(nrows, ncols)
+    M = zero_matrix(nrows, ncols)
     col = 0
     for j, sb in enumerate(src_bases):
         for mono in sb:
@@ -528,7 +531,7 @@ def quartic_h0(ring: QuarticRing, entries, source_twists, target_twists, k: int)
                      for e, c in ring.reduce((row[j] * mono_poly).terms).items()]
             scale = lcm(*(c.denominator for _, c in cells))  # a column scaling keeps the rank
             for r, c in cells:
-                M.add(r, col, int(c * scale))
+                add_cell(M, r, col, int(c * scale))
             col += 1
     return M.kernel_dim()
 
@@ -596,6 +599,20 @@ def from_rows(rows) -> ExactMatrix:
     return ExactMatrix(len(rows), ncols, entries)
 
 
+def zero_matrix(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix(rows, cols, [{} for _ in range(rows)])
+
+
+def add_cell(M: ExactMatrix, i: int, j: int, value) -> None:
+    """M[i][j] += value, dropping the cell when the sum is zero."""
+    row = M.entries[i]
+    total = row.get(j, 0) + value
+    if total:
+        row[j] = total
+    else:
+        row.pop(j, None)
+
+
 def identity_matrix(n: int) -> ExactMatrix:
     return ExactMatrix(n, n, [{i: 1} for i in range(n)])
 
@@ -603,11 +620,11 @@ def identity_matrix(n: int) -> ExactMatrix:
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    out = ExactMatrix.zero(a.rows, b.cols)
+    out = zero_matrix(a.rows, b.cols)
     for i, row in enumerate(a.entries):
         for k, x in row.items():
             for j, y in b.entries[k].items():
-                out.add(i, j, x * y)
+                add_cell(out, i, j, x * y)
     return out
 
 
@@ -644,6 +661,23 @@ def h0_kernel(m, L):
     if m.kind != KERNEL:
         raise BundleCertError("h0_kernel needs a kernel monad")
     return _kernel_result(m, m.map_b, m.middle, m.target, L, SECTION_KERNEL)
+
+
+def dense_section_matrix(ambient, entries, source_twists, target_twists, L) -> list:
+    """The section matrix as dense rows: one polynomial product per (target
+    summand, source summand, source basis monomial), its coefficients read in
+    `monomial_basis` order; no index, no skipped summand."""
+    src_bases = [monomial_basis(ambient, tuple(a + b for a, b in zip(t, L)))
+                 for t in source_twists]
+    rows = []
+    for i, t in enumerate(target_twists):
+        for e in monomial_basis(ambient, tuple(a + b for a, b in zip(t, L))):
+            row = []
+            for j, basis in enumerate(src_bases):
+                for mono in basis:
+                    row.append((entries[i][j] * monomial(ambient, mono)).terms.get(e, 0))
+            rows.append(row)
+    return rows
 
 
 def ideal_fills_degree(forms, ambient, d) -> bool:

@@ -1,17 +1,32 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from bundlecert import k3lat
 from bundlecert.cohom import (
+    exterior_contraction,
     fiber_h0_vanishes,
     h0_exterior,
     h0_homology,
     h0_monad,
     h_line,
+    h_line_sum,
     tail_vanish,
 )
 from bundlecert.errors import BundleCertError, FiberNotVanishingError, UnsupportedOperationError
-from bundlecert.monad import homology_monad, kernel_monad, restrict_to_fiber
-from bundlecert.polycore import Ambient, RationalPolynomial
-from oracles import h0_kernel, mdeg_leq
+from bundlecert.monad import (
+    KERNEL,
+    homology_monad,
+    kernel_monad,
+    monad_from_document,
+    restrict_to_fiber,
+)
+from bundlecert.polycore import Ambient, RationalPolynomial, section_matrix
+from bundlecert.stability import Polarization, certify
+from oracles import dense_section_matrix, h0_kernel, mdeg_leq
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 P2 = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)
@@ -208,3 +223,46 @@ class TestMonotoneAndSymmetry:
                 a = value(h0_exterior(m, 2, (k, l)))
                 b = value(h0_exterior(m, 2, (l, k)))
                 assert a == b
+
+
+def assert_matches_dense_oracle(ambient, entries, source, target, L):
+    """section_matrix cell by cell against the dense products, and its shape
+    against Bott: a skipped source summand must be one with no sections."""
+    M = section_matrix(ambient, entries, source, target, L)
+    rows = dense_section_matrix(ambient, entries, source, target, L)
+    assert M.entries == [{j: c for j, c in enumerate(row) if c} for row in rows]
+    assert M.rows == h_line_sum(ambient, target, L, 0)
+    assert M.cols == h_line_sum(ambient, source, L, 0)
+
+
+class TestSectionMatricesAgainstTheDenseOracle:
+    def test_every_twist_of_the_certify_bands(self):
+        empty_sources = 0
+        for name in ("e_rank2", "euler", "k_rank3", "k_rank3_n2", "ks2"):
+            m = monad_from_document(json.loads((INPUTS / f"{name}.monad").read_text()))
+            cert = certify(m, Polarization(m.ambient, (1,) * m.ambient.arity))
+            assert cert["verdict"] == "Stable" and cert["core_checks"]
+            for check in cert["core_checks"]:
+                s, L = check["s"], tuple(check["twist"])
+                matrices = [(m.map_b, m.middle, m.target)]
+                if m.kind == KERNEL:
+                    matrices.append(exterior_contraction(m, s))
+                for entries, source, target in matrices:
+                    assert_matches_dense_oracle(m.ambient, entries, source, target, L)
+                    empty_sources += sum(h_line(m.ambient, [a + b for a, b in zip(t, L)], 0) == 0
+                                         for t in source)
+        assert empty_sources > 0  # the skip is reached
+
+    def test_the_quartic_rows(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return section_matrix(*args)
+
+        monkeypatch.setattr(k3lat, "section_matrix", spy)
+        doc = json.loads((INPUTS / "quartic.json").read_text())
+        assert k3lat.quartic_region_run(doc["surface"], doc["map"])["verdict"] == "Stable"
+        assert calls
+        for args in calls:
+            assert_matches_dense_oracle(*args)

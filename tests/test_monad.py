@@ -308,6 +308,17 @@ class TestStructure:
         with pytest.raises(BundleCertError, match=r"map_b\[0\]\[1\] is not on the monad's ambient"):
             kernel_monad(PP, [(-1, -1)] * 2, [(0, 0)], entries)
 
+    def test_hashed_once_and_consistent_with_equality(self, monkeypatch):
+        # the caches keyed by a monad hash it per call; its map polynomials
+        # are hashed once, when it is built
+        m, twin = e_rank2(), e_rank2()
+        assert m is not twin and m == twin and hash(m) == hash(twin)
+        hashed = []
+        monkeypatch.setattr(RationalPolynomial, "__hash__", lambda p: hashed.append(p) or 0)
+        assert hash(m) == hash(twin) and not hashed
+        restrict_to_fiber.cache_clear()
+        assert restrict_to_fiber(m, 1, (0, 1)) is restrict_to_fiber(twin, 1, (0, 1))
+
 
 def chern(rank, c1, c2):
     return {"rank": rank, "c1": list(c1), "c2": c2}

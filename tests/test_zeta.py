@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bundlecert import zeta
 from bundlecert.errors import BundleCertError
-from bundlecert.polycore import Ambient, parse_poly
+from bundlecert.polycore import Ambient, RationalPolynomial, parse_poly
 from bundlecert.zeta import (
     count_points,
     count_points_bruteforce,
@@ -70,6 +70,21 @@ def other_ruling(name):
     return parse_poly(FORMS[name].translate(str.maketrans("xy", "yx")), PP)
 
 
+def seeded_form(seed, swap=False):
+    """A (4,4) form with one coefficient drawn from {0, 1, 2} per monomial
+    (random.Random(seed)); with swap, the same form with (x0, x1) and
+    (y0, y1) exchanged."""
+    rng = random.Random(seed)
+    terms = {}
+    for i in range(5):
+        for j in range(5):
+            c = rng.randrange(3)
+            x, y = (4 - i, i), (4 - j, j)
+            if c:
+                terms[(*y, *x) if swap else (*x, *y)] = c
+    return RationalPolynomial(PP, terms)
+
+
 class TestCounts:
     @pytest.mark.parametrize("name", sorted(FORMS))
     @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
@@ -93,6 +108,11 @@ class TestCounts:
     def test_the_other_ruling_gives_the_same_count(self, name, n):
         # other fibers, orbits, routes and Jacobians, on the same field tables
         assert count_points(other_ruling(name), 3, n) == count_points(form(name), 3, n)
+
+    @pytest.mark.parametrize("seed,n", [(seed, n) for seed in (1, 2, 3) for n in range(1, 9)])
+    def test_seeded_forms_count_the_same_over_both_rulings(self, seed, n):
+        swapped = count_points(seeded_form(seed, swap=True), 3, n)
+        assert swapped == count_points(seeded_form(seed), 3, n)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
     def test_bruteforce_builds_no_field(self, monkeypatch, p, n):
@@ -429,6 +449,13 @@ class TestPrimitiveModulus:
     def test_a_prime_field_is_built_on_its_least_primitive_root(self, p):
         root = next(r for r in range(1, p) if len({pow(r, k, p) for k in range(p - 1)}) == p - 1)
         assert primitive_modulus(p, 1) == (p - root, 1)
+
+    def test_prime_fields_match_the_digit_list_search(self):
+        # int powers at n = 1 against the candidate search they replace
+        primes = [p for p in range(3, 3100) if is_prime(p)]
+        assert len(primes) == 441
+        assert [p for p in primes
+                if primitive_modulus(p, 1) != field_module._search_primitive(p, 1)] == []
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_characteristic_2_is_refused(self, n):
