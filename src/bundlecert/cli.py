@@ -15,8 +15,8 @@ verify print to stdout only.  quartic-run certifies ker(O(-1)^3 -> O) on a
 quartic X = Z(f) in P3 and refuses a document with other twists.
 
 picard-bound makes 9 counts over F_{p^n}, n = 1..9, and at most one at
-n = 10, so it needs p^10 <= 2^20 (p = 3).  Its document, like a stability or
-quartic certificate, records the inputs `verify` re-runs it from.
+n = 10, so it needs p^10 <= 2^20 (p = 3).  Its document records the inputs
+`verify` re-runs it from; the re-run counts over the other ruling's fibers.
 
 Exit codes: 0 success, 1 input/usage errors, 2 Inconclusive or Unknown
 verdicts.
@@ -31,7 +31,7 @@ from . import k3lat
 from .cohom import h0_monad
 from .errors import BundleCertError
 from .monad import Document, chern_monad, is_int, is_list_of, monad_from_document
-from .polycore import Ambient, parse_poly
+from .polycore import Ambient, RationalPolynomial, parse_poly
 from .stability import (
     CertifyOptions,
     Polarization,
@@ -78,12 +78,16 @@ def _surface_text(doc) -> str:
     return doc["polynomial"]
 
 
-def _picard_bound_document(polynomial: str, p: int) -> dict:
-    """run_picard_bound on the branch form, with the inputs its replay reads."""
+def _picard_bound_document(polynomial: str, p: int, other_ruling: bool = False) -> dict:
+    """run_picard_bound on the branch form, with the inputs its replay reads;
+    other_ruling swaps (x0, x1) with (y0, y1): the same surface, other fibers."""
     from .zeta import HALF, check_field, run_picard_bound
 
     check_field(p, HALF)  # before the first count: the last one may be over F_{p^HALF}
-    doc = run_picard_bound(parse_poly(polynomial, SURFACE_AMBIENT), p)
+    f = parse_poly(polynomial, SURFACE_AMBIENT)
+    if other_ruling:
+        f = RationalPolynomial(SURFACE_AMBIENT, {(*e[2:], *e[:2]): c for e, c in f.terms.items()})
+    doc = run_picard_bound(f, p)
     doc["input"] = {"polynomial": polynomial, "prime": p}
     return doc
 
@@ -240,7 +244,8 @@ def cmd_verify(args) -> int:
         polynomial = _surface_text(inp)
         if not is_int(inp.get("prime")):
             raise BundleCertError("'input.prime' of a picard-bound document must be an integer")
-        problems = document_mismatches(_picard_bound_document(polynomial, inp["prime"]), doc)
+        rerun = _picard_bound_document(polynomial, inp["prime"], other_ruling=True)
+        problems = document_mismatches(rerun, doc)
     else:
         sys.stdout.write(f"unknown certificate schema {schema!r}\n")
         return EXIT_ERROR

@@ -21,10 +21,14 @@ k_alg = 0 or 4, h is odd; with an odd k_alg there is no single middle slot.
 
 Every trace must pass the Weil bound |t_i| <= 22 p^i before a profile
 exists.  Every completed candidate must pass an exact all-roots-on-|z| = p
-test (self-inversive reduction u = S + 1/S, squarefree part, Sturm count on
-[-2, 2]).  The whole layer runs in Z[T]: R(S) = Q(pS)/p^d is scaled by p^d,
-every cyclotomic is monic, and the gcd and the Sturm chain are primitive
-pseudo-remainder sequences, so no step needs a rational or a float.  The
+test: u = S + 1/S reduces it to G(u) having every root real in [-2, 2].  Two
+integer refusals come first, each a necessary condition: no sign change in
+G(u + 2) and alternation in G(u - 2) (Budan-Fourier), and Newton's
+inequalities for G, G(u + 2), G(u - 2) (Hardy, Littlewood and Polya,
+Inequalities, 2.22).  One Sturm chain of G, roots at ±2 divided out, decides
+the rest.  The whole layer runs in Z[T]: R(S) = Q(pS)/p^d is scaled by p^d,
+every cyclotomic is monic, and the Sturm chain is a primitive
+pseudo-remainder sequence, so no step needs a rational or a float.  The
 rank bound adds to K_ALG the maximum number of roots of the form
 p * (root of unity) over surviving candidates, counted by trial division of
 Q(pT) by cyclotomic polynomials.  For the underdetermined plus-sign family,
@@ -201,35 +205,29 @@ def complete_with_functional_equation(e_known, p: int, sign: int):
 
 # --- exact all-roots-on-the-circle test ------------------------------------------
 
-def _sturm_count(poly, a: int, b: int) -> int:
-    """Number of distinct real roots in (a, b] for a squarefree integer poly."""
-    chain = [poly]
-    deriv = [i * c for i, c in enumerate(poly)][1:]
-    if any(deriv):
-        chain.append(deriv)
-        while len(chain[-1]) > 1:
-            r = primitive_remainder(chain[-2], chain[-1])
-            if not any(r):
-                break
-            chain.append([-c for c in r])
-
-    def sign_changes(x):
-        signs = [v > 0 for v in (_value(q, x) for q in chain) if v]
-        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-
-    return sign_changes(a) - sign_changes(b)
+def _refused(G) -> bool:
+    """Whether G fails one of the necessary conditions of `all_roots_on_circle`."""
+    n, lead = len(G) - 1, G[-1]
+    plus, minus = list(G), list(G)  # Taylor shifts to G(u + 2), G(u - 2)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            plus[j] += 2 * plus[j + 1]
+            minus[j] -= 2 * minus[j + 1]
+    return (any(c * lead < 0 for c in plus)
+            or any(c * lead * (-1) ** (n - k) < 0 for k, c in enumerate(minus))
+            or any(a[k] * a[k] * k * (n - k) < a[k - 1] * a[k + 1] * (k + 1) * (n - k + 1)
+                   for a in (G, plus, minus) for k in range(1, n)))
 
 
-def _squarefree_part(poly):
-    """poly / gcd(poly, poly'), both in Z[T]."""
-    a, b = poly, [i * c for i, c in enumerate(poly)][1:]
-    while any(b) and len(b) > 1:
-        a, b = b, primitive_remainder(a, b)
-    if any(b) or len(a) == 1:  # the gcd is a constant: squarefree already
-        return poly
-    content = gcd(*a)
-    # a / content is primitive, so the quotient is integral (Gauss's lemma)
-    return poly_divmod_exact(poly, [c // content for c in a])[0]
+def _sturm_chain(poly) -> list:
+    """poly, poly', then minus each primitive remainder until one vanishes."""
+    chain = [poly, [i * c for i, c in enumerate(poly)][1:]]
+    while len(chain[-1]) > 1:
+        r = primitive_remainder(chain[-2], chain[-1])
+        if not any(r):
+            break
+        chain.append([-c for c in r])
+    return chain
 
 
 def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
@@ -239,8 +237,14 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
     with the given sign; for sign -1 the forced roots S = ±1 are divided out.
     The remainder satisfies S^e R(1/S) = R(S), hence S^{-e/2} R(S) = G(u) with
     u = S + 1/S; all roots of R lie on |S| = 1 iff all roots of G are real in
-    [-2, 2], decided by a Sturm count on the squarefree part.  Everything is
-    scaled by p^d, which moves no root.
+    [-2, 2].  Two necessary conditions refuse first: G(u + 2) has no sign
+    change and G(u - 2) alternates weakly (Budan-Fourier: with every root real,
+    the sign changes of G(u + a) count the roots above a), and G, G(u + 2) and
+    G(u - 2), real-rooted, satisfy Newton's inequalities (Hardy, Littlewood and
+    Polya, Inequalities, 2.22).  Then, with the roots at ±2 divided out, one
+    Sturm chain G, G', -prem, ... ends in gcd(G, G'); Sturm's theorem holds for
+    a non-squarefree G too, so every root is in (-2, 2) iff V(-2) - V(2) =
+    deg G - deg gcd.  Everything is scaled by p^d, which moves no root.
     """
     r = [c * p ** j for j, c in enumerate(coeffs)]  # p^d R(S), ascending
     # the divisors are monic, so the quotients are integral
@@ -276,16 +280,17 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
         G.pop()
     if len(G) == 1:
         return not any(G) or h == 0
-    # count roots in [-2, 2]: handle endpoints exactly, then Sturm on the rest
-    sq = _squarefree_part(G)
-    total_needed = len(sq) - 1
-    found = 0
-    for endpoint in (-2, 2):
-        if _value(sq, endpoint) == 0:
-            sq = poly_divmod_exact(sq, [-endpoint, 1])[0]
-            found += 1
-    found += _sturm_count(sq, -2, 2)
-    return found == total_needed
+    if _refused(G):
+        return False
+    for root in (2, -2):
+        while _value(G, root) == 0:
+            G = poly_divmod_exact(G, [-root, 1])[0]
+    if len(G) == 1:
+        return True
+    chain = _sturm_chain(G)
+    signs = [[v > 0 for v in (_value(q, x) for q in chain) if v] for x in (-2, 2)]
+    V = [sum(a != b for a, b in zip(s, s[1:])) for s in signs]
+    return V[0] - V[1] == len(G) - len(chain[-1])
 
 
 # --- cyclotomic root counting ------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 
 from bundlecert import cli, cohom, k3lat, monad, zeta
 from bundlecert.polycore import parse_poly, section_matrix
+from bundlecert.stability import document_mismatches
+from bundlecert.zeta import count
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -789,10 +791,20 @@ def test_picard_bound_stops_at_the_first_bad_trace(capsys, tmp_path):
     assert last == "error: trace t_3 = 783 violates the Weil bound 22*3^3"
 
 
+def other_ruling(text):
+    """The form with (x0, x1) and (y0, y1) swapped: the same surface, with the
+    same counts, over the other ruling's fibers."""
+    return text.translate(str.maketrans("xy", "yx"))
+
+
 @pytest.fixture
 def b44_bound(capsys, tmp_path, monkeypatch):
-    """picard-bound on b44 at p = 3, with the counts read from COUNTS_AT_3."""
-    table = {parse_poly(text, cli.SURFACE_AMBIENT): counts for text, counts in COUNTS_AT_3.items()}
+    """picard-bound on b44 at p = 3, with the counts read from COUNTS_AT_3 for
+    either ruling."""
+    table = {
+        parse_poly(form, cli.SURFACE_AMBIENT): counts
+        for text, counts in COUNTS_AT_3.items() for form in (text, other_ruling(text))
+    }
     monkeypatch.setattr(zeta, "count_points", lambda f, p, n: table[f][n - 1])
     return certificate(capsys, tmp_path, "picard-bound", "--surface", INPUTS / "b44.poly",
                        "--prime", 3)
@@ -832,3 +844,31 @@ def test_verify_fails_an_edited_picard_bound(capsys, tmp_path, b44_bound, edit):
     assert code == cli.EXIT_ERROR
     assert out.startswith("verification FAILED")
     assert all(f"\n{field}: " in out for field in fields)
+
+
+def flipped_sign_jacobians():
+    """count._jacobians with bd + 4ae in place of bd - 4ae: a smooth fiber gets
+    the Jacobian of another curve, so only counts through the Jacobian route
+    move (n >= 7 for b44 at p = 3)."""
+    source = inspect.getsource(count._jacobians)
+    assert source.count("F.mul(m4 + a, e)") == 1
+    namespace = dict(vars(count))
+    exec(source.replace("F.mul(m4 + a, e)", "F.mul(F.const(4) + a, e)"), namespace)
+    return namespace["_jacobians"]
+
+
+def test_verify_counts_over_the_other_ruling(capsys, tmp_path, monkeypatch):
+    """A fault that depends on the fiber survives a re-run over the same ruling,
+    but not one over the other ruling's fibers."""
+    monkeypatch.setattr(count, "_jacobians", flipped_sign_jacobians())
+    doc = certificate(capsys, tmp_path, "picard-bound", "--surface", INPUTS / "b44.poly",
+                      "--prime", 3)
+    # the document exists, so every moved count passed its Weil audit
+    moved = [n for n, (a, b) in enumerate(zip(doc["counts"], COUNTS_AT_3[B44]), 1) if a != b]
+    assert moved and min(moved) >= 5
+    assert document_mismatches(cli._picard_bound_document(B44, 3), doc) == []
+    # over the other ruling the faulty counts are not even the power sums of
+    # an integer polynomial
+    code, out, err = verify_document(capsys, tmp_path, doc)
+    assert code == cli.EXIT_ERROR and out == ""
+    assert err.splitlines()[-1].startswith("error: Newton identities give non-integral")

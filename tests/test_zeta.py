@@ -3,12 +3,13 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bundlecert import zeta
@@ -25,8 +26,8 @@ from bundlecert.zeta import (
 )
 from bundlecert.zeta.charpoly import (
     WITNESS_FLOOR,
-    _squarefree_part,
-    _sturm_count,
+    _refused,
+    _sturm_chain,
     _value,
     all_roots_on_circle,
     cyclotomic_witness,
@@ -658,35 +659,48 @@ class TestRoundTrip:
 
 # --- the integer circle test against the rational oracle and sympy -------------------
 
+# (c, d) with c^2 < 4d: u^2 - cu + d has complex roots
+COMPLEX_G_FACTORS = [(1, 3), (0, 1), (2, 2), (-1, 1), (3, 3)]
+
+
+def complex_quartic(c, d, p):
+    """T^4 - c p T^3 + (d + 2) p^2 T^2 - c p^3 T + p^4, ascending: its G-factor
+    is u^2 - cu + d, with complex roots when c^2 < 4d."""
+    return [p**4, -c * p**3, (d + 2) * p * p, -c * p, 1]
+
+
 def weil_inputs():
     """(kind, p, sign, coeffs, on_circle, unit_roots) for seeded products of
     T^2 - aT + p^2, times T^2 - p^2 for sign -1 and T + p for odd degree.
 
-    Kinds: generic a in (-2p, 2p); repeated (a from three values: the
-    squarefree path); endpoint (a = 2p and a = -2p: roots of G at u = +-2);
-    off (one |a| > 2p: real roots off the circle).
+    Kinds: generic a in (-2p, 2p); repeated (a from three values: roots of G
+    of higher multiplicity); endpoint (a = 2p and a = -2p: roots of G at
+    u = +-2); off (one |a| > 2p: real roots off the circle); complex (a
+    generic product times `complex_quartic`: two complex roots of G, drawn
+    after the other kinds so that their inputs stay as they were).
     """
     rng = random.Random(20261018)
     out = []
-    for p in (3, 5, 7):
+    kinds = [(p, kind) for p in (3, 5, 7) for kind in ("generic", "repeated", "endpoint", "off")]
+    for p, kind in kinds + [(p, "complex") for p in (3, 5, 7)]:
         special = (0, p, -p, 2 * p, -2 * p)
         inner = range(-2 * p + 1, 2 * p)
-        for kind in ("generic", "repeated", "endpoint", "off"):
-            for sign in (1, -1):
-                for odd in (False, True):
-                    extra = [[-p * p, 0, 1]] * (sign < 0) + [[p, 1]] * odd
-                    n_quads = (20 - sum(len(f) - 1 for f in extra)) // 2
-                    pool = rng.sample(inner, 3) if kind == "repeated" else inner
-                    a = [rng.choice(pool) for _ in range(n_quads)]
-                    if kind == "endpoint":
-                        a[:2] = [2 * p, -2 * p]
-                    if kind == "off":
-                        a[0] = rng.choice([-1, 1]) * (2 * p + rng.randint(1, 3))
-                    Q = [1]
-                    for f in extra + [quad(x, p) for x in a]:
-                        Q = poly_mul(Q, f)
-                    units = 2 * (sign < 0) + odd + 2 * sum(x in special for x in a)
-                    out.append((kind, p, sign, Q, kind != "off", units))
+        for sign, odd in product((1, -1), (False, True)):
+            extra = [[-p * p, 0, 1]] * (sign < 0) + [[p, 1]] * odd
+            if kind == "complex":
+                extra.append(complex_quartic(*rng.choice(COMPLEX_G_FACTORS), p))
+            n_quads = (20 - sum(len(f) - 1 for f in extra)) // 2
+            pool = rng.sample(inner, 3) if kind == "repeated" else inner
+            a = [rng.choice(pool) for _ in range(n_quads)]
+            if kind == "endpoint":
+                a[:2] = [2 * p, -2 * p]
+            if kind == "off":
+                a[0] = rng.choice([-1, 1]) * (2 * p + rng.randint(1, 3))
+            Q = [1]
+            for f in extra + [quad(x, p) for x in a]:
+                Q = poly_mul(Q, f)
+            units = 2 * (sign < 0) + odd + 2 * sum(x in special for x in a)
+            out.append((kind, p, sign, Q, kind not in ("off", "complex"), units))
     return out
 
 
@@ -744,17 +758,40 @@ class TestCircleOracle:
 
     @pytest.mark.parametrize("kind,p,sign,Q,on_circle,units", WEIL_INPUTS)
     def test_squarefree_part_and_sturm_count_match_sympy(self, kind, p, sign, Q, on_circle, units):
-        G = chebyshev_reduction(Q, p, sign)
+        """On G with its roots at +-2 divided out, the one chain ends in
+        gcd(G, G'), G / gcd is the squarefree part, and V(-2) - V(2) counts
+        the distinct roots in (-2, 2)."""
+        sympy = pytest.importorskip("sympy")
+        G0 = chebyshev_reduction(Q, p, sign)
+        u = G0.gen
+        G = G0
+        for root in (2, -2):
+            while G.eval(root) == 0:
+                G = G.exquo(sympy.Poly(u - root, u))
         g = ascending(G)
-        sq = _squarefree_part(g)
+        chain = _sturm_chain(g)
+        assert ratio(chain[-1], ascending(sympy.gcd(G, G.diff(u)))) is not None
+        sq, rem = oracles.poly_divmod(g, chain[-1])
+        assert not any(rem)
         assert ratio(sq, ascending(G.sqf_part())) is not None
         assert ratio(sq, oracles._squarefree_part(g)) is not None
         if kind == "repeated":
-            assert len(sq) < len(g)
-        # roots in (-2, 2]: count_roots counts the closed interval
-        at_minus_two = G.sqf_part().eval(-2) == 0
-        assert _sturm_count(sq, -2, 2) == G.sqf_part().count_roots(-2, 2) - at_minus_two
-        assert _sturm_count(sq, -2, 2) == oracles._sturm_count(sq, Fraction(-2), Fraction(2))
+            assert len(chain[-1]) > 1
+
+        def changes(x):
+            signs = [v > 0 for v in (sympy_poly(q, u).eval(x) for q in chain) if v]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        at_ends = (G0.eval(-2) == 0) + (G0.eval(2) == 0)
+        assert changes(-2) - changes(2) == G0.sqf_part().count_roots(-2, 2) - at_ends
+        assert changes(-2) - changes(2) == oracles._sturm_count(sq, Fraction(-2), Fraction(2))
+
+    def test_the_chain_decides_some_complex_cases(self):
+        """Some G with two complex roots pass both refusals."""
+        pytest.importorskip("sympy")
+        refused = [_refused(ascending(chebyshev_reduction(Q, p, sign)))
+                   for kind, p, sign, Q, _, _ in WEIL_INPUTS if kind == "complex"]
+        assert refused and not all(refused)
 
     @pytest.mark.parametrize("kind,p,sign,Q,on_circle,units", WEIL_INPUTS)
     def test_unit_root_count_matches_sympy(self, kind, p, sign, Q, on_circle, units):
@@ -790,6 +827,85 @@ class TestCircleOracle:
             coeffs = [rng.randint(-5, 5) for _ in range(20)] + [1]
             coeffs[10] = 0
             assert family_completions(coeffs, p) == oracles.family_completions(coeffs, p)
+
+
+# --- the refusals: necessary conditions for every root of G in [-2, 2] -------------
+
+def from_u(G):
+    """r(S) = S^h G(S + 1/S), ascending, for G of degree h."""
+    h = len(G) - 1
+    r = [0] * (2 * h + 1)
+    for m, c in enumerate(G):
+        for i in range(m + 1):
+            r[h + m - 2 * i] += c * math.comb(m, i)
+    return r
+
+
+def to_u(r):
+    """G with S^h G(S + 1/S) = r(S), for a palindromic r of degree 2h: peel
+    c (S + 1/S)^m off the top."""
+    r, h = list(r), (len(r) - 1) // 2
+    G = [0] * (h + 1)
+    for m in range(h, -1, -1):
+        G[m] = c = r[h + m]
+        for i in range(m + 1):
+            r[h + m - 2 * i] -= c * math.comb(m, i)
+    assert not any(r)
+    return G
+
+
+def weil_from_u(G, p):
+    """Q(T) = p^(2h) r(T/p): a monic Weil polynomial of sign +1 whose roots
+    lie on |T| = p iff those of G are real in [-2, 2]."""
+    r = from_u(G)
+    return [c * p ** (len(r) - 1 - j) for j, c in enumerate(r)]
+
+
+# psi_k, the minimal polynomial of 2 cos(2 pi / k), for phi(k) <= 8: u - 2,
+# u + 2, u + 1, u, u - 1 (k = 1, 2, 3, 4, 6) and every 2 cos(2 pi j / k) beyond
+IN_INTERVAL = [[-2, 1], [2, 1]] + [to_u(cyclotomic(k)) for k in range(3, 31) if euler_phi(k) <= 8]
+# factors of G with a root off [-2, 2]: real outside it, or complex
+OFF_INTERVAL = [[-3, 1], [3, 1], [-5, 0, 1], [1, -3, 1], [1, 0, 1], [3, -1, 1], [1, 1, 1]]
+FACTORS = st.sampled_from(IN_INTERVAL)
+
+
+class TestRefusals:
+    def test_the_factors_reduce_the_cyclotomics(self):
+        linear = sorted(f for f in IN_INTERVAL if len(f) == 2)
+        assert linear == sorted([-a, 1] for a in range(-2, 3))
+        for k in range(3, 31):
+            if euler_phi(k) <= 8:
+                assert from_u(to_u(cyclotomic(k))) == list(cyclotomic(k))
+
+    @given(st.one_of(
+        st.lists(FACTORS, min_size=1, max_size=6),
+        st.tuples(FACTORS, st.integers(1, 10)).map(lambda fm: [fm[0]] * fm[1]),
+    ), st.sampled_from([3, 5, 7]))
+    @example([[-2, 1]] * 10, 3)
+    @example([[0, 1]] * 3, 5)
+    @example([[1, 1]] * 2, 7)
+    @settings(max_examples=150, deadline=None)
+    def test_never_refuse_a_g_with_every_root_in_the_interval(self, factors, p):
+        """Products of (u - a), a in {-2, ..., 2}, and of psi_k, repeats allowed;
+        pure powers (u - a)^m meet Newton's inequalities with equality."""
+        G = reduce(poly_mul, factors, [1])
+        assert not _refused(G)
+        assert all_roots_on_circle(weil_from_u(G, p), p, 1)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_oracle_on_seeded_mixtures(self, seed):
+        """Both signs: sign -1 multiplies Q by T^2 - p^2."""
+        rng = random.Random(seed)
+        p = rng.choice([3, 5, 7])
+        factors, degree = [], rng.randint(1, 9)
+        while sum(len(f) - 1 for f in factors) < degree:
+            factors.append(rng.choice(OFF_INTERVAL if rng.random() < 0.2 else IN_INTERVAL))
+        Q = weil_from_u(reduce(poly_mul, factors, [1]), p)
+        on_circle = not any(f in OFF_INTERVAL for f in factors)
+        for sign, q in ((1, Q), (-1, poly_mul(Q, [-p * p, 0, 1]))):
+            assert all_roots_on_circle(q, p, sign) == on_circle
+            assert oracles.all_roots_on_circle(q, p, sign) == on_circle
 
 
 # --- the witness filter: a residue mod ell rules a cyclotomic out --------------------
