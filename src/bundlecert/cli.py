@@ -78,18 +78,19 @@ def _surface_text(doc) -> str:
     return doc["polynomial"]
 
 
-def _picard_bound_document(polynomial: str, p: int, other_ruling: bool = False) -> dict:
-    """run_picard_bound on the branch form, with the inputs its replay reads;
+def _branch_form(polynomial: str, p: int, other_ruling: bool = False) -> RationalPolynomial:
+    """The branch form of picard-bound, with every input check made before
+    the first count: F_{p^HALF} can be built (the last count may be over it),
+    and the form is a nonzero (4,4) form that does not vanish mod p.
     other_ruling swaps (x0, x1) with (y0, y1): the same surface, other fibers."""
-    from .zeta import HALF, check_field, run_picard_bound
+    from .zeta import HALF, check_field, curve_coefficients
 
-    check_field(p, HALF)  # before the first count: the last one may be over F_{p^HALF}
+    check_field(p, HALF)
     f = parse_poly(polynomial, SURFACE_AMBIENT)
     if other_ruling:
         f = RationalPolynomial(SURFACE_AMBIENT, {(*e[2:], *e[:2]): c for e, c in f.terms.items()})
-    doc = run_picard_bound(f, p)
-    doc["input"] = {"polynomial": polynomial, "prime": p}
-    return doc
+    curve_coefficients(f, p)
+    return f
 
 
 def cmd_certify(args) -> int:
@@ -222,8 +223,11 @@ def cmd_count_points(args) -> int:
 
 
 def cmd_picard_bound(args) -> int:
+    from .zeta import run_picard_bound
+
     polynomial = _surface_text(_load_json(args.surface))
-    result = _picard_bound_document(polynomial, args.prime)
+    result = run_picard_bound(_branch_form(polynomial, args.prime), args.prime)
+    result["input"] = {"polynomial": polynomial, "prime": args.prime}
     _emit(Document(result).to_json(), args.out)
     return EXIT_OK
 
@@ -238,14 +242,23 @@ def cmd_verify(args) -> int:
     elif schema.startswith("quartic-certificate"):
         if not isinstance(doc.get("surface"), str):
             raise BundleCertError("a quartic certificate needs the surface as a string")
+        # every error of this re-run is about the surface it parses: an input error
         problems = document_mismatches(k3lat.quartic_region_run(doc["surface"]), doc)
     elif schema.startswith("picard-bound-profile"):
         inp = doc.get("input")
         polynomial = _surface_text(inp)
         if not is_int(inp.get("prime")):
             raise BundleCertError("'input.prime' of a picard-bound document must be an integer")
-        rerun = _picard_bound_document(polynomial, inp["prime"], other_ruling=True)
-        problems = document_mismatches(rerun, doc)
+        from .zeta import run_picard_bound
+
+        p = inp["prime"]
+        f = _branch_form(polynomial, p, other_ruling=True)
+        try:  # the inputs are well formed: a re-run that fails refutes the document
+            rerun = {**run_picard_bound(f, p), "input": {"polynomial": polynomial, "prime": p}}
+        except BundleCertError as e:
+            problems = [f"re-run: {e}"]
+        else:
+            problems = document_mismatches(rerun, doc)
     else:
         sys.stdout.write(f"unknown certificate schema {schema!r}\n")
         return EXIT_ERROR

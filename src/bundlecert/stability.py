@@ -253,7 +253,12 @@ def _read_inputs(doc) -> tuple:
 def document_mismatches(replayed: dict, doc: dict) -> list:
     """One line per top-level field where `doc` differs from the document a
     re-run produced (after a JSON round trip); a list field also names the
-    first entry that differs.  Empty when the two are equal."""
+    first entry that differs.  Empty when the two are equal.
+
+    A re-run holds JSON values only (lists, never tuples), so the round trip
+    is the identity on it, and `replayed == doc` means nothing differs."""
+    if replayed == doc:
+        return []
     replayed = json.loads(json.dumps(replayed))
     problems = []
     for key in sorted(set(replayed) | set(doc)):

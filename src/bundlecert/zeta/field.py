@@ -2,16 +2,23 @@
 
 The modulus is the first primitive polynomial of degree n over F_p in the
 order of `primitive_modulus`, so x generates the multiplicative group, and
-for n = 1 it is x - r with r the least primitive root mod p.  An element is
-named by the integer packing its base-p digits; that name only indexes
-`Field.log`, which maps it to the element's code: its discrete log to x for
-a nonzero element, 3(q - 1) for zero.  x is also the smallest packed element
-of order q - 1: for n >= 2 it packs as p, and 1, ..., p - 1 have order
-dividing p - 1.  Every operation of `Field` is a lookup in a table indexed
-by codes (see its docstring).  Building the tables costs O(q) time and
-memory, so `make_field` refuses q > ZECH_CAP = 2^20; there is no table-free
-arithmetic.  The digit-list helpers below find the modulus for n >= 2 and
-serve the table-free brute-force oracle of `count`.
+for n = 1 it is x - r with r the least primitive root mod p.  The search
+runs the power tests on digit lists only for a candidate f that passes two
+exact necessary conditions: (-1)^n f(0), the norm of its root, is a
+primitive root mod p (Lidl and Niederreiter, Finite Fields, 3.18), and for
+n >= 2, f(1) != 0 and f(-1) != 0, since a primitive f is irreducible.
+Every candidate skipped would fail the power tests, so the modulus is the
+one the full search finds.
+
+An element is named by the integer packing its base-p digits; that name
+only indexes `Field.log`, which maps it to the element's code: its discrete
+log to x for a nonzero element, 3(q - 1) for zero.  x is also the smallest
+packed element of order q - 1: for n >= 2 it packs as p, and 1, ..., p - 1
+have order dividing p - 1.  Every operation of `Field` is a lookup in a
+table indexed by codes (see its docstring).  Building the tables costs O(q)
+time and memory, so `make_field` refuses q > ZECH_CAP = 2^20; there is no
+table-free arithmetic.  The digit-list helpers below find the modulus for
+n >= 2 and serve the table-free brute-force oracle of `count`.
 """
 from __future__ import annotations
 
@@ -83,24 +90,49 @@ def primitive_modulus(p: int, n: int) -> tuple:
     make exactly q - 1 (a reducible f can pass all but h^2 = 1).  Then the
     powers of x are the q - 1 nonzero residues, so F_p[x]/(f) is a field
     generated by x: f is primitive (Lidl and Niederreiter, Finite Fields,
-    3.1).  Most candidates fail at h.  For n = 1, f = x - t and the root is
-    t itself, so the first such f has t = r, the least primitive root mod p:
-    the least r with r^((p-1)/l) != 1 mod p for every prime l | p - 1.
+    3.1).  Two necessary conditions skip most candidates before any power
+    of x: (-1)^n f(0) = (-1)^(n+1) t is the norm x^((q-1)/(p-1)) of x, so
+    it has order p - 1 when x has order q - 1: it is a primitive root mod p
+    (ibid., 3.18); and for n >= 2 a primitive f is irreducible, so
+    f(1) != 0 and f(-1) != 0.  For n = 1, f = x - t and the root is t
+    itself, so the first such f has t = r, the least primitive root mod p.
     """
     if n == 1:
-        exponents = [(p - 1) // ell for ell in prime_divisors(p - 1)]
-        r = next(r for r in range(1, p) if all(pow(r, e, p) != 1 for e in exponents))
-        return (-r % p, 1)
+        return (-next(_primitive_roots(p)) % p, 1)
     return _search_primitive(p, n)
 
 
+def _primitive_roots(p: int):
+    """The primitive roots mod p in increasing order, lazily: the c with
+    c^((p-1)/l) != 1 mod p for every prime l | p - 1."""
+    exponents = [(p - 1) // ell for ell in prime_divisors(p - 1)]
+    return (c for c in range(1, p) if all(pow(c, e, p) != 1 for e in exponents))
+
+
+def _candidates(p: int, n: int):
+    """The candidates of `primitive_modulus` in its order, as ascending lists,
+    less every f whose norm (-1)^(n+1) t is not a primitive root mod p and,
+    for n >= 2, every f with f(1) = 0 or f(-1) = 0."""
+    sign = (-1) ** (n + 1)
+    norms = sorted(sign * r % p for r in _primitive_roots(p))  # the t that pass
+    for high in iter_product(range(p), repeat=n - 1):  # (c_{n-1}, ..., c_1)
+        low = high[::-1]
+        # f(1) = 0 iff t = 1 + sum c_k, and f(-1) = 0 iff t = (-1)^n + sum (-1)^k c_k
+        at_units = () if n == 1 else (
+            (1 + sum(low)) % p,
+            ((-1) ** n + sum(low[1::2]) - sum(low[::2])) % p,
+        )
+        for t in norms:
+            if t not in at_units:
+                yield [-t % p, *low, 1]
+
+
 def _search_primitive(p: int, n: int) -> tuple:
-    """The search of `primitive_modulus` over every candidate, with powers on
+    """The search of `primitive_modulus` over `_candidates`, with powers on
     digit lists.  At n = 1 and odd p it finds the f that the int powers find."""
     q = p ** n
     odd = [(q - 1) // ell for ell in prime_divisors(q - 1) if ell != 2]
-    for high_to_low in iter_product(range(p), repeat=n):
-        mod = [-high_to_low[-1] % p, *reversed(high_to_low[:-1]), 1]
+    for mod in _candidates(p, n):
         h = _pol_powmod([0, 1], (q - 1) // 2, mod, p)
         if h != [1] and _pol_mulmod(h, h, mod, p) == [1] and all(
             _pol_powmod([0, 1], e, mod, p) != [1] for e in odd

@@ -6,9 +6,11 @@ direct evaluation over all base points (vs the vectorized fiber loop),
 field tables by an order search with plain digit-list arithmetic (vs the
 primitive modulus, whose root is the generator, and the vectorized Zech
 table), the order of that root by repeated multiplication (vs the
-power tests of `zeta.field.primitive_modulus`), coverage of the twist
-regions by a point-by-point walk over a window (vs the tail and core layout
-certify builds), and the all-roots-on-the-circle test with rational
+power tests of `zeta.field.primitive_modulus`), the primitive modulus by
+the power tests on every candidate in turn (vs the norm and root filter
+that skips candidates first), coverage of the twist regions by a
+point-by-point walk over a window (vs the tail and core layout certify
+builds), and the all-roots-on-the-circle test with rational
 division, a plain Sturm chain and a rational gcd, and the plus-sign
 family's middle coefficients by rational remainders and a rational solve,
 and the unit-root count by dividing by every cyclotomic (vs the integer
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, gcd, lcm, prod
 
 from bundlecert.cohom import SECTION_KERNEL, _kernel_result
@@ -52,7 +54,8 @@ from bundlecert.polycore import (
     parse_poly,
 )
 from bundlecert.polycore.poly import _coeff
-from bundlecert.zeta.charpoly import cyclotomic, cyclotomics_up_to
+from bundlecert.zeta.charpoly import cyclotomic, cyclotomics_up_to, prime_divisors
+from bundlecert.zeta.field import _pol_mulmod, _pol_powmod
 
 
 def gauss_rank(rows) -> int:
@@ -216,6 +219,22 @@ def root_order(p: int, modulus) -> int:
         if power == one:
             return k
     return 0
+
+
+def search_primitive_unfiltered(p: int, n: int) -> tuple:
+    """The first candidate in the order of `zeta.field.primitive_modulus`
+    that passes its power tests on digit lists, trying every candidate in
+    turn (no norm or root filter)."""
+    q = p ** n
+    odd = [(q - 1) // ell for ell in prime_divisors(q - 1) if ell != 2]
+    for high_to_low in product(range(p), repeat=n):
+        mod = [-high_to_low[-1] % p, *reversed(high_to_low[:-1]), 1]
+        h = _pol_powmod([0, 1], (q - 1) // 2, mod, p)
+        if h != [1] and _pol_mulmod(h, h, mod, p) == [1] and all(
+            _pol_powmod([0, 1], e, mod, p) != [1] for e in odd
+        ):
+            return tuple(mod)
+    raise RuntimeError("unreachable: primitive polynomials exist in every degree")
 
 
 def packed_add(p: int, a: int, b: int) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bundlecert import cli, cohom, k3lat, monad, zeta
+from bundlecert import cli, cohom, k3lat, monad, stability, zeta
 from bundlecert.polycore import parse_poly, section_matrix
 from bundlecert.stability import document_mismatches
 from bundlecert.zeta import count
@@ -608,6 +608,25 @@ def test_every_shipped_certificate_round_trips(capsys, tmp_path, argv):
     code, out, _ = verify_document(capsys, tmp_path, doc)
     assert code == cli.EXIT_OK
     assert out.startswith("certificate verified")
+    if argv[0] == "quartic-run":
+        assert_compared_as_json(k3lat.quartic_region_run(doc["surface"]), doc)
+    else:
+        assert_compared_as_json(stability.certify(*stability._read_inputs(doc)), doc)
+
+
+def assert_compared_as_json(rerun, doc):
+    """A re-run holds JSON values only and equals the document it recorded,
+    and an edited document gets one line per edited field."""
+    assert json.loads(json.dumps(rerun)) == rerun == doc
+    assert document_mismatches(rerun, doc) == []
+    edited = dict(doc, schema="edited", added=0)
+    removed = max(key for key in doc if key != "schema")
+    del edited[removed]
+    assert document_mismatches(rerun, edited) == sorted([
+        "added: missing from the re-run",
+        f"{removed}: missing from the certificate",
+        "schema: differs from the re-run",
+    ])
 
 
 def _margin_not_an_integer(doc):
@@ -671,6 +690,14 @@ MALFORMED_CERTIFICATES = [
     ("picard-prime-a-bool",  # a bool is an int to isinstance
      lambda doc: {"schema": PICARD, "input": {"polynomial": B44, "prime": True}},
      PRIME_NOT_AN_INTEGER),
+    ("picard-polynomial-of-bidegree-3-4",
+     lambda doc: {"schema": PICARD, "input": {"polynomial": "x0^3*y0^4", "prime": 3}},
+     "error: branch curve must be a nonzero form of bidegree (4,4)"),
+    ("picard-polynomial-zero-mod-p",
+     lambda doc: {"schema": PICARD, "input": {"polynomial": "3*x0^4*y0^4", "prime": 3}},
+     "error: branch curve vanishes mod 3"),
+    ("polarization-unbalanced", lambda doc: {**doc, "polarization": [1, 2]},
+     "error: twist regions are implemented for multiples of O(1) / O(1,1)"),
 ]
 
 
@@ -819,6 +846,8 @@ def test_picard_bound_round_trips(capsys, tmp_path, b44_bound):
     code, out, _ = verify_document(capsys, tmp_path, b44_bound)
     assert code == cli.EXIT_OK
     assert out.startswith("certificate verified")
+    rerun = zeta.run_picard_bound(cli._branch_form(B44, 3, other_ruling=True), 3)
+    assert_compared_as_json({**rerun, "input": b44_bound["input"]}, b44_bound)
 
 
 def _change_a_count(doc):
@@ -866,9 +895,11 @@ def test_verify_counts_over_the_other_ruling(capsys, tmp_path, monkeypatch):
     # the document exists, so every moved count passed its Weil audit
     moved = [n for n, (a, b) in enumerate(zip(doc["counts"], COUNTS_AT_3[B44]), 1) if a != b]
     assert moved and min(moved) >= 5
-    assert document_mismatches(cli._picard_bound_document(B44, 3), doc) == []
+    rerun = zeta.run_picard_bound(cli._branch_form(B44, 3), 3)
+    assert document_mismatches({**rerun, "input": doc["input"]}, doc) == []
     # over the other ruling the faulty counts are not even the power sums of
-    # an integer polynomial
+    # an integer polynomial: the re-run fails, and so does the verification
     code, out, err = verify_document(capsys, tmp_path, doc)
-    assert code == cli.EXIT_ERROR and out == ""
-    assert err.splitlines()[-1].startswith("error: Newton identities give non-integral")
+    assert code == cli.EXIT_ERROR
+    assert out.startswith("verification FAILED:\nre-run: Newton identities give non-integral")
+    assert len(out.splitlines()) == 2 and "error" not in err

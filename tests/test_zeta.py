@@ -428,6 +428,11 @@ class TestJacobians:
 
 
 SMALL_FIELDS = [(p, n) for p in (3, 5, 7) for n in range(1, 5)] + [(1009, 1)]
+FILTERED_FIELDS = (
+    [(3, n) for n in range(1, 11)] + [(5, n) for n in range(1, 9)]
+    + [(7, n) for n in range(1, 8)] + [(11, n) for n in range(1, 6)]
+    + [(13, n) for n in range(1, 5)] + [(31, 4), (101, 3), (1021, 2), (1009, 1), (3001, 1)]
+)
 
 
 class TestPrimitiveModulus:
@@ -451,12 +456,41 @@ class TestPrimitiveModulus:
         root = next(r for r in range(1, p) if len({pow(r, k, p) for k in range(p - 1)}) == p - 1)
         assert primitive_modulus(p, 1) == (p - root, 1)
 
+    @pytest.mark.parametrize("p,n", FILTERED_FIELDS)
+    def test_the_filter_keeps_the_modulus(self, p, n):
+        assert primitive_modulus(p, n) == oracles.search_primitive_unfiltered(p, n)
+
+    @pytest.mark.parametrize("p,n", SMALL_FIELDS)
+    def test_every_skipped_candidate_is_not_primitive(self, p, n):
+        kept = {tuple(f) for f in field_module._candidates(p, n)}
+        candidates = [(-t % p, *reversed(c), 1) for *c, t in product(range(p), repeat=n)]
+        skipped = [g for g in candidates if g not in kept]
+        assert len(kept) + len(skipped) == p**n and skipped
+        assert all(oracles.root_order(p, g) != p**n - 1 for g in skipped)
+
+    @pytest.mark.parametrize("n,most", [(8, 5), (9, 10)])
+    def test_few_candidates_reach_the_power_test(self, monkeypatch, n, most):
+        """The unfiltered search runs the power test on 29 candidates at 3^8
+        and on 66 at 3^9."""
+        reached = []
+        pol_powmod = field_module._pol_powmod
+
+        def spy(a, e, mod, p):
+            reached[-1].add(tuple(mod))
+            return pol_powmod(a, e, mod, p)
+
+        monkeypatch.setattr(field_module, "_pol_powmod", spy)
+        for _ in range(2):
+            reached.append(set())
+            primitive_modulus(3, n)
+        assert len(reached[0]) == len(reached[1]) <= most
+
     def test_prime_fields_match_the_digit_list_search(self):
-        # int powers at n = 1 against the candidate search they replace
+        # int powers at n = 1 against the power tests on every candidate
         primes = [p for p in range(3, 3100) if is_prime(p)]
         assert len(primes) == 441
         assert [p for p in primes
-                if primitive_modulus(p, 1) != field_module._search_primitive(p, 1)] == []
+                if primitive_modulus(p, 1) != oracles.search_primitive_unfiltered(p, 1)] == []
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_characteristic_2_is_refused(self, n):
