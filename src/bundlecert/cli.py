@@ -222,13 +222,17 @@ def cmd_count_points(args) -> int:
     return EXIT_OK
 
 
-def cmd_picard_bound(args) -> int:
+def _picard_bound_document(f: RationalPolynomial, polynomial: str, p: int) -> dict:
+    """The picard-bound document of f, read from `polynomial` by `_branch_form`."""
     from .zeta import run_picard_bound
 
+    return {**run_picard_bound(f, p), "input": {"polynomial": polynomial, "prime": p}}
+
+
+def cmd_picard_bound(args) -> int:
     polynomial = _surface_text(_load_json(args.surface))
-    result = run_picard_bound(_branch_form(polynomial, args.prime), args.prime)
-    result["input"] = {"polynomial": polynomial, "prime": args.prime}
-    _emit(Document(result).to_json(), args.out)
+    f = _branch_form(polynomial, args.prime)
+    _emit(Document(_picard_bound_document(f, polynomial, args.prime)).to_json(), args.out)
     return EXIT_OK
 
 
@@ -249,12 +253,10 @@ def cmd_verify(args) -> int:
         polynomial = _surface_text(inp)
         if not is_int(inp.get("prime")):
             raise BundleCertError("'input.prime' of a picard-bound document must be an integer")
-        from .zeta import run_picard_bound
-
         p = inp["prime"]
         f = _branch_form(polynomial, p, other_ruling=True)
         try:  # the inputs are well formed: a re-run that fails refutes the document
-            rerun = {**run_picard_bound(f, p), "input": {"polynomial": polynomial, "prime": p}}
+            rerun = _picard_bound_document(f, polynomial, p)
         except BundleCertError as e:
             problems = [f"re-run: {e}"]
         else:

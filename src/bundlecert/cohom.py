@@ -6,7 +6,8 @@ line bundles, by left exactness of global sections:
   * kernel monads:    H^0(K⊗L) = ker(H^0(B⊗L) -> H^0(C⊗L));
   * exterior powers:  0 -> Λ^s K -> Λ^s B -> Λ^{s-1}B ⊗ C, the second map
     being contraction with b (valid fiberwise wherever b is onto), so
-    H^0(Λ^s K⊗L) is the kernel of the contraction's section matrix;
+    H^0(Λ^s K⊗L) is the kernel of the contraction's section matrix; at
+    s = 1 it is b itself, for C of any rank, and s >= 2 needs rank-1 C;
   * homology monads:  h^0(E⊗L) is sandwiched by the A-cohomology of the
     splitting 0 -> A -> K -> E -> 0 and is exact when h^1(A⊗L) = 0.
 
@@ -92,15 +93,18 @@ def _wedge_twists(m: MonadComplex, s: int, base) -> list:
 
 @lru_cache(maxsize=32)
 def exterior_contraction(m: MonadComplex, s: int):
-    """Entries and twists for the contraction Λ^s B -> Λ^{s-1} B ⊗ C (rank-1 C);
-    independent of the twist, so built once per (monad, s) and shared immutable."""
+    """Entries and twists for the contraction Λ^s B -> Λ^{s-1} B ⊗ C, b itself
+    at s = 1; s >= 2 needs rank-1 C.  Independent of the twist, so built once
+    per (monad, s) and shared immutable."""
+    r = len(m.middle)
+    if not 1 <= s <= r - 1:
+        raise ValueError(f"s must lie in 1..{r - 1}")
+    if s == 1:
+        return m.map_b, m.middle, m.target
     if len(m.target) != 1:
         raise BundleCertError(
             f"exterior powers need a rank-1 cokernel, got rank {len(m.target)}"
         )
-    r = len(m.middle)
-    if not 1 <= s <= r - 1:
-        raise ValueError(f"s must lie in 1..{r - 1}")
     b = m.map_b[0]
     sources = list(combinations(range(r), s))
     targets = list(combinations(range(r), s - 1))
@@ -110,15 +114,14 @@ def exterior_contraction(m: MonadComplex, s: int):
     entries = [[zero] * len(sources) for _ in targets]
     tpos = {T: i for i, T in enumerate(targets)}
     for col, S in enumerate(sources):
+        # S minus its pos-th index is a distinct T for each pos: one b_i per cell
         for pos, i in enumerate(S):
-            T = S[:pos] + S[pos + 1 :]
-            sign = 1 if pos % 2 == 0 else -1
-            entries[tpos[T]][col] = entries[tpos[T]][col] + b[i] * sign
+            entries[tpos[S[:pos] + S[pos + 1 :]]][col] = b[i] if pos % 2 == 0 else -b[i]
     return tuple(map(tuple, entries)), tuple(src_twists), tuple(tgt_twists)
 
 
 def h0_exterior(m: MonadComplex, s: int, L) -> dict:
-    """h^0((Λ^s ker b) ⊗ O(L)), exact, for kernel monads with rank-1 cokernel."""
+    """h^0((Λ^s ker b) ⊗ O(L)), exact, for kernel monads (rank-1 cokernel if s >= 2)."""
     if m.kind != KERNEL:
         raise UnsupportedOperationError("exterior powers of homology monads are unsupported")
     entries, src, tgt = exterior_contraction(m, s)

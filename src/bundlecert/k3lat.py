@@ -7,12 +7,13 @@ certificates on rank-2 lattices, expected moduli dimension, the doubling of
 c2 under a double cover, and exact section kernels on a quartic X = Z(f) in
 P3.
 
-Sections on X come from the one section-matrix builder of `polycore`: a
-kernel over the coordinate ring R = S/(f) lifts to a kernel of [E | -f·I]
-on P3, and the lifts of zero, (f·u, E·u), are counted in closed form (see
-`quartic_h0`).  The quartic run derives the base point of its section map,
-the common zero of three linear forms, by exact linear algebra, and returns
-its certificate as the JSON document that `verify` compares with a re-run.
+Sections on X go through `cohom.h0_monad`, as on P2 and P1 x P1: a kernel
+over the coordinate ring R = S/(f) lifts to a section of the kernel monad
+[E | -f·I] on P3, and the lifts of zero, (f·u, E·u), are counted in closed
+form (see `quartic_h0`).  The quartic run derives the base point of its
+section map, the common zero of three linear forms, by exact linear algebra,
+and returns its certificate as the JSON document that `verify` compares with
+a re-run.
 """
 from __future__ import annotations
 
@@ -20,17 +21,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .cohom import h_line_sum
+from .cohom import h0_monad, h_line_sum
 from .errors import BundleCertError
-from .monad import Document
+from .monad import Document, kernel_monad
 from .polycore import (
     Ambient,
     RationalPolynomial,
     bareiss_det,
     monomial_basis,
     parse_poly,
-    parse_rows,
-    section_matrix,
 )
 
 # --- lattices -----------------------------------------------------------------
@@ -268,31 +267,24 @@ def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: 
 
     X is projectively normal, so H^0(O_X(d)) = R_d = S_d / f·S_{d-4} with S
     the coordinate ring of P3.  A kernel element over R lifts to a pair
-    (G, h) in ⊕_j S_{k+s_j} ⊕ ⊕_i S_{k+t_i-4} with Σ_j e_ij G_j = h_i·f: the
-    kernel of the P3 section matrix of [E | -f·I].  Since S is a domain, the
-    pairs that lift 0 are exactly (f·u, E·u) for u in ⊕_j S_{k+s_j-4}, so
+    (G, h) in ⊕_j S_{k+s_j} ⊕ ⊕_i S_{k+t_i-4} with Σ_j e_ij G_j = h_i·f: a
+    section of the kernel monad [E | -f·I] on P3 (middle twists s_j and
+    t_i - 4, target twists t_i) twisted by k.  Since S is a domain, the pairs
+    that lift 0 are exactly (f·u, E·u) for u in ⊕_j S_{k+s_j-4}, so
 
-        h^0 = nullity([E | -f·I]) - Σ_j h^0(O_P3(k + s_j - 4)).
+        h^0 = h^0(P3, ker [E | -f·I] ⊗ O(k)) - Σ_j h^0(O_P3(k + s_j - 4)),
 
-    One exact section-matrix rank thus serves the quartic as it serves P2
-    and P1 x P1, with no normal forms modulo f.  An entry e_ij that is not
-    homogeneous of degree t_i - s_j on P3 raises BundleCertError naming entry (i,j).
+    by `h0_monad` at s = 1, with no normal forms modulo f.  Entries are text
+    or polynomials on P3; an entry e_ij that is not homogeneous of degree
+    t_i - s_j raises BundleCertError naming map_b[i][j].
     """
     _check_quartic(f)
-    src = [int(t) for t in source_twists]
-    tgt = [int(t) for t in target_twists]
-    E = parse_rows(entries, QUARTIC_AMBIENT)
-    for i, (row, t) in enumerate(zip(E, tgt)):
-        for j, (p, s) in enumerate(zip(row, src)):
-            if p.ambient != QUARTIC_AMBIENT or not p.is_homogeneous_of(t - s):
-                raise BundleCertError(
-                    f"entry ({i},{j}) inhomogeneous: expected degree {t - s} on P3"
-                )
     zero = RationalPolynomial.zero(QUARTIC_AMBIENT)
-    rows = [[*row, *(-f if r == i else zero for r in range(len(tgt)))] for i, row in enumerate(E)]
-    M = section_matrix(QUARTIC_AMBIENT, rows, [(t,) for t in src + [t - 4 for t in tgt]],
-                       [(t,) for t in tgt], (k,))
-    return M.kernel_dim() - h_line_sum(QUARTIC_AMBIENT, src, k - 4, 0)
+    rows = [[*row, *(-f if r == i else zero for r in range(len(target_twists)))]
+            for i, row in enumerate(entries)]
+    middle = [*source_twists, *(t - 4 for t in target_twists)]
+    m = kernel_monad(QUARTIC_AMBIENT, middle, target_twists, rows)
+    return h0_monad(m, 1, (k,))["h0"][0] - h_line_sum(QUARTIC_AMBIENT, source_twists, k - 4, 0)
 
 
 def _base_point(forms) -> tuple:

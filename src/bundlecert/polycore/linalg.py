@@ -54,9 +54,6 @@ class ExactMatrix:
         core = [[row.get(j, 0) for j, at in cols.items() if at] for row in rows.values() if row]
         return peeled + bareiss_rank(core)
 
-    def kernel_dim(self) -> int:
-        return self.cols - self.rank()
-
 
 def bareiss_rank(rows) -> int:
     """Rank of an integer matrix by fraction-free Gaussian elimination."""
@@ -120,7 +117,8 @@ def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> Exa
     with one component per factor of the ambient, and entry (i,j) is
     homogeneous of multidegree target_i - source_j (or zero).  The caller
     establishes both once, where the map is built (a MonadComplex at
-    construction, `k3lat.quartic_h0` per call), not once per twist.
+    construction; `monad.forms_cover_degree` reads each source twist off its
+    form), not once per twist.
     Columns are ordered by source summand then basis order, rows likewise.
 
     The cost follows the live columns and the nonzero cells, not the number

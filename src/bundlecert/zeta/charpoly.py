@@ -125,8 +125,8 @@ def cyclotomic(k: int) -> tuple:
 
 
 def prime_divisors(m: int) -> list:
-    """The distinct primes dividing m, by trial division.  `field` imports it
-    from here, so that this module, which needs no numpy, imports none."""
+    """The distinct primes dividing m, by trial division.  `field` imports this
+    and `is_prime`, so that this module, which needs no numpy, imports none."""
     out, d = [], 2
     while d * d <= m:
         if m % d == 0:
@@ -137,6 +137,10 @@ def prime_divisors(m: int) -> list:
     if m > 1:
         out.append(m)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return prime_divisors(n) == [n]
 
 
 def euler_phi(k: int) -> int:
@@ -163,7 +167,7 @@ def cyclotomic_witness(k: int) -> tuple:
     j >= 2 prime to k.  Both are roots of Phi_k mod ell; w2 differs from w1
     when phi(k) > 1 and from 1/w1 when phi(k) > 2."""
     ell = k * -(-WITNESS_FLOOR // k) + 1
-    while prime_divisors(ell) != [ell]:
+    while not is_prime(ell):
         ell += k
     powers = (pow(x, (ell - 1) // k, ell) for x in range(2, ell))
     w1 = next(w for w in powers if all(pow(w, k // q, ell) != 1 for q in prime_divisors(k)))

@@ -27,13 +27,9 @@ from itertools import product as iter_product
 import numpy as np
 
 from ..errors import BundleCertError
-from .charpoly import prime_divisors
+from .charpoly import is_prime, prime_divisors
 
 ZECH_CAP = 1 << 20
-
-
-def is_prime(n: int) -> bool:
-    return prime_divisors(n) == [n]
 
 
 # --- dense polynomial helpers over F_p (ascending coefficient lists) -----------

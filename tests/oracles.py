@@ -16,7 +16,7 @@ family's middle coefficients by rational remainders and a rational solve,
 and the unit-root count by dividing by every cyclotomic (vs the integer
 pseudo-remainder sequences, divisibility tests and residues mod a witness
 prime of `zeta.charpoly`), and h^0 on a quartic surface by normal forms modulo f
-in the coordinate ring (vs the lifted section matrix of `k3lat.quartic_h0`),
+in the coordinate ring (vs the lifted kernel monad of `k3lat.quartic_h0`),
 and fiber counts and specialized coefficients one point at a time through
 the exp and log lists of `field_tables` (vs the blocked Horner on the
 codes of `zeta.field.Field`), and the kernel vector of an integer matrix by
@@ -552,7 +552,7 @@ def quartic_h0(ring: QuarticRing, entries, source_twists, target_twists, k: int)
             for r, c in cells:
                 add_cell(M, r, col, int(c * scale))
             col += 1
-    return M.kernel_dim()
+    return M.cols - M.rank()
 
 
 # --- sums of curve-class candidates by search ---------------------------------------

@@ -13,6 +13,7 @@ from bundlecert import cli, cohom, k3lat, monad, stability, zeta
 from bundlecert.polycore import parse_poly, section_matrix
 from bundlecert.stability import document_mismatches
 from bundlecert.zeta import count
+from oracles import dense_section_matrix, gauss_rank
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -96,7 +97,7 @@ def test_section_matrix_cells_are_ints(capsys, monkeypatch):
         cells.extend(v for row in M.entries for v in row.values())
         return M
 
-    for module in (cohom, k3lat, monad):
+    for module in (cohom, monad):
         monkeypatch.setattr(module, "section_matrix", spy)
     for name, polarization in sorted(CERTIFICATE_SHA256):
         code, _, _ = run(capsys, "certify", "--monad", INPUTS / f"{name}.monad",
@@ -310,6 +311,31 @@ def test_h0_prints_the_dimension(capsys, name, twist, h0):
     code, out, err = run(capsys, "h0", "--monad", INPUTS / f"{name}.monad", f"--twist={twist}")
     assert code == cli.EXIT_OK
     assert out == f"{h0}\n" and err == ""
+
+
+# ker(b: O^4 -> O(1)^2) on P2, b onto at every point (its 2x2 minors share no
+# zero); at s = 1 the contraction is b itself, whatever the rank of C
+RANK2_COKERNEL = {"ambient": {"dim": 2, "type": "projective"}, "middle": [0, 0, 0, 0],
+                  "target": [1, 1], "map_b": [["x0", "x1", "x2", "0"], ["0", "x0", "x1", "x2"]]}
+
+
+@pytest.mark.parametrize("twist,h0", [(0, 0), (1, 0), (2, 4)])
+def test_h0_of_a_kernel_bundle_with_a_rank_2_cokernel(capsys, tmp_path, twist, h0):
+    m = monad.monad_from_document(RANK2_COKERNEL)
+    rows = dense_section_matrix(m.ambient, m.map_b, m.middle, m.target, (twist,))
+    assert len(rows[0]) - gauss_rank(rows) == h0
+    path = tmp_path / "rank2-cokernel.monad"
+    path.write_text(json.dumps(RANK2_COKERNEL))
+    code, out, err = run(capsys, "h0", "--monad", path, "--twist", twist, "--exterior", 1)
+    assert (code, out, err) == (cli.EXIT_OK, f"{h0}\n", "")
+
+
+def test_h0_of_a_wedge_square_with_a_rank_2_cokernel_exits_1(capsys, tmp_path):
+    path = tmp_path / "rank2-cokernel.monad"
+    path.write_text(json.dumps(RANK2_COKERNEL))
+    code, out, err = run(capsys, "h0", "--monad", path, "--twist", 2, "--exterior", 2)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == "error: exterior powers need a rank-1 cokernel, got rank 2\n"
 
 
 def canonical(doc):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bundlecert import k3lat
+from bundlecert import cohom, k3lat
 from bundlecert.cohom import (
     exterior_contraction,
     fiber_h0_vanishes,
@@ -146,6 +146,16 @@ class TestExterior:
         with pytest.raises(BundleCertError, match="rank-1 cokernel, got rank 2"):
             h0_exterior(m, 2, (1, 1))
 
+    def test_s1_contraction_is_b_for_any_cokernel_rank(self):
+        monads = [monad_from_document(json.loads(path.read_text()))
+                  for path in sorted(INPUTS.glob("*.monad"))]
+        monads.append(kernel_monad(P2, [0] * 4, [1, 1],
+                                   [["x", "y", "z", "0"], ["0", "x", "y", "z"]]))
+        kernels = [m for m in monads if m.kind == KERNEL]
+        assert len(kernels) == 5
+        for m in kernels:
+            assert exterior_contraction(m, 1) == (m.map_b, m.middle, m.target)
+
     def test_exterior_rank_identity(self):
         # Λ^s B has C(rank B, s) summands, so rank Λ^s K = C(rank B - 1, s)
         from math import comb
@@ -260,7 +270,7 @@ class TestSectionMatricesAgainstTheDenseOracle:
             calls.append(args)
             return section_matrix(*args)
 
-        monkeypatch.setattr(k3lat, "section_matrix", spy)
+        monkeypatch.setattr(cohom, "section_matrix", spy)
         doc = json.loads((INPUTS / "quartic.json").read_text())
         assert k3lat.quartic_region_run(doc["surface"], doc["map"])["verdict"] == "Stable"
         assert calls

@@ -1,7 +1,8 @@
 """Every name a module under src/ imports is used in it or re-exported by __all__,
 every function, class and method defined under src/ is used there, every
 __all__ entry is bound in its module, no module under src/ imports random
-or starts processes, only stability.py imports fractions, the certify path
+or starts processes, only stability.py imports fractions, only cohom.py and
+monad.py import section_matrix (beside polycore's re-export), the certify path
 loads no numpy, zeta loads charpoly before numpy, and every exception subclass
 is caught by name somewhere."""
 import ast
@@ -96,6 +97,17 @@ def test_only_stability_imports_fractions():
     found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
              for name in imported_modules(path) if name.split(".")[0] == "fractions"]
     assert found == ["bundlecert/stability.py"]
+
+
+def test_only_cohom_and_monad_import_section_matrix():
+    # every h^0 goes through cohom (the quartic's too, as a kernel monad on P3);
+    # monad builds the one matrix of its exactness test
+    found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and any(alias.name == "section_matrix" for alias in node.names)]
+    assert found == ["bundlecert/cohom.py", "bundlecert/monad.py",
+                     "bundlecert/polycore/__init__.py"]
 
 
 def test_every_error_subclass_is_caught_by_name():

@@ -277,7 +277,7 @@ class TestQuartic:
     ], ids=["quadratic-in-a-linear-slot", "second-row"])
     def test_h0_homogeneity_error_identifies_entry(self, entries, source, target, at):
         f = parse_poly(QUARTICS[1], QUARTIC_AMBIENT)
-        with pytest.raises(BundleCertError, match=rf"entry \({at[0]},{at[1]}\) inhomogeneous"):
+        with pytest.raises(BundleCertError, match=rf"map_b\[{at[0]}\]\[{at[1]}\] not homogeneous"):
             quartic_h0(f, entries, source, target, 1)
 
     def test_h0_refuses_a_non_quartic(self):
