@@ -12,7 +12,8 @@ Chern data is the dict a certificate records, {"rank", "c1": list, "c2"}.
 A monad's structure is checked once, when it is built: `MonadComplex`
 normalizes every twist, and refuses (BundleCertError) a source A of rank 0
 (a monad is of kernel kind exactly when A is absent), an entry on another
-ambient, an entry that is not homogeneous of target - source, and b∘a != 0.
+ambient, an entry that is not homogeneous of target - source, b∘a != 0, and
+a bundle of rank rank(B) - rank(C) - rank(A) < 1.
 Every later layer (validate, chern_monad, the section matrices of `cohom`)
 trusts a built monad.
 
@@ -23,11 +24,16 @@ decides this exactly, in two stages, for forms f_j with ideal I = (f_j) in
 the Cox ring S (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3;
 Maclagan-Smith 2004 for products of projective spaces):
 
-  1. The lex-leading monomials share no zero (the subset enumerator of
-     `_monomials_have_common_zero`).  Then the monomial ideal they span
-     contains all of S_d for some d, and dim I_d = dim in(I)_d, so I_d = S_d
-     and the forms share no zero.  For monomial entries this is the whole
-     rule.
+  1. The lex-leading monomials share no zero, that is, every choice of one
+     coordinate per factor has a leading monomial supported in it.  Where a
+     choice supports none, the point whose only nonzero coordinates are the
+     chosen ones is a common zero.  At a common zero p, a choice of one
+     coordinate per factor nonzero at p supports none, since a monomial
+     supported in it is nonzero at p.  On P^n a choice is one coordinate, so
+     the rule reads: every coordinate has a pure power among the leading
+     monomials.  Then the monomial ideal they span contains all of S_d for
+     some d, and dim I_d = dim in(I)_d, so I_d = S_d and the forms share no
+     zero.  For monomial entries this is the whole rule.
   2. Otherwise, with D the largest component of any entry's multidegree,
      N = dim of the ambient and d* = (N+1)D - max(dims), all d* components
      equal: the forms share no zero iff the section matrix of
@@ -124,6 +130,11 @@ class MonadComplex:
             problem = "b∘a != 0"
         if problem is not None:
             raise BundleCertError(f"monad fails structural validation: {problem}")
+        rank = len(self.middle) - len(self.target) - len(self.source or ())
+        if rank < 1:
+            raise BundleCertError(
+                f"the bundle has rank {rank} = rank(B) - rank(C) - rank(A); a monad needs rank >= 1"
+            )
         object.__setattr__(self, "_hash", hash(tuple(
             getattr(self, f.name) for f in fields(self))))
 
@@ -179,33 +190,13 @@ def _composite_is_zero(m: MonadComplex) -> bool:
     return True
 
 
-def _monomials_have_common_zero(supports, ambient: Ambient) -> bool:
-    """Whether some point of the ambient kills every monomial.
-
-    A point may zero out any proper subset of each factor's coordinates; a
-    monomial vanishes iff its support meets the zeroed set.  Exhaustive over
-    the (small) per-factor subset choices.
-    """
-    group_subsets = []
-    for lo, hi in ambient.group_slices():
-        idxs = list(range(lo, hi))
-        subsets = []
-        for mask in range(1 << len(idxs)):
-            if mask == (1 << len(idxs)) - 1:
-                continue  # cannot zero a whole factor
-            subsets.append(frozenset(idxs[i] for i in range(len(idxs)) if mask >> i & 1))
-        group_subsets.append(subsets)
-    for combo in iter_product(*group_subsets):
-        zeroed = frozenset().union(*combo)
-        if all(s & zeroed for s in supports):
-            return True
-    return False
-
-
 def leading_monomials_cover(forms, ambient: Ambient) -> bool:
-    """Stage 1: the lex-leading monomials of the forms share no zero."""
+    """Stage 1: the lex-leading monomials of the forms share no zero, that is,
+    every choice of one coordinate per factor has a leading monomial supported
+    in it (module docstring)."""
     supports = [frozenset(i for i, e in enumerate(max(p.terms)) if e) for p in forms]
-    return not _monomials_have_common_zero(supports, ambient)
+    choices = iter_product(*(range(lo, hi) for lo, hi in ambient.group_slices()))
+    return all(any(s.issubset(choice) for s in supports) for choice in choices)
 
 
 def forms_cover_degree(forms, ambient: Ambient) -> bool:
@@ -279,12 +270,15 @@ def chern_monad(m: MonadComplex) -> dict:
 
 @lru_cache(maxsize=32)
 def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
-    """Restrict to a fiber of P1 x P1 by substituting the chosen factor at a point.
+    """Restrict to a fiber of P1 x P1 by evaluating the chosen factor at a point.
 
     axis is the factor being evaluated (1 or 2); the result is a monad on the
-    other P1, with twists projected to the surviving component.  The tail
-    rule asks for the same fiber at several s and bounds, so each
-    (monad, axis, point) is restricted once and the result shared immutable.
+    other P1, with twists projected to the surviving component.  Each term
+    c * x^e, whose exponents in the evaluated factor are (i, j), becomes
+    c * a^i * b^j times the monomial of its surviving exponents at the point
+    (a:b); terms that land on one monomial are summed.  The tail rule asks for
+    the same fiber at several s and bounds, so each (monad, axis, point) is
+    restricted once and the result shared immutable.
     """
     amb = m.ambient
     if amb.arity != 2 or amb.dims != (1, 1):
@@ -295,17 +289,21 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
     if a == 0 and b == 0:
         raise BundleCertError("(0:0) is not a point of P1")
 
-    fixed = axis - 1
-    surviving = 1 - fixed
-    sub_names = amb.groups[fixed]
-    new_amb = Ambient.projective(1, names=amb.groups[surviving])
-    assignment = {sub_names[0]: a, sub_names[1]: b}
+    lo = 2 * (axis - 1)  # the evaluated factor's exponents are e[lo], e[lo + 1]
+    new_amb = Ambient.projective(1, names=amb.groups[2 - axis])
+
+    def restrict(p):
+        terms = {}
+        for e, c in p.terms.items():
+            rest = e[:lo] + e[lo + 2:]
+            terms[rest] = terms.get(rest, 0) + c * a ** e[lo] * b ** e[lo + 1]
+        return RationalPolynomial(new_amb, {e: c for e, c in terms.items() if c})
 
     def restrict_twists(twists):
-        return tuple((t[surviving],) for t in twists)
+        return tuple((t[2 - axis],) for t in twists)
 
     def restrict_rows(rows):
-        return tuple(tuple(p.substitute(assignment, new_amb) for p in row) for row in rows)
+        return tuple(tuple(restrict(p) for p in row) for row in rows)
 
     return MonadComplex(
         new_amb,

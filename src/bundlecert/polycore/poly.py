@@ -5,6 +5,10 @@ and is stored as a map from exponent vectors to nonzero Python ints.  Each
 variable carries a multidegree that is a standard basis vector of Z^g, where
 g is the number of projective factors, so homogeneity is decidable per term.
 
+Arithmetic (+, -, *) is polynomial with polynomial on one ambient: an int or
+any other operand raises TypeError, and `RationalPolynomial.constant` makes
+the polynomial of an int.
+
 The input grammar has integer constants only and no operation here divides,
 so the algebra is exact over Q with no rational type: a polynomial is an
 element of Q[x] whose coefficients are integers.
@@ -161,14 +165,9 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):
             return self.ambient == other.ambient and self.terms == other.terms
-        if isinstance(other, int):
-            return self == RationalPolynomial.constant(self.ambient, other)
         return NotImplemented
 
     def __hash__(self):
@@ -180,7 +179,7 @@ class RationalPolynomial:
 
     def __add__(self, other):
         if not isinstance(other, RationalPolynomial):
-            other = RationalPolynomial.constant(self.ambient, other)
+            return NotImplemented
         self._check_same_ambient(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -191,22 +190,17 @@ class RationalPolynomial:
                 terms.pop(e, None)
         return RationalPolynomial(self.ambient, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalPolynomial(self.ambient, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, RationalPolynomial):
-            other = RationalPolynomial.constant(self.ambient, other)
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, RationalPolynomial):
-            c0 = _coeff(other)
-            if not c0:
-                return RationalPolynomial.zero(self.ambient)
-            return RationalPolynomial(self.ambient, {e: c * c0 for e, c in self.terms.items()})
+            return NotImplemented
         self._check_same_ambient(other)
         terms = {}
         for e1, c1 in self.terms.items():
@@ -218,8 +212,6 @@ class RationalPolynomial:
                 else:
                     terms.pop(e, None)
         return RationalPolynomial(self.ambient, terms)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -246,27 +238,6 @@ class RationalPolynomial:
                     v *= x ** e
             total += v
         return total
-
-    def substitute(self, assignment: dict, result_ambient: Ambient) -> "RationalPolynomial":
-        """Substitute integers for some variables.
-
-        Unsubstituted variables must exist (by name) in result_ambient.
-        """
-        for name in assignment:
-            self.ambient.var_index(name)  # raises BundleCertError if absent
-        out = RationalPolynomial.zero(result_ambient)
-        names = self.ambient.variables
-        for exps, c in self.terms.items():
-            term = RationalPolynomial.constant(result_ambient, c)
-            for name, e in zip(names, exps):
-                if e == 0:
-                    continue
-                if name in assignment:
-                    term = term * assignment[name] ** e
-                else:
-                    term = term * RationalPolynomial.variable(result_ambient, name) ** e
-            out = out + term
-        return out
 
     def render(self) -> str:
         """Canonical printing; reparses to the same polynomial."""

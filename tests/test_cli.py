@@ -25,6 +25,19 @@ CERTIFICATE_SHA256 = {
     ("k_rank3_n2", "1,1"): "09c63a860b9c79b27ad46cd1ec0cdbda86677bfe0c726e5fa89ef35bcd3c48fc",
     ("e_rank2", "1,1"): "ab4d7d3c887237e3cf35b333e643e7543defbfbe403ac25f26b4fdb7c1635fe3",
 }
+# sha256 of `certify --format json --polarization 1,1` at fiber points other
+# than the default 0:1, where every power a^i * b^j of a restriction is nonzero
+FIBER_POINT_SHA256 = {
+    ("e_rank2", "-3:2"): "0b2c017a8960df7fd8c7e9fa955e881c9d77d7b2afe7d5e43ba20e6ae1f790c4",
+    ("e_rank2", "1:1"): "742dbd6400964bf890bdb0ec770d959dfceb66a5fef572f323961b2761bde8d3",
+    ("e_rank2", "2:-1"): "5dcbe61b8c21555a034ba8c27c3cea9bc5f3b19cff7d81f53bf34960c3f3b7d2",
+    ("k_rank3", "-3:2"): "c8ebf63851076f654f3ac998a960aa6141f72763855531731afc2c4f11c723d0",
+    ("k_rank3", "1:1"): "61d65748feb7c3e147c6c0c5cbb7d8914f37999d38e8a818558746256e4fd78c",
+    ("k_rank3", "2:-1"): "52630f35ec064b4d472e5f8cd4ef55d77a41269721d63f3084f83201c4bc0aec",
+    ("k_rank3_n2", "-3:2"): "6b4d58eae9d319b10fb68802d422e70f21b492a95d8d7d33bccbcf8fe2132bed",
+    ("k_rank3_n2", "1:1"): "03f076accebd799c3f7855291bbb8827ebd670cd3a4c5e15f4bf104a55ef59e5",
+    ("k_rank3_n2", "2:-1"): "c045e7be5ee03657dd93d42bf565749fb89be1fa6fe0baac86ce7f1b8f5ac3aa",
+}
 QUARTIC_SHA256 = "7d21f8dd13ab4c84a7dc4ac65b1beb5b0b8b7f41b24fe1ae0a267f9c3b2f6eef"
 # sha256 of `picard-bound --surface b44.poly --prime 3` output without its `input` field
 B44_BOUND_SHA256 = "2896ad88c5f4461c765642d7b29d2899a091d2bd4f82acd0b32e81c3fc3d4cbf"
@@ -86,6 +99,16 @@ def test_certify_is_byte_stable(capsys, name, polarization):
     )
     assert code == cli.EXIT_OK
     assert sha256(out) == CERTIFICATE_SHA256[name, polarization]
+
+
+@pytest.mark.parametrize("name,point", sorted(FIBER_POINT_SHA256))
+def test_certify_at_other_fiber_points_is_byte_stable(capsys, name, point):
+    code, out, _ = run(
+        capsys, "certify", "--monad", INPUTS / f"{name}.monad", "--polarization", "1,1",
+        "--fiber-point", point, "--format", "json",
+    )
+    assert code == cli.EXIT_OK
+    assert sha256(out) == FIBER_POINT_SHA256[name, point]
 
 
 def test_section_matrix_cells_are_ints(capsys, monkeypatch):
@@ -230,6 +253,23 @@ def test_malformed_monad_document_exits_1(capsys, tmp_path, field, value):
     code, _, err = run(capsys, "certify", "--monad", path, "--polarization", 1)
     assert code == cli.EXIT_ERROR
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("middle", [[0], [0, 0]], ids=["rank-minus-1", "rank-0"])
+@pytest.mark.parametrize("argv", [
+    ("chern",), ("h0", "--twist", "1"), ("certify", "--polarization", "1"),
+], ids=["chern", "h0", "certify"])
+def test_a_bundle_of_rank_below_1_exits_1(capsys, tmp_path, middle, argv):
+    path = tmp_path / "rank.monad"
+    path.write_text(json.dumps({
+        "ambient": {"type": "projective", "dim": 2}, "middle": middle, "target": [1, 1],
+        "map_b": [["x0"] * len(middle), ["x1"] * len(middle)],
+    }))
+    code, out, err = run(capsys, argv[0], "--monad", path, *argv[1:])
+    assert code == cli.EXIT_ERROR
+    rank = len(middle) - 2
+    assert out == "" and err == (f"error: the bundle has rank {rank} = rank(B) - rank(C) - rank(A);"
+                                 " a monad needs rank >= 1\n")
 
 
 def _e_rank2_edited(field, i, j, entry):

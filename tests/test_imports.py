@@ -1,12 +1,14 @@
 """Every name a module under src/ imports is used in it or re-exported by __all__,
 every function, class and method defined under src/ is used there, every
-__all__ entry is bound in its module, no module under src/ imports random
+function but the brute-force oracle and a repr is entered by a profiled run of
+the commands, every __all__ entry is bound in its module, no module under src/ imports random
 or starts processes, only stability.py imports fractions, only cohom.py and
 monad.py import section_matrix (beside polycore's re-export), the certify path
 loads no numpy, zeta loads charpoly before numpy, and every exception subclass
 is caught by name somewhere."""
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -63,6 +65,88 @@ def test_every_definition_under_src_is_used_in_src():
                             and not (item.name.startswith("__") and item.name.endswith("__"))]
     dead = [f"{path.relative_to(SRC)} {name}" for path, name in defined if name not in loaded]
     assert dead == ["bundlecert/zeta/count.py count_points_bruteforce"]
+
+
+# Runs a fixed command set in a fresh interpreter, so no cache starts warm,
+# and prints every function under src/ that no call entered: every shipped
+# input through its commands and verify, a monad whose exactness needs stage 2
+# (no leading monomial of x0*x1 + x2^2, x0^2, x1^2 is a power of x2) and
+# every lattice command.  Run as: python -c PROFILED_RUN SRC TMPDIR
+PROFILED_RUN = r"""
+import contextlib, inspect, io, json, sys, types
+from pathlib import Path
+
+src, tmp = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+from bundlecert import cli
+
+inputs = src.parent / "inputs"
+stage2 = tmp / "stage2.monad"
+stage2.write_text(json.dumps({"ambient": {"type": "projective", "dim": 2}, "middle": [0, 0, 0],
+                              "target": [2], "map_b": [["x0*x1 + x2^2", "x0^2", "x1^2"]]}))
+commands = []
+for name, polarization in [("euler", "1"), ("ks2", "1"), ("k_rank3", "1,1"),
+                           ("k_rank3_n2", "1,1"), ("e_rank2", "1,1"), ("stage2", "1")]:
+    monad = stage2 if name == "stage2" else inputs / f"{name}.monad"
+    cert = tmp / f"{name}.json"
+    commands += [["certify", "--monad", monad, "--polarization", polarization, "--out", cert],
+                 ["verify", cert]]
+commands += [
+    ["h0", "--monad", inputs / "k_rank3.monad", "--twist", "1,1", "--exterior", "2"],
+    ["chern", "--monad", inputs / "e_rank2.monad", "--cover", "double"],
+    ["quartic-run", "--surface", inputs / "quartic.json", "--out", tmp / "quartic.json"],
+    ["verify", tmp / "quartic.json"],
+    ["count-points", "--surface", inputs / "b44.poly", "--prime", "3", "--max-n", "2"],
+    ["picard-bound", "--surface", inputs / "b44.poly", "--prime", "3", "--out", tmp / "b44.json"],
+    ["verify", tmp / "b44.json"],
+    ["lattice", "pair", "--class", "1,0", "--class", "0,1"],
+    ["lattice", "genus", "--class", "1,0"],
+    ["lattice", "gram", "--class", "1,0", "--class", "2,0"],
+    ["lattice", "effectivity", "--class", "1,-1", "--class", "1,0"],
+    ["lattice", "expected-dim", "--rank", "2", "--c1sq", "4", "--c2", "8"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([str(a) for a in argv])
+    assert code in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE), argv
+sys.setprofile(None)
+
+entered = {(Path(c.co_filename).resolve(), c.co_firstlineno, c.co_name) for c in entered}
+
+
+def functions(code, prefix):
+    for k in code.co_consts:
+        if isinstance(k, types.CodeType) and not k.co_name.startswith("<"):
+            name = prefix + k.co_name
+            if k.co_flags & inspect.CO_OPTIMIZED:
+                yield k, name
+                yield from functions(k, name + ".<locals>.")
+            else:  # a class body
+                yield from functions(k, name + ".")
+
+
+never = []
+for path in sorted(src.rglob("*.py")):
+    code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+    never += [f"{path.relative_to(src).as_posix()} {name}" for k, name in functions(code, "")
+              if (path.resolve(), k.co_firstlineno, k.co_name) not in entered]
+print(json.dumps(never))
+"""
+
+
+def test_every_function_under_src_is_entered_by_the_commands(tmp_path):
+    # the static guard above matches names only, so a method whose name is
+    # loaded elsewhere under src/ passes it unused; this run sees calls
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", PROFILED_RUN, str(SRC), str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert json.loads(out.stdout) == [
+        "bundlecert/polycore/poly.py RationalPolynomial.__repr__",
+        "bundlecert/zeta/count.py count_points_bruteforce",
+        "bundlecert/zeta/count.py count_points_bruteforce.<locals>.add",
+        "bundlecert/zeta/count.py count_points_bruteforce.<locals>.monomials",
+    ]
 
 
 def imported_modules(path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from bundlecert.errors import BundleCertError
 from bundlecert.monad import (
     HOMOLOGY,
-    _monomials_have_common_zero,
+    MonadComplex,
     chern_free,
     chern_monad,
     forms_cover_degree,
@@ -175,20 +175,21 @@ class TestCommonZeroRule:
                 assert forms_cover_degree(forms, amb), forms
         assert proved >= 20
 
-    def test_monomial_sets_agree_with_the_enumerator(self):
+    def test_monomial_sets_agree_with_the_complete_rule(self):
+        # for monomial entries stage 1 is the whole rule, so it agrees with
+        # stage 2, which is complete on every ambient
         rng = random.Random(6)
+        ambients = (P1, P2X, Ambient.projective(3), PP, Ambient.product_projective(1, 2))
         agree = {True: 0, False: 0}
-        for trial in range(160):
-            amb = (P2X, PP)[trial % 2]
-            forms = [random_form(rng, amb, random_degree(rng, amb, 3), 1)
+        for trial in range(200):
+            amb = ambients[trial % len(ambients)]
+            top = 3 if amb.dim <= 2 else 2
+            forms = [random_form(rng, amb, random_degree(rng, amb, top), 1)
                      for _ in range(rng.randint(1, 5))]
-            supports = [frozenset(i for i, e in enumerate(next(iter(p.terms))) if e)
-                        for p in forms]
-            free = not _monomials_have_common_zero(supports, amb)
-            assert leading_monomials_cover(forms, amb) == free
-            assert forms_cover_degree(forms, amb) == free, forms
+            free = forms_cover_degree(forms, amb)
+            assert leading_monomials_cover(forms, amb) == free, forms
             agree[free] += 1
-        assert min(agree.values()) >= 20
+        assert min(agree.values()) >= 30
 
     @pytest.mark.parametrize("amb", [P1, P2X, PP, Ambient.projective(3),
                                      Ambient.product_projective(1, 2)],
@@ -414,6 +415,26 @@ class TestFiberRestriction:
     def test_invalid_point(self):
         with pytest.raises(BundleCertError, match=r"\(0:0\) is not a point of P1"):
             restrict_to_fiber(k_rank3(), 2, (0, 0))
+
+    def test_restriction_agrees_with_evaluation(self):
+        # a binary form of degree d is fixed by its values at the d + 1
+        # points (t:1), t < d, and (1:0)
+        rng = random.Random(10)
+        for _ in range(30):
+            d = (rng.randint(0, 4), rng.randint(0, 4))
+            forms = tuple(random_form(rng, PP, d, rng.randint(1, 6)) for _ in range(3))
+            m = MonadComplex(PP, [(-d[0], -d[1])] * 3, [(0, 0)], (forms,))
+            a, b = 0, 0
+            while (a, b) == (0, 0):
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            for axis in (1, 2):
+                f = restrict_to_fiber(m, axis, (a, b))
+                deg = d[2 - axis]
+                assert f.middle == ((-deg,),) * 3
+                for u, v in [(t, 1) for t in range(deg)] + [(1, 0)]:
+                    point = (a, b, u, v) if axis == 1 else (u, v, a, b)
+                    assert [p.evaluate((u, v)) for p in f.map_b[0]] == \
+                        [p.evaluate(point) for p in forms]
 
     def test_homology_restriction_keeps_kind(self):
         f = restrict_to_fiber(e_rank2(), 1, (0, 1))

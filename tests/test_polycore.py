@@ -18,7 +18,7 @@ from bundlecert.polycore import (
 )
 
 from bundlecert.cohom import exterior_contraction
-from bundlecert.monad import kernel_monad
+from bundlecert.monad import kernel_monad, restrict_to_fiber
 from bundlecert.polycore import linalg
 
 from oracles import (
@@ -111,6 +111,15 @@ class TestIntegerCoefficients:
         with pytest.raises(TypeError):
             value * parse_poly("x0*y0", PP)
 
+    def test_arithmetic_takes_polynomials_only(self):
+        p = parse_poly("x0*y0", PP)
+        for op in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: 1 - p,
+                   lambda: p * 2, lambda: 2 * p):
+            with pytest.raises(TypeError):
+                op()
+        assert p * RationalPolynomial.constant(PP, 2) == parse_poly("2*x0*y0", PP)
+        assert RationalPolynomial.zero(PP) != 0
+
     def test_coefficients_and_values_are_ints(self):
         p = parse_poly("3*x0*y0 - (x1 + 2*x0)^2*y1^2", PP)
         assert all(type(c) is int for c in p.terms.values())
@@ -145,25 +154,26 @@ class TestBasis:
 
 
 class TestSubstitute:
+    """Evaluating the second factor of P1 x P1 at a point, as a fiber does."""
+
+    P1X = Ambient.projective(1, names=("x0", "x1"))
+
+    @staticmethod
+    def fiber_entry(text, d, point):
+        # the four bidegree-d corner monomials have no common zero, so the
+        # row is a valid kernel monad whatever the first entry is
+        corners = [f"x{i}^{d}*y{j}^{d}" for i in (0, 1) for j in (0, 1)]
+        m = kernel_monad(PP, [(-d, -d)] * 5, [(0, 0)], [[text, *corners]])
+        return restrict_to_fiber(m, 2, point).map_b[0][0]
+
     def test_kill_coordinate(self):
-        p = parse_poly("x1*y1", PP)
-        p1 = Ambient.projective(1, names=("x0", "x1"))
-        assert p.substitute({"y0": 0, "y1": 1}, p1) == parse_poly("x1", p1)
+        assert self.fiber_entry("x1*y1", 1, (0, 1)) == parse_poly("x1", self.P1X)
 
     def test_vanishing(self):
-        p = parse_poly("x1*y0", PP)
-        p1 = Ambient.projective(1, names=("x0", "x1"))
-        assert p.substitute({"y0": 0, "y1": 1}, p1).is_zero()
+        assert self.fiber_entry("x1*y0", 1, (0, 1)).is_zero()
 
     def test_arithmetic(self):
-        p = parse_poly("x0^4*y0^3*y1", PP)
-        p1 = Ambient.projective(1, names=("x0", "x1"))
-        assert p.substitute({"y0": 1, "y1": 2}, p1) == parse_poly("2*x0^4", p1)
-
-    def test_ambient_mismatch(self):
-        p = parse_poly("x0", PP)
-        with pytest.raises(BundleCertError, match="no variable 'nope' in ambient"):
-            p.substitute({"nope": 1}, P2)
+        assert self.fiber_entry("x0^4*y0^3*y1", 4, (1, 2)) == parse_poly("2*x0^4", self.P1X)
 
 
 class TestSectionMatrix:
