@@ -18,8 +18,9 @@ picard-bound makes 9 counts over F_{p^n}, n = 1..9, and at most one at
 n = 10, so it needs p^10 <= 2^20 (p = 3).  Its document records the inputs
 `verify` re-runs it from; the re-run counts over the other ruling's fibers.
 
-Exit codes: 0 success, 1 input/usage errors, 2 Inconclusive or Unknown
-verdicts.
+Exit codes: 0 success, 1 a usage error (argparse, option values included)
+or a refusal, 2 Inconclusive or Unknown verdicts.  A refusal is a
+BundleCertError, printed as one `error:` line; `main` catches nothing else.
 """
 from __future__ import annotations
 
@@ -48,26 +49,40 @@ FIELD_LIMIT_HELP = "odd prime p; every field F_q counted needs q = p^n ≤ 2^20"
 SURFACE_AMBIENT = Ambient.product_projective(1, 1)
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise BundleCertError(f"cannot read {path}: {e.strerror}") from None
+    except (ValueError, RecursionError) as e:  # bad UTF-8, bad JSON or JSON nested too deep
+        raise BundleCertError(f"cannot read {path}: {e}") from None
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise BundleCertError(f"cannot write {out}: {e.strerror}") from None
 
 
-def _parse_twist(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
+def _twist(text: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers k or k,l,..., got {text!r}") from None
 
 
-def _parse_point(text: str) -> tuple:
-    a, b = text.split(":")
-    return (int(a), int(b))
+def _point(text: str) -> tuple:
+    try:
+        a, b = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two integers a:b, got {text!r}") from None
+    return (a, b)
 
 
 def _surface_text(doc) -> str:
@@ -95,11 +110,8 @@ def _branch_form(polynomial: str, p: int, other_ruling: bool = False) -> Rationa
 
 def cmd_certify(args) -> int:
     m = monad_from_document(_load_json(args.monad))
-    H = Polarization(m.ambient, _parse_twist(args.polarization))
-    opts = CertifyOptions(
-        fiber_points=(_parse_point(args.fiber_point), _parse_point(args.fiber_point)),
-        margin=args.margin,
-    )
+    H = Polarization(m.ambient, args.polarization)
+    opts = CertifyOptions(fiber_points=(args.fiber_point, args.fiber_point), margin=args.margin)
     cert = certify(m, H, opts)
     if args.format == "json" or args.out:
         _emit(cert.to_json(), args.out)
@@ -120,7 +132,7 @@ def cmd_certify(args) -> int:
 
 def cmd_h0(args) -> int:
     m = monad_from_document(_load_json(args.monad))
-    lo, hi = h0_monad(m, args.exterior, _parse_twist(args.twist))["h0"]
+    lo, hi = h0_monad(m, args.exterior, args.twist)["h0"]
     sys.stdout.write(f"{lo}\n" if lo == hi else f"[{lo}, {hi}]\n")
     return EXIT_OK
 
@@ -166,7 +178,7 @@ def cmd_lattice(args) -> int:
     if n != _CLASS_COUNTS.get(sub, n) or (sub == "gram" and n == 0):
         want = _CLASS_COUNTS.get(sub, "at least 1")
         raise BundleCertError(f"lattice {sub} needs {want} --class, got {n}")
-    classes = [lat.cls(_parse_twist(c)) for c in args.classes]
+    classes = [lat.cls(c) for c in args.classes]
     out = {}
     if sub == "pair":
         out = {"pair": lat.pair(*classes)}
@@ -176,11 +188,9 @@ def cmd_lattice(args) -> int:
     elif sub == "gram":
         mat, det = k3lat.gram_of(lat, classes)
         out = {"gram": [list(r) for r in mat], "det": det}
-        if det == 0:
-            try:
-                out["dependency"] = list(k3lat.dependency(lat, classes))
-            except ValueError:
-                pass
+        v = k3lat.kernel_vector(mat)  # None unless the classes span a line of relations
+        if v is not None:
+            out["dependency"] = list(v)
     elif sub == "effectivity":
         cert = k3lat.not_effective_cert(lat, *classes)
         out = {"verdict": "Unknown"} if cert is None else {"verdict": "NotEffective", **cert}
@@ -246,7 +256,7 @@ def cmd_verify(args) -> int:
     elif schema.startswith("quartic-certificate"):
         if not isinstance(doc.get("surface"), str):
             raise BundleCertError("a quartic certificate needs the surface as a string")
-        # every error of this re-run is about the surface it parses: an input error
+        # every error of this re-run is about the surface it parses: a refused input
         problems = document_mismatches(k3lat.quartic_region_run(doc["surface"]), doc)
     elif schema.startswith("picard-bound-profile"):
         inp = doc.get("input")
@@ -262,8 +272,7 @@ def cmd_verify(args) -> int:
         else:
             problems = document_mismatches(rerun, doc)
     else:
-        sys.stdout.write(f"unknown certificate schema {schema!r}\n")
-        return EXIT_ERROR
+        raise BundleCertError(f"unknown certificate schema {schema!r}")
     if problems:
         sys.stdout.write("verification FAILED:\n" + "\n".join(problems) + "\n")
         return EXIT_ERROR
@@ -280,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="stability certificate for a monad bundle")
     p.add_argument("--monad", required=True)
-    p.add_argument("--polarization", required=True, help='e.g. "1" on P2 or "1,1"')
-    p.add_argument("--fiber-point", default="0:1")
+    p.add_argument("--polarization", required=True, type=_twist, help='e.g. "1" on P2 or "1,1"')
+    p.add_argument("--fiber-point", type=_point, default="0:1")
     p.add_argument("--margin", type=int, default=None)
     add_out(p)
     p.add_argument("--format", choices=("text", "json"), default="text",
@@ -290,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("h0", help="h^0 of (an exterior power of) a monad bundle")
     p.add_argument("--monad", required=True)
-    p.add_argument("--twist", required=True, help='"k" or "k,l"')
+    p.add_argument("--twist", required=True, type=_twist, help='"k" or "k,l"')
     p.add_argument("--exterior", type=int, default=1)
     p.set_defaults(fn=cmd_h0)
 
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pair", "gram", "genus", "effectivity", "expected-dim"))
     p.add_argument("--lattice", default="quartic-452",
                    help="catalogue name (U, U2, quartic-452) or a JSON file")
-    p.add_argument("--class", dest="classes", action="append", default=[],
+    p.add_argument("--class", dest="classes", action="append", default=[], type=_twist,
                    help='class coordinates, e.g. "1,0" (repeatable)')
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--c1sq", type=int, default=0)
@@ -369,9 +378,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BundleCertError as e:
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        sys.stderr.write(f"input error: {e}\n")
         return EXIT_ERROR
 
 

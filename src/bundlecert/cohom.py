@@ -95,10 +95,8 @@ def _wedge_twists(m: MonadComplex, s: int, base) -> list:
 def exterior_contraction(m: MonadComplex, s: int):
     """Entries and twists for the contraction Λ^s B -> Λ^{s-1} B ⊗ C, b itself
     at s = 1; s >= 2 needs rank-1 C.  Independent of the twist, so built once
-    per (monad, s) and shared immutable."""
+    per (monad, s) and shared immutable.  `h0_monad` owns the range of s."""
     r = len(m.middle)
-    if not 1 <= s <= r - 1:
-        raise ValueError(f"s must lie in 1..{r - 1}")
     if s == 1:
         return m.map_b, m.middle, m.target
     if len(m.target) != 1:
@@ -220,12 +218,9 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> dict:
     by twisting down in the other component; iterating reaches an outright
     ambient vanishing twist.  Returns the witness a certificate's tail rule
     records; raises FiberNotVanishingError when the fiber keeps sections.
+    `restrict_to_fiber` owns the checks of the fiber: a P1 x P1 ambient, an
+    axis 1 or 2 and a point of P1.
     """
-    amb = m.ambient
-    if amb.arity != 2 or amb.dims != (1, 1):
-        raise BundleCertError("tail rule needs ambient P1 x P1")
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
     other = 2 - axis  # 0-based index of the descending component
 
     # evaluate the factor not carrying the bound; `axis` is the surviving one
@@ -234,8 +229,6 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> dict:
 
     # terminal twist for the descent: beyond it, h^0 vanishes for ambient reasons
     lam_twists = _wedge_twists(m, s, m.ambient.zero_degree())
-    if not lam_twists:
-        raise BundleCertError("Λ^s B has rank 0")
     terminal = -max(t[other] for t in lam_twists) - 1
     if m.kind == HOMOLOGY:
         # h^0(E) <= h^0(K) + h^1(A): the A-term needs the bounded component to

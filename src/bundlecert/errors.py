@@ -1,7 +1,8 @@
 """Exception types shared by the toolkit.
 
-Every failure raises BundleCertError, which the CLI prints and maps to exit
-code 1; the message says what went wrong.  A subclass exists only where code
+Every refusal raises BundleCertError, from the one function that owns its
+precondition; `cli.main` catches nothing else, prints it as one `error:` line
+and exits 1.  Any other exception is a bug.  A subclass exists only where code
 catches it by name.  `stability.certify` catches both below and records the
 class name and message in an Inconclusive certificate; its band search also
 catches FiberNotVanishingError from `cohom.tail_vanish` to try the next tail

@@ -11,9 +11,9 @@ Sections on X go through `cohom.h0_monad`, as on P2 and P1 x P1: a kernel
 over the coordinate ring R = S/(f) lifts to a section of the kernel monad
 [E | -f·I] on P3, and the lifts of zero, (f·u, E·u), are counted in closed
 form (see `quartic_h0`).  The quartic run derives the base point of its
-section map, the common zero of three linear forms, by exact linear algebra,
-and returns its certificate as the JSON document that `verify` compares with
-a re-run.
+section map, the common zero of three linear forms, as the `kernel_vector`
+of their coefficients (None unless the kernel is a line), and returns its
+certificate as the JSON document that `verify` compares with a re-run.
 """
 from __future__ import annotations
 
@@ -82,29 +82,15 @@ def genus(lattice: GramLattice, D) -> int:
 
 def gram_of(lattice: GramLattice, classes) -> tuple:
     """Gram matrix of the given classes and its exact determinant."""
-    if not classes:
-        return (), 1
     mat = tuple(tuple(lattice.pair(a, b) for b in classes) for a in classes)
     return mat, bareiss_det([list(r) for r in mat])
 
 
-def dependency(lattice: GramLattice, classes) -> tuple:
-    """A primitive integer vector in the kernel of the classes' Gram matrix.
-
-    Requires the Gram determinant to vanish with a one-dimensional kernel; the
-    returned coefficients (c_1..c_n) satisfy sum c_i (D_i . D_j) = 0 for all j,
-    exhibiting the linear dependency among the classes.
-    """
-    mat, det = gram_of(lattice, classes)
-    if det != 0:
-        raise ValueError("classes are independent (nonzero Gram determinant)")
-    return _kernel_vector(mat)
-
-
-def _kernel_vector(rows) -> tuple:
+def kernel_vector(rows) -> tuple | None:
     """The primitive integer vector spanning the kernel of an integer matrix
-    with n columns, its last nonzero coordinate positive; ValueError unless
-    the kernel is one-dimensional.
+    with n columns, its last nonzero coordinate positive; None unless the
+    kernel is one-dimensional.  On the Gram matrix of classes D_i it is the
+    one relation: sum c_i (D_i . D_j) = 0 for every j.
 
     The signed maximal minors of n-1 rows, v_j = (-1)^j det(those rows
     without column j), are orthogonal to each of those rows (Laplace
@@ -120,9 +106,9 @@ def _kernel_vector(rows) -> tuple:
         if any(v):
             break
     else:
-        raise ValueError("kernel is not one-dimensional")
+        return None
     if any(sum(a * b for a, b in zip(r, v)) for r in rows):
-        raise ValueError("kernel is not one-dimensional")
+        return None
     g = gcd(*v)
     if next(x for x in reversed(v) if x) < 0:
         g = -g
@@ -297,13 +283,13 @@ def _base_point(forms) -> tuple:
                 f"entry (0,{j}) inhomogeneous: the section map needs linear forms"
             )
         rows.append([form.terms.get(e, 0) for e in monomial_basis(QUARTIC_AMBIENT, 1)])
-    try:
-        return _kernel_vector(rows)
-    except ValueError:
+    v = kernel_vector(rows)
+    if v is None:
         raise BundleCertError(
             "the linear forms of the section map have rank below 3: they vanish on a "
             "line or plane, which meets X"
-        ) from None
+        )
+    return v
 
 
 def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:

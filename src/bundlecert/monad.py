@@ -284,7 +284,7 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
     if amb.arity != 2 or amb.dims != (1, 1):
         raise BundleCertError("fiber restriction needs ambient P1 x P1")
     if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
+        raise BundleCertError(f"axis must be 1 or 2, got {axis}")
     a, b = int(point[0]), int(point[1])
     if a == 0 and b == 0:
         raise BundleCertError("(0:0) is not a point of P1")

@@ -62,11 +62,8 @@ def bareiss_rank(rows) -> int:
 
 def bareiss_det(rows) -> int:
     """Determinant of a square integer matrix, fraction-free."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("not square")
     rank, sign, pivot = _bareiss(rows)
-    return sign * pivot if rank == n else 0
+    return sign * pivot if rank == len(rows) else 0
 
 
 def _bareiss(rows) -> tuple:
@@ -130,10 +127,6 @@ def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> Exa
     only nonzero cells.  Each basis comes with its {exponent: position}
     index from one cache per (factor sizes, degree) (`indexed_basis`).
     """
-    if len(map_entries) != len(target_twists):
-        raise ValueError("row count differs from target rank")
-    if any(len(row) != len(source_twists) for row in map_entries):
-        raise ValueError("column count differs from source rank")
     sizes = tuple(map(len, ambient.groups))
     row_starts = []  # per target summand: (first row, index of its basis)
     nrows = 0

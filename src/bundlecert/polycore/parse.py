@@ -6,7 +6,8 @@
     base   := int | ident | '(' expr ')'
 
 Identifiers are [a-z][0-9]*; juxtaposition is not multiplication, so "x1y1"
-lexes as one name and is rejected as an unknown variable.
+lexes as one name and is rejected as an unknown variable.  Nesting deeper
+than MAX_NESTING is refused: each level costs the descent four stack frames.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .poly import Ambient, RationalPolynomial
 
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[a-z][a-z0-9]*)|(?P<op>[-+*^()])")
 _WS_RE = re.compile(r"\s+")
+MAX_NESTING = 100
 
 
 class _Tokens:
@@ -41,6 +43,7 @@ class _Tokens:
             pos = m.end()
         self.toks.append(("end", None, len(text)))
         self.i = 0
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self):
         return self.toks[self.i]
@@ -116,8 +119,14 @@ def _base(toks, ambient):
             raise BundleCertError(f"unknown variable {value!r} (at offset {offset})")
         return RationalPolynomial.variable(ambient, value)
     if kind == "(":
+        toks.depth += 1
+        if toks.depth > MAX_NESTING:
+            raise BundleCertError(
+                f"parentheses nested over {MAX_NESTING} deep (at offset {offset})"
+            )
         p = _expr(toks, ambient)
         toks.expect(")")
+        toks.depth -= 1
         return p
     raise BundleCertError(
         f"expected integer, variable or '(', found {value!r} (at offset {offset})"

@@ -36,13 +36,13 @@ class Ambient:
     def __post_init__(self):
         names = [v for g in self.groups for v in g]
         if len(set(names)) != len(names):
-            raise ValueError("ambient variable names must be distinct")
+            raise BundleCertError("ambient variable names must be distinct")
         for v in names:
             if not _NAME_RE.match(v):
-                raise ValueError(f"variable name {v!r} does not match [a-z][0-9]*")
+                raise BundleCertError(f"variable name {v!r} does not match [a-z][0-9]*")
         for g in self.groups:
             if len(g) < 2:
-                raise ValueError("each projective factor needs at least 2 coordinates")
+                raise BundleCertError("each projective factor needs at least 2 coordinates")
 
     @staticmethod
     def projective(n: int, names=None) -> "Ambient":
@@ -50,20 +50,15 @@ class Ambient:
             names = tuple(f"x{i}" for i in range(n + 1))
         names = tuple(names)
         if len(names) != n + 1:
-            raise ValueError("expected n+1 variable names")
+            raise BundleCertError("expected n+1 variable names")
         return Ambient((names,))
 
     @staticmethod
-    def product_projective(n1: int, n2: int, names=None) -> "Ambient":
-        if names is None:
-            names = (
-                tuple(f"x{i}" for i in range(n1 + 1)),
-                tuple(f"y{i}" for i in range(n2 + 1)),
-            )
-        g1, g2 = tuple(names[0]), tuple(names[1])
-        if len(g1) != n1 + 1 or len(g2) != n2 + 1:
-            raise ValueError("variable name counts do not match dimensions")
-        return Ambient((g1, g2))
+    def product_projective(n1: int, n2: int) -> "Ambient":
+        return Ambient((
+            tuple(f"x{i}" for i in range(n1 + 1)),
+            tuple(f"y{i}" for i in range(n2 + 1)),
+        ))
 
     @property
     def arity(self) -> int:
@@ -215,7 +210,7 @@ class RationalPolynomial:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative exponent")
+            raise BundleCertError("negative exponent")
         out = RationalPolynomial.constant(self.ambient, 1)
         for _ in range(n):
             out = out * self

@@ -80,9 +80,7 @@ def slope(c: dict, H: Polarization) -> Fraction:
 def twist_region(c: dict, s: int, H: Polarization) -> int:
     """The integer bound of {deg_H(L) <= -s·μ(E)}: the region is every L whose
     components sum to at most the bound (a half-line on P^n, a band on
-    P1 x P1)."""
-    if not 1 <= s <= c["rank"] - 1:
-        raise ValueError(f"s must lie in 1..{c['rank'] - 1}")
+    P1 x P1).  `certify`, its one caller, takes s in 1..rank-1."""
     if not H.is_balanced:
         raise BundleCertError(
             "twist regions are implemented for multiples of O(1) / O(1,1)"

@@ -371,7 +371,7 @@ def profile_from_counts(counts, p: int) -> ZetaProfile:
 def assemble_charpoly(counts, p: int, k_alg: int = K_ALG) -> ZetaProfile:
     """Build candidate characteristic-polynomial factors from HALF - 1 = 9 point counts."""
     if k_alg != K_ALG:
-        raise ValueError(f"k_alg must be {K_ALG}, the rank of the U(2) of the rulings")
+        raise BundleCertError(f"k_alg must be {K_ALG}, the rank of the U(2) of the rulings")
     counts = list(counts)
     if len(counts) != HALF - 1:
         raise BundleCertError(f"expected {HALF - 1} counts, got {len(counts)}")

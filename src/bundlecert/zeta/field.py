@@ -243,16 +243,17 @@ class Field:
 
 
 def check_field(p: int, n: int):
-    """Raise unless F_{p^n} can be built for a count: p an odd prime, n >= 1,
-    q <= ZECH_CAP."""
+    """Raise unless F_{p^n} can be built for a count: n >= 1, q <= ZECH_CAP,
+    p an odd prime.  The size goes first, from p^min(n, 21) (exact: p^21 >
+    ZECH_CAP), so no large power is made and `is_prime` sees p <= ZECH_CAP."""
+    if n < 1:
+        raise BundleCertError(f"extension degree must be >= 1, got {n}")
+    if p >= 2 and p ** min(n, ZECH_CAP.bit_length()) > ZECH_CAP:
+        raise BundleCertError(f"q = {p}^{n} exceeds the log-table limit 2^20")
     if not is_prime(p):
         raise BundleCertError(f"{p} is not prime")
     if p == 2:
         raise BundleCertError("double-cover counting needs odd characteristic")
-    if n < 1:
-        raise BundleCertError(f"extension degree must be >= 1, got {n}")
-    if p ** n > ZECH_CAP:
-        raise BundleCertError(f"q = {p}^{n} exceeds the log-table limit 2^20")
 
 
 def make_field(p: int, n: int) -> Field:

@@ -95,7 +95,7 @@ def leibniz_det(rows) -> int:
 def rref_kernel_vector(rows) -> tuple:
     """The primitive integer vector spanning the kernel of a rational matrix,
     with its free coordinate positive, by a fraction reduced row echelon form;
-    ValueError unless the kernel is one-dimensional."""
+    None unless the kernel is one-dimensional."""
     rows = [[Fraction(x) for x in row] for row in rows]
     n = len(rows[0])
     pivots = []
@@ -115,7 +115,7 @@ def rref_kernel_vector(rows) -> tuple:
         r += 1
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
-        raise ValueError("kernel is not one-dimensional")
+        return None
     j = free[0]
     vec = [Fraction(0)] * n
     vec[j] = Fraction(1)

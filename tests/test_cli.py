@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -214,19 +215,24 @@ def test_a_form_that_vanishes_mod_p_exits_1(capsys, tmp_path):
 @pytest.mark.parametrize("command,prime,max_n", [
     ("count-points", 1031, ("--max-n", 2)), ("picard-bound", 1031, ()),
     ("count-points", 4, ()), ("count-points", 2, ()), ("picard-bound", 2, ()),
-    ("count-points", 3, ("--max-n", 0)),
+    ("count-points", 3, ("--max-n", 0)), ("count-points", 3, ("--max-n", 10 ** 8)),
+    ("count-points", 10 ** 18 + 3, ()), ("picard-bound", 10 ** 18 + 3, ()),
 ], ids=["count-points", "picard-bound", "count-points-not-prime", "count-points-even",
-        "picard-bound-even", "count-points-degree-0"])
+        "picard-bound-even", "count-points-degree-0", "count-points-degree-1e8",
+        "count-points-prime-1e18", "picard-bound-prime-1e18"])
 def test_field_cap_is_checked_before_any_count(capsys, monkeypatch, command, prime, max_n):
     """A prime above the cap, a composite, p = 2 and n < 1 are refused
-    before a count reads the form."""
+    before a count reads the form, and an oversize field within seconds:
+    3^(10^8), or trial division up to 10^9, would each take minutes."""
     def no_count(*args, **kwargs):
         raise AssertionError("started a count before refusing the prime")
 
     monkeypatch.setattr(zeta.count, "curve_coefficients", no_count)
+    start = time.perf_counter()
     code, out, err = run(
         capsys, command, "--surface", INPUTS / "b44.poly", "--prime", prime, *max_n
     )
+    assert time.perf_counter() - start < 5
     assert code == cli.EXIT_ERROR
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -376,6 +382,93 @@ def test_h0_of_a_wedge_square_with_a_rank_2_cokernel_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "h0", "--monad", path, "--twist", 2, "--exterior", 2)
     assert (code, out) == (cli.EXIT_ERROR, "")
     assert err == "error: exterior powers need a rank-1 cokernel, got rank 2\n"
+
+
+def targetless(tmp_path, rank):
+    """ker(O^rank -> 0) on P2, the trivial bundle O^rank: no target, no map."""
+    path = tmp_path / "targetless.monad"
+    path.write_text(json.dumps({"ambient": {"type": "projective", "dim": 2},
+                                "middle": [0] * rank, "target": [], "map_b": []}))
+    return path
+
+
+@pytest.mark.parametrize("twist,h0", [(0, 1), (1, 3), (2, 6)])
+def test_h0_of_a_monad_without_a_target(capsys, tmp_path, twist, h0):
+    # h0(O(k)) on P2 is C(k + 2, 2); s = 1 = rank is in the range h0_monad owns
+    code, out, err = run(capsys, "h0", "--monad", targetless(tmp_path, 1), "--twist", twist)
+    assert (code, out, err) == (cli.EXIT_OK, f"{h0}\n", "")
+
+
+def test_h0_of_a_wedge_square_without_a_target_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, "h0", "--monad", targetless(tmp_path, 2), "--twist", 1,
+                         "--exterior", 2)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == "error: exterior powers need a rank-1 cokernel, got rank 0\n"
+
+
+def _write(tmp_path, name, data: bytes):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
+# each malformed input with the lines it prints on stderr: argparse prints its
+# usage before the error line of a value an option's `type=` parser refuses
+MALFORMED_INPUTS = [
+    ("polarization-not-integers", lambda tmp: (
+        "certify", "--monad", INPUTS / "euler.monad", "--polarization", "1,x"),
+     "argument --polarization: expected integers k or k,l,..., got '1,x'"),
+    ("twist-not-integers", lambda tmp: (
+        "h0", "--monad", INPUTS / "euler.monad", "--twist", "one"),
+     "argument --twist: expected integers k or k,l,..., got 'one'"),
+    ("class-not-integers", lambda tmp: ("lattice", "pair", "--class", "1,0", "--class", "0,1.5"),
+     "argument --class: expected integers k or k,l,..., got '0,1.5'"),
+    ("fiber-point-one-number", lambda tmp: (
+        "certify", "--monad", INPUTS / "k_rank3.monad", "--polarization", "1,1",
+        "--fiber-point", "1"),
+     "argument --fiber-point: expected two integers a:b, got '1'"),
+    ("missing-file", lambda tmp: ("chern", "--monad", tmp / "missing.monad"),
+     "error: cannot read {tmp}/missing.monad: No such file or directory"),
+    ("not-utf-8", lambda tmp: ("chern", "--monad", _write(tmp, "latin.monad", b'{"name": "\xe9"}')),
+     "error: cannot read {tmp}/latin.monad: 'utf-8' codec can't decode byte 0xe9"),
+    ("malformed-json", lambda tmp: ("chern", "--monad", _write(tmp, "cut.monad", b'{"ambient": ')),
+     "error: cannot read {tmp}/cut.monad: Expecting value"),
+    ("json-nested-too-deep", lambda tmp: (
+        "verify", _write(tmp, "deep.json", b"[" * 100000 + b"]" * 100000)),
+     "error: cannot read {tmp}/deep.json: maximum recursion depth exceeded"),
+    ("unwritable-out", lambda tmp: (
+        "chern", "--monad", INPUTS / "euler.monad", "--out", tmp / "no-such-dir" / "c.json"),
+     "error: cannot write {tmp}/no-such-dir/c.json: No such file or directory"),
+]
+
+
+@pytest.mark.parametrize("argv,line", [case[1:] for case in MALFORMED_INPUTS],
+                         ids=[case[0] for case in MALFORMED_INPUTS])
+def test_a_malformed_input_exits_1_with_one_error_line(capsys, tmp_path, argv, line):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert "Traceback" not in err and "input error" not in err
+    errors = [e for e in err.splitlines() if "error: " in e]
+    assert len(errors) == 1 and line.format(tmp=tmp_path) in errors[0]
+    if not line.startswith("argument "):
+        assert err == errors[0] + "\n"
+
+
+DEEP = "(" * 3000 + "x0" + ")" * 3000
+
+
+@pytest.mark.parametrize("command,doc", [
+    (("count-points", "--prime", 3, "--max-n", 1, "--surface"), {"polynomial": DEEP}),
+    (("chern", "--monad"), {**json.loads((INPUTS / "euler.monad").read_text()),
+                            "map_b": [[DEEP, "x1", "x2"]]}),
+], ids=["count-points", "chern"])
+def test_a_deeply_nested_polynomial_exits_1(capsys, tmp_path, command, doc):
+    # 3000 levels would overflow the stack of the recursive descent
+    path = _write(tmp_path, "deep.json", json.dumps(doc).encode())
+    code, out, err = run(capsys, *command, path)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == "error: parentheses nested over 100 deep (at offset 100)\n"
+
 
 
 def canonical(doc):
@@ -722,7 +815,7 @@ PRIME_NOT_AN_INTEGER = "error: 'input.prime' of a picard-bound document must be 
 # (id, edit, start of stderr, or of stdout for an unknown schema)
 MALFORMED_CERTIFICATES = [
     ("top-level-list", lambda doc: [1], "error: a certificate is a JSON object"),
-    ("schema-not-a-string", lambda doc: {"schema": 5}, "unknown certificate schema '5'"),
+    ("schema-not-a-string", lambda doc: {"schema": 5}, "error: unknown certificate schema '5'"),
     ("quartic-surface-not-a-string", lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
      "error: a quartic certificate needs the surface as a string"),
     ("quartic-surface-not-a-quartic",

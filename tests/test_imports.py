@@ -4,8 +4,9 @@ function but the brute-force oracle and a repr is entered by a profiled run of
 the commands, every __all__ entry is bound in its module, no module under src/ imports random
 or starts processes, only stability.py imports fractions, only cohom.py and
 monad.py import section_matrix (beside polycore's re-export), the certify path
-loads no numpy, zeta loads charpoly before numpy, and every exception subclass
-is caught by name somewhere."""
+loads no numpy, zeta loads charpoly before numpy, every exception subclass
+is caught by name somewhere, no module under src/ raises ValueError or
+KeyError, and `cli.main` catches only BundleCertError from a command."""
 import ast
 import importlib
 import json
@@ -205,6 +206,30 @@ def test_every_error_subclass_is_caught_by_name():
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
     assert sorted(defined - caught - {"BundleCertError"}) == []
+
+
+def test_no_module_under_src_raises_value_error_or_key_error():
+    # a refusal is a BundleCertError, raised once by the owner of its
+    # precondition; a builtin error means a bug, and main lets it show
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "KeyError"):
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno} {exc.id}")
+    assert found == []
+
+
+def test_main_catches_only_bundlecert_error_from_a_command():
+    tree = ast.parse((SRC / "bundlecert" / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "main")
+    (command_try,) = [node for node in ast.walk(main) if isinstance(node, ast.Try)
+                      and any(isinstance(n, ast.Attribute) and n.attr == "fn"
+                              for stmt in node.body for n in ast.walk(stmt))]
+    caught = [ast.unparse(handler.type) for handler in command_try.handlers]
+    assert caught == ["BundleCertError"] and not command_try.finalbody
 
 
 def test_only_errors_py_defines_exceptions():

@@ -304,7 +304,7 @@ class TestStructure:
             kernel_monad(PP, [(-1, 0), (-1, 0)], [(0, 0)], [["x0", "x0*y0"]])
 
     def test_entry_on_another_ambient_is_refused(self):
-        other = Ambient.product_projective(1, 1, names=(("a0", "a1"), ("b0", "b1")))
+        other = Ambient((("a0", "a1"), ("b0", "b1")))
         entries = [[parse_poly("x0*y0", PP), parse_poly("a0*b1", other)]]
         with pytest.raises(BundleCertError, match=r"map_b\[0\]\[1\] is not on the monad's ambient"):
             kernel_monad(PP, [(-1, -1)] * 2, [(0, 0)], entries)

