@@ -119,9 +119,8 @@ def exterior_contraction(m: MonadComplex, s: int):
 
 
 def h0_exterior(m: MonadComplex, s: int, L) -> dict:
-    """h^0((Λ^s ker b) ⊗ O(L)), exact, for kernel monads (rank-1 cokernel if s >= 2)."""
-    if m.kind != KERNEL:
-        raise UnsupportedOperationError("exterior powers of homology monads are unsupported")
+    """h^0((Λ^s ker b) ⊗ O(L)), exact, for a kernel monad m (rank-1 cokernel
+    if s >= 2); its callers dispatch on m.kind."""
     entries, src, tgt = exterior_contraction(m, s)
     res = _kernel_result(m, entries, src, tgt, L, EXTERIOR_KERNEL)
     res["witness"]["s"] = s
@@ -129,9 +128,8 @@ def h0_exterior(m: MonadComplex, s: int, L) -> dict:
 
 
 def h0_homology(m: MonadComplex, L) -> dict:
-    """h^0((ker b / im a) ⊗ O(L)); exact when h^1(A⊗L) = 0, else an interval."""
-    if m.kind != HOMOLOGY:
-        raise BundleCertError("h0_homology needs a homology monad")
+    """h^0((ker b / im a) ⊗ O(L)) for a homology monad m; exact when
+    h^1(A⊗L) = 0, else an interval.  Its callers dispatch on m.kind."""
     L = m.ambient.normalize_degree(L)
     # the K in 0 -> A -> K -> E -> 0
     k = _kernel_result(m, m.map_b, m.middle, m.target, L, SECTION_KERNEL)
@@ -216,12 +214,20 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> dict:
     restricted h^0 vanishes at all twists <= bound by P1 monotonicity, so
     every global section vanishes on the fiber divisor and h^0 is unchanged
     by twisting down in the other component; iterating reaches an outright
-    ambient vanishing twist.  Returns the witness a certificate's tail rule
-    records; raises FiberNotVanishingError when the fiber keeps sections.
-    `restrict_to_fiber` owns the checks of the fiber: a P1 x P1 ambient, an
-    axis 1 or 2 and a point of P1.
+    ambient vanishing twist.  For a homology monad the bound must also keep
+    h^0 of every source twist at zero along the tail.  Returns the witness a
+    certificate's tail rule records; raises FiberNotVanishingError when the
+    bound fails either condition, so the caller tries a lower one.
+    `restrict_to_fiber` owns the checks of the fiber: a P1 x P1 ambient and
+    a point of P1.
     """
     other = 2 - axis  # 0-based index of the descending component
+    # h^0(E) <= h^0(K) + h^1(A): the A-term needs the bounded component to
+    # keep h^0 of the A twists at zero along the whole tail; no fiber needed
+    if m.kind == HOMOLOGY and any(bound + t[axis - 1] >= 0 for t in m.source):
+        raise FiberNotVanishingError(
+            f"h^1(A) obstruction: tail bound {bound} too high for the source twists"
+        )
 
     # evaluate the factor not carrying the bound; `axis` is the surviving one
     fiber = restrict_to_fiber(m, 3 - axis, tuple(point))
@@ -230,13 +236,6 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> dict:
     # terminal twist for the descent: beyond it, h^0 vanishes for ambient reasons
     lam_twists = _wedge_twists(m, s, m.ambient.zero_degree())
     terminal = -max(t[other] for t in lam_twists) - 1
-    if m.kind == HOMOLOGY:
-        # h^0(E) <= h^0(K) + h^1(A): the A-term needs the bounded component to
-        # keep h^0 of the A twists at zero along the whole tail
-        if any(bound + t[axis - 1] >= 0 for t in m.source):
-            raise BundleCertError(
-                "h^1(A) obstruction: tail bound too high for the source twists"
-            )
     return {
         "s": s,
         "axis": axis,

@@ -19,4 +19,5 @@ class UnsupportedOperationError(BundleCertError):
 
 
 class FiberNotVanishingError(BundleCertError):
-    """Fiber restriction has sections; the tail rule hypothesis fails."""
+    """A tail bound fails: the fiber restriction has sections, or the bound
+    leaves h^0 of a source twist nonzero (the h^1(A) obstruction)."""

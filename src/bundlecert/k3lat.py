@@ -242,8 +242,7 @@ QUARTIC_AMBIENT = Ambient.projective(3, names=("x", "y", "z", "w"))
 
 
 def _check_quartic(f: RationalPolynomial):
-    if f.ambient != QUARTIC_AMBIENT:
-        raise BundleCertError("quartic must live on P3 with coordinates x,y,z,w")
+    """f, a polynomial on QUARTIC_AMBIENT, is a nonzero quartic form."""
     if f.is_zero() or not f.is_homogeneous_of(4):
         raise BundleCertError("f must be a nonzero homogeneous quartic")
 

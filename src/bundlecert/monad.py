@@ -88,9 +88,10 @@ class MonadComplex:
 
     middle, target and source are the twists of B, C and A.  map_b is stored
     row-major with rows indexed by C summands and columns by B summands;
-    map_a likewise with rows indexed by B and columns by A.  Construction
-    normalizes the twists, checks the shapes, then the structure (module
-    docstring).
+    map_a likewise with rows indexed by B and columns by A; source and map_a
+    are both given or both None (`monad_from_document` refuses a document
+    with one of them).  Construction normalizes the twists, checks the
+    shapes, then the structure (module docstring).
     """
 
     ambient: Ambient
@@ -108,8 +109,6 @@ class MonadComplex:
                 object.__setattr__(
                     self, key, tuple(self.ambient.normalize_degree(t) for t in twists)
                 )
-        if (self.source is None) != (self.map_a is None):
-            raise BundleCertError("source and map_a must be both present or both absent")
         if self.source == ():
             raise BundleCertError("source of rank 0: omit source and map_a for a kernel monad")
         if len(self.map_b) != len(self.target):
@@ -278,13 +277,12 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
     c * a^i * b^j times the monomial of its surviving exponents at the point
     (a:b); terms that land on one monomial are summed.  The tail rule asks for
     the same fiber at several s and bounds, so each (monad, axis, point) is
-    restricted once and the result shared immutable.
+    restricted once and the result shared immutable.  Its one caller,
+    `cohom.tail_vanish`, passes an axis 1 or 2.
     """
     amb = m.ambient
     if amb.arity != 2 or amb.dims != (1, 1):
         raise BundleCertError("fiber restriction needs ambient P1 x P1")
-    if axis not in (1, 2):
-        raise BundleCertError(f"axis must be 1 or 2, got {axis}")
     a, b = int(point[0]), int(point[1])
     if a == 0 and b == 0:
         raise BundleCertError("(0:0) is not a point of P1")
@@ -379,8 +377,8 @@ def monad_from_document(doc: dict) -> MonadComplex:
         map_b = doc["map_b"]
     except KeyError as e:
         raise BundleCertError(f"monad document missing field {e.args[0]!r}") from None
-    has_source = "source" in doc or "map_a" in doc
-    if has_source and not ("source" in doc and "map_a" in doc):
+    has_source = "source" in doc
+    if has_source != ("map_a" in doc):
         raise BundleCertError("source and map_a must be given together")
     known = {"ambient", "middle", "target", "map_b", "source", "map_a", "name"}
     unknown = set(doc) - known

@@ -56,7 +56,8 @@ class _Tokens:
     def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            raise BundleCertError(f"expected {kind!r}, found {t[1]!r} (at offset {t[2]})")
+            found = "end of input" if t[0] == "end" else repr(t[1])
+            raise BundleCertError(f"expected {kind!r}, found {found} (at offset {t[2]})")
         return t
 
 
@@ -128,6 +129,5 @@ def _base(toks, ambient):
         toks.expect(")")
         toks.depth -= 1
         return p
-    raise BundleCertError(
-        f"expected integer, variable or '(', found {value!r} (at offset {offset})"
-    )
+    found = "end of input" if kind == "end" else repr(value)
+    raise BundleCertError(f"expected integer, variable or '(', found {found} (at offset {offset})")

@@ -119,10 +119,9 @@ _GIESEKER_NOTE = (
 
 def certify(m: MonadComplex, H: Polarization, options: CertifyOptions | None = None) -> Document:
     """Run the full vanishing verification and return the certificate: the
-    document `verify` compares with its re-run."""
+    document `verify` compares with its re-run.  H is a polarization on
+    m.ambient, as both callers build it."""
     options = options or CertifyOptions()
-    if m.ambient != H.ambient:
-        raise BundleCertError("polarization ambient differs from the monad's")
 
     ends = validate(m)
     chern = chern_monad(m)
@@ -226,10 +225,9 @@ def _run_band(m, s, bound, cert, options) -> dict | None:
 
 
 def _read_inputs(doc) -> tuple:
-    """The monad, polarization and options a certificate records.  Only these
-    are read before the re-run; a wrong JSON type raises BundleCertError."""
-    if not isinstance(doc, dict):
-        raise BundleCertError("a certificate is a JSON object")
+    """The monad, polarization and options a certificate records, a JSON
+    object (`cli.cmd_verify` checks that).  Only these are read before the
+    re-run; a wrong JSON type raises BundleCertError."""
     inp = doc.get("input")
     if not (isinstance(inp, dict) and isinstance(inp.get("monad"), dict)):
         raise BundleCertError("'input' and 'input.monad' must be JSON objects")

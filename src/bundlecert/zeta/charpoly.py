@@ -280,10 +280,7 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
         for i, c in enumerate(b_prev):
             b_next[i] -= c
         b_prev, b_cur = b_cur, b_next
-    while len(G) > 1 and G[-1] == 0:
-        G.pop()
-    if len(G) == 1:
-        return not any(G) or h == 0
+    # G leads with r_e = p^d != 0, and a constant G passes every test below
     if _refused(G):
         return False
     for root in (2, -2):

@@ -96,10 +96,8 @@ from .field import (
 
 
 def curve_coefficients(f: RationalPolynomial, p: int):
-    """5x5 integer matrix A[i][j] = coefficient of x0^(4-i) x1^i y0^(4-j) y1^j mod p."""
-    amb = f.ambient
-    if amb.arity != 2 or amb.dims != (1, 1):
-        raise BundleCertError("branch curve must live on P1 x P1")
+    """5x5 integer matrix A[i][j] = coefficient of x0^(4-i) x1^i y0^(4-j) y1^j mod p,
+    of a form f on P1 x P1 (every caller parses it there)."""
     if not f.is_homogeneous_of((4, 4)) or f.is_zero():
         raise BundleCertError("branch curve must be a nonzero form of bidegree (4,4)")
     A = [[0] * 5 for _ in range(5)]

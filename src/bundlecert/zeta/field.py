@@ -51,13 +51,10 @@ def _pol_mulmod(a, b, mod, p):
 
 
 def _pol_rem(a, mod, p):
-    a = list(a)
+    a = _pol_trim(list(a))
     dm = len(mod) - 1
     inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        _pol_trim(a)
-        if len(a) - 1 < dm:
-            break
+    while len(a) - 1 >= dm:  # a is trimmed: empty, or a nonzero leading digit
         c = a[-1] * inv_lead % p
         shift = len(a) - 1 - dm
         for i, m in enumerate(mod):

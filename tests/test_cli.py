@@ -412,6 +412,39 @@ def _write(tmp_path, name, data: bytes):
     return path
 
 
+def _json(tmp_path, name, doc):
+    return _write(tmp_path, name, json.dumps(doc).encode())
+
+
+def _edited(monad, **fields):
+    """The shipped monad with each field set, or deleted where None."""
+    doc = json.loads((INPUTS / f"{monad}.monad").read_text())
+    for key, value in fields.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+def _chern_of(doc):
+    return lambda tmp: ("chern", "--monad", _json(tmp, "edited.monad", doc))
+
+
+def _h0_of(doc, twist):
+    return lambda tmp: ("h0", "--monad", _json(tmp, "edited.monad", doc), "--twist", twist)
+
+
+def _lattice_of(doc):
+    return lambda tmp: ("lattice", "pair", "--class", "1,0", "--class", "0,1", "--lattice",
+                        _json(tmp, "lattice.json", doc))
+
+
+PP_AMBIENT = {"type": "product_projective", "dims": [1, 1]}
+# a homology monad A -> O^3 -> O with zero maps: h0 reads h^i(A(L)) by Bott and Künneth
+ZERO_HOMOLOGY = {"middle": [[0, 0]] * 3, "target": [[0, 0]], "map_a": [["0"]] * 3,
+                 "map_b": [["1", "0", "0"]]}
+
 # each malformed input with the lines it prints on stderr: argparse prints its
 # usage before the error line of a value an option's `type=` parser refuses
 MALFORMED_INPUTS = [
@@ -439,13 +472,64 @@ MALFORMED_INPUTS = [
     ("unwritable-out", lambda tmp: (
         "chern", "--monad", INPUTS / "euler.monad", "--out", tmp / "no-such-dir" / "c.json"),
      "error: cannot write {tmp}/no-such-dir/c.json: No such file or directory"),
+    ("lattice-a-list", _lattice_of([1]), "error: a lattice is a JSON object"),
+    ("lattice-names-not-strings", _lattice_of({"names": [1, 2], "gram": [[2, 1], [1, 2]]}),
+     "error: 'names' must be a list of strings"),
+    ("h0-homology-on-p1xp2", _h0_of({
+        **ZERO_HOMOLOGY, "ambient": {"type": "product_projective", "dims": [1, 2]},
+        "source": [[0, 0]], "map_b": [["0", "0", "0"]]}, "0,0"),
+     "error: h_line implemented for P^n and P1 x P1"),
+    # h0(K(0,0)) = 3 - 1 sections, h0(A(0,0)) = h0(O(2,2)) = 9
+    ("h0-of-a-above-h0-of-k", _h0_of({**ZERO_HOMOLOGY, "ambient": PP_AMBIENT,
+                                       "source": [[2, 2]]}, "0,0"),
+     "error: h^0(A) exceeds h^0(K); the monad is not exact at A"),
+    ("h0-twist-of-2-components-on-p2", lambda tmp: (
+        "h0", "--monad", INPUTS / "euler.monad", "--twist", "1,2"),
+     "error: degree (1, 2) has 2 components, ambient has 1"),
+    ("h0-basis-over-the-cap", lambda tmp: (
+        "h0", "--monad", INPUTS / "euler.monad", "--twist", "100000"),
+     "error: a monomial basis of degree (100000,) has 5000150001 monomials, over the cap 10000"),
+    ("source-without-map-a", _chern_of(_edited("e_rank2", map_a=None)),
+     "error: source and map_a must be given together"),
+    ("map-b-row-count", _chern_of(_edited("e_rank2", map_b=[["y0", "y1", "-x0", "-x1"]] * 2)),
+     "error: map_b row count differs from rank of C"),
+    ("map-b-column-count", _chern_of(_edited("e_rank2", map_b=[["y0", "y1", "-x0"]])),
+     "error: map_b column count differs from rank of B"),
+    ("map-a-row-count", _chern_of(_edited("e_rank2", map_a=[["x0"], ["x1"], ["y0"]])),
+     "error: map_a row count differs from rank of B"),
+    ("map-a-column-count", _chern_of(_edited("e_rank2", map_a=[["x0", "0"]] * 4)),
+     "error: map_a column count differs from rank of A"),
+    ("integer-twist-on-p1xp1", _chern_of(_edited("e_rank2", target=[2])),
+     "error: scalar degree on a product ambient"),
+    ("ambient-without-type", _chern_of(_edited("e_rank2", ambient={"dims": [1, 1]})),
+     "error: ambient document needs a 'type' field"),
+    ("ambient-a-list", _chern_of(_edited("e_rank2", ambient=[1, 1])),
+     "error: ambient document needs a 'type' field"),
+    ("ambient-of-unknown-type", _chern_of(_edited("e_rank2", ambient={"type": "weighted"})),
+     "error: unknown ambient type 'weighted'"),
+    ("no-middle", _chern_of(_edited("e_rank2", middle=None)),
+     "error: monad document missing field 'middle'"),
+    ("map-entry-with-dollar", _chern_of(_edited("euler", map_b=[["x0 $", "x1", "x2"]])),
+     "error: unexpected character '$' (at offset 3)"),
+    ("map-entry-with-unclosed-parenthesis", _chern_of(_edited("euler", map_b=[["(x0", "x1", "x2"]])),
+     "error: expected ')', found end of input (at offset 3)"),
+    ("polarization-of-square-0", lambda tmp: (
+        "certify", "--monad", INPUTS / "k_rank3.monad", "--polarization", "0,1"),
+     "error: polarization (0, 1) has nonpositive self-intersection"),
+    ("polarization-negative", lambda tmp: (
+        "certify", "--monad", INPUTS / "euler.monad", "--polarization", "-1"),
+     "error: polarization components must be positive"),
 ]
 
 
 @pytest.mark.parametrize("argv,line", [case[1:] for case in MALFORMED_INPUTS],
                          ids=[case[0] for case in MALFORMED_INPUTS])
 def test_a_malformed_input_exits_1_with_one_error_line(capsys, tmp_path, argv, line):
+    # every refusal comes before any large computation: a basis of 5*10^9
+    # monomials is refused before it is built
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv(tmp_path))
+    assert time.perf_counter() - start < 1
     assert (code, out) == (cli.EXIT_ERROR, "")
     assert "Traceback" not in err and "input error" not in err
     errors = [e for e in err.splitlines() if "error: " in e]
@@ -815,6 +899,8 @@ PRIME_NOT_AN_INTEGER = "error: 'input.prime' of a picard-bound document must be 
 # (id, edit, start of stderr, or of stdout for an unknown schema)
 MALFORMED_CERTIFICATES = [
     ("top-level-list", lambda doc: [1], "error: a certificate is a JSON object"),
+    ("input-not-an-object", lambda doc: {**doc, "input": 5},
+     "error: 'input' and 'input.monad' must be JSON objects"),
     ("schema-not-a-string", lambda doc: {"schema": 5}, "error: unknown certificate schema '5'"),
     ("quartic-surface-not-a-string", lambda doc: {"schema": "quartic-certificate/1", "surface": 5},
      "error: a quartic certificate needs the surface as a string"),
@@ -903,6 +989,61 @@ def test_verify_replays_the_recorded_rank(capsys, tmp_path, k_rank3_certificate)
     code, out, _ = verify_document(capsys, tmp_path, k_rank3_certificate)
     assert code == cli.EXIT_ERROR
     assert out.startswith("verification FAILED") and "core_checks" in out
+
+
+# a homology monad whose tail bound -1 on axis 1 leaves h^0(A(-1, l)) =
+# h^0(O(0, l)) nonzero: the h^1(A) obstruction, after which the search goes on
+# to -2.  b is onto (x0*y0, x1*y1, x0*y1 + x1*y0 share no zero) and a is the
+# constant 1, so both ends are proved exact.
+OBSTRUCTED = {"ambient": PP_AMBIENT, "source": [[1, 0]],
+              "middle": [[1, 0], [0, 0], [0, 0], [0, 0]], "target": [[1, 1]],
+              "map_a": [["1"], ["0"], ["0"], ["0"]],
+              "map_b": [["0", "x0*y0", "x1*y1", "x0*y1 + x1*y0"]]}
+
+
+def test_the_h1_obstruction_fails_only_its_tail_bound(capsys, tmp_path):
+    doc = certificate(capsys, tmp_path, "certify", "--monad",
+                      _json(tmp_path, "obstructed.monad", OBSTRUCTED), "--polarization", "1,1")
+    assert doc["verdict"] == "Stable" and doc["failure"] is None
+    tails = [(r["s"], r["axis"], r["bound"], r["witness"]["fiber"]["rule"])
+             for r in doc["tail_rules"]]
+    assert tails == [(1, 1, -2, "homology-exact"), (1, 2, -1, "homology-exact")]
+    code, out, _ = verify_document(capsys, tmp_path, doc)
+    assert code == cli.EXIT_OK and out.startswith("certificate verified")
+
+
+def _e_rank2_plus(twist):
+    """e_rank2 with one more summand O(twist) of B, a zero column of b and a
+    zero row of a: the homology bundle E + O(twist), of rank 3."""
+    doc = json.loads((INPUTS / "e_rank2.monad").read_text())
+    doc["middle"].append(twist)
+    doc["map_b"][0].append("0")
+    doc["map_a"].append(["0"])
+    return doc
+
+
+@pytest.mark.parametrize("doc,polarization,failure", [
+    # E + O passes s = 1, and s = 2 needs a homology fiber
+    (_e_rank2_plus([0, 0]), "1,1",
+     {"reason": "UnsupportedOperationError", "detail": "homology fibers support s = 1 only"}),
+    # on each fiber of axis 1, E + O(7, 0) has the summand O(7): no bound down to
+    # the floor -6 leaves the fiber without sections
+    (_e_rank2_plus([7, 0]), "1,1",
+     {"reason": "FiberNotVanishingError", "detail": "fiber h0 does not vanish at point (0, 1): "
+                                                    "no tail bound above the floor -6 (s=1)"}),
+    # ker(x0, x1, x2, 0: O^4 -> O(1)) on P2 is T(-1) + O, with a section at twist 0
+    ({"ambient": {"type": "projective", "dim": 2}, "middle": [0, 0, 0, 0], "target": [1],
+      "map_b": [["x0", "x1", "x2", "0"]]}, "1",
+     {"reason": "nonzero h0 upper bound", "s": 1, "twist": [0], "h0": [1, 1]}),
+], ids=["rank-3-homology", "homology-fiber-with-sections", "p2-halfline-with-a-section"])
+def test_certify_is_inconclusive_where_a_check_fails(capsys, tmp_path, doc, polarization,
+                                                     failure):
+    path = _json(tmp_path, "inconclusive.monad", doc)
+    code, out, err = run(capsys, "certify", "--monad", path, "--polarization", polarization,
+                         "--format", "json")
+    assert (code, err) == (cli.EXIT_INCONCLUSIVE, "")
+    cert = json.loads(out)
+    assert (cert["verdict"], cert["failure"]) == ("Inconclusive", failure)
 
 
 DESTABILIZED = {  # the kernel splits off O, so sections appear inside the s=1 band

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -21,6 +22,7 @@ from bundlecert.cohom import exterior_contraction
 from bundlecert.monad import kernel_monad, restrict_to_fiber
 from bundlecert.polycore import linalg
 from bundlecert.polycore.parse import MAX_NESTING
+from bundlecert.polycore.poly import MAX_BASIS
 
 from oracles import (
     add_cell,
@@ -111,6 +113,30 @@ class TestParser:
         with pytest.raises(BundleCertError, match=r"trailing input 'x1' \(at offset 3\)"):
             parse_poly("x0 x1", PP)
 
+    @pytest.mark.parametrize("text,message", [
+        ("(x0", "expected ')', found end of input (at offset 3)"),
+        ("x0 +", "expected integer, variable or '(', found end of input (at offset 4)"),
+        ("x0^", "expected 'int', found end of input (at offset 3)"),
+    ], ids=["unclosed-parenthesis", "trailing-plus", "trailing-caret"])
+    def test_a_cut_expression_names_the_end_of_input(self, text, message):
+        with pytest.raises(BundleCertError) as e:
+            parse_poly(text, PP)
+        assert str(e.value) == message
+
+    def test_a_large_exponent_parses_at_once(self):
+        # the power is taken by repeated squaring: 20 products, not 10^6
+        start = time.perf_counter()
+        p = parse_poly("x0^1000000", P2)
+        assert time.perf_counter() - start < 0.2
+        assert p.terms == {(1000000, 0, 0): 1}
+
+    @pytest.mark.parametrize("text", ["x0 - 2*x1 + 3", "x0 + x1 + x2", "(x0 - x1)^2 + x2"])
+    def test_a_power_is_the_repeated_product(self, text):
+        base, power = parse_poly(text, P2), RationalPolynomial.constant(P2, 1)
+        for n in range(8):
+            assert parse_poly(f"({text})^{n}", P2) == power
+            power = power * base
+
     @given(st.integers(-9, 9), st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=40)
     def test_render_roundtrip(self, c, e1, e2):
@@ -160,6 +186,16 @@ class TestBasis:
         for a in range(-2, 4):
             for b in range(-2, 4):
                 assert len(monomial_basis(PP, (a, b))) == monomial_count(PP, (a, b))
+
+    def test_a_basis_over_the_cap_is_refused_before_it_is_built(self):
+        # C(141, 2) = 9,870 monomials of degree 139 on P2; C(142, 2) = 10,011 at 140
+        assert len(monomial_basis(P2, 139)) == 9870 <= MAX_BASIS
+        start = time.perf_counter()
+        for d in (140, 10**5):
+            with pytest.raises(BundleCertError, match=rf"degree \({d},\) has \d+ monomials, "
+                                                      rf"over the cap {MAX_BASIS}"):
+                monomial_basis(P2, d)
+        assert time.perf_counter() - start < 0.1
 
     def test_order_is_deterministic(self):
         assert monomial_basis(PP, (1, 1)) == (

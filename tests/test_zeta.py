@@ -781,6 +781,20 @@ def unit_roots_by_sympy(coeffs, p) -> int:
 
 
 class TestCircleOracle:
+    @pytest.mark.parametrize("coeffs,sign,on_circle", [
+        ([1], 1, True),  # degree 0: no root, and G is a nonzero constant
+        ([3, 1], 1, True),  # T + 3: the root -3 has |z| = 3, and G is constant
+        ([-9, 0, 1], -1, True),  # T^2 - 9: a constant after dividing by S^2 - 1
+        ([2, 1], 1, False),  # odd degree without the root S = -1
+        ([-1, 0, 1], 1, False),  # T^2 - 1: p^2 R(S) = 9S^2 - 1 is not self-inversive
+        ([9, 0, 1], 1, True),  # T^2 + 9: the roots ±3i, G = 2u has its root inside
+    ], ids=["constant", "linear", "constant-after-division", "odd-not-self-inversive",
+            "not-self-inversive", "quadratic"])
+    def test_short_inputs_match_both_oracles(self, coeffs, sign, on_circle):
+        assert all_roots_on_circle(coeffs, 3, sign) == on_circle
+        assert oracles.all_roots_on_circle(coeffs, 3, sign) == on_circle
+        assert circle_by_sympy(coeffs, 3, sign) == on_circle
+
     @pytest.mark.parametrize("kind,p,sign,Q,on_circle,units", WEIL_INPUTS)
     def test_circle_test_matches_both_oracles(self, kind, p, sign, Q, on_circle, units):
         assert all_roots_on_circle(Q, p, sign) == on_circle
@@ -1133,6 +1147,17 @@ class TestPinnedMiddle:
             assert oracles.all_roots_on_circle(coeffs, WITNESS_P, 1) == (extra == 0)
         assert pinned["reason"] == "pinned middle fails the circle test"
         assert [c["sign"] for c in resolved.surviving()] == [-1]
+
+    def test_a_profile_without_a_surviving_candidate_has_no_bound(self):
+        # the counts of a surface always leave its own polynomial surviving;
+        # rank_upper_bound still refuses a profile whose candidates all fail
+        counts = witness_counts()
+        profile = zeta.assemble_charpoly(counts[:9], WITNESS_P)
+        resolved = zeta.resolve_family_with_count(profile, counts[9] + 10)
+        for cand in resolved.candidates:
+            cand["status"] = "discarded"
+        with pytest.raises(BundleCertError, match="no surviving characteristic-polynomial"):
+            zeta.rank_upper_bound(resolved)
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_other_count_lengths_are_refused(self, n):
