@@ -49,10 +49,9 @@ def _h_line_pn(n: int, k: int, i: int) -> int:
 
 
 def h_line(ambient: Ambient, d, i: int) -> int:
-    """h^i of a line bundle: Bott's formula on P^n, Künneth on P1 x P1."""
+    """h^i of a line bundle, 0 <= i <= dim: Bott's formula on P^n, Künneth on
+    P1 x P1.  Its one caller, `h_line_sum`, is asked for i = 0 or 1 only."""
     d = ambient.normalize_degree(d)
-    if i < 0 or i > ambient.dim:
-        raise BundleCertError(f"h^{i} outside 0..{ambient.dim}")
     if ambient.arity == 1:
         return _h_line_pn(ambient.dims[0], d[0], i)
     if ambient.dims == (1, 1):
@@ -218,8 +217,7 @@ def tail_vanish(m: MonadComplex, s: int, axis: int, bound: int, point) -> dict:
     h^0 of every source twist at zero along the tail.  Returns the witness a
     certificate's tail rule records; raises FiberNotVanishingError when the
     bound fails either condition, so the caller tries a lower one.
-    `restrict_to_fiber` owns the checks of the fiber: a P1 x P1 ambient and
-    a point of P1.
+    `certify`, the one caller, passes a monad on P1 x P1 and a point of P1.
     """
     other = 2 - axis  # 0-based index of the descending component
     # h^0(E) <= h^0(K) + h^1(A): the A-term needs the bounded component to

@@ -278,17 +278,13 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
     (a:b); terms that land on one monomial are summed.  The tail rule asks for
     the same fiber at several s and bounds, so each (monad, axis, point) is
     restricted once and the result shared immutable.  Its one caller,
-    `cohom.tail_vanish`, passes an axis 1 or 2.
+    `cohom.tail_vanish`, passes an axis 1 or 2, a monad on P1 x P1 (`certify`
+    reaches a tail rule only there, and `chern_monad` refuses every other
+    product first) and a point that `CertifyOptions` has checked is not (0:0).
     """
-    amb = m.ambient
-    if amb.arity != 2 or amb.dims != (1, 1):
-        raise BundleCertError("fiber restriction needs ambient P1 x P1")
     a, b = int(point[0]), int(point[1])
-    if a == 0 and b == 0:
-        raise BundleCertError("(0:0) is not a point of P1")
-
     lo = 2 * (axis - 1)  # the evaluated factor's exponents are e[lo], e[lo + 1]
-    new_amb = Ambient.projective(1, names=amb.groups[2 - axis])
+    new_amb = Ambient.projective(1, names=m.ambient.groups[2 - axis])
 
     def restrict(p):
         terms = {}

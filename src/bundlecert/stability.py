@@ -71,9 +71,8 @@ class Polarization:
 
 
 def slope(c: dict, H: Polarization) -> Fraction:
-    """deg_H(c1) / rank, of the Chern data that `chern_monad` returns."""
-    if c["rank"] < 1:
-        raise BundleCertError("slope of a rank-0 sheaf")
+    """deg_H(c1) / rank, of the Chern data that `chern_monad` returns; the
+    rank is positive, since `MonadComplex` refuses a rank below 1."""
     return Fraction(H.degree(c["c1"]), c["rank"])
 
 

@@ -48,13 +48,20 @@ Phi_k | W0 + e p^mid T^mid with e an integer gives W0(w) + e p^mid w^mid = 0
 (mod ell) at each root w of Phi_k mod ell; eliminating e between two roots
 w1, w2 gives W0(w1) w2^mid = W0(w2) w1^mid (mod ell), so when the two sides
 differ no integer e makes Phi_k a divisor.  Neither argument needs p to be a
-unit mod ell.  Every other case is a "maybe" and goes to the exact division
+unit mod ell.  Every other case is a "maybe" and goes to exact arithmetic
 in Z[T], the only step that builds Phi_k itself: a residue of 0, which a
 non-divisor can also give, and two roots that agree.  Those include every
 Phi_k of degree 1 or 2 in a family (w2 is w1 or 1/w1, and the W0 of a
 plus-sign family is palindromic, so the two sides agree) and, for a Weil
 polynomial, every Phi_k whose witness ell divides p (each residue is then
-Q(0) = 0 mod ell).
+Q(0) = 0 mod ell).  `unit_root_count` divides W by Phi_k; a family takes the
+remainders of W0 and p^mid T^mid by Phi_k after folding each mod T^k - 1,
+which Phi_k divides, so the remainders are unchanged and each division starts
+below degree k.
+
+Each polynomial's circle verdict and unit-root count are computed once per
+process: the pinned completion and every carried complete candidate that
+the final bound meets again are answered from a cache.
 """
 from __future__ import annotations
 
@@ -70,6 +77,7 @@ DEGREE = H2_DIM - K_ALG  # of the Weil factor Q
 HALF = DEGREE // 2  # the free slot of the plus-sign family, and the pinning count
 WEIL_TRACE_FACTOR = 22  # |t_i| <= 22 p^i
 WITNESS_FLOOR = 2**16  # every witness prime of a cyclotomic lies above it
+VERDICT_CACHE_SIZE = 1024  # circle verdicts and unit-root counts kept per process
 
 
 # --- polynomial helpers (dense lists, ascending coefficients) -------------------
@@ -111,6 +119,16 @@ def _value(poly, x: int) -> int:
     for c in reversed(poly):
         total = total * x + c
     return total
+
+
+def fold(a, k: int) -> list:
+    """a mod T^k - 1: the coefficient of T^j added into T^(j mod k).  Phi_k
+    divides T^k - 1, so the fold leaves the remainder by Phi_k unchanged and
+    is the identity when k exceeds the degree."""
+    out = [0] * min(len(a), k)
+    for j, c in enumerate(a):
+        out[j % k] += c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -235,6 +253,13 @@ def _sturm_chain(poly) -> list:
 
 
 def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
+    """`_circle_verdict` of the coefficients as a tuple, so that each
+    polynomial is tested once per process."""
+    return _circle_verdict(tuple(coeffs), p, sign)
+
+
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
+def _circle_verdict(coeffs: tuple, p: int, sign: int) -> bool:
     """Exact test that every root of the monic integer polynomial has |z| = p.
 
     Uses the built-in functional equation: R(S) = Q(pS)/p^d is self-inversive
@@ -297,6 +322,13 @@ def all_roots_on_circle(coeffs, p: int, sign: int) -> bool:
 # --- cyclotomic root counting ------------------------------------------------------
 
 def unit_root_count(coeffs, p: int) -> int:
+    """`_unit_roots` of the coefficients as a tuple, so that each polynomial's
+    count is made once per process."""
+    return _unit_roots(tuple(coeffs), p)
+
+
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
+def _unit_roots(coeffs: tuple, p: int) -> int:
     """Total multiplicity of roots of the form p * (root of unity).
 
     Q(pT) is divided by Phi_k only while it vanishes at the witness root of
@@ -428,7 +460,8 @@ def family_completions(coeffs, p: int) -> list:
     solutions.  The free slot is T^(degree/2).  A cyclotomic whose two
     witness roots w1, w2 mod ell give W0(w1) w2^mid != W0(w2) w1^mid admits
     no e and is skipped without a division.  Phi_k(0) = ±1, so Phi_k never
-    divides p^mid T^mid and its remainder r1 is never zero.
+    divides p^mid T^mid and its remainder r1 is never zero.  Both remainders
+    are taken after folding mod T^k - 1, which leaves them unchanged.
     """
     degree = len(coeffs) - 1
     mid = degree // 2
@@ -441,8 +474,8 @@ def family_completions(coeffs, p: int) -> list:
             continue
         cyc = cyclotomic(k)
         width = len(cyc) - 1
-        r0 = _pad(poly_divmod_exact(w0, cyc)[1], width)
-        r1 = _pad(poly_divmod_exact(t_mid, cyc)[1], width)
+        r0 = _pad(poly_divmod_exact(fold(w0, k), cyc)[1], width)
+        r1 = _pad(poly_divmod_exact(fold(t_mid, k), cyc)[1], width)
         # r0 + e*r1 = 0 is solved over Q by e = num/den when every equation
         # agrees with it; keep e when den divides num
         idx = next(i for i, c in enumerate(r1) if c)

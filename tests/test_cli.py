@@ -587,19 +587,33 @@ def test_chern_prints_the_chern_field_of_the_certificate(capsys, name, polarizat
     assert out == canonical(recorded) and err == ""
 
 
-@pytest.mark.parametrize("doc", [
-    {"ambient": {"type": "projective", "dim": 3}, "middle": [-1, -1, -1, -1], "target": [0],
-     "map_b": [["x0", "x1", "x2", "x3"]]},
-    {"ambient": {"type": "product_projective", "dims": [1, 2]},
-     "middle": [[-1, 0], [-1, 0], [0, -1], [0, -1], [0, -1]], "target": [[0, 0]],
-     "map_b": [["x0", "x1", "y0", "y1", "y2"]]},
+OFF_SURFACE_MONADS = pytest.mark.parametrize("doc,polarization", [
+    ({"ambient": {"type": "projective", "dim": 3}, "middle": [-1, -1, -1, -1], "target": [0],
+      "map_b": [["x0", "x1", "x2", "x3"]]}, "1"),
+    ({"ambient": {"type": "product_projective", "dims": [1, 2]},
+      "middle": [[-1, 0], [-1, 0], [0, -1], [0, -1], [0, -1]], "target": [[0, 0]],
+      "map_b": [["x0", "x1", "y0", "y1", "y2"]]}, "1,1"),
 ], ids=["P3", "P1xP2"])
-def test_chern_off_p2_and_p1p1_exits_1(capsys, tmp_path, doc):
+
+
+@OFF_SURFACE_MONADS
+def test_chern_off_p2_and_p1p1_exits_1(capsys, tmp_path, doc, polarization):
     """Chern data goes through the intersection form, which only P2 and
     P1 x P1 have here."""
     path = tmp_path / "other.monad"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "chern", "--monad", path)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err == "error: intersection form only defined on P2 and P1xP1\n"
+
+
+@OFF_SURFACE_MONADS
+def test_certify_off_p2_and_p1p1_exits_1(capsys, tmp_path, doc, polarization):
+    """`certify` takes the Chern data before any twist region, so a product
+    other than P1 x P1 never reaches a tail rule's fiber restriction."""
+    path = tmp_path / "other.monad"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--monad", path, "--polarization", polarization)
     assert code == cli.EXIT_ERROR
     assert out == "" and err == "error: intersection form only defined on P2 and P1xP1\n"
 

@@ -80,10 +80,6 @@ class TestHLine:
         assert h_line(P2, -4, 2) == h_line(P2, 1, 0) == 3
         assert h_line(PP, (-2, -2), 2) == 1
 
-    def test_index_out_of_range(self):
-        with pytest.raises(BundleCertError, match=r"h\^3 outside 0\.\.2"):
-            h_line(P2, 1, 3)
-
 
 class TestKernelH0:
     def test_k_rank3_band_zero(self):

@@ -20,6 +20,7 @@ from bundlecert.monad import (
     validate,
 )
 from bundlecert.polycore import Ambient, RationalPolynomial, monomial_basis, parse_poly
+from bundlecert.stability import CertifyOptions
 from oracles import (
     chern_dual,
     chern_free_p1p1,
@@ -400,10 +401,6 @@ class TestFiberRestriction:
         assert [p.render() for p in f.map_b[0]] == ["0", "x0", "0", "x1"]
         assert f.middle == ((-1,), (-1,), (-1,), (-1,))
 
-    def test_euler_not_a_product(self):
-        with pytest.raises(BundleCertError, match="fiber restriction needs ambient P1 x P1"):
-            restrict_to_fiber(euler(), 2, (0, 1))
-
     def test_n2_axis2(self):
         n2 = kernel_monad(
             PP, [(-2, 0), (-2, 0), (0, -2), (0, -2)], [(0, 0)],
@@ -413,8 +410,9 @@ class TestFiberRestriction:
         assert [p.render() for p in f.map_b[0]] == ["x0^2", "x1^2", "0", "1"]
 
     def test_invalid_point(self):
+        # the (0:0) refusal lives in CertifyOptions, before any restriction
         with pytest.raises(BundleCertError, match=r"\(0:0\) is not a point of P1"):
-            restrict_to_fiber(k_rank3(), 2, (0, 0))
+            CertifyOptions(fiber_points=((0, 1), (0, 0)))
 
     def test_restriction_agrees_with_evaluation(self):
         # a binary form of degree d is fixed by its values at the d + 1

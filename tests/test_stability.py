@@ -65,8 +65,9 @@ class TestSlope:
             assert slope(chern_dual(chern_monad(ks)), H_P2) == Fraction(s, 2)
 
     def test_zero_rank(self):
-        with pytest.raises(BundleCertError, match="slope of a rank-0 sheaf"):
-            slope({"rank": 0, "c1": [0, 0], "c2": 0}, H_PP)
+        # MonadComplex refuses rank 0 before slope can see its Chern data
+        with pytest.raises(BundleCertError, match="a monad needs rank >= 1"):
+            slope(chern_monad(kernel_monad(PP, [(-1, 0)], [(0, 0)], [["x0"]])), H_PP)
 
 
 class TestRegion:

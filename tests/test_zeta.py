@@ -3,7 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from pathlib import Path
 
@@ -33,11 +33,12 @@ from bundlecert.zeta.charpoly import (
     cyclotomic_witness,
     cyclotomics_up_to,
     family_completions,
+    fold,
     newton_elementary_from_power_sums,
     poly_divmod_exact,
     primitive_remainder,
 )
-from bundlecert.zeta import count
+from bundlecert.zeta import charpoly, count
 from bundlecert.zeta import field as field_module
 from bundlecert.zeta.field import Field, is_prime, primitive_modulus
 from bundlecert.zeta.count import (
@@ -1077,6 +1078,29 @@ class TestWitnessFilter:
             assert family_completions(cand, p) == oracles.family_completions(cand, p)
 
 
+class TestFold:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_remainder_by_phi_k_is_unchanged(self, seed):
+        """W = Q(pT) for a seeded Q of degree <= 20 with coefficients up to
+        22 p^(d - j), and p^mid T^mid: folding mod T^k - 1 keeps the remainder
+        by Phi_k for every order, and leaves W as it is when k exceeds its
+        degree."""
+        rng = random.Random(seed)
+        for _ in range(6):
+            p, d = rng.choice([3, 5, 7]), rng.randint(0, 20)
+            Q = [rng.randint(-22 * p ** (d - j), 22 * p ** (d - j)) for j in range(d)] + [1]
+            mid = rng.randint(0, d)
+            for w in ([c * p**j for j, c in enumerate(Q)], [0] * mid + [p**mid]):
+                for k in ORDERS:
+                    cyc = list(cyclotomic(k))
+                    folded = fold(w, k)
+                    assert len(folded) == min(len(w), k)
+                    assert poly_divmod_exact(folded, cyc)[1] == poly_divmod_exact(w, cyc)[1]
+                    if k >= len(w):
+                        assert folded == w
+        assert max(ORDERS) > 20
+
+
 class TestNewton:
     def test_non_integral_value_is_refused(self):
         with pytest.raises(BundleCertError, match="1/2"):
@@ -1163,6 +1187,47 @@ class TestPinnedMiddle:
     def test_other_count_lengths_are_refused(self, n):
         with pytest.raises(BundleCertError, match=f"expected 9 counts, got {n}"):
             zeta.assemble_charpoly(witness_counts()[:n], WITNESS_P)
+
+
+class TestEachPolynomialOnce:
+    def test_a_disambiguation_decides_each_polynomial_once(self, monkeypatch):
+        """The witness counts need the tenth count: the final bound meets the
+        pinned completion and the carried minus-sign candidate again, yet the
+        bodies of the circle test and the unit-root count run once per
+        distinct input, and repeated calls with a list or a tuple agree with
+        the oracles without running them again."""
+        runs = {"_circle_verdict": [], "_unit_roots": []}
+        calls = {"all_roots_on_circle": 0, "unit_root_count": 0}
+        for name in runs:
+            def counted(*args, name=name, body=getattr(charpoly, name).__wrapped__):
+                runs[name].append(args)
+                return body(*args)
+
+            monkeypatch.setattr(charpoly, name, lru_cache(maxsize=None)(counted))
+        for name in calls:
+            def entry(*args, name=name, public=getattr(charpoly, name)):
+                calls[name] += 1
+                return public(*args)
+
+            monkeypatch.setattr(charpoly, name, entry)
+        counts = witness_counts()
+        monkeypatch.setattr(zeta, "count_points", lambda f, p, n: counts[n - 1])
+        assert "disambiguation" in zeta.run_picard_bound(None, WITNESS_P)
+        circle, units = runs["_circle_verdict"], runs["_unit_roots"]
+        assert len(set(circle)) == len(circle) < calls["all_roots_on_circle"]
+        assert len(set(units)) == len(units) < calls["unit_root_count"]
+        ran = (len(circle), len(units))
+        for coeffs, p, sign in list(circle):
+            expected = oracles.all_roots_on_circle(coeffs, p, sign)
+            for _ in range(2):
+                assert all_roots_on_circle(list(coeffs), p, sign) == expected
+                assert all_roots_on_circle(coeffs, p, sign) == expected
+        for coeffs, p in list(units):
+            expected = oracles.unit_root_count(coeffs, p)
+            for _ in range(2):
+                assert unit_root_count(list(coeffs), p) == expected
+                assert unit_root_count(coeffs, p) == expected
+        assert (len(circle), len(units)) == ran
 
 
 class TestShape:
