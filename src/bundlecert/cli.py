@@ -1,17 +1,16 @@
 """Command-line front end.
 
-Commands: certify, h0, chern, lattice (pair | gram | genus | effectivity |
-expected-dim), quartic-run, count-points, picard-bound, verify.  Documents
-are JSON with fixed field names; output is byte-stable for fixed inputs and
-options.
+Commands: certify, h0, chern, quartic-run, count-points, picard-bound,
+verify.  Documents are JSON with fixed field names; output is byte-stable
+for fixed inputs and options.
 
 `certify` prints a text summary, or the certificate with `--format json`.
 certify and quartic-run return their certificate as the JSON document itself,
 and every JSON artifact is printed by `Document.to_json`, the one canonical
 rendering.
-`--out FILE` writes the main artifact of certify, chern, lattice,
-quartic-run, count-points and picard-bound to FILE instead of stdout; h0 and
-verify print to stdout only.  quartic-run certifies ker(O(-1)^3 -> O) on a
+`--out FILE` writes the main artifact of certify, chern, quartic-run,
+count-points and picard-bound to FILE instead of stdout; h0 and verify
+print to stdout only.  quartic-run certifies ker(O(-1)^3 -> O) on a
 quartic X = Z(f) in P3 and refuses a document with other twists.
 
 picard-bound makes 9 counts over F_{p^n}, n = 1..9, and at most one at
@@ -148,60 +147,6 @@ def cmd_chern(args) -> int:
     return EXIT_OK
 
 
-def _lattice_from_args(args) -> k3lat.GramLattice:
-    catalogue = {
-        "U": k3lat.U,
-        "U2": k3lat.U2,
-        "quartic-452": k3lat.QUARTIC_452,
-    }
-    if args.lattice in catalogue:
-        return catalogue[args.lattice]
-    doc = _load_json(args.lattice)
-    if not isinstance(doc, dict):
-        raise BundleCertError("a lattice is a JSON object")
-    names, gram = doc.get("names"), doc.get("gram")
-    if not is_list_of(names, lambda n: isinstance(n, str)):
-        raise BundleCertError("'names' must be a list of strings")
-    if not is_list_of(gram, lambda row: is_list_of(row, is_int)):
-        raise BundleCertError("'gram' must be a list of lists of integers")
-    return k3lat.GramLattice(tuple(names), tuple(tuple(r) for r in gram))
-
-
-# the number of --class options each lattice command reads; gram reads 1 or more
-_CLASS_COUNTS = {"pair": 2, "genus": 1, "effectivity": 2, "expected-dim": 0}
-
-
-def cmd_lattice(args) -> int:
-    lat = _lattice_from_args(args)
-    sub = args.lattice_cmd
-    n = len(args.classes)
-    if n != _CLASS_COUNTS.get(sub, n) or (sub == "gram" and n == 0):
-        want = _CLASS_COUNTS.get(sub, "at least 1")
-        raise BundleCertError(f"lattice {sub} needs {want} --class, got {n}")
-    classes = [lat.cls(c) for c in args.classes]
-    out = {}
-    if sub == "pair":
-        out = {"pair": lat.pair(*classes)}
-    elif sub == "genus":
-        D = classes[0]
-        out = {"self_intersection": lat.pair(D, D), "genus": k3lat.genus(lat, D)}
-    elif sub == "gram":
-        mat, det = k3lat.gram_of(lat, classes)
-        out = {"gram": [list(r) for r in mat], "det": det}
-        v = k3lat.kernel_vector(mat)  # None unless the classes span a line of relations
-        if v is not None:
-            out["dependency"] = list(v)
-    elif sub == "effectivity":
-        cert = k3lat.not_effective_cert(lat, *classes)
-        out = {"verdict": "Unknown"} if cert is None else {"verdict": "NotEffective", **cert}
-    elif sub == "expected-dim":
-        out = {"expected_dim": k3lat.expected_dim(args.rank, args.c1sq, args.c2)}
-    _emit(Document(out).to_json(), args.out)
-    if out.get("verdict") == "Unknown":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
 def cmd_quartic_run(args) -> int:
     doc = _load_json(args.surface)
     if not (isinstance(doc, dict) and isinstance(doc.get("surface"), str)):
@@ -309,19 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(fn=cmd_chern)
 
-    p = sub.add_parser("lattice", help="intersection-lattice computations")
-    p.add_argument("lattice_cmd", choices=(
-        "pair", "gram", "genus", "effectivity", "expected-dim"))
-    p.add_argument("--lattice", default="quartic-452",
-                   help="catalogue name (U, U2, quartic-452) or a JSON file")
-    p.add_argument("--class", dest="classes", action="append", default=[], type=_twist,
-                   help='class coordinates, e.g. "1,0" (repeatable)')
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--c1sq", type=int, default=0)
-    p.add_argument("--c2", type=int, default=0)
-    add_out(p)
-    p.set_defaults(fn=cmd_lattice)
-
     p = sub.add_parser("quartic-run", help="stability pipeline on the quartic surface")
     p.add_argument("--surface", required=True, help="JSON with the quartic and the section map")
     add_out(p)
@@ -353,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # options whose value is a tuple of integers: argparse reads a separate value
-# such as "-1,2" or "-1:1" as an option, so main attaches it as --class=-1,2
-_TUPLE_OPTIONS = ("--polarization", "--fiber-point", "--twist", "--class")
+# such as "-1,2" or "-1:1" as an option, so main attaches it as --twist=-1,2
+_TUPLE_OPTIONS = ("--polarization", "--fiber-point", "--twist")
 
 
 def _attach_negative_values(argv) -> list:

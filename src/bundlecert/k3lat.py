@@ -1,24 +1,21 @@
-"""Intersection lattices of K3 surfaces and the quartic-surface pipeline.
+"""The intersection lattice of the quartic surface and its stability run.
 
-Gram arithmetic and adjunction on a small catalogue of lattices (U, U(2),
-the quartic's <H, C>) or any Gram matrix, with a class written as its
-tuple of integer coordinates in the lattice's basis, effectivity obstruction
-certificates on rank-2 lattices, expected moduli dimension, the doubling of
-c2 under a double cover, and exact section kernels on a quartic X = Z(f) in
-P3.
+The lattice <H, C> of the quartic, with Gram [[4, 5], [5, 2]] and a class
+written as its pair of integer coordinates, carries the effectivity
+obstruction certificates of the run; `pullback_chern` doubles c2 under a
+double cover; and sections on a quartic X = Z(f) in P3 are exact kernels.
 
 Sections on X go through `cohom.h0_monad`, as on P2 and P1 x P1: a kernel
 over the coordinate ring R = S/(f) lifts to a section of the kernel monad
 [E | -f·I] on P3, and the lifts of zero, (f·u, E·u), are counted in closed
 form (see `quartic_h0`).  The quartic run derives the base point of its
-section map, the common zero of three linear forms, as the `kernel_vector`
-of their coefficients (None unless the kernel is a line), and returns its
-certificate as the JSON document that `verify` compares with a re-run.
+section map, the common zero of three linear forms, from the signed 3 x 3
+minors of their coefficients, and returns its certificate as the JSON
+document that `verify` compares with a re-run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .cohom import h0_monad, h_line_sum
@@ -40,100 +37,21 @@ class GramLattice:
     names: tuple
     gram: tuple  # tuple of tuples, symmetric integer matrix
 
-    def __post_init__(self):
-        n = len(self.names)
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
-        if len(g) != n or any(len(row) != n for row in g):
-            raise BundleCertError("Gram matrix shape does not match basis")
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise BundleCertError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", g)
-
-    @property
-    def rank(self) -> int:
-        return len(self.names)
-
-    def cls(self, coords) -> tuple:
-        """The class with these coordinates, refused unless there is one per
-        basis vector."""
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.rank:
-            raise BundleCertError(
-                f"a class on a rank-{self.rank} lattice needs {self.rank} coordinates, "
-                f"got {len(coords)}"
-            )
-        return coords
-
     def pair(self, u, v) -> int:
         """The intersection number u.v of two classes."""
         g = self.gram
         return sum(u[i] * g[i][j] * v[j] for i in range(len(g)) for j in range(len(g)))
 
 
-def genus(lattice: GramLattice, D) -> int:
-    """Adjunction on a K3: D^2 = 2g - 2."""
-    sq = lattice.pair(D, D)
-    if sq % 2:
-        raise BundleCertError(f"D^2 = {sq} is odd; not a class on an even lattice")
-    return sq // 2 + 1
-
-
-def gram_of(lattice: GramLattice, classes) -> tuple:
-    """Gram matrix of the given classes and its exact determinant."""
-    mat = tuple(tuple(lattice.pair(a, b) for b in classes) for a in classes)
-    return mat, bareiss_det([list(r) for r in mat])
-
-
-def kernel_vector(rows) -> tuple | None:
-    """The primitive integer vector spanning the kernel of an integer matrix
-    with n columns, its last nonzero coordinate positive; None unless the
-    kernel is one-dimensional.  On the Gram matrix of classes D_i it is the
-    one relation: sum c_i (D_i . D_j) = 0 for every j.
-
-    The signed maximal minors of n-1 rows, v_j = (-1)^j det(those rows
-    without column j), are orthogonal to each of those rows (Laplace
-    expansion of a matrix with a repeated row).  The rule is complete: on a
-    kernel line the rank is n-1, so some n-1 rows give v != 0, their own
-    kernel is a line holding the matrix's, and v spans it; at rank n-2 or
-    below every such v is 0; at rank n a nonzero v is off the kernel, so
-    some row is not orthogonal to it.
-    """
-    n = len(rows[0])
-    for subset in combinations(rows, n - 1):
-        v = [(-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in subset]) for j in range(n)]
-        if any(v):
-            break
-    else:
-        return None
-    if any(sum(a * b for a, b in zip(r, v)) for r in rows):
-        return None
-    g = gcd(*v)
-    if next(x for x in reversed(v) if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
-
-
-# catalogued lattices
 def bracket(a: int, b: int, c: int, names=("A", "B")) -> GramLattice:
     """Rank-2 lattice with Gram [[a,b],[b,c]]."""
     return GramLattice(tuple(names), ((a, b), (b, c)))
 
 
-U = bracket(0, 1, 0, names=("F1", "F2"))
-U2 = bracket(0, 2, 0, names=("E1", "E2"))
 QUARTIC_452 = bracket(4, 5, 2, names=("H", "C"))
 
 
-# --- numerology -----------------------------------------------------------------
-
-
-def expected_dim(r: int, c1_sq: int, c2: int) -> int:
-    """Expected moduli dimension on a K3: 2rc2 - (r-1)c1^2 - (r^2-1)*chi(O), chi = 2."""
-    if r < 1:
-        raise BundleCertError("rank must be positive")
-    return 2 * r * c2 - (r - 1) * c1_sq - (r * r - 1) * 2
+# --- double covers ---------------------------------------------------------------
 
 
 def pullback_chern(c: dict) -> dict:
@@ -148,13 +66,14 @@ def curve_class_candidates(lattice: GramLattice, H, max_degree: int) -> list:
     """All classes K with 1 <= K.H <= max_degree and K^2 >= -2, as triples
     (coordinates, K.H, K^2) sorted by degree, then coordinates.
 
-    On a rank-2 lattice of signature (1,1) the classes of fixed degree form a
-    line on which the square is a concave quadratic, so the enumeration per
-    degree is finite; these are the only classes an irreducible curve can
-    occupy (adjunction forces C^2 >= -2, ampleness forces C.H >= 1).
+    The lattice has rank 2 and signature (1,1), and H^2 > 0 (the quartic run
+    passes QUARTIC_452 and H = (1, 0)).  By the Hodge index theorem a nonzero
+    class orthogonal to H then has negative square, so the classes of fixed
+    degree form a line on which the square is a concave quadratic, and the
+    enumeration per degree is finite; these are the only classes an
+    irreducible curve can occupy (adjunction forces C^2 >= -2, ampleness
+    forces C.H >= 1).
     """
-    if lattice.rank != 2:
-        raise BundleCertError("candidate enumeration implemented for rank-2 lattices")
     w = (lattice.pair((1, 0), H), lattice.pair((0, 1), H))  # degree(a, b) = a*w0 + b*w1
     gw = gcd(w[0], w[1])
     out = []
@@ -163,9 +82,7 @@ def curve_class_candidates(lattice: GramLattice, H, max_degree: int) -> list:
             continue
         base = _solve_linear(w, delta)
         direction = (-w[1] // gw, w[0] // gw)
-        dd = lattice.pair(direction, direction)
-        if dd >= 0:
-            raise BundleCertError("lattice is not hyperbolic on the degree line")
+        dd = lattice.pair(direction, direction)  # < 0 by Hodge index
         bd = lattice.pair(base, direction)
         bb = lattice.pair(base, base)
         # q(t) = bb + 2t*bd + t^2*dd is concave; integer solutions of q >= -2
@@ -209,10 +126,9 @@ def not_effective_cert(lattice: GramLattice, D, H) -> dict | None:
       nonpositive-degree: effective nonzero classes have positive H-degree;
       no-decomposition:   no multiset of possible irreducible-curve classes
                           (square >= -2, degree in [1, D.H]) sums to D.
-    Returns None (Unknown) when no rule applies.
+    Returns None (Unknown) when no rule applies.  The lattice and H are as
+    `curve_class_candidates` needs them: signature (1,1) and H^2 > 0.
     """
-    if lattice.pair(H, H) <= 0:
-        raise BundleCertError("H must have positive self-intersection")
     deg = lattice.pair(D, H)
     if not any(D):
         return {"rule": "zero-class", "degree": 0, "candidates": []}
@@ -274,7 +190,14 @@ def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: 
 
 def _base_point(forms) -> tuple:
     """The one common zero on P3 of three linear forms, as a primitive integer
-    vector."""
+    vector with its last nonzero coordinate positive.
+
+    With the coefficients as the rows of a 3 x 4 matrix, the signed maximal
+    minors v_j = (-1)^j det(the rows without column j) are orthogonal to each
+    row (Laplace expansion of a matrix with a repeated row), and v = 0
+    exactly when the rank is below 3.  At rank 3 the kernel is a line, and v
+    spans it.
+    """
     rows = []
     for j, form in enumerate(forms):
         if not form.is_homogeneous_of(1):
@@ -282,13 +205,16 @@ def _base_point(forms) -> tuple:
                 f"entry (0,{j}) inhomogeneous: the section map needs linear forms"
             )
         rows.append([form.terms.get(e, 0) for e in monomial_basis(QUARTIC_AMBIENT, 1)])
-    v = kernel_vector(rows)
-    if v is None:
+    v = [(-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in rows]) for j in range(4)]
+    if not any(v):
         raise BundleCertError(
             "the linear forms of the section map have rank below 3: they vanish on a "
             "line or plane, which meets X"
         )
-    return v
+    g = gcd(*v)
+    if next(x for x in reversed(v) if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:

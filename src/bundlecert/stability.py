@@ -49,17 +49,11 @@ class Polarization:
     coords: tuple
 
     def __post_init__(self):
+        # positive components make the class ample on a product of projective
+        # spaces, and so give it positive self-intersection on a surface
         object.__setattr__(self, "coords", self.ambient.normalize_degree(self.coords))
-        if self.self_intersection <= 0:
-            raise BundleCertError(
-                f"polarization {self.coords} has nonpositive self-intersection"
-            )
         if any(c <= 0 for c in self.coords):
             raise BundleCertError("polarization components must be positive")
-
-    @property
-    def self_intersection(self) -> int:
-        return intersection_product(self.ambient, self.coords, self.coords)
 
     def degree(self, L) -> int:
         return intersection_product(self.ambient, self.ambient.normalize_degree(L), self.coords)

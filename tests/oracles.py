@@ -21,7 +21,7 @@ and fiber counts and specialized coefficients one point at a time through
 the exp and log lists of `field_tables` (vs the blocked Horner on the
 codes of `zeta.field.Field`), and the kernel vector of an integer matrix by
 a fraction reduced row echelon form (vs the signed maximal minors of
-`k3lat._kernel_vector`), and determinants by the Leibniz sum over
+`k3lat._base_point`), and determinants by the Leibniz sum over
 permutations (vs the fraction-free elimination of `polycore.bareiss_det`),
 and sums of curve-class candidates by a recursive search over multisets
 (vs the table of reachable sums per degree of `k3lat._decomposes`), and the
@@ -44,7 +44,7 @@ from math import comb, gcd, lcm, prod
 
 from bundlecert.cohom import SECTION_KERNEL, _kernel_result
 from bundlecert.errors import BundleCertError
-from bundlecert.k3lat import QUARTIC_AMBIENT, GramLattice
+from bundlecert.k3lat import QUARTIC_AMBIENT
 from bundlecert.monad import KERNEL
 from bundlecert.polycore import (
     ExactMatrix,
@@ -719,17 +719,8 @@ def chern_dual(c: dict) -> dict:
     return {"rank": c["rank"], "c1": [-x for x in c["c1"]], "c2": c["c2"]}
 
 
-def span1(a: int, name: str = "H") -> GramLattice:
-    """The rank-1 lattice <a>."""
-    return GramLattice((name,), ((a,),))
-
-
 def gram_det(lattice) -> int:
     return bareiss_det([list(r) for r in lattice.gram])
-
-
-def is_even(lattice) -> bool:
-    return all(lattice.gram[i][i] % 2 == 0 for i in range(lattice.rank))
 
 
 def poly_mul(a, b):

@@ -435,9 +435,9 @@ def _h0_of(doc, twist):
     return lambda tmp: ("h0", "--monad", _json(tmp, "edited.monad", doc), "--twist", twist)
 
 
-def _lattice_of(doc):
-    return lambda tmp: ("lattice", "pair", "--class", "1,0", "--class", "0,1", "--lattice",
-                        _json(tmp, "lattice.json", doc))
+def _quartic_run_of(section_map):
+    doc = {**json.loads((INPUTS / "quartic.json").read_text()), "map": section_map}
+    return lambda tmp: ("quartic-run", "--surface", _json(tmp, "quartic.json", doc))
 
 
 PP_AMBIENT = {"type": "product_projective", "dims": [1, 1]}
@@ -454,8 +454,6 @@ MALFORMED_INPUTS = [
     ("twist-not-integers", lambda tmp: (
         "h0", "--monad", INPUTS / "euler.monad", "--twist", "one"),
      "argument --twist: expected integers k or k,l,..., got 'one'"),
-    ("class-not-integers", lambda tmp: ("lattice", "pair", "--class", "1,0", "--class", "0,1.5"),
-     "argument --class: expected integers k or k,l,..., got '0,1.5'"),
     ("fiber-point-one-number", lambda tmp: (
         "certify", "--monad", INPUTS / "k_rank3.monad", "--polarization", "1,1",
         "--fiber-point", "1"),
@@ -472,9 +470,6 @@ MALFORMED_INPUTS = [
     ("unwritable-out", lambda tmp: (
         "chern", "--monad", INPUTS / "euler.monad", "--out", tmp / "no-such-dir" / "c.json"),
      "error: cannot write {tmp}/no-such-dir/c.json: No such file or directory"),
-    ("lattice-a-list", _lattice_of([1]), "error: a lattice is a JSON object"),
-    ("lattice-names-not-strings", _lattice_of({"names": [1, 2], "gram": [[2, 1], [1, 2]]}),
-     "error: 'names' must be a list of strings"),
     ("h0-homology-on-p1xp2", _h0_of({
         **ZERO_HOMOLOGY, "ambient": {"type": "product_projective", "dims": [1, 2]},
         "source": [[0, 0]], "map_b": [["0", "0", "0"]]}, "0,0"),
@@ -515,10 +510,19 @@ MALFORMED_INPUTS = [
      "error: expected ')', found end of input (at offset 3)"),
     ("polarization-of-square-0", lambda tmp: (
         "certify", "--monad", INPUTS / "k_rank3.monad", "--polarization", "0,1"),
-     "error: polarization (0, 1) has nonpositive self-intersection"),
+     "error: polarization components must be positive"),
     ("polarization-negative", lambda tmp: (
         "certify", "--monad", INPUTS / "euler.monad", "--polarization", "-1"),
      "error: polarization components must be positive"),
+    ("map-entry-quadratic", _quartic_run_of(["x^2", "y", "w"]),
+     "error: entry (0,0) inhomogeneous: the section map needs linear forms"),
+    ("map-entry-constant", _quartic_run_of(["x", "y", "1"]),
+     "error: entry (0,2) inhomogeneous: the section map needs linear forms"),
+    ("map-of-rank-2", _quartic_run_of(["x", "x", "y"]),
+     "error: the linear forms of the section map have rank below 3"),
+    # the shipped quartic vanishes at [0:0:0:1], the common zero of x, y and z
+    ("map-base-point-on-x", _quartic_run_of(["x", "y", "z"]),
+     "error: f vanishes at [0:0:0:1]"),
 ]
 
 
@@ -618,78 +622,18 @@ def test_certify_off_p2_and_p1p1_exits_1(capsys, tmp_path, doc, polarization):
     assert out == "" and err == "error: intersection form only defined on P2 and P1xP1\n"
 
 
-# quartic-452 has Gram [[4, 5], [5, 2]] on (H, C); U has [[0, 1], [1, 0]]
-@pytest.mark.parametrize("argv,doc,exit_code", [
-    (("pair", "--class", "1,0", "--class", "1,1"), {"pair": 9}, 0),  # H^2 + H.C
-    # adjunction D^2 = 2g - 2: (H + C)^2 = 4 + 10 + 2
-    (("genus", "--class", "1,1"), {"self_intersection": 16, "genus": 9}, 0),
-    (("genus", "--lattice", "U", "--class=-1,2"), {"self_intersection": -4, "genus": -1}, 0),
-    (("gram", "--class", "1,0", "--class", "0,1"), {"gram": [[4, 5], [5, 2]], "det": -17}, 0),
-    (("gram", "--class", "1,0", "--class", "0,1", "--class", "1,1"),  # H + C - (H + C) = 0
-     {"gram": [[4, 5, 9], [5, 2, 7], [9, 7, 16]], "det": 0, "dependency": [-1, -1, 1]}, 0),
-    (("effectivity", "--class=-1,0", "--class", "1,0"),  # -H.H = -4
-     {"verdict": "NotEffective", "rule": "nonpositive-degree", "degree": -4, "candidates": []}, 0),
-    # on U with H = (1,1), the classes of degree 1 and square >= -2 are (1,0)
-    # and (0,1); (-1,2) is neither, (1,0) is one of them
-    (("effectivity", "--lattice", "U", "--class=-1,2", "--class", "1,1"),
-     {"verdict": "NotEffective", "rule": "no-decomposition", "degree": 1,
-      "candidates": [[0, 1], [1, 0]]}, 0),
-    (("effectivity", "--lattice", "U", "--class", "1,0", "--class", "1,1"),
-     {"verdict": "Unknown"}, 2),
-    # 2 r c2 - (r - 1) c1^2 - 2 (r^2 - 1) = 20 - 4 - 6
-    (("expected-dim", "--rank", 2, "--c1sq", 4, "--c2", 5), {"expected_dim": 10}, 0),
-], ids=["pair", "genus", "genus-negative-class", "gram", "gram-dependency",
-        "effectivity-nonpositive-degree", "effectivity-no-decomposition", "effectivity-unknown",
-        "expected-dim"])
-def test_lattice_prints_the_result(capsys, argv, doc, exit_code):
-    code, out, err = run(capsys, "lattice", *argv)
-    assert code == exit_code
-    assert out == canonical(doc) and err == ""
-
-
 # a separate value that starts with "-" and a digit belongs to the option before it
 @pytest.mark.parametrize("before,option,value,after,printed", [
-    (("lattice", "effectivity"), "--class", "-10,21", ("--class", "1,0"),
-     '"rule": "no-decomposition"'),  # degree -40 + 105 = 65
     (("h0", "--monad", INPUTS / "e_rank2.monad"), "--twist", "-2,0", (), "[0, 1]\n"),
     (("certify", "--monad", INPUTS / "k_rank3.monad", "--polarization", "1,1"),
      "--fiber-point", "-1:1", ("--format", "json"),
      '"fiber_points": [\n        [\n          -1,\n          1\n        ],'),
-], ids=["lattice-class", "h0-twist", "certify-fiber-point"])
+], ids=["h0-twist", "certify-fiber-point"])
 def test_a_negative_value_follows_its_option(capsys, before, option, value, after, printed):
     code, out, err = run(capsys, *before, option, value, *after)
     assert code == cli.EXIT_OK and err == ""
     assert printed in out
     assert (code, out, err) == run(capsys, *before, f"{option}={value}", *after)
-
-
-# A8(-1), a rank-8 lattice given as a document
-RANK8_LATTICE = {
-    "names": [f"e{i}" for i in range(1, 9)],
-    "gram": [[-2 if i == j else int(abs(i - j) == 1) for j in range(8)] for i in range(8)],
-}
-
-
-@pytest.mark.parametrize("argv", [
-    ("pair", "--class", "1,0,5", "--class", "1,0"),
-    ("pair", "--class", "1,0"),
-    ("pair", "--class", "1,0", "--class", "0,1", "--class", "1,1"),
-    ("genus",),
-    ("genus", "--class", "1,0", "--lattice", RANK8_LATTICE),
-    ("genus", "--class", "1,0", "--class", "0,1"),
-    ("effectivity", "--class", "1,0"),
-    ("gram",),
-    ("gram", "--class", "1"),
-    ("expected-dim", "--class", "1,0"),
-], ids=["pair-three-coordinates", "pair-one-class", "pair-three-classes", "genus-no-class",
-        "genus-rank-8-lattice", "genus-two-classes", "effectivity-one-class", "gram-no-class",
-        "gram-one-coordinate", "expected-dim-one-class"])
-def test_lattice_refuses_a_wrong_class_count_or_length(capsys, tmp_path, argv):
-    path = tmp_path / "lattice.json"
-    path.write_text(json.dumps(RANK8_LATTICE))
-    code, out, err = run(capsys, "lattice", *(path if a is RANK8_LATTICE else a for a in argv))
-    assert code == cli.EXIT_ERROR
-    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -698,11 +642,13 @@ def test_lattice_refuses_a_wrong_class_count_or_length(capsys, tmp_path, argv):
     ("expected-dim", "--k", 0),
     ("genus", "--class", "1", "--lattice", "double-plane"),
     ("genus", "--class", "1,0,0,0,0,0,0,0", "--lattice", "E8-minus"),
-], ids=["rigid-classes", "rigid-classes-k", "k-option", "double-plane", "E8-minus"])
+    ("pair", "--class", "1,0", "--class", "0,1"),
+], ids=["rigid-classes", "rigid-classes-k", "k-option", "double-plane", "E8-minus", "pair"])
 def test_removed_lattice_names_exit_1(capsys, argv):
+    # the lattice command is gone, so each of these is an argparse usage error
     code, out, err = run(capsys, "lattice", *argv)
     assert code == cli.EXIT_ERROR
-    assert out == "" and "Traceback" not in err
+    assert out == "" and "invalid choice: 'lattice'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -714,43 +660,16 @@ def test_removed_lattice_names_exit_1(capsys, argv):
     (("quartic-run",), [1]),
     (("quartic-run",), {"surface": "x^4 + y^4 + z^4 + w^4", "map": 7}),
     (("quartic-run",), {"surface": "x^3"}),
-    (("lattice", "pair", "--class", "1,0", "--class", "0,1"), {"names": ["A", "B"], "gram": 3}),
-    (("lattice", "pair", "--class", "1,0", "--class", "0,1"),
-     {"names": ["A", "B"], "gram": [[True, False], [False, False]]}),
 ], ids=["count-points-numeric-polynomial", "count-points-top-level-list",
         "picard-bound-numeric-polynomial", "picard-bound-top-level-list",
         "quartic-run-numeric-surface", "quartic-run-top-level-list", "quartic-run-numeric-map",
-        "quartic-run-not-a-quartic",
-        "lattice-numeric-gram", "lattice-boolean-gram"])
+        "quartic-run-not-a-quartic"])
 def test_malformed_surface_or_lattice_document_exits_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, *argv, "--lattice" if argv[0] == "lattice" else "--surface", path)
+    code, out, err = run(capsys, *argv, "--surface", path)
     assert code == cli.EXIT_ERROR
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
-
-
-@pytest.mark.parametrize("lattice,argv,message", [
-    ("U", ("effectivity", "--class", "0,1", "--class", "1,0"), "H must have positive self-intersection"),
-    ({"names": ["A", "B", "C"], "gram": [[2, 1, 0], [1, -2, 0], [0, 0, -2]]},
-     ("effectivity", "--class", "1,1,0", "--class", "1,0,0"), "rank-2 lattices"),
-    ({"names": ["A", "B"], "gram": [[2, 0], [0, 2]]},
-     ("effectivity", "--class", "1,1", "--class", "1,0"), "not hyperbolic"),
-    ({"names": ["A", "B"], "gram": [[2, 1], [0, 2]]}, ("pair", "--class", "1,0", "--class", "0,1"),
-     "must be symmetric"),
-    ({"names": ["A", "B"], "gram": [[2, 1, 0], [1, 2, 0]]}, ("pair", "--class", "1,0", "--class", "0,1"),
-     "shape does not match"),
-    ("U", ("expected-dim", "--rank", "0"), "rank must be positive"),
-], ids=["nonpositive-polarization", "rank-3-effectivity", "definite-effectivity", "asymmetric-gram",
-        "ragged-gram", "rank-0-expected-dim"])
-def test_lattice_errors_are_typed(capsys, tmp_path, lattice, argv, message):
-    if isinstance(lattice, dict):
-        path = tmp_path / "lattice.json"
-        path.write_text(json.dumps(lattice))
-        lattice = path
-    code, out, err = run(capsys, "lattice", argv[0], "--lattice", lattice, *argv[1:])
-    assert code == cli.EXIT_ERROR
-    assert out == "" and err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", [
@@ -804,6 +723,15 @@ def test_every_cli_option_is_read():
         unread += [f"{name} {a.option_strings or a.dest}" for a in sub._actions
                    if not isinstance(a, argparse._HelpAction) and a.dest not in read]
     assert unread == []
+
+
+def test_the_docstring_lists_every_command():
+    # "Commands: a, b, ..., z." in the module docstring names exactly the
+    # subcommands build_parser registers
+    listed = re.search(r"Commands: ([^.]*)\.", cli.__doc__).group(1)
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(re.split(r",\s*", listed)) == sorted(commands.choices)
 
 
 def test_negative_margin_exits_1(capsys):

@@ -70,9 +70,9 @@ def test_every_definition_under_src_is_used_in_src():
 
 # Runs a fixed command set in a fresh interpreter, so no cache starts warm,
 # and prints every function under src/ that no call entered: every shipped
-# input through its commands and verify, a monad whose exactness needs stage 2
-# (no leading monomial of x0*x1 + x2^2, x0^2, x1^2 is a power of x2) and
-# every lattice command.  Run as: python -c PROFILED_RUN SRC TMPDIR
+# input through its commands and verify, and a monad whose exactness needs
+# stage 2 (no leading monomial of x0*x1 + x2^2, x0^2, x1^2 is a power of x2).
+# Run as: python -c PROFILED_RUN SRC TMPDIR
 PROFILED_RUN = r"""
 import contextlib, inspect, io, json, sys, types
 from pathlib import Path
@@ -101,11 +101,6 @@ commands += [
     ["count-points", "--surface", inputs / "b44.poly", "--prime", "3", "--max-n", "2"],
     ["picard-bound", "--surface", inputs / "b44.poly", "--prime", "3", "--out", tmp / "b44.json"],
     ["verify", tmp / "b44.json"],
-    ["lattice", "pair", "--class", "1,0", "--class", "0,1"],
-    ["lattice", "genus", "--class", "1,0"],
-    ["lattice", "gram", "--class", "1,0", "--class", "2,0"],
-    ["lattice", "effectivity", "--class", "1,-1", "--class", "1,0"],
-    ["lattice", "expected-dim", "--rank", "2", "--c1sq", "4", "--c2", "8"],
 ]
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -6,30 +6,22 @@ from bundlecert.errors import BundleCertError
 from bundlecert.k3lat import (
     QUARTIC_452,
     QUARTIC_AMBIENT,
-    U,
-    U2,
-    GramLattice,
+    _base_point,
     _decomposes,
     bracket,
     curve_class_candidates,
-    expected_dim,
-    genus,
-    gram_of,
-    kernel_vector,
     not_effective_cert,
     pullback_chern,
     quartic_h0,
     quartic_region_run,
 )
-from bundlecert.polycore import parse_poly
+from bundlecert.polycore import RationalPolynomial, monomial_basis, parse_poly
 from oracles import (
     QuarticRing,
     decomposes_by_search,
     gauss_rank,
     gram_det,
-    is_even,
     rref_kernel_vector,
-    span1,
 )
 from oracles import quartic_h0 as normal_form_h0
 
@@ -52,6 +44,7 @@ def add(*classes) -> tuple:
 class TestPairing:
     def test_u2(self):
         E1, E2 = (1, 0), (0, 1)
+        U2 = bracket(0, 2, 0, names=("E1", "E2"))
         assert U2.pair(E1, E2) == 2
         assert U2.pair(E1, E1) == 0
         assert gram_det(U2) == -4
@@ -59,82 +52,20 @@ class TestPairing:
     def test_quartic_lattice(self):
         H, C = (1, 0), (0, 1)
         L = QUARTIC_452
-        assert L.pair(C, C) == 2 and L.pair(C, H) == 5 and genus(L, C) == 2
-        assert L.pair(H, H) == 4 and genus(L, H) == 3
-
-    def test_branch_curve_genus(self):
-        R = (2, 2)  # 2 E1 + 2 E2
-        assert U2.pair(R, R) == 16
-        assert genus(U2, R) == 9
-
-    @pytest.mark.parametrize("lattice,coords", [(QUARTIC_452, (1, 0, 5)), (QUARTIC_452, (1,)),
-                                                 (span1(2), (1, 1)), (U, ())],
-                             ids=["three-on-rank-2", "one-on-rank-2", "two-on-rank-1",
-                                  "none-on-rank-2"])
-    def test_class_needs_one_coordinate_per_basis_vector(self, lattice, coords):
-        with pytest.raises(BundleCertError, match=f"rank-{lattice.rank}"):
-            lattice.cls(coords)
-
-    def test_class_is_its_coordinate_tuple(self):
-        assert QUARTIC_452.cls([-1, 2]) == (-1, 2)
-        assert span1(2).cls((3,)) == (3,)
-
-    def test_odd_square(self):
-        odd = GramLattice(("A",), ((3,),))
-        with pytest.raises(BundleCertError, match=r"D\^2 = 3 is odd"):
-            genus(odd, (1,))
+        assert L.pair(C, C) == 2 and L.pair(C, H) == 5
+        assert L.pair(H, H) == 4 and gram_det(L) == -17
 
     def test_bilinearity_random(self):
         rng = random.Random(11)
         for _ in range(50):
             lat = bracket(2 * rng.randint(-3, 3), rng.randint(-4, 4), 2 * rng.randint(-3, 3))
-            a = lat.cls((rng.randint(-3, 3), rng.randint(-3, 3)))
-            b = lat.cls((rng.randint(-3, 3), rng.randint(-3, 3)))
-            c = lat.cls((rng.randint(-3, 3), rng.randint(-3, 3)))
+            a, b, c = ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3))
             assert lat.pair(a, b) == lat.pair(b, a)
             assert lat.pair(add(a, b), c) == lat.pair(a, c) + lat.pair(b, c)
 
     def test_catalogue_evenness(self):
-        for lat in (U, U2, QUARTIC_452):
-            assert is_even(lat)
-
-
-class TestGramAndDependency:
-    def test_branch_relation(self):
-        L3 = GramLattice(("E1", "E2", "R"), ((0, 2, 4), (2, 0, 4), (4, 4, 16)))
-        classes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        mat, det = gram_of(L3, classes)
-        assert mat == L3.gram and det == 0
-        # R = 2 E1 + 2 E2
-        assert kernel_vector(mat) == (-2, -2, 1)
-
-    def test_kernel_vector_matches_the_rref_oracle(self):
-        # integer matrices of rank n - 2, n - 1 and n: the same vector where
-        # the kernel is a line, a refusal from both everywhere else
-        rng = random.Random(12)
-        seen = {-2: 0, -1: 0, 0: 0}
-        for _ in range(600):
-            n = rng.randint(2, 5)
-            r = rng.choice([n - 2, n - 1, n])
-            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(max(r, 1), 6))]
-            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
-            rows = [[sum(row[k] * right[k][c] for k in range(r)) for c in range(n)] for row in left]
-            outcomes = [kernel_vector(rows), rref_kernel_vector(rows)]
-            rank = gauss_rank(rows)
-            assert all(len(row) == n for row in rows)
-            assert outcomes[0] == outcomes[1]
-            assert (outcomes[0] is not None) == (rank == n - 1)
-            if rank >= n - 2:
-                seen[rank - n] += 1
-        assert all(count >= 50 for count in seen.values()), seen
-
-    def test_rank2_det(self):
-        _, det = gram_of(U2, [(1, 0), (0, 1)])
-        assert det == -4
-
-    def test_span1(self):
-        mat, det = gram_of(span1(2), [(1,)])
-        assert det == 2
+        # the lattice of a K3 surface is even
+        assert all(QUARTIC_452.gram[i][i] % 2 == 0 for i in range(2))
 
 
 class TestEffectivity:
@@ -213,16 +144,6 @@ class TestEffectivity:
 
 
 class TestNumerology:
-    def test_expected_dim_examples(self):
-        assert expected_dim(3, 64, 24) == 0
-        assert expected_dim(2, 2 * 1, 2) == 4 * 2 - 2 - 6
-        assert expected_dim(1, 5, 7) == 2 * 7 - 0 - 0
-
-    def test_rank2_formula(self):
-        for x in range(-5, 6):
-            for y in range(-5, 6):
-                assert expected_dim(2, 2 * x * x, y) == 4 * y - 2 * x * x - 6
-
     def test_pullback_chern(self):
         assert pullback_chern({"rank": 3, "c1": [-4, -4], "c2": 12}) == {
             "rank": 3, "c1": [-4, -4], "c2": 24
@@ -298,6 +219,30 @@ class TestQuartic:
             quartic_region_run("z^4 + x*w^3 + y*w^3 + x^4 + y^4", ("x", "y", "z"))
         cert = quartic_region_run("x^4 + y^4 + z^4 + w^4", ("x - w", "y", "z"))
         assert cert["basepoint_value"] == "2"  # f(1, 0, 0, 1)
+
+    def test_base_point_matches_the_rref_oracle(self):
+        # linear forms of rank 1, 2 and 3: the same vector where the common
+        # zero is a point, a refusal where the oracle finds no kernel line
+        rng = random.Random(12)
+        basis = monomial_basis(QUARTIC_AMBIENT, 1)
+        seen = {0: 0, 1: 0, 2: 0, 3: 0}
+        for _ in range(600):
+            r = rng.randint(1, 3)
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(3)]
+            right = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(r)]
+            rows = [[sum(row[k] * right[k][c] for k in range(r)) for c in range(4)] for row in left]
+            forms = [RationalPolynomial(QUARTIC_AMBIENT, {e: c for e, c in zip(basis, row) if c})
+                     for row in rows]
+            expected = rref_kernel_vector(rows)
+            if expected is None:
+                with pytest.raises(BundleCertError, match="rank below 3"):
+                    _base_point(forms)
+            else:
+                assert _base_point(forms) == expected
+            rank = gauss_rank(rows)
+            assert (expected is not None) == (rank == 3)
+            seen[rank] += 1
+        assert min(seen[1], seen[2], seen[3]) >= 50, seen
 
     def test_map_of_rank_below_3(self):
         with pytest.raises(BundleCertError, match="rank below 3"):
