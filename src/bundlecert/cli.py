@@ -131,7 +131,7 @@ def cmd_certify(args) -> int:
 
 def cmd_h0(args) -> int:
     m = monad_from_document(_load_json(args.monad))
-    lo, hi = h0_monad(m, args.exterior, args.twist)["h0"]
+    lo, hi = h0_monad(m, args.exterior, m.ambient.normalize_degree(args.twist))["h0"]
     sys.stdout.write(f"{lo}\n" if lo == hi else f"[{lo}, {hi}]\n")
     return EXIT_OK
 

@@ -65,7 +65,9 @@ def h_line_sum(ambient: Ambient, twists, L, i: int) -> int:
 
 
 def _kernel_result(m: MonadComplex, entries, src_twists, tgt_twists, L, method) -> dict:
-    L = m.ambient.normalize_degree(L)
+    """The h^0 fragment of the kernel of the section matrix at twist L, a
+    tuple of ints with one per factor: every caller builds its twists so, and
+    `cli.cmd_h0` normalizes the user's --twist where it enters."""
     M = section_matrix(m.ambient, entries, src_twists, tgt_twists, L)
     rank = M.rank()
     nullity = M.cols - rank
@@ -128,8 +130,8 @@ def h0_exterior(m: MonadComplex, s: int, L) -> dict:
 
 def h0_homology(m: MonadComplex, L) -> dict:
     """h^0((ker b / im a) ⊗ O(L)) for a homology monad m; exact when
-    h^1(A⊗L) = 0, else an interval.  Its callers dispatch on m.kind."""
-    L = m.ambient.normalize_degree(L)
+    h^1(A⊗L) = 0, else an interval.  Its callers dispatch on m.kind; L is
+    a tuple of ints, as for `_kernel_result`."""
     # the K in 0 -> A -> K -> E -> 0
     k = _kernel_result(m, m.map_b, m.middle, m.target, L, SECTION_KERNEL)
     a0 = h_line_sum(m.ambient, m.source, L, 0)

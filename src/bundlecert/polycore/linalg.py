@@ -1,9 +1,10 @@
-"""Exact linear algebra on sparse integer rows: one dict per row, column ->
-nonzero int (section matrices have a few nonzeros among many cells).  The
-polynomials the cells come from have integer coefficients, so a rank over Q
-is a rank of an integer matrix.
+"""Exact linear algebra on sparse integer matrices: a dict from row key to
+{column: nonzero int}, holding the nonzero rows only (section matrices have a
+few nonzeros among many cells).  The polynomials the cells come from have
+integer coefficients, so a rank over Q is a rank of an integer matrix.
 
-Rank peels singleton pivots first (structured Gaussian elimination,
+A matrix with no nonzero cell has rank 0, read off the empty dict.  Otherwise
+rank peels singleton pivots first (structured Gaussian elimination,
 LaMacchia-Odlyzko): if column c has its only nonzero in row i, or row i its
 only nonzero in column c, operations with that pivot clear the rest of its
 row or column, so rank M = 1 + rank(M without row i and column c).  The rule
@@ -11,31 +12,39 @@ reads only the sparsity pattern and is exact over any field.  The core that
 no singleton reaches goes as it is to Bareiss elimination over the integers
 (Bareiss, Math. Comp. 22, 1968); no floating point or prime enters a rank.
 
-A section matrix is built from its live columns only: a source summand with
-no sections at the twist costs nothing, each nonzero cell is written once,
-and each monomial basis is built once per degree with its index.
+A section matrix pays only for its live cells.  Its rows are counted, never
+enumerated: their number is a sum of binomial counts (`basis_size`), and no
+target basis is built.  A row is keyed by the target summand and the exponent
+of the product monomial a cell lands on, so a row no cell hits costs nothing.
+Columns come from the source bases, each built once per degree; a source
+summand with no sections at the twist is skipped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
 
-from .poly import indexed_basis
+from .poly import basis_exponents, basis_size
 
 
 @dataclass
 class ExactMatrix:
     rows: int
     cols: int
-    entries: list  # one dict per row: column -> nonzero int
+    entries: dict  # nonzero rows only: row key -> {column: nonzero int}
 
     def rank(self) -> int:
-        rows = {i: dict(row) for i, row in enumerate(self.entries) if row}
+        if not self.entries:
+            return 0  # no nonzero cell
+        rows = {i: dict(row) for i, row in self.entries.items()}
         cols = {}
         for i, row in rows.items():
             for j in row:
                 cols.setdefault(j, set()).add(i)
-        peeled, todo = 0, [(i, None) for i in rows] + [(None, j) for j in cols]
+        # the worklist holds singletons, and rows or columns just made one
+        todo = [(i, None) for i, row in rows.items() if len(row) == 1]
+        todo += [(None, j) for j, at in cols.items() if len(at) == 1]
+        peeled = 0
         while todo:  # peel singleton pivots (module docstring)
             i, j = todo.pop()
             if i is None and len(cols.get(j, ())) == 1:
@@ -45,11 +54,15 @@ class ExactMatrix:
             else:
                 continue
             for jj in rows.pop(i):
-                cols[jj].discard(i)
-                todo.append((None, jj))
+                at = cols[jj]
+                at.discard(i)
+                if len(at) == 1:
+                    todo.append((None, jj))
             for ii in cols.pop(j):
-                del rows[ii][j]
-                todo.append((ii, None))
+                row = rows[ii]
+                del row[j]
+                if len(row) == 1:
+                    todo.append((ii, None))
             peeled += 1
         core = [[row.get(j, 0) for j, at in cols.items() if at] for row in rows.values() if row]
         return peeled + bareiss_rank(core)
@@ -116,38 +129,37 @@ def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> Exa
     establishes both once, where the map is built (a MonadComplex at
     construction; `monad.forms_cover_degree` reads each source twist off its
     form), not once per twist.
-    Columns are ordered by source summand then basis order, rows likewise.
+
+    `rows` is the number of monomials of the twisted target summands, counted
+    by `basis_size`, which refuses a summand over MAX_BASIS as building its
+    basis would.  `entries` maps each row some cell lands on, keyed
+    (target summand i, exponent of the product monomial), to its cells
+    {column: nonzero int}; rows are keyed, not ordered.  Columns are ordered
+    by source summand, then `monomial_basis` order.
 
     The cost follows the live columns and the nonzero cells, not the number
-    of summands: a source summand with a negative twisted component has no
-    sections, so it is skipped before its basis or its column of entries is
-    read.  Each cell is written once: for a fixed target, source and basis
-    monomial, distinct terms of the entry give distinct product monomials,
-    hence distinct rows.  So no cell sums two terms, and the result holds
-    only nonzero cells.  Each basis comes with its {exponent: position}
-    index from one cache per (factor sizes, degree) (`indexed_basis`).
+    of summands or rows: a source summand with a negative twisted component
+    has no sections, so it is skipped before its basis or its column of
+    entries is read.  Each cell is written once: for a fixed target, source
+    and basis monomial, distinct terms of the entry give distinct product
+    monomials, hence distinct rows.  So no cell sums two terms, and the
+    result holds only nonzero cells.
     """
     sizes = tuple(map(len, ambient.groups))
-    row_starts = []  # per target summand: (first row, index of its basis)
-    nrows = 0
-    for t in target_twists:
-        basis, index = indexed_basis(sizes, tuple(map(add, t, L)))
-        row_starts.append((nrows, index))
-        nrows += len(basis)
-
-    cells = [{} for _ in range(nrows)]
+    nrows = sum(basis_size(sizes, tuple(map(add, t, L))) for t in target_twists)
+    cells = {}
     col = 0
     for j, s in enumerate(source_twists):
         d = tuple(map(add, s, L))
         if min(d) < 0:
             continue
-        basis = indexed_basis(sizes, d)[0]
-        for (start, index), row in zip(row_starts, map_entries):
+        basis = basis_exponents(sizes, d)
+        for i, row in enumerate(map_entries):
             terms = row[j].terms.items()
             if not terms:
                 continue
             for k, mono in enumerate(basis, col):
                 for e, c in terms:
-                    cells[start + index[tuple(map(add, e, mono))]][k] = c
+                    cells.setdefault((i, tuple(map(add, e, mono))), {})[k] = c
         col += len(basis)
     return ExactMatrix(nrows, col, cells)

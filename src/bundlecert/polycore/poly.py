@@ -24,8 +24,9 @@ from ..errors import BundleCertError
 
 MultiDegree = tuple  # tuple[int, ...], one entry per projective factor
 
-# the most monomials one basis may hold: about 20 times the largest (455, degree 12
-# on P3) that any test, shipped input or benchmark workload builds
+# the most monomials one basis may hold, and so the most rows one target summand
+# of a section matrix may count: about 20 times the largest (455, degree 12 on
+# P3) that any test, shipped input or benchmark workload builds or counts
 MAX_BASIS = 10_000
 
 
@@ -249,28 +250,40 @@ def monomial_basis(ambient: Ambient, d) -> tuple:
     P^2 at d=1 the basis reads x0, x1, x2.  Empty when any component of d is
     negative.
     """
-    return indexed_basis(tuple(map(len, ambient.groups)), ambient.normalize_degree(d))[0]
+    return basis_exponents(tuple(map(len, ambient.groups)), ambient.normalize_degree(d))
 
 
 @lru_cache(maxsize=None)
-def indexed_basis(sizes: tuple, d: tuple) -> tuple:
-    """(basis, {exponent vector: its position in basis}) of multidegree d on
-    factors with `sizes` coordinates each, in `monomial_basis` order.
+def basis_size(sizes: tuple, d: tuple) -> int:
+    """The number of monomials of multidegree d on factors with `sizes`
+    coordinates each, prod C(n - 1 + d_i, d_i), and 0 when any d_i < 0.
 
-    Built once per (sizes, d): every twist of a section matrix asks for the
-    same few bases, and a key of int tuples hashes faster than an Ambient.
-    A basis of more than MAX_BASIS monomials is refused before it is built.
+    A count over MAX_BASIS is refused, so a basis too large to build is
+    refused before it is built, and so is a target summand too large to count.
     """
     if any(c < 0 for c in d):
-        return (), {}
+        return 0
     size = prod(comb(n - 1 + c, c) for n, c in zip(sizes, d))
     if size > MAX_BASIS:
         raise BundleCertError(
             f"a monomial basis of degree {d} has {size} monomials, over the cap {MAX_BASIS}"
         )
+    return size
+
+
+@lru_cache(maxsize=None)
+def basis_exponents(sizes: tuple, d: tuple) -> tuple:
+    """The basis of multidegree d on factors with `sizes` coordinates each,
+    in `monomial_basis` order.
+
+    Built once per (sizes, d): every twist of a section matrix asks for the
+    same few source bases, and a key of int tuples hashes faster than an
+    Ambient.  Its size is checked by `basis_size` first.
+    """
+    if not basis_size(sizes, d):
+        return ()
     per_group = [_exponents_of_degree(n, deg) for n, deg in zip(sizes, d)]
-    basis = tuple(tuple(x for part in combo for x in part) for combo in iter_product(*per_group))
-    return basis, {e: k for k, e in enumerate(basis)}
+    return tuple(tuple(x for part in combo for x in part) for combo in iter_product(*per_group))
 
 
 def _exponents_of_degree(nvars: int, d: int) -> list:

@@ -28,8 +28,9 @@ and sums of curve-class candidates by a recursive search over multisets
 Chern data of a twisted sum of line bundles by the closed forms per ambient
 (vs the one rule through the intersection form of `monad.chern_free`), and
 section matrices as dense rows, one polynomial product per source basis
-monomial (vs the cached basis indices, skipped empty summands and cells
-written once of `polycore.section_matrix`).
+monomial, every target basis enumerated (vs the counted rows, rows keyed by
+product monomial, skipped empty summands and cells written once of
+`polycore.section_matrix`).
 
 The last section holds helpers only tests use, moved out of `src/` with
 their logic unchanged.
@@ -609,42 +610,62 @@ def monomial(ambient, exps, coeff=1) -> RationalPolynomial:
 
 
 def from_rows(rows) -> ExactMatrix:
-    """An ExactMatrix from a dense list of rows."""
+    """An ExactMatrix from a dense list of rows, row i keyed i."""
     rows = [list(row) for row in rows]
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged rows")
-    entries = [{j: _coeff(x) for j, x in enumerate(r) if x} for r in rows]
+    entries = {i: {j: _coeff(x) for j, x in enumerate(r) if x} for i, r in enumerate(rows) if any(r)}
     return ExactMatrix(len(rows), ncols, entries)
 
 
 def zero_matrix(rows: int, cols: int) -> ExactMatrix:
-    return ExactMatrix(rows, cols, [{} for _ in range(rows)])
+    return ExactMatrix(rows, cols, {})
 
 
-def add_cell(M: ExactMatrix, i: int, j: int, value) -> None:
-    """M[i][j] += value, dropping the cell when the sum is zero."""
-    row = M.entries[i]
+def add_cell(M: ExactMatrix, i, j: int, value) -> None:
+    """M[i][j] += value, dropping the cell when the sum is zero and the row
+    when it has no cell left."""
+    row = M.entries.setdefault(i, {})
     total = row.get(j, 0) + value
     if total:
         row[j] = total
     else:
         row.pop(j, None)
+        if not row:
+            del M.entries[i]
 
 
 def identity_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix(n, n, [{i: 1} for i in range(n)])
+    return ExactMatrix(n, n, {i: {i: 1} for i in range(n)})
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a @ b, where the column j of a is the row keyed j of b."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
     out = zero_matrix(a.rows, b.cols)
-    for i, row in enumerate(a.entries):
+    for i, row in a.entries.items():
         for k, x in row.items():
-            for j, y in b.entries[k].items():
+            for j, y in b.entries.get(k, {}).items():
                 add_cell(out, i, j, x * y)
     return out
+
+
+def dense(M: ExactMatrix, keys=None) -> list:
+    """The full rows-by-cols grid of M, one row per key of `keys` in order
+    (by default 0, 1, ..., rows - 1); every row M stores must be one of them."""
+    keys = list(range(M.rows) if keys is None else keys)
+    if len(keys) != M.rows or not set(M.entries) <= set(keys):
+        raise ValueError("the keys do not place every row")
+    return [[M.entries.get(k, {}).get(j, 0) for j in range(M.cols)] for k in keys]
+
+
+def section_row_keys(ambient, target_twists, L) -> list:
+    """The row keys of a section matrix in dense order: (target summand,
+    exponent) per monomial of each twisted target, in `monomial_basis` order."""
+    return [(i, e) for i, t in enumerate(target_twists)
+            for e in monomial_basis(ambient, tuple(a + b for a, b in zip(t, L)))]
 
 
 def mdeg_leq(a, b) -> bool:
@@ -679,6 +700,7 @@ def h0_kernel(m, L):
     """h^0(ker(b) ⊗ O(L)), exact."""
     if m.kind != KERNEL:
         raise BundleCertError("h0_kernel needs a kernel monad")
+    L = m.ambient.normalize_degree(L)
     return _kernel_result(m, m.map_b, m.middle, m.target, L, SECTION_KERNEL)
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from bundlecert import cli, cohom, k3lat, monad, stability, zeta
-from bundlecert.polycore import parse_poly, section_matrix
+from bundlecert.polycore import linalg, parse_poly, section_matrix
+from bundlecert.polycore.poly import basis_exponents
 from bundlecert.stability import document_mismatches
 from bundlecert.zeta import count
 from oracles import dense_section_matrix, gauss_rank
@@ -118,7 +119,7 @@ def test_section_matrix_cells_are_ints(capsys, monkeypatch):
 
     def spy(*args):
         M = section_matrix(*args)
-        cells.extend(v for row in M.entries for v in row.values())
+        cells.extend(v for row in M.entries.values() for v in row.values())
         return M
 
     for module in (cohom, monad):
@@ -140,6 +141,80 @@ def test_scaled_certificates_are_byte_stable(capsys, tmp_path, name):
                        "--format", "json")
     assert code == cli.EXIT_OK
     assert sha256(out) == SCALED_SHA256[name]
+
+
+def _monads_of_the_certify_bench():
+    """The shipped monads and the scaled documents the bench certifies."""
+    docs = [json.loads((INPUTS / f"{name}.monad").read_text()) for name, _ in CERTIFICATE_SHA256]
+    scaled = ["k-rank3-n3", "k-rank3-n4", "k-rank3-n6", "k-rank3-n8", "ks-8", "ks-12", "ks-16"]
+    return [monad.monad_from_document(doc) for doc in docs + [scaled_monad(n) for n in scaled]]
+
+
+def test_witness_rows_and_cols_are_the_bott_counts():
+    # each core check's section matrix has h0(target(L)) rows and h0(source(L))
+    # columns: Bott's formula against the rows polycore counts and the
+    # columns it enumerates, on every check, those with no column included
+    no_column = 0
+    for m in _monads_of_the_certify_bench():
+        cert = stability.certify(m, stability.Polarization(m.ambient, (1,) * m.ambient.arity))
+        assert cert["verdict"] == "Stable"
+        for check in cert["core_checks"]:
+            L, witness = tuple(check["twist"]), check["witness"]
+            if m.kind == monad.KERNEL:
+                _, source, target = cohom.exterior_contraction(m, check["s"])
+            else:
+                source, target, witness = m.middle, m.target, witness["h0_kernel"]
+            assert witness["rows"] == cohom.h_line_sum(m.ambient, target, L, 0)
+            assert witness["cols"] == cohom.h_line_sum(m.ambient, source, L, 0)
+            no_column += witness["cols"] == 0
+    assert no_column > 0
+
+
+def test_certify_builds_the_bases_of_its_source_degrees_only(monkeypatch):
+    asked, built, uncounted = [], [], []
+
+    def basis_spy(sizes, d):
+        asked.append(d)
+        return basis_exponents(sizes, d)
+
+    def matrix_spy(ambient, entries, source, target, L):
+        asked.clear()
+        M = section_matrix(ambient, entries, source, target, L)
+        twisted = [{tuple(a + b for a, b in zip(t, L)) for t in twists} for twists in (source, target)]
+        assert set(asked) <= twisted[0]
+        built.extend(asked)
+        # a target degree with sections and no source of that degree: the
+        # basis a row enumeration would build
+        uncounted.extend(d for d in twisted[1] - twisted[0] if min(d) >= 0)
+        return M
+
+    monkeypatch.setattr(linalg, "basis_exponents", basis_spy)
+    for module in (cohom, monad):
+        monkeypatch.setattr(module, "section_matrix", matrix_spy)
+    for m in _monads_of_the_certify_bench():
+        stability.certify(m, stability.Polarization(m.ambient, (1,) * m.ambient.arity))
+    assert built and uncounted
+
+
+def test_h0_counts_the_rows_of_a_target_it_never_enumerates(capsys, tmp_path, monkeypatch):
+    # ker(O^3 -> O(16)) on P2 at twist 120: 3 C(122, 2) - C(138, 2) = 22143 - 9453
+    # sections; the 9,453 rows of degree 136 are counted, and only the source
+    # basis of degree 120 is built.  At 130 the target count C(148, 2) is over
+    # the cap, and is refused as its basis would be.
+    asked = []
+
+    def spy(sizes, d):
+        asked.append(d)
+        return basis_exponents(sizes, d)
+
+    monkeypatch.setattr(linalg, "basis_exponents", spy)
+    path = tmp_path / "ks-16.monad"
+    path.write_text(json.dumps(scaled_monad("ks-16")))
+    assert run(capsys, "h0", "--monad", path, "--twist", 120) == (cli.EXIT_OK, "12690\n", "")
+    assert set(asked) == {(120,)}
+    code, out, err = run(capsys, "h0", "--monad", path, "--twist", 130)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == "error: a monomial basis of degree (146,) has 10878 monomials, over the cap 10000\n"
 
 
 def test_quartic_run_is_byte_stable(capsys):
@@ -481,6 +556,9 @@ MALFORMED_INPUTS = [
     ("h0-twist-of-2-components-on-p2", lambda tmp: (
         "h0", "--monad", INPUTS / "euler.monad", "--twist", "1,2"),
      "error: degree (1, 2) has 2 components, ambient has 1"),
+    ("h0-twist-of-1-component-on-p1xp1", lambda tmp: (
+        "h0", "--monad", INPUTS / "k_rank3.monad", "--twist", "3"),
+     "error: degree (3,) has 1 components, ambient has 2"),
     ("h0-basis-over-the-cap", lambda tmp: (
         "h0", "--monad", INPUTS / "euler.monad", "--twist", "100000"),
      "error: a monomial basis of degree (100000,) has 5000150001 monomials, over the cap 10000"),

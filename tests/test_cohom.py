@@ -24,7 +24,7 @@ from bundlecert.monad import (
 )
 from bundlecert.polycore import Ambient, RationalPolynomial, section_matrix
 from bundlecert.stability import Polarization, certify
-from oracles import dense_section_matrix, h0_kernel, mdeg_leq
+from oracles import dense, dense_section_matrix, h0_kernel, mdeg_leq, section_row_keys
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -236,7 +236,8 @@ def assert_matches_dense_oracle(ambient, entries, source, target, L):
     against Bott: a skipped source summand must be one with no sections."""
     M = section_matrix(ambient, entries, source, target, L)
     rows = dense_section_matrix(ambient, entries, source, target, L)
-    assert M.entries == [{j: c for j, c in enumerate(row) if c} for row in rows]
+    assert dense(M, section_row_keys(ambient, target, L)) == rows
+    assert all(row and all(row.values()) for row in M.entries.values())  # no zero, no empty row
     assert M.rows == h_line_sum(ambient, target, L, 0)
     assert M.cols == h_line_sum(ambient, source, L, 0)
 

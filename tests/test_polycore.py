@@ -26,6 +26,7 @@ from bundlecert.polycore.poly import MAX_BASIS
 
 from oracles import (
     add_cell,
+    dense,
     dense_section_matrix,
     from_rows,
     gauss_rank,
@@ -36,17 +37,13 @@ from oracles import (
     mdeg_leq,
     monomial,
     monomial_count,
+    section_row_keys,
     zero_matrix,
 )
 
 P2 = Ambient.projective(2)
 P2XYZ = Ambient.projective(2, names=("x", "y", "z"))
 PP = Ambient.product_projective(1, 1)
-
-
-def dense(M):
-    """The full rows-by-cols grid of a sparse ExactMatrix."""
-    return [[row.get(j, 0) for j in range(M.cols)] for row in M.entries]
 
 
 def cleared_rows(rows):
@@ -249,7 +246,7 @@ class TestSectionMatrix:
         assert (M1.cols, M1.cols - M1.rank()) == (4, 0)
         M2 = section_matrix(PP, b, [(-1, -1)] * 4, [(0, 0)], (2, 2))
         assert (M2.cols, M2.cols - M2.rank()) == (16, 7)
-        assert gauss_rank(dense(M2)) == M2.rank()
+        assert gauss_rank(dense(M2, section_row_keys(PP, [(0, 0)], (2, 2)))) == M2.rank()
 
     def test_composite_equals_product(self):
         # functoriality: section matrix of g∘f = (matrix of g) @ (matrix of f)
@@ -290,7 +287,11 @@ class TestSectionMatrix:
             Mf = section_matrix(PP, f, src, mid, L)
             Mg = section_matrix(PP, g, mid, tgt, L)
             Mgf = section_matrix(PP, gf, src, tgt, L)
-            assert matmul(Mg, Mf).entries == Mgf.entries
+            # each keyed row at its `monomial_basis` position; the rows of f
+            # are in the order of the columns of g
+            mid_keys, tgt_keys = section_row_keys(PP, mid, L), section_row_keys(PP, tgt, L)
+            G, F = from_rows(dense(Mg, tgt_keys)), from_rows(dense(Mf, mid_keys))
+            assert dense(matmul(G, F)) == dense(Mgf, tgt_keys)
 
     def test_matches_dense_reference(self):
         def poly(amb, *terms):
@@ -319,8 +320,8 @@ class TestSectionMatrix:
         for entries, src, tgt, L, amb in cases:
             M = section_matrix(amb, entries, src, tgt, L)
             expected = dense_section_matrix(amb, entries, src, tgt, L)
-            assert dense(M) == expected
-            assert all(v for row in M.entries for v in row.values())  # no stored zeros
+            assert dense(M, section_row_keys(amb, tgt, L)) == expected
+            assert all(row and all(row.values()) for row in M.entries.values())  # no zero, no empty row
             assert M.rank() == gauss_rank(expected)
 
 
@@ -407,7 +408,7 @@ class TestSparseRank:
                         add_cell(M, i, j, v)
                         add_cell(M, i, j, -v)
                         seen["cancelled"] += 1
-            assert all(v for row in M.entries for v in row.values())
+            assert all(row and all(row.values()) for row in M.entries.values())
             rows = dense(M)
             assert rows == values
             seen["zero row"] += any(not any(r) for r in rows)
@@ -449,14 +450,26 @@ class TestSparseRank:
     def test_empty_core_still_goes_to_bareiss(self, monkeypatch):
         cores = self.spy_cores(monkeypatch)
         assert identity_matrix(4).rank() == 4
-        assert zero_matrix(3, 2).rank() == 0
         assert from_rows([[0, 3, 0], [2, 5, 0]]).rank() == 2
-        assert cores == [[], [], []]
+        assert cores == [[], []]
+
+    def test_a_matrix_with_no_cell_has_rank_0_without_elimination(self, monkeypatch):
+        cores = self.spy_cores(monkeypatch)
+        cancelled = zero_matrix(2, 2)
+        add_cell(cancelled, 0, 1, 3)
+        add_cell(cancelled, 0, 1, -3)
+        row = [[parse_poly(v, P2XYZ) for v in ("x", "y", "z")]]
+        no_column = section_matrix(P2XYZ, row, [(0,)] * 3, [(1,)], (-1,))
+        for M in (zero_matrix(3, 2), zero_matrix(0, 0), cancelled, no_column):
+            assert M.entries == {} and M.rank() == 0
+        assert (no_column.rows, no_column.cols) == (1, 0)
+        assert cores == []  # no peeling reached Bareiss
 
     def test_product_drops_cancelled_cells(self):
         A = from_rows([[1, 1], [2, -3]])
         B = from_rows([[1, 0], [-1, 2]])
-        assert matmul(A, B).entries == [{1: 2}, {0: 5, 1: -6}]
+        assert matmul(A, B).entries == {0: {1: 2}, 1: {0: 5, 1: -6}}
+        assert matmul(from_rows([[1, 1]]), from_rows([[1], [-1]])).entries == {}
 
 
 def test_mdeg_partial_order():
