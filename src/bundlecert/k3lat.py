@@ -1,9 +1,12 @@
 """The intersection lattice of the quartic surface and its stability run.
 
-The lattice <H, C> of the quartic, with Gram [[4, 5], [5, 2]] and a class
-written as its pair of integer coordinates, carries the effectivity
-obstruction certificates of the run; `pullback_chern` doubles c2 under a
-double cover; and sections on a quartic X = Z(f) in P3 are exact kernels.
+The lattice <H, C> of the quartic is the Gram matrix QUARTIC_GRAM =
+[[4, 5], [5, 2]], a class written as its pair of integer coordinates.  The
+classes an irreducible curve can occupy, square >= -2 and H-degree >= 1, are
+found degree by degree in closed form (`curve_class_candidates`); the
+quartic run derives one stratum per degree from them, and each sample point
+of its slope region reads its rule off the stratum of its degree.
+`pullback_chern` doubles c2 under a double cover.
 
 Sections on X go through `cohom.h0_monad`, as on P2 and P1 x P1: a kernel
 over the coordinate ring R = S/(f) lifts to a section of the kernel monad
@@ -15,8 +18,7 @@ document that `verify` compares with a re-run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .cohom import h0_monad, h_line_sum
 from .errors import BundleCertError
@@ -31,24 +33,13 @@ from .polycore import (
 
 # --- lattices -----------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class GramLattice:
-    names: tuple
-    gram: tuple  # tuple of tuples, symmetric integer matrix
-
-    def pair(self, u, v) -> int:
-        """The intersection number u.v of two classes."""
-        g = self.gram
-        return sum(u[i] * g[i][j] * v[j] for i in range(len(g)) for j in range(len(g)))
+QUARTIC_GRAM = ((4, 5), (5, 2))
+QUARTIC_NAMES = ("H", "C")
 
 
-def bracket(a: int, b: int, c: int, names=("A", "B")) -> GramLattice:
-    """Rank-2 lattice with Gram [[a,b],[b,c]]."""
-    return GramLattice(tuple(names), ((a, b), (b, c)))
-
-
-QUARTIC_452 = bracket(4, 5, 2, names=("H", "C"))
+def pair(gram, u, v) -> int:
+    """The intersection number u.v of two classes under the Gram matrix."""
+    return sum(u[i] * gram[i][j] * v[j] for i in range(len(gram)) for j in range(len(gram)))
 
 
 # --- double covers ---------------------------------------------------------------
@@ -59,108 +50,40 @@ def pullback_chern(c: dict) -> dict:
     return {**c, "c2": 2 * c["c2"]}
 
 
-# --- effectivity obstructions ---------------------------------------------------
+# --- curve classes ----------------------------------------------------------------
 
 
-def curve_class_candidates(lattice: GramLattice, H, max_degree: int) -> list:
+def curve_class_candidates(gram, H, max_degree: int) -> list:
     """All classes K with 1 <= K.H <= max_degree and K^2 >= -2, as triples
     (coordinates, K.H, K^2) sorted by degree, then coordinates.
 
-    The lattice has rank 2 and signature (1,1), and H^2 > 0 (the quartic run
-    passes QUARTIC_452 and H = (1, 0)).  By the Hodge index theorem a nonzero
-    class orthogonal to H then has negative square, so the classes of fixed
-    degree form a line on which the square is a concave quadratic, and the
-    enumeration per degree is finite; these are the only classes an
-    irreducible curve can occupy (adjunction forces C^2 >= -2, ampleness
-    forces C.H >= 1).
+    The rank-2 Gram matrix has det < 0 and H^2 > 0 (the quartic run passes
+    QUARTIC_GRAM and H = (1, 0)); these are the only classes an irreducible
+    curve can occupy (adjunction forces C^2 >= -2, ampleness C.H >= 1).  For
+    K = (a, b), H = (h1, h2) and u = a·h2 - b·h1 the Gram identity reads
+    H^2·K^2 = (K.H)^2 + det·u^2, so at degree δ = K.H the bound K^2 >= -2 is
+    u^2 <= (δ^2 + 2H^2) / -det.  Given δ and u, K is the integer solution, if
+    any, of a·w0 + b·w1 = δ and a·h2 - b·h1 = u, where w is the H-degree of
+    the two basis classes; that system has determinant -H^2.
     """
-    w = (lattice.pair((1, 0), H), lattice.pair((0, 1), H))  # degree(a, b) = a*w0 + b*w1
-    gw = gcd(w[0], w[1])
+    det = gram[0][0] * gram[1][1] - gram[0][1] ** 2
+    hh = pair(gram, H, H)
+    w = (pair(gram, (1, 0), H), pair(gram, (0, 1), H))
     out = []
     for delta in range(1, max_degree + 1):
-        if delta % gw:
-            continue
-        base = _solve_linear(w, delta)
-        direction = (-w[1] // gw, w[0] // gw)
-        dd = lattice.pair(direction, direction)  # < 0 by Hodge index
-        bd = lattice.pair(base, direction)
-        bb = lattice.pair(base, base)
-        # q(t) = bb + 2t*bd + t^2*dd is concave; integer solutions of q >= -2
-        # form a contiguous range around the vertex -bd/dd
-        q = lambda t: bb + 2 * t * bd + t * t * dd
-        t0 = (-bd) // dd  # floor of the vertex
-        t = t0
-        while q(t) >= -2:
-            out.append(((base[0] + t * direction[0], base[1] + t * direction[1]), delta, q(t)))
-            t -= 1
-        t = t0 + 1
-        while q(t) >= -2:
-            out.append(((base[0] + t * direction[0], base[1] + t * direction[1]), delta, q(t)))
-            t += 1
+        top = isqrt((delta * delta + 2 * hh) // -det)
+        for u in range(-top, top + 1):
+            a, ra = divmod(H[0] * delta + w[1] * u, hh)
+            b, rb = divmod(H[1] * delta - w[0] * u, hh)
+            if not (ra or rb):
+                out.append(((a, b), delta, (delta * delta + det * u * u) // hh))
     out.sort(key=lambda c: (c[1], c[0]))
     return out
-
-
-def _solve_linear(w, delta):
-    """Some integer (a, b) with a*w0 + b*w1 = delta (delta divisible by gcd)."""
-    a, b = _ext_gcd(w[0], w[1])
-    g = w[0] * a + w[1] * b
-    f = delta // g
-    return (a * f, b * f)
-
-
-def _ext_gcd(a, b):
-    if b == 0:
-        return (1 if a >= 0 else -1, 0)
-    x, y = _ext_gcd(b, a % b)
-    return (y, x - (a // b) * y)
-
-
-def not_effective_cert(lattice: GramLattice, D, H) -> dict | None:
-    """A soundness certificate that D is not the class of an effective divisor,
-    as {"rule", "degree", "candidates"}: the rule that applies, D.H, and the
-    coordinates of the candidate curve classes the last rule rules out.
-
-    Rules (each sound, none asserts effectivity):
-      zero-class:         D = 0 is not a curve class;
-      nonpositive-degree: effective nonzero classes have positive H-degree;
-      no-decomposition:   no multiset of possible irreducible-curve classes
-                          (square >= -2, degree in [1, D.H]) sums to D.
-    Returns None (Unknown) when no rule applies.  The lattice and H are as
-    `curve_class_candidates` needs them: signature (1,1) and H^2 > 0.
-    """
-    deg = lattice.pair(D, H)
-    if not any(D):
-        return {"rule": "zero-class", "degree": 0, "candidates": []}
-    if deg <= 0:
-        return {"rule": "nonpositive-degree", "degree": deg, "candidates": []}
-    raw = curve_class_candidates(lattice, H, deg)
-    if _decomposes(D, deg, raw):
-        return None
-    return {"rule": "no-decomposition", "degree": deg, "candidates": [list(c) for c, _, _ in raw]}
-
-
-def _decomposes(target, budget, candidates) -> bool:
-    """Whether some multiset of candidate (coords, degree, sq) of total degree
-    budget sums to target.  reach[d] holds every such sum of total degree d,
-    so each class is visited once per degree."""
-    reach = [{(0, 0)}] + [set() for _ in range(budget)]
-    for d in range(1, budget + 1):
-        for (a, b), k, _ in candidates:
-            if k <= d:
-                reach[d].update((x + a, y + b) for x, y in reach[d - k])
-    return tuple(target) in reach[budget]
 
 
 # --- sections on the quartic ---------------------------------------------------
 
 QUARTIC_AMBIENT = Ambient.projective(3, names=("x", "y", "z", "w"))
-
-
-def _check_quartic(f: RationalPolynomial):
-    """f, a polynomial on QUARTIC_AMBIENT, is a nonzero quartic form."""
-    if f.is_zero() or not f.is_homogeneous_of(4):
-        raise BundleCertError("f must be a nonzero homogeneous quartic")
 
 
 def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: int) -> int:
@@ -177,9 +100,9 @@ def quartic_h0(f: RationalPolynomial, entries, source_twists, target_twists, k: 
 
     by `h0_monad` at s = 1, with no normal forms modulo f.  Entries are text
     or polynomials on P3; an entry e_ij that is not homogeneous of degree
-    t_i - s_j raises BundleCertError naming map_b[i][j].
+    t_i - s_j raises BundleCertError naming map_b[i][j].  f is a nonzero
+    quartic form: `quartic_region_run`, which reads it, checks that.
     """
-    _check_quartic(f)
     zero = RationalPolynomial.zero(QUARTIC_AMBIENT)
     rows = [[*row, *(-f if r == i else zero for r in range(len(target_twists)))]
             for i, row in enumerate(entries)]
@@ -222,15 +145,20 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:
 
     The bundle is ker(map: O(-1)^3 -> O) restricted to X = Z(f), where the map
     is three linear forms, (x, y, w) by default; it is locally free when their
-    one common zero lies off X.  Its slope region {4k + 5l <= 6} is covered by
-    one direct section-kernel check at (1,0) and by effectivity obstructions
-    for every other integer point, stratified by the H-degree of the would-be
-    effective class (k-1)H + lC, which is 4k + 5l - 4 <= 2 throughout the
-    region.  Returns the certificate: the document `verify` compares with its
-    re-run.
+    one common zero lies off X.  On its slope region {4k + 5l <= 6} the twist
+    (k, l) needs (k-1)H + lC, of H-degree d = 4k + 5l - 4 <= 2, non-effective.
+    (1,0) is checked directly by h^0; every other point of the sample grid
+    takes the rule of the stratum of its degree.  No nonzero class of degree
+    <= 0 is effective, and an effective divisor of degree d >= 1 is a sum of
+    irreducible curves of degree in [1, d] and square >= -2, so a degree with
+    no such class (`curve_class_candidates`) has no effective divisor; a
+    stratum with candidates is "unknown", and the verdict Inconclusive.  This
+    is where f is checked to be a nonzero quartic form.  Returns the
+    certificate: the document `verify` compares with its re-run.
     """
     f = parse_poly(f_text, QUARTIC_AMBIENT)
-    _check_quartic(f)
+    if f.is_zero() or not f.is_homogeneous_of(4):
+        raise BundleCertError("f must be a nonzero homogeneous quartic")
     forms = [parse_poly(e, QUARTIC_AMBIENT) for e in map_entries]
     # local freeness: the map must not vanish anywhere on X
     point = _base_point(forms)
@@ -241,13 +169,13 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:
             f"f vanishes at [{where}]: the base point of the section map lies on X, "
             "and the map drops rank there"
         )
-    lattice = QUARTIC_452
     H = (1, 0)
+    top = 2  # the largest degree 4k + 5l - 4 on the region
 
     h0_10 = quartic_h0(f, [forms], [-1, -1, -1], [0], 1)
     ok = h0_10 == 0
 
-    # strata by degree d = deg((k-1)H + lC) = 4k + 5l - 4 <= 2
+    # strata[d] holds the rule for degree d, strata[0] for every d <= 0
     strata = [
         {
             "degrees": "<= 0",
@@ -255,8 +183,8 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:
             "statement": "every nonzero class of nonpositive H-degree is non-effective",
         }
     ]
-    for d in (1, 2):
-        raw = curve_class_candidates(lattice, H, d)
+    for d in range(1, top + 1):
+        raw = curve_class_candidates(QUARTIC_GRAM, H, d)
         if raw:
             ok = False
             strata.append({"degrees": str(d), "rule": "unknown", "candidates": raw})
@@ -276,15 +204,10 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:
     samples = []
     for k in range(-3, 3):
         for l in range(-3, 4):
-            if 4 * k + 5 * l > 6:
-                continue
-            if (k, l) == (1, 0):
-                rule = "section-kernel"
-            else:
-                cert = not_effective_cert(lattice, (k - 1, l), H)
-                ok = ok and cert is not None
-                rule = "unknown" if cert is None else cert["rule"]
-            samples.append({"twist": [k, l], "rule": rule})
+            d = 4 * k + 5 * l - 4
+            if d <= top:
+                rule = "section-kernel" if (k, l) == (1, 0) else strata[max(d, 0)]["rule"]
+                samples.append({"twist": [k, l], "rule": rule})
 
     return Document(
         schema="quartic-certificate/1",
@@ -294,5 +217,5 @@ def quartic_region_run(f_text: str, map_entries=("x", "y", "w")) -> Document:
         strata=strata,
         sample_points=samples,
         verdict="Stable" if ok else "Inconclusive",
-        lattice={"names": list(lattice.names), "gram": [list(r) for r in lattice.gram]},
+        lattice={"names": list(QUARTIC_NAMES), "gram": [list(r) for r in QUARTIC_GRAM]},
     )

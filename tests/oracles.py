@@ -23,13 +23,13 @@ codes of `zeta.field.Field`), and the kernel vector of an integer matrix by
 a fraction reduced row echelon form (vs the signed maximal minors of
 `k3lat._base_point`), and determinants by the Leibniz sum over
 permutations (vs the fraction-free elimination of `polycore.bareiss_det`),
-and sums of curve-class candidates by a recursive search over multisets
-(vs the table of reachable sums per degree of `k3lat._decomposes`), and the
-Chern data of a twisted sum of line bundles by the closed forms per ambient
-(vs the one rule through the intersection form of `monad.chern_free`), and
-section matrices as dense rows, one polynomial product per source basis
-monomial, every target basis enumerated (vs the counted rows, rows keyed by
-product monomial, skipped empty summands and cells written once of
+and curve-class candidates by a scan of every class in a box (vs the closed
+form per degree of `k3lat.curve_class_candidates`), and the Chern data of a
+twisted sum of line bundles by the closed forms per ambient (vs the one rule
+through the intersection form of `monad.chern_free`), and section matrices
+as dense rows, one polynomial product per source basis monomial, every
+target basis enumerated (vs the counted rows, rows keyed by product
+monomial, skipped empty summands and cells written once of
 `polycore.section_matrix`).
 
 The last section holds helpers only tests use, moved out of `src/` with
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 
 from bundlecert.cohom import SECTION_KERNEL, _kernel_result
 from bundlecert.errors import BundleCertError
@@ -50,7 +50,6 @@ from bundlecert.monad import KERNEL
 from bundlecert.polycore import (
     ExactMatrix,
     RationalPolynomial,
-    bareiss_det,
     monomial_basis,
     parse_poly,
 )
@@ -556,26 +555,38 @@ def quartic_h0(ring: QuarticRing, entries, source_twists, target_twists, k: int)
     return M.cols - M.rank()
 
 
-# --- sums of curve-class candidates by search ---------------------------------------
+# --- curve-class candidates by a box scan -------------------------------------------
 
-def decomposes_by_search(target, budget, candidates) -> bool:
-    """Whether some multiset of candidate (coords, degree, sq) of total degree
-    budget sums to target, by a depth-first search over candidates in
-    decreasing degree; exponential in budget."""
-    cands = sorted(candidates, key=lambda c: -c[1])
+def curve_classes_by_box(gram, H, max_degree: int) -> list:
+    """Every class K = (a, b) with 1 <= K.H <= max_degree and K^2 >= -2, as
+    (coordinates, K.H, K^2) sorted by degree, then coordinates, found by
+    pairing each class of a box.  det < 0 and H^2 > 0, as
+    `curve_class_candidates` needs.
 
-    def rec(remaining, budget, start):
-        if budget == 0:
-            return remaining == (0, 0)
-        for i in range(start, len(cands)):
-            (a, b), d, _ = cands[i]
-            if d > budget:
-                continue
-            if rec((remaining[0] - a, remaining[1] - b), budget - d, i):
-                return True
-        return False
+    The box holds every such class.  v = (-w1, w0), with w the H-degrees of
+    the basis classes, spans the classes orthogonal to H, and v^2 = det·H^2.
+    Write K = (δ/H^2)·H + t·v with δ = K.H; then K^2 = δ^2/H^2 + t^2·det·H^2
+    >= -2 gives |t| <= sqrt((2H^2 + δ^2) / -det) / H^2 <= R / H^2, with
+    R = isqrt((2H^2 + max_degree^2) // -det) + 1 (as 0 < δ <= max_degree).
+    So |a| <= (max_degree·|h1| + |w1|·R) / H^2 and
+    |b| <= (max_degree·|h2| + |w0|·R) / H^2.
+    """
+    def pair(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(2) for j in range(2))
 
-    return rec(tuple(target), budget, 0)
+    det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    hh = pair(H, H)
+    w = (pair((1, 0), H), pair((0, 1), H))
+    R = isqrt((2 * hh + max_degree ** 2) // -det) + 1
+    A = (max_degree * abs(H[0]) + abs(w[1]) * R) // hh
+    B = (max_degree * abs(H[1]) + abs(w[0]) * R) // hh
+    out = []
+    for a in range(-A, A + 1):
+        for b in range(-B, B + 1):
+            degree, square = pair((a, b), H), pair((a, b), (a, b))
+            if 1 <= degree <= max_degree and square >= -2:
+                out.append(((a, b), degree, square))
+    return sorted(out, key=lambda c: (c[1], c[0]))
 
 
 # --- Chern data of a twisted sum by closed forms --------------------------------------
@@ -739,10 +750,6 @@ def ideal_fills_degree(forms, ambient, d) -> bool:
 
 def chern_dual(c: dict) -> dict:
     return {"rank": c["rank"], "c1": [-x for x in c["c1"]], "c2": c["c2"]}
-
-
-def gram_det(lattice) -> int:
-    return bareiss_det([list(r) for r in lattice.gram])
 
 
 def poly_mul(a, b):

@@ -4,25 +4,17 @@ import pytest
 
 from bundlecert.errors import BundleCertError
 from bundlecert.k3lat import (
-    QUARTIC_452,
     QUARTIC_AMBIENT,
+    QUARTIC_GRAM,
     _base_point,
-    _decomposes,
-    bracket,
     curve_class_candidates,
-    not_effective_cert,
+    pair,
     pullback_chern,
     quartic_h0,
     quartic_region_run,
 )
-from bundlecert.polycore import RationalPolynomial, monomial_basis, parse_poly
-from oracles import (
-    QuarticRing,
-    decomposes_by_search,
-    gauss_rank,
-    gram_det,
-    rref_kernel_vector,
-)
+from bundlecert.polycore import RationalPolynomial, bareiss_det, monomial_basis, parse_poly
+from oracles import QuarticRing, curve_classes_by_box, gauss_rank, rref_kernel_vector
 from oracles import quartic_h0 as normal_form_h0
 
 FX = "-x*(x + z - w)*(x*w - y*z) + z*(x + z)*(x*y - z^2) + (x*y + w^2)*(y^2 - z*w)"
@@ -41,106 +33,121 @@ def add(*classes) -> tuple:
     return tuple(map(sum, zip(*classes)))
 
 
+def random_lattices(rng, count):
+    """(gram, H) pairs of even rank-2 lattices with det < 0 and H^2 > 0."""
+    while count:
+        a, b, c = 2 * rng.randint(-4, 4), rng.randint(-6, 6), 2 * rng.randint(-4, 4)
+        gram = ((a, b), (b, c))
+        H = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if a * c - b * b < 0 and pair(gram, H, H) > 0:
+            count -= 1
+            yield gram, H
+
+
+def on_twisted_cubic(f: RationalPolynomial) -> dict:
+    """f(s^3, s t^2, s^2 t, t^3), as {(deg_s, deg_t): coefficient} without zeros."""
+    out = {}
+    for (i, j, k, m), coeff in f.terms.items():
+        key = (3 * i + j + 2 * k, 2 * j + k + 3 * m)
+        out[key] = out.get(key, 0) + coeff
+    return {key: c for key, c in out.items() if c}
+
+
 class TestPairing:
     def test_u2(self):
         E1, E2 = (1, 0), (0, 1)
-        U2 = bracket(0, 2, 0, names=("E1", "E2"))
-        assert U2.pair(E1, E2) == 2
-        assert U2.pair(E1, E1) == 0
-        assert gram_det(U2) == -4
+        U2 = ((0, 2), (2, 0))
+        assert pair(U2, E1, E2) == 2
+        assert pair(U2, E1, E1) == 0
+        assert bareiss_det([list(r) for r in U2]) == -4
 
     def test_quartic_lattice(self):
         H, C = (1, 0), (0, 1)
-        L = QUARTIC_452
-        assert L.pair(C, C) == 2 and L.pair(C, H) == 5
-        assert L.pair(H, H) == 4 and gram_det(L) == -17
+        L = QUARTIC_GRAM
+        assert pair(L, C, C) == 2 and pair(L, C, H) == 5
+        assert pair(L, H, H) == 4 and bareiss_det([list(r) for r in L]) == -17
 
     def test_bilinearity_random(self):
         rng = random.Random(11)
         for _ in range(50):
-            lat = bracket(2 * rng.randint(-3, 3), rng.randint(-4, 4), 2 * rng.randint(-3, 3))
+            b = rng.randint(-4, 4)
+            lat = ((2 * rng.randint(-3, 3), b), (b, 2 * rng.randint(-3, 3)))
             a, b, c = ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3))
-            assert lat.pair(a, b) == lat.pair(b, a)
-            assert lat.pair(add(a, b), c) == lat.pair(a, c) + lat.pair(b, c)
+            assert pair(lat, a, b) == pair(lat, b, a)
+            assert pair(lat, add(a, b), c) == pair(lat, a, c) + pair(lat, b, c)
 
     def test_catalogue_evenness(self):
         # the lattice of a K3 surface is even
-        assert all(QUARTIC_452.gram[i][i] % 2 == 0 for i in range(2))
+        assert all(QUARTIC_GRAM[i][i] % 2 == 0 for i in range(2))
+
+    def test_quartic_gram_comes_from_the_twisted_cubic(self):
+        # T = (s^3 : s t^2 : s^2 t : t^3) lies on the shipped quartic and not on
+        # the Fermat quartic; T is a smooth rational cubic, so H.T = 3 and, by
+        # adjunction on a K3, T^2 = 2g - 2 = -2; C = 2H - T then has QUARTIC_GRAM
+        f = parse_poly(FX, QUARTIC_AMBIENT)
+        assert f.is_homogeneous_of(4) and on_twisted_cubic(f) == {}
+        fermat = parse_poly("x^4 + y^4 + z^4 + w^4", QUARTIC_AMBIENT)
+        assert on_twisted_cubic(fermat) == {(12, 0): 1, (4, 8): 1, (8, 4): 1, (0, 12): 1}
+        gram_ht = ((4, 3), (3, -2))  # H^2 = deg f, H.T = deg T, T^2
+        H, C = (1, 0), (2, -1)
+        assert tuple(tuple(pair(gram_ht, u, v) for v in (H, C)) for u in (H, C)) == QUARTIC_GRAM
 
 
 class TestEffectivity:
-    L = QUARTIC_452
     H = (1, 0)
     C = (0, 1)
 
     def test_rule_nonpositive_degree(self):
-        cert = not_effective_cert(self.L, (-1, 0), self.H)
-        assert cert == {"rule": "nonpositive-degree", "degree": -4, "candidates": []}
+        # the "<= 0" stratum rules out every grid twist of negative degree
+        # 4k + 5l - 4; degree 0 on the grid is (1, 0) alone, checked by h^0
+        cert = quartic_region_run(FX)
+        assert cert["strata"][0] == {
+            "degrees": "<= 0", "rule": "nonpositive-degree",
+            "statement": "every nonzero class of nonpositive H-degree is non-effective"}
+        ruled = {tuple(s["twist"]) for s in cert["sample_points"]
+                 if s["rule"] == "nonpositive-degree"}
+        assert ruled == {(k, l) for k in range(-3, 3) for l in range(-3, 4) if 4 * k + 5 * l < 4}
+        assert len(ruled) == 28
 
     def test_rule_no_decomposition(self):
-        cert = not_effective_cert(self.L, (-2, 2), self.H)  # -2H + 2C
-        assert cert == {"rule": "no-decomposition", "degree": 2, "candidates": []}
-
-    def test_zero_class(self):
-        assert not_effective_cert(self.L, (0, 0), self.H)["rule"] == "zero-class"
-
-    def test_real_curves_are_unknown(self):
-        # H, C and the twisted cubic 2H - C are all effective: no certificate
-        for D in (self.H, self.C, (2, -1)):
-            assert not_effective_cert(self.L, D, self.H) is None
+        # no class of square >= -2 has degree 1 or 2, so both strata rule their
+        # degree out, and (0, 1) and (-1, 2) (degrees 1 and 2) read them
+        cert = quartic_region_run(FX)
+        assert [(s["degrees"], s["rule"], s["candidates"]) for s in cert["strata"][1:]] == [
+            ("1", "no-decomposition", []), ("2", "no-decomposition", [])]
+        rules = {tuple(s["twist"]): s["rule"] for s in cert["sample_points"]}
+        assert rules[(0, 1)] == rules[(-1, 2)] == "no-decomposition"
+        assert curve_class_candidates(QUARTIC_GRAM, self.H, 2) == []
 
     def test_candidate_enumeration_finds_twisted_cubic(self):
-        raw = curve_class_candidates(QUARTIC_452, self.H, 5)
+        raw = curve_class_candidates(QUARTIC_GRAM, self.H, 5)
         assert ((2, -1), 3, -2) in raw  # degree 3, square -2
         assert ((1, 0), 4, 4) in raw and ((0, 1), 5, 2) in raw
         assert all(d >= 1 and sq >= -2 for _, d, sq in raw)
 
-    def test_never_certifies_decomposable_fuzz(self):
+    def test_candidates_match_the_box_scan(self):
         rng = random.Random(5)
-        tried = 0
-        while tried < 40:
-            a, b, c = 2 * rng.randint(0, 2), rng.randint(1, 4), 2 * rng.randint(-3, -1)
-            lat = bracket(a, b, c)
-            if gram_det(lat) >= 0:
-                continue
-            H = (1, 0)
-            if lat.pair(H, H) <= 0:
-                continue
-            tried += 1
-            raw = curve_class_candidates(lat, H, 6)
+        found = 0
+        for gram, H in random_lattices(rng, 500):
+            max_degree = rng.randint(1, 12)
+            raw = curve_class_candidates(gram, H, max_degree)
+            assert raw == curve_classes_by_box(gram, H, max_degree), (gram, H, max_degree)
+            found += bool(raw)
+        assert found >= 100, found
+
+    def test_never_certifies_decomposable_fuzz(self):
+        # a sum D of candidate classes is effective when they are curves: the
+        # stratum of D's degree has candidates, so it never rules D out
+        rng = random.Random(5)
+        for gram, H in random_lattices(rng, 40):
+            raw = curve_class_candidates(gram, H, 6)
             if not raw:
                 continue
             parts = rng.sample(raw, k=min(len(raw), rng.randint(1, 2)))
             D = add(*(c for c, _, _ in parts))
-            if not any(D):
-                continue
-            cert = not_effective_cert(lat, D, H)
-            # D is a sum of candidate classes, so rule iii must not certify
-            assert cert is None or cert["rule"] != "no-decomposition"
-            # the degree table and the search agree on D and on classes near it
-            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, -1), (-1, 2)):
-                E = add(D, (dx, dy))
-                deg = lat.pair(E, H)
-                if 1 <= deg <= 12:
-                    cands = curve_class_candidates(lat, H, deg)
-                    assert _decomposes(E, deg, cands) == \
-                        decomposes_by_search(E, deg, cands), (lat.gram, E)
-
-    def test_degree_89_has_no_decomposition(self):
-        # out of reach of decomposes_by_search, which is exponential in the degree
-        cert = not_effective_cert(self.L, (-14, 29), self.H)
-        assert cert["rule"] == "no-decomposition" and cert["degree"] == 89
-        assert not_effective_cert(self.L, (1, 17), self.H) is None  # H + 17 C
-
-    def test_decomposition_matches_the_search_on_quartic_452(self):
-        raw = curve_class_candidates(QUARTIC_452, self.H, 30)
-        for a in range(-8, 9):
-            for b in range(-8, 9):
-                deg = self.L.pair((a, b), self.H)
-                if 1 <= deg <= 30:
-                    cands = [c for c in raw if c[1] <= deg]
-                    assert _decomposes((a, b), deg, cands) == \
-                        decomposes_by_search((a, b), deg, cands), (a, b)
+            degree = pair(gram, D, H)
+            assert degree == sum(d for _, d, _ in parts)
+            assert set(parts) <= set(curve_class_candidates(gram, H, degree)), (gram, D)
 
 
 class TestNumerology:
@@ -195,10 +202,6 @@ class TestQuartic:
         with pytest.raises(BundleCertError, match=rf"map_b\[{at[0]}\]\[{at[1]}\] not homogeneous"):
             quartic_h0(f, entries, source, target, 1)
 
-    def test_h0_refuses_a_non_quartic(self):
-        with pytest.raises(BundleCertError, match="homogeneous quartic"):
-            quartic_h0(parse_poly("x^3*w + y^3", QUARTIC_AMBIENT), [["x"]], [-1], [0], 1)
-
     def test_region_run_paper_surface(self):
         cert = quartic_region_run(FX)
         assert cert["verdict"] == "Stable"
@@ -207,6 +210,13 @@ class TestQuartic:
         assert rules[(1, 0)] == "section-kernel"
         assert rules[(0, 0)] == "nonpositive-degree"
         assert rules[(-1, 2)] == "no-decomposition"
+        # every other twist reads the stratum of its degree d = 4k + 5l - 4
+        by_degrees = {s["degrees"]: s["rule"] for s in cert["strata"]}
+        for s in cert["sample_points"]:
+            k, l = s["twist"]
+            d = 4 * k + 5 * l - 4
+            if (k, l) != (1, 0):
+                assert s["rule"] == by_degrees["<= 0" if d <= 0 else str(d)], s
 
     def test_region_run_fermat(self):
         cert = quartic_region_run("x^4 + y^4 + z^4 + w^4")
