@@ -26,7 +26,6 @@ from .monad import Document, kernel_monad
 from .polycore import (
     Ambient,
     RationalPolynomial,
-    bareiss_det,
     monomial_basis,
     parse_poly,
 )
@@ -116,10 +115,10 @@ def _base_point(forms) -> tuple:
     vector with its last nonzero coordinate positive.
 
     With the coefficients as the rows of a 3 x 4 matrix, the signed maximal
-    minors v_j = (-1)^j det(the rows without column j) are orthogonal to each
-    row (Laplace expansion of a matrix with a repeated row), and v = 0
-    exactly when the rank is below 3.  At rank 3 the kernel is a line, and v
-    spans it.
+    minors v_j = (-1)^j det(the rows without column j), cofactor sums, are
+    orthogonal to each row (Laplace expansion of a matrix with a repeated
+    row), and v = 0 exactly when the rank is below 3.  At rank 3 the kernel
+    is a line, and v spans it.
     """
     rows = []
     for j, form in enumerate(forms):
@@ -128,7 +127,9 @@ def _base_point(forms) -> tuple:
                 f"entry (0,{j}) inhomogeneous: the section map needs linear forms"
             )
         rows.append([form.terms.get(e, 0) for e in monomial_basis(QUARTIC_AMBIENT, 1)])
-    v = [(-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in rows]) for j in range(4)]
+    minors = ([r[:j] + r[j + 1:] for r in rows] for j in range(4))
+    v = [(-1) ** j * sum(a[k] * (b[k - 2] * c[k - 1] - b[k - 1] * c[k - 2]) for k in range(3))
+         for j, (a, b, c) in enumerate(minors)]
     if not any(v):
         raise BundleCertError(
             "the linear forms of the section map have rank below 3: they vanish on a "

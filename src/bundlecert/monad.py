@@ -340,9 +340,9 @@ def ambient_to_document(amb: Ambient) -> dict:
 
 
 class Document(dict):
-    """A JSON document a command prints: a certificate, or the result of chern
-    or lattice.  Its one rendering is canonical, so a document is byte-stable
-    for fixed inputs."""
+    """A JSON document a command prints: the certificate of certify or
+    quartic-run, or the result of chern or picard-bound.  Its one rendering is
+    canonical, so a document is byte-stable for fixed inputs."""
 
     def to_json(self) -> str:
         return json.dumps(self, sort_keys=True, indent=2) + "\n"

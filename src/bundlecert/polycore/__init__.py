@@ -1,11 +1,13 @@
 """Exact multigraded polynomials with integer coefficients, parsing, monomial
-bases, and sparse integer linear algebra: rank by singleton peeling, then
-fraction-free Bareiss on the core.  Every coefficient and every matrix cell is
-a Python int; ranks and kernels are still those over Q."""
+bases, and sparse integer linear algebra: rank by Bareiss elimination on the
+sparse rows, singletons first, then a shortest row; every division is exact
+(Sylvester's identity), and a row the pivot column misses owes the common
+factor pivot / previous pivot, applied when a step next reads it.  Every
+coefficient and every matrix cell is a Python int; ranks and kernels are still
+those over Q."""
 
 from .linalg import (
     ExactMatrix,
-    bareiss_det,
     bareiss_rank,
     section_matrix,
 )
@@ -25,7 +27,6 @@ __all__ = [
     "ExactMatrix",
     "MultiDegree",
     "RationalPolynomial",
-    "bareiss_det",
     "bareiss_rank",
     "intersection_product",
     "mdeg_add",

@@ -4,13 +4,19 @@ few nonzeros among many cells).  The polynomials the cells come from have
 integer coefficients, so a rank over Q is a rank of an integer matrix.
 
 A matrix with no nonzero cell has rank 0, read off the empty dict.  Otherwise
-rank peels singleton pivots first (structured Gaussian elimination,
-LaMacchia-Odlyzko): if column c has its only nonzero in row i, or row i its
-only nonzero in column c, operations with that pivot clear the rest of its
-row or column, so rank M = 1 + rank(M without row i and column c).  The rule
-reads only the sparsity pattern and is exact over any field.  The core that
-no singleton reaches goes as it is to Bareiss elimination over the integers
-(Bareiss, Math. Comp. 22, 1968); no floating point or prime enters a rank.
+`bareiss_rank` runs Bareiss elimination (Bareiss, Math. Comp. 22, 1968) on the
+sparse rows; no floating point or prime enters a rank.  While a worklist holds
+a singleton, a row or column with one nonzero, that is the pivot, and its
+step only deletes its row and column and keeps prev: no arithmetic
+(structured Gaussian elimination, LaMacchia-Odlyzko).  Otherwise the pivot pv
+is in a shortest row, in that row's column with the fewest entries, and each
+row with t in the pivot column becomes (pv * a - t * p) / prev.  After pivots
+on rows R and columns C the entry at (i, j) is the minor of M on R + i and
+C + j, and prev the minor on R and C, for any pivot order and on any
+submatrix (Sylvester's identity), so every division is exact.  A row with no
+entry in the pivot column changes only by the common factor pv / prev, and is
+left as it is: a row written when the last pivot was pivots[k] holds its true
+entries times pivots[k] / pivots[-1].
 
 A section matrix pays only for its live cells.  Its rows are counted, never
 enumerated: their number is a sum of binomial counts (`basis_size`), and no
@@ -34,18 +40,26 @@ class ExactMatrix:
     entries: dict  # nonzero rows only: row key -> {column: nonzero int}
 
     def rank(self) -> int:
-        if not self.entries:
-            return 0  # no nonzero cell
-        rows = {i: dict(row) for i, row in self.entries.items()}
-        cols = {}
-        for i, row in rows.items():
-            for j in row:
-                cols.setdefault(j, set()).add(i)
-        # the worklist holds singletons, and rows or columns just made one
-        todo = [(i, None) for i, row in rows.items() if len(row) == 1]
-        todo += [(None, j) for j, at in cols.items() if len(at) == 1]
-        peeled = 0
-        while todo:  # peel singleton pivots (module docstring)
+        return bareiss_rank(self.entries) if self.entries else 0
+
+
+def bareiss_rank(entries) -> int:
+    """Rank of a sparse integer matrix {row key: {column: nonzero int}} by
+    Bareiss elimination in the pivot order of the module docstring."""
+    rows = {i: dict(row) for i, row in entries.items()}
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    pivots = [1]  # 1, then the pivot of each step that eliminates
+    written = {}  # row -> index in pivots of the last pivot when written, 0 at first
+    # the worklist holds singletons, and rows or columns that may have just
+    # become one; each is checked when it is taken
+    todo = [(i, None) for i, row in rows.items() if len(row) == 1]
+    todo += [(None, j) for j, at in cols.items() if len(at) == 1]
+    rank = 0
+    while rows:
+        if todo:
             i, j = todo.pop()
             if i is None and len(cols.get(j, ())) == 1:
                 (i,) = cols[j]
@@ -53,69 +67,48 @@ class ExactMatrix:
                 (j,) = rows[i]
             else:
                 continue
-            for jj in rows.pop(i):
-                at = cols[jj]
-                at.discard(i)
-                if len(at) == 1:
-                    todo.append((None, jj))
-            for ii in cols.pop(j):
-                row = rows[ii]
-                del row[j]
-                if len(row) == 1:
-                    todo.append((ii, None))
-            peeled += 1
-        core = [[row.get(j, 0) for j, at in cols.items() if at] for row in rows.values() if row]
-        return peeled + bareiss_rank(core)
-
-
-def bareiss_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    return _bareiss(rows)[0]
-
-
-def bareiss_det(rows) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    rank, sign, pivot = _bareiss(rows)
-    return sign * pivot if rank == len(rows) else 0
-
-
-def _bareiss(rows) -> tuple:
-    """(rank, sign of the row swaps, last pivot) of Bareiss elimination.
-
-    All divisions are exact (Sylvester's identity); column skips for
-    rank-deficient steps keep that property.  On a square matrix of full rank
-    no column is skipped, and the last pivot is the determinant up to the
-    sign of the swaps; on the empty matrix it is 1.
-    """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    sign = 1
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        pv = m[r][c]
-        for i in range(r + 1, nrows):
-            t = m[i][c]
-            mi, mr = m[i], m[r]
-            for j in range(c + 1, ncols):
-                mi[j] = (pv * mi[j] - t * mr[j]) // prev
-            mi[c] = 0
-        prev = pv
-        r += 1
-        if r == nrows:
-            break
-    return r, sign, prev
+        else:
+            i = min(rows, key=lambda r: len(rows[r]))
+            j = min(rows[i], key=lambda c: len(cols[c]))
+        pivot_row = rows.pop(i)
+        pv = pivot_row.pop(j)
+        others = cols.pop(j)
+        others.discard(i)
+        for c in pivot_row:
+            at = cols[c]
+            at.discard(i)
+            if len(at) < 2:  # a singleton now, or after the fill-in of one row
+                todo.append((None, c))
+        if pivot_row and others:  # a singleton's step does no arithmetic
+            prev, scale = pivots[-1], pivots[written.get(i, 0)]
+            pv = pv * prev // scale
+            pivot_row = {c: p * prev // scale for c, p in pivot_row.items()}
+            # (pv * a - t * p) / prev on a row's true entries, its stored ones
+            # times prev / scale, is (pv * a - t * p) / scale on the stored ones
+            for ii in others:
+                row, scale = rows[ii], pivots[written.get(ii, 0)]
+                t = row.pop(j)
+                for c in row.keys() | pivot_row.keys():
+                    a = (pv * row.get(c, 0) - t * pivot_row.get(c, 0)) // scale
+                    if a:
+                        row[c] = a
+                        cols[c].add(ii)
+                    else:
+                        del row[c]
+                        cols[c].discard(ii)
+                        if len(cols[c]) == 1:
+                            todo.append((None, c))
+                written[ii] = len(pivots)
+            pivots.append(pv)
+        for ii in others:
+            row = rows[ii]
+            row.pop(j, None)  # eliminated already unless the pivot row is a singleton
+            if len(row) == 1:
+                todo.append((ii, None))
+            elif not row:
+                del rows[ii]
+        rank += 1
+    return rank
 
 
 def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> ExactMatrix:

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the code paths they check: rank by plain
-fraction Gaussian elimination (vs fraction-free Bareiss), point counts by
-direct evaluation over all base points (vs the vectorized fiber loop),
+fraction Gaussian elimination (vs the sparse Bareiss elimination, singletons
+first, of `polycore.bareiss_rank`), point counts by direct evaluation over
+all base points (vs the vectorized fiber loop),
 field tables by an order search with plain digit-list arithmetic (vs the
 primitive modulus, whose root is the generator, and the vectorized Zech
 table), the order of that root by repeated multiplication (vs the
@@ -22,7 +23,8 @@ the exp and log lists of `field_tables` (vs the blocked Horner on the
 codes of `zeta.field.Field`), and the kernel vector of an integer matrix by
 a fraction reduced row echelon form (vs the signed maximal minors of
 `k3lat._base_point`), and determinants by the Leibniz sum over
-permutations (vs the fraction-free elimination of `polycore.bareiss_det`),
+permutations (for the Gram matrices of the lattice tests; `src/` keeps no
+determinant routine),
 and curve-class candidates by a scan of every class in a box (vs the closed
 form per degree of `k3lat.curve_class_candidates`), and the Chern data of a
 twisted sum of line bundles by the closed forms per ambient (vs the one rule

@@ -196,6 +196,13 @@ def test_certify_builds_the_bases_of_its_source_degrees_only(monkeypatch):
     assert built and uncounted
 
 
+def test_h0_of_the_second_exterior_power_at_20_20(capsys):
+    # 3t^2 - 10t + 7 at t = 20 (test_cohom.py derives the closed form)
+    code, out, err = run(capsys, "h0", "--monad", INPUTS / "k_rank3.monad", "--exterior", 2,
+                         "--twist", "20,20")
+    assert (code, out, err) == (cli.EXIT_OK, "1007\n", "")
+
+
 def test_h0_counts_the_rows_of_a_target_it_never_enumerates(capsys, tmp_path, monkeypatch):
     # ker(O^3 -> O(16)) on P2 at twist 120: 3 C(122, 2) - C(138, 2) = 22143 - 9453
     # sections; the 9,453 rows of degree 136 are counted, and only the source

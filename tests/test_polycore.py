@@ -11,7 +11,6 @@ from bundlecert.errors import BundleCertError
 from bundlecert.polycore import (
     Ambient,
     RationalPolynomial,
-    bareiss_det,
     bareiss_rank,
     monomial_basis,
     parse_poly,
@@ -32,7 +31,6 @@ from oracles import (
     gauss_rank,
     homogeneous_multidegree,
     identity_matrix,
-    leibniz_det,
     matmul,
     mdeg_leq,
     monomial,
@@ -348,44 +346,35 @@ class TestRank:
             assert r == gauss_rank(rows)
             assert r + (M.cols - M.rank()) == ncols
 
-    def test_bareiss_known(self):
-        assert bareiss_rank([[2, 4], [1, 2]]) == 1
-        assert bareiss_rank([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == 3
-
-    def test_bareiss_det_vs_leibniz(self):
-        # seeded square matrices, sparse enough that many need a row swap and
-        # some are singular, so both the sign and the early zero are reached
-        rng = random.Random(5)
-        seen = {"swapped": 0, "singular": 0}
-        for _ in range(300):
-            n = rng.randint(1, 5)
-            rows = [[rng.choice([0, 0, -3, -1, 1, 2, 5]) for _ in range(n)] for _ in range(n)]
-            det = leibniz_det(rows)
-            assert bareiss_det(rows) == det
-            seen["swapped"] += rows[0][0] == 0 and det != 0
-            seen["singular"] += det == 0
-        assert all(seen.values()), seen
-
-    def test_bareiss_det_edges(self):
-        assert bareiss_det([]) == 1
-        assert bareiss_det([[0, 1], [1, 0]]) == -1  # one swap
-        assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
-
 
 class TestSparseRank:
-    """ExactMatrix.rank (singleton peeling, then Bareiss on the core) against
-    dense Bareiss and plain fraction elimination."""
+    """ExactMatrix.rank (Bareiss elimination on the sparse rows, singletons
+    first) against plain fraction elimination."""
+
+    # five cores with no singleton row or column; an all-ones block that the
+    # singleton columns 2, 4 and 3 leave inside a larger matrix; entries beyond ±1
+    HAND_MADE = [
+        ([[1, 1], [1, 1]], 1),  # 2x2 all-ones block
+        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3),  # odd cycle, two nonzeros a row
+        ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], 3),  # even cycle: singular
+        ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], 2),  # signed cycle: rows sum to 0
+        ([[1, 2, 3], [2, 4, 6], [1, 1, 1]], 2),  # rank-deficient dense core
+        ([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 1, 1, 0, 0],
+          [0, 0, 0, 1, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 0]], 4),
+        ([[2, 4], [1, 2]], 1),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 3),
+    ]
 
     @staticmethod
-    def spy_cores(monkeypatch):
-        cores = []
+    def spy_calls(monkeypatch):
+        calls = []
 
-        def spy(rows):
-            cores.append([list(r) for r in rows])
-            return bareiss_rank(rows)
+        def spy(entries):
+            calls.append(entries)
+            return bareiss_rank(entries)
 
         monkeypatch.setattr(linalg, "bareiss_rank", spy)
-        return cores
+        return calls
 
     def test_random_sparse_vs_oracles(self):
         rng = random.Random(11)
@@ -414,47 +403,58 @@ class TestSparseRank:
             seen["zero row"] += any(not any(r) for r in rows)
             seen["zero col"] += any(not any(col) for col in zip(*rows))
             r = M.rank()
-            assert r == bareiss_rank(rows) == gauss_rank(rows)
+            assert r == gauss_rank(rows)
             assert r + (M.cols - M.rank()) == ncols
             seen["deficient"] += r < min(nrows, ncols)
         assert all(seen.values()), seen
 
-    def test_cores_that_do_not_peel(self, monkeypatch):
-        cores = self.spy_cores(monkeypatch)
-        cases = [
-            ([[1, 1], [1, 1]], 1),  # 2x2 all-ones block
-            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3),  # odd cycle, two nonzeros a row
-            ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], 3),  # even cycle: singular
-            ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], 2),  # signed cycle: rows sum to 0
-            ([[1, 2, 3], [2, 4, 6], [1, 1, 1]], 2),  # rank-deficient dense core
-        ]
-        for rows, rank in cases:
-            cores.clear()
+    def test_hand_made_vs_oracle(self):
+        for rows, rank in self.HAND_MADE:
             assert from_rows(rows).rank() == rank == gauss_rank(rows)
-            assert cores == [rows]  # nothing peeled: the whole matrix is the core
 
-    def test_peeling_reaches_a_core_inside_a_larger_matrix(self, monkeypatch):
-        cores = self.spy_cores(monkeypatch)
-        # singleton columns 2 and 4, then 3, peel away around a 2x2 all-ones block
-        rows = [
-            [1, 1, 0, 0, 0],
-            [1, 1, 0, 0, 0],
-            [0, 1, 1, 0, 0],
-            [0, 0, 0, 1, 1],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 0],
-        ]
-        assert from_rows(rows).rank() == 4 == gauss_rank(rows)
-        assert [sorted(map(tuple, core)) for core in cores] == [[(1, 1), (1, 1)]]
+    def test_seeded_vs_oracle(self):
+        # sparse and dense, entries up to ±12, and half of them products of an
+        # n x r and an r x m matrix with r < min(n, m): rank-deficient on purpose
+        rng = random.Random(13)
 
-    def test_empty_core_still_goes_to_bareiss(self, monkeypatch):
-        cores = self.spy_cores(monkeypatch)
-        assert identity_matrix(4).rank() == 4
-        assert from_rows([[0, 3, 0], [2, 5, 0]]).rank() == 2
-        assert cores == [[], []]
+        def block(nrows, ncols, density):
+            return [[rng.randint(-12, 12) if rng.random() < density else 0
+                     for _ in range(ncols)] for _ in range(nrows)]
+
+        seen = {"sparse": 0, "dense": 0, "deficient": 0, "large": 0}
+        for _ in range(600):
+            nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+            density = rng.choice([0.15, 0.4, 1.0])
+            if rng.random() < 0.5:
+                rows = block(nrows, ncols, density)
+            else:
+                inner = rng.randint(0, min(nrows, ncols) - 1)
+                left, right = block(nrows, inner, density), block(inner, ncols, density)
+                rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                        for row in left]
+            M = from_rows(rows)
+            before = {i: dict(row) for i, row in M.entries.items()}
+            r = M.rank()
+            assert r == gauss_rank(rows)
+            assert M.entries == before  # the input is not consumed
+            seen["sparse" if density < 1 else "dense"] += 1
+            seen["deficient"] += r < min(nrows, ncols)
+            seen["large"] += any(abs(x) > 1 for row in rows for x in row)
+        assert min(seen.values()) >= 100, seen
+
+    def test_one_elimination_per_matrix_with_a_cell(self, monkeypatch):
+        # singletons alone reach rank 4 and 2 in the last two: still one call
+        calls = self.spy_calls(monkeypatch)
+        cases = self.HAND_MADE + [([[int(i == j) for j in range(4)] for i in range(4)], 4),
+                                  ([[0, 3, 0], [2, 5, 0]], 2)]
+        for rows, rank in cases:
+            M = from_rows(rows)
+            calls.clear()
+            assert M.rank() == rank
+            assert calls == [M.entries]
 
     def test_a_matrix_with_no_cell_has_rank_0_without_elimination(self, monkeypatch):
-        cores = self.spy_cores(monkeypatch)
+        calls = self.spy_calls(monkeypatch)
         cancelled = zero_matrix(2, 2)
         add_cell(cancelled, 0, 1, 3)
         add_cell(cancelled, 0, 1, -3)
@@ -463,7 +463,7 @@ class TestSparseRank:
         for M in (zero_matrix(3, 2), zero_matrix(0, 0), cancelled, no_column):
             assert M.entries == {} and M.rank() == 0
         assert (no_column.rows, no_column.cols) == (1, 0)
-        assert cores == []  # no peeling reached Bareiss
+        assert calls == []
 
     def test_product_drops_cancelled_cells(self):
         A = from_rows([[1, 1], [2, -3]])
