@@ -323,6 +323,12 @@ class TestSectionMatrix:
             assert M.rank() == gauss_rank(expected)
 
 
+BAREISS_KNOWN = [
+    ([[2, 4], [1, 2]], 1),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 3),
+]
+
+
 class TestRank:
     def test_identity(self):
         M = identity_matrix(3)
@@ -346,24 +352,28 @@ class TestRank:
             assert r == gauss_rank(rows)
             assert r + (M.cols - M.rank()) == ncols
 
+    def test_bareiss_known(self):
+        for rows, rank in BAREISS_KNOWN:
+            assert bareiss_rank(from_rows(rows).entries) == rank == gauss_rank(rows)
+
 
 class TestSparseRank:
     """ExactMatrix.rank (Bareiss elimination on the sparse rows, singletons
     first) against plain fraction elimination."""
 
-    # five cores with no singleton row or column; an all-ones block that the
-    # singleton columns 2, 4 and 3 leave inside a larger matrix; entries beyond ±1
-    HAND_MADE = [
+    # no singleton row or column: elimination starts on the whole matrix
+    CORES = [
         ([[1, 1], [1, 1]], 1),  # 2x2 all-ones block
         ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3),  # odd cycle, two nonzeros a row
         ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], 3),  # even cycle: singular
         ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], 2),  # signed cycle: rows sum to 0
         ([[1, 2, 3], [2, 4, 6], [1, 1, 1]], 2),  # rank-deficient dense core
-        ([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 1, 1, 0, 0],
-          [0, 0, 0, 1, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 0]], 4),
-        ([[2, 4], [1, 2]], 1),
-        ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 3),
     ]
+    # the singleton columns 2 and 4, then 3, are pivots first and leave a 2x2
+    # all-ones block
+    EMBEDDED_CORE = ([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 1, 1, 0, 0],
+                      [0, 0, 0, 1, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 0]], 4)
+    HAND_MADE = CORES + [EMBEDDED_CORE] + BAREISS_KNOWN
 
     @staticmethod
     def spy_calls(monkeypatch):
@@ -408,9 +418,20 @@ class TestSparseRank:
             seen["deficient"] += r < min(nrows, ncols)
         assert all(seen.values()), seen
 
-    def test_hand_made_vs_oracle(self):
-        for rows, rank in self.HAND_MADE:
-            assert from_rows(rows).rank() == rank == gauss_rank(rows)
+    def test_cores_that_do_not_peel(self, monkeypatch):
+        calls = self.spy_calls(monkeypatch)
+        for rows, rank in self.CORES:
+            M = from_rows(rows)
+            assert all(len(row) > 1 for row in M.entries.values())
+            assert all(sum(1 for row in rows if row[j]) > 1 for j in range(M.cols))
+            calls.clear()
+            assert M.rank() == rank == gauss_rank(rows)
+            assert calls == [M.entries]
+
+    def test_peeling_reaches_a_core_inside_a_larger_matrix(self):
+        rows, rank = self.EMBEDDED_CORE
+        assert from_rows(rows).rank() == rank == gauss_rank(rows)
+        assert bareiss_rank({0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}}) == 1  # the block left
 
     def test_seeded_vs_oracle(self):
         # sparse and dense, entries up to ±12, and half of them products of an
