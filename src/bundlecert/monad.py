@@ -59,7 +59,6 @@ construction and needs no check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -82,7 +81,6 @@ UNKNOWN = "Unknown"
 VACUOUS = "Vacuous"
 
 
-@dataclass(frozen=True)
 class MonadComplex:
     """0 -> A -> B -> C -> 0, exact at A and C; A may be absent (kernel monad).
 
@@ -91,24 +89,22 @@ class MonadComplex:
     map_a likewise with rows indexed by B and columns by A; source and map_a
     are both given or both None (`monad_from_document` refuses a document
     with one of them).  Construction normalizes the twists, checks the
-    shapes, then the structure (module docstring).
+    shapes, then the structure (module docstring).  Two monads with equal
+    fields are equal and hash alike.  No code assigns to a field of a built
+    monad: its hash is taken once, at construction, and caches share it.
     """
 
-    ambient: Ambient
-    middle: tuple
-    target: tuple
-    map_b: tuple
-    source: tuple | None = None
-    map_a: tuple | None = None
-    name: str = ""
+    __slots__ = ("ambient", "middle", "target", "map_b", "source", "map_a", "name", "_hash")
 
-    def __post_init__(self):
-        for key in ("source", "middle", "target"):
-            twists = getattr(self, key)
-            if twists is not None:
-                object.__setattr__(
-                    self, key, tuple(self.ambient.normalize_degree(t) for t in twists)
-                )
+    def __init__(self, ambient: Ambient, middle: tuple, target: tuple, map_b: tuple,
+                 source: tuple | None = None, map_a: tuple | None = None, name: str = ""):
+        self.ambient = ambient
+        self.source = None if source is None else tuple(ambient.normalize_degree(t) for t in source)
+        self.middle = tuple(ambient.normalize_degree(t) for t in middle)
+        self.target = tuple(ambient.normalize_degree(t) for t in target)
+        self.map_b = map_b
+        self.map_a = map_a
+        self.name = name
         if self.source == ():
             raise BundleCertError("source of rank 0: omit source and map_a for a kernel monad")
         if len(self.map_b) != len(self.target):
@@ -134,12 +130,20 @@ class MonadComplex:
             raise BundleCertError(
                 f"the bundle has rank {rank} = rank(B) - rank(C) - rank(A); a monad needs rank >= 1"
             )
-        object.__setattr__(self, "_hash", hash(tuple(
-            getattr(self, f.name) for f in fields(self))))
+        self._hash = hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return (self.ambient, self.middle, self.target, self.map_b, self.source, self.map_a,
+                self.name)
+
+    def __eq__(self, other):
+        if isinstance(other, MonadComplex):
+            return self._fields() == other._fields()
+        return NotImplemented
 
     def __hash__(self):
         # the fields __eq__ compares, hashed once at construction: the caches
-        # keyed by a monad hash it on every call, and the generated hash
+        # keyed by a monad hash it on every call, and hashing the fields there
         # would rehash every map polynomial each time
         return self._hash
 
@@ -277,7 +281,7 @@ def restrict_to_fiber(m: MonadComplex, axis: int, point: tuple) -> MonadComplex:
     c * a^i * b^j times the monomial of its surviving exponents at the point
     (a:b); terms that land on one monomial are summed.  The tail rule asks for
     the same fiber at several s and bounds, so each (monad, axis, point) is
-    restricted once and the result shared immutable.  Its one caller,
+    restricted once and the result shared.  Its one caller,
     `cohom.tail_vanish`, passes an axis 1 or 2, a monad on P1 x P1 (`certify`
     reaches a tail rule only there, and `chern_monad` refuses every other
     product first) and a point that `CertifyOptions` has checked is not (0:0).

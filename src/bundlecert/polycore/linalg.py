@@ -9,8 +9,9 @@ sparse rows; no floating point or prime enters a rank.  While a worklist holds
 a singleton, a row or column with one nonzero, that is the pivot, and its
 step only deletes its row and column and keeps prev: no arithmetic
 (structured Gaussian elimination, LaMacchia-Odlyzko).  Otherwise the pivot pv
-is in a shortest row, in that row's column with the fewest entries, and each
-row with t in the pivot column becomes (pv * a - t * p) / prev.  After pivots
+is in a shortest row, taken from a heap of row lengths built at the first
+such step, in that row's column with the fewest entries, and each row with t
+in the pivot column becomes (pv * a - t * p) / prev.  After pivots
 on rows R and columns C the entry at (i, j) is the minor of M on R + i and
 C + j, and prev the minor on R and C, for any pivot order and on any
 submatrix (Sylvester's identity), so every division is exact.  A row with no
@@ -27,17 +28,22 @@ summand with no sections at the twist is skipped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .poly import basis_exponents, basis_size
 
 
-@dataclass
 class ExactMatrix:
-    rows: int
-    cols: int
-    entries: dict  # nonzero rows only: row key -> {column: nonzero int}
+    __slots__ = (
+        "rows",
+        "cols",
+        "entries",  # nonzero rows only: row key -> {column: nonzero int}
+    )
+
+    def __init__(self, rows: int, cols: int, entries: dict):
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     def rank(self) -> int:
         return bareiss_rank(self.entries) if self.entries else 0
@@ -57,6 +63,10 @@ def bareiss_rank(entries) -> int:
     # become one; each is checked when it is taken
     todo = [(i, None) for i, row in rows.items() if len(row) == 1]
     todo += [(None, j) for j, at in cols.items() if len(at) == 1]
+    # (length, push count, row) for every live row, built at the first step
+    # with no singleton and pushed again when a step rewrites the row; an
+    # entry whose length is no longer its row's is stale and skipped
+    heap = None
     rank = 0
     while rows:
         if todo:
@@ -68,7 +78,16 @@ def bareiss_rank(entries) -> int:
             else:
                 continue
         else:
-            i = min(rows, key=lambda r: len(rows[r]))
+            if heap is None:
+                # imported here: a matrix that peels to nothing, as every
+                # certify and verify matrix does, does not load heapq
+                from heapq import heapify, heappop, heappush
+                heap = [(len(row), k, r) for k, (r, row) in enumerate(rows.items())]
+                pushed = len(heap)
+                heapify(heap)
+            n, _, i = heappop(heap)
+            while len(rows.get(i, ())) != n:
+                n, _, i = heappop(heap)
             j = min(rows[i], key=lambda c: len(cols[c]))
         pivot_row = rows.pop(i)
         pv = pivot_row.pop(j)
@@ -103,10 +122,14 @@ def bareiss_rank(entries) -> int:
         for ii in others:
             row = rows[ii]
             row.pop(j, None)  # eliminated already unless the pivot row is a singleton
+            if not row:
+                del rows[ii]
+                continue
             if len(row) == 1:
                 todo.append((ii, None))
-            elif not row:
-                del rows[ii]
+            if heap is not None:
+                heappush(heap, (len(row), pushed, ii))
+                pushed += 1
         rank += 1
     return rank
 

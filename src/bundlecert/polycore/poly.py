@@ -15,7 +15,6 @@ element of Q[x] whose coefficients are integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, prod
@@ -30,16 +29,27 @@ MultiDegree = tuple  # tuple[int, ...], one entry per projective factor
 MAX_BASIS = 10_000
 
 
-@dataclass(frozen=True)
 class Ambient:
     """A projective space P^n or a product P^{n1} x P^{n2} with named coordinates.
 
     Every ambient is made from dimensions >= 1 with the generated names x0, x1,
     ... (y0, y1, ... for a second factor), or from distinct names the caller
-    fixes: the quartic's x, y, z, w, or one factor of a product.
+    fixes: the quartic's x, y, z, w, or one factor of a product.  Two ambients
+    with the same groups are equal and hash alike.
     """
 
-    groups: tuple  # tuple of tuples of variable names, one tuple per factor
+    __slots__ = ("groups",)  # tuple of tuples of variable names, one tuple per factor
+
+    def __init__(self, groups: tuple):
+        self.groups = groups
+
+    def __eq__(self, other):
+        if isinstance(other, Ambient):
+            return self.groups == other.groups
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.groups)
 
     @staticmethod
     def projective(n: int, names=None) -> "Ambient":
@@ -118,12 +128,14 @@ def _coeff(value):
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
 class RationalPolynomial:
     """Sparse exact polynomial: exponent vector -> nonzero int coefficient."""
 
-    ambient: Ambient
-    terms: dict
+    __slots__ = ("ambient", "terms")
+
+    def __init__(self, ambient: Ambient, terms: dict):
+        self.ambient = ambient
+        self.terms = terms
 
     @staticmethod
     def zero(ambient: Ambient) -> "RationalPolynomial":

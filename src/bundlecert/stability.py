@@ -19,7 +19,6 @@ from its re-run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohom import h0_monad, tail_vanish
@@ -41,17 +40,16 @@ STABLE = "Stable"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
 class Polarization:
     """An ample class on the ambient surface."""
 
-    ambient: Ambient
-    coords: tuple
+    __slots__ = ("ambient", "coords")
 
-    def __post_init__(self):
+    def __init__(self, ambient: Ambient, coords: tuple):
+        self.ambient = ambient
+        self.coords = ambient.normalize_degree(coords)
         # positive components make the class ample on a product of projective
         # spaces, and so give it positive self-intersection on a surface
-        object.__setattr__(self, "coords", self.ambient.normalize_degree(self.coords))
         if any(c <= 0 for c in self.coords):
             raise BundleCertError("polarization components must be positive")
 
@@ -86,15 +84,18 @@ def twist_region(c: dict, s: int, H: Polarization) -> int:
 TAIL_FLOOR = -6  # the lowest tail bound the fiber-descent search tries
 
 
-@dataclass(frozen=True)
 class CertifyOptions:
-    fiber_points: tuple = ((0, 1), (0, 1))  # per axis
-    margin: int | None = None  # None: evaluate every core point; else maximal points only
+    __slots__ = (
+        "fiber_points",  # per axis
+        "margin",  # None: evaluate every core point; else maximal points only
+    )
 
-    def __post_init__(self):
-        if self.margin is not None and self.margin < 0:
+    def __init__(self, fiber_points: tuple = ((0, 1), (0, 1)), margin: int | None = None):
+        self.fiber_points = fiber_points
+        self.margin = margin
+        if margin is not None and margin < 0:
             raise BundleCertError("margin must be a nonnegative integer")
-        if any(a == 0 and b == 0 for a, b in self.fiber_points):
+        if any(a == 0 and b == 0 for a, b in fiber_points):
             raise BundleCertError("fiber point (0:0) is not a point of P1")
 
     def to_dict(self) -> dict:

@@ -65,7 +65,6 @@ the final bound meets again are answered from a cache.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -350,16 +349,20 @@ def _unit_roots(coeffs: tuple, p: int) -> int:
 
 # --- profile assembly ----------------------------------------------------------------
 
-@dataclass
 class ZetaProfile:
-    """Traces, reduced power sums and e_1.. of counts that passed the Weil audit."""
+    """Traces, reduced power sums and e_1.. of counts that passed the Weil
+    audit, and the candidates found from them, in a list of its own."""
 
-    p: int
-    counts: list
-    traces: list
-    reduced_power_sums: list
-    elementary: list
-    candidates: list = field(default_factory=list)
+    __slots__ = ("p", "counts", "traces", "reduced_power_sums", "elementary", "candidates")
+
+    def __init__(self, p: int, counts: list, traces: list, reduced_power_sums: list,
+                 elementary: list):
+        self.p = p
+        self.counts = counts
+        self.traces = traces
+        self.reduced_power_sums = reduced_power_sums
+        self.elementary = elementary
+        self.candidates = []
 
     def surviving(self) -> list:
         return [c for c in self.candidates if c["status"] == "surviving"]
@@ -494,10 +497,15 @@ def _pad(a, width):
     return list(a) + [0] * (width - len(a))
 
 
-@dataclass
 class RankBoundResult:
-    bound: int
-    per_candidate: list  # (sign, kind, contribution, detail)
+    __slots__ = (
+        "bound",
+        "per_candidate",  # (sign, kind, contribution, detail)
+    )
+
+    def __init__(self, bound: int, per_candidate: list):
+        self.bound = bound
+        self.per_candidate = per_candidate
 
     def to_document(self) -> dict:
         return {

@@ -203,6 +203,14 @@ def test_h0_of_the_second_exterior_power_at_20_20(capsys):
     assert (code, out, err) == (cli.EXIT_OK, "1007\n", "")
 
 
+def test_h0_of_the_second_exterior_power_at_30_30(capsys):
+    # 3t^2 - 10t + 7 at t = 30: a core with no singleton row or column, where
+    # each pivot row is taken from a heap of row lengths, not a scan
+    code, out, err = run(capsys, "h0", "--monad", INPUTS / "k_rank3.monad", "--exterior", 2,
+                         "--twist", "30,30")
+    assert (code, out, err) == (cli.EXIT_OK, "2407\n", "")
+
+
 def test_h0_counts_the_rows_of_a_target_it_never_enumerates(capsys, tmp_path, monkeypatch):
     # ker(O^3 -> O(16)) on P2 at twist 120: 3 C(122, 2) - C(138, 2) = 22143 - 9453
     # sections; the 9,453 rows of degree 136 are counted, and only the source

@@ -2,11 +2,12 @@
 every function, class and method defined under src/ is used there, every
 function but the brute-force oracle is entered by a profiled run of
 the commands, every __all__ entry is bound in its module, no module under src/ imports random
-or starts processes, only stability.py imports fractions, only cohom.py and
+or dataclasses or starts processes, only stability.py imports fractions, only cohom.py and
 monad.py import section_matrix (beside polycore's re-export), the certify path
-loads no numpy, zeta loads charpoly before numpy, every exception subclass
-is caught by name somewhere, no module under src/ raises ValueError or
-KeyError, and `cli.main` catches only BundleCertError from a command."""
+loads no numpy, no command loads dataclasses, zeta loads charpoly before numpy,
+every exception subclass is caught by name somewhere, no module under src/
+raises ValueError or KeyError, and `cli.main` catches only BundleCertError
+from a command."""
 import ast
 import importlib
 import json
@@ -161,6 +162,15 @@ def test_no_module_under_src_imports_random():
     assert found == []
 
 
+def test_no_module_under_src_imports_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # decorator generates and compiles its methods: most of the import time
+    # of every command
+    found = [f"{path.relative_to(SRC)} {name}" for path in sorted(SRC.rglob("*.py"))
+             for name in imported_modules(path) if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def test_no_module_under_src_starts_processes():
     # a count runs in the process that asked for it; a worker pool only
     # doubled the wall time of picard-bound on two cores
@@ -251,6 +261,21 @@ def test_certify_path_does_not_import_numpy():
     code = (
         "import sys, bundlecert.cli, bundlecert.stability, bundlecert.k3lat; "
         "print('numpy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_no_command_loads_dataclasses():
+    # the guard above reads the source; this reads sys.modules, so a
+    # dependency that loads dataclasses shows too (numpy loads inspect, but
+    # not dataclasses)
+    code = (
+        "import sys, bundlecert.cli, bundlecert.stability, bundlecert.k3lat, bundlecert.zeta; "
+        "print('dataclasses' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(

@@ -321,6 +321,15 @@ class TestStructure:
         restrict_to_fiber.cache_clear()
         assert restrict_to_fiber(m, 1, (0, 1)) is restrict_to_fiber(twin, 1, (0, 1))
 
+    def test_equality_reads_every_field(self):
+        m = k_rank3()
+        named = kernel_monad(PP, [(-1, -1)] * 4, [(0, 0)],
+                             [["x0*y0", "x0*y1", "x1*y0", "x1*y1"]], name="k")
+        swapped = kernel_monad(PP, [(-1, -1)] * 4, [(0, 0)],
+                               [["x0*y1", "x0*y0", "x1*y0", "x1*y1"]])
+        assert m == k_rank3() and m != named and m != swapped and m != e_rank2()
+        assert m != m.map_b and len({m, k_rank3(), named}) == 2
+
 
 def chern(rank, c1, c2):
     return {"rank": rank, "c1": list(c1), "c2": c2}

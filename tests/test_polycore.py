@@ -201,6 +201,18 @@ class TestBasis:
         )
 
 
+class TestAmbient:
+    def test_equal_ambients_hash_alike(self):
+        a, b = Ambient.product_projective(1, 1), Ambient.product_projective(1, 1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, PP}) == 1
+
+    def test_other_groups_differ(self):
+        assert Ambient.product_projective(1, 1) != Ambient.projective(3)
+        assert P2 != P2XYZ and P2 == Ambient.projective(2, names=("x0", "x1", "x2"))
+        assert PP != PP.groups
+
+
 class TestSubstitute:
     """Evaluating the second factor of P1 x P1 at a point, as a fiber does."""
 

@@ -91,6 +91,43 @@ class TestRegion:
             twist_region(c, 1, Polarization(PP, (1, 2)))
 
 
+class TestOptionsAndPolarization:
+    def test_default_options(self):
+        options = CertifyOptions()
+        assert (options.fiber_points, options.margin) == (((0, 1), (0, 1)), None)
+        assert options.to_dict() == {
+            "fiber_points": [[0, 1], [0, 1]], "tail_floor": -6, "margin": None,
+        }
+        assert CertifyOptions(((1, 2), (-1, 1)), 3).to_dict() == {
+            "fiber_points": [[1, 2], [-1, 1]], "tail_floor": -6, "margin": 3,
+        }
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"margin": -1}, "margin must be a nonnegative integer"),
+        ({"fiber_points": ((0, 1), (0, 0))}, r"fiber point \(0:0\) is not a point of P1"),
+        # the margin is checked first
+        ({"fiber_points": ((0, 0), (0, 1)), "margin": -2}, "margin must be a nonnegative integer"),
+    ])
+    def test_options_refusals_keep_their_messages(self, kwargs, message):
+        with pytest.raises(BundleCertError, match=f"^{message}$"):
+            CertifyOptions(**kwargs)
+
+    @pytest.mark.parametrize("ambient, coords, message", [
+        (PP, (0, 1), "polarization components must be positive"),
+        (P2, -1, "polarization components must be positive"),
+        # the components are counted before their signs are read
+        (PP, (-1,), r"degree \(-1,\) has 1 components, ambient has 2"),
+        (PP, 1, "scalar degree on a product ambient"),
+    ])
+    def test_polarization_refusals_keep_their_messages(self, ambient, coords, message):
+        with pytest.raises(BundleCertError, match=f"^{message}$"):
+            Polarization(ambient, coords)
+
+    def test_a_polarization_normalizes_its_coordinates(self):
+        assert Polarization(P2, 3).coords == (3,)
+        assert Polarization(PP, [2, 2]).coords == (2, 2)
+
+
 class TestCertify:
     def test_euler_stable(self):
         cert = certify(euler(), H_P2)

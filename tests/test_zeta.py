@@ -1241,3 +1241,10 @@ class TestShape:
         by_keyword = zeta.assemble_charpoly(counts, WITNESS_P, k_alg=2)
         assert by_keyword.to_document() == zeta.assemble_charpoly(counts, WITNESS_P).to_document()
         assert by_keyword.to_document()["k_alg"] == 2
+
+    def test_each_profile_has_a_candidate_list_of_its_own(self):
+        counts = witness_counts()[:9]
+        a, b = charpoly.profile_from_counts(counts, WITNESS_P), charpoly.profile_from_counts(counts, WITNESS_P)
+        assert a.candidates == b.candidates == [] and a.candidates is not b.candidates
+        filled = zeta.assemble_charpoly(counts, WITNESS_P)
+        assert len(filled.candidates) == 2 and a.candidates == []
