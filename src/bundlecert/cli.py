@@ -17,6 +17,13 @@ picard-bound makes 9 counts over F_{p^n}, n = 1..9, and at most one at
 n = 10, so it needs p^10 <= 2^20 (p = 3).  Its document records the inputs
 `verify` re-runs it from; the re-run counts over the other ruling's fibers.
 
+Each command imports the modules it runs, inside its function: `import
+bundlecert.cli` runs only `errors` and `polycore`, which every command uses to
+parse polynomials, and enters the certify stack (monad, cohom, k3lat,
+stability) unrun, so count-points and picard-bound compile none of it.  A
+command that needs monad beside zeta imports monad first: a module compiled
+after zeta has loaded numpy adds its compile peak to the peak RSS.
+
 Exit codes: 0 success, 1 a usage error (argparse, option values included)
 or a refusal, 2 Inconclusive or Unknown verdicts.  A refusal is a
 BundleCertError, printed as one `error:` line; `main` catches nothing else.
@@ -26,19 +33,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from . import k3lat
-from .cohom import h0_monad
 from .errors import BundleCertError
-from .monad import Document, chern_monad, is_int, is_list_of, monad_from_document
 from .polycore import Ambient, RationalPolynomial, parse_poly
-from .stability import (
-    CertifyOptions,
-    Polarization,
-    certify,
-    document_mismatches,
-    verify_certificate,
-)
+
+
+class _BindOnRun:
+    """Runs a deferred module with its own loader, which it puts back on the
+    module, and then binds the module in the package, as an import does.
+    Bound before it runs, `from bundlecert import <name>` would hand out the
+    unrun module and move its compile into its first call."""
+
+    def __init__(self, loader, name: str):
+        self.loader = loader
+        self.name = name
+
+    def exec_module(self, module):
+        module.__loader__ = module.__spec__.loader = self.loader
+        self.loader.exec_module(module)
+        setattr(sys.modules[__package__], self.name, module)
+
+
+def _defer(*names):
+    """Enter each bundlecert.<name> in sys.modules unrun; the first import of
+    the module, or of a name from it, runs it.  A command thus runs only the
+    modules it imports, while `import bundlecert.cli` still lists the whole
+    certify stack, so a tracer that wraps the functions of every listed
+    module (bench/spans.py) finds them.  A module already loaded is left as
+    it is."""
+    for name in names:
+        full = f"{__package__}.{name}"
+        if full in sys.modules:
+            continue
+        spec = find_spec(full)
+        module = module_from_spec(spec)
+        sys.modules[full] = module
+        LazyLoader(_BindOnRun(spec.loader, name)).exec_module(module)
+
+
+_defer("monad", "cohom", "k3lat", "stability")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -108,6 +142,9 @@ def _branch_form(polynomial: str, p: int, other_ruling: bool = False) -> Rationa
 
 
 def cmd_certify(args) -> int:
+    from .monad import monad_from_document
+    from .stability import CertifyOptions, Polarization, certify
+
     m = monad_from_document(_load_json(args.monad))
     H = Polarization(m.ambient, args.polarization)
     opts = CertifyOptions(fiber_points=(args.fiber_point, args.fiber_point), margin=args.margin)
@@ -130,6 +167,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_h0(args) -> int:
+    from .cohom import h0_monad
+    from .monad import monad_from_document
+
     m = monad_from_document(_load_json(args.monad))
     lo, hi = h0_monad(m, args.exterior, m.ambient.normalize_degree(args.twist))["h0"]
     sys.stdout.write(f"{lo}\n" if lo == hi else f"[{lo}, {hi}]\n")
@@ -137,17 +177,24 @@ def cmd_h0(args) -> int:
 
 
 def cmd_chern(args) -> int:
+    from .monad import Document, chern_monad, monad_from_document
+
     m = monad_from_document(_load_json(args.monad))
     c = chern_monad(m)
     doc = Document(c)
     if args.cover == "double":
-        cover = k3lat.pullback_chern(c)
+        from .k3lat import pullback_chern
+
+        cover = pullback_chern(c)
         doc["cover"] = {**cover, "c1": f"pullback of O({cover['c1']})"}
     _emit(doc.to_json(), args.out)
     return EXIT_OK
 
 
 def cmd_quartic_run(args) -> int:
+    from .k3lat import quartic_region_run
+    from .monad import is_list_of
+
     doc = _load_json(args.surface)
     if not (isinstance(doc, dict) and isinstance(doc.get("surface"), str)):
         raise BundleCertError("a quartic surface is a JSON object with the quartic as a string")
@@ -157,7 +204,7 @@ def cmd_quartic_run(args) -> int:
     # the region and strata are derived for ker(O(-1)^3 -> O) only
     if doc.get("source", [-1, -1, -1]) != [-1, -1, -1] or doc.get("target", [0]) != [0]:
         raise BundleCertError("quartic-run supports 'source' [-1, -1, -1] and 'target' [0] only")
-    cert = k3lat.quartic_region_run(doc["surface"], tuple(section_map))
+    cert = quartic_region_run(doc["surface"], tuple(section_map))
     _emit(cert.to_json(), args.out)
     return EXIT_OK if cert["verdict"] == "Stable" else EXIT_INCONCLUSIVE
 
@@ -185,6 +232,8 @@ def _picard_bound_document(f: RationalPolynomial, polynomial: str, p: int) -> di
 
 
 def cmd_picard_bound(args) -> int:
+    from .monad import Document  # before `_branch_form` loads numpy
+
     polynomial = _surface_text(_load_json(args.surface))
     f = _branch_form(polynomial, args.prime)
     _emit(Document(_picard_bound_document(f, polynomial, args.prime)).to_json(), args.out)
@@ -192,17 +241,23 @@ def cmd_picard_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .monad import document_mismatches, is_int  # before `_branch_form` loads numpy
+
     doc = _load_json(args.certificate)
     if not isinstance(doc, dict):
         raise BundleCertError("a certificate is a JSON object")
     schema = str(doc.get("schema", ""))
     if schema.startswith("stability-certificate"):
+        from .stability import verify_certificate
+
         problems = verify_certificate(doc)
     elif schema.startswith("quartic-certificate"):
         if not isinstance(doc.get("surface"), str):
             raise BundleCertError("a quartic certificate needs the surface as a string")
+        from .k3lat import quartic_region_run
+
         # every error of this re-run is about the surface it parses: a refused input
-        problems = document_mismatches(k3lat.quartic_region_run(doc["surface"]), doc)
+        problems = document_mismatches(quartic_region_run(doc["surface"]), doc)
     elif schema.startswith("picard-bound-profile"):
         inp = doc.get("input")
         polynomial = _surface_text(inp)

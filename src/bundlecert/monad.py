@@ -1,7 +1,9 @@
 """Monad complexes A -> B -> C of twisted sums of line bundles.
 
 Covers the data model, exactness at the ends, Chern-class calculus for the
-kernel/homology bundle, and restriction to a fiber of P1 x P1.
+kernel/homology bundle, restriction to a fiber of P1 x P1, and the JSON
+document helpers every command shares (`Document`, `is_int`, `is_list_of`,
+`document_mismatches`).
 
 The data model.  A twisted sum O(t_1) ⊕ ... ⊕ O(t_r) is the tuple of its
 twists, each a degree tuple on the monad's one `ambient`; its rank is the
@@ -360,6 +362,33 @@ def is_int(value) -> bool:
 def is_list_of(value, ok) -> bool:
     """Whether a JSON value is a list whose every entry passes `ok`."""
     return isinstance(value, list) and all(ok(x) for x in value)
+
+
+def document_mismatches(replayed: dict, doc: dict) -> list:
+    """One line per top-level field where `doc` differs from the document a
+    re-run produced (after a JSON round trip); a list field also names the
+    first entry that differs.  Empty when the two are equal.
+
+    A re-run holds JSON values only (lists, never tuples), so the round trip
+    is the identity on it, and `replayed == doc` means nothing differs."""
+    if replayed == doc:
+        return []
+    replayed = json.loads(json.dumps(replayed))
+    problems = []
+    for key in sorted(set(replayed) | set(doc)):
+        if key not in doc or key not in replayed:
+            where = "certificate" if key not in doc else "re-run"
+            problems.append(f"{key}: missing from the {where}")
+        elif replayed[key] != doc[key]:
+            got, recorded = replayed[key], doc[key]
+            if isinstance(got, list) and isinstance(recorded, list):
+                i = next((i for i, (a, b) in enumerate(zip(got, recorded)) if a != b),
+                         min(len(got), len(recorded)))
+                problems.append(f"{key}: entry {i} differs from the re-run "
+                                f"({len(recorded)} recorded, {len(got)} re-run)")
+            else:
+                problems.append(f"{key}: differs from the re-run")
+    return problems
 
 
 def monad_from_document(doc: dict) -> MonadComplex:

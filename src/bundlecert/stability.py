@@ -18,7 +18,6 @@ from its re-run.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .cohom import h0_monad, tail_vanish
@@ -28,6 +27,7 @@ from .monad import (
     Document,
     MonadComplex,
     chern_monad,
+    document_mismatches,
     is_int,
     is_list_of,
     monad_from_document,
@@ -238,33 +238,6 @@ def _read_inputs(doc) -> tuple:
     m = monad_from_document(inp["monad"])
     options = CertifyOptions(tuple(tuple(p) for p in points), margin)
     return m, Polarization(m.ambient, tuple(doc["polarization"])), options
-
-
-def document_mismatches(replayed: dict, doc: dict) -> list:
-    """One line per top-level field where `doc` differs from the document a
-    re-run produced (after a JSON round trip); a list field also names the
-    first entry that differs.  Empty when the two are equal.
-
-    A re-run holds JSON values only (lists, never tuples), so the round trip
-    is the identity on it, and `replayed == doc` means nothing differs."""
-    if replayed == doc:
-        return []
-    replayed = json.loads(json.dumps(replayed))
-    problems = []
-    for key in sorted(set(replayed) | set(doc)):
-        if key not in doc or key not in replayed:
-            where = "certificate" if key not in doc else "re-run"
-            problems.append(f"{key}: missing from the {where}")
-        elif replayed[key] != doc[key]:
-            got, recorded = replayed[key], doc[key]
-            if isinstance(got, list) and isinstance(recorded, list):
-                i = next((i for i, (a, b) in enumerate(zip(got, recorded)) if a != b),
-                         min(len(got), len(recorded)))
-                problems.append(f"{key}: entry {i} differs from the re-run "
-                                f"({len(recorded)} recorded, {len(got)} re-run)")
-            else:
-                problems.append(f"{key}: differs from the re-run")
-    return problems
 
 
 def verify_certificate(doc: dict) -> list:

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from bundlecert import cli, cohom, k3lat, monad, stability, zeta
+from bundlecert.monad import document_mismatches
 from bundlecert.polycore import linalg, parse_poly, section_matrix
 from bundlecert.polycore.poly import basis_exponents
-from bundlecert.stability import document_mismatches
 from bundlecert.zeta import count
 from oracles import dense_section_matrix, gauss_rank
 

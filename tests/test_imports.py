@@ -5,9 +5,13 @@ the commands, every __all__ entry is bound in its module, no module under src/ i
 or dataclasses or starts processes, only stability.py imports fractions, only cohom.py and
 monad.py import section_matrix (beside polycore's re-export), the certify path
 loads no numpy, no command loads dataclasses, zeta loads charpoly before numpy,
-every exception subclass is caught by name somewhere, no module under src/
-raises ValueError or KeyError, and `cli.main` catches only BundleCertError
-from a command."""
+`import bundlecert.cli` runs only cli, errors and polycore, each command exits 0
+on a shipped input and runs only the modules it needs (no certify stack or
+fractions in the point counts, no k3lat, zeta or numpy in certify and h0),
+picard-bound and its verify run nothing under src/ after numpy but zeta.count
+and zeta.field, deferring a loaded module keeps it, every exception subclass
+is caught by name somewhere, no module under src/ raises ValueError or
+KeyError, and `cli.main` catches only BundleCertError from a command."""
 import ast
 import importlib
 import json
@@ -15,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -302,3 +308,138 @@ def test_zeta_compiles_charpoly_before_numpy():
     first = next(node for node in init.body if isinstance(node, (ast.Import, ast.ImportFrom))
                  and getattr(node, "module", None) != "__future__")
     assert isinstance(first, ast.ImportFrom) and (first.level, first.module) == (1, "charpoly")
+
+
+def test_defer_leaves_a_loaded_module_as_it_is():
+    # a second copy of a loaded module would hold other classes
+    from bundlecert import cli, monad
+
+    loaded = monad.MonadComplex  # runs monad if it is still deferred
+    cli._defer("monad")
+    assert sys.modules["bundlecert.monad"] is monad and monad.MonadComplex is loaded
+
+
+def test_a_deferred_module_runs_at_its_import_and_is_bound_in_the_package():
+    # run at the import, a module's compile stays out of the first call;
+    # bound as an import binds it, `bundlecert.k3lat` works after `import bundlecert.k3lat`
+    code = (
+        "import types, bundlecert.cli, bundlecert.k3lat; from bundlecert import stability; "
+        "print(type(stability) is types.ModuleType, bundlecert.k3lat.__name__, "
+        "bundlecert.stability is stability)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.split() == ["True", "bundlecert.k3lat", "True"]
+
+
+# Runs one command in a fresh interpreter and prints its exit code, the
+# modules under src/ that `import bundlecert.cli` ran, every module under src/
+# that ran, in the order their bodies began, with "numpy" where numpy began,
+# and whether fractions is loaded.  A module body runs once, where it
+# compiles when no .pyc is written (PYTHONDONTWRITEBYTECODE=1).
+# Run as: python -c COMMAND_RUN SRC ARG...
+COMMAND_RUN = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(args[0].co_filename))
+from bundlecert import cli
+
+after_import = len(ran)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+src = Path(sys.argv[1]).resolve()
+
+
+def names(files):
+    out = []
+    for file in (Path(f).resolve() for f in files):
+        if file.is_relative_to(src):
+            parts = file.relative_to(src).with_suffix("").parts
+            out.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        elif "numpy" in file.parts and "numpy" not in out:
+            out.append("numpy")
+    return out
+
+
+print(json.dumps({"code": code, "import": names(ran[:after_import]), "ran": names(ran),
+                  "fractions": "fractions" in sys.modules}))
+"""
+
+
+@pytest.fixture(scope="module")
+def command_runs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("commands")
+    inputs = SRC.parent / "inputs"
+    b44 = ["--surface", inputs / "b44.poly", "--prime", "3"]
+    commands = {  # the documents the verify runs read are written first
+        "certify": ["certify", "--monad", inputs / "k_rank3_n2.monad", "--polarization", "1,1",
+                    "--out", tmp / "stability.json"],
+        "h0": ["h0", "--monad", inputs / "k_rank3.monad", "--twist", "1,1", "--exterior", "2"],
+        "chern": ["chern", "--monad", inputs / "e_rank2.monad", "--cover", "double"],
+        "quartic-run": ["quartic-run", "--surface", inputs / "quartic.json",
+                        "--out", tmp / "quartic.json"],
+        "count-points": ["count-points", *b44, "--max-n", "1"],
+        "picard-bound": ["picard-bound", *b44, "--out", tmp / "b44.json"],
+        "verify stability": ["verify", tmp / "stability.json"],
+        "verify quartic": ["verify", tmp / "quartic.json"],
+        "verify picard-bound": ["verify", tmp / "b44.json"],
+    }
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    runs = {}
+    for name, argv in commands.items():
+        out = subprocess.run([sys.executable, "-c", COMMAND_RUN, str(SRC), *map(str, argv)],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        runs[name] = json.loads(out.stdout)
+    return runs
+
+
+def _ran(run) -> set:
+    """The bundlecert modules a run ran, by the name under bundlecert, and
+    numpy and fractions when loaded."""
+    names = {name.split(".")[1] if "." in name else name for name in run["ran"]}
+    return names | ({"fractions"} if run["fractions"] else set())
+
+
+def test_every_command_run_exits_0(command_runs):
+    assert {name: run["code"] for name, run in command_runs.items()} == dict.fromkeys(command_runs, 0)
+
+
+def test_cli_import_runs_only_errors_and_polycore(command_runs):
+    # every command parses polynomials; the rest each command imports itself
+    for run in command_runs.values():
+        assert {name.split(".")[1] for name in run["import"] if "." in name} == {
+            "cli", "errors", "polycore"}
+
+
+# what each command must not run: the certify stack stays out of the point
+# counts, and zeta with numpy out of the certify path
+NOT_RUN = {
+    "certify": {"k3lat", "zeta", "numpy"},
+    "h0": {"k3lat", "stability", "fractions", "zeta", "numpy"},
+    "chern": {"stability", "fractions", "zeta", "numpy"},
+    "quartic-run": {"stability", "fractions", "zeta", "numpy"},
+    "count-points": {"monad", "cohom", "k3lat", "stability", "fractions"},
+    "picard-bound": {"cohom", "k3lat", "stability", "fractions"},
+    "verify stability": {"k3lat", "zeta", "numpy"},
+    "verify quartic": {"stability", "fractions", "zeta", "numpy"},
+    "verify picard-bound": {"cohom", "k3lat", "stability", "fractions"},
+}
+
+
+def test_each_command_runs_only_the_modules_it_needs(command_runs):
+    assert set(NOT_RUN) == set(command_runs)
+    found = {name: sorted(_ran(command_runs[name]) & banned) for name, banned in NOT_RUN.items()}
+    assert found == dict.fromkeys(NOT_RUN, [])
+
+
+def test_picard_bound_compiles_nothing_after_numpy(command_runs):
+    # see test_zeta_compiles_charpoly_before_numpy: monad, which the document
+    # needs, runs before zeta loads numpy
+    for name in ("picard-bound", "verify picard-bound"):
+        ran = command_runs[name]["ran"]
+        assert "bundlecert.monad" in ran
+        assert set(ran[ran.index("numpy") + 1:]) <= {"bundlecert.zeta.count", "bundlecert.zeta.field"}
