@@ -48,19 +48,21 @@ The curves of one count are handled together, up to CURVES = 2^14 per
 numpy call (`_Curves`), on the same codes: a product is an add of
 logs, an inverse a negated log, -1 is g^(L/2), chi is the parity of a log
 and a square root half an even log; sums go through a Zech table.  Points
-are affine, with O as x = y = -1 and masks for O, doubling and P + (-P).
-For a point P (`_point`, the first x = g^k of a fixed range with a square
-right side; no randomness), `_bsgs` finds every t with |t| <= T =
-floor(2 sqrt q) and [q + 1 - t]P = O: baby steps jP, j = 0..m, stride
-S = 2m + 1 and giant steps R_i = (q + 1 - iS)P over |i| <= G with
-GS + m >= T, so the steps cover the whole Hasse interval; each giant step
-compares one point per curve with the (m + 1) x rows baby array.  #E lies
-in the interval (Hasse) and is a multiple of the order of P, so when
-exactly one t is found, #E = q + 1 - t is proved, at every q; otherwise the
-row stays open (Cohen, A Course in Computational Algebraic Number Theory,
-7.4).  Mestre's theorem (as in Schoof, J. Theor. Nombres Bordeaux 7 (1995))
-only says when a point is sure to settle a row: on E or its twist, for
-q > 229.
+are affine, with O as x = y = -1 and masks for O and P + (-P); an add
+draws the tangent only at the columns where P = Q.  For a point P
+(`_point`, the first x = g^k of a fixed range with a square right side,
+each k tried only on the curves still without a point; no randomness),
+`_bsgs` finds every t with |t| <= T = floor(2 sqrt q) and
+[q + 1 - t]P = O: baby steps jP, j = 0..m, stride S = 2m + 1 and giant
+steps R_i = (q + 1 - iS)P over |i| <= G with GS + m >= T, so the steps
+cover the whole Hasse interval; each giant step compares one point per
+curve with the (m + 1) x rows baby array and keeps the (curve, t) hits,
+which are tallied once per pass.  #E lies in the interval (Hasse) and is
+a multiple of the order of P, so when exactly one t is found,
+#E = q + 1 - t is proved, at every q; otherwise the row stays open
+(Cohen, A Course in Computational Algebraic Number Theory, 7.4).  Mestre's
+theorem (as in Schoof, J. Theor. Nombres Bordeaux 7 (1995)) only says
+when a point is sure to settle a row: on E or its twist, for q > 229.
 
 Routing.  `count_points` decides it for the whole count.  A count whose
 fiber rows fit in one kernel chunk (rows x L <= CELLS: every q <= 359,
@@ -208,34 +210,37 @@ class _Curves:
     def __init__(self, F: Field, a2, a4):
         self.F, self.a2, self.a4 = F, a2, a4
         self.k2, self.k3 = F.const(2), F.const(3)
-        self.a2_2 = self.k2 + a2  # 2 a2, unreduced
 
     def neg(self, P):
         x, y = P
         return x, np.where(x < 0, -1, self.F.neg(y))
 
-    def double(self, P):
+    def double(self, P, cols=slice(None)):
+        """[2]P, where P holds the points of the curves at cols (every curve
+        by default); O when P is O or has y = 0."""
         F, (x, y) = self.F, P
-        slope = F.add(F.add(F.mul(self.k3 + x, x), F.mul(self.a2_2, x)), self.a4)
+        a2 = self.a2[cols]
+        slope = F.add(F.add(F.mul(self.k3 + x, x), F.mul(self.k2 + a2, x)), self.a4[cols])
         lam = F.div(slope, self.k2 + y)
-        x3 = F.sub(F.mul(lam, lam), F.add(self.a2, F.mul(self.k2, x)))
+        x3 = F.sub(F.mul(lam, lam), F.add(a2, F.mul(self.k2, x)))
         y3 = F.sub(F.mul(lam, F.sub(x, x3)), y)
         o = (x < 0) | (y == F.zero)
         x3[o], y3[o] = -1, -1
         return x3, y3
 
     def add(self, P, Q):
+        """P + Q by the chord; the tangent is drawn only at the columns
+        where P = Q (not O), through `double` on those columns alone."""
         F, (x1, y1), (x2, y2) = self.F, P, Q
         lam = F.div(F.sub(y2, y1), F.sub(x2, x1))
         x3 = F.sub(F.mul(lam, lam), F.add(F.add(self.a2, x1), x2))
         y3 = F.sub(F.mul(lam, F.sub(x1, x3)), y1)
         same = x1 == x2
         if np.count_nonzero(same):  # P = -Q or both O, unless P = Q
-            dbl = same & (y1 == y2) & (x1 >= 0)
             x3[same], y3[same] = -1, -1
-            if np.count_nonzero(dbl):
-                x2P, y2P = self.double(P)
-                x3[dbl], y3[dbl] = x2P[dbl], y2P[dbl]
+            dbl = np.flatnonzero(same & (y1 == y2) & (x1 >= 0))
+            if len(dbl):
+                x3[dbl], y3[dbl] = self.double((x1[dbl], y1[dbl]), dbl)
         for o, R in ((x1 < 0, Q), (x2 < 0, P)):
             if np.count_nonzero(o):
                 x3[o], y3[o] = R[0][o], R[1][o]
@@ -254,15 +259,22 @@ class _Curves:
 def _point(F: Field, a2, a4, a6, r: int):
     """A point (x, y) on each curve: x = g^k for the least k in
     [8r, 8r + 8) where the right side is a nonzero square, and
-    y = g^(log(rhs) / 2); and whether each curve has one."""
+    y = g^(log(rhs) / 2); and whether each curve has one.  Each candidate k
+    is tried only on the curves still without a point, and the search stops
+    when every curve has one."""
     x = np.zeros(len(a2), dtype=np.int64)
     y = np.zeros(len(a2), dtype=np.int64)
-    found = np.zeros(len(a2), dtype=bool)
+    todo = np.arange(len(a2))
     for k in range(CANDIDATES * r, CANDIDATES * (r + 1)):
-        rhs = F.add(F.add(3 * k % F.L, F.mul(a2, 2 * k)), F.add(F.mul(a4, k), a6))
-        new = (F.chi.take(rhs, mode="clip") == 1) & ~found
-        x[new], y[new] = k, rhs[new] // 2
-        found |= new
+        rhs = F.add(F.add(3 * k % F.L, F.mul(a2[todo], 2 * k)),
+                    F.add(F.mul(a4[todo], k), a6[todo]))
+        new = F.chi.take(rhs, mode="clip") == 1
+        x[todo[new]], y[todo[new]] = k, rhs[new] // 2
+        todo = todo[~new]
+        if not len(todo):
+            break
+    found = np.ones(len(a2), dtype=bool)
+    found[todo] = False
     return (x, y), found
 
 
@@ -272,8 +284,12 @@ def _bsgs(E: _Curves, q: int, P):
     Every t in the Hasse interval |t| <= T = floor(2 sqrt q) with
     [q + 1 - t]P = O is found: baby steps jP (j = 0..m), stride S = 2m + 1,
     giant steps R_i = (q + 1 - iS)P for |i| <= G with GS + m >= T, and
-    R_i = +-jP exactly when t = iS +- j.  #E is a multiple of the order of
-    P in the interval, so a unique t proves #E = q + 1 - t.
+    R_i = +-jP exactly when t = iS +- j.  A giant step finds which baby
+    steps match, and negates R_i, only at the columns where its x equals a
+    baby step's, and the (column, t) hits of the whole pass are tallied
+    once at the end.  #E is a multiple of the order of P in the interval,
+    so a unique t proves #E = q + 1 - t; where t is not unique the count
+    returned is q + 1, and proves nothing.
     """
     T = isqrt(4 * q)
     m = max(1, isqrt(T))
@@ -293,20 +309,28 @@ def _bsgs(E: _Curves, q: int, P):
     vP = (bx[abs(v)], by[abs(v)])
     R = E.add(E.mul(u, SP), vP if v >= 0 else E.neg(vP))
     minus_S = E.neg(SP)
-    hits = np.zeros(len(P[0]), dtype=np.int64)
-    trace = np.zeros(len(P[0]), dtype=np.int64)
+    hit_cols, hit_t = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for i in range(-G, G + 1):
-        js, cols = np.nonzero(bx == R[0])
-        if len(js):
+        match = bx == R[0].astype(np.int32)
+        cols = np.flatnonzero(match.any(axis=0))
+        if len(cols):
+            js, k = np.nonzero(match[:, cols])
+            cols = cols[k]
             # R_i = jP: t = iS + j; R_i = -jP (-R_i = jP): t = iS - j, j > 0
-            for sign, y in ((1, R[1]), (-1, E.neg(R)[1])):
+            Rc = (R[0][cols], R[1][cols])
+            for sign, y in ((1, Rc[1]), (-1, E.neg(Rc)[1])):
                 tt = i * S + sign * js
-                ok = (by[js, cols] == y[cols]) & (np.abs(tt) <= T) & ((sign > 0) | (js > 0))
-                hits += np.bincount(cols[ok], minlength=len(hits))
-                np.add.at(trace, cols[ok], tt[ok])
+                ok = (by[js, cols] == y) & (np.abs(tt) <= T) & ((sign > 0) | (js > 0))
+                hit_cols.append(cols[ok])
+                hit_t.append(tt[ok])
         if i < G:
             R = E.add(R, minus_S)
-    return q + 1 - trace, hits == 1
+    cols, t = np.concatenate(hit_cols), np.concatenate(hit_t)
+    unique = np.bincount(cols, minlength=len(P[0])) == 1
+    once = unique[cols]
+    trace = np.zeros(len(P[0]), dtype=np.int64)
+    trace[cols[once]] = t[once]
+    return q + 1 - trace, unique
 
 
 def _jacobian_counts(F: Field, rows):

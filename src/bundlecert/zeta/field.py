@@ -3,10 +3,11 @@
 The modulus is the first primitive polynomial of degree n over F_p in the
 order of `primitive_modulus`, so x generates the multiplicative group, and
 for n = 1 it is x - r with r the least primitive root mod p.  The search
-runs the power tests on digit lists only for a candidate f that passes two
+runs the power tests on digit lists only for a candidate f that passes
 exact necessary conditions: (-1)^n f(0), the norm of its root, is a
-primitive root mod p (Lidl and Niederreiter, Finite Fields, 3.18), and for
-n >= 2, f(1) != 0 and f(-1) != 0, since a primitive f is irreducible.
+primitive root mod p (Lidl and Niederreiter, Finite Fields, 3.18); for
+n >= 2, f(1) != 0 and f(-1) != 0, since a primitive f is irreducible; and
+at n = 2, a non-square discriminant and a nonzero x coefficient.
 Every candidate skipped would fail the power tests, so the modulus is the
 one the full search finds.
 
@@ -83,12 +84,14 @@ def primitive_modulus(p: int, n: int) -> tuple:
     make exactly q - 1 (a reducible f can pass all but h^2 = 1).  Then the
     powers of x are the q - 1 nonzero residues, so F_p[x]/(f) is a field
     generated by x: f is primitive (Lidl and Niederreiter, Finite Fields,
-    3.1).  Two necessary conditions skip most candidates before any power
-    of x: (-1)^n f(0) = (-1)^(n+1) t is the norm x^((q-1)/(p-1)) of x, so
-    it has order p - 1 when x has order q - 1: it is a primitive root mod p
-    (ibid., 3.18); and for n >= 2 a primitive f is irreducible, so
-    f(1) != 0 and f(-1) != 0.  For n = 1, f = x - t and the root is t
-    itself, so the first such f has t = r, the least primitive root mod p.
+    3.1).  Necessary conditions skip most candidates before any power of
+    x: (-1)^n f(0) = (-1)^(n+1) t is the norm x^((q-1)/(p-1)) of x, so it
+    has order p - 1 when x has order q - 1: it is a primitive root mod p
+    (ibid., 3.18); for n >= 2 a primitive f is irreducible, so f(1) != 0
+    and f(-1) != 0, and at n = 2 its discriminant c_1^2 + 4t is a
+    non-square mod p; and at n = 2, c_1 = 0 would make x^p = -x, so
+    x^(2(p-1)) = 1.  For n = 1, f = x - t and the root is t itself, so
+    the first such f has t = r, the least primitive root mod p.
     """
     if n == 1:
         return (-next(_primitive_roots(p)) % p, 1)
@@ -104,19 +107,24 @@ def _primitive_roots(p: int):
 
 def _candidates(p: int, n: int):
     """The candidates of `primitive_modulus` in its order, as ascending lists,
-    less every f whose norm (-1)^(n+1) t is not a primitive root mod p and,
-    for n >= 2, every f with f(1) = 0 or f(-1) = 0."""
+    less every f whose norm (-1)^(n+1) t is not a primitive root mod p, for
+    n >= 2 every f with f(1) = 0 or f(-1) = 0, and for n = 2 every f with
+    c_1 = 0 or whose discriminant c_1^2 + 4t is a square mod p (Euler's
+    criterion)."""
     sign = (-1) ** (n + 1)
     norms = sorted(sign * r % p for r in _primitive_roots(p))  # the t that pass
     for high in iter_product(range(p), repeat=n - 1):  # (c_{n-1}, ..., c_1)
         low = high[::-1]
+        if n == 2 and not low[0]:  # x^p = -x, so x^(2(p-1)) = 1
+            continue
         # f(1) = 0 iff t = 1 + sum c_k, and f(-1) = 0 iff t = (-1)^n + sum (-1)^k c_k
         at_units = () if n == 1 else (
             (1 + sum(low)) % p,
             ((-1) ** n + sum(low[1::2]) - sum(low[::2])) % p,
         )
         for t in norms:
-            if t not in at_units:
+            # at n = 2, x^2 + c x - t is irreducible only if c^2 + 4t is a non-square
+            if t not in at_units and (n != 2 or pow(low[0] ** 2 + 4 * t, (p - 1) // 2, p) == p - 1):
                 yield [-t % p, *low, 1]
 
 

@@ -255,6 +255,49 @@ def packed_mul(field, a: int, b: int) -> int:
     return 0 if a == 0 or b == 0 else exp[(log[a] + log[b]) % (field.q - 1)]
 
 
+def packed_neg(p: int, a: int) -> int:
+    """-a for a packed element, digit by digit in base p."""
+    out, scale = 0, 1
+    while a:
+        out += -a % p * scale
+        a, scale = a // p, scale * p
+    return out
+
+
+def curve_add(field, a2: int, a4: int, P, Q):
+    """P + Q on Y^2 = X^3 + a2 X^2 + a4 X + a6 for packed elements (the law
+    does not read a6): the chord through P and Q, the tangent when P = Q;
+    a point is a pair (x, y), and None is O.  Quotients go through the exp
+    and log lists of `field_tables`."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    p = field.p
+    exp, log, _ = field_tables(field.p, field.n, field.modulus)
+
+    def sub(a, b):
+        return packed_add(p, a, packed_neg(p, b))
+
+    def mul(*factors):
+        out = 1
+        for a in factors:
+            out = packed_mul(field, out, a)
+        return out
+
+    def div(a, b):
+        return mul(a, exp[-log[b] % (field.q - 1)])
+
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and packed_add(p, y1, y2) == 0:  # Q = -P, P = Q of order 2 included
+        return None
+    if x1 == x2:
+        slope = packed_add(p, packed_add(p, mul(3 % p, x1, x1), mul(2 % p, a2, x1)), a4)
+        lam = div(slope, mul(2 % p, y1))
+    else:
+        lam = div(sub(y2, y1), sub(x2, x1))
+    x3 = sub(sub(sub(mul(lam, lam), a2), x1), x2)
+    return x3, sub(mul(lam, sub(x1, x3)), y1)
+
+
 def field_value(field, coeffs, x) -> int:
     """sum_j coeffs[j] x^j in F_q for packed elements, by Horner with
     `packed_mul` and `packed_add`."""

@@ -243,15 +243,6 @@ def test_counts_run_in_one_process(threads):
 ORDER_80_FIBER = [435, 228, 660, 461, 201]  # c_0, ..., c_4
 
 
-def packed_neg(p, a):
-    """-a for a packed element, digit by digit in base p."""
-    out, scale = 0, 1
-    while a:
-        out += -a % p * scale
-        a, scale = a // p, scale * p
-    return out
-
-
 def smooth_points(F, rows, r):
     """Jacobians of the smooth rows, the r-th point on each, and _bsgs from it."""
     a2, a4, a6, smooth = count._jacobians(F, rows)
@@ -270,10 +261,10 @@ class TestJacobians:
         add, mul = oracles.packed_add, oracles.packed_mul
         assert F.add(enc[a], enc[b]).tolist() == [enc[add(p, x, y)] for x, y in pairs]
         assert F.sub(enc[a], enc[b]).tolist() == [
-            enc[add(p, x, packed_neg(p, y))] for x, y in pairs
+            enc[add(p, x, oracles.packed_neg(p, y))] for x, y in pairs
         ]
         assert F.mul(enc[a], enc[b]).tolist() == [enc[mul(F, x, y)] for x, y in pairs]
-        assert F.neg(enc).tolist() == [enc[packed_neg(p, x)] for x in range(F.q)]
+        assert F.neg(enc).tolist() == [enc[oracles.packed_neg(p, x)] for x in range(F.q)]
         squares = {mul(F, x, x) for x in range(1, F.q)}
         assert F.chi.take(enc, mode="clip").tolist() == [
             0 if x == 0 else 1 if x in squares else -1 for x in range(F.q)
@@ -286,6 +277,61 @@ class TestJacobians:
         x, y, z = enc[a][nz], enc[b][nz], enc[c][nz]
         assert (F.div(x, y + z) == F.div(F.div(x, y), z)).all()
         assert (F.mul(F.div(x, y), y) == x).all()
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (1009, 1)])
+    def test_group_law_matches_packed_elements(self, p, n):
+        # one curve per column; P = Q at 5 of 12 columns, apart from each other
+        kinds = ["chord", "double", "negate", "P = O", "double", "Q = O",
+                 "chord", "both O", "double", "y = 0", "chord to y = 0", "double"]
+        F = make_field(p, n)
+        exp, log, _ = oracles.field_tables(p, n, F.modulus)
+        rng = random.Random(p)
+
+        def sqrt(v):
+            return 0 if v == 0 else exp[log[v] // 2] if log[v] % 2 == 0 else None
+
+        def sub(a, b):
+            return oracles.packed_add(p, a, oracles.packed_neg(p, b))
+
+        curves, Ps, Qs = [], [], []
+        for kind in kinds:
+            a2, a4, x1 = (rng.randrange(F.q) for _ in range(3))
+            y1 = 0 if "y = 0" in kind else rng.randrange(1, F.q)
+            a6 = sub(oracles.packed_mul(F, y1, y1), oracles.field_value(F, [0, a4, a2, 1], x1))
+            others = [(x, sqrt(oracles.field_value(F, [a6, a4, a2, 1], x))) for x in range(F.q)]
+            x2, y2 = rng.choice([(x, y) for x, y in others if x != x1 and y is not None])
+            P = None if kind in ("P = O", "both O") else (x1, y1)
+            Q = {
+                "chord": (x2, y2), "double": (x1, y1), "negate": (x1, oracles.packed_neg(p, y1)),
+                "P = O": (x2, y2), "Q = O": None, "both O": None, "y = 0": (x1, y1),
+                "chord to y = 0": (x2, y2),
+            }[kind]
+            curves.append((a2, a4))
+            Ps.append(P)
+            Qs.append(Q)
+
+        code = {a: F.encode(a) for a in range(F.q)}
+        packed = {c: a for a, c in code.items()}
+
+        def codes(points):
+            xy = [(-1, -1) if R is None else (code[R[0]], code[R[1]]) for R in points]
+            return tuple(np.array(v) for v in zip(*xy))
+
+        def points(R):
+            x, y = R[0].tolist(), R[1].tolist()
+            return [None if a < 0 else (packed[a], packed[b]) for a, b in zip(x, y)]
+
+        E = count._Curves(F, *(np.array([code[c] for c in v]) for v in zip(*curves)))
+        P, Q = codes(Ps), codes(Qs)
+        same = (P[0] == Q[0]) & (P[1] == Q[1]) & (P[0] >= 0)
+        assert same.tolist() == [k in ("double", "y = 0") for k in kinds]
+        law = oracles.curve_add
+        assert points(E.add(P, Q)) == [law(F, *c, A, B) for c, A, B in zip(curves, Ps, Qs)]
+        assert points(E.double(P)) == [law(F, *c, A, A) for c, A in zip(curves, Ps)]
+        cols = np.flatnonzero(same)
+        assert points(E.double((P[0][cols], P[1][cols]), cols)) == [
+            law(F, *curves[c], Ps[c], Ps[c]) for c in cols
+        ]
 
     @pytest.mark.parametrize("name", sorted(FORMS))
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -331,6 +377,53 @@ class TestJacobians:
         Q, found = count._point(F, a2, a4, a6, 1)
         N, proved = count._bsgs(E, p, Q)
         assert found.tolist() == proved.tolist() == [True] and N.tolist() == [960]
+
+    def test_one_tally_per_pass_matches_one_curve_at_a_time(self):
+        # the Jacobians of 60 b44 fibers at p = 1009 and of ORDER_80_FIBER,
+        # with the route's two points on each, the point x = 6 of order 80
+        # (2 hits), O (every t a hit) and each point (x, 0) of order 2.  No
+        # column can have 0 hits: any codes (x, y) lie on the curve with the
+        # same a2, a4 and a6 = y^2 - x^3 - a2 x^2 - a4 x, whose order (q or
+        # q +- 1 if it is singular) is in the Hasse interval.
+        q = 1009
+        F = make_field(q, 1)
+        rows, _ = _orbit_fibers(F, 1, curve_coefficients(form("b44"), q))
+        rows = np.vstack([rows[:60], [[F.encode(c) for c in ORDER_80_FIBER]]])
+        a2, a4, a6, smooth = count._jacobians(F, rows)
+        rows, a2, a4, a6 = rows[smooth], a2[smooth], a4[smooth], a6[smooth]
+
+        def rhs(c, x):
+            return F.add(F.add(3 * x % F.L, F.mul(a2[c], 2 * x)), F.add(F.mul(a4[c], x), a6[c]))
+
+        cols, xs, ys = [], [], []
+        for r in range(2):
+            (x, y), found = count._point(F, a2, a4, a6, r)
+            cols += np.flatnonzero(found).tolist()
+            xs += x[found].tolist()
+            ys += y[found].tolist()
+        x6 = F.encode(6)
+        cols += [len(rows) - 1, 0]
+        xs += [x6, -1]
+        ys += [int(rhs(-1, x6)) // 2, -1]
+        u = np.arange(F.L)
+        for c in range(len(rows)):
+            for x in np.flatnonzero(rhs(c, u) == F.zero).tolist():
+                cols, xs, ys = cols + [c], xs + [x], ys + [F.zero]
+        cols, P = np.array(cols), (np.array(xs), np.array(ys))
+        E = count._Curves(F, a2[cols], a4[cols])
+        N, unique = count._bsgs(E, q, P)
+        T = math.isqrt(4 * q)
+        hits = sum((E.mul(q + 1 - t, P)[0] < 0).astype(int) for t in range(-T, T + 1))
+        assert hits.min() == 1 and 2 in hits and hits.max() == 2 * T + 1
+        assert unique.tolist() == (hits == 1).tolist()
+        assert N.dtype == np.int64
+        assert N[unique].tolist() == _fiber_counts(F, rows)[cols][unique].tolist()
+        alone = [
+            count._bsgs(count._Curves(F, a2[[c]], a4[[c]]), q, (P[0][[k]], P[1][[k]]))
+            for k, c in enumerate(cols.tolist())
+        ]
+        assert N.tolist() == [int(n[0]) for n, _ in alone]
+        assert unique.tolist() == [bool(u[0]) for _, u in alone]
 
     def test_singular_fibers_go_to_the_kernel(self, monkeypatch):
         p = 1009
@@ -428,11 +521,14 @@ class TestJacobians:
         assert resolved[0] == 0 < resolved[1] < resolved[2] < len(rows)
 
 
-SMALL_FIELDS = [(p, n) for p in (3, 5, 7) for n in range(1, 5)] + [(1009, 1)]
+# at n = 2 from p = 11 on, a non-square discriminant skips candidates that
+# the norm and f(+-1) keep
+SMALL_FIELDS = [(p, n) for p in (3, 5, 7) for n in range(1, 5)] + [(1009, 1), (11, 2), (13, 2)]
 FILTERED_FIELDS = (
     [(3, n) for n in range(1, 11)] + [(5, n) for n in range(1, 9)]
     + [(7, n) for n in range(1, 8)] + [(11, n) for n in range(1, 6)]
     + [(13, n) for n in range(1, 5)] + [(31, 4), (101, 3), (1021, 2), (1009, 1), (3001, 1)]
+    + [(17, 2), (19, 2), (1009, 2), (2003, 2), (3001, 2)]
 )
 
 
@@ -485,6 +581,35 @@ class TestPrimitiveModulus:
             reached.append(set())
             primitive_modulus(3, n)
         assert len(reached[0]) == len(reached[1]) <= most
+
+    @pytest.mark.parametrize("p", [11, 13, 17, 19])
+    def test_quadratic_candidates_are_irreducible_with_a_nonzero_trace(self, p):
+        kept = {tuple(f) for f in field_module._candidates(p, 2)}
+        assert all(c and pow(c * c - 4 * e, (p - 1) // 2, p) == p - 1 for e, c, _ in kept)
+        # some f = x^2 + c x + e with c != 0, a primitive norm e and no root
+        # at +-1 is skipped: it has a root in F_p, so its discriminant is a square
+        primitive = {e for e in range(1, p) if len({pow(e, k, p) for k in range(p)}) == p - 1}
+        skipped = [
+            (e, c, 1) for e, c in product(range(p), repeat=2)
+            if c and e in primitive and (1 + c + e) % p and (1 - c + e) % p
+            and (e, c, 1) not in kept
+        ]
+        assert skipped
+        assert all(any((r * r + c * r + e) % p == 0 for r in range(p)) for e, c, _ in skipped)
+
+    @pytest.mark.parametrize("p", [1009, 1021, 2003, 3001])
+    def test_one_quadratic_candidate_reaches_the_power_test(self, monkeypatch, p):
+        """The norm and f(+-1) alone send 261 candidates to it at 1021^2."""
+        reached = set()
+        pol_powmod = field_module._pol_powmod
+
+        def spy(a, e, mod, p):
+            reached.add(tuple(mod))
+            return pol_powmod(a, e, mod, p)
+
+        monkeypatch.setattr(field_module, "_pol_powmod", spy)
+        f = primitive_modulus(p, 2)
+        assert reached == {f}
 
     def test_prime_fields_match_the_digit_list_search(self):
         # int powers at n = 1 against the power tests on every candidate
