@@ -1,10 +1,10 @@
 """Exact multigraded polynomials with integer coefficients, parsing, monomial
-bases, and sparse integer linear algebra: rank by Bareiss elimination on the
-sparse rows, singletons first, then a shortest row; every division is exact
-(Sylvester's identity), and a row the pivot column misses owes the common
-factor pivot / previous pivot, applied when a step next reads it.  Every
-coefficient and every matrix cell is a Python int; ranks and kernels are still
-those over Q."""
+bases (packed into one int each for section matrices), and sparse integer
+linear algebra: rank by Bareiss elimination on the sparse rows, singletons
+first, then a shortest row; every division is exact (Sylvester's identity),
+and a row the pivot column misses owes the common factor pivot / previous
+pivot, applied when a step next reads it.  Every coefficient and every matrix
+cell is a Python int; ranks and kernels are still those over Q."""
 
 from .linalg import (
     ExactMatrix,

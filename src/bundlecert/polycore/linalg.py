@@ -20,17 +20,19 @@ left as it is: a row written when the last pivot was pivots[k] holds its true
 entries times pivots[k] / pivots[-1].
 
 A section matrix pays only for its live cells.  Its rows are counted, never
-enumerated: their number is a sum of binomial counts (`basis_size`), and no
-target basis is built.  A row is keyed by the target summand and the exponent
-of the product monomial a cell lands on, so a row no cell hits costs nothing.
-Columns come from the source bases, each built once per degree; a source
-summand with no sections at the twist is skipped.
+enumerated, and counted before any cell is written: their number is a sum of
+binomial counts (`basis_size`), which refuses a target over MAX_BASIS, and no
+target basis is built.  Monomials are packed ints, so a cell's product
+monomial is one int add and its row key one int (`section_matrix` says why
+the packing is exact), and a row no cell hits costs nothing.  Each map entry
+is packed once, each source basis once per degree, and a source summand with
+no sections at the twist is skipped.
 """
 from __future__ import annotations
 
 from operator import add
 
-from .poly import basis_exponents, basis_size
+from .poly import FIELD_BITS, basis_size, packed_basis
 
 
 class ExactMatrix:
@@ -148,10 +150,30 @@ def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> Exa
 
     `rows` is the number of monomials of the twisted target summands, counted
     by `basis_size`, which refuses a summand over MAX_BASIS as building its
-    basis would.  `entries` maps each row some cell lands on, keyed
-    (target summand i, exponent of the product monomial), to its cells
-    {column: nonzero int}; rows are keyed, not ordered.  Columns are ordered
-    by source summand, then `monomial_basis` order.
+    basis would.  `entries` maps each row some cell lands on to its cells
+    {column: nonzero int}; rows are keyed, not ordered.  The key of the row
+    of target summand i and product monomial e is one int,
+    pack_exponents(e) + i * 2^(FIELD_BITS * nvars): the summand index sits
+    in the bits above the monomial fields.  Columns are ordered by source
+    summand, then `monomial_basis` order.
+
+    Monomials are packed ints (`pack_exponents`), so a product monomial is
+    one int add, of an entry's term packed once per polynomial
+    (`packed_terms`) and a source basis packed once per degree
+    (`packed_basis`).  The packing is exact for two reasons:
+
+      * it is Z-linear, so pack(e) + pack(m) == pack(e + m), even when an
+        exponent of the entry alone overflows its field;
+      * it is injective on vectors whose entries are below 2^FIELD_BITS, and
+        every product monomial e + m lies in the basis of its target summand,
+        which `basis_size` has admitted with at most MAX_BASIS monomials.  A
+        basis of degree d on a factor of n >= 2 variables (every `Ambient`
+        factor has two or more) has at least d + 1 monomials, so each
+        exponent is below MAX_BASIS < 2^FIELD_BITS, and a row key gives back
+        e from its low bits and i from the bits above them.
+
+    The second reason holds because the rows are counted before any cell is
+    written: a target over the cap is refused first.
 
     The cost follows the live columns and the nonzero cells, not the number
     of summands or rows: a source summand with a negative twisted component
@@ -162,20 +184,23 @@ def section_matrix(ambient, map_entries, source_twists, target_twists, L) -> Exa
     result holds only nonzero cells.
     """
     sizes = tuple(map(len, ambient.groups))
+    # counted before any cell is written: the packing is exact on admitted targets only
     nrows = sum(basis_size(sizes, tuple(map(add, t, L))) for t in target_twists)
+    shift = FIELD_BITS * sum(sizes)
     cells = {}
     col = 0
     for j, s in enumerate(source_twists):
-        d = tuple(map(add, s, L))
-        if min(d) < 0:
+        if min(map(add, s, L)) < 0:
             continue
-        basis = basis_exponents(sizes, d)
+        basis = packed_basis(sizes, tuple(map(add, s, L)))
         for i, row in enumerate(map_entries):
-            terms = row[j].terms.items()
+            terms = row[j].packed_terms()
             if not terms:
                 continue
-            for k, mono in enumerate(basis, col):
-                for e, c in terms:
-                    cells.setdefault((i, tuple(map(add, e, mono))), {})[k] = c
+            base = i << shift
+            for p, c in terms:
+                p += base
+                for k, mono in enumerate(basis, col):
+                    cells.setdefault(p + mono, {})[k] = c
         col += len(basis)
     return ExactMatrix(nrows, col, cells)

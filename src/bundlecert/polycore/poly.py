@@ -12,6 +12,9 @@ the polynomial of an int.
 The input grammar has integer constants only and no operation here divides,
 so the algebra is exact over Q with no rational type: a polynomial is an
 element of Q[x] whose coefficients are integers.
+
+Section matrices read monomials packed into one int each (`pack_exponents`,
+FIELD_BITS bits per variable), so that a product of monomials is one int add.
 """
 from __future__ import annotations
 
@@ -27,6 +30,9 @@ MultiDegree = tuple  # tuple[int, ...], one entry per projective factor
 # of a section matrix may count: about 20 times the largest (455, degree 12 on
 # P3) that any test, shipped input or benchmark workload builds or counts
 MAX_BASIS = 10_000
+
+# bits per variable in a packed monomial (`pack_exponents`): 2^14 = 16384 > MAX_BASIS
+FIELD_BITS = MAX_BASIS.bit_length()
 
 
 class Ambient:
@@ -129,13 +135,24 @@ def _coeff(value):
 
 
 class RationalPolynomial:
-    """Sparse exact polynomial: exponent vector -> nonzero int coefficient."""
+    """Sparse exact polynomial: exponent vector -> nonzero int coefficient.
 
-    __slots__ = ("ambient", "terms")
+    No code changes `terms` after construction, so the packed terms a section
+    matrix reads are computed once per polynomial and kept.
+    """
+
+    __slots__ = ("ambient", "terms", "_packed")
 
     def __init__(self, ambient: Ambient, terms: dict):
         self.ambient = ambient
         self.terms = terms
+        self._packed = None
+
+    def packed_terms(self) -> tuple:
+        """((packed exponent, coefficient), ...), by `pack_terms` at the first call."""
+        if self._packed is None:
+            self._packed = pack_terms(self.terms)
+        return self._packed
 
     @staticmethod
     def zero(ambient: Ambient) -> "RationalPolynomial":
@@ -289,13 +306,41 @@ def basis_exponents(sizes: tuple, d: tuple) -> tuple:
     in `monomial_basis` order.
 
     Built once per (sizes, d): every twist of a section matrix asks for the
-    same few source bases, and a key of int tuples hashes faster than an
-    Ambient.  Its size is checked by `basis_size` first.
+    same few source bases (`packed_basis`), and a key of int tuples hashes
+    faster than an Ambient.  Its size is checked by `basis_size` first.
     """
     if not basis_size(sizes, d):
         return ()
     per_group = [_exponents_of_degree(n, deg) for n, deg in zip(sizes, d)]
     return tuple(tuple(x for part in combo for x in part) for combo in iter_product(*per_group))
+
+
+def pack_exponents(e) -> int:
+    """The exponent vector e as one int: the sum of e[k] * 2^(FIELD_BITS * k).
+
+    The map is Z-linear, so pack(a) + pack(b) == pack(a + b) for any integer
+    vectors, whatever their size: a product of monomials is one int add.  It
+    is injective on vectors whose entries lie in 0 .. 2^FIELD_BITS - 1, whose
+    packs are their base-2^FIELD_BITS digits; every exponent of a monomial in
+    a basis of at most MAX_BASIS monomials is one (`section_matrix`).
+    """
+    key = 0
+    for x in reversed(e):
+        key = (key << FIELD_BITS) + x
+    return key
+
+
+def pack_terms(terms: dict) -> tuple:
+    """((pack_exponents(e), c), ...) over the terms of a polynomial: each map
+    entry of a section matrix is packed here once, by `packed_terms`."""
+    return tuple((pack_exponents(e), c) for e, c in terms.items())
+
+
+@lru_cache(maxsize=None)
+def packed_basis(sizes: tuple, d: tuple) -> tuple:
+    """`basis_exponents(sizes, d)` packed by `pack_exponents`, in the same
+    order, built once per (sizes, d)."""
+    return tuple(map(pack_exponents, basis_exponents(sizes, d)))
 
 
 def _exponents_of_degree(nvars: int, d: int) -> list:

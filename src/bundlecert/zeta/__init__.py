@@ -9,7 +9,6 @@ from .charpoly import (
     all_roots_on_circle,
     assemble_charpoly,
     cyclotomic,
-    euler_phi,
     family_completions,
     profile_from_counts,
     rank_upper_bound,
@@ -31,7 +30,6 @@ __all__ = [
     "count_points_bruteforce",
     "curve_coefficients",
     "cyclotomic",
-    "euler_phi",
     "family_completions",
     "make_field",
     "primitive_modulus",

@@ -160,21 +160,22 @@ def is_prime(n: int) -> bool:
     return prime_divisors(n) == [n]
 
 
-def euler_phi(k: int) -> int:
-    """Euler's totient: k times the product of 1 - 1/l over the primes l | k."""
-    for ell in prime_divisors(k):
-        k -= k // ell
-    return k
-
-
 @lru_cache(maxsize=None)
 def cyclotomics_up_to(d: int) -> tuple:
     """Every order k with phi(k) <= d, in increasing k.
 
     phi(k) >= sqrt(k) for every k > 6 (only k = 2 and 6 break it), so no k
-    above max(6, d^2) qualifies.
+    above max(6, d^2) qualifies.  Every phi(k) up to there comes from one
+    totient sieve: phi(k) = k times the product of 1 - 1/l over the primes
+    l | k, and a prime l is an entry the sieve has not lowered when reached.
     """
-    return tuple(k for k in range(1, max(6, d * d) + 1) if euler_phi(k) <= d)
+    top = max(6, d * d)
+    phi = list(range(top + 1))
+    for ell in range(2, top + 1):
+        if phi[ell] == ell:
+            for k in range(ell, top + 1, ell):
+                phi[k] -= phi[k] // ell
+    return tuple(k for k in range(1, top + 1) if phi[k] <= d)
 
 
 @lru_cache(maxsize=None)

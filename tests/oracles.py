@@ -16,8 +16,10 @@ division, a plain Sturm chain and a rational gcd, and the plus-sign
 family's middle coefficients by rational remainders and a rational solve,
 and the unit-root count by dividing by every cyclotomic (vs the integer
 pseudo-remainder sequences, divisibility tests and residues mod a witness
-prime of `zeta.charpoly`), and h^0 on a quartic surface by normal forms modulo f
-in the coordinate ring (vs the lifted kernel monad of `k3lat.quartic_h0`),
+prime of `zeta.charpoly`), Euler's totient by trial division (vs the
+totient sieve of `zeta.charpoly.cyclotomics_up_to`), and h^0 on a quartic
+surface by normal forms modulo f in the coordinate ring (vs the lifted
+kernel monad of `k3lat.quartic_h0`),
 and fiber counts and specialized coefficients one point at a time through
 the exp and log lists of `field_tables` (vs the blocked Horner on the
 codes of `zeta.field.Field`), and the kernel vector of an integer matrix by
@@ -30,7 +32,7 @@ form per degree of `k3lat.curve_class_candidates`), and the Chern data of a
 twisted sum of line bundles by the closed forms per ambient (vs the one rule
 through the intersection form of `monad.chern_free`), and section matrices
 as dense rows, one polynomial product per source basis monomial, every
-target basis enumerated (vs the counted rows, rows keyed by product
+target basis enumerated (vs the counted rows, rows keyed by packed product
 monomial, skipped empty summands and cells written once of
 `polycore.section_matrix`).
 
@@ -55,7 +57,7 @@ from bundlecert.polycore import (
     monomial_basis,
     parse_poly,
 )
-from bundlecert.polycore.poly import _coeff
+from bundlecert.polycore.poly import _coeff, pack_exponents
 from bundlecert.zeta.charpoly import cyclotomic, cyclotomics_up_to, prime_divisors
 from bundlecert.zeta.field import _pol_mulmod, _pol_powmod
 
@@ -355,6 +357,15 @@ def audit_coverage(cert, window: int = 8) -> bool:
             if not covered:
                 return False
     return True
+
+
+# --- Euler's totient by trial division -----------------------------------------------
+
+def euler_phi(k: int) -> int:
+    """Euler's totient: k times the product of 1 - 1/l over the primes l | k."""
+    for ell in prime_divisors(k):
+        k -= k // ell
+    return k
 
 
 # --- the circle test over Q -------------------------------------------------------
@@ -718,9 +729,10 @@ def dense(M: ExactMatrix, keys=None) -> list:
 
 
 def section_row_keys(ambient, target_twists, L) -> list:
-    """The row keys of a section matrix in dense order: (target summand,
-    exponent) per monomial of each twisted target, in `monomial_basis` order."""
-    return [(i, e) for i, t in enumerate(target_twists)
+    """The row keys of a section matrix in dense order, one per monomial e of
+    each twisted target i, in `monomial_basis` order: e packed with i as one
+    more exponent, whose field lies above those of the variables."""
+    return [pack_exponents((*e, i)) for i, t in enumerate(target_twists)
             for e in monomial_basis(ambient, tuple(a + b for a, b in zip(t, L)))]
 
 

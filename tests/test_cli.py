@@ -13,7 +13,8 @@ import pytest
 from bundlecert import cli, cohom, k3lat, monad, stability, zeta
 from bundlecert.monad import document_mismatches
 from bundlecert.polycore import linalg, parse_poly, section_matrix
-from bundlecert.polycore.poly import basis_exponents
+from bundlecert.polycore import poly
+from bundlecert.polycore.poly import pack_terms, packed_basis
 from bundlecert.zeta import count
 from oracles import dense_section_matrix, gauss_rank
 
@@ -175,7 +176,7 @@ def test_certify_builds_the_bases_of_its_source_degrees_only(monkeypatch):
 
     def basis_spy(sizes, d):
         asked.append(d)
-        return basis_exponents(sizes, d)
+        return packed_basis(sizes, d)
 
     def matrix_spy(ambient, entries, source, target, L):
         asked.clear()
@@ -188,7 +189,7 @@ def test_certify_builds_the_bases_of_its_source_degrees_only(monkeypatch):
         uncounted.extend(d for d in twisted[1] - twisted[0] if min(d) >= 0)
         return M
 
-    monkeypatch.setattr(linalg, "basis_exponents", basis_spy)
+    monkeypatch.setattr(linalg, "packed_basis", basis_spy)
     for module in (cohom, monad):
         monkeypatch.setattr(module, "section_matrix", matrix_spy)
     for m in _monads_of_the_certify_bench():
@@ -220,9 +221,9 @@ def test_h0_counts_the_rows_of_a_target_it_never_enumerates(capsys, tmp_path, mo
 
     def spy(sizes, d):
         asked.append(d)
-        return basis_exponents(sizes, d)
+        return packed_basis(sizes, d)
 
-    monkeypatch.setattr(linalg, "basis_exponents", spy)
+    monkeypatch.setattr(linalg, "packed_basis", spy)
     path = tmp_path / "ks-16.monad"
     path.write_text(json.dumps(scaled_monad("ks-16")))
     assert run(capsys, "h0", "--monad", path, "--twist", 120) == (cli.EXIT_OK, "12690\n", "")
@@ -230,6 +231,69 @@ def test_h0_counts_the_rows_of_a_target_it_never_enumerates(capsys, tmp_path, mo
     code, out, err = run(capsys, "h0", "--monad", path, "--twist", 130)
     assert (code, out) == (cli.EXIT_ERROR, "")
     assert err == "error: a monomial basis of degree (146,) has 10878 monomials, over the cap 10000\n"
+
+
+@pytest.mark.parametrize("forms,middle,top,over,degree", [
+    (["x0", "x1"], [[-1, 0], [-1, 0]], "9999,0", "10000,0", "(10000, 0)"),
+    (["y0", "y1"], [[0, -1], [0, -1]], "0,9999", "0,10000", "(0, 10000)"),
+], ids=["x", "y"])
+def test_h0_at_the_cap_fills_an_exponent_field(capsys, tmp_path, monkeypatch,
+                                                forms, middle, top, over, degree):
+    # ker(O(-1,0)^2 -> O) by (x0, x1) on P1 x P1, and the same on the y factor.
+    # At 9,999 the target basis has exactly MAX_BASIS = 10,000 monomials, and
+    # its product monomials reach the exponent 9,999 in a packed field (the
+    # top one on the y factor, just below the summand index): h0 = 2 * 9,999
+    # - 10,000.  One more is refused by the row count, before a source basis
+    # is built or a cell written.
+    doc = {"ambient": {"dims": [1, 1], "type": "product_projective"}, "map_b": [forms],
+           "middle": middle, "name": "cap", "target": [[0, 0]]}
+    path = tmp_path / "cap.monad"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "h0", "--monad", path, "--twist", top) == (cli.EXIT_OK, "9998\n", "")
+    asked = []
+
+    def spy(sizes, d):
+        asked.append(d)
+        return packed_basis(sizes, d)
+
+    monkeypatch.setattr(linalg, "packed_basis", spy)
+    code, out, err = run(capsys, "h0", "--monad", path, "--twist", over)
+    assert (code, out, asked) == (cli.EXIT_ERROR, "", [])
+    assert err == f"error: a monomial basis of degree {degree} has 10001 monomials, over the cap 10000\n"
+
+
+def test_certify_packs_each_map_entry_once(monkeypatch):
+    # on the bench's scaled monads, the terms of each map entry a section
+    # matrix reads are packed at its first matrix and kept, not packed again
+    # at every twist; the caches of contractions and fibers start empty, so
+    # every entry is new
+    packed, live, reads = [], {}, [0]
+
+    def pack_spy(terms):
+        packed.append(terms)
+        return pack_terms(terms)
+
+    def matrix_spy(ambient, entries, source, target, L):
+        for j, s in enumerate(source):
+            if min(a + b for a, b in zip(s, L)) >= 0:
+                for row in entries:
+                    if row[j].terms:
+                        live[id(row[j].terms)] = row[j].terms
+                        reads[0] += 1
+        return section_matrix(ambient, entries, source, target, L)
+
+    cohom.exterior_contraction.cache_clear()
+    monad.restrict_to_fiber.cache_clear()
+    monkeypatch.setattr(poly, "pack_terms", pack_spy)
+    for module in (cohom, monad):
+        monkeypatch.setattr(module, "section_matrix", matrix_spy)
+    for name in ("k-rank3-n8", "ks-16"):
+        m = monad.monad_from_document(scaled_monad(name))
+        stability.certify(m, stability.Polarization(m.ambient, (1,) * m.ambient.arity))
+    nonzero = [id(t) for t in packed if t]
+    assert len(set(nonzero)) == len(nonzero)  # none packed twice
+    assert set(nonzero) == set(live)  # each one a matrix reads packed once
+    assert reads[0] > 5 * len(nonzero)  # where one packing per twist would pack each often
 
 
 def test_quartic_run_is_byte_stable(capsys):

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -21,7 +22,11 @@ from bundlecert.cohom import exterior_contraction
 from bundlecert.monad import kernel_monad, restrict_to_fiber
 from bundlecert.polycore import linalg
 from bundlecert.polycore.parse import MAX_NESTING
-from bundlecert.polycore.poly import MAX_BASIS
+from bundlecert.polycore.poly import (
+    FIELD_BITS,
+    MAX_BASIS,
+    pack_exponents,
+)
 
 from oracles import (
     add_cell,
@@ -199,6 +204,42 @@ class TestBasis:
             (0, 1, 1, 0),
             (0, 1, 0, 1),
         )
+
+
+P3 = Ambient.projective(3)
+TOP = MAX_BASIS - 1  # the largest exponent of a monomial in an admitted basis
+
+
+def digits(key: int, n: int) -> list:
+    """The n base-2^FIELD_BITS digits of a packed key, lowest first."""
+    return [(key >> (FIELD_BITS * k)) & ((1 << FIELD_BITS) - 1) for k in range(n)]
+
+
+class TestPacking:
+    """`pack_exponents` where it is tightest: exponents up to MAX_BASIS - 1,
+    the largest an admitted basis holds, on P1 x P1, P2 and P3."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_linear_and_read_back_up_to_the_cap(self, data):
+        amb = data.draw(st.sampled_from([PP, P2, P3]))
+        vector = st.tuples(*[st.integers(0, TOP)] * amb.nvars)
+        a, b = data.draw(vector), data.draw(vector)
+        total = tuple(x + y for x, y in zip(a, b))  # may overflow a field: still linear
+        assert pack_exponents(a) + pack_exponents(b) == pack_exponents(total)
+        assert digits(pack_exponents(a), amb.nvars) == list(a)  # injective: a left inverse
+        assert pack_exponents(a) >> (FIELD_BITS * amb.nvars) == 0  # below the summand index
+
+    def test_distinct_vectors_give_distinct_keys(self):
+        for amb in (PP, P2, P3):
+            corner = (0, 1, TOP - 1, TOP)
+            vectors = list(product(corner, repeat=amb.nvars))
+            keys = [pack_exponents((*e, i)) for i in range(3) for e in vectors]
+            assert len(set(keys)) == len(keys)
+            for a in vectors:
+                for b in vectors:
+                    total = tuple(x + y for x, y in zip(a, b))
+                    assert pack_exponents(a) + pack_exponents(b) == pack_exponents(total)
 
 
 class TestAmbient:

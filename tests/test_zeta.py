@@ -20,7 +20,6 @@ from bundlecert.zeta import (
     count_points_bruteforce,
     curve_coefficients,
     cyclotomic,
-    euler_phi,
     make_field,
     unit_root_count,
 )
@@ -49,7 +48,7 @@ from bundlecert.zeta.count import (
 )
 
 import oracles
-from oracles import count_double_cover_f3, field_tables, poly_mul
+from oracles import count_double_cover_f3, euler_phi, field_tables, poly_mul
 
 PP = Ambient.product_projective(1, 1)
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -709,17 +708,18 @@ class TestCyclotomics:
             assert euler_phi(k) == len(cyclotomic(k)) - 1
 
     def test_euler_phi_matches_a_gcd_count(self):
-        # cyclotomics_up_to(20) reads every k <= 20^2; the 2 * 20^2 scan that
-        # test_the_scan_bound_drops_no_order compares it with reads up to 800
-        for k in range(1, 801):
+        # test_the_scan_bound_drops_no_order scans every k <= 2 * 28^2 = 1568
+        for k in range(1, 1569):
             assert euler_phi(k) == sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
 
     def test_the_scan_bound_drops_no_order(self):
-        """k <= max(6, d^2) finds every k that the bound phi(k) >= sqrt(k/2),
-        which holds for every k, lets in: k <= 2 d^2."""
-        for d in range(1, 21):
+        """The sieve up to max(6, d^2) finds every k that the bound
+        phi(k) >= sqrt(k/2), which holds for every k, lets in: k <= 2 d^2,
+        each phi(k) by trial division."""
+        for d in range(1, 29):
             wide = tuple(k for k in range(1, 2 * d * d + 1) if euler_phi(k) <= d)
             assert cyclotomics_up_to(d) == wide
+        assert len(cyclotomics_up_to(20)) == 41
 
     def test_every_witness_is_a_root_of_its_cyclotomic(self):
         for k in cyclotomics_up_to(20):
